@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-threads lint bench figures examples clean
+.PHONY: install test test-threads lint bench perfbench perfbench-quick figures examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -29,6 +29,14 @@ lint:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# wall-clock benchmark of the CP-ALS dataflows (perfbench/README.md):
+# all four workloads, both passes, ~3.5 min; -quick is the < 30 s smoke
+perfbench:
+	$(PYTHON) perfbench/run.py
+
+perfbench-quick:
+	$(PYTHON) perfbench/run.py --quick
 
 # regenerate every table/figure artifact under benchmarks/results/
 figures: bench

@@ -62,31 +62,26 @@ class CstfCOO(CPALSDriver):
             return self._mttkrp_broadcast(mode, tensor_rdd, factor_rdds,
                                           rank)
         modes = self.join_order(len(factor_rdds), mode)
-        first = modes[0]
+        kernel = self.ctx.kernel
 
         # STAGE 1: key the tensor by the first join mode;  (k, (idx, val))
-        # — the kernel's materialize point for columnar partitions
-        kernel = self.ctx.kernel
-        keyed = kernel.key_tensor_by_mode(tensor_rdd, first).set_name(
-            f"coo-key-mode{first}")
+        current = kernel.key_tensor_by_mode(tensor_rdd, modes[0]).set_name(
+            f"coo-key-mode{modes[0]}")
 
-        # join with the first factor and fold the tensor value into the
-        # accumulator:  (k, ((idx, val), C_row)) -> (next_key, (idx, acc))
-        current = keyed.join(factor_rdds[first], self.num_partitions)
-        for pos, join_mode in enumerate(modes):
-            next_mode = modes[pos + 1] if pos + 1 < len(modes) else mode
-            current = kernel.coo_rekey(
-                current, next_mode, first=(pos == 0)
+        # STAGE 2: one join per fixed mode, folding the joined factor
+        # row into the accumulator and re-keying by the next mode:
+        # (k, ((idx, acc), row)) -> (next_key, (idx, acc * row)); the
+        # last one keys by the output mode and drops the index tuple
+        for join_mode, next_mode in zip(modes, modes[1:] + [mode]):
+            current = kernel.coo_join(
+                current, factor_rdds[join_mode], next_mode,
+                last=(next_mode == mode),
+                num_partitions=self.num_partitions,
             ).set_name(f"coo-acc-mode{join_mode}")
-            if next_mode != mode:
-                current = current.join(
-                    factor_rdds[next_mode], self.num_partitions)
 
-        # STAGE 3: drop the index tuple and sum rows per output index
-        partials = current.map_values(lambda pair: pair[1]).set_name(
-            "coo-partials")
+        # STAGE 3: sum rows per output index
         return kernel.sum_rows_by_key(
-            partials, self.num_partitions).set_name(f"mttkrp-{mode}")
+            current, self.num_partitions).set_name(f"mttkrp-{mode}")
 
     def _mttkrp_broadcast(self, mode: int, tensor_rdd: RDD,
                           factor_rdds: list[RDD], rank: int) -> RDD:

@@ -24,6 +24,7 @@ the mode-1 overhead visible in Figure 5.
 from __future__ import annotations
 
 from ..engine.rdd import RDD
+from ..kernels.base import key_records_by_mode
 from ..tensor.coo import COOTensor
 from .cp_als import CPALSDriver
 
@@ -51,13 +52,15 @@ class CstfQCOO(CPALSDriver):
             # tensor-sized joins for state nobody reads
             return
         order = tensor.order
-        # materialize point: the kernel's block-aware keying expands
-        # columnar tensor partitions with bulk conversions (a generic
+        # materialize point: QCOO's queue records are still built
+        # record by record, so the tensor is keyed as records whatever
+        # the kernel (a block-keying kernel's own key_tensor_by_mode
+        # would hand back blocks).  The shared helper expands columnar
+        # partitions in bulk inside one op; a generic
         # materialize_records().map() would be flagged as
-        # plan-block-churn: blocks degraded to records record-by-record
-        # and then shuffled); the records produced are identical
-        current = self.ctx.kernel.key_tensor_by_mode(
-            tensor_rdd, 0).map_values(
+        # plan-block-churn (blocks degraded record-by-record and then
+        # shuffled) for the identical records
+        current = key_records_by_mode(tensor_rdd, 0).map_values(
             lambda rec: (rec, ())).set_name("qcoo-init-key0")
         for m in range(order - 1):
             joined = current.join(factor_rdds[m], self.num_partitions)

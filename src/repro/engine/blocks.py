@@ -12,7 +12,12 @@ This module provides the columnar alternative:
 ``ColumnarBlock``
     One contiguous ``int64`` index array per mode plus one contiguous
     ``float64`` values array.  Row ``i`` of the block is the record
-    ``((columns[0][i], ..., columns[N-1][i]), values[i])``.
+    ``((columns[0][i], ..., columns[N-1][i]), values[i])``.  Two
+    optional extras carry it through the CSTF-COO join: ``rows``, an
+    ``(n, R)`` accumulator column (the running Hadamard product that
+    replaces the value once the first factor is joined), and
+    ``key_mode``, naming the index column that is the shuffle key — so
+    keying and re-keying are O(1) relabels of the same arrays.
 
 ``KeyedRowBlock``
     A batch of keyed factor rows — ``int64`` keys and a dense
@@ -67,6 +72,14 @@ BLOCK_MAGIC = b"RBLK1\n"
 
 _KIND_COLUMNAR = b"C"
 _KIND_KEYED = b"K"
+#: a ColumnarBlock carrying ``rows`` and/or ``key_mode``: the ``C``
+#: layout plus a two-byte ``(key_mode, has_rows)`` header.  It is a
+#: second kind rather than one always-extended layout because a plain
+#: block's frame is pinned at exactly ``nbytes + BLOCK_OVERHEAD`` bytes
+#: (``estimate_size``'s exact fast path, ``TestSizerPinning``); two
+#: more header bytes on every cached tensor block would break that
+#: frame == sizer equality
+_KIND_COLUMNAR_EXT = b"X"
 
 
 def _contiguous(arr: Any, dtype: np.dtype[Any]) -> npt.NDArray[Any]:
@@ -74,15 +87,24 @@ def _contiguous(arr: Any, dtype: np.dtype[Any]) -> npt.NDArray[Any]:
 
 
 class ColumnarBlock:
-    """A partition slice of COO nonzeros in columnar layout."""
+    """A partition slice of COO nonzeros in columnar layout.
 
-    __slots__ = ("columns", "values")
+    ``rows`` (optional) is an ``(n, R)`` per-nonzero accumulator;
+    ``key_mode`` (optional) names the index column that keys the block
+    for a shuffle.  A block with neither is a plain tensor slice.
+    """
+
+    __slots__ = ("columns", "values", "rows", "key_mode")
 
     columns: tuple[IndexArray, ...]
     values: ValueArray
+    rows: ValueArray | None
+    key_mode: int | None
 
     def __init__(self, columns: Sequence[npt.ArrayLike],
-                 values: npt.ArrayLike) -> None:
+                 values: npt.ArrayLike,
+                 rows: npt.ArrayLike | None = None,
+                 key_mode: int | None = None) -> None:
         columns = tuple(_contiguous(c, INDEX_DTYPE) for c in columns)
         values = _contiguous(values, VALUE_DTYPE)
         if values.ndim != 1:
@@ -92,8 +114,19 @@ class ColumnarBlock:
                 raise ValueError(
                     "every index column must be 1-D with one entry "
                     "per value")
+        if rows is not None:
+            rows = _contiguous(rows, VALUE_DTYPE)
+            if rows.ndim != 2 or rows.shape[0] != values.shape[0]:
+                raise ValueError(
+                    "rows must be 2-D with one row per value")
+        if key_mode is not None and not 0 <= key_mode < len(columns):
+            raise ValueError(
+                f"key_mode {key_mode} out of range for a block of "
+                f"order {len(columns)}")
         self.columns = columns
         self.values = values
+        self.rows = rows
+        self.key_mode = key_mode
 
     # -- container protocol -------------------------------------------
     def __len__(self) -> int:
@@ -106,13 +139,26 @@ class ColumnarBlock:
 
     @property
     def nbytes(self) -> int:
-        """Exact payload bytes (index columns + values)."""
+        """Exact payload bytes (index columns + values + rows)."""
         return (sum(c.nbytes for c in self.columns)
-                + self.values.nbytes)
+                + self.values.nbytes
+                + (0 if self.rows is None else self.rows.nbytes))
 
     def column(self, mode: int) -> IndexArray:
         """The contiguous index array of one mode."""
         return self.columns[mode]
+
+    @property
+    def keys(self) -> IndexArray:
+        """The shuffle-key column of a keyed block."""
+        if self.key_mode is None:
+            raise ValueError("block is not keyed")
+        return self.columns[self.key_mode]
+
+    def keyed_by(self, mode: int | None) -> "ColumnarBlock":
+        """The same rows keyed by ``mode``'s index column (``None``
+        un-keys): an O(1) relabel sharing every array."""
+        return ColumnarBlock(self.columns, self.values, self.rows, mode)
 
     # -- records <-> blocks -------------------------------------------
     @classmethod
@@ -132,15 +178,25 @@ class ColumnarBlock:
             vals[i] = val
         return cls(tuple(cols), vals)
 
-    def to_records(self) -> list[tuple[tuple[int, ...], float]]:
+    def to_records(self) -> list[Any]:
         """Materialize back to ``(tuple[int, ...], float)`` records in
         storage order — bit-identical to the records the block was
-        built from."""
-        vals = self.values.tolist()
+        built from.
+
+        The extras follow the record path's shapes: with ``rows`` the
+        payload is the accumulator row instead of the value, and a
+        keyed block wraps each record as ``(idx[key_mode], record)`` —
+        exactly the tuples the CSTF-COO join shuffles record by record.
+        """
+        payload: Iterable[Any] = (self.values.tolist()
+                                  if self.rows is None else self.rows)
         if not self.columns:
-            return [((), v) for v in vals]
+            return [((), v) for v in payload]
         cols = [c.tolist() for c in self.columns]
-        return [(idx, v) for idx, v in zip(zip(*cols), vals)]
+        records = list(zip(zip(*cols), payload))
+        if self.key_mode is None:
+            return records
+        return list(zip(cols[self.key_mode], records))
 
     # -- structural ops -----------------------------------------------
     @classmethod
@@ -151,29 +207,45 @@ class ColumnarBlock:
         if not blocks:
             raise ValueError("concat of zero blocks is ambiguous "
                              "(unknown order)")
-        order = blocks[0].order
-        if any(b.order != order for b in blocks):
+        first = blocks[0]
+        if any(b.order != first.order for b in blocks):
             raise ValueError("cannot concat blocks of different order")
+        if any(b.key_mode != first.key_mode
+               or (b.rows is None) != (first.rows is None)
+               for b in blocks):
+            raise ValueError(
+                "cannot concat blocks that disagree on key_mode or on "
+                "carrying rows")
         cols = tuple(
             np.concatenate([b.columns[m] for b in blocks])
-            for m in range(order))
+            for m in range(first.order))
         vals = np.concatenate([b.values for b in blocks])
-        return cls(cols, vals)
+        rows = (None if first.rows is None
+                else np.concatenate([b.rows for b in blocks]))
+        return cls(cols, vals, rows, first.key_mode)
 
-    def take(self, indices: npt.ArrayLike) -> "ColumnarBlock":
-        """Sub-block of the given rows, in the given index order."""
-        idx = np.asarray(indices, dtype=np.int64)
+    def take(self, indices: npt.ArrayLike | slice) -> "ColumnarBlock":
+        """Sub-block of the given rows, in the given index order (a
+        ``slice`` gives a zero-copy view of a contiguous run)."""
+        idx = (indices if isinstance(indices, slice)
+               else np.asarray(indices, dtype=np.int64))
         return ColumnarBlock(
-            tuple(c[idx] for c in self.columns), self.values[idx])
+            tuple(c[idx] for c in self.columns), self.values[idx],
+            None if self.rows is None else self.rows[idx],
+            self.key_mode)
 
     def __repr__(self) -> str:
+        extras = ""
+        if self.rows is not None:
+            extras += f", rank={self.rows.shape[1]}"
+        if self.key_mode is not None:
+            extras += f", key_mode={self.key_mode}"
         return (f"ColumnarBlock(order={self.order}, "
-                f"nnz={len(self)}, nbytes={self.nbytes})")
+                f"nnz={len(self)}, nbytes={self.nbytes}{extras})")
 
-    def __reduce__(self) -> tuple[
-            type["ColumnarBlock"],
-            tuple[tuple[IndexArray, ...], ValueArray]]:
-        return (ColumnarBlock, (self.columns, self.values))
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (ColumnarBlock,
+                (self.columns, self.values, self.rows, self.key_mode))
 
 
 class KeyedRowBlock:
@@ -222,7 +294,7 @@ class KeyedRowBlock:
     def to_records(self) -> list[tuple[int, ValueArray]]:
         """``(int, ndarray row)`` pairs in storage order — the exact
         record shape the per-record kernel path emits."""
-        return [(int(k), row) for k, row in zip(self.keys, self.rows)]
+        return list(zip(self.keys.tolist(), self.rows))
 
     @classmethod
     def concat(cls, blocks: Sequence["KeyedRowBlock"]) -> "KeyedRowBlock":
@@ -233,9 +305,11 @@ class KeyedRowBlock:
         return cls(np.concatenate([b.keys for b in blocks]),
                    np.vstack([b.rows for b in blocks]))
 
-    def take(self, indices: npt.ArrayLike) -> "KeyedRowBlock":
-        """Sub-block of the given rows, in the given index order."""
-        idx = np.asarray(indices, dtype=np.int64)
+    def take(self, indices: npt.ArrayLike | slice) -> "KeyedRowBlock":
+        """Sub-block of the given rows, in the given index order (a
+        ``slice`` gives a zero-copy view of a contiguous run)."""
+        idx = (indices if isinstance(indices, slice)
+               else np.asarray(indices, dtype=np.int64))
         return KeyedRowBlock(self.keys[idx], self.rows[idx])
 
     def __repr__(self) -> str:
@@ -253,6 +327,34 @@ class KeyedRowBlock:
 def is_block(obj: object) -> bool:
     """Whether ``obj`` is a columnar partition block."""
     return type(obj) is ColumnarBlock or type(obj) is KeyedRowBlock
+
+
+def is_keyed_block(obj: object) -> bool:
+    """Whether ``obj`` is a block a shuffle can bucket by its ``keys``
+    column: a :class:`KeyedRowBlock`, or a :class:`ColumnarBlock` with
+    a ``key_mode``."""
+    return type(obj) is KeyedRowBlock or (
+        type(obj) is ColumnarBlock and obj.key_mode is not None)
+
+
+def split_by_partition(
+        block: ColumnarBlock | KeyedRowBlock, pids: npt.NDArray[np.int64],
+) -> list[tuple[int, ColumnarBlock | KeyedRowBlock]]:
+    """Split ``block`` into ``(partition, sub-block)`` pairs given each
+    row's target partition: one stable argsort, one gather, then a
+    zero-copy slice per non-empty partition.  Rows keep their original
+    relative order within each sub-block — the order per-record bucket
+    appends would produce — and an empty block yields nothing."""
+    n = len(block)
+    if n == 0:
+        return []
+    order = np.argsort(pids, kind="stable")
+    sorted_pids = pids[order]
+    cuts = (np.flatnonzero(sorted_pids[1:] != sorted_pids[:-1]) + 1
+            ).tolist()
+    gathered = block.take(order)
+    return [(int(sorted_pids[start]), gathered.take(slice(start, stop)))
+            for start, stop in zip([0, *cuts], [*cuts, n])]
 
 
 def iter_records(partition: Iterable[Any]) -> Iterator[Any]:
@@ -347,11 +449,21 @@ def pack_blocks(
     out: list[bytes] = [BLOCK_MAGIC, struct.pack("<I", len(blocks))]
     for block in blocks:
         if type(block) is ColumnarBlock:
-            out.append(_KIND_COLUMNAR)
+            extended = (block.rows is not None
+                        or block.key_mode is not None)
+            out.append(_KIND_COLUMNAR_EXT if extended
+                       else _KIND_COLUMNAR)
             out.append(struct.pack("<B", block.order))
+            if extended:
+                out.append(struct.pack(
+                    "<bB",
+                    -1 if block.key_mode is None else block.key_mode,
+                    block.rows is not None))
             for col in block.columns:
                 _pack_array(out, col)
             _pack_array(out, block.values)
+            if block.rows is not None:
+                _pack_array(out, block.rows)
         elif type(block) is KeyedRowBlock:
             out.append(_KIND_KEYED)
             _pack_array(out, block.keys)
@@ -378,15 +490,24 @@ def unpack_blocks(blob: bytes) -> list[ColumnarBlock | KeyedRowBlock]:
     for _ in range(count):
         kind = bytes(buf[pos:pos + 1])
         pos += 1
-        if kind == _KIND_COLUMNAR:
+        if kind in (_KIND_COLUMNAR, _KIND_COLUMNAR_EXT):
             (order,) = struct.unpack_from("<B", buf, pos)
             pos += 1
+            key_mode, has_rows = -1, 0
+            if kind == _KIND_COLUMNAR_EXT:
+                key_mode, has_rows = struct.unpack_from("<bB", buf, pos)
+                pos += 2
             cols = []
             for _ in range(order):
                 col, pos = _unpack_array(buf, pos)
                 cols.append(col)
             vals, pos = _unpack_array(buf, pos)
-            blocks.append(ColumnarBlock(tuple(cols), vals))
+            rows = None
+            if has_rows:
+                rows, pos = _unpack_array(buf, pos)
+            blocks.append(ColumnarBlock(
+                tuple(cols), vals, rows,
+                None if key_mode < 0 else key_mode))
         elif kind == _KIND_KEYED:
             keys, pos = _unpack_array(buf, pos)
             rows, pos = _unpack_array(buf, pos)

@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import Any, Callable, TYPE_CHECKING
 
 from . import linthooks
+from .blocks import KeyedRowBlock, iter_records
 from .errors import CorruptedDataError
 from .partitioner import stable_hash
 from .serialization import (deserialize_partition, estimate_record_size,
@@ -275,18 +276,36 @@ class SpillableAppendOnlyMap:
             data[key] = combiner
             self._book(estimate_record_size((key, combiner)))
 
-    def insert_batch(self, records) -> None:
-        """Combine a whole batch through the aggregator's
-        ``combine_batch`` fast path, then merge the per-key combiners.
+    def merge_batch(self, records) -> list:
+        """Combine one whole partition through the aggregator's
+        ``combine_batch`` fast path and return the final items (the
+        batch form of inserting every record, then
+        :meth:`merged_items`).
 
         The batch combiner emits each key once (in first-occurrence
         order), so on an empty buffer the inserts below never merge and
         the resulting dict order matches the record-at-a-time path
         exactly; memory booking and spill behaviour are those of
         :meth:`insert_combiner`.
+
+        A combiner that answers with one
+        :class:`~repro.engine.blocks.KeyedRowBlock` gets it back whole
+        when the buffer is empty and the execution pool grants the
+        rows' booking in one shot (charged like the records they stand
+        for); a denied booking expands the block into the per-key path,
+        so spilling works exactly as it does for records.
         """
-        for key, combiner in self._agg.combine_batch(list(records)):
+        combined = self._agg.combine_batch(list(records))
+        if (len(combined) == 1 and type(combined[0]) is KeyedRowBlock
+                and not self._data and not self._runs):
+            nbytes = estimate_record_size(combined[0])
+            if self._memory.try_acquire_execution(nbytes):
+                # the hand-off is the buffer's whole lifetime
+                self._memory.release_execution(nbytes)
+                return combined
+        for key, combiner in iter_records(combined):
             self.insert_combiner(key, combiner)
+        return self.merged_items()
 
     def _book(self, nbytes: int) -> None:
         self._pending += nbytes

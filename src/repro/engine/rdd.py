@@ -28,7 +28,11 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
+import numpy as np
+
 from . import linthooks
+from .blocks import (ColumnarBlock, KeyedRowBlock, iter_records,
+                     rebatch_records)
 from .errors import EngineError
 from .partitioner import HashPartitioner, Partitioner
 from .shuffle import Aggregator
@@ -324,7 +328,6 @@ class RDD:
         Non-block records pass through untouched, so the step is a
         no-op on record partitions and preserves the partitioner.
         """
-        from .blocks import iter_records
         return MapPartitionsRDD(
             self, lambda _split, it: iter_records(it),
             preserves_partitioning=True,
@@ -337,11 +340,23 @@ class RDD:
         single :class:`~repro.engine.blocks.ColumnarBlock`, preserving
         record order.  ``order`` pins the mode count for partitions
         that may be empty."""
-        from .blocks import rebatch_records
         return MapPartitionsRDD(
             self, lambda _split, it: iter(rebatch_records(it, order)),
             preserves_partitioning=True,
         ).set_name("rebatchBlocks")
+
+    def key_blocks(self, mode: int) -> "RDD":
+        """Coalesce each partition into one
+        :class:`~repro.engine.blocks.ColumnarBlock` keyed by ``mode``'s
+        index column — the block form of ``(idx, val) -> (idx[mode],
+        (idx, val))``, ready for :meth:`block_join`.  An O(1) relabel
+        for a partition that already is one block; loose records are
+        batched first, and an empty partition stays empty.  Drops the
+        partitioner, like :meth:`map`."""
+        def key(_split: int, it: Iterable) -> list:
+            (block,) = rebatch_records(it)
+            return [block.keyed_by(mode)] if len(block) else []
+        return MapPartitionsRDD(self, key).set_name("keyBlocks")
 
     def sample(self, fraction: float, seed: int = 0) -> "RDD":
         """Bernoulli sample of the records (deterministic per seed and
@@ -464,7 +479,7 @@ class RDD:
             # already partitioned: combine within partitions, no shuffle
             if combine_batch is not None:
                 def combine_locally(_split: int, it: Iterable) -> Iterator:
-                    return iter(combine_batch(list(it)))
+                    return iter_records(combine_batch(list(it)))
             else:
                 def combine_locally(_split: int, it: Iterable) -> Iterator:
                     acc: dict = {}
@@ -536,6 +551,18 @@ class RDD:
                     yield (lv, rv)
         return (self.cogroup(other, num_partitions)
                 .flat_map_values(emit).set_name("join"))
+
+    def block_join(self, other: "RDD",
+                   fold: Callable[[ColumnarBlock, Any], Any],
+                   out_key_mode: int, keep_index: bool = True,
+                   num_partitions: int | None = None) -> "RDD":
+        """Inner join of keyed columnar blocks with ``(key, row)``
+        records, block in and block out (see :class:`BlockJoinRDD`).
+        Same narrow-vs-shuffle rule as :meth:`join`."""
+        return BlockJoinRDD(
+            self.ctx, self, other,
+            self._default_partitioner(num_partitions),
+            fold, out_key_mode, keep_index)
 
     def left_outer_join(self, other: "RDD",
                         num_partitions: int | None = None) -> "RDD":
@@ -976,9 +1003,10 @@ class ShuffledRDD(RDD):
             site=("reduce", self._dep.shuffle_id, split))
         if agg.combine_batch is not None:
             # batch fast path: valid for both raw values and map-side
-            # combiners (the contract requires them to batch the same)
-            merged.insert_batch(records)
-        elif self._dep.map_side_combine:
+            # combiners (the contract requires them to batch the same);
+            # a block-shaped result returns to records here
+            return iter_records(merged.merge_batch(records))
+        if self._dep.map_side_combine:
             # map side already produced combiners; merge combiners here
             for k, c in records:
                 merged.insert_combiner(k, c)
@@ -988,12 +1016,14 @@ class ShuffledRDD(RDD):
         return iter(merged.merged_items())
 
 
-class CoGroupedRDD(RDD):
-    """Groups several key-value parents by key:
-    ``(key, ([values from parent 0], [values from parent 1], ...))``.
+class _KeyGroupingRDD(RDD):
+    """Base of the RDDs that bring several key-value parents together
+    by key under one partitioner.
 
     Parents already partitioned by the target partitioner contribute
-    through a narrow dependency — no data movement, matching Spark.
+    through a narrow dependency — no data movement, matching Spark;
+    the others are shuffled, and all of them count as one shuffle
+    round of the consuming RDD.
     """
 
     def __init__(self, ctx: "Context", parents: list[RDD],
@@ -1009,6 +1039,26 @@ class CoGroupedRDD(RDD):
             if isinstance(dep, ShuffleDependency):
                 dep.consumer_rdd_id = self.rdd_id
         self._parents = parents
+
+    def _read_parent(self, dep: Dependency, split: int,
+                     task: "TaskContext") -> Iterable:
+        """One parent's records for this partition: its shuffle
+        blocks in map-partition order, or the co-partitioned parent
+        partition itself."""
+        if isinstance(dep, ShuffleDependency):
+            return self.ctx._shuffle_manager.read(
+                dep.shuffle_id, split, task.stage_metrics.shuffle_read)
+        return dep.rdd.iterator(split, task)
+
+
+class CoGroupedRDD(_KeyGroupingRDD):
+    """Groups several key-value parents by key:
+    ``(key, ([values from parent 0], [values from parent 1], ...))``.
+    """
+
+    def __init__(self, ctx: "Context", parents: list[RDD],
+                 partitioner: Partitioner):
+        super().__init__(ctx, parents, partitioner)
         self.set_name("cogroup")
 
     def compute(self, split: int, task: "TaskContext") -> Iterable:
@@ -1016,11 +1066,7 @@ class CoGroupedRDD(RDD):
         n = len(self._parents)
         groups: dict[Any, tuple[list, ...]] = {}
         for idx, dep in enumerate(self.dependencies):
-            if isinstance(dep, ShuffleDependency):
-                records = self.ctx._shuffle_manager.read(
-                    dep.shuffle_id, split, task.stage_metrics.shuffle_read)
-            else:
-                records = dep.rdd.iterator(split, task)
+            records = self._read_parent(dep, split, task)
             for k, v in records:
                 bucket = groups.get(k)
                 if bucket is None:
@@ -1028,6 +1074,88 @@ class CoGroupedRDD(RDD):
                     groups[k] = bucket
                 bucket[idx].append(v)
         return iter(groups.items())
+
+
+class BlockJoinRDD(_KeyGroupingRDD):
+    """Inner join of keyed :class:`~repro.engine.blocks.ColumnarBlock`
+    partitions with a ``(key, row)`` RDD, as one sort + ``searchsorted``
+    gather per partition instead of a hash probe per record.
+
+    Each output partition is a single block: the left side's blocks
+    concatenated in fetch order, every row paired with the right-side
+    row of its key, the rows' accumulator column replaced by
+    ``fold(block, gathered_rows)`` and the block re-keyed by
+    ``out_key_mode`` (``keep_index=False`` drops the index columns and
+    emits a :class:`~repro.engine.blocks.KeyedRowBlock` instead).
+
+    Ordering contract: rows leave in exactly the order the record path
+    (``cogroup`` + ``flatMapValues``) emits them — keys by first
+    occurrence in fetch order, rows of one key in fetch order, rows
+    whose key has no right-side row dropped — so downstream folds see
+    the same operands in the same order.  A key that appears twice on
+    the right would make the record path emit a cross product; here it
+    raises :class:`EngineError`.
+    """
+
+    def __init__(self, ctx: "Context", left: RDD, right: RDD,
+                 partitioner: Partitioner,
+                 fold: Callable[[ColumnarBlock, Any], Any],
+                 out_key_mode: int, keep_index: bool = True):
+        super().__init__(ctx, [left, right], partitioner)
+        # the output is re-keyed, so (like the record path's map after
+        # its join) it is no longer partitioned by the join partitioner
+        self.partitioner = None
+        self._fold = fold
+        self.out_key_mode = out_key_mode
+        self.keep_index = keep_index
+        linthooks.closure_created(fold, "blockJoin")
+        self.set_name("blockJoin")
+
+    def compute(self, split: int, task: "TaskContext") -> Iterable:
+        """Join this partition's keyed blocks with its factor rows."""
+        left_dep, right_dep = self.dependencies
+        blocks = []
+        for item in self._read_parent(left_dep, split, task):
+            if type(item) is not ColumnarBlock or item.key_mode is None:
+                raise EngineError(
+                    f"{self.name} partition {split}: the left side of "
+                    f"a block join must hold keyed ColumnarBlocks, got "
+                    f"{type(item).__name__}")
+            if len(item):
+                blocks.append(item)
+        right = list(self._read_parent(right_dep, split, task))
+        if not blocks or not right:
+            return []
+        block = (blocks[0] if len(blocks) == 1
+                 else ColumnarBlock.concat(blocks))
+        table = KeyedRowBlock.from_records(right)
+
+        by_key = np.argsort(table.keys, kind="stable")
+        table_keys = table.keys[by_key]
+        dup = np.flatnonzero(table_keys[1:] == table_keys[:-1])
+        if dup.size:
+            raise EngineError(
+                f"{self.name} partition {split}: key "
+                f"{int(table_keys[dup[0]])} appears more than once on "
+                f"the row side of a block join")
+
+        # emission order: stable sort of the rows by the position at
+        # which their key first occurs
+        uniq, first_seen, group = np.unique(
+            block.keys, return_index=True, return_inverse=True)
+        emit = np.argsort(first_seen[group], kind="stable")
+
+        slot = np.minimum(np.searchsorted(table_keys, uniq),
+                          table_keys.shape[0] - 1)
+        matched = table_keys[slot] == uniq
+        if not matched.all():
+            emit = emit[matched[group[emit]]]
+        block = block.take(emit)
+        rows = self._fold(block, table.rows[by_key[slot[group[emit]]]])
+        if self.keep_index:
+            return [ColumnarBlock(block.columns, block.values, rows,
+                                  self.out_key_mode)]
+        return [KeyedRowBlock(block.column(self.out_key_mode), rows)]
 
 
 class ZippedRDD(RDD):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .blocks import (BLOCK_OVERHEAD, ColumnarBlock, KeyedRowBlock,
                      is_block_partition, is_block_payload,
-                     pack_blocks, unpack_blocks)
+                     is_keyed_block, pack_blocks, unpack_blocks)
 
 #: Fixed per-record framing overhead in bytes (length prefix + type tag).
 RECORD_OVERHEAD = 8
@@ -119,8 +119,35 @@ def estimate_size(obj: Any) -> int:
     return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+def wire_bytes_per_row(block: ColumnarBlock | KeyedRowBlock) -> int:
+    """Bytes one row of a keyed block is charged on the wire.
+
+    Not a new model: the closed form of what
+    :func:`estimate_record_size` charges the tuple the record path
+    shuffles for the same row — ``(k, (idx, val))`` before the first
+    join (``36 + 8N``), ``(k, (idx, acc_row))`` after it
+    (``32 + 8N + 8R``), ``(k, row)`` for a reduce row (``24 + 8R``) —
+    so a dataflow's shuffle bytes, memory admission and combine-buffer
+    booking do not depend on whether its rows travel as tuples or as
+    blocks (pinned by ``tests/engine/test_wire_model.py``).
+    """
+    # record frame + the (key, value) pair + the int key
+    keyed = RECORD_OVERHEAD + CONTAINER_OVERHEAD + SCALAR_BYTES
+    rows = block.rows
+    row = (SCALAR_BYTES if rows is None   # the bare value
+           else rows.shape[1] * rows.itemsize + CONTAINER_OVERHEAD)
+    if type(block) is KeyedRowBlock:
+        return keyed + row
+    index = CONTAINER_OVERHEAD + SCALAR_BYTES * block.order
+    return keyed + CONTAINER_OVERHEAD + index + row
+
+
 def estimate_record_size(record: Any) -> int:
-    """Size of one shuffle record: payload plus per-record framing."""
+    """Size of one shuffle record: payload plus per-record framing.
+    A keyed block is charged as the records it stands for
+    (``len × wire_bytes_per_row``)."""
+    if is_keyed_block(record):
+        return len(record) * wire_bytes_per_row(record)
     return estimate_size(record) + RECORD_OVERHEAD
 
 

@@ -41,10 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
-import numpy as np
-
 from . import linthooks
-from .blocks import KeyedRowBlock, record_count
+from .blocks import is_keyed_block, record_count, split_by_partition
 from .cluster import Cluster
 from .errors import CorruptedBlockError, FetchFailedError
 from .metrics import ShuffleReadMetrics, ShuffleWriteMetrics
@@ -63,7 +61,9 @@ class Aggregator:
 
     ``combine_batch``, when set, is an ndarray-batch fast path: it takes
     a whole partition's ``(key, value)`` records and returns the
-    combined ``(key, combiner)`` pairs.  It must reproduce the record
+    combined ``(key, combiner)`` pairs — as records, or batched in a
+    :class:`~repro.engine.blocks.KeyedRowBlock`, which the combine
+    buffer and the shuffle then carry whole.  It must reproduce the record
     path exactly — per-key merges folded left-to-right in record order,
     output keys in first-occurrence order — and is only valid when
     ``create_combiner`` is the identity and ``merge_value`` coincides
@@ -156,11 +156,11 @@ class ShuffleManager:
                 self.memory, aggregator, integrity=self.integrity,
                 site=("map", shuffle_id, map_partition))
             if aggregator.combine_batch is not None:
-                combined.insert_batch(records)
+                records = combined.merge_batch(records)
             else:
                 for key, value in records:
                     combined.insert(key, value)
-            records = combined.merged_items()
+                records = combined.merged_items()
 
         output = _MapOutput(
             map_partition=map_partition,
@@ -171,14 +171,12 @@ class ShuffleManager:
         n_records = 0
         n_bytes = 0
         for record in records:
-            if type(record) is KeyedRowBlock:
+            if is_keyed_block(record):
                 # columnar fast path: place all keys in one vectorized
-                # call, split into per-bucket sub-blocks (rows keep
-                # their original order within each bucket — the same
-                # order per-record appends would produce)
+                # call and split into per-bucket sub-blocks, each
+                # charged as the records it stands for
                 pids = partitioner.partition_int_keys(record.keys)
-                for bucket in np.unique(pids).tolist():
-                    sub = record.take(np.flatnonzero(pids == bucket))
+                for bucket, sub in split_by_partition(record, pids):
                     size = estimate_record_size(sub)
                     buckets.setdefault(bucket, []).append(sub)
                     bucket_bytes[bucket] = \

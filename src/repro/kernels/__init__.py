@@ -23,7 +23,8 @@ from .sampled import (DEFAULT_SAMPLE_COUNT, POOL_FACTOR, LeverageSampler,
                       leverage_scores, resolve_sample_count,
                       resolve_sampler_spec, sample_block,
                       sample_probabilities, uniform_pool)
-from .segsum import combine_rows_batch, fold_rows, segmented_left_fold
+from .segsum import (combine_rows_batch, combine_rows_block, fold_rows,
+                     segmented_left_fold)
 from .vectorized import VectorizedKernel
 
 #: accepted spellings per kernel
@@ -66,6 +67,7 @@ __all__ = [
     "RecordKernel",
     "VectorizedKernel",
     "combine_rows_batch",
+    "combine_rows_block",
     "create_kernel",
     "fold_rows",
     "leverage_scores",

@@ -25,13 +25,32 @@ but still bit-identical across kernels and backends at a fixed seed.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import Iterable, Iterator, TYPE_CHECKING
 
 import numpy as np
+
+from ..engine.blocks import iter_records
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
     from ..engine.rdd import RDD
+
+
+def key_records_by_mode(tensor_rdd: "RDD", mode: int) -> "RDD":
+    """Key every tensor nonzero by one mode's index, as records:
+    ``(idx, val)`` becomes ``(idx[mode], (idx, val))``.
+
+    The one keyed-record code path: the base
+    :meth:`Kernel.key_tensor_by_mode` and CSTF-QCOO's queue
+    initialisation (which stays on records whatever the kernel) both
+    go through it.  Columnar partitions are expanded inside this one
+    op with bulk ``tolist`` conversions and loose records pass
+    through — the same records either way.  Drops the partitioner,
+    like ``RDD.map``.
+    """
+    def key(it: Iterable, _m=mode) -> Iterator:
+        return ((rec[0][_m], rec) for rec in iter_records(it))
+    return tensor_rdd.map_partitions(key)
 
 
 class Kernel(ABC):
@@ -53,29 +72,32 @@ class Kernel(ABC):
     wants_blocks: bool = False
 
     def key_tensor_by_mode(self, tensor_rdd: "RDD", mode: int) -> "RDD":
-        """Key every tensor nonzero by one mode's index:
-        ``(idx, val)`` becomes ``(idx[mode], (idx, val))``.
-
-        This is the join dataflows' STAGE 1 and a *materialize point*:
-        columnar tensor partitions are expanded to records here (the
-        cogroup machinery consumes keyed tuples), so the output is
-        record-shaped for every kernel.  Drops the partitioner, like
-        ``RDD.map``.
+        """Key every tensor nonzero by one mode's index (the join
+        dataflow's STAGE 1): ``(idx, val)`` becomes
+        ``(idx[mode], (idx, val))``, in whatever representation this
+        kernel's :meth:`coo_join` consumes — records here, keyed
+        columnar blocks in the vectorized kernel.  Drops the
+        partitioner, like ``RDD.map``.
         """
-        return tensor_rdd.materialize_records().map(
-            lambda rec, _m=mode: (rec[0][_m], rec))
+        return key_records_by_mode(tensor_rdd, mode)
 
     @abstractmethod
-    def coo_rekey(self, joined: "RDD", next_mode: int,
-                  first: bool) -> "RDD":
-        """Fold a joined factor row into each COO record's accumulator
-        and re-key by ``next_mode``'s index.
+    def coo_join(self, keyed: "RDD", factor_rdd: "RDD", next_mode: int,
+                 last: bool, num_partitions: int) -> "RDD":
+        """One CSTF-COO join step: join the keyed nonzeros with the
+        factor of the mode they are keyed by, fold the joined row into
+        each nonzero's accumulator and re-key by ``next_mode``'s index.
 
-        Input records are ``(key, ((idx, acc), row))`` where ``acc`` is
-        the tensor value (``first=True``, scalar) or the running
-        Hadamard accumulator (row vector); output records are
-        ``(idx[next_mode], (idx, acc * row))``.  Drops the partitioner
-        (re-keying invalidates it), like ``RDD.map``.
+        Logically ``(k, (idx, acc))`` joined with ``(k, row)`` becomes
+        ``(idx[next_mode], (idx, acc * row))``, where ``acc`` is the
+        tensor value before the first join and the running Hadamard
+        row after it.  On the ``last`` step (``next_mode`` is then the
+        MTTKRP's output mode) the index tuple is dropped:
+        ``(idx[next_mode], acc * row)``, the input of
+        :meth:`sum_rows_by_key`.  Output order is the record path's:
+        keys by first occurrence in shuffle-fetch order, rows of one
+        key in fetch order.  One shuffle round (the factor side is
+        co-partitioned); drops the partitioner, like ``RDD.map``.
         """
 
     @abstractmethod

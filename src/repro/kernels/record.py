@@ -26,17 +26,15 @@ class RecordKernel(Kernel):
 
     name = "record"
 
-    def coo_rekey(self, joined: "RDD", next_mode: int,
-                  first: bool) -> "RDD":
-        if first:
-            def rekey(kv, _next=next_mode):
-                (idx, val), row = kv[1]
-                return (idx[_next], (idx, val * row))
-        else:
-            def rekey(kv, _next=next_mode):
-                (idx, acc), row = kv[1]
-                return (idx[_next], (idx, acc * row))
-        return joined.map(rekey)
+    def coo_join(self, keyed: "RDD", factor_rdd: "RDD", next_mode: int,
+                 last: bool, num_partitions: int) -> "RDD":
+        def rekey(kv, _next=next_mode):
+            (idx, acc), row = kv[1]
+            return (idx[_next], (idx, acc * row))
+        rekeyed = keyed.join(factor_rdd, num_partitions).map(rekey)
+        if last:
+            return rekeyed.map_values(lambda pair: pair[1])
+        return rekeyed
 
     def broadcast_contributions(self, tensor_rdd: "RDD",
                                 broadcasts: "dict[int, Broadcast]",

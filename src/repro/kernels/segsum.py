@@ -82,12 +82,13 @@ def segmented_left_fold(
     return sorted_keys[starts][emit], sums[emit]
 
 
-def combine_rows_batch(records: Iterable[tuple[Any, np.ndarray]],
-                       metrics=None) -> list[tuple[int, np.ndarray]]:
-    """Batch combiner for ``(int key, float64 row)`` records.
+def combine_rows_block(records: Iterable[Any], metrics=None) -> list:
+    """Batch combiner for ``(int key, float64 row)`` records and/or
+    :class:`~repro.engine.blocks.KeyedRowBlock` batches of them.
 
     Drop-in for the record path's per-key ``a + b`` fold: same sums, same
-    bits, same output key order.  Suitable as an
+    bits, same output key order — returned as one ``KeyedRowBlock`` in
+    a list (empty for no input).  Suitable as an
     :class:`~repro.engine.shuffle.Aggregator` ``combine_batch`` because
     the row aggregation's ``create_combiner`` is the identity and
     ``merge_value``/``merge_combiners`` coincide, so values and
@@ -95,36 +96,36 @@ def combine_rows_batch(records: Iterable[tuple[Any, np.ndarray]],
     """
     from ..engine.blocks import KeyedRowBlock
     records = list(records)
-    if not records:
+    # keyed row blocks expand in place, preserving record order — a
+    # block's rows sit exactly where its records would; runs of loose
+    # records between them are batched the same way
+    parts: list[KeyedRowBlock] = []
+    loose: list[tuple[Any, np.ndarray]] = []
+    for rec in records:
+        if type(rec) is KeyedRowBlock:
+            if loose:
+                parts.append(KeyedRowBlock.from_records(loose))
+                loose = []
+            if len(rec):
+                parts.append(rec)
+        else:
+            loose.append(rec)
+    if loose:
+        parts.append(KeyedRowBlock.from_records(loose))
+    if not parts:
         return []
-    if any(type(r) is KeyedRowBlock for r in records):
-        # keyed row blocks expand in place, preserving record order —
-        # a block's rows sit exactly where its records would
-        key_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        n = 0
-        for rec in records:
-            if type(rec) is KeyedRowBlock:
-                key_parts.append(rec.keys)
-                row_parts.append(rec.rows)
-                n += len(rec)
-            else:
-                key_parts.append(np.asarray([rec[0]], dtype=np.int64))
-                row_parts.append(
-                    np.asarray(rec[1], dtype=np.float64)[None])
-                n += 1
-        keys = np.concatenate(key_parts)
-        rows = np.vstack(row_parts)
-        if n == 0:
-            return []
-    else:
-        n = len(records)
-        keys = np.fromiter(
-            (kv[0] for kv in records), dtype=np.int64, count=n)
-        rows = np.stack([kv[1] for kv in records])
-    out_keys, out_rows = segmented_left_fold(keys, rows)
+    batch = parts[0] if len(parts) == 1 else KeyedRowBlock.concat(parts)
+    out_keys, out_rows = segmented_left_fold(batch.keys, batch.rows)
     if metrics is not None:
-        metrics.add_kernel_batch(n)
-    # plain int keys: downstream partitioners and joins hash/compare
-    # them against the python ints the drivers key records by
-    return [(int(k), out_rows[i]) for i, k in enumerate(out_keys)]
+        metrics.add_kernel_batch(len(batch))
+    return [KeyedRowBlock(out_keys, out_rows)]
+
+
+def combine_rows_batch(records: Iterable[tuple[Any, np.ndarray]],
+                       metrics=None) -> list[tuple[int, np.ndarray]]:
+    """:func:`combine_rows_block` with the result expanded to
+    ``(int, row)`` records — plain int keys, which downstream
+    partitioners and joins hash/compare against the python ints the
+    drivers key records by."""
+    return [rec for blk in combine_rows_block(records, metrics)
+            for rec in blk.to_records()]

@@ -10,6 +10,12 @@ rows`` multiplies the same pairs of doubles as ``val * row`` per
 record), and the segmented sum (:mod:`repro.kernels.segsum`) replays the
 record path's per-key left folds and first-occurrence key order.
 
+The CSTF-COO join runs on keyed columnar blocks end to end: keying a
+tensor partition is an O(1) relabel of its block, each join step is one
+``RDD.block_join`` (sort + ``searchsorted`` gather + a row-wise
+Hadamard product) and the blocks are shuffled whole — no per-nonzero
+tuple exists between the tensor load and the reduce output.
+
 The per-key sum routes through ``RDD.combine_by_key``'s
 ``combine_batch`` fast path, so map-side combining still books memory
 in (and spills through) the shuffle's ``SpillableAppendOnlyMap``.
@@ -25,7 +31,7 @@ import numpy as np
 
 from ..engine.blocks import ColumnarBlock, KeyedRowBlock
 from .base import Kernel
-from .segsum import combine_rows_batch, fold_rows, segmented_left_fold
+from .segsum import combine_rows_block, fold_rows, segmented_left_fold
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
@@ -51,26 +57,16 @@ class VectorizedKernel(Kernel):
             self._metrics.add_kernel_batch(records)
 
     # ------------------------------------------------------------------
-    def coo_rekey(self, joined: "RDD", next_mode: int,
-                  first: bool) -> "RDD":
-        def batch(it: Iterable, _next=next_mode) -> Iterator:
-            records = list(it)
-            if not records:
-                return iter(())
-            n = len(records)
-            rows = np.stack([kv[1][1] for kv in records])
-            if first:
-                vals = np.fromiter((kv[1][0][1] for kv in records),
-                                   dtype=np.float64, count=n)
-                out = vals[:, None] * rows
-            else:
-                accs = np.stack([kv[1][0][1] for kv in records])
-                out = accs * rows
-            self._count(n)
-            return iter([(kv[1][0][0][_next], (kv[1][0][0], out[i]))
-                         for i, kv in enumerate(records)])
-        # drops the partitioner, matching the record path's RDD.map
-        return joined.map_partitions(batch)
+    def coo_join(self, keyed: "RDD", factor_rdd: "RDD", next_mode: int,
+                 last: bool, num_partitions: int) -> "RDD":
+        def hadamard(blk: ColumnarBlock, rows: np.ndarray) -> np.ndarray:
+            self._count(len(blk))
+            if blk.rows is None:
+                return blk.values[:, None] * rows
+            return blk.rows * rows
+        return keyed.block_join(factor_rdd, hadamard, next_mode,
+                                keep_index=not last,
+                                num_partitions=num_partitions)
 
     def broadcast_contributions(self, tensor_rdd: "RDD",
                                 broadcasts: "dict[int, Broadcast]",
@@ -144,20 +140,7 @@ class VectorizedKernel(Kernel):
         return KeyedRowBlock(key_col, acc)
 
     def key_tensor_by_mode(self, tensor_rdd: "RDD", mode: int) -> "RDD":
-        # same output as the base record path; columnar partitions are
-        # expanded with bulk .tolist() conversions instead of per-cell
-        # int()/float() calls (identical python objects either way)
-        def batch(it: Iterable, _m=mode) -> Iterator:
-            for item in it:
-                if type(item) is ColumnarBlock:
-                    cols = [c.tolist() for c in item.columns]
-                    vals = item.values.tolist()
-                    keys = cols[_m]
-                    for i, idx in enumerate(zip(*cols)):
-                        yield (keys[i], (idx, vals[i]))
-                else:
-                    yield (item[0][_m], item)
-        return tensor_rdd.map_partitions(batch)
+        return tensor_rdd.key_blocks(mode)
 
     def qcoo_reduce(self, queue_rdd: "RDD") -> "RDD":
         def batch(it: Iterable) -> Iterator:
@@ -184,7 +167,7 @@ class VectorizedKernel(Kernel):
         metrics = self._metrics
 
         def batch(records):
-            return combine_rows_batch(records, metrics)
+            return combine_rows_block(records, metrics)
 
         return rdd.combine_by_key(
             lambda v: v, lambda a, b: a + b, lambda a, b: a + b,

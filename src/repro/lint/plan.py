@@ -10,15 +10,17 @@ driver-side collection roots — a ``BlockCollectionRDD``'s blocks and a
 ``ParallelCollectionRDD``'s first record are already materialized on
 the driver, so peeking costs nothing — and propagated through the
 narrow/shuffle edges by operation kind (``materializeRecords`` expands
-blocks to records, ``rebatchBlocks`` re-batches, ``mapValues`` keeps
-the key, an opaque ``map`` degrades to unknown).
+blocks to records, ``rebatchBlocks`` re-batches, ``keyBlocks`` keys a
+block by one of its ``int64`` index columns, a ``BlockJoinRDD`` keeps
+keyed blocks keyed blocks — or emits keyed rows on its last step —
+``mapValues`` keeps the key, an opaque ``map`` degrades to unknown).
 
 Four rule families run over the finished graph, all *before* any task
 executes:
 
 ``plan-schema-mismatch`` (error)
-    A cogroup/join or union whose parents disagree on key dtype/arity
-    or block shape.  At runtime this surfaces partitions deep into a
+    A cogroup/join, block join or union whose parents disagree on key
+    dtype/arity or block shape.  At runtime this surfaces partitions deep into a
     shuffle as a dtype error or, worse, silently co-grouped keys that
     can never match (``1`` vs ``(1,)``).
 ``plan-block-churn`` (warning)
@@ -74,7 +76,8 @@ class BlockSchema:
     (plain Python records) or ``unknown`` (an opaque transform erased
     the shape).  ``order``/``index_dtype``/``value_dtype`` describe
     tensor-shaped data; ``key`` is the partitioning-key descriptor of
-    key-value records (``int64``, ``index[3]``, ``str``...).
+    key-value records (``int64``, ``index[3]``, ``str``...) and of
+    keyed blocks (always ``int64``: one of their index columns).
     """
 
     form: str = "unknown"
@@ -86,7 +89,8 @@ class BlockSchema:
     def describe(self) -> str:
         """Compact one-token rendering for plan output."""
         if self.form == "blocks":
-            return (f"blocks[order={self.order}, "
+            keyed = f"key={self.key}, " if self.key is not None else ""
+            return (f"blocks[order={self.order}, {keyed}"
                     f"{self.index_dtype}/{self.value_dtype}]")
         if self.form == "keyed-rows":
             return (f"keyed-rows[{self.index_dtype} -> "
@@ -105,6 +109,18 @@ class BlockSchema:
 
 
 UNKNOWN_SCHEMA = BlockSchema()
+
+KEYED_ROWS_SCHEMA = BlockSchema(form="keyed-rows", key="int64",
+                                index_dtype="int64",
+                                value_dtype="float64")
+
+
+def _blocks_schema(order: int | None, keyed: bool) -> BlockSchema:
+    """Schema of columnar blocks; a keyed block's key is one of its
+    ``int64`` index columns."""
+    return BlockSchema(form="blocks", order=order,
+                       key="int64" if keyed else None,
+                       index_dtype="int64", value_dtype="float64")
 
 
 @dataclass
@@ -172,11 +188,9 @@ def _schema_of_record(record: Any) -> BlockSchema:
     from repro.engine.blocks import ColumnarBlock, KeyedRowBlock
 
     if isinstance(record, ColumnarBlock):
-        return BlockSchema(form="blocks", order=record.order,
-                           index_dtype="int64", value_dtype="float64")
+        return _blocks_schema(record.order, record.key_mode is not None)
     if isinstance(record, KeyedRowBlock):
-        return BlockSchema(form="keyed-rows", index_dtype="int64",
-                           value_dtype="float64")
+        return KEYED_ROWS_SCHEMA
     if isinstance(record, tuple) and len(record) == 2:
         key = _describe_value(record[0])
         value = _describe_value(record[1])
@@ -218,6 +232,11 @@ def _propagate(rdd: Any,
         key = next((s.key for s in parent_schemas if s.key is not None),
                    None)
         return BlockSchema(form="records", key=key)
+    if cls == "BlockJoinRDD":
+        # re-keyed by another int64 index column either way
+        if rdd.keep_index:
+            return _blocks_schema(parent.order, keyed=True)
+        return KEYED_ROWS_SCHEMA
     if cls == "UnionRDD":
         known = [s for s in parent_schemas if s.form != "unknown"]
         if known and all(s == known[0] for s in known) \
@@ -232,17 +251,17 @@ def _propagate(rdd: Any,
     # MapPartitionsRDD and friends: dispatch on the pinned op kind
     if op == "materializeRecords":
         if parent.form in ("blocks", "keyed-rows"):
-            key = (f"index[{parent.order}]"
-                   if parent.form == "blocks" and parent.order
-                   else "int64" if parent.form == "keyed-rows"
-                   else None)
+            key = parent.key
+            if key is None and parent.order:
+                key = f"index[{parent.order}]"
             return BlockSchema(form="records", order=parent.order,
                                key=key,
                                value_dtype=parent.value_dtype)
         return parent
     if op == "rebatchBlocks":
-        return BlockSchema(form="blocks", order=parent.order,
-                           index_dtype="int64", value_dtype="float64")
+        return _blocks_schema(parent.order, keyed=False)
+    if op == "keyBlocks":
+        return _blocks_schema(parent.order, keyed=True)
     if op in _SCHEMA_PRESERVING_OPS:
         return parent
     if op in _KEY_PRESERVING_OPS:
@@ -336,7 +355,7 @@ def _check_schema_mismatch(graph: PlanGraph,
     """Rule ``plan-schema-mismatch``: disagreeing join/union parents."""
     for node in graph.nodes.values():
         parents = [graph.node(e.parent_id) for e in node.parents]
-        if node.cls == "CoGroupedRDD":
+        if node.cls in ("CoGroupedRDD", "BlockJoinRDD"):
             keys = sorted({p.schema.key for p in parents
                            if p.schema.key is not None})
             if len(keys) > 1:

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core import CstfCOO, CstfQCOO, InMemoryCheckpointStore
-from repro.engine import (Context, EngineConf, FaultPlan, JobExecutionError,
-                          KernelError)
+from repro.engine import (Context, EngineConf, EngineError, FaultPlan,
+                          HashPartitioner, JobExecutionError, KernelError)
 from repro.kernels import (RecordKernel, VectorizedKernel,
                            combine_rows_batch, create_kernel, fold_rows,
                            resolve_kernel_spec, segmented_left_fold)
@@ -217,6 +217,137 @@ class TestBitIdentity:
             vec = VectorizedKernel().gram(rdd, 1)
         # rank 1 exercises the width-1 pairwise-summation guard
         assert rec.tobytes() == vec.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the block join: same answers, same shuffles, degenerate inputs
+# ----------------------------------------------------------------------
+def shuffle_profile(ctx):
+    """Per-stage shuffle traffic, in execution order."""
+    return [(st.shuffle_write.bytes_written,
+             st.shuffle_write.records_written,
+             st.shuffle_read.total_bytes, st.shuffle_read.total_records)
+            for job in ctx.metrics.jobs for st in job.stages
+            if st.is_shuffle_map]
+
+
+def run_profiled(tensor, rank, kernel, partitions=8, iterations=2,
+                 **conf_kwargs):
+    init = random_factors(tensor.shape, rank, 29)
+    with Context(num_nodes=4, default_parallelism=partitions,
+                 conf=EngineConf(kernel=kernel, **conf_kwargs)) as ctx:
+        result = CstfCOO(ctx).decompose(
+            tensor, rank, max_iterations=iterations, tol=0.0,
+            initial_factors=init)
+        return (result, ctx.metrics.total_shuffle_rounds(),
+                shuffle_profile(ctx))
+
+
+def single_mttkrp(tensor, factors, mode, kernel, factor_records=None,
+                  loose=True):
+    """One CSTF-COO MTTKRP's output records; ``factor_records[m]``
+    replaces mode ``m``'s factor RDD content."""
+    rank = factors[0].shape[1]
+    with Context(num_nodes=4, default_parallelism=8,
+                 conf=EngineConf(kernel=kernel)) as ctx:
+        driver = CstfCOO(ctx)
+        n = driver.num_partitions
+        if loose:
+            tensor_rdd = ctx.parallelize(list(tensor.records()), n)
+        else:
+            tensor_rdd = ctx.parallelize_blocks(
+                tensor.partition_blocks("input", n))
+        factor_rdds = []
+        for m, factor in enumerate(factors):
+            rows = (factor_records or {}).get(
+                m, [(i, factor[i].copy()) for i in range(factor.shape[0])])
+            factor_rdds.append(
+                ctx.parallelize(rows, n, HashPartitioner(n)))
+        out = driver._mttkrp(mode, tensor_rdd, factor_rdds, rank).collect()
+        return out, ctx.metrics.total_shuffle_rounds()
+
+
+def assert_same_rows(a, b):
+    assert [k for k, _ in a] == [k for k, _ in b]
+    for (_, ra), (_, rb) in zip(a, b):
+        assert ra.tobytes() == rb.tobytes()
+
+
+class TestBlockJoin:
+    @pytest.mark.parametrize("shape,nnz,rank,partitions", [
+        ((9, 7), 30, 2, 8),             # order 2: one join, no re-key
+        ((12, 10, 14), 220, 1, 8),      # rank 1: width-1 fold_rows pad
+        ((8, 10, 6, 7), 150, 3, 8),
+        ((4, 5, 3, 4, 3), 120, 2, 8),   # order 5
+        ((3, 10, 8), 60, 5, 8),         # rank above the smallest mode
+        ((6, 5, 4), 5, 2, 16),          # mostly empty partitions
+    ], ids=["order2", "rank1", "order4", "order5", "rank>mode", "empty"])
+    def test_bit_identical_with_equal_shuffles(self, shape, nnz, rank,
+                                               partitions):
+        tensor = uniform_sparse(shape, nnz, rng=41)
+        rec, rec_rounds, rec_profile = run_profiled(
+            tensor, rank, "record", partitions)
+        vec, vec_rounds, vec_profile = run_profiled(
+            tensor, rank, "vectorized", partitions)
+        assert_bit_identical(rec, vec)
+        order = len(shape)
+        # Table 4: N MTTKRPs per iteration, N shuffle rounds each
+        assert rec_rounds == vec_rounds == 2 * order * order
+        assert rec_profile == vec_profile
+
+    def test_map_side_combine_off(self, tensor3):
+        rec, rec_rounds, rec_profile = run_profiled(
+            tensor3, 2, "record", map_side_combine=False)
+        vec, vec_rounds, vec_profile = run_profiled(
+            tensor3, 2, "vectorized", map_side_combine=False)
+        assert_bit_identical(rec, vec)
+        assert rec_rounds == vec_rounds
+        assert rec_profile == vec_profile
+
+    @pytest.mark.parametrize("loose", [True, False])
+    def test_loose_record_tensor_is_rebatched(self, tensor3, init3, loose):
+        """A tensor RDD built outside ``_distribute_tensor`` holds
+        ``(idx, val)`` records, not blocks; the key step must batch
+        them rather than assume blocks."""
+        rec, rec_rounds = single_mttkrp(tensor3, init3, 1, "record")
+        vec, vec_rounds = single_mttkrp(tensor3, init3, 1, "vectorized",
+                                        loose=loose)
+        assert_same_rows(rec, vec)
+        assert rec_rounds == vec_rounds == 3
+
+    def test_missing_factor_keys_drop_their_nonzeros(self, tensor3, init3):
+        """Inner-join semantics: nonzeros whose joined key has no
+        factor row vanish from the MTTKRP, in both kernels alike."""
+        partial = {2: [(i, init3[2][i].copy())
+                       for i in range(init3[2].shape[0]) if i % 3],
+                   1: [(i, init3[1][i].copy()) for i in (0, 4, 5, 9)]}
+        full, _ = single_mttkrp(tensor3, init3, 0, "vectorized")
+        rec, _ = single_mttkrp(tensor3, init3, 0, "record",
+                               factor_records=partial)
+        vec, _ = single_mttkrp(tensor3, init3, 0, "vectorized",
+                               factor_records=partial)
+        assert_same_rows(rec, vec)
+        assert 0 < len(vec) <= len(full)
+        dropped_everything = {2: []}
+        assert single_mttkrp(tensor3, init3, 0, "vectorized",
+                             factor_records=dropped_everything)[0] == []
+
+    def test_duplicate_factor_keys_raise_located_error(self, tensor3,
+                                                       init3):
+        """The record path would emit a cross product per duplicate;
+        the block join refuses instead of gathering one row."""
+        rows = [(i, init3[2][i].copy()) for i in range(init3[2].shape[0])]
+        dup_key = int(tensor3.indices[0, 2])
+        rows.append((dup_key, init3[2][dup_key] * 2.0))
+        with pytest.raises(JobExecutionError) as err:
+            single_mttkrp(tensor3, init3, 0, "vectorized",
+                          factor_records={2: rows})
+        cause = err.value
+        while cause is not None and "more than once" not in str(cause):
+            cause = cause.__cause__
+        assert isinstance(cause, EngineError)
+        assert f"key {dup_key} " in str(cause)
+        assert "coo-acc-mode2" in str(cause) and "partition" in str(cause)
 
 
 # ----------------------------------------------------------------------

@@ -88,3 +88,28 @@ class TestOOMInjection:
         assert mem.oom_kills >= 1
         assert mem.demotions >= 1 or mem.task_spill_bytes > 0
         assert_identical(res, ref)
+
+    @pytest.mark.parametrize("budget", [1_000, 2_000, 3_000])
+    def test_block_join_trips_the_same_ooms_as_the_oracle(
+            self, tensor, init, budget):
+        """In-flight keyed blocks are admitted at their wire size —
+        the bytes of the tuples they stand for — so the vectorized
+        CSTF-COO join is killed and healed exactly where the record
+        kernel is.  (Sized by ``nbytes`` they slip under the budget
+        and the injection silently stops firing.)  Serial backend:
+        with concurrent tasks the kill count depends on which attempt
+        reaches admission before another's demotion lands."""
+        plan = FaultPlan(seed=SEED,
+                         oom_node_budgets={n: budget for n in range(4)})
+        outcomes = {}
+        for kernel in ("record", "vectorized"):
+            res, _, mem = run(CstfCOO, tensor, init,
+                              conf=EngineConf(kernel=kernel,
+                                              backend="serial"),
+                              fault_plan=plan)
+            outcomes[kernel] = (res, mem)
+        (rec, rec_mem), (vec, vec_mem) = outcomes.values()
+        assert vec_mem.oom_kills == rec_mem.oom_kills >= 1
+        assert vec_mem.demotions == rec_mem.demotions
+        assert vec_mem.task_spill_bytes == rec_mem.task_spill_bytes
+        assert_identical(vec, rec)

@@ -17,9 +17,10 @@ import pytest
 from repro.engine.blocks import (BLOCK_MAGIC, BLOCK_OVERHEAD,
                                  ColumnarBlock, KeyedRowBlock,
                                  is_block_partition, is_block_payload,
-                                 iter_records, materialize_partition,
-                                 pack_blocks, rebatch_records,
-                                 record_count, unpack_blocks)
+                                 is_keyed_block, iter_records,
+                                 materialize_partition, pack_blocks,
+                                 rebatch_records, record_count,
+                                 split_by_partition, unpack_blocks)
 from repro.engine.partitioner import (HashPartitioner, RangePartitioner,
                                       stable_hash, stable_hash_int_array,
                                       stable_hash_tuple_columns)
@@ -72,6 +73,133 @@ class TestColumnarBlock:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             ColumnarBlock((np.arange(3),), np.zeros(4))
+
+
+def keyed_block(n=12, order=3, rank=None, key_mode=1, seed=0):
+    """A keyed ColumnarBlock, with an accumulator column if ``rank``."""
+    block = ColumnarBlock.from_records(sample_records(n, order, seed))
+    rows = (None if rank is None else
+            np.random.default_rng(seed).standard_normal((n, rank)))
+    return ColumnarBlock(block.columns, block.values, rows, key_mode)
+
+
+def exact(obj):
+    """``obj`` with every ndarray replaced by its bytes, so nested
+    records compare exactly with ``==``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tobytes()
+    if isinstance(obj, (tuple, list)):
+        return [exact(x) for x in obj]
+    return obj
+
+
+def assert_same_block(a, b):
+    assert type(a) is type(b) is ColumnarBlock
+    assert a.key_mode == b.key_mode
+    assert len(a.columns) == len(b.columns)
+    for ca, cb in zip(a.columns, b.columns):
+        assert np.array_equal(ca, cb)
+    assert a.values.tobytes() == b.values.tobytes()
+    assert (a.rows is None) == (b.rows is None)
+    if a.rows is not None:
+        assert a.rows.shape == b.rows.shape
+        assert a.rows.tobytes() == b.rows.tobytes()
+
+
+class TestKeyedColumnarBlock:
+    """``rows`` and ``key_mode``: the extras the CSTF-COO join rides."""
+
+    def test_keying_is_a_relabel_sharing_arrays(self):
+        block = ColumnarBlock.from_records(sample_records())
+        keyed = block.keyed_by(2)
+        assert keyed.key_mode == 2 and block.key_mode is None
+        assert keyed.keys is block.columns[2]
+        assert keyed.values is block.values
+        assert keyed.keyed_by(None).to_records() == block.to_records()
+        with pytest.raises(ValueError):
+            block.keys
+        with pytest.raises(ValueError):
+            block.keyed_by(3)
+
+    def test_to_records_matches_the_record_path_tuples(self):
+        records = sample_records(9)
+        keyed = ColumnarBlock.from_records(records).keyed_by(1)
+        # before the first join: (k, (idx, val))
+        assert keyed.to_records() == [
+            (idx[1], (idx, val)) for idx, val in records]
+        # after it: (k, (idx, acc_row)) — the value is gone
+        acc = keyed_block(9, rank=2, key_mode=0)
+        for (k, (idx, row)), i in zip(acc.to_records(), range(9)):
+            assert type(k) is int and k == idx[0]
+            assert idx == tuple(int(c[i]) for c in acc.columns)
+            assert row.tobytes() == acc.rows[i].tobytes()
+
+    def test_nbytes_counts_rows(self):
+        plain = keyed_block(10, order=3)
+        assert plain.nbytes == 10 * 8 * 4
+        assert keyed_block(10, order=3, rank=5).nbytes == \
+            10 * 8 * 4 + 10 * 5 * 8
+
+    @pytest.mark.parametrize("rank", [None, 1, 4])
+    def test_take_concat_pickle_carry_the_extras(self, rank):
+        block = keyed_block(12, rank=rank, key_mode=2)
+        sub = block.take([5, 0, 9])
+        assert sub.key_mode == 2
+        assert sub.to_records()[0][0] == int(block.columns[2][5])
+        assert_same_block(block.take(slice(3, 7)),
+                          block.take([3, 4, 5, 6]))
+        assert_same_block(
+            ColumnarBlock.concat([block.take(slice(0, 5)),
+                                  block.take(slice(5, 12))]), block)
+        assert_same_block(pickle.loads(pickle.dumps(block)), block)
+
+    def test_concat_rejects_mixed_keying_or_rows(self):
+        with pytest.raises(ValueError):
+            ColumnarBlock.concat([keyed_block(key_mode=0),
+                                  keyed_block(key_mode=1)])
+        with pytest.raises(ValueError):
+            ColumnarBlock.concat([keyed_block(rank=2), keyed_block()])
+
+    def test_bad_rows_rejected(self):
+        block = ColumnarBlock.from_records(sample_records(4))
+        with pytest.raises(ValueError):
+            ColumnarBlock(block.columns, block.values, np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            ColumnarBlock(block.columns, block.values, np.zeros(4))
+
+    def test_is_keyed_block(self):
+        assert is_keyed_block(keyed_block())
+        assert is_keyed_block(KeyedRowBlock.from_records([], rank=2))
+        assert not is_keyed_block(
+            ColumnarBlock.from_records(sample_records(3)))
+        assert not is_keyed_block((1, 2.0))
+
+
+class TestSplitByPartition:
+    """The one bucketing helper both keyed block types share."""
+
+    @pytest.mark.parametrize("block", [
+        keyed_block(40, rank=3, key_mode=0),
+        keyed_block(40, key_mode=2),
+        KeyedRowBlock(np.arange(40) % 7,
+                      np.arange(80, dtype=float).reshape(40, 2)),
+    ], ids=["columnar+rows", "columnar", "keyed-rows"])
+    def test_matches_per_record_bucket_appends(self, block):
+        part = HashPartitioner(5)
+        expected: dict[int, list] = {}
+        for rec in block.to_records():
+            expected.setdefault(part.get_partition(rec[0]), []) \
+                .append(rec)
+        pairs = split_by_partition(
+            block, part.partition_int_keys(block.keys))
+        assert [b for b, _ in pairs] == sorted(expected)
+        for bucket, sub in pairs:
+            assert type(bucket) is int and type(sub) is type(block)
+            assert exact(sub.to_records()) == exact(expected[bucket])
+
+    def test_empty_block_yields_no_sub_blocks(self):
+        empty = KeyedRowBlock.from_records([], rank=3)
+        assert split_by_partition(empty, np.empty(0, np.int64)) == []
 
 
 class TestKeyedRowBlock:
@@ -129,6 +257,13 @@ class TestFraming:
         assert out[0].to_records() == cblock.to_records()
         assert np.array_equal(out[1].keys, kblock.keys)
         assert np.array_equal(out[1].rows, kblock.rows)
+
+    @pytest.mark.parametrize("rank", [None, 1, 3])
+    @pytest.mark.parametrize("key_mode", [None, 0, 2])
+    def test_frame_carries_rows_and_key_mode(self, rank, key_mode):
+        block = keyed_block(8, rank=rank, key_mode=key_mode)
+        (out,) = deserialize_partition(serialize_partition([block]))
+        assert_same_block(out, block)
 
     def test_serialize_partition_uses_frame_for_blocks(self):
         part = [ColumnarBlock.from_records(sample_records())]

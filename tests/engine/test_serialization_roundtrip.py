@@ -17,11 +17,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.blocks import ColumnarBlock
 from repro.engine.integrity import flip_byte
 from repro.engine.serialization import (checksum_blob, deserialize_partition,
                                         serialize_partition, verify_blob)
 
 from ..strategies import coo_tensors
+from .test_blocks import assert_same_block
 
 
 def _records(draw_tensor):
@@ -45,8 +47,38 @@ def record_blocks(draw):
     return records + rows
 
 
+@st.composite
+def keyed_block_partitions(draw):
+    """A block-only partition of ColumnarBlocks that may carry an
+    accumulator column and/or a key mode (the in-flight shapes of the
+    CSTF-COO join), including an empty block."""
+    tensor = draw(coo_tensors())
+    block = tensor.to_block()
+    if draw(st.booleans()):
+        block = block.take(slice(0, 0))
+    rank = draw(st.one_of(st.none(), st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rows = (None if rank is None
+            else rng.standard_normal((len(block), rank)))
+    key_mode = draw(st.one_of(st.none(),
+                              st.integers(0, tensor.order - 1)))
+    keyed = ColumnarBlock(block.columns, block.values, rows, key_mode)
+    return [keyed, tensor.to_block()]
+
+
 class TestRoundTrip:
     """serialize_partition / deserialize_partition is bit-exact."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(keyed_block_partitions())
+    def test_keyed_blocks_round_trip_with_rows_and_key_mode(self, part):
+        """The integrity layer re-reads every shuffle bucket through
+        this round trip: losing ``key_mode`` or ``rows`` there breaks
+        the next join."""
+        out = deserialize_partition(serialize_partition(part))
+        assert len(out) == len(part)
+        for a, b in zip(part, out):
+            assert_same_block(a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(record_blocks())

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.engine import Cluster, FetchFailedError, HashPartitioner
+from repro.engine import (Cluster, ColumnarBlock, FetchFailedError,
+                          HashPartitioner, KeyedRowBlock)
 from repro.engine.metrics import ShuffleReadMetrics, ShuffleWriteMetrics
 from repro.engine.shuffle import Aggregator, ShuffleManager
 
@@ -75,6 +77,43 @@ class TestWriteRead:
     def test_unknown_shuffle_raises(self, mgr):
         with pytest.raises(KeyError):
             mgr.read(999, 0, ShuffleReadMetrics())
+
+
+class TestKeyedBlocks:
+    """Keyed blocks are bucketed whole and metered as their records."""
+
+    def blocks(self):
+        rng = np.random.default_rng(4)
+        cols = [rng.integers(0, 9, 30) for _ in range(3)]
+        rows = rng.standard_normal((30, 2))
+        return [ColumnarBlock(cols, rng.standard_normal(30), None, 1),
+                ColumnarBlock(cols, rng.standard_normal(30), rows, 2),
+                KeyedRowBlock(cols[0], rows)]
+
+    def test_same_buckets_bytes_and_order_as_the_records(self, mgr):
+        for block in self.blocks():
+            as_block, as_records = mgr.new_shuffle_id(), mgr.new_shuffle_id()
+            wm_block = write(mgr, as_block, 0, [block])
+            wm_records = write(mgr, as_records, 0, block.to_records())
+            assert (wm_block.bytes_written, wm_block.records_written) == \
+                (wm_records.bytes_written, wm_records.records_written)
+            for q in range(4):
+                rm_block, rm_records = (ShuffleReadMetrics(),
+                                        ShuffleReadMetrics())
+                fetched = mgr.read(as_block, q, rm_block)
+                expected = mgr.read(as_records, q, rm_records)
+                assert all(type(b) is type(block) for b in fetched)
+                got = [r for b in fetched for r in b.to_records()]
+                assert [r[0] for r in got] == [r[0] for r in expected]
+                assert rm_block.total_bytes == rm_records.total_bytes
+                assert rm_block.total_records == rm_records.total_records
+
+    def test_empty_block_writes_nothing(self, mgr):
+        sid = mgr.new_shuffle_id()
+        wm = write(mgr, sid, 0, [KeyedRowBlock.from_records([], rank=2)])
+        assert (wm.bytes_written, wm.records_written) == (0, 0)
+        assert all(mgr.read(sid, q, ShuffleReadMetrics()) == []
+                   for q in range(4))
 
 
 class TestAggregator:

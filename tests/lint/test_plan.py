@@ -10,6 +10,7 @@ from repro.engine import Context, EngineConf
 from repro.engine.blocks import ColumnarBlock
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import ShuffledRDD
+from repro.kernels import VectorizedKernel
 from repro.lint import LintReport, PlanAuditor, PlanGraph, audit_graph
 from repro.lint.plan import computed_edges
 
@@ -123,6 +124,85 @@ def test_block_pipeline_without_degrade_is_silent():
         report = audit_graph(PlanGraph.from_rdd(
             base.map_partitions(lambda it: it)))
         assert "plan-block-churn" not in rules(report)
+
+
+# ----------------------------------------------------------------------
+# the block join: keyed blocks end to end
+# ----------------------------------------------------------------------
+def factor_rdd(ctx: Context, size: int = 5, parts: int = 4):
+    return ctx.parallelize([(i, np.full(2, float(i))) for i in range(size)],
+                           parts, HashPartitioner(parts))
+
+
+def first_fold(blk, rows):
+    return blk.values[:, None] * rows if blk.rows is None \
+        else blk.rows * rows
+
+
+def test_block_join_chain_is_typed_as_keyed_blocks():
+    with make_ctx() as ctx:
+        keyed = block_rdd(ctx).key_blocks(2)
+        joined = keyed.block_join(factor_rdd(ctx), first_fold, 1,
+                                  num_partitions=4)
+        rows = joined.block_join(factor_rdd(ctx), first_fold, 0,
+                                 keep_index=False, num_partitions=4)
+        summed = VectorizedKernel().sum_rows_by_key(rows, 4)
+        graph = PlanGraph.from_rdd(summed)
+
+        keyed_schema = graph.node(keyed.rdd_id).schema
+        assert graph.node(keyed.rdd_id).op == "keyBlocks"
+        assert (keyed_schema.form, keyed_schema.order,
+                keyed_schema.key) == ("blocks", 3, "int64")
+        assert graph.node(joined.rdd_id).cls == "BlockJoinRDD"
+        assert graph.node(joined.rdd_id).schema == keyed_schema
+        assert graph.node(rows.rdd_id).schema.form == "keyed-rows"
+        assert graph.node(rows.rdd_id).schema.key == "int64"
+        assert graph.node(summed.rdd_id).schema.key == "int64"
+        # only the tensor side crosses a shuffle; factors stay put
+        assert [e.kind for e in graph.node(joined.rdd_id).parents] == \
+            ["shuffle", "narrow"]
+        assert "blocks[order=3, key=int64, int64/float64]" in \
+            graph.render(explain=True)
+        assert rules(audit_graph(graph)) == []
+        assert len(summed.collect()) == 5
+
+
+def test_block_join_key_mismatch_is_an_error():
+    with make_ctx() as ctx:
+        by_pair = ctx.parallelize(
+            [((i, i), np.zeros(2)) for i in range(5)], 4)
+        joined = block_rdd(ctx).key_blocks(0).block_join(
+            by_pair, first_fold, 1, num_partitions=4)
+        mismatches = [f for f in audit_graph(PlanGraph.from_rdd(joined))
+                      if f.rule == "plan-schema-mismatch"]
+        assert len(mismatches) == 1
+        assert "int64" in mismatches[0].message
+        assert "index[2]" in mismatches[0].message
+
+
+def test_coo_mttkrp_plan_has_no_untyped_or_record_hop():
+    """Under the vectorized kernel the CSTF-COO MTTKRP is blocks from
+    the cached tensor to the reduce: nothing for ``plan-block-churn``
+    to excuse, no opaque node in between."""
+    from repro.core import CstfCOO
+    from repro.tensor import random_factors, uniform_sparse
+    tensor = uniform_sparse((6, 5, 7), 60, rng=2)
+    factors = random_factors(tensor.shape, 2, 3)
+    with Context(num_nodes=2, default_parallelism=4,
+                 conf=EngineConf(kernel="vectorized")) as ctx:
+        driver = CstfCOO(ctx)
+        tensor_rdd = driver._distribute_tensor(tensor)
+        factor_rdds = [driver._distribute_factor(f) for f in factors]
+        m_rdd = driver._mttkrp(0, tensor_rdd, factor_rdds, 2)
+        graph = PlanGraph.from_rdd(m_rdd)
+        forms = {n.name: n.schema.form for n in graph.nodes.values()}
+        assert forms == {
+            "tensor-coo": "blocks", "factor": "records",
+            "coo-key-mode2": "blocks", "coo-acc-mode2": "blocks",
+            "coo-acc-mode1": "keyed-rows", "mttkrp-0": "records"}
+        assert rules(audit_graph(graph)) == []
+        for rdd in (tensor_rdd, *factor_rdds):
+            rdd.unpersist()
 
 
 # ----------------------------------------------------------------------
