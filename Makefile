@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-threads lint bench perfbench perfbench-quick figures examples clean
+.PHONY: install test test-threads lint loc bench perfbench perfbench-quick figures examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -26,6 +26,10 @@ lint:
 	$(PYTHON) -m repro lint src examples
 	$(PYTHON) -m repro lint --racecheck --run examples/engine_tour.py
 	$(PYTHON) -m repro lint --run tests/lint/fixtures/clean_program.py
+
+# the tracked size figure (ROADMAP): Python lines under src/repro
+loc:
+	@find src/repro -name '*.py' | xargs cat | wc -l
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

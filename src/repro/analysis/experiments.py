@@ -24,7 +24,8 @@ from ..core.cp_als import CPALSDriver
 from ..core.cstf_coo import CstfCOO
 from ..core.cstf_dimtree import CstfDimTree
 from ..core.cstf_qcoo import CstfQCOO
-from ..engine.context import Context, EngineConf
+from ..engine.conf import EngineConf
+from ..engine.context import Context
 from ..engine.costmodel import COMET, CostModel, HardwareProfile, RunStats
 from ..engine.metrics import MetricsCollector
 from ..tensor.coo import COOTensor

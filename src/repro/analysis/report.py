@@ -93,7 +93,7 @@ def _section_memory(config: MeasurementConfig) -> str:
     """Graceful degradation: rerun CP-ALS with the cache budget squeezed
     below the tensor RDD's footprint and show the run still produces the
     identical fit, paying for it in demotions and disk spill."""
-    from ..engine.context import EngineConf
+    from ..engine.conf import EngineConf
     from ..engine.storage import StorageLevel
     from .experiments import make_context, make_driver
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .analysis import (MeasurementConfig, format_series, format_table,
@@ -275,33 +276,20 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     config = MeasurementConfig(
         rank=args.rank, measure_nodes=args.nodes,
         partitions=args.partitions or 4 * args.nodes, seed=args.seed)
-    conf = None
-    if (args.cache_budget is not None or args.memory_budget is not None
-            or args.backend is not None
-            or args.backend_workers is not None
-            or args.kernel is not None
-            or args.sampler is not None
-            or args.sample_count is not None
-            or args.speculation
-            or args.task_deadline is not None
-            or args.retry_backoff is not None
-            or args.quarantine_threshold is not None
-            or args.clock is not None
-            or args.integrity):
-        conf = EngineConf(cache_capacity_bytes=args.cache_budget,
-                          memory_total_bytes=args.memory_budget,
-                          backend=args.backend,
-                          backend_workers=args.backend_workers,
-                          kernel=args.kernel,
-                          sampler=args.sampler,
-                          sample_count=args.sample_count,
-                          speculation=args.speculation or None,
-                          task_deadline_s=args.task_deadline,
-                          quarantine_threshold=args.quarantine_threshold,
-                          clock=args.clock,
-                          integrity=args.integrity or None)
-        if args.retry_backoff is not None:
-            conf.retry_backoff_base_s = args.retry_backoff
+    conf = EngineConf(cache_capacity_bytes=args.cache_budget,
+                      memory_total_bytes=args.memory_budget,
+                      backend=args.backend,
+                      backend_workers=args.backend_workers,
+                      kernel=args.kernel,
+                      sampler=args.sampler,
+                      sample_count=args.sample_count,
+                      speculation=args.speculation or None,
+                      task_deadline_s=args.task_deadline,
+                      quarantine_threshold=args.quarantine_threshold,
+                      clock=args.clock,
+                      integrity=args.integrity or None)
+    if args.retry_backoff is not None:
+        conf = replace(conf, retry_backoff_base_s=args.retry_backoff)
     fault_plan = None
     if args.corrupt_block_prob or args.torn_write_prob:
         from .engine.faults import FaultPlan

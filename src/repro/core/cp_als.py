@@ -27,13 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
+from ..engine.conf import check
 from ..engine.context import Context
 from ..engine.errors import NumericalIntegrityError
 from ..engine.partitioner import HashPartitioner
 from ..engine.rdd import RDD
 from ..engine.storage import StorageLevel
-from ..kernels.sampled import (LeverageSampler, leverage_scores,
-                               resolve_sample_count, resolve_sampler_spec)
+from ..kernels.sampled import LeverageSampler, leverage_scores
 from ..tensor.coo import COOTensor
 from .checkpoint import CheckpointStore, CPCheckpoint
 from .gram import GramCache
@@ -84,13 +84,11 @@ class CPALSDriver:
         drawn by Khatri-Rao leverage scores with importance weights
         folded in — an unbiased estimate, sublinear in nnz; see
         :mod:`repro.kernels.sampled`).  ``None`` defers to
-        ``EngineConf.sampler``, then ``$REPRO_SAMPLER``, then
-        ``"exact"``.  Under ``"lev"`` the reported fit is itself a
-        sampled estimate (``CPDecomposition.fit_is_estimate``).
+        ``ctx.conf.sampler``.  Under ``"lev"`` the reported fit is
+        itself a sampled estimate (``CPDecomposition.fit_is_estimate``).
     sample_count:
         Nonzeros drawn per partition per MTTKRP under ``sampler="lev"``.
-        ``None`` defers to ``EngineConf.sample_count``, then
-        ``$REPRO_SAMPLE_COUNT``, then 1024.
+        ``None`` defers to ``ctx.conf.sample_count``.
     """
 
     #: subclass tag used in results and reports
@@ -121,13 +119,13 @@ class CPALSDriver:
         self.nonnegative = nonnegative
         self.tensor_partitioning = tensor_partitioning
         self.storage_level = storage_level
-        conf = ctx.conf
-        self.sampler = resolve_sampler_spec(
-            sampler if sampler is not None
-            else getattr(conf, "sampler", None))
-        self.sample_count = resolve_sample_count(
-            sample_count if sample_count is not None
-            else getattr(conf, "sample_count", None))
+        self.sampler = ctx.conf.sampler
+        if sampler is not None:
+            self.sampler = check("sampler", sampler, "the driver's sampler=")
+        self.sample_count = ctx.conf.sample_count
+        if sample_count is not None:
+            self.sample_count = check("sample_count", sample_count,
+                                      "the driver's sample_count=")
         #: the per-run LeverageSampler (seeded in :meth:`decompose`)
         self._sampler: LeverageSampler | None = None
         #: broadcasts of the current MTTKRP's replicated factors and
@@ -524,8 +522,8 @@ class CPALSDriver:
         with the producing stage/mode/iteration instead of silently
         poisoning every later iteration.  A no-op (not even the finite
         scan) when integrity is off."""
-        integrity = getattr(self.ctx, "integrity", None)
-        if integrity is None or not integrity.enabled:
+        integrity = self.ctx.integrity
+        if not integrity.enabled:
             return
         if bool(np.isfinite(array).all()):
             return

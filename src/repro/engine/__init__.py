@@ -23,7 +23,8 @@ from .calibration import (CalibratedCostModel, CalibrationPoint,
                           TermMultipliers, calibrate)
 from .clock import Clock, MonotonicClock, VirtualClock, create_clock
 from .cluster import Cluster, Node, NodeHealthTracker
-from .context import Context, EngineConf
+from .conf import EngineConf
+from .context import Context
 from .costmodel import COMET, CostModel, HardwareProfile, RunStats, TimeBreakdown
 from .errors import (BackendError, CacheEvictedError, CancelledAttempt,
                      ContextStoppedError, CorruptedBlockError,
@@ -35,7 +36,7 @@ from .events import (BlockCorrupted, EngineEventBus, EngineListener,
                      TimelineListener)
 from .faults import (FaultInjector, FaultPlan, InjectedFaultError,
                      NodeKillEvent)
-from .integrity import IntegrityManager, resolve_integrity_flag
+from .integrity import IntegrityManager
 from .mapreduce import (HadoopRuntime, HDFSFile, JobResult,
                         MapReduceJob, SimulatedHDFS)
 from .memory import (LEVEL_MEMORY_FACTOR, MemoryManager,
@@ -142,7 +143,6 @@ __all__ = [
     "demote_level",
     "estimate_record_size",
     "estimate_size",
-    "resolve_integrity_flag",
     "stable_hash",
     "verify_blob",
 ]

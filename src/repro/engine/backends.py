@@ -28,20 +28,14 @@ Three implementations ship:
     descriptors via a :class:`~repro.engine.procpool
     .SharedBlockRegistry` — (name, dtype, shape) triples, not pickles.
 
-Backend selection is resolved in this order: ``EngineConf.backend``,
-the ``REPRO_BACKEND`` environment variable, then ``"serial"``.  Worker
-count resolution differs per backend:
-
-* ``serial`` — always exactly 1; any configured count is ignored.
-* ``threads`` / ``process`` — ``EngineConf.backend_workers``, then
-  ``REPRO_BACKEND_WORKERS``, then the default ``min(8, os.cpu_count()
-  or 4)``.  The process backend sizes *both* pools with the resolved
-  count: N orchestration threads and N worker processes.
+Which backend a context gets, and how wide, is ``ctx.conf.backend`` /
+``ctx.conf.backend_workers`` (resolved in :mod:`repro.engine.conf`):
+``serial`` always runs exactly 1 worker and ignores the count; the
+process backend sizes *both* pools with it — N orchestration threads
+and N worker processes.
 """
 
 from __future__ import annotations
-
-import os
 
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
@@ -52,11 +46,6 @@ from .errors import BackendError, CancelledAttempt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .speculation import CancellationGroup
-
-#: accepted spellings per backend
-_SERIAL_NAMES = ("serial", "sync", "local")
-_THREAD_NAMES = ("threads", "thread", "threadpool", "threaded")
-_PROCESS_NAMES = ("process", "processes", "procpool", "multiprocess")
 
 
 class ExecutorBackend(ABC):
@@ -113,9 +102,7 @@ class ThreadPoolBackend(ExecutorBackend):
     name = "threads"
     supports_speculation = True
 
-    def __init__(self, num_workers: int | None = None):
-        if num_workers is None:
-            num_workers = min(8, os.cpu_count() or 4)
+    def __init__(self, num_workers: int):
         if num_workers < 1:
             raise BackendError(
                 f"backend_workers must be >= 1, got {num_workers}")
@@ -191,7 +178,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
 
     name = "process"
 
-    def __init__(self, num_workers: int | None = None):
+    def __init__(self, num_workers: int):
         super().__init__(num_workers)
         # deferred import: procpool pulls in blocks/shared_memory,
         # which serial/thread contexts never need
@@ -212,39 +199,16 @@ class ProcessPoolBackend(ThreadPoolBackend):
         super().shutdown()
 
 
-def resolve_backend_spec(
-        name: str | None = None,
-        num_workers: int | None = None) -> tuple[str, int | None]:
-    """Fill unset backend name/worker-count from the environment
-    (``REPRO_BACKEND`` / ``REPRO_BACKEND_WORKERS``)."""
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND") or None
-    if num_workers is None:
-        env_workers = os.environ.get("REPRO_BACKEND_WORKERS")
-        if env_workers:
-            try:
-                num_workers = int(env_workers)
-            except ValueError as exc:
-                raise BackendError(
-                    f"REPRO_BACKEND_WORKERS must be an integer, "
-                    f"got {env_workers!r}") from exc
-    return (name or "serial"), num_workers
-
-
-def create_backend(name: str | None = None,
-                   num_workers: int | None = None) -> ExecutorBackend:
-    """Instantiate the backend named by ``name`` (or the environment,
-    or the serial default).  Unknown names raise
-    :class:`~repro.engine.errors.BackendError`."""
-    name, num_workers = resolve_backend_spec(name, num_workers)
-    normalized = name.strip().lower()
-    if normalized in _SERIAL_NAMES:
+def create_backend(name: str, num_workers: int) -> ExecutorBackend:
+    """Instantiate the backend with the canonical name ``name``
+    (``num_workers`` sizes the pooled ones; serial ignores it).
+    Unknown names raise :class:`~repro.engine.errors.BackendError`."""
+    if name == "serial":
         return SerialBackend()
-    if normalized in _THREAD_NAMES:
+    if name == "threads":
         return ThreadPoolBackend(num_workers)
-    if normalized in _PROCESS_NAMES:
+    if name == "process":
         return ProcessPoolBackend(num_workers)
-    known = sorted(_SERIAL_NAMES + _THREAD_NAMES + _PROCESS_NAMES)
     raise BackendError(
         f"unknown executor backend {name!r}; expected one of "
-        f"{', '.join(known)}")
+        f"serial, threads, process")

@@ -22,23 +22,18 @@ of injected latency without sleeping wall-clock time.
     *durations* are only approximate there — but results never depend
     on durations (the determinism contract), only metrics do.
 
-Selection follows the same resolution order as the executor backend:
-``EngineConf.clock``, then ``$REPRO_CLOCK``, then ``"monotonic"``.
+Which one a context gets is ``ctx.conf.clock`` (resolved in
+:mod:`repro.engine.conf`).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from abc import ABC, abstractmethod
 
 from . import linthooks
 from .errors import EngineError
-
-#: accepted spellings per clock
-_MONOTONIC_NAMES = ("monotonic", "real", "wall")
-_VIRTUAL_NAMES = ("virtual", "simulated", "fake")
 
 
 class Clock(ABC):
@@ -112,23 +107,12 @@ class VirtualClock(Clock):
             return self._now
 
 
-def resolve_clock_spec(name: str | None = None) -> str:
-    """Fill an unset clock name from ``$REPRO_CLOCK``, defaulting to
-    ``"monotonic"``."""
-    if name is None:
-        name = os.environ.get("REPRO_CLOCK") or None
-    return name or "monotonic"
-
-
-def create_clock(name: str | None = None) -> Clock:
-    """Instantiate the clock named by ``name`` (or the environment, or
-    the monotonic default).  Unknown names raise
-    :class:`~repro.engine.errors.EngineError`."""
-    normalized = resolve_clock_spec(name).strip().lower()
-    if normalized in _MONOTONIC_NAMES:
+def create_clock(name: str) -> Clock:
+    """Instantiate the clock with the canonical name ``name``.  Unknown
+    names raise :class:`~repro.engine.errors.EngineError`."""
+    if name == "monotonic":
         return MonotonicClock()
-    if normalized in _VIRTUAL_NAMES:
+    if name == "virtual":
         return VirtualClock()
     raise EngineError(
-        f"unknown clock {name!r}; expected one of "
-        f"{', '.join(sorted(_MONOTONIC_NAMES + _VIRTUAL_NAMES))}")
+        f"unknown clock {name!r}; expected one of monotonic, virtual")

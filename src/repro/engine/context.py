@@ -15,7 +15,6 @@ Two execution modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import linthooks
@@ -24,13 +23,14 @@ from .backends import create_backend
 from .broadcast import Broadcast
 from .clock import create_clock
 from .cluster import Cluster
+from .conf import EngineConf, resolve
 from .errors import ContextStoppedError
 from .events import (EngineEventBus, FaultMetricsListener,
                      HadoopAccountingListener, IntegrityEventListener,
                      MemoryEventListener, MetricsListener, NodeLost,
                      StragglerEventListener, TimelineListener)
 from .faults import FaultInjector, FaultPlan
-from .integrity import IntegrityManager, resolve_integrity_flag
+from .integrity import IntegrityManager
 from .memory import MemoryManager
 from .metrics import MetricsCollector
 from .partitioner import HashPartitioner, Partitioner
@@ -39,166 +39,6 @@ from .scheduler import DAGScheduler
 from .shuffle import ShuffleManager
 from .storage import CacheManager
 from .taskscheduler import TaskScheduler
-
-
-@dataclass
-class EngineConf:
-    """Tunable engine behaviour.
-
-    ``map_side_combine``
-        Whether ``reduceByKey`` pre-merges values inside map tasks (Spark
-        default).  The paper's Table 4 upper bounds assume no combining;
-        both settings are measurable.
-    ``task_max_failures``
-        Retry budget per task (Spark's ``spark.task.maxFailures``).
-    ``stage_max_failures``
-        How many fetch-failure recoveries (parent-stage resubmissions
-        from lineage) one stage may consume before the job aborts with
-        :class:`~repro.engine.errors.JobExecutionError` (Spark's
-        ``spark.stage.maxConsecutiveAttempts``).
-    ``node_max_failures``
-        Failed task attempts a node may accumulate before it is excluded
-        from placement (Spark's blacklisting); ``None`` disables
-        exclusion (the Spark default).
-    ``cache_capacity_bytes``
-        Optional cluster-wide cache budget (a hard cap on the storage
-        pool): over-budget entries are demoted to disk
-        (``MEMORY_AND_DISK*`` levels) or LRU-evicted (memory-only
-        levels); ``None`` means unbounded.
-    ``memory_total_bytes``
-        Optional unified memory budget (Spark's executor heap analogue).
-        The usable budget is ``memory_total_bytes * memory_fraction``,
-        split between the storage pool (cached partitions) and the
-        execution pool (shuffle combine buffers), which borrow from each
-        other; see :class:`~repro.engine.memory.MemoryManager`.
-    ``memory_fraction``
-        Fraction of ``memory_total_bytes`` usable by the engine
-        (Spark's ``spark.memory.fraction``).
-    ``storage_fraction``
-        Fraction of the usable budget guaranteed to storage — execution
-        demand cannot shrink the cache below it (Spark's
-        ``spark.memory.storageFraction``).
-    ``retry_backoff_base_s`` / ``retry_backoff_max_s`` /
-    ``retry_backoff_jitter``
-        Unified retry backoff for every retryable task failure class
-        (injected faults, OOM kills, timeouts): the retrying attempt
-        sleeps ``base * 2**attempt`` capped at ``max``, scaled by a
-        seeded jitter factor in ``[1 - jitter, 1 + jitter]`` (see
-        :func:`~repro.engine.speculation.backoff_delay`).  ``base`` of
-        ``0`` disables sleeping.
-    ``task_deadline_s``
-        Hard per-attempt deadline: an attempt that overruns it is
-        killed at its next cooperative checkpoint with
-        :class:`~repro.engine.errors.TaskTimedOutError` and retried on
-        another node (counting as a straggle against its node).
-        ``None`` (default) defers to ``$REPRO_TASK_DEADLINE_S``, then
-        disables deadlines.
-    ``speculation``
-        Opt-in speculative execution: once a stage has
-        ``speculative_min_tasks`` completed tasks, an attempt running
-        longer than ``speculative_multiplier`` times the stage's median
-        task runtime (never less than ``speculative_min_deadline_s``)
-        triggers a backup attempt on a different node; the first result
-        computed wins (commit-once, bit-identical either way).  ``None``
-        defers to ``$REPRO_SPECULATION``, then ``False``.
-    ``speculative_multiplier`` / ``speculative_min_tasks`` /
-    ``speculative_min_deadline_s``
-        Shape of the adaptive speculative deadline (see above).
-    ``speculative_hard_cap``
-        Safety net: with speculation on and no explicit
-        ``task_deadline_s``, an attempt is hard-killed after
-        ``speculative_hard_cap`` times its speculative deadline — this
-        is what rescues a task whose *primary* hangs forever.
-    ``quarantine_threshold``
-        Decayed per-node badness score (failures weigh 1, straggles
-        weigh 1; half-life ``quarantine_decay_s``) at which a node is
-        quarantined for ``quarantine_duration_s`` engine-clock seconds,
-        then readmitted on probation at half the threshold score.
-        ``None`` (default) disables quarantine.
-    ``clock``
-        Engine time source: ``"monotonic"`` (real time, the default) or
-        ``"virtual"`` (sleeps advance a counter and return immediately
-        — simulated time for tests/benchmarks).  ``None`` defers to
-        ``$REPRO_CLOCK``, then ``"monotonic"``.
-    ``backend``
-        Executor backend running each stage's tasks: ``"serial"`` (the
-        default — tasks run one after another on the driver thread),
-        ``"threads"`` (a thread pool; numpy-heavy tasks overlap because
-        BLAS kernels release the GIL) or ``"process"`` (the thread
-        backend's orchestration plus a spawn-safe pool of worker
-        processes the columnar kernel offloads block arithmetic to via
-        shared memory).  ``None`` defers to the ``REPRO_BACKEND``
-        environment variable, then ``"serial"``.  All three backends
-        produce bit-identical results.
-    ``backend_workers``
-        Worker count for pooled backends, resolved per backend:
-        ``serial`` always uses exactly 1 and ignores this setting;
-        ``threads`` and ``process`` use this value, else
-        ``REPRO_BACKEND_WORKERS``, else ``min(8, os.cpu_count() or
-        4)``.  The process backend sizes both its orchestration
-        threads and its worker processes with the resolved count.
-    ``kernel``
-        Partition-level compute kernel for the CP-ALS drivers:
-        ``"vectorized"`` (the default — each partition's records are
-        batched into contiguous ndarrays and reduced with one
-        broadcasted Hadamard product plus a deterministic segmented
-        sum) or ``"record"`` (one Python closure call per record; the
-        bit-comparison oracle).  ``None`` defers to the
-        ``REPRO_KERNEL`` environment variable, then ``"vectorized"``.
-        Both kernels produce bit-identical decompositions.
-    ``sampler``
-        MTTKRP estimator for the CP-ALS drivers: ``"exact"`` (every
-        nonzero contributes) or ``"lev"`` (CP-ARLS-LEV leverage-score
-        sampling — each partition contributes ``sample_count`` drawn
-        nonzeros with importance weights folded in; unbiased, sublinear
-        in nnz, see :mod:`repro.kernels.sampled`).  ``None`` defers to
-        the ``REPRO_SAMPLER`` environment variable, then ``"exact"``.
-        Sampled results are bit-identical across backends, execution
-        orders and retries (site-seeded draws), but are estimates —
-        not bit-equal to the exact kernel's output.
-    ``sample_count``
-        Nonzeros drawn per partition per MTTKRP when the sampler is
-        ``"lev"``.  ``None`` defers to ``REPRO_SAMPLE_COUNT``, then
-        1024.
-    ``integrity``
-        End-to-end data-integrity mode: every shuffle block, broadcast
-        payload, serialized cache entry and spilled run is CRC-sealed
-        at write time and verified on read, and the CP-ALS drivers run
-        NaN/Inf watchdogs (see :mod:`repro.engine.integrity`).
-        Detected corruption raises a retryable
-        :class:`~repro.engine.errors.CorruptedDataError` healed by
-        lineage recomputation; results are bit-identical with the flag
-        on or off when verification passes.  ``None`` defers to the
-        ``REPRO_INTEGRITY`` environment variable, then ``False``.
-    """
-
-    map_side_combine: bool = True
-    task_max_failures: int = 4
-    stage_max_failures: int = 4
-    node_max_failures: int | None = None
-    cache_capacity_bytes: int | None = None
-    memory_total_bytes: int | None = None
-    memory_fraction: float = 0.6
-    storage_fraction: float = 0.5
-    retry_backoff_base_s: float = 0.01
-    retry_backoff_max_s: float = 1.0
-    retry_backoff_jitter: float = 0.5
-    task_deadline_s: float | None = None
-    speculation: bool | None = None
-    speculative_multiplier: float = 4.0
-    speculative_min_tasks: int = 3
-    speculative_min_deadline_s: float = 0.25
-    speculative_hard_cap: float = 16.0
-    quarantine_threshold: float | None = None
-    quarantine_decay_s: float = 30.0
-    quarantine_duration_s: float = 60.0
-    clock: str | None = None
-    backend: str | None = None
-    backend_workers: int | None = None
-    kernel: str | None = None
-    sampler: str | None = None
-    sample_count: int | None = None
-    integrity: bool | None = None
 
 
 class Context:
@@ -215,7 +55,10 @@ class Context:
     execution_mode:
         ``"spark"`` or ``"hadoop"`` (see module docstring).
     conf:
-        An :class:`EngineConf`; a default one is created if omitted.
+        An :class:`~repro.engine.conf.EngineConf`; a default one is
+        created if omitted.  Either way it is resolved against the
+        environment here, once (:func:`~repro.engine.conf.resolve`), and
+        ``ctx.conf`` is the frozen, fully concrete result.
     """
 
     def __init__(self, num_nodes: int = 4, cores_per_node: int = 24,
@@ -230,7 +73,7 @@ class Context:
                 f"got {execution_mode!r}")
         self.cluster = cluster or Cluster(num_nodes=num_nodes,
                                           cores_per_node=cores_per_node)
-        self.conf = conf or EngineConf()
+        self.conf = resolve(conf)
         #: engine time source (monotonic or virtual) every time-domain
         #: feature — injected delays, deadlines, backoff, quarantine —
         #: reads and sleeps through
@@ -256,10 +99,10 @@ class Context:
         self.fault_plan = fault_plan or FaultPlan()
         self.faults = FaultInjector(self.fault_plan, self)
         #: data-integrity layer: seals/verifies every serialized blob
-        #: when ``conf.integrity`` resolves on (see
+        #: when ``conf.integrity`` is on (see
         #: :mod:`repro.engine.integrity`)
         self.integrity = IntegrityManager(
-            enabled=resolve_integrity_flag(self.conf.integrity),
+            enabled=self.conf.integrity,
             plan=self.fault_plan,
             metrics=self.metrics.integrity)
         self._cache = CacheManager(self.conf.cache_capacity_bytes,

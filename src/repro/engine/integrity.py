@@ -20,8 +20,8 @@ crash.  This module closes that hole:
   stage, cache corruption becomes a miss and recomputes, broadcast and
   spill corruption recompute through the task retry loop.
 
-The whole layer is gated on ``EngineConf.integrity`` (or
-``$REPRO_INTEGRITY``); with the flag off no blob is ever sealed or
+The whole layer is gated on ``ctx.conf.integrity`` (resolved in
+:mod:`repro.engine.conf`); with the flag off no blob is ever sealed or
 verified and the data path is byte-for-byte the pre-integrity code.
 With the flag on and no corruption, results are bit-identical to an
 unprotected run: pickling round-trips ``float64`` payloads exactly, and
@@ -39,7 +39,6 @@ instead of racing ``stage_max_failures`` against fresh per-read draws.
 
 from __future__ import annotations
 
-import os
 import random
 
 from typing import TYPE_CHECKING
@@ -51,19 +50,6 @@ from .serialization import checksum_blob, verify_blob
 if TYPE_CHECKING:  # pragma: no cover
     from .faults import FaultPlan
     from .metrics import IntegrityMetrics
-
-#: Environment variable consulted when ``EngineConf.integrity`` is None.
-INTEGRITY_ENV = "REPRO_INTEGRITY"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def resolve_integrity_flag(conf_value: bool | None) -> bool:
-    """Resolve the integrity switch: conf value, else ``$REPRO_INTEGRITY``,
-    else off — the same deferral chain as the backend/kernel knobs."""
-    if conf_value is not None:
-        return bool(conf_value)
-    return os.environ.get(INTEGRITY_ENV, "").strip().lower() in _TRUTHY
 
 
 def site_rng(seed: int, *site) -> random.Random:

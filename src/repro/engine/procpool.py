@@ -44,6 +44,7 @@ import numpy as np
 
 from . import linthooks
 from .blocks import INDEX_DTYPE, VALUE_DTYPE
+from .conf import shm_attach_cap
 from .errors import BackendError
 
 try:  # pragma: no cover - available on every supported platform
@@ -51,38 +52,14 @@ try:  # pragma: no cover - available on every supported platform
 except ImportError:  # pragma: no cover
     shared_memory = None  # type: ignore[assignment]
 
-#: smallest block (rows) worth a round trip to a worker process; the
-#: default of 1 offloads everything so tests exercise the worker path
-DEFAULT_MIN_OFFLOAD_ROWS = 1
-
-def _env_cap(var: str, default: int) -> int:
-    raw = os.environ.get(var)
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
+#: smallest block (rows) worth a round trip to a worker process; 1
+#: offloads everything so tests exercise the worker path
+_MIN_OFFLOAD_ROWS = 1
 
 #: cap on driver-side cached input segments (FIFO eviction beyond
-#: this, skipping pinned in-flight descriptors); env-tunable so tests
-#: can force an eviction storm
-_PUBLISH_CACHE_CAP = _env_cap("REPRO_SHM_PUBLISH_CAP", 256)
-
-#: cap on worker-side cached attachments (trimmed between requests);
-#: inherited by worker processes through their environment
-_ATTACH_CACHE_CAP = _env_cap("REPRO_SHM_ATTACH_CAP", 256)
-
-
-def _offload_min_rows() -> int:
-    raw = os.environ.get("REPRO_OFFLOAD_MIN_ROWS")
-    if not raw:
-        return DEFAULT_MIN_OFFLOAD_ROWS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_MIN_OFFLOAD_ROWS
+#: this, skipping pinned in-flight descriptors); tests monkeypatch it
+#: to force an eviction storm
+_PUBLISH_CACHE_CAP = 256
 
 
 # ----------------------------------------------------------------------
@@ -401,12 +378,9 @@ class OffloadClient:
     """
 
     def __init__(self, pool: ProcessWorkerPool,
-                 registry: SharedBlockRegistry,
-                 min_rows: int | None = None):
+                 registry: SharedBlockRegistry):
         self._pool = pool
         self._registry = registry
-        self.min_rows = (_offload_min_rows() if min_rows is None
-                         else min_rows)
 
     def contrib(self, values: np.ndarray, key_col: np.ndarray,
                 fixed: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -416,7 +390,7 @@ class OffloadClient:
         ``(keys, rows)`` (``keys`` is None when ``reduce_`` is False),
         or None to signal the caller to compute inline."""
         n = int(values.shape[0])
-        if n < self.min_rows or not fixed:
+        if n < _MIN_OFFLOAD_ROWS or not fixed:
             return None
         if not self._pool.ensure_started():
             return None
@@ -522,7 +496,7 @@ class _AttachmentCache:  # pragma: no cover - runs inside workers
     requests when no views exist.
     """
 
-    def __init__(self, cap: int = _ATTACH_CACHE_CAP):
+    def __init__(self, cap: int):
         self._cap = cap
         self._shms: dict[str, Any] = {}
 
@@ -600,7 +574,7 @@ def worker_main() -> int:  # pragma: no cover - runs as a subprocess
     # claim the protocol channel: anything print()ed goes to stderr
     sys.stdout = sys.stderr
     _disable_resource_tracking()
-    cache = _AttachmentCache()
+    cache = _AttachmentCache(shm_attach_cap())
     try:
         while True:
             request = _read_frame(inp)

@@ -42,7 +42,6 @@ inside locked regions.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 
@@ -67,9 +66,6 @@ SPECULATIVE_ATTEMPT_OFFSET = 1000
 #: sleepers responsive to cross-thread cancellation, and bounds how far
 #: one virtual-clock sleeper can race ahead of a concurrent backup
 _MAX_SLEEP_CHUNK_S = 0.05
-
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
 
 
 class CancellationGroup:
@@ -400,43 +396,3 @@ def backoff_delay(base_s: float, max_s: float, jitter: float,
         rng = random.Random(stable_hash((seed, "backoff") + tuple(site)))
         delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
     return delay
-
-
-# ----------------------------------------------------------------------
-# conf/env resolution
-# ----------------------------------------------------------------------
-def resolve_speculation_flag(value: bool | None = None) -> bool:
-    """Fill an unset speculation flag from ``$REPRO_SPECULATION``
-    (off by default — speculation is opt-in)."""
-    if value is not None:
-        return value
-    raw = os.environ.get("REPRO_SPECULATION", "").strip().lower()
-    if not raw:
-        return False
-    if raw in _TRUTHY:
-        return True
-    if raw in _FALSY:
-        return False
-    raise EngineError(
-        f"REPRO_SPECULATION must be one of {_TRUTHY + _FALSY}, "
-        f"got {raw!r}")
-
-
-def resolve_task_deadline(value: float | None = None) -> float | None:
-    """Fill an unset hard task deadline from ``$REPRO_TASK_DEADLINE_S``
-    (``None`` — no deadline — by default)."""
-    if value is not None:
-        if value <= 0:
-            raise EngineError(
-                f"task_deadline_s must be > 0, got {value}")
-        return value
-    raw = os.environ.get("REPRO_TASK_DEADLINE_S", "").strip()
-    if not raw:
-        return None
-    try:
-        parsed = float(raw)
-    except ValueError as exc:
-        raise EngineError(
-            f"REPRO_TASK_DEADLINE_S must be a number, got {raw!r}"
-        ) from exc
-    return resolve_task_deadline(parsed)

@@ -18,9 +18,9 @@ into the stage's record (integer counters commute); and all shared
 engine state the tasks touch (cache, shuffle outputs, memory pools,
 fault injector) is internally locked with order-independent semantics.
 
-Straggler resilience (all opt-in, see :class:`~repro.engine.context
-.EngineConf`): when ``task_deadline_s`` or ``speculation`` is
-configured, every attempt carries a
+Straggler resilience (all opt-in, see
+:class:`~repro.engine.conf.EngineConf`): when ``task_deadline_s`` or
+``speculation`` is configured, every attempt carries a
 :class:`~repro.engine.speculation.CancellationToken` whose cooperative
 checkpoints observe deadlines and cancellation.  An attempt past its
 *speculative* deadline (a multiple of the stage's median task runtime)
@@ -57,8 +57,7 @@ from .metrics import StageMetrics
 from .speculation import (SPECULATIVE_ATTEMPT_OFFSET, AttemptOutcome,
                           CancellationGroup, CancellationToken,
                           SpeculationLatch, StageRuntimes, backoff_delay,
-                          guard_iterator, resolve_speculation_flag,
-                          resolve_task_deadline)
+                          guard_iterator)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import ExecutorBackend
@@ -66,6 +65,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from .rdd import ShuffleDependency
     from .scheduler import MemoryPressurePolicy, Stage
     from .shuffle import Aggregator
+
+#: completed tasks a stage needs before its median runtime sets a
+#: speculative deadline
+_SPECULATIVE_MIN_TASKS = 3
+#: with speculation on and no ``task_deadline_s``, an attempt is
+#: hard-killed at this multiple of its speculative deadline — what
+#: rescues a task whose *primary* hangs forever
+_SPECULATIVE_HARD_CAP = 16.0
+#: cap (seconds) and seeded jitter fraction of the doubling retry
+#: backoff (see ``speculation.backoff_delay``)
+_RETRY_BACKOFF_MAX_S = 1.0
+_RETRY_BACKOFF_JITTER = 0.5
 
 
 @dataclass
@@ -136,21 +147,19 @@ class TaskScheduler:
         self.ctx = ctx
         self.backend = backend
         self._exclusion_lock = threading.Lock()
-        conf = ctx.conf
-        #: resolved time-domain configuration (conf -> env -> default)
-        self.speculation = resolve_speculation_flag(conf.speculation)
-        self.task_deadline_s = resolve_task_deadline(conf.task_deadline_s)
         #: per-stage runtime samples feeding adaptive spec deadlines
         self.runtimes = StageRuntimes()
         #: decayed per-node badness scores feeding quarantine
-        self.health = NodeHealthTracker(decay_s=conf.quarantine_decay_s)
+        self.health = NodeHealthTracker(
+            decay_s=ctx.conf.quarantine_decay_s)
 
     @property
     def _wants_tokens(self) -> bool:
         """Whether attempts carry cancellation tokens (any time-domain
         feature configured).  Off by default: the legacy path has zero
         per-record overhead and byte-identical scheduling behaviour."""
-        return self.speculation or self.task_deadline_s is not None
+        conf = self.ctx.conf
+        return conf.speculation or conf.task_deadline_s is not None
 
     # ------------------------------------------------------------------
     def run_task_set(self, task_set: TaskSet) -> list[TaskRunResult]:
@@ -258,11 +267,10 @@ class TaskScheduler:
         ctx = self.ctx
         conf = ctx.conf
         stage_id = ts.stage.stage_id
-        hard = self.task_deadline_s
+        hard = conf.task_deadline_s
         spec: float | None = None
-        if self.speculation:
-            med = self.runtimes.median(stage_id,
-                                       conf.speculative_min_tasks)
+        if conf.speculation:
+            med = self.runtimes.median(stage_id, _SPECULATIVE_MIN_TASKS)
             if med is not None:
                 spec = max(conf.speculative_min_deadline_s,
                            conf.speculative_multiplier * med)
@@ -272,7 +280,7 @@ class TaskScheduler:
                 elif hard is None:
                     # safety net: a hung *primary* must still die even
                     # if its backup fails
-                    hard = spec * conf.speculative_hard_cap
+                    hard = spec * _SPECULATIVE_HARD_CAP
         if spec is None:
             token = CancellationToken(ctx.clock, partition, stage_id,
                                       group=group, hard_deadline_s=hard)
@@ -507,10 +515,8 @@ class TaskScheduler:
         """Seeded-jitter exponential backoff before retrying this
         task's next attempt (identical across backends — the site, not
         the schedule, drives the draw)."""
-        conf = self.ctx.conf
-        return backoff_delay(conf.retry_backoff_base_s,
-                             conf.retry_backoff_max_s,
-                             conf.retry_backoff_jitter,
+        return backoff_delay(self.ctx.conf.retry_backoff_base_s,
+                             _RETRY_BACKOFF_MAX_S, _RETRY_BACKOFF_JITTER,
                              self.ctx.fault_plan.seed,
                              (stage_id, partition, attempt))
 

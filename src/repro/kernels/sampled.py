@@ -54,27 +54,17 @@ uninterrupted run because the iteration number is part of the site.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..engine.blocks import ColumnarBlock
-from ..engine.errors import KernelError
 from ..engine.partitioner import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
     from ..engine.metrics import MetricsCollector
     from ..engine.rdd import RDD
-
-#: accepted spellings per sampler
-_EXACT_NAMES = ("exact", "none", "off")
-_LEV_NAMES = ("lev", "leverage", "arls-lev")
-
-#: default per-partition draw count when neither the driver, the conf
-#: nor ``$REPRO_SAMPLE_COUNT`` names one
-DEFAULT_SAMPLE_COUNT = 1024
 
 #: uniform mass mixed into the leverage probabilities so every nonzero
 #: keeps a strictly positive draw probability (unbiasedness) and the
@@ -86,32 +76,6 @@ UNIFORM_FLOOR = 1e-3
 #: uniformly pre-sampled down to that size, bounding the per-iteration
 #: scan regardless of partition nnz (see the module docstring)
 POOL_FACTOR = 4
-
-
-def resolve_sampler_spec(name: str | None = None) -> str:
-    """Canonical sampler name: explicit value, else ``$REPRO_SAMPLER``,
-    else ``"exact"``.  Unknown names raise :class:`KernelError`."""
-    if name is None:
-        name = os.environ.get("REPRO_SAMPLER") or None
-    resolved = (name or "exact").strip().lower()
-    if resolved in _EXACT_NAMES:
-        return "exact"
-    if resolved in _LEV_NAMES:
-        return "lev"
-    raise KernelError(
-        f"unknown sampler {name!r}; expected one of "
-        f"{', '.join(sorted(_EXACT_NAMES + _LEV_NAMES))}")
-
-
-def resolve_sample_count(count: int | None = None) -> int:
-    """Per-partition draw count: explicit value, else
-    ``$REPRO_SAMPLE_COUNT``, else :data:`DEFAULT_SAMPLE_COUNT`."""
-    if count is None:
-        env = os.environ.get("REPRO_SAMPLE_COUNT")
-        count = int(env) if env else DEFAULT_SAMPLE_COUNT
-    if count < 1:
-        raise KernelError(f"sample count must be >= 1, got {count}")
-    return int(count)
 
 
 def leverage_scores(factor: np.ndarray,
@@ -185,9 +149,9 @@ class LeverageSampler:
     validates on resume.
     """
 
-    def __init__(self, sample_count: int | None = None, seed: int = 0,
+    def __init__(self, sample_count: int, seed: int = 0,
                  floor: float = UNIFORM_FLOOR):
-        self.sample_count = resolve_sample_count(sample_count)
+        self.sample_count = int(sample_count)
         self.seed = int(seed)
         self.floor = float(floor)
 

@@ -21,7 +21,7 @@ from repro.engine import (Context, EngineConf, EngineError, FaultPlan,
                           HashPartitioner, JobExecutionError, KernelError)
 from repro.kernels import (RecordKernel, VectorizedKernel,
                            combine_rows_batch, create_kernel, fold_rows,
-                           resolve_kernel_spec, segmented_left_fold)
+                           segmented_left_fold)
 from repro.tensor import random_factors, uniform_sparse
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -123,15 +123,19 @@ class TestSegsum:
 class TestSelection:
     def test_default_is_vectorized(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel_spec(None) == "vectorized"
-        assert isinstance(create_kernel(None), VectorizedKernel)
+        with Context(num_nodes=2) as ctx:
+            assert ctx.conf.kernel == "vectorized"
+            assert isinstance(ctx.kernel, VectorizedKernel)
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "record")
-        assert resolve_kernel_spec(None) == "record"
-        assert isinstance(create_kernel(None), RecordKernel)
+        with Context(num_nodes=2) as ctx:
+            assert isinstance(ctx.kernel, RecordKernel)
         # explicit conf wins over the environment
-        assert isinstance(create_kernel("vectorized"), VectorizedKernel)
+        with Context(num_nodes=2,
+                     conf=EngineConf(kernel="vectorized")) as ctx:
+            assert isinstance(ctx.kernel, VectorizedKernel)
+        assert isinstance(create_kernel("record"), RecordKernel)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KernelError):

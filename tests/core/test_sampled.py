@@ -24,7 +24,6 @@ from repro.engine import Context, EngineConf, KernelError
 from repro.engine.blocks import ColumnarBlock
 from repro.kernels import (DEFAULT_SAMPLE_COUNT, POOL_FACTOR,
                            LeverageSampler, leverage_scores,
-                           resolve_sample_count, resolve_sampler_spec,
                            sample_block, sample_probabilities,
                            uniform_pool)
 from repro.tensor import low_rank_sparse, random_factors, uniform_sparse
@@ -73,41 +72,55 @@ def assert_bit_identical(a, b):
 # ---------------------------------------------------------------------
 # spec resolution and EngineConf wiring
 # ---------------------------------------------------------------------
-class TestSpecResolution:
-    @pytest.mark.parametrize("name", ["exact", "none", "off", "EXACT"])
-    def test_exact_spellings(self, name):
-        assert resolve_sampler_spec(name) == "exact"
+def driver_spec(conf=None, **driver_kwargs):
+    """``(sampler, sample_count)`` a driver settles on: its own
+    arguments, else the context's resolved conf."""
+    with Context(num_nodes=2, default_parallelism=4, conf=conf) as ctx:
+        driver = CstfCOO(ctx, **driver_kwargs)
+        return driver.sampler, driver.sample_count
 
-    @pytest.mark.parametrize("name", ["lev", "leverage", "arls-lev",
-                                      "LEV"])
+
+class TestSpecResolution:
+    """The driver's view of the sampler settings (the conf-level
+    precedence table is in ``tests/engine/test_conf.py``)."""
+
+    @pytest.mark.parametrize("name", ["exact", "EXACT"])
+    def test_exact_spellings(self, name):
+        assert driver_spec(sampler=name)[0] == "exact"
+
+    @pytest.mark.parametrize("name", ["lev", "LEV"])
     def test_lev_spellings(self, name):
-        assert resolve_sampler_spec(name) == "lev"
+        assert driver_spec(sampler=name)[0] == "lev"
 
     def test_defaults_to_exact(self, monkeypatch):
         monkeypatch.delenv("REPRO_SAMPLER", raising=False)
-        assert resolve_sampler_spec(None) == "exact"
+        assert driver_spec()[0] == "exact"
 
     def test_environment_fills_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLER", "lev")
-        assert resolve_sampler_spec(None) == "lev"
+        assert driver_spec()[0] == "lev"
         # an explicit name always beats the environment
-        assert resolve_sampler_spec("exact") == "exact"
+        assert driver_spec(sampler="exact")[0] == "exact"
+        assert driver_spec(EngineConf(sampler="exact"))[0] == "exact"
 
     def test_unknown_sampler_rejected(self):
-        with pytest.raises(KernelError, match="unknown sampler"):
-            resolve_sampler_spec("bogus")
+        for name in ("bogus", "none", "off", "leverage", "arls-lev"):
+            with pytest.raises(KernelError, match="invalid sampler"):
+                driver_spec(sampler=name)
 
     def test_sample_count_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_SAMPLE_COUNT", raising=False)
-        assert resolve_sample_count(None) == DEFAULT_SAMPLE_COUNT
-        assert resolve_sample_count(7) == 7
+        assert driver_spec()[1] == DEFAULT_SAMPLE_COUNT
+        assert driver_spec(sample_count=7)[1] == 7
         monkeypatch.setenv("REPRO_SAMPLE_COUNT", "33")
-        assert resolve_sample_count(None) == 33
-        with pytest.raises(KernelError, match="sample count"):
-            resolve_sample_count(0)
+        assert driver_spec()[1] == 33
+        assert driver_spec(EngineConf(sample_count=9),
+                           sample_count=7)[1] == 7
+        with pytest.raises(KernelError, match="invalid sample_count"):
+            driver_spec(sample_count=0)
 
     def test_conf_wires_driver(self, tensor):
-        conf = EngineConf(sampler="leverage", sample_count=9)
+        conf = EngineConf(sampler="lev", sample_count=9)
         with Context(num_nodes=2, default_parallelism=4,
                      conf=conf) as ctx:
             driver = CstfCOO(ctx)
@@ -184,7 +197,13 @@ class TestUnbiasedEstimator:
             np.add.at(mass, out.column(0), out.values)
             per_site[k] = mass
         mean = per_site.mean(axis=0)
-        stderr = per_site.std(axis=0) / np.sqrt(sites)
+        # the estimator's analytic standard error (draw counts are
+        # Binomial(s, q)), not the empirical one: a near-zero-weight
+        # nonzero may never be drawn in sites * s draws, and an
+        # empirical spread of exactly 0 would collapse the band
+        q = sample_probabilities(weights)
+        stderr = np.abs(block.values) * np.sqrt(
+            (1.0 - q) / (s * q * sites))
         # 6-sigma CLT band per source nonzero
         assert (np.abs(mean - block.values)
                 <= 6.0 * stderr + 1e-12).all()

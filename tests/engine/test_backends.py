@@ -18,20 +18,26 @@ import pytest
 from repro.engine import (BackendError, Context, EngineConf,
                           ProcessPoolBackend, SerialBackend,
                           ThreadPoolBackend, create_backend)
-from repro.engine.backends import resolve_backend_spec
 
 
 class TestResolution:
+    """The backend factory given plain values, and the conf spelling
+    rule end to end (environment precedence is table-tested in
+    ``test_conf.py``)."""
+
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert isinstance(create_backend(None, None), SerialBackend)
+        with Context(num_nodes=2) as ctx:
+            assert isinstance(ctx.backend, SerialBackend)
+            assert ctx.backend.num_workers == 1
 
-    @pytest.mark.parametrize("name", ["serial", "sync", "local", "SERIAL"])
+    @pytest.mark.parametrize("name", ["serial", "SERIAL"])
     def test_serial_aliases(self, name):
-        assert isinstance(create_backend(name, None), SerialBackend)
+        """One spelling per backend, compared case-insensitively."""
+        with Context(num_nodes=2, conf=EngineConf(backend=name)) as ctx:
+            assert isinstance(ctx.backend, SerialBackend)
 
-    @pytest.mark.parametrize("name",
-                             ["threads", "thread", "threadpool", "Threaded"])
+    @pytest.mark.parametrize("name", ["threads"])
     def test_thread_aliases(self, name):
         backend = create_backend(name, 2)
         try:
@@ -40,9 +46,7 @@ class TestResolution:
         finally:
             backend.shutdown()
 
-    @pytest.mark.parametrize("name",
-                             ["process", "processes", "procpool",
-                              "multiprocess"])
+    @pytest.mark.parametrize("name", ["process"])
     def test_process_aliases(self, name):
         backend = create_backend(name, 2)
         try:
@@ -55,24 +59,30 @@ class TestResolution:
             backend.shutdown()
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(BackendError, match="unknown"):
-            create_backend("mpi", None)
+        for name in ("mpi", "sync", "local", "thread", "threadpool",
+                     "threaded", "processes", "procpool", "multiprocess"):
+            with pytest.raises(BackendError, match="unknown"):
+                create_backend(name, 2)
+            with pytest.raises(BackendError, match="EngineConf.backend"):
+                Context(num_nodes=2, conf=EngineConf(backend=name))
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "threads")
         monkeypatch.setenv("REPRO_BACKEND_WORKERS", "3")
-        name, workers = resolve_backend_spec(None, None)
-        assert name == "threads" and workers == 3
+        with Context(num_nodes=2) as ctx:
+            assert ctx.backend.name == "threads"
+            assert ctx.backend.num_workers == 3
 
     def test_explicit_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "threads")
-        name, _ = resolve_backend_spec("serial", None)
-        assert name == "serial"
+        with Context(num_nodes=2,
+                     conf=EngineConf(backend="serial")) as ctx:
+            assert ctx.backend.name == "serial"
 
     def test_bad_env_worker_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND_WORKERS", "many")
-        with pytest.raises(BackendError):
-            resolve_backend_spec("threads", None)
+        with pytest.raises(BackendError, match="REPRO_BACKEND_WORKERS"):
+            Context(num_nodes=2, conf=EngineConf(backend="threads"))
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(BackendError):

@@ -16,9 +16,8 @@ import pytest
 
 from repro.engine import (Context, CorruptedBlockError, CorruptedDataError,
                           EngineConf, FaultPlan, FetchFailedError,
-                          IntegrityManager, IntegrityMetrics, StorageLevel,
-                          resolve_integrity_flag)
-from repro.engine.integrity import INTEGRITY_ENV, flip_byte, site_rng
+                          IntegrityManager, IntegrityMetrics, StorageLevel)
+from repro.engine.integrity import flip_byte, site_rng
 from repro.engine.serialization import checksum_blob, serialize_partition
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -35,24 +34,33 @@ def wordcount(ctx, n=60, parts=6, reducers=6):
 EXPECTED = {k: 12 for k in range(5)}
 
 
+def integrity_enabled(conf=None) -> bool:
+    with Context(num_nodes=2, conf=conf) as ctx:
+        assert ctx.integrity.enabled is ctx.conf.integrity
+        return ctx.integrity.enabled
+
+
 class TestFlagResolution:
+    """The switch as the integrity manager sees it (the precedence
+    table itself is in ``test_conf.py``)."""
+
     def test_conf_wins(self, monkeypatch):
-        monkeypatch.delenv(INTEGRITY_ENV, raising=False)
-        assert resolve_integrity_flag(True) is True
-        assert resolve_integrity_flag(False) is False
+        monkeypatch.delenv("REPRO_INTEGRITY", raising=False)
+        assert integrity_enabled(EngineConf(integrity=True)) is True
+        assert integrity_enabled(EngineConf(integrity=False)) is False
 
     def test_env_fallback(self, monkeypatch):
         for truthy in ("1", "true", "YES", "on"):
-            monkeypatch.setenv(INTEGRITY_ENV, truthy)
-            assert resolve_integrity_flag(None) is True
-        monkeypatch.setenv(INTEGRITY_ENV, "0")
-        assert resolve_integrity_flag(None) is False
-        monkeypatch.delenv(INTEGRITY_ENV)
-        assert resolve_integrity_flag(None) is False
+            monkeypatch.setenv("REPRO_INTEGRITY", truthy)
+            assert integrity_enabled() is True
+        monkeypatch.setenv("REPRO_INTEGRITY", "0")
+        assert integrity_enabled() is False
+        monkeypatch.delenv("REPRO_INTEGRITY")
+        assert integrity_enabled() is False
 
     def test_conf_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(INTEGRITY_ENV, "1")
-        assert resolve_integrity_flag(False) is False
+        monkeypatch.setenv("REPRO_INTEGRITY", "1")
+        assert integrity_enabled(EngineConf(integrity=False)) is False
 
 
 class TestFaultPlanKnobs:

@@ -64,9 +64,11 @@ class TestClocks:
         assert isinstance(create_clock("virtual"), VirtualClock)
         assert isinstance(create_clock("monotonic"), MonotonicClock)
         monkeypatch.setenv("REPRO_CLOCK", "virtual")
-        assert isinstance(create_clock(None), VirtualClock)
+        with Context(num_nodes=2) as ctx:
+            assert isinstance(ctx.clock, VirtualClock)
         monkeypatch.delenv("REPRO_CLOCK")
-        assert isinstance(create_clock(None), MonotonicClock)
+        with Context(num_nodes=2) as ctx:
+            assert isinstance(ctx.clock, MonotonicClock)
         with pytest.raises(EngineError, match="unknown clock"):
             create_clock("sundial")
 
@@ -303,18 +305,18 @@ class TestDeadlinesAndSpeculation:
     def test_speculation_off_by_default(self):
         plan = FaultPlan(seed=SEED, task_base_delay_s=0.01)
         with make_ctx(plan=plan) as ctx:
-            assert not ctx._task_scheduler.speculation
-            assert ctx._task_scheduler.task_deadline_s is None
+            assert not ctx.conf.speculation
+            assert ctx.conf.task_deadline_s is None
             assert wordcount(ctx).collect_as_map() == EXPECTED
             assert ctx.metrics.stragglers.tasks_speculated == 0
 
     def test_speculation_env_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPECULATION", "1")
         with make_ctx() as ctx:
-            assert ctx._task_scheduler.speculation
+            assert ctx.conf.speculation
         monkeypatch.setenv("REPRO_SPECULATION", "off")
         with make_ctx() as ctx:
-            assert not ctx._task_scheduler.speculation
+            assert not ctx.conf.speculation
         monkeypatch.setenv("REPRO_SPECULATION", "maybe")
         with pytest.raises(EngineError, match="REPRO_SPECULATION"):
             make_ctx()
@@ -322,7 +324,7 @@ class TestDeadlinesAndSpeculation:
     def test_task_deadline_env_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_TASK_DEADLINE_S", "2.5")
         with make_ctx() as ctx:
-            assert ctx._task_scheduler.task_deadline_s == 2.5
+            assert ctx.conf.task_deadline_s == 2.5
         with pytest.raises(EngineError, match="task_deadline_s"):
             make_ctx(task_deadline_s=-1.0)
         monkeypatch.setenv("REPRO_TASK_DEADLINE_S", "soon")
