@@ -23,6 +23,7 @@ garbage collection — is shared here.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from typing import Sequence
 
 import numpy as np
@@ -128,14 +129,10 @@ class CPALSDriver:
                                       "the driver's sample_count=")
         #: the per-run LeverageSampler (seeded in :meth:`decompose`)
         self._sampler: LeverageSampler | None = None
-        #: broadcasts of the current MTTKRP's replicated factors and
-        #: leverage scores, destroyed lagged by one MTTKRP (see
-        #: CstfCOO._mttkrp_broadcast for the lifecycle contract) and
-        #: finally by :meth:`_teardown`
+        #: the previous MTTKRP's replicated factors and leverage
+        #: scores, destroyed lagged by one MTTKRP (see
+        #: CstfCOO._mttkrp_broadcast for the lifecycle contract)
         self._live_broadcasts: list = []
-        #: persisted MTTKRP output RDDs not yet superseded; swept by
-        #: :meth:`_teardown` when an iteration dies mid-flight
-        self._live_m_rdds: list[RDD] = []
 
     # ------------------------------------------------------------------
     # subclass interface
@@ -150,15 +147,11 @@ class CPALSDriver:
         raise NotImplementedError
 
     def _teardown(self) -> None:
-        """Release per-run state: any broadcasts the last (sampled or
-        broadcast-strategy) MTTKRP left alive, and any persisted
-        MTTKRP outputs a mid-flight failure left behind."""
-        for bc in self._live_broadcasts:
-            bc.destroy()
+        """Reset per-run state so the driver object is reusable after
+        a finished *or failed* run.  Nothing is released here: whatever
+        the run still holds is on the context's ledger and freed by the
+        ``release_scope`` that :meth:`decompose` runs inside."""
         self._live_broadcasts.clear()
-        for rdd in self._live_m_rdds:
-            rdd.unpersist()
-        self._live_m_rdds.clear()
 
     def flops_per_iteration(self, tensor: COOTensor, rank: int) -> float:
         """Analytic flop count of one CP-ALS iteration (Table 4 row,
@@ -175,7 +168,6 @@ class CPALSDriver:
                   initial_factors: Sequence[np.ndarray] | None = None,
                   init: str = "random",
                   compute_fit: bool = True,
-                  gc_shuffles: bool = True,
                   checkpoint_every: int | None = None,
                   checkpoint_store: CheckpointStore | None = None,
                   resume_from: int | str | None = None) -> CPDecomposition:
@@ -244,176 +236,144 @@ class CPALSDriver:
         order = tensor.order
         norm_x = tensor.norm()
 
-        with self.ctx.metrics.phase("setup"):
-            tensor_rdd = self._distribute_tensor(tensor)
-
-        # everything past this point holds persisted state (the tensor
-        # RDD, factor RDDs, subclass queue RDDs, broadcasts) that must
-        # be released even when an iteration dies mid-flight — e.g. a
-        # JobExecutionError from an exhausted fault-retry budget.
-        # Without the finally, a failed decompose left those entries
-        # pinned in the cache manager for the life of the context.
-        factor_rdds: list[RDD] = []
-        try:
-            return self._decompose_loop(
-                tensor, tensor_rdd, factor_rdds, rank, max_iterations,
-                tol, seed, initial_factors, init, compute_fit,
-                gc_shuffles, checkpoint_every, checkpoint_store,
-                snapshot, order, norm_x)
-        finally:
-            self._teardown()
-            for rdd in factor_rdds:
-                rdd.unpersist()
-            tensor_rdd.unpersist()
-
-    def _decompose_loop(self, tensor: COOTensor, tensor_rdd: RDD,
-                        factor_rdds: list[RDD], rank: int,
-                        max_iterations: int, tol: float,
-                        seed: int | None,
-                        initial_factors: Sequence[np.ndarray] | None,
-                        init: str, compute_fit: bool, gc_shuffles: bool,
-                        checkpoint_every: int | None,
-                        checkpoint_store: CheckpointStore | None,
-                        snapshot: CPCheckpoint | None, order: int,
-                        norm_x: float) -> CPDecomposition:
-        """The ALS loop proper; ``decompose`` owns resource cleanup and
-        fills ``factor_rdds`` in place so the finally block sees every
-        persisted factor even on mid-iteration failure."""
-        with self.ctx.metrics.phase("setup"):
-            if snapshot is not None:
-                init_mats = snapshot.factors
+        # everything persisted or broadcast from here on — the tensor
+        # RDD, factor RDDs, MTTKRP outputs, subclass queue/tree RDDs,
+        # replicated factors — is on the context's ledger, and the
+        # scope releases whatever is still live when the run ends, even
+        # when an iteration dies mid-flight (e.g. a JobExecutionError
+        # from an exhausted fault-retry budget).  The releases below
+        # are the eager ones that bound peak memory; none of them is
+        # needed for correctness of the failure path.
+        with ExitStack() as run:
+            run.enter_context(self.ctx.release_scope())
+            run.callback(self._teardown)
+            with self.ctx.metrics.phase("setup"):
+                tensor_rdd = self._distribute_tensor(tensor)
+                if snapshot is not None:
+                    source, init_mats = "checkpoint", snapshot.factors
+                elif initial_factors is not None:
+                    source, init_mats = "initial", [
+                        np.asarray(f, dtype=np.float64)
+                        for f in initial_factors]
+                else:
+                    from ..tensor.init import initial_factors as make_init
+                    source = init
+                    init_mats = make_init(tensor, rank, init, seed)
                 if len(init_mats) != order:
                     raise ValueError(
-                        f"checkpoint has {len(init_mats)} factors, "
-                        f"tensor has order {order}")
-                for m, f in enumerate(init_mats):
-                    if f.shape != (tensor.shape[m], rank):
-                        raise ValueError(
-                            f"checkpoint factor {m} has shape {f.shape},"
-                            f" expected {(tensor.shape[m], rank)}")
-            elif initial_factors is not None:
-                init_mats = [np.asarray(f, dtype=np.float64)
-                             for f in initial_factors]
-                if len(init_mats) != order:
-                    raise ValueError(
-                        f"need {order} initial factors, got "
+                        f"need {order} {source} factors, got "
                         f"{len(init_mats)}")
                 for m, f in enumerate(init_mats):
                     if f.shape != (tensor.shape[m], rank):
                         raise ValueError(
-                            f"initial factor {m} has shape {f.shape}, "
+                            f"{source} factor {m} has shape {f.shape}, "
                             f"expected {(tensor.shape[m], rank)}")
-            else:
-                from ..tensor.init import initial_factors as make_init
-                init_mats = make_init(tensor, rank, init, seed)
 
-            factor_rdds.extend(
-                self._distribute_factor(f) for f in init_mats)
-            grams = GramCache(factor_rdds, rank, kernel=self.ctx.kernel)
-            self._setup(tensor_rdd, tensor, factor_rdds, rank)
+                factor_rdds = [self._distribute_factor(f)
+                               for f in init_mats]
+                grams = GramCache(factor_rdds, rank,
+                                  kernel=self.ctx.kernel)
+                self._setup(tensor_rdd, tensor, factor_rdds, rank)
 
-        lambdas = np.ones(rank)
-        fit_history: list[float] = []
-        start_iteration = 0
-        if snapshot is not None:
-            lambdas = snapshot.lambdas
-            fit_history = list(snapshot.fit_history)
-            start_iteration = snapshot.iteration + 1
-        iterations: list[IterationStats] = []
-        converged = False
+            lambdas = np.ones(rank)
+            fit_history: list[float] = []
+            start_iteration = 0
+            if snapshot is not None:
+                lambdas = snapshot.lambdas
+                fit_history = list(snapshot.fit_history)
+                start_iteration = snapshot.iteration + 1
+            iterations: list[IterationStats] = []
+            converged = False
 
-        for it in range(start_iteration, max_iterations):
-            self.ctx.faults.on_iteration(it)
-            t0 = time.perf_counter()
-            last_m_rdd: RDD | None = None
-            for mode in range(order):
-                with self.ctx.metrics.phase(f"MTTKRP-{mode + 1}"):
-                    if self.recompute_grams:
-                        grams.refresh_all(factor_rdds)
-                    if self._sampler is not None:
-                        m_rdd = self._mttkrp_sampled(
-                            mode, tensor_rdd, factor_rdds, rank, grams,
-                            it, tensor.shape)
-                    else:
-                        m_rdd = self._mttkrp(mode, tensor_rdd,
-                                             factor_rdds, rank)
-                    # M feeds two jobs (the column-norm aggregate and
-                    # the factor materialization) and, for the last
-                    # mode, the fit join as well; uncached it would be
-                    # re-merged from shuffle outputs by each
-                    # (plan-uncached-reuse)
-                    m_rdd.persist(self.storage_level)
-                    self._live_m_rdds.append(m_rdd)
-                    pinv_v = grams.pinv_except(
-                        mode, regularization=self.regularization)
-                    new_factor, lambdas = self._solve_and_normalize(
-                        m_rdd, pinv_v, rank, mode=mode, iteration=it)
-                    if not self.ctx.caching_enabled:
-                        # MapReduce materializes every job's output to
-                        # HDFS; without this, iterative lineage would be
-                        # recomputed (hadoop mode has no cache)
-                        new_factor = self.ctx.checkpoint(new_factor)
-                    grams.refresh(mode, new_factor)  # materializes it too
-                    factor_rdds[mode].unpersist()
-                    factor_rdds[mode] = new_factor
-                    if last_m_rdd is not None:
-                        # the previous mode's M is superseded; only the
-                        # final mode's survives to the fit computation
-                        last_m_rdd.unpersist()
-                        self._live_m_rdds.remove(last_m_rdd)
-                    last_m_rdd = m_rdd
+            for it in range(start_iteration, max_iterations):
+                self.ctx.faults.on_iteration(it)
+                t0 = time.perf_counter()
+                last_m_rdd: RDD | None = None
+                for mode in range(order):
+                    with self.ctx.metrics.phase(f"MTTKRP-{mode + 1}"):
+                        if self.recompute_grams:
+                            grams.refresh_all(factor_rdds)
+                        if self._sampler is not None:
+                            m_rdd = self._mttkrp_sampled(
+                                mode, tensor_rdd, factor_rdds, rank,
+                                grams, it, tensor.shape)
+                        else:
+                            m_rdd = self._mttkrp(mode, tensor_rdd,
+                                                 factor_rdds, rank)
+                        # M feeds two jobs (the column-norm aggregate
+                        # and the factor materialization) and, for the
+                        # last mode, the fit join as well; uncached it
+                        # would be re-merged from shuffle outputs by
+                        # each (plan-uncached-reuse)
+                        m_rdd.persist(self.storage_level)
+                        pinv_v = grams.pinv_except(
+                            mode, regularization=self.regularization)
+                        new_factor, lambdas = self._solve_and_normalize(
+                            m_rdd, pinv_v, rank, mode=mode, iteration=it)
+                        if not self.ctx.caching_enabled:
+                            # MapReduce materializes every job's output
+                            # to HDFS; without this, iterative lineage
+                            # would be recomputed (hadoop mode has no
+                            # cache)
+                            new_factor = self.ctx.checkpoint(new_factor)
+                        grams.refresh(mode, new_factor)  # materializes it
+                        factor_rdds[mode].unpersist()
+                        factor_rdds[mode] = new_factor
+                        if last_m_rdd is not None:
+                            # the previous mode's M is superseded; only
+                            # the final mode's survives to the fit
+                            last_m_rdd.unpersist()
+                        last_m_rdd = m_rdd
 
-            fit: float | None = None
-            if compute_fit:
-                with self.ctx.metrics.phase("fit"):
-                    assert last_m_rdd is not None
-                    fit = self._fit(last_m_rdd, factor_rdds[order - 1],
-                                    lambdas, grams, norm_x)
-                    self._integrity_guard(np.asarray(fit), "fit",
-                                          iteration=it)
-                    fit_history.append(fit)
+                fit: float | None = None
+                if compute_fit:
+                    with self.ctx.metrics.phase("fit"):
+                        assert last_m_rdd is not None
+                        fit = self._fit(last_m_rdd, factor_rdds[order - 1],
+                                        lambdas, grams, norm_x)
+                        self._integrity_guard(np.asarray(fit), "fit",
+                                              iteration=it)
+                        fit_history.append(fit)
 
-            if last_m_rdd is not None:
-                last_m_rdd.unpersist()
-                self._live_m_rdds.remove(last_m_rdd)
+                if last_m_rdd is not None:
+                    last_m_rdd.unpersist()
 
-            if gc_shuffles:
+                # everything still live is cached by now; this is also
+                # the iteration boundary the wall-clock benchmark
+                # attributes shuffles by
                 self.ctx.drop_shuffle_outputs()
 
-            read = self.ctx.metrics.total_shuffle_read()
-            iterations.append(IterationStats(
-                iteration=it, fit=fit,
-                seconds=time.perf_counter() - t0,
-                shuffle_rounds=self.ctx.metrics.total_shuffle_rounds(),
-                shuffle_bytes=read.total_bytes))
+                read = self.ctx.metrics.total_shuffle_read()
+                iterations.append(IterationStats(
+                    iteration=it, fit=fit,
+                    seconds=time.perf_counter() - t0,
+                    shuffle_rounds=self.ctx.metrics.total_shuffle_rounds(),
+                    shuffle_bytes=read.total_bytes))
 
-            if checkpoint_every is not None and \
-                    (it + 1) % checkpoint_every == 0:
-                with self.ctx.metrics.phase("checkpoint"):
-                    checkpoint_store.save(CPCheckpoint(
-                        algorithm=self.name, rank=rank, iteration=it,
-                        lambdas=lambdas.copy(),
-                        factors=[self._collect_factor(rdd, size, rank,
-                                                      mode=m)
-                                 for m, (rdd, size) in enumerate(
-                                     zip(factor_rdds, tensor.shape))],
-                        fit_history=list(fit_history),
-                        rng_state=(self._sampler.state()
-                                   if self._sampler else None)))
+                if checkpoint_every is not None and \
+                        (it + 1) % checkpoint_every == 0:
+                    with self.ctx.metrics.phase("checkpoint"):
+                        checkpoint_store.save(CPCheckpoint(
+                            algorithm=self.name, rank=rank, iteration=it,
+                            lambdas=lambdas.copy(),
+                            factors=self._collect_factors(
+                                factor_rdds, tensor.shape, rank),
+                            fit_history=list(fit_history),
+                            rng_state=(self._sampler.state()
+                                       if self._sampler else None)))
 
-            if compute_fit and len(fit_history) >= 2 and \
-                    abs(fit_history[-1] - fit_history[-2]) < tol:
-                converged = True
-                break
+                if compute_fit and len(fit_history) >= 2 and \
+                        abs(fit_history[-1] - fit_history[-2]) < tol:
+                    converged = True
+                    break
 
-        factors = [self._collect_factor(rdd, size, rank, mode=m)
-                   for m, (rdd, size) in enumerate(
-                       zip(factor_rdds, tensor.shape))]
-        return CPDecomposition(
-            lambdas=lambdas, factors=factors, fit_history=fit_history,
-            iterations=iterations, algorithm=self.name,
-            converged=converged,
-            fit_is_estimate=self._sampler is not None)
+            return CPDecomposition(
+                lambdas=lambdas,
+                factors=self._collect_factors(factor_rdds, tensor.shape,
+                                              rank),
+                fit_history=fit_history, iterations=iterations,
+                algorithm=self.name, converged=converged,
+                fit_is_estimate=self._sampler is not None)
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -428,9 +388,9 @@ class CPALSDriver:
         over ``sample_count`` rows per partition instead of nnz:
 
         1. collect every fixed factor to a dense ``(size, rank)`` array
-           (sized by the *tensor* shape: under sampling an MTTKRP
-           output can miss rows, so the collected factor may be
-           sparse in indices);
+           (:meth:`_collect_factor`, sized by the *tensor* shape: under
+           sampling an MTTKRP output can miss rows, so the collected
+           factor may be sparse in indices);
         2. compute its leverage scores from the cached ``pinv(G_m)``
            and broadcast both;
         3. draw ``sample_count`` nonzeros per partition by the product
@@ -441,7 +401,8 @@ class CPALSDriver:
 
         Broadcast lifecycle matches ``CstfCOO._mttkrp_broadcast``:
         the previous MTTKRP's broadcasts are destroyed here, lagged by
-        one mode; ``_teardown`` sweeps whatever the last one left.
+        one mode; the run's release scope frees whatever the last one
+        left, or a failing ``collect`` left half-built.
         """
         assert self._sampler is not None
         for bc in self._live_broadcasts:
@@ -453,9 +414,8 @@ class CPALSDriver:
         for m in range(order):
             if m == mode:
                 continue
-            dense = np.zeros((shape[m], rank), dtype=np.float64)
-            for i, row in factor_rdds[m].collect():
-                dense[i] = row
+            dense = self._collect_factor(factor_rdds[m], rank,
+                                         size=shape[m], mode=m)
             scores = leverage_scores(dense, grams.pinv_gram(m))
             broadcasts[m] = self.ctx.broadcast(dense)
             score_bcs[m] = self.ctx.broadcast(scores)
@@ -597,12 +557,27 @@ class CPALSDriver:
         residual_sq = max(norm_x ** 2 + norm_model_sq - 2.0 * inner, 0.0)
         return 1.0 - float(np.sqrt(residual_sq)) / norm_x
 
-    def _collect_factor(self, factor_rdd: RDD, size: int, rank: int,
+    def _collect_factor(self, factor_rdd: RDD, rank: int,
+                        size: int | None = None,
                         mode: int | None = None) -> np.ndarray:
-        """Materialize a distributed factor driver-side.  Indices with no
-        nonzeros never flow through an MTTKRP and are zero rows."""
+        """Materialize a distributed factor driver-side as a dense
+        ``(size, rank)`` array, row ``i`` at index ``i``.  Indices with
+        no nonzeros never flow through an MTTKRP and are zero rows.
+        Without ``size`` the array ends at the largest index present —
+        the broadcast strategy's sizing, which keeps the replicated
+        bytes to the rows a kernel can look up."""
+        items = factor_rdd.collect()
+        if size is None:
+            size = 1 + max(i for i, _ in items)
         out = np.zeros((size, rank))
-        for idx, row in factor_rdd.collect():
+        for idx, row in items:
             out[idx] = row
         self._integrity_guard(out, "collect-factor", mode=mode)
         return out
+
+    def _collect_factors(self, factor_rdds: list[RDD],
+                         shape: tuple[int, ...],
+                         rank: int) -> list[np.ndarray]:
+        """Every factor, sized by the tensor's ``shape``."""
+        return [self._collect_factor(rdd, rank, size=size, mode=m)
+                for m, (rdd, size) in enumerate(zip(factor_rdds, shape))]

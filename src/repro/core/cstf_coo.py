@@ -17,8 +17,6 @@ remaining mode first.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..engine.rdd import RDD
 from ..tensor.coo import COOTensor
 from .cp_als import CPALSDriver
@@ -42,6 +40,8 @@ class CstfCOO(CPALSDriver):
     """
 
     name = "cstf-coo"
+    #: the paper's dataflow; ``__init__`` overrides it per instance
+    factor_strategy = "join"
 
     def __init__(self, ctx, num_partitions: int | None = None,
                  factor_strategy: str = "join", **kwargs):
@@ -96,7 +96,9 @@ class CstfCOO(CPALSDriver):
         broadcasts.  This mirrors Spark's unsafe ``destroy()``: a
         post-hoc lineage recompute of a destroyed-broadcast stage would
         fail, which is the documented contract.  Whatever is still live
-        at the end of the decomposition is destroyed by ``_teardown``.
+        when the decomposition ends — the last MTTKRP's broadcasts, or
+        the ones a failing ``collect`` of a later mode left half-built —
+        is destroyed by the release scope ``decompose`` runs inside.
         """
         for bc in self._live_broadcasts:
             bc.destroy()
@@ -108,16 +110,10 @@ class CstfCOO(CPALSDriver):
         # and the vectorized block path needs the fancy-index gather;
         # rows absent from the factor RDD are never looked up (every
         # tensor index of a mode appears in that mode's MTTKRP output).
-        broadcasts = {}
-        for m in range(order):
-            if m == mode:
-                continue
-            items = factor_rdds[m].collect()
-            size = 1 + max(i for i, _ in items)
-            dense = np.zeros((size, rank), dtype=np.float64)
-            for i, row in items:
-                dense[i] = row
-            broadcasts[m] = self.ctx.broadcast(dense)
+        broadcasts = {
+            m: self.ctx.broadcast(
+                self._collect_factor(factor_rdds[m], rank, mode=m))
+            for m in range(order) if m != mode}
         self._live_broadcasts.extend(broadcasts.values())
 
         kernel = self.ctx.kernel
@@ -130,7 +126,7 @@ class CstfCOO(CPALSDriver):
     def shuffles_per_mttkrp(self, order: int) -> int:
         """Table 4: N shuffle rounds per MTTKRP (N-1 joins + 1 reduce);
         the broadcast ablation needs only the reduce."""
-        if getattr(self, "factor_strategy", "join") == "broadcast":
+        if self.factor_strategy == "broadcast":
             return 1
         return order
 

@@ -97,8 +97,6 @@ class CstfDimTree(CPALSDriver):
         index_leaves(self._root)
 
     def _teardown(self) -> None:
-        if self._root is not None:
-            self._invalidate(self._root, keep_root=False)
         self._root = None
         self._leaves = {}
         super()._teardown()
@@ -198,18 +196,18 @@ class CstfDimTree(CPALSDriver):
             if child is None:
                 continue
             if mode not in child.modes:
-                self._invalidate(child, keep_root=False)
+                self._invalidate(child)
             else:
                 self._invalidate_excluding(child, mode)
 
-    def _invalidate(self, node: _TreeNode, keep_root: bool) -> None:
-        if node.rdd is not None and not keep_root:
-            if node is not self._root:
-                node.rdd.unpersist()
-                node.rdd = None
+    def _invalidate(self, node: _TreeNode) -> None:
+        """Eagerly drop a stale subtree (never called on the root)."""
+        if node.rdd is not None:
+            node.rdd.unpersist()
+            node.rdd = None
         for child in (node.left, node.right):
             if child is not None:
-                self._invalidate(child, keep_root=False)
+                self._invalidate(child)
 
     # ------------------------------------------------------------------
     def shuffles_per_mttkrp(self, order: int) -> int:

@@ -93,9 +93,6 @@ class CstfQCOO(CPALSDriver):
             lambda it: sorted(it, key=lambda kv: kv[1][0][0]))
 
     def _teardown(self) -> None:
-        for rdd in (self._queue_rdd, self._old_queue):
-            if rdd is not None:
-                rdd.unpersist()
         self._queue_rdd = None
         self._old_queue = None
         self._expected_key_mode = None

@@ -79,40 +79,43 @@ class DistributedTucker:
             factors = [random_orthonormal(tensor.shape[m], ranks[m], rng)
                        for m in range(order)]
 
-        with self.ctx.metrics.phase("setup"):
-            tensor_rdd = self.ctx.parallelize(
-                list(tensor.records()), self.num_partitions
-            ).set_name("tensor-coo").cache()
+        # the tensor RDD, each mode update's Y(n) rows and replicated
+        # factors are on the context's ledger; the scope frees whatever
+        # is still live when the run ends or dies mid-update
+        with self.ctx.release_scope():
+            with self.ctx.metrics.phase("setup"):
+                tensor_rdd = self.ctx.parallelize(
+                    list(tensor.records()), self.num_partitions
+                ).set_name("tensor-coo").cache()
 
-        fit_history: list[float] = []
-        iterations: list[IterationStats] = []
-        converged = False
+            fit_history: list[float] = []
+            iterations: list[IterationStats] = []
+            converged = False
 
-        for it in range(max_iterations):
-            t0 = time.perf_counter()
-            for mode in range(order):
-                with self.ctx.metrics.phase(f"TTM-{mode + 1}"):
-                    factors[mode] = self._update_mode(
-                        tensor_rdd, factors, mode, ranks)
+            for it in range(max_iterations):
+                t0 = time.perf_counter()
+                for mode in range(order):
+                    with self.ctx.metrics.phase(f"TTM-{mode + 1}"):
+                        factors[mode] = self._update_mode(
+                            tensor_rdd, factors, mode, ranks)
 
-            with self.ctx.metrics.phase("fit"):
-                core = sparse_tucker_core(tensor, factors)
-                fit = (1.0 - np.sqrt(max(
-                    norm_x ** 2 - float((core * core).sum()), 0.0))
-                    / norm_x) if norm_x else 1.0
-                fit_history.append(fit)
+                with self.ctx.metrics.phase("fit"):
+                    core = sparse_tucker_core(tensor, factors)
+                    fit = (1.0 - np.sqrt(max(
+                        norm_x ** 2 - float((core * core).sum()), 0.0))
+                        / norm_x) if norm_x else 1.0
+                    fit_history.append(fit)
 
-            self.ctx.drop_shuffle_outputs()
-            iterations.append(IterationStats(
-                iteration=it, fit=fit,
-                seconds=time.perf_counter() - t0,
-                shuffle_rounds=self.ctx.metrics.total_shuffle_rounds()))
-            if len(fit_history) >= 2 and \
-                    abs(fit_history[-1] - fit_history[-2]) < tol:
-                converged = True
-                break
+                self.ctx.drop_shuffle_outputs()
+                iterations.append(IterationStats(
+                    iteration=it, fit=fit,
+                    seconds=time.perf_counter() - t0,
+                    shuffle_rounds=self.ctx.metrics.total_shuffle_rounds()))
+                if len(fit_history) >= 2 and \
+                        abs(fit_history[-1] - fit_history[-2]) < tol:
+                    converged = True
+                    break
 
-        tensor_rdd.unpersist()
         return TuckerDecomposition(
             core=core, factors=factors, fit_history=fit_history,
             iterations=iterations, algorithm=self.name,
@@ -156,6 +159,9 @@ class DistributedTucker:
         for i, row in y_rows.map_values(
                 lambda vec: vec @ projector).collect():
             new_factor[i] = row
+        # eager: Y(n) and the replicated factors are dead once the new
+        # factor is on the driver; holding them to the end of the run
+        # would stack N modes' worth per iteration
         y_rows.unpersist()
         for bc in broadcasts.values():
             bc.destroy()

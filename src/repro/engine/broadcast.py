@@ -42,6 +42,7 @@ class Broadcast(Generic[T]):
     def __init__(self, ctx: "Context", value: T, broadcast_id: int):
         self.broadcast_id = broadcast_id
         self.size_bytes = estimate_size(value)
+        self._ctx = ctx
         self._destroyed = False
         self._integrity = getattr(ctx, "integrity", None)
         if self._integrity is not None and self._integrity.enabled:
@@ -98,7 +99,9 @@ class Broadcast(Generic[T]):
             return self._value
 
     def destroy(self) -> None:
-        """Release the replicated value on all nodes."""
+        """Release the replicated value on all nodes and leave the
+        context's ledger of live broadcasts."""
+        self._ctx._broadcasts.pop(self.broadcast_id, None)
         self._destroyed = True
         self._value = None  # type: ignore[assignment]
         self._blob = None

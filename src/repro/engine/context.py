@@ -15,7 +15,8 @@ Two execution modes:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from . import linthooks
 from .accumulator import Accumulator
@@ -146,11 +147,12 @@ class Context:
         self._rdd_counter = 0
         self._accumulators: list[Accumulator] = []
         self._broadcast_counter = 0
-        self._broadcasts: list[Broadcast] = []
-        #: rdd_id -> display name of every RDD currently marked
-        #: persisted (maintained by ``RDD.persist``/``unpersist``); the
-        #: lifecycle auditor's ledger of cache handles
-        self._persisted_rdds: dict[int, str] = {}
+        #: the resource ledger: every broadcast not yet ``destroy()``ed
+        #: (by id) and every RDD currently marked persisted (by id,
+        #: maintained by ``RDD.persist``/``unpersist``).  Read by the
+        #: lifecycle auditor, released by :meth:`release_scope`.
+        self._broadcasts: dict[int, Broadcast] = {}
+        self._persisted_rdds: dict[int, RDD] = {}
         self._stopped = False
         linthooks.context_created(self)
 
@@ -305,19 +307,19 @@ class Context:
         bid = self._broadcast_counter
         self._broadcast_counter += 1
         bc = Broadcast(self, value, bid)
-        self._broadcasts.append(bc)
+        self._broadcasts[bid] = bc
         return bc
 
     def live_broadcasts(self) -> list[Broadcast]:
         """Broadcasts created on this context that have not been
         ``destroy()``ed — the leak-detection hook the driver teardown
         tests assert on."""
-        return [bc for bc in self._broadcasts if not bc.destroyed]
+        return list(self._broadcasts.values())
 
     # ------------------------------------------------------------------
     def _register_persist(self, rdd: "RDD") -> None:
         """Record a persist handle (called by ``RDD.persist``)."""
-        self._persisted_rdds[rdd.rdd_id] = rdd.name
+        self._persisted_rdds[rdd.rdd_id] = rdd
 
     def _register_unpersist(self, rdd_id: int) -> None:
         """Release a persist handle (called by ``RDD.unpersist``)."""
@@ -329,11 +331,37 @@ class Context:
         analogue of :meth:`live_broadcasts` — everything listed here is
         memory pinned until ``unpersist()`` or context stop."""
         out = []
-        for rdd_id, name in sorted(self._persisted_rdds.items()):
+        for rdd_id, rdd in sorted(self._persisted_rdds.items()):
             nbytes = self._cache.rdd_size_bytes(rdd_id)
             if nbytes > 0:
-                out.append((rdd_id, name, nbytes))
+                out.append((rdd_id, rdd.name, nbytes))
         return out
+
+    @contextmanager
+    def release_scope(self) -> Iterator[None]:
+        """Bound the lifetime of everything persisted or broadcast
+        inside the ``with`` block: on exit — normal or by exception —
+        every RDD persisted and every broadcast created in the block
+        that is still on the ledger is unpersisted / destroyed.
+
+        Eager releases inside the block (a superseded factor, the
+        previous MTTKRP's broadcasts) stay where peak memory wants
+        them; the scope is what makes forgetting one, or dying between
+        a ``persist`` and the line that would have recorded it, not a
+        leak.  Handles that predate the block are not touched, so
+        scopes nest.
+        """
+        held_rdds = set(self._persisted_rdds)
+        held_broadcasts = set(self._broadcasts)
+        try:
+            yield
+        finally:
+            for rdd_id, rdd in list(self._persisted_rdds.items()):
+                if rdd_id not in held_rdds:
+                    rdd.unpersist()
+            for bid, bc in list(self._broadcasts.items()):
+                if bid not in held_broadcasts:
+                    bc.destroy()
 
     # ------------------------------------------------------------------
     # housekeeping

@@ -6,7 +6,7 @@ iterative workloads like CP-ALS survive worker loss mid-run.  This module
 is the controlled way to exercise that machinery: a :class:`FaultPlan`
 declaratively describes which faults fire (per-task failure
 probabilities, deterministic node kills, shuffle-fetch failures,
-straggler delays), and a :class:`FaultInjector` — owned by the
+slow and hung tasks), and a :class:`FaultInjector` — owned by the
 :class:`~repro.engine.Context` — executes the plan at well-defined
 engine hook points:
 
@@ -15,11 +15,12 @@ engine hook points:
 * ``on_stage_start`` — the scheduler reports each stage execution, so
   kills can be pinned to "stage n";
 * ``on_task_attempt`` — called before every task attempt; fires
-  ``after_tasks`` kills, broken-node faults, stragglers and the legacy
+  ``after_tasks`` kills, broken-node faults and the legacy
   ``ctx.fault_injector`` callable (kept as a thin adapter);
 * ``wrap_task_iterator`` — wraps the task's record stream so injected
   task failures can surface *lazily*, mid-iteration, the way a real map
-  function dies halfway through a partition;
+  function dies halfway through a partition, and injected delays and
+  hangs are served inside the attempt;
 * ``maybe_fail_fetch`` — called by the shuffle manager per fetched
   block to inject transient fetch failures.
 
@@ -101,7 +102,7 @@ class FaultPlan:
     ``task_failure_prob``
         Per task attempt, the probability of raising an
         :class:`InjectedFaultError` from inside the task.  At most
-        ``max_injected_failures_per_task`` injections hit any one
+        :data:`MAX_INJECTED_FAILURES_PER_TASK` injections hit any one
         ``(stage, partition)``, so probabilistic faults stay transient
         and are healed by the scheduler's task retries.
     ``task_failure_mode``
@@ -114,11 +115,6 @@ class FaultPlan:
         :class:`~repro.engine.errors.FetchFailedError`; the scheduler
         answers by resubmitting the parent shuffle-map stage from
         lineage.
-    ``straggler_prob`` / ``straggler_delay_s``
-        Probability per task attempt of sleeping ``straggler_delay_s``
-        before the task runs (wall-clock skew for duration metrics).
-        Legacy, non-cooperative: the sleep goes through the context
-        clock but ignores deadlines; prefer the slow-task knobs below.
     ``task_base_delay_s``
         Uniform cooperative delay added to every task attempt — the
         simulated service time that gives virtual-clock workloads a
@@ -181,10 +177,7 @@ class FaultPlan:
     seed: int = 0
     task_failure_prob: float = 0.0
     task_failure_mode: str = "lazy"
-    max_injected_failures_per_task: int = 1
     fetch_failure_prob: float = 0.0
-    straggler_prob: float = 0.0
-    straggler_delay_s: float = 0.0
     task_base_delay_s: float = 0.0
     slow_task_prob: float = 0.0
     slow_task_delay_s: float = 0.0
@@ -201,8 +194,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for name in ("task_failure_prob", "fetch_failure_prob",
-                     "straggler_prob", "slow_task_prob",
-                     "slow_node_prob", "hang_task_prob",
+                     "slow_task_prob", "slow_node_prob", "hang_task_prob",
                      "corrupt_block_prob", "corrupt_checkpoint_prob",
                      "torn_write_prob"):
             p = getattr(self, name)
@@ -212,12 +204,9 @@ class FaultPlan:
             raise ValueError(
                 f"task_failure_mode must be 'eager' or 'lazy', "
                 f"got {self.task_failure_mode!r}")
-        if self.max_injected_failures_per_task < 0:
-            raise ValueError("max_injected_failures_per_task must be >= 0")
         if self.max_injected_hangs_per_task < 0:
             raise ValueError("max_injected_hangs_per_task must be >= 0")
-        for name in ("straggler_delay_s", "task_base_delay_s",
-                     "slow_task_delay_s"):
+        for name in ("task_base_delay_s", "slow_task_delay_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         self.broken_nodes = tuple(self.broken_nodes)
@@ -246,7 +235,6 @@ class FaultPlan:
         """True iff the plan injects nothing."""
         return (self.task_failure_prob == 0.0
                 and self.fetch_failure_prob == 0.0
-                and self.straggler_prob == 0.0
                 and not self.injects_delays
                 and not self.broken_nodes
                 and not self.node_kills
@@ -254,6 +242,11 @@ class FaultPlan:
                 and self.corrupt_block_prob == 0.0
                 and self.corrupt_checkpoint_prob == 0.0
                 and self.torn_write_prob == 0.0)
+
+
+#: injected task failures per ``(stage, partition)``: one, so a
+#: probabilistic fault is transient and the first retry heals it
+MAX_INJECTED_FAILURES_PER_TASK = 1
 
 
 class FaultInjector(EngineListener):
@@ -341,13 +334,6 @@ class FaultInjector(EngineListener):
             raise InjectedFaultError(
                 f"node {node} is broken (stage {stage_id}, "
                 f"partition {partition}, attempt {attempt})")
-        if plan.straggler_prob:
-            rng = self._site_rng("straggler", stage_id, partition, attempt)
-            if rng.random() < plan.straggler_prob:
-                with self._lock:
-                    self._faults().stragglers_injected += 1
-                if plan.straggler_delay_s:
-                    self._ctx.clock.sleep(plan.straggler_delay_s)
 
     def wrap_task_iterator(
             self, records: Iterable, stage_id: int, partition: int,
@@ -446,7 +432,7 @@ class FaultInjector(EngineListener):
         rng = self._site_rng("task", stage_id, partition, attempt)
         with self._lock:
             if (self._injected_per_task.get(key, 0)
-                    >= plan.max_injected_failures_per_task):
+                    >= MAX_INJECTED_FAILURES_PER_TASK):
                 return records
             if rng.random() >= plan.task_failure_prob:
                 return records

@@ -153,8 +153,6 @@ class FaultMetrics:
     tasks_retried: int = 0
     #: failures injected by the FaultPlan (subset of task_failures)
     injected_task_failures: int = 0
-    #: straggler delays injected by the FaultPlan
-    stragglers_injected: int = 0
     #: fetch failures observed by the scheduler (missing or injected)
     fetch_failures: int = 0
     #: shuffle-map stages resubmitted from lineage after a fetch failure
@@ -181,8 +179,7 @@ class FaultMetrics:
     @property
     def any_activity(self) -> bool:
         return bool(self.task_failures or self.fetch_failures
-                    or self.nodes_killed or self.nodes_excluded
-                    or self.stragglers_injected)
+                    or self.nodes_killed or self.nodes_excluded)
 
 
 @dataclass

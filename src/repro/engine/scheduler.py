@@ -232,10 +232,10 @@ class DAGScheduler:
             consumers = {dep.consumer_rdd_id for dep in executed_deps}
             bus.post(JobShuffleRounds(job_id, len(consumers)))
 
-            results = self._run_result_stage(final_stage, partition_func,
-                                             job_id, phase)
+            results = self._run_stage(final_stage, job_id, phase,
+                                      process=partition_func)
             succeeded = True
-            return results
+            return [result.value for result in results]
         except TaskFailedError as exc:
             raise JobExecutionError(
                 f"job {job_id} ({description}) aborted: {exc}",
@@ -299,28 +299,37 @@ class DAGScheduler:
             assert dep is not None
             if not self.ctx._shuffle_manager.is_written(
                     dep.shuffle_id, dep.rdd.num_partitions):
-                self._run_shuffle_map_stage(parent, job_id, phase,
-                                            recomputation)
+                self._run_stage(parent, job_id, phase,
+                                recomputation=recomputation)
                 executed.append(dep)
             done.add(parent.stage_id)
 
-    def _run_shuffle_map_stage(self, stage: Stage, job_id: int, phase: str,
-                               recomputation: bool = False) -> None:
+    def _run_stage(self, stage: Stage, job_id: int, phase: str,
+                   process: Callable[[int, Iterable], Any] | None = None,
+                   recomputation: bool = False) -> list:
+        """Run one stage to completion and return its task results,
+        re-running it from its first task after every recovered fetch
+        failure.  A stage with a ``shuffle_dep`` is a shuffle-map stage
+        (tasks write the dependency's shuffle); the job's final stage
+        has none and feeds its records through ``process``."""
         dep = stage.shuffle_dep
-        assert dep is not None
         bus = self.ctx.event_bus
-        aggregator = dep.aggregator if dep.map_side_combine else None
-        name = f"shuffleMap {stage.rdd.name}"
+        is_map = dep is not None
+        aggregator = dep.aggregator if is_map and dep.map_side_combine \
+            else None
+        name = f"{'shuffleMap' if is_map else 'result'} {stage.rdd.name}"
         fetch_failures = 0
         corrupt_sites: set = set()
         while True:
             bus.post(StageSubmitted(stage.stage_id, name, stage.num_tasks))
             metrics = StageMetrics(
                 stage_id=stage.stage_id, job_id=job_id, phase=phase,
-                is_shuffle_map=True, name=name, num_tasks=stage.num_tasks)
+                is_shuffle_map=is_map, name=name,
+                num_tasks=stage.num_tasks)
             task_set = TaskSet(stage=stage, metrics=metrics,
                                policy=self._memory_policy,
-                               shuffle_dep=dep, aggregator=aggregator)
+                               shuffle_dep=dep, aggregator=aggregator,
+                               process=process)
             stage_start = self.ctx.clock.time()
             try:
                 results = self.ctx._task_scheduler.run_task_set(task_set)
@@ -335,39 +344,7 @@ class DAGScheduler:
                 metrics.output_records += result.count
             metrics.duration_s = self.ctx.clock.time() - stage_start
             bus.post(StageCompleted(job_id, metrics, recomputation))
-            return
-
-    def _run_result_stage(self, stage: Stage,
-                          partition_func: Callable[[int, Iterable], Any],
-                          job_id: int, phase: str) -> list[Any]:
-        bus = self.ctx.event_bus
-        name = f"result {stage.rdd.name}"
-        fetch_failures = 0
-        corrupt_sites: set = set()
-        while True:
-            bus.post(StageSubmitted(stage.stage_id, name, stage.num_tasks))
-            metrics = StageMetrics(
-                stage_id=stage.stage_id, job_id=job_id, phase=phase,
-                is_shuffle_map=False, name=name,
-                num_tasks=stage.num_tasks)
-            task_set = TaskSet(stage=stage, metrics=metrics,
-                               policy=self._memory_policy,
-                               process=partition_func)
-            stage_start = self.ctx.clock.time()
-            try:
-                results = self.ctx._task_scheduler.run_task_set(task_set)
-            except FetchFailedError as exc:
-                fetch_failures = self._charge_fetch_failure(
-                    exc, fetch_failures, corrupt_sites)
-                self._recover_from_fetch_failure(stage, job_id, phase,
-                                                 exc, fetch_failures)
-                continue
-            for result in results:
-                metrics.add_node_records(result.node, result.count)
-                metrics.output_records += result.count
-            metrics.duration_s = self.ctx.clock.time() - stage_start
-            bus.post(StageCompleted(job_id, metrics))
-            return [result.value for result in results]
+            return results
 
     def _charge_fetch_failure(self, exc: FetchFailedError,
                               fetch_failures: int,

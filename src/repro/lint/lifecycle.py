@@ -3,11 +3,12 @@
 The engine hands out three kinds of long-lived handles — broadcasts
 (``ctx.broadcast``), persisted RDDs (``rdd.persist``/``cache``), and the
 cached partitions behind them.  Each pins memory until its owner calls
-``destroy()`` / ``unpersist()``; forgetting to is the leak class PR 4
-fixed by hand in ``_mttkrp_broadcast`` and ``CPALSDriver.decompose``.
-This pass mechanizes that review: at context stop (or lint-session
-teardown for contexts never stopped at all), anything still live is
-reported.
+``destroy()`` / ``unpersist()`` or the ``Context.release_scope()`` it
+was created in ends.  The drivers run inside such a scope; this pass
+covers everything else — user programs, tests, code outside a scope —
+by reading the same ledger the scope releases from: at context stop (or
+lint-session teardown for contexts never stopped at all), anything
+still live is reported.
 
 The audit *must* run before ``Context.stop`` clears the cache and
 broadcast list — ``stop()`` calls :func:`repro.engine.linthooks.\

@@ -82,6 +82,7 @@ class LocksetMonitor:
     def __init__(self) -> None:
         self._tls = threading.local()
         self._mu = threading.Lock()
+        self._threads_seen = 0
         self._locations: dict[tuple[int, str], _Location] = {}
         self._races = LintReport()
         self._reported: set[tuple[str, str]] = set()
@@ -118,6 +119,20 @@ class LocksetMonitor:
             held = self._tls.held = {}
         return held
 
+    def _thread_token(self) -> int:
+        """This thread's identity for the state machine: a number the
+        monitor issues on the thread's first access and keeps in its
+        thread-local.  ``threading.get_ident()`` will not do — CPython
+        recycles the ident of a finished thread, so short threads that
+        run back to back would look like one thread and their shared
+        state would stay ``exclusive`` forever."""
+        token = getattr(self._tls, "token", None)
+        if token is None:
+            with self._mu:
+                self._threads_seen += 1
+                token = self._tls.token = self._threads_seen
+        return token
+
     def acquired(self, lock: Any) -> None:
         """The calling thread took ``lock`` (reentrancy counted)."""
         held = self._held()
@@ -153,7 +168,7 @@ class LocksetMonitor:
 
     def access(self, owner: Any, field_name: str, write: bool) -> None:
         """Run one Eraser state transition for ``owner.field_name``."""
-        tid = threading.get_ident()
+        tid = self._thread_token()
         held = self._held()
         held_ids = frozenset(held)
         key = (id(owner), field_name)

@@ -127,7 +127,7 @@ class TestUnderFaults:
     @pytest.mark.parametrize("seed", [SEED, SEED + 10, SEED + 20])
     def test_seed_matrix(self, tensor, init, seed):
         plan = FaultPlan(seed=seed, task_failure_prob=0.03,
-                         straggler_prob=0.05, straggler_delay_s=0.0)
+                         slow_task_prob=0.05, slow_task_delay_s=1e-4)
         serial, _, _ = run(CstfCOO, tensor, init, "serial", None, plan)
         threads, _, _ = run(CstfCOO, tensor, init, "threads", 4, plan)
         assert_bit_identical(serial, threads)

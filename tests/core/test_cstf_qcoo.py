@@ -15,49 +15,44 @@ class TestQueueSemantics:
     def test_initial_queue_keyed_by_last_mode(self, ctx, small_tensor, rng):
         driver = CstfQCOO(ctx)
         factors = random_factors(small_tensor.shape, 2, rng)
-        tensor_rdd = ctx.parallelize(list(small_tensor.records()),
-                                     driver.num_partitions).cache()
-        factor_rdds = [driver._distribute_factor(f) for f in factors]
-        driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
-        records = driver._queue_rdd.collect()
+        with ctx.release_scope():
+            tensor_rdd = ctx.parallelize(list(small_tensor.records()),
+                                         driver.num_partitions).cache()
+            factor_rdds = [driver._distribute_factor(f) for f in factors]
+            driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
+            records = driver._queue_rdd.collect()
         assert len(records) == small_tensor.nnz
         for key, ((idx, val), queue) in records:
             assert key == idx[2]                  # keyed by mode N-1
             assert len(queue) == 2                # N-1 rows
             assert np.allclose(queue[0], factors[0][idx[0]])
             assert np.allclose(queue[1], factors[1][idx[1]])
-        driver._teardown()
-        tensor_rdd.unpersist()
-        for f_rdd in factor_rdds:
-            f_rdd.unpersist()
 
     def test_queue_rotation_after_first_mttkrp(self, ctx, small_tensor, rng):
         driver = CstfQCOO(ctx)
         factors = random_factors(small_tensor.shape, 2, rng)
-        tensor_rdd = ctx.parallelize(list(small_tensor.records()),
-                                     driver.num_partitions).cache()
-        factor_rdds = [driver._distribute_factor(f) for f in factors]
-        driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
-        driver._mttkrp(0, tensor_rdd, factor_rdds, 2).collect()
-        for key, ((idx, val), queue) in driver._queue_rdd.collect():
+        with ctx.release_scope():
+            tensor_rdd = ctx.parallelize(list(small_tensor.records()),
+                                         driver.num_partitions).cache()
+            factor_rdds = [driver._distribute_factor(f) for f in factors]
+            driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
+            driver._mttkrp(0, tensor_rdd, factor_rdds, 2).collect()
+            records = driver._queue_rdd.collect()
+        for key, ((idx, val), queue) in records:
             assert key == idx[0]                  # re-keyed by update mode
             assert np.allclose(queue[0], factors[1][idx[1]])  # B kept
             assert np.allclose(queue[1], factors[2][idx[2]])  # C enqueued
-        driver._teardown()
-        tensor_rdd.unpersist()
-        for f_rdd in factor_rdds:
-            f_rdd.unpersist()
 
     def test_out_of_order_mttkrp_rejected(self, ctx, small_tensor, rng):
         driver = CstfQCOO(ctx)
         factors = random_factors(small_tensor.shape, 2, rng)
-        tensor_rdd = ctx.parallelize(list(small_tensor.records()),
-                                     driver.num_partitions).cache()
-        factor_rdds = [driver._distribute_factor(f) for f in factors]
-        driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
-        with pytest.raises(RuntimeError, match="cyclic mode order"):
-            driver._mttkrp(1, tensor_rdd, factor_rdds, 2)
-        driver._teardown()
+        with ctx.release_scope():
+            tensor_rdd = ctx.parallelize(list(small_tensor.records()),
+                                         driver.num_partitions).cache()
+            factor_rdds = [driver._distribute_factor(f) for f in factors]
+            driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
+            with pytest.raises(RuntimeError, match="cyclic mode order"):
+                driver._mttkrp(1, tensor_rdd, factor_rdds, 2)
 
     def test_mttkrp_without_setup_fails(self, ctx, small_tensor, rng):
         driver = CstfQCOO(ctx)

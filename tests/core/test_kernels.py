@@ -16,7 +16,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import CstfCOO, CstfQCOO, InMemoryCheckpointStore
+from repro.baselines import BigtensorCP
+from repro.core import (CstfCOO, CstfDimTree, CstfQCOO, DistributedTucker,
+                        InMemoryCheckpointStore)
 from repro.engine import (Context, EngineConf, EngineError, FaultPlan,
                           HashPartitioner, JobExecutionError, KernelError)
 from repro.kernels import (RecordKernel, VectorizedKernel,
@@ -357,7 +359,85 @@ class TestBlockJoin:
 # ----------------------------------------------------------------------
 # driver resource-leak regressions
 # ----------------------------------------------------------------------
+#: every driver the failure-site sweep covers: (execution mode, class,
+#: driver kwargs)
+SWEEP_DRIVERS = {
+    "coo-join": ("spark", CstfCOO, {}),
+    "coo-broadcast": ("spark", CstfCOO, {"factor_strategy": "broadcast"}),
+    "coo-lev": ("spark", CstfCOO, {"sampler": "lev", "sample_count": 64}),
+    "qcoo": ("spark", CstfQCOO, {}),
+    "dimtree": ("spark", CstfDimTree, {}),
+    "bigtensor": ("hadoop", BigtensorCP, {}),
+    "tucker": ("spark", DistributedTucker, {}),
+}
+
+
+def sweep_run(driver, tensor, init):
+    """Two iterations of ``driver``; the arrays a rerun must repeat."""
+    if isinstance(driver, DistributedTucker):
+        res = driver.decompose(tensor, (2, 2, 2), max_iterations=2, tol=0.0)
+        return [res.core, *res.factors]
+    res = driver.decompose(tensor, 2, max_iterations=2, tol=0.0,
+                           initial_factors=init)
+    return [res.lambdas, *res.factors]
+
+
 class TestLeaks:
+    @pytest.mark.parametrize("partition", [0, 7], ids=["first", "last"])
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("name", SWEEP_DRIVERS)
+    def test_failure_site_sweep(self, name, backend, partition, tensor3,
+                                init3):
+        """Kill the run at every stage it has — set-up and both
+        iterations — by failing one partition of every stage from a
+        threshold on, and require after each propagated
+        ``JobExecutionError`` that nothing stays cached, broadcast or
+        persisted, and (at every fourth site, to bound the runtime)
+        that the same driver object then repeats a fresh driver's
+        clean run bit for bit.  The last partition matters: when the
+        first one fails on the serial backend nothing of the dying
+        stage is cached yet, which hid the leak of a freshly solved
+        factor."""
+        mode, cls, kwargs = SWEEP_DRIVERS[name]
+
+        def context():
+            return Context(num_nodes=4, default_parallelism=8,
+                           execution_mode=mode,
+                           conf=EngineConf(task_max_failures=2,
+                                           retry_backoff_base_s=0.0,
+                                           backend=backend,
+                                           backend_workers=4))
+
+        with context() as ctx:
+            want = sweep_run(cls(ctx, **kwargs), tensor3, init3)
+            stages = ctx._scheduler._next_stage_id
+        sites, leaky = 0, []
+        for threshold in range(stages):
+            with context() as ctx:
+                def hook(stage_id, part, attempt):
+                    if stage_id >= threshold and part == partition:
+                        raise RuntimeError("injected fault")
+                ctx.fault_injector = hook
+                driver = cls(ctx, **kwargs)
+                try:
+                    sweep_run(driver, tensor3, init3)
+                except JobExecutionError:
+                    sites += 1
+                else:
+                    break  # no later stage has this partition
+                held = (dict(ctx._cache._entries), ctx.live_broadcasts(),
+                        ctx.live_persisted())
+                if any(held):
+                    leaky.append((threshold, held))
+                if any(held) or threshold % 4:
+                    continue
+                ctx.fault_injector = None
+                got = sweep_run(driver, tensor3, init3)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(got, want)), threshold
+        assert sites >= 12  # set-up and two iterations were reached
+        assert leaky == [], f"{len(leaky)} of {sites} sites leak"
+
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_broadcasts_destroyed_after_decompose(self, kernel, tensor3,
                                                   init3):

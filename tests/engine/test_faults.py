@@ -85,12 +85,12 @@ class TestInjectedTaskFaults:
         assert n_a == n_b
 
     def test_stragglers_counted(self):
-        plan = FaultPlan(seed=SEED, straggler_prob=1.0,
-                         straggler_delay_s=0.0)
+        plan = FaultPlan(seed=SEED, slow_task_prob=1.0,
+                         slow_task_delay_s=1e-4)
         with Context(num_nodes=4, default_parallelism=8,
                      fault_plan=plan) as ctx:
             ctx.parallelize(range(8), 4).count()
-            assert ctx.metrics.faults.stragglers_injected >= 4
+            assert ctx.metrics.stragglers.injected_slow_tasks >= 4
 
 
 class TestFetchFailureRecovery:

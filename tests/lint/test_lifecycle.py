@@ -70,6 +70,35 @@ def test_live_persisted_introspection(ctx):
     assert ctx.live_persisted() == []
 
 
+def test_release_scope_frees_what_the_block_still_holds(ctx):
+    """Scopes nest, leave handles that predate them alone, tolerate
+    eager releases inside the block, and release on the way out of an
+    exception without swallowing it."""
+    outer_bc = ctx.broadcast([0])
+    outer_rdd = ctx.parallelize(list(range(20)), 4).persist()
+    outer_rdd.count()
+    with pytest.raises(RuntimeError, match="mid-run"):
+        with ctx.release_scope():
+            kept = ctx.parallelize(list(range(30)), 4).persist()
+            kept.count()
+            with ctx.release_scope():
+                inner = ctx.parallelize(list(range(40)), 4).persist()
+                inner.count()
+                inner_bc = ctx.broadcast([1])
+            assert inner_bc.destroyed and inner.storage_level is None
+            assert [r[0] for r in ctx.live_persisted()] == [
+                outer_rdd.rdd_id, kept.rdd_id]
+            eager = ctx.broadcast([2])
+            eager.destroy()
+            ctx.broadcast([3])
+            raise RuntimeError("mid-run")
+    assert ctx.live_broadcasts() == [outer_bc]
+    assert [r[0] for r in ctx.live_persisted()] == [outer_rdd.rdd_id]
+    outer_bc.destroy()
+    outer_rdd.unpersist()
+    assert not audit_context(ctx)
+
+
 # ----------------------------------------------------------------------
 # session integration: audit timing
 # ----------------------------------------------------------------------
