@@ -24,7 +24,6 @@ the mode-1 overhead visible in Figure 5.
 from __future__ import annotations
 
 from ..engine.rdd import RDD
-from ..kernels.base import key_records_by_mode
 from ..tensor.coo import COOTensor
 from .cp_als import CPALSDriver
 
@@ -52,45 +51,17 @@ class CstfQCOO(CPALSDriver):
             # tensor-sized joins for state nobody reads
             return
         order = tensor.order
-        # materialize point: QCOO's queue records are still built
-        # record by record, so the tensor is keyed as records whatever
-        # the kernel (a block-keying kernel's own key_tensor_by_mode
-        # would hand back blocks).  The shared helper expands columnar
-        # partitions in bulk inside one op; a generic
-        # materialize_records().map() would be flagged as
-        # plan-block-churn (blocks degraded record-by-record and then
-        # shuffled) for the identical records
-        current = key_records_by_mode(tensor_rdd, 0).map_values(
-            lambda rec: (rec, ())).set_name("qcoo-init-key0")
+        kernel = self.ctx.kernel
+        current = kernel.qcoo_key_tensor(tensor_rdd, rank).set_name(
+            "qcoo-init-key0")
         for m in range(order - 1):
-            joined = current.join(factor_rdds[m], self.num_partitions)
-            next_mode = m + 1
-
-            def enqueue(kv, _next=next_mode):
-                (rec, queue), row = kv[1]
-                return (rec[0][_next], (rec, queue + (row,)))
-
-            current = joined.map(enqueue).set_name(
-                f"qcoo-init-enqueue{m}")
-        self._queue_rdd = self._canonical(current).set_name(
+            current = kernel.qcoo_join(
+                current, factor_rdds[m], m + 1, dequeue=False,
+                num_partitions=self.num_partitions,
+            ).set_name(f"qcoo-init-enqueue{m}")
+        self._queue_rdd = kernel.qcoo_canonical(current).set_name(
             "qcoo-queue").persist(self.storage_level)
         self._expected_key_mode = order - 1
-
-    @staticmethod
-    def _canonical(queue_rdd: RDD) -> RDD:
-        """Sort each partition by nonzero coordinate.
-
-        Join outputs are ordered by how their inputs happened to be
-        ordered, so the queue built by ``_setup`` and the queue carried
-        across iterations would hold the same records in different
-        orders — and the order feeds the floating-point summation in the
-        MTTKRP's reduce.  Canonicalising makes every queue (and hence
-        every factor) bit-for-bit reproducible, which checkpoint/resume
-        relies on: a run resumed from snapshotted factors rebuilds the
-        queue and must continue exactly as the uninterrupted run would.
-        """
-        return queue_rdd.map_partitions(
-            lambda it: sorted(it, key=lambda kv: kv[1][0][0]))
 
     def _teardown(self) -> None:
         self._queue_rdd = None
@@ -118,21 +89,17 @@ class CstfQCOO(CPALSDriver):
             self._old_queue = None
 
         # STAGE 1: the single tensor-sized shuffle — join with the factor
-        # updated by the previous MTTKRP (mode key_mode)
-        joined = self._queue_rdd.join(
-            factor_rdds[key_mode], self.num_partitions)
-
-        # STAGE 2: rotate the queue and re-key by the update mode
-        def rotate(kv, _mode=mode):
-            (rec, queue), fresh_row = kv[1]
-            new_queue = queue[1:] + (fresh_row,)
-            return (rec[0][_mode], (rec, new_queue))
-
-        next_queue = self._canonical(joined.map(rotate)).set_name(
+        # updated by the previous MTTKRP (mode key_mode); STAGE 2:
+        # rotate the queue (enqueue the fresh row, dequeue the stale
+        # row of mode ``mode``) and re-key by the update mode
+        kernel = self.ctx.kernel
+        rotated = kernel.qcoo_join(
+            self._queue_rdd, factor_rdds[key_mode], mode, dequeue=True,
+            num_partitions=self.num_partitions).set_name("qcoo-rotate")
+        next_queue = kernel.qcoo_canonical(rotated).set_name(
             "qcoo-queue").persist(self.storage_level)
 
         # STAGE 3: reduce each record's queue to one scaled row, then sum
-        kernel = self.ctx.kernel
         partials = kernel.qcoo_reduce(next_queue).set_name(
             "qcoo-partials")
         m_rdd = kernel.sum_rows_by_key(

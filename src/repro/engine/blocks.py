@@ -13,9 +13,10 @@ This module provides the columnar alternative:
     One contiguous ``int64`` index array per mode plus one contiguous
     ``float64`` values array.  Row ``i`` of the block is the record
     ``((columns[0][i], ..., columns[N-1][i]), values[i])``.  Two
-    optional extras carry it through the CSTF-COO join: ``rows``, an
-    ``(n, R)`` accumulator column (the running Hadamard product that
-    replaces the value once the first factor is joined), and
+    optional extras carry it through the CSTF joins: ``rows`` —
+    CSTF-COO's ``(n, R)`` accumulator column (the running Hadamard
+    product that replaces the value once the first factor is joined)
+    or CSTF-QCOO's ``(n, q, R)`` queue of factor rows — and
     ``key_mode``, naming the index column that is the shuffle key — so
     keying and re-keying are O(1) relabels of the same arrays.
 
@@ -89,9 +90,13 @@ def _contiguous(arr: Any, dtype: np.dtype[Any]) -> npt.NDArray[Any]:
 class ColumnarBlock:
     """A partition slice of COO nonzeros in columnar layout.
 
-    ``rows`` (optional) is an ``(n, R)`` per-nonzero accumulator;
-    ``key_mode`` (optional) names the index column that keys the block
-    for a shuffle.  A block with neither is a plain tensor slice.
+    ``rows`` (optional) is an ``(n, R)`` per-nonzero accumulator or
+    an ``(n, q, R)`` per-nonzero queue of ``q`` factor rows, stored in
+    queue order (slot 0 is the oldest): the reduce's product order and
+    ``to_records()`` both read it front to back, so a rotating head
+    index would fork both.  ``key_mode`` (optional) names the index
+    column that keys the block for a shuffle.  A block with neither is
+    a plain tensor slice.
     """
 
     __slots__ = ("columns", "values", "rows", "key_mode")
@@ -116,9 +121,10 @@ class ColumnarBlock:
                     "per value")
         if rows is not None:
             rows = _contiguous(rows, VALUE_DTYPE)
-            if rows.ndim != 2 or rows.shape[0] != values.shape[0]:
+            if rows.ndim not in (2, 3) or len(rows) != len(values):
                 raise ValueError(
-                    "rows must be 2-D with one row per value")
+                    "rows must be 2-D (accumulator) or 3-D (queue) "
+                    "with one entry per value")
         if key_mode is not None and not 0 <= key_mode < len(columns):
             raise ValueError(
                 f"key_mode {key_mode} out of range for a block of "
@@ -183,17 +189,22 @@ class ColumnarBlock:
         storage order — bit-identical to the records the block was
         built from.
 
-        The extras follow the record path's shapes: with ``rows`` the
-        payload is the accumulator row instead of the value, and a
-        keyed block wraps each record as ``(idx[key_mode], record)`` —
-        exactly the tuples the CSTF-COO join shuffles record by record.
+        The extras follow the record path's shapes: with accumulator
+        ``rows`` the payload is the row instead of the value, with
+        queue ``rows`` the record is ``((idx, val), (row, ...))``, and
+        a keyed block wraps each record as ``(idx[key_mode], record)``
+        — exactly the tuples the CSTF joins shuffle record by record.
         """
+        rows = self.rows
         payload: Iterable[Any] = (self.values.tolist()
-                                  if self.rows is None else self.rows)
+                                  if rows is None or rows.ndim == 3
+                                  else rows)
         if not self.columns:
             return [((), v) for v in payload]
         cols = [c.tolist() for c in self.columns]
-        records = list(zip(zip(*cols), payload))
+        records: list[Any] = list(zip(zip(*cols), payload))
+        if rows is not None and rows.ndim == 3:
+            records = list(zip(records, map(tuple, rows)))
         if self.key_mode is None:
             return records
         return list(zip(cols[self.key_mode], records))
@@ -210,12 +221,13 @@ class ColumnarBlock:
         first = blocks[0]
         if any(b.order != first.order for b in blocks):
             raise ValueError("cannot concat blocks of different order")
-        if any(b.key_mode != first.key_mode
-               or (b.rows is None) != (first.rows is None)
-               for b in blocks):
+        kinds = {(b.key_mode, None if b.rows is None else b.rows.shape[1:])
+                 for b in blocks}
+        if len(kinds) > 1:
             raise ValueError(
                 "cannot concat blocks that disagree on key_mode or on "
-                "carrying rows")
+                "rows (carried or not, queue length, rank); got "
+                f"(key_mode, rows shape per nonzero) = {kinds}")
         cols = tuple(
             np.concatenate([b.columns[m] for b in blocks])
             for m in range(first.order))
@@ -237,7 +249,9 @@ class ColumnarBlock:
     def __repr__(self) -> str:
         extras = ""
         if self.rows is not None:
-            extras += f", rank={self.rows.shape[1]}"
+            if self.rows.ndim == 3:
+                extras += f", queue={self.rows.shape[1]}"
+            extras += f", rank={self.rows.shape[-1]}"
         if self.key_mode is not None:
             extras += f", key_mode={self.key_mode}"
         return (f"ColumnarBlock(order={self.order}, "

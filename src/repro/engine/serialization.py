@@ -71,6 +71,16 @@ def _size_dict(obj) -> int:
     return total
 
 
+def _size_columnar(block: ColumnarBlock) -> int:
+    # a keyed block at rest is charged as the records it stands for,
+    # as estimate_record_size charges it in flight: CSTF-QCOO caches
+    # its queue every MTTKRP and the cost model prices cache bytes, so
+    # nbytes would move every modelled second by representation alone
+    if block.key_mode is None:
+        return block.nbytes + BLOCK_OVERHEAD
+    return len(block) * (wire_bytes_per_row(block) - RECORD_OVERHEAD)
+
+
 # exact-type dispatch: profiling shows size estimation dominates shuffle
 # accounting, and a dict lookup beats a chain of isinstance checks by ~3x
 # on the hot record shapes (tuples of ints/floats/ndarrays)
@@ -90,7 +100,7 @@ _SIZERS: dict[type, Any] = {
     type(None): lambda _o: 1,
     # ndarray-backed partition blocks: exact payload bytes plus a flat
     # header constant — no sampling, no pickling, no per-row dispatch
-    ColumnarBlock: lambda o: o.nbytes + BLOCK_OVERHEAD,
+    ColumnarBlock: _size_columnar,
     KeyedRowBlock: lambda o: o.nbytes + BLOCK_OVERHEAD,
 }
 
@@ -124,22 +134,29 @@ def wire_bytes_per_row(block: ColumnarBlock | KeyedRowBlock) -> int:
 
     Not a new model: the closed form of what
     :func:`estimate_record_size` charges the tuple the record path
-    shuffles for the same row — ``(k, (idx, val))`` before the first
-    join (``36 + 8N``), ``(k, (idx, acc_row))`` after it
-    (``32 + 8N + 8R``), ``(k, row)`` for a reduce row (``24 + 8R``) —
-    so a dataflow's shuffle bytes, memory admission and combine-buffer
-    booking do not depend on whether its rows travel as tuples or as
-    blocks (pinned by ``tests/engine/test_wire_model.py``).
+    shuffles for the same row — ``(k, (idx, val))`` before CSTF-COO's
+    first join (``36 + 8N``), ``(k, (idx, acc_row))`` after it
+    (``32 + 8N + 8R``), ``(k, ((idx, val), queue))`` for CSTF-QCOO's
+    queue of ``q >= 0`` rows (``44 + 8N + q(8R + 4)``), ``(k, row)``
+    for a reduce row (``24 + 8R``) — so a dataflow's shuffle bytes,
+    memory admission and combine-buffer booking do not depend on
+    whether its rows travel as tuples or as blocks (pinned by
+    ``tests/engine/test_wire_model.py``).
     """
     # record frame + the (key, value) pair + the int key
     keyed = RECORD_OVERHEAD + CONTAINER_OVERHEAD + SCALAR_BYTES
     rows = block.rows
     row = (SCALAR_BYTES if rows is None   # the bare value
-           else rows.shape[1] * rows.itemsize + CONTAINER_OVERHEAD)
+           else rows.shape[-1] * rows.itemsize + CONTAINER_OVERHEAD)
     if type(block) is KeyedRowBlock:
         return keyed + row
-    index = CONTAINER_OVERHEAD + SCALAR_BYTES * block.order
-    return keyed + CONTAINER_OVERHEAD + index + row
+    # the (idx, payload) pair around the index tuple
+    pair = 2 * CONTAINER_OVERHEAD + SCALAR_BYTES * block.order
+    if rows is None or rows.ndim == 2:
+        return keyed + pair + row
+    # ((idx, val), queue): the value stays beside a tuple of q rows
+    return (keyed + CONTAINER_OVERHEAD + pair + SCALAR_BYTES
+            + CONTAINER_OVERHEAD + rows.shape[1] * row)
 
 
 def estimate_record_size(record: Any) -> int:

@@ -36,23 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..engine.rdd import RDD
 
 
-def key_records_by_mode(tensor_rdd: "RDD", mode: int) -> "RDD":
-    """Key every tensor nonzero by one mode's index, as records:
-    ``(idx, val)`` becomes ``(idx[mode], (idx, val))``.
-
-    The one keyed-record code path: the base
-    :meth:`Kernel.key_tensor_by_mode` and CSTF-QCOO's queue
-    initialisation (which stays on records whatever the kernel) both
-    go through it.  Columnar partitions are expanded inside this one
-    op with bulk ``tolist`` conversions and loose records pass
-    through — the same records either way.  Drops the partitioner,
-    like ``RDD.map``.
-    """
-    def key(it: Iterable, _m=mode) -> Iterator:
-        return ((rec[0][_m], rec) for rec in iter_records(it))
-    return tensor_rdd.map_partitions(key)
-
-
 class Kernel(ABC):
     """Partition-level arithmetic strategy for the CP-ALS dataflows.
 
@@ -75,11 +58,14 @@ class Kernel(ABC):
         """Key every tensor nonzero by one mode's index (the join
         dataflow's STAGE 1): ``(idx, val)`` becomes
         ``(idx[mode], (idx, val))``, in whatever representation this
-        kernel's :meth:`coo_join` consumes — records here, keyed
-        columnar blocks in the vectorized kernel.  Drops the
-        partitioner, like ``RDD.map``.
+        kernel's :meth:`coo_join` consumes — records here (columnar
+        partitions are expanded in bulk inside this one op, loose
+        records pass through), keyed columnar blocks in the vectorized
+        kernel.  Drops the partitioner, like ``RDD.map``.
         """
-        return key_records_by_mode(tensor_rdd, mode)
+        def key(it: Iterable, _m=mode) -> Iterator:
+            return ((rec[0][_m], rec) for rec in iter_records(it))
+        return tensor_rdd.map_partitions(key)
 
     @abstractmethod
     def coo_join(self, keyed: "RDD", factor_rdd: "RDD", next_mode: int,
@@ -113,12 +99,55 @@ class Kernel(ABC):
         """
 
     @abstractmethod
+    def qcoo_key_tensor(self, tensor_rdd: "RDD", rank: int) -> "RDD":
+        """Start CSTF-QCOO's queue: ``(idx, val)`` becomes
+        ``(idx[0], ((idx, val), ()))`` — keyed by the mode-0 index with
+        an empty factor-row queue, the left input of the first
+        :meth:`qcoo_join` — in partition and record order.  ``rank`` is
+        the width of the rows the queue will hold (a columnar queue
+        needs it even while empty).  Drops the partitioner, like
+        ``RDD.map``.
+        """
+
+    @abstractmethod
+    def qcoo_join(self, keyed: "RDD", factor_rdd: "RDD", out_mode: int,
+                  dequeue: bool, num_partitions: int) -> "RDD":
+        """One CSTF-QCOO join step (STAGE 1 + 2, and each of the N-1
+        queue-building joins): join the queued nonzeros with the factor
+        of the mode they are keyed by, enqueue the joined row and
+        re-key by ``out_mode``'s index.
+
+        Logically ``(k, ((idx, val), queue))`` joined with ``(k, row)``
+        becomes ``(idx[out_mode], ((idx, val), queue + (row,)))``; with
+        ``dequeue`` the oldest row leaves as the new one enters
+        (``queue[1:] + (row,)``): a FIFO, oldest first.  Output order,
+        shuffle rounds and partitioner as :meth:`coo_join`.
+        """
+
+    @abstractmethod
+    def qcoo_canonical(self, queue_rdd: "RDD") -> "RDD":
+        """Sort each partition of a queue RDD by nonzero coordinate,
+        stably (duplicate coordinates keep their incoming order).
+
+        Join outputs are ordered by how their inputs happened to be
+        ordered, so the queue built at setup and the queue carried
+        across iterations would hold the same records in different
+        orders — and the order feeds the floating-point summation in
+        the MTTKRP's reduce.  Canonicalising makes every queue (and
+        hence every factor) bit-for-bit reproducible, which
+        checkpoint/resume relies on: a run resumed from snapshotted
+        factors rebuilds the queue and must continue exactly as the
+        uninterrupted run would.  Preserves the partitioner.
+        """
+
+    @abstractmethod
     def qcoo_reduce(self, queue_rdd: "RDD") -> "RDD":
         """QCOO STAGE 3: reduce each record's factor-row queue.
 
         ``(key, ((idx, val), queue))`` becomes ``(key, val * (queue[0] *
         queue[1] * ...))`` with the Hadamard products evaluated in queue
-        order.  Preserves the partitioner, like ``RDD.map_values``.
+        order, records in partition order.  Preserves the partitioner,
+        like ``RDD.map_values``.
         """
 
     @abstractmethod

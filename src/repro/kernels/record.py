@@ -48,6 +48,22 @@ class RecordKernel(Kernel):
             return (idx[_mode], acc)
         return tensor_rdd.map(contribute)
 
+    def qcoo_key_tensor(self, tensor_rdd: "RDD", rank: int) -> "RDD":
+        return self.key_tensor_by_mode(tensor_rdd, 0).map_values(
+            lambda rec: (rec, ()))
+
+    def qcoo_join(self, keyed: "RDD", factor_rdd: "RDD", out_mode: int,
+                  dequeue: bool, num_partitions: int) -> "RDD":
+        def enqueue(kv, _out=out_mode, _oldest=int(dequeue)):
+            (rec, queue), row = kv[1]
+            return (rec[0][_out], (rec, queue[_oldest:] + (row,)))
+        return keyed.join(factor_rdd, num_partitions).map(enqueue)
+
+    def qcoo_canonical(self, queue_rdd: "RDD") -> "RDD":
+        return queue_rdd.map_partitions(
+            lambda it: sorted(it, key=lambda kv: kv[1][0][0]),
+            preserves_partitioning=True)
+
     def qcoo_reduce(self, queue_rdd: "RDD") -> "RDD":
         def reduce_queue(value):
             (idx, val), queue = value

@@ -10,11 +10,14 @@ rows`` multiplies the same pairs of doubles as ``val * row`` per
 record), and the segmented sum (:mod:`repro.kernels.segsum`) replays the
 record path's per-key left folds and first-occurrence key order.
 
-The CSTF-COO join runs on keyed columnar blocks end to end: keying a
+Both paper dataflows run on keyed columnar blocks end to end: keying a
 tensor partition is an O(1) relabel of its block, each join step is one
-``RDD.block_join`` (sort + ``searchsorted`` gather + a row-wise
-Hadamard product) and the blocks are shuffled whole — no per-nonzero
-tuple exists between the tensor load and the reduce output.
+``RDD.block_join`` (sort + ``searchsorted`` gather + a fold of the
+gathered rows into the block's ``rows`` column) and the blocks are
+shuffled whole — no per-nonzero tuple exists between the tensor load
+and the reduce output.  CSTF-COO folds with a row-wise Hadamard product
+into an ``(n, R)`` accumulator; CSTF-QCOO appends the gathered rows to
+an ``(n, q, R)`` queue, dropping the oldest slot once it is full.
 
 The per-key sum routes through ``RDD.combine_by_key``'s
 ``combine_batch`` fast path, so map-side combining still books memory
@@ -25,11 +28,12 @@ Batch counts are recorded on the metrics collector
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 import numpy as np
 
 from ..engine.blocks import ColumnarBlock, KeyedRowBlock
+from ..engine.rdd import MapPartitionsRDD
 from .base import Kernel
 from .segsum import combine_rows_block, fold_rows, segmented_left_fold
 
@@ -37,6 +41,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
     from ..engine.metrics import MetricsCollector
     from ..engine.rdd import RDD
+
+
+def _per_block(rdd: "RDD", op: str,
+               f: Callable[[ColumnarBlock], Any]) -> "RDD":
+    """Narrow step applying ``f`` to each block of every partition
+    under a pinned op kind, which ``repro.lint.plan`` types where a
+    bare ``mapPartitions`` would erase the schema.  For steps that keep
+    every key: the partitioner is preserved, like ``RDD.map_values``."""
+    return MapPartitionsRDD(
+        rdd, lambda _split, it: [f(blk) for blk in it],
+        preserves_partitioning=True).set_name(op)
 
 
 class VectorizedKernel(Kernel):
@@ -142,25 +157,41 @@ class VectorizedKernel(Kernel):
     def key_tensor_by_mode(self, tensor_rdd: "RDD", mode: int) -> "RDD":
         return tensor_rdd.key_blocks(mode)
 
+    def qcoo_key_tensor(self, tensor_rdd: "RDD", rank: int) -> "RDD":
+        def with_empty_queue(blk: ColumnarBlock) -> ColumnarBlock:
+            return ColumnarBlock(blk.columns, blk.values,
+                                 np.empty((len(blk), 0, rank)),
+                                 blk.key_mode)
+        return _per_block(tensor_rdd.key_blocks(0), "emptyQueueBlocks",
+                          with_empty_queue)
+
+    def qcoo_join(self, keyed: "RDD", factor_rdd: "RDD", out_mode: int,
+                  dequeue: bool, num_partitions: int) -> "RDD":
+        def enqueue(blk: ColumnarBlock, rows: np.ndarray,
+                    _oldest=int(dequeue)) -> np.ndarray:
+            return np.concatenate(
+                [blk.rows[:, _oldest:], rows[:, None, :]], axis=1)
+        return keyed.block_join(factor_rdd, enqueue, out_mode,
+                                num_partitions=num_partitions)
+
+    def qcoo_canonical(self, queue_rdd: "RDD") -> "RDD":
+        def by_coordinate(blk: ColumnarBlock) -> ColumnarBlock:
+            # lexsort's last key is the primary one; it is stable, so
+            # duplicate coordinates tie exactly as sorted() ties them
+            return blk.take(np.lexsort(blk.columns[::-1]))
+        return _per_block(queue_rdd, "canonicalBlocks", by_coordinate)
+
     def qcoo_reduce(self, queue_rdd: "RDD") -> "RDD":
-        def batch(it: Iterable) -> Iterator:
-            records = list(it)
-            if not records:
-                return iter(())
-            n = len(records)
-            vals = np.fromiter((kv[1][0][1] for kv in records),
-                               dtype=np.float64, count=n)
-            queue_len = len(records[0][1][1])
-            acc = np.stack([kv[1][1][0] for kv in records])
-            for pos in range(1, queue_len):
-                acc = acc * np.stack([kv[1][1][pos] for kv in records])
-            out = vals[:, None] * acc
-            self._count(n)
-            return iter([(kv[0], out[i])
-                         for i, kv in enumerate(records)])
-        # keys are untouched: keep the partitioner, like map_values
-        return queue_rdd.map_partitions(batch,
-                                        preserves_partitioning=True)
+        def reduce_queue(blk: ColumnarBlock) -> KeyedRowBlock:
+            # a left fold over the queue slots, not np.prod: the oracle
+            # computes val * ((q0 * q1) * q2) and the bits must match
+            queue = blk.rows
+            acc = queue[:, 0]
+            for pos in range(1, queue.shape[1]):
+                acc = acc * queue[:, pos]
+            self._count(len(blk))
+            return KeyedRowBlock(blk.keys, blk.values[:, None] * acc)
+        return _per_block(queue_rdd, "reduceQueueBlocks", reduce_queue)
 
     def sum_rows_by_key(self, rdd: "RDD",
                         num_partitions: int | None = None) -> "RDD":

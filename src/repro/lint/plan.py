@@ -55,9 +55,11 @@ from .model import Finding, LintReport
 PASS_NAME = "plan"
 
 #: narrow operation kinds that preserve both keys and record schema
+#: (the last two are the vectorized kernel's CSTF-QCOO block steps:
+#: attaching the empty queue column and the per-partition lexsort)
 _SCHEMA_PRESERVING_OPS = frozenset({
     "filter", "sample", "sampleByKey", "sortByKey", "coalesce",
-    "reversedPartitions",
+    "reversedPartitions", "emptyQueueBlocks", "canonicalBlocks",
 })
 
 #: narrow operation kinds that preserve the key but rebuild the value
@@ -262,6 +264,8 @@ def _propagate(rdd: Any,
         return _blocks_schema(parent.order, keyed=False)
     if op == "keyBlocks":
         return _blocks_schema(parent.order, keyed=True)
+    if op == "reduceQueueBlocks":
+        return KEYED_ROWS_SCHEMA
     if op in _SCHEMA_PRESERVING_OPS:
         return parent
     if op in _KEY_PRESERVING_OPS:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import CstfCOO, CstfQCOO
 from repro.engine import Context
+from repro.engine.blocks import iter_records
 from repro.tensor import random_factors
 from repro.analysis.complexity import measured_mttkrp_rounds
 
@@ -20,7 +21,7 @@ class TestQueueSemantics:
                                          driver.num_partitions).cache()
             factor_rdds = [driver._distribute_factor(f) for f in factors]
             driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
-            records = driver._queue_rdd.collect()
+            records = list(iter_records(driver._queue_rdd.collect()))
         assert len(records) == small_tensor.nnz
         for key, ((idx, val), queue) in records:
             assert key == idx[2]                  # keyed by mode N-1
@@ -37,7 +38,7 @@ class TestQueueSemantics:
             factor_rdds = [driver._distribute_factor(f) for f in factors]
             driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
             driver._mttkrp(0, tensor_rdd, factor_rdds, 2).collect()
-            records = driver._queue_rdd.collect()
+            records = list(iter_records(driver._queue_rdd.collect()))
         for key, ((idx, val), queue) in records:
             assert key == idx[0]                  # re-keyed by update mode
             assert np.allclose(queue[0], factors[1][idx[1]])  # B kept

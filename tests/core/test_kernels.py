@@ -21,6 +21,7 @@ from repro.core import (CstfCOO, CstfDimTree, CstfQCOO, DistributedTucker,
                         InMemoryCheckpointStore)
 from repro.engine import (Context, EngineConf, EngineError, FaultPlan,
                           HashPartitioner, JobExecutionError, KernelError)
+from repro.engine.blocks import iter_records
 from repro.kernels import (RecordKernel, VectorizedKernel,
                            combine_rows_batch, create_kernel, fold_rows,
                            segmented_left_fold)
@@ -200,19 +201,34 @@ class TestBitIdentity:
                         fault_plan=plan)
         assert_bit_identical(record, vector)
 
-    def test_checkpoint_resume_crosses_kernels(self, tensor3, init3):
-        """An uninterrupted record-kernel run must equal a vectorized
-        run resumed from a mid-run snapshot (and vice versa)."""
-        record, _ = run(CstfCOO, tensor3, init3, "record")
+    def check_resume_crosses_kernels(self, cls, tensor, init):
+        record, _ = run(cls, tensor, init, "record")
         store = InMemoryCheckpointStore()
-        run(CstfCOO, tensor3, init3, "vectorized",
+        run(cls, tensor, init, "vectorized",
             decompose_kwargs={"checkpoint_every": 1,
                               "checkpoint_store": store})
         resumed, _ = run(
-            CstfCOO, tensor3, None, "vectorized",
+            cls, tensor, None, "vectorized",
             decompose_kwargs={"checkpoint_store": store,
                               "resume_from": 0})
         assert_bit_identical(record, resumed)
+
+    def test_checkpoint_resume_crosses_kernels(self, tensor3, init3):
+        """An uninterrupted record-kernel run must equal a vectorized
+        run resumed from a mid-run snapshot (and vice versa)."""
+        self.check_resume_crosses_kernels(CstfCOO, tensor3, init3)
+
+    @pytest.mark.parametrize("tensor,init", [
+        ("tensor3", "init3"), ("tensor4", "init4")], ids=["order3", "order4"])
+    def test_qcoo_checkpoint_resume_crosses_kernels(self, tensor, init,
+                                                    request):
+        """The reason ``qcoo_canonical`` exists: the resumed run
+        rebuilds its queue with N-1 init joins where the uninterrupted
+        one carried it across iterations, and both must sum the same
+        rows in the same order."""
+        self.check_resume_crosses_kernels(
+            CstfQCOO, request.getfixturevalue(tensor),
+            request.getfixturevalue(init))
 
     def test_gram_identical(self, tensor3):
         factor = random_factors(tensor3.shape, 1, 3)[0]
@@ -238,11 +254,11 @@ def shuffle_profile(ctx):
 
 
 def run_profiled(tensor, rank, kernel, partitions=8, iterations=2,
-                 **conf_kwargs):
+                 cls=CstfCOO, **conf_kwargs):
     init = random_factors(tensor.shape, rank, 29)
     with Context(num_nodes=4, default_parallelism=partitions,
                  conf=EngineConf(kernel=kernel, **conf_kwargs)) as ctx:
-        result = CstfCOO(ctx).decompose(
+        result = cls(ctx).decompose(
             tensor, rank, max_iterations=iterations, tol=0.0,
             initial_factors=init)
         return (result, ctx.metrics.total_shuffle_rounds(),
@@ -279,36 +295,157 @@ def assert_same_rows(a, b):
         assert ra.tobytes() == rb.tobytes()
 
 
+#: (shape, nnz, rank, partitions) of the block-join conformance matrix
+JOIN_CASES = {
+    "order2": ((9, 7), 30, 2, 8),           # one join; a queue of 1
+    "rank1": ((12, 10, 14), 220, 1, 8),     # width-1 fold_rows pad
+    "order4": ((8, 10, 6, 7), 150, 3, 8),
+    "order5": ((4, 5, 3, 4, 3), 120, 2, 8),
+    "rank>mode": ((3, 10, 8), 60, 5, 8),    # rank above the smallest mode
+    "empty": ((6, 5, 4), 5, 2, 16),         # mostly empty partitions
+}
+
+
+def table4_rounds(cls, order, iterations):
+    """Shuffle rounds of ``iterations`` CP-ALS iterations (Table 4):
+    N MTTKRPs of N rounds each for CSTF-COO; of 2 each, after N-1
+    queue-building joins, for CSTF-QCOO."""
+    if cls is CstfQCOO:
+        return iterations * order * 2 + (order - 1)
+    return iterations * order * order
+
+
 class TestBlockJoin:
-    @pytest.mark.parametrize("shape,nnz,rank,partitions", [
-        ((9, 7), 30, 2, 8),             # order 2: one join, no re-key
-        ((12, 10, 14), 220, 1, 8),      # rank 1: width-1 fold_rows pad
-        ((8, 10, 6, 7), 150, 3, 8),
-        ((4, 5, 3, 4, 3), 120, 2, 8),   # order 5
-        ((3, 10, 8), 60, 5, 8),         # rank above the smallest mode
-        ((6, 5, 4), 5, 2, 16),          # mostly empty partitions
-    ], ids=["order2", "rank1", "order4", "order5", "rank>mode", "empty"])
-    def test_bit_identical_with_equal_shuffles(self, shape, nnz, rank,
+    # CSTF-COO cases keep their bare ids; CSTF-QCOO's are prefixed
+    @pytest.mark.parametrize("cls,shape,nnz,rank,partitions", [
+        pytest.param(cls, *case, id=prefix + name)
+        for cls, prefix in ((CstfCOO, ""), (CstfQCOO, "qcoo-"))
+        for name, case in JOIN_CASES.items()])
+    def test_bit_identical_with_equal_shuffles(self, cls, shape, nnz, rank,
                                                partitions):
         tensor = uniform_sparse(shape, nnz, rng=41)
         rec, rec_rounds, rec_profile = run_profiled(
-            tensor, rank, "record", partitions)
+            tensor, rank, "record", partitions, cls=cls)
         vec, vec_rounds, vec_profile = run_profiled(
-            tensor, rank, "vectorized", partitions)
+            tensor, rank, "vectorized", partitions, cls=cls)
         assert_bit_identical(rec, vec)
-        order = len(shape)
-        # Table 4: N MTTKRPs per iteration, N shuffle rounds each
-        assert rec_rounds == vec_rounds == 2 * order * order
+        assert rec_rounds == vec_rounds == \
+            table4_rounds(cls, len(shape), iterations=2)
+        # stage by stage, the queue-building init stages included
         assert rec_profile == vec_profile
 
-    def test_map_side_combine_off(self, tensor3):
+    def check_map_side_combine_off(self, cls, tensor):
         rec, rec_rounds, rec_profile = run_profiled(
-            tensor3, 2, "record", map_side_combine=False)
+            tensor, 2, "record", cls=cls, map_side_combine=False)
         vec, vec_rounds, vec_profile = run_profiled(
-            tensor3, 2, "vectorized", map_side_combine=False)
+            tensor, 2, "vectorized", cls=cls, map_side_combine=False)
         assert_bit_identical(rec, vec)
         assert rec_rounds == vec_rounds
         assert rec_profile == vec_profile
+
+    def test_map_side_combine_off(self, tensor3):
+        self.check_map_side_combine_off(CstfCOO, tensor3)
+
+    def test_qcoo_map_side_combine_off(self, tensor3):
+        self.check_map_side_combine_off(CstfQCOO, tensor3)
+
+    def test_qcoo_runs_no_cogroup_and_no_tuple(self, tensor4, init4,
+                                               monkeypatch):
+        """One path: under the vectorized kernel CSTF-QCOO's lineage
+        holds block joins only, and nothing between the cached tensor
+        and ``combine_rows_block`` is a per-nonzero tuple."""
+        from repro.engine import ColumnarBlock, KeyedRowBlock
+        from repro.engine.rdd import BlockJoinRDD, CoGroupedRDD
+        from repro.engine.shuffle import ShuffleManager
+        shuffled = []
+        real_write = ShuffleManager.write
+
+        def spy(self, shuffle_id, map_partition, records, *args, **kw):
+            records = list(records)
+            shuffled.extend(type(r) for r in records)
+            return real_write(self, shuffle_id, map_partition, records,
+                              *args, **kw)
+        monkeypatch.setattr(ShuffleManager, "write", spy)
+        with Context(num_nodes=4, default_parallelism=8,
+                     conf=EngineConf(kernel="vectorized")) as ctx, \
+                ctx.release_scope():
+            driver = CstfQCOO(ctx)
+            tensor_rdd = driver._distribute_tensor(tensor4)
+            factor_rdds = [driver._distribute_factor(f) for f in init4]
+            driver._setup(tensor_rdd, tensor4, factor_rdds, 2)
+            m_rdd = driver._mttkrp(0, tensor_rdd, factor_rdds, 2)
+            classes = [type(r) for r in m_rdd.lineage_rdds()]
+            assert classes.count(BlockJoinRDD) == tensor4.order
+            assert CoGroupedRDD not in classes
+            assert len(m_rdd.collect()) == tensor4.shape[0]
+            assert ctx.metrics.kernel_batch_records > 0
+        assert set(shuffled) == {ColumnarBlock, KeyedRowBlock}
+
+    def test_qcoo_cached_queue_is_priced_as_its_tuples(self, tensor4,
+                                                       init4):
+        """The cost model prices cache bytes, and CSTF-QCOO re-caches
+        its queue every MTTKRP: a cached queue block must be charged
+        what the tuples it stands for were, or every modelled QCOO
+        second moves by representation alone.  The only cache entry
+        that may differ between the kernels is the plain tensor RDD
+        (blocks vs record lists), which CSTF-COO caches identically."""
+        from repro.engine.costmodel import RunStats
+
+        def stats(cls, kernel):
+            with Context(num_nodes=4, default_parallelism=8,
+                         conf=EngineConf(kernel=kernel)) as ctx:
+                cls(ctx).decompose(tensor4, 2, max_iterations=2, tol=0.0,
+                                   initial_factors=init4)
+                return RunStats.from_metrics(ctx.metrics)
+        coo_rec, coo_vec = stats(CstfCOO, "record"), stats(CstfCOO,
+                                                           "vectorized")
+        rec, vec = stats(CstfQCOO, "record"), stats(CstfQCOO, "vectorized")
+        assert rec.cache_bytes > 10 * coo_rec.cache_bytes  # the queues
+        assert rec.cache_bytes - vec.cache_bytes == \
+            coo_rec.cache_bytes - coo_vec.cache_bytes
+        for field in ("records_processed", "shuffle_total_bytes",
+                      "shuffle_records", "shuffle_rounds", "num_jobs"):
+            assert getattr(rec, field) == getattr(vec, field)
+
+    def test_qcoo_duplicate_coordinates_tie_in_arrival_order(self):
+        """``decompose`` refuses duplicate coordinates, but the queue
+        dataflow is defined on them and its canonical sort is stable:
+        duplicates keep their arrival order, which is part of the
+        bit-identity contract (three copies, so the order of the
+        partial sums shows in the bits)."""
+        tensor = uniform_sparse((5, 4, 6), 40, rng=3)
+        records = list(tensor.records())
+        rng = np.random.default_rng(8)
+        for pick in rng.integers(0, len(records), 12):
+            for _ in range(2):
+                records.insert(int(rng.integers(0, len(records))),
+                               (records[pick][0], float(rng.normal())))
+        factors = random_factors(tensor.shape, 3, 9)
+        outcomes = {}
+        for kernel in KERNELS:
+            with Context(num_nodes=4, default_parallelism=8,
+                         conf=EngineConf(kernel=kernel)) as ctx, \
+                    ctx.release_scope():
+                driver = CstfQCOO(ctx)
+                n = driver.num_partitions
+                tensor_rdd = ctx.parallelize(records, n).cache()
+                factor_rdds = [driver._distribute_factor(f)
+                               for f in factors]
+                driver._setup(tensor_rdd, tensor, factor_rdds, 3)
+                ms = [driver._mttkrp(mode, tensor_rdd, factor_rdds,
+                                     3).collect() for mode in range(3)]
+                queue = [list(iter_records(part)) for part in
+                         driver._queue_rdd.glom().collect()]
+                outcomes[kernel] = (ms, queue)
+        (rec_ms, rec_queue), (vec_ms, vec_queue) = outcomes.values()
+        for rec_m, vec_m in zip(rec_ms, vec_ms):
+            assert_same_rows(rec_m, vec_m)
+        flat = [r for part in rec_queue for r in part]
+        assert len(flat) == len(records)
+        # same coordinates, different values: the tie order is visible
+        assert [[(k, rec) for k, (rec, _) in part]
+                for part in rec_queue] == \
+            [[(k, rec) for k, (rec, _) in part] for part in vec_queue]
 
     @pytest.mark.parametrize("loose", [True, False])
     def test_loose_record_tensor_is_rebatched(self, tensor3, init3, loose):

@@ -65,6 +65,36 @@ class TestConstrainedCache:
         assert mem.demotions >= 1
         assert_identical(res, ref)
 
+    def test_demoted_queue_block_round_trips_through_its_frame(
+            self, tensor, init, monkeypatch):
+        """CSTF-QCOO's cached queue is a keyed block with a 3-D
+        ``rows`` column; squeezed out of memory it must come back from
+        its raw-buffer frame (not a pickle) as the block it was — the
+        run still equals the record oracle's."""
+        from repro.engine import storage
+        from repro.engine.blocks import ColumnarBlock, is_block_payload
+        read_back = []
+        real = storage.deserialize_partition
+
+        def spy(blob):
+            records = real(blob)
+            read_back.extend((is_block_payload(blob), r) for r in records)
+            return records
+        monkeypatch.setattr(storage, "deserialize_partition", spy)
+        ref, peak, _ = run(CstfQCOO, tensor, init,
+                           conf=EngineConf(kernel="record"))
+        res, _, mem = run(
+            CstfQCOO, tensor, init,
+            conf=EngineConf(kernel="vectorized",
+                            cache_capacity_bytes=max(1, peak // 4)),
+            level=StorageLevel.MEMORY_AND_DISK)
+        assert mem.demotions >= 1
+        queues = [framed for framed, r in read_back
+                  if type(r) is ColumnarBlock and r.rows is not None
+                  and r.rows.ndim == 3 and r.key_mode is not None]
+        assert queues and all(queues)
+        assert_identical(res, ref)
+
     @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
     def test_memory_only_eviction_is_bit_identical(self, cls, tensor,
                                                    init):
@@ -89,21 +119,26 @@ class TestOOMInjection:
         assert mem.demotions >= 1 or mem.task_spill_bytes > 0
         assert_identical(res, ref)
 
-    @pytest.mark.parametrize("budget", [1_000, 2_000, 3_000])
+    # CSTF-COO rows keep their bare ids; CSTF-QCOO's are prefixed
+    @pytest.mark.parametrize("cls,budget", [
+        pytest.param(cls, budget, id=f"{prefix}{budget}")
+        for cls, prefix in ((CstfCOO, ""), (CstfQCOO, "qcoo-"))
+        for budget in (1_000, 2_000, 3_000)])
     def test_block_join_trips_the_same_ooms_as_the_oracle(
-            self, tensor, init, budget):
+            self, tensor, init, cls, budget):
         """In-flight keyed blocks are admitted at their wire size —
         the bytes of the tuples they stand for — so the vectorized
-        CSTF-COO join is killed and healed exactly where the record
-        kernel is.  (Sized by ``nbytes`` they slip under the budget
-        and the injection silently stops firing.)  Serial backend:
-        with concurrent tasks the kill count depends on which attempt
-        reaches admission before another's demotion lands."""
+        CSTF-COO and CSTF-QCOO joins are killed and healed exactly
+        where the record kernel is.  (Sized by ``nbytes`` they slip
+        under the budget and the injection silently stops firing.)
+        Serial backend: with concurrent tasks the kill count depends
+        on which attempt reaches admission before another's demotion
+        lands."""
         plan = FaultPlan(seed=SEED,
                          oom_node_budgets={n: budget for n in range(4)})
         outcomes = {}
         for kernel in ("record", "vectorized"):
-            res, _, mem = run(CstfCOO, tensor, init,
+            res, _, mem = run(cls, tensor, init,
                               conf=EngineConf(kernel=kernel,
                                               backend="serial"),
                               fault_plan=plan)

@@ -75,11 +75,14 @@ class TestColumnarBlock:
             ColumnarBlock((np.arange(3),), np.zeros(4))
 
 
-def keyed_block(n=12, order=3, rank=None, key_mode=1, seed=0):
-    """A keyed ColumnarBlock, with an accumulator column if ``rank``."""
-    block = ColumnarBlock.from_records(sample_records(n, order, seed))
+def keyed_block(n=12, order=3, rank=None, key_mode=1, seed=0, queue=None):
+    """A keyed ColumnarBlock, with an accumulator column if ``rank`` —
+    or, given ``queue`` too, a queue column of that many rows."""
+    block = ColumnarBlock.from_records(sample_records(n, order, seed),
+                                       order)
+    shape = (n, rank) if queue is None else (n, queue, rank)
     rows = (None if rank is None else
-            np.random.default_rng(seed).standard_normal((n, rank)))
+            np.random.default_rng(seed).standard_normal(shape))
     return ColumnarBlock(block.columns, block.values, rows, key_mode)
 
 
@@ -166,6 +169,19 @@ class TestKeyedColumnarBlock:
             ColumnarBlock(block.columns, block.values, np.zeros((3, 2)))
         with pytest.raises(ValueError):
             ColumnarBlock(block.columns, block.values, np.zeros(4))
+        with pytest.raises(ValueError):
+            ColumnarBlock(block.columns, block.values,
+                          np.zeros((4, 1, 2, 2)))
+        with pytest.raises(ValueError):
+            ColumnarBlock(block.columns, block.values,
+                          np.zeros((3, 2, 2)))
+
+    def test_concat_rejects_mixed_row_shapes_with_its_own_error(self):
+        for other in (keyed_block(rank=2, queue=1),    # queue length
+                      keyed_block(rank=3, queue=2),    # rank
+                      keyed_block(rank=2)):            # accumulator
+            with pytest.raises(ValueError, match="cannot concat blocks"):
+                ColumnarBlock.concat([keyed_block(rank=2, queue=2), other])
 
     def test_is_keyed_block(self):
         assert is_keyed_block(keyed_block())
@@ -173,6 +189,60 @@ class TestKeyedColumnarBlock:
         assert not is_keyed_block(
             ColumnarBlock.from_records(sample_records(3)))
         assert not is_keyed_block((1, 2.0))
+
+
+class TestQueueBlock:
+    """3-D ``rows``: CSTF-QCOO's ``(n, q, R)`` FIFO queue column."""
+
+    @pytest.mark.parametrize("queue", [0, 1, 3])
+    def test_to_records_yields_the_oracle_tuples(self, queue):
+        block = keyed_block(9, rank=2, key_mode=2, queue=queue)
+        records = block.to_records()
+        assert len(records) == 9
+        for i, (k, ((idx, val), rows)) in enumerate(records):
+            assert type(k) is int and k == idx[2]
+            assert idx == tuple(int(c[i]) for c in block.columns)
+            assert type(val) is float and val == block.values[i]
+            assert type(rows) is tuple and len(rows) == queue
+            for pos, row in enumerate(rows):
+                assert row.shape == (2,)
+                assert row.tobytes() == block.rows[i, pos].tobytes()
+        # un-keyed, the same rows without the key wrapper
+        assert exact(block.keyed_by(None).to_records()) == \
+            exact([rec for _, rec in records])
+
+    def test_nbytes_and_repr_name_the_queue(self):
+        block = keyed_block(10, order=3, rank=5, queue=2)
+        assert block.nbytes == 10 * 8 * 4 + 10 * 2 * 5 * 8
+        assert "queue=2, rank=5" in repr(block)
+        assert "queue" not in repr(keyed_block(10, rank=5))
+        assert "rank=5" in repr(keyed_block(10, rank=5))
+
+    @pytest.mark.parametrize("queue", [0, 2])
+    def test_take_concat_pickle_carry_the_queue(self, queue):
+        block = keyed_block(12, rank=3, key_mode=0, queue=queue)
+        assert_same_block(block.take([5, 0, 9]).take([1]),
+                          block.take([0]))
+        view = block.take(slice(3, 7))
+        assert_same_block(view, block.take([3, 4, 5, 6]))
+        if queue:
+            assert np.shares_memory(view.rows, block.rows)
+        assert np.shares_memory(view.values, block.values)
+        assert_same_block(
+            ColumnarBlock.concat([block.take(slice(0, 5)),
+                                  block.take(slice(5, 12))]), block)
+        assert_same_block(pickle.loads(pickle.dumps(block)), block)
+
+    @pytest.mark.parametrize("n,queue", [(8, 3), (8, 0), (0, 2), (0, 0)])
+    def test_frame_round_trips_zero_width_and_empty(self, n, queue):
+        block = keyed_block(n, rank=2, key_mode=1, queue=queue)
+        blob = pack_blocks([block, keyed_block(3, rank=2, queue=1)])
+        first, second = unpack_blocks(blob)
+        assert_same_block(first, block)
+        assert first.rows.shape == (n, queue, 2)
+        assert_same_block(second, keyed_block(3, rank=2, queue=1))
+        (out,) = deserialize_partition(serialize_partition([block]))
+        assert_same_block(out, block)
 
 
 class TestSplitByPartition:
@@ -183,7 +253,10 @@ class TestSplitByPartition:
         keyed_block(40, key_mode=2),
         KeyedRowBlock(np.arange(40) % 7,
                       np.arange(80, dtype=float).reshape(40, 2)),
-    ], ids=["columnar+rows", "columnar", "keyed-rows"])
+        keyed_block(40, rank=3, key_mode=1, queue=2),
+        keyed_block(40, rank=3, key_mode=1, queue=0),
+    ], ids=["columnar+rows", "columnar", "keyed-rows", "columnar+queue",
+            "columnar+empty-queue"])
     def test_matches_per_record_bucket_appends(self, block):
         part = HashPartitioner(5)
         expected: dict[int, list] = {}

@@ -50,16 +50,19 @@ def record_blocks(draw):
 @st.composite
 def keyed_block_partitions(draw):
     """A block-only partition of ColumnarBlocks that may carry an
-    accumulator column and/or a key mode (the in-flight shapes of the
-    CSTF-COO join), including an empty block."""
+    accumulator or queue column and/or a key mode (the in-flight
+    shapes of the CSTF-COO and CSTF-QCOO joins), including an empty
+    block and an empty ``(n, 0, R)`` queue."""
     tensor = draw(coo_tensors())
     block = tensor.to_block()
     if draw(st.booleans()):
         block = block.take(slice(0, 0))
     rank = draw(st.one_of(st.none(), st.integers(1, 4)))
+    queue = draw(st.one_of(st.none(), st.integers(0, tensor.order - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    rows = (None if rank is None
-            else rng.standard_normal((len(block), rank)))
+    rows = (None if rank is None else rng.standard_normal(
+        (len(block), rank) if queue is None
+        else (len(block), queue, rank)))
     key_mode = draw(st.one_of(st.none(),
                               st.integers(0, tensor.order - 1)))
     keyed = ColumnarBlock(block.columns, block.values, rows, key_mode)

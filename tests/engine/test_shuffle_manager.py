@@ -86,9 +86,13 @@ class TestKeyedBlocks:
         rng = np.random.default_rng(4)
         cols = [rng.integers(0, 9, 30) for _ in range(3)]
         rows = rng.standard_normal((30, 2))
+        queue = rng.standard_normal((30, 2, 2))
         return [ColumnarBlock(cols, rng.standard_normal(30), None, 1),
                 ColumnarBlock(cols, rng.standard_normal(30), rows, 2),
-                KeyedRowBlock(cols[0], rows)]
+                KeyedRowBlock(cols[0], rows),
+                ColumnarBlock(cols, rng.standard_normal(30), queue, 0),
+                ColumnarBlock(cols, rng.standard_normal(30),
+                              queue[:, :0], 1)]
 
     def test_same_buckets_bytes_and_order_as_the_records(self, mgr):
         for block in self.blocks():

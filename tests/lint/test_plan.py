@@ -205,6 +205,85 @@ def test_coo_mttkrp_plan_has_no_untyped_or_record_hop():
             rdd.unpersist()
 
 
+def test_qcoo_block_steps_are_typed_not_anonymous():
+    """The vectorized kernel's narrow CSTF-QCOO steps carry pinned op
+    kinds: the empty-queue attach and the canonical sort keep the keyed
+    block schema, the queue reduce yields keyed rows."""
+    with make_ctx() as ctx:
+        kernel = VectorizedKernel()
+        keyed = kernel.qcoo_key_tensor(block_rdd(ctx), 2)
+        joined = kernel.qcoo_join(keyed, factor_rdd(ctx), 1, False, 4)
+        queue = kernel.qcoo_canonical(joined)
+        partials = kernel.qcoo_reduce(queue)
+        summed = kernel.sum_rows_by_key(partials, 4)
+        graph = PlanGraph.from_rdd(summed)
+
+        assert [graph.node(r.rdd_id).op
+                for r in (keyed, joined, queue, partials)] == [
+            "emptyQueueBlocks", "blockJoin", "canonicalBlocks",
+            "reduceQueueBlocks"]
+        for rdd in (keyed, joined, queue):
+            schema = graph.node(rdd.rdd_id).schema
+            assert (schema.form, schema.order, schema.key) == \
+                ("blocks", 3, "int64")
+        assert graph.node(partials.rdd_id).schema.form == "keyed-rows"
+        assert graph.node(summed.rdd_id).schema.key == "int64"
+        assert "unknown" not in graph.render(explain=True)
+        assert rules(audit_graph(graph)) == []
+        assert len(summed.collect()) == 5
+
+
+def test_qcoo_join_key_mismatch_is_an_error():
+    """With the queue typed, the key-dtype check reaches QCOO's joins
+    (below an untyped parent it has nothing to compare)."""
+    with make_ctx() as ctx:
+        kernel = VectorizedKernel()
+        by_pair = ctx.parallelize(
+            [((i, i), np.zeros(2)) for i in range(5)], 4)
+        queue = kernel.qcoo_canonical(kernel.qcoo_join(
+            kernel.qcoo_key_tensor(block_rdd(ctx), 2), factor_rdd(ctx),
+            1, False, 4))
+        rotated = kernel.qcoo_join(queue, by_pair, 2, True, 4)
+        mismatches = [f for f in audit_graph(PlanGraph.from_rdd(rotated))
+                      if f.rule == "plan-schema-mismatch"]
+        assert len(mismatches) == 1
+        assert "int64" in mismatches[0].message
+        assert "index[2]" in mismatches[0].message
+
+
+def test_qcoo_mttkrp_plan_is_block_joins_only():
+    """Under the vectorized kernel CSTF-QCOO runs on the one keyed
+    block from the cached tensor to the reduce: no cogroup, no record
+    hop, no opaque node — queue build and MTTKRP alike."""
+    from repro.core import CstfQCOO
+    from repro.tensor import random_factors, uniform_sparse
+    tensor = uniform_sparse((6, 5, 7), 60, rng=2)
+    factors = random_factors(tensor.shape, 2, 3)
+    with Context(num_nodes=2, default_parallelism=4,
+                 conf=EngineConf(kernel="vectorized")) as ctx, \
+            ctx.release_scope():
+        driver = CstfQCOO(ctx)
+        tensor_rdd = driver._distribute_tensor(tensor)
+        factor_rdds = [driver._distribute_factor(f) for f in factors]
+        driver._setup(tensor_rdd, tensor, factor_rdds, 2)
+        m_rdd = driver._mttkrp(0, tensor_rdd, factor_rdds, 2)
+        graph = PlanGraph.from_rdd(m_rdd)
+        forms = {n.name: n.schema.form for n in graph.nodes.values()}
+        assert forms == {
+            "tensor-coo": "blocks", "factor": "records",
+            "keyBlocks": "blocks", "qcoo-init-key0": "blocks",
+            "qcoo-init-enqueue0": "blocks",
+            "qcoo-init-enqueue1": "blocks", "qcoo-queue": "blocks",
+            "qcoo-rotate": "blocks", "qcoo-partials": "keyed-rows",
+            "mttkrp-0": "records"}
+        classes = {n.cls for n in graph.nodes.values()}
+        assert "BlockJoinRDD" in classes
+        assert "CoGroupedRDD" not in classes
+        assert all(n.schema.order == 3 for n in graph.nodes.values()
+                   if n.schema.form == "blocks")
+        assert rules(audit_graph(graph)) == []
+
+
 # ----------------------------------------------------------------------
 # rule: plan-uncached-reuse (intra-graph fan-out)
 # ----------------------------------------------------------------------
