@@ -351,24 +351,56 @@ def is_keyed_block(obj: object) -> bool:
         type(obj) is ColumnarBlock and obj.key_mode is not None)
 
 
+#: below this many keys the ``min``/``max`` scan and the ``uint16`` copy
+#: cost more than the merge sort they avoid (measured break-even)
+RADIX_MIN_KEYS = 1024
+
+
+def stable_argsort(keys: npt.NDArray[np.int64]) -> npt.NDArray[np.intp]:
+    """``np.argsort(keys, kind="stable")`` of integer keys as an LSD
+    radix sort over 16-bit digits (numpy's stable sort is a radix sort
+    only up to 16-bit dtypes, a 5-8x slower merge sort for int64).
+    ``keys.max()`` sets the digit count; negative keys, keys >= 2**32
+    and short inputs take the plain sort, whose permutation is the
+    same: a stable sort's is unique."""
+    if keys.shape[0] >= RADIX_MIN_KEYS and keys.min() >= 0:
+        top = int(keys.max())
+        if top < 1 << 32:
+            order = np.argsort(keys.astype(np.uint16), kind="stable")
+            if top >= 1 << 16:
+                high = (keys >> 16).astype(np.uint16)
+                order = order[np.argsort(high[order], kind="stable")]
+            return order
+    return np.argsort(keys, kind="stable")
+
+
+def sorted_runs(keys: npt.NDArray[np.int64]) -> tuple[
+        npt.NDArray[np.intp], npt.NDArray[np.int64], npt.NDArray[np.intp]]:
+    """Group ``keys`` by value: ``(order, sorted_keys, starts)`` — the
+    :func:`stable_argsort` permutation, the keys in that order and the
+    offset at which each distinct key's run begins.  Runs keep record
+    order, so ``order[starts]`` is where each key first occurs."""
+    order = stable_argsort(keys)
+    sorted_keys = keys[order]
+    first = np.ones(keys.shape[0], dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return order, sorted_keys, np.flatnonzero(first)
+
+
 def split_by_partition(
         block: ColumnarBlock | KeyedRowBlock, pids: npt.NDArray[np.int64],
 ) -> list[tuple[int, ColumnarBlock | KeyedRowBlock]]:
     """Split ``block`` into ``(partition, sub-block)`` pairs given each
-    row's target partition: one stable argsort, one gather, then a
-    zero-copy slice per non-empty partition.  Rows keep their original
-    relative order within each sub-block — the order per-record bucket
-    appends would produce — and an empty block yields nothing."""
-    n = len(block)
-    if n == 0:
-        return []
-    order = np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
-    cuts = (np.flatnonzero(sorted_pids[1:] != sorted_pids[:-1]) + 1
-            ).tolist()
+    row's target partition: one :func:`stable_argsort` (a single radix
+    pass: partition ids are small), one gather, then a zero-copy slice
+    per non-empty partition.  Rows keep their original relative order
+    within each sub-block — the order per-record bucket appends would
+    produce — and an empty block yields nothing."""
+    order, sorted_pids, starts = sorted_runs(pids)
     gathered = block.take(order)
+    cuts = starts.tolist()
     return [(int(sorted_pids[start]), gathered.take(slice(start, stop)))
-            for start, stop in zip([0, *cuts], [*cuts, n])]
+            for start, stop in zip(cuts, [*cuts[1:], len(block)])]
 
 
 def iter_records(partition: Iterable[Any]) -> Iterator[Any]:

@@ -420,9 +420,7 @@ class OffloadClient:
             out_descs = [rows_desc]
         request = {"op": "contrib", "arrays": arrays,
                    "outs": out_descs,
-                   "meta": {"modes": (len(arrays) - (2 if reduce_
-                                                     else 1)) // 2,
-                            "reduce": reduce_}}
+                   "meta": {"reduce": reduce_}}
         try:
             worker = self._pool.checkout()
         except BackendError:
@@ -531,36 +529,17 @@ class _AttachmentCache:  # pragma: no cover - runs inside workers
 
 def _op_contrib(arrays: list[np.ndarray], outs: list[np.ndarray],
                 meta: dict) -> dict:  # pragma: no cover - worker only
-    """Gather + Hadamard fold (+ optional segmented pre-reduce) —
-    the exact numpy expressions of the inline kernel path."""
-    modes = meta["modes"]
-    reduce_ = meta["reduce"]
-    pos = 0
-    values = arrays[pos]
-    pos += 1
-    key_col = None
-    if reduce_:
-        key_col = arrays[pos]
-        pos += 1
-    acc = None
-    for _ in range(modes):
-        col = arrays[pos]
-        factor = arrays[pos + 1]
-        pos += 2
-        rows = factor[col]
-        if acc is None:
-            acc = rows * values[:, None]
-        else:
-            acc = acc * rows
-    if reduce_:
-        from repro.kernels.segsum import segmented_left_fold
-        out_keys, out_rows = segmented_left_fold(key_col, acc)
-        count = out_keys.shape[0]
-        outs[0][:count] = out_keys
-        outs[1][:count] = out_rows
-    else:
-        count = acc.shape[0]
-        outs[0][:count] = acc
+    """One block's contribution, by the inline kernel path's own
+    function: ``arrays`` is ``values, [keys,] (column, factor)...``."""
+    from repro.kernels.vectorized import block_contribution
+    values, *rest = arrays
+    key_col = rest.pop(0) if meta["reduce"] else None
+    keys, rows = block_contribution(
+        values, key_col, list(zip(rest[::2], rest[1::2])), meta["reduce"])
+    count = rows.shape[0]
+    if meta["reduce"]:
+        outs[0][:count] = keys
+    outs[-1][:count] = rows
     return {"count": int(count)}
 
 

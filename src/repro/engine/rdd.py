@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linthooks
 from .blocks import (ColumnarBlock, KeyedRowBlock, iter_records,
-                     rebatch_records)
+                     rebatch_records, sorted_runs, stable_argsort)
 from .errors import EngineError
 from .partitioner import HashPartitioner, Partitioner
 from .shuffle import Aggregator
@@ -1130,7 +1130,7 @@ class BlockJoinRDD(_KeyGroupingRDD):
                  else ColumnarBlock.concat(blocks))
         table = KeyedRowBlock.from_records(right)
 
-        by_key = np.argsort(table.keys, kind="stable")
+        by_key = stable_argsort(table.keys)
         table_keys = table.keys[by_key]
         dup = np.flatnonzero(table_keys[1:] == table_keys[:-1])
         if dup.size:
@@ -1140,10 +1140,13 @@ class BlockJoinRDD(_KeyGroupingRDD):
                 f"the row side of a block join")
 
         # emission order: stable sort of the rows by the position at
-        # which their key first occurs
-        uniq, first_seen, group = np.unique(
-            block.keys, return_index=True, return_inverse=True)
-        emit = np.argsort(first_seen[group], kind="stable")
+        # which their key first occurs; group is each row's slot in uniq
+        order, sorted_keys, starts = sorted_runs(block.keys)
+        uniq = sorted_keys[starts]
+        group = np.empty(len(block), dtype=np.intp)
+        group[order] = np.repeat(np.arange(starts.shape[0]),
+                                 np.diff(starts, append=len(block)))
+        emit = stable_argsort(order[starts][group])
 
         slot = np.minimum(np.searchsorted(table_keys, uniq),
                           table_keys.shape[0] - 1)

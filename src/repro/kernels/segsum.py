@@ -6,44 +6,94 @@ order of the combine buffer).  Both properties feed downstream
 floating-point reductions, so the vectorized replacement must reproduce
 them *bitwise*, not just numerically:
 
-* records are stably argsorted by key, so within a key the original
-  record order is preserved;
-* each segment is summed with :func:`fold_rows`, a strict left fold
-  (``((r0 + r1) + r2) + ...``) — ``np.add.reduceat`` is *not* one (it
-  may use pairwise summation per segment), so segments are reduced with
-  per-segment ``np.add.reduce`` calls, which numpy evaluates as a
-  sequential fold along a strided axis;
+* records are stably sorted by key
+  (:func:`~repro.engine.blocks.sorted_runs`), so within a key the
+  original record order is preserved;
+* segments are bucketed by length class (1, 2, 3-4, 5-8, ...) and each
+  class is gathered *position-major* into ``(longest, segments,
+  width)`` planes and reduced along axis 0: numpy adds plane ``t`` of
+  every segment to the running ``(segments, width)`` plane — the
+  strict left fold ``((r0 + r1) + r2) + ...`` of all the class's keys
+  at once, in O(log longest segment + bytes / ``PLANE_BYTES``) numpy
+  calls however many keys there are; padding at most doubles the rows
+  touched.  ``np.add.reduceat`` is *not* usable (it may sum a segment
+  pairwise), nor is a reduce over one lone column (a 1-D reduce is
+  pairwise too; :func:`_fold_planes` pads a zero column);
+* the seed of the reduce and the pad past a segment's end are **-0.0**,
+  the one IEEE additive identity that returns every operand's bits,
+  signed zeros included (numpy's ``+0.0`` seed loses an all ``-0.0``
+  sum's sign);
 * results are re-emitted in first-occurrence key order, matching the
   dict order the record path produces.
-
-Width-1 rows hit numpy's contiguous pairwise-summation fast path, which
-is not a left fold either; :func:`fold_rows` pads a zero column so the
-reduction runs along a strided axis, then slices the pad back off.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
+
+from ..engine.blocks import KeyedRowBlock, sorted_runs
+
+
+#: byte bound of one gathered planes array, so that it stays cache-
+#: resident and malloc recycles it instead of faulting in fresh pages
+PLANE_BYTES = 1 << 19
+
+
+def _fold_planes(planes: np.ndarray) -> np.ndarray:
+    """Left fold of C-contiguous ``(length, segments, width)`` planes
+    along axis 0, seeded with -0.0: the ``(segments, width)`` sums."""
+    if planes.shape[1] * planes.shape[2] == 1:
+        # a lone column: a zero column beside it keeps the reduced
+        # axis the outer loop, and is sliced back off
+        planes = np.concatenate([planes, np.zeros_like(planes)], axis=2)
+        return np.add.reduce(planes, axis=0, initial=-0.0)[:, :1]
+    return np.add.reduce(planes, axis=0, initial=-0.0)
 
 
 def fold_rows(rows: np.ndarray) -> np.ndarray:
     """Strict left-fold sum of a ``(n, width)`` batch along axis 0.
 
-    Bit-identical to ``functools.reduce(operator.add, rows)``: a single
-    row is returned as-is (no zero is added, matching ``reduceByKey``'s
-    identity ``create_combiner``), and multi-row batches are reduced
-    sequentially in row order.
+    Bit-identical to ``functools.reduce(operator.add, rows)``, signs
+    of zeros included: the -0.0 seed adds to the first row without
+    changing a bit of it (``reduceByKey``'s identity combiner).
     """
-    if rows.shape[0] == 1:
-        return rows[0]
-    if rows.shape[1] == 1:
-        # a contiguous reduce axis triggers pairwise summation; pad a
-        # zero column so the reduction walks a strided axis instead
-        padded = np.concatenate([rows, np.zeros_like(rows)], axis=1)
-        return np.add.reduce(padded, axis=0)[:1]
-    return np.add.reduce(rows, axis=0)
+    return _fold_planes(np.ascontiguousarray(rows)[:, None, :])[0]
+
+
+def segmented_fold_at(
+        keys: np.ndarray, rows_at: Callable[[np.ndarray], np.ndarray],
+        width: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`segmented_left_fold` of rows that are not materialised:
+    ``rows_at(at)`` returns a fresh ``at.shape + (width,)`` array of
+    the rows at record positions ``at``.  Each row is asked for once,
+    already in the layout the plane reduce consumes, so a producer that
+    computes rows on demand (the broadcast MTTKRP) never builds or
+    re-gathers the unsorted ``(n, width)`` batch."""
+    n = keys.shape[0]
+    order, sorted_keys, starts = sorted_runs(keys)
+    lengths = np.diff(starts, append=n)
+    # ceil(log2(length)): the exponent frexp gives length - 1
+    classes = np.frexp(lengths - 1)[1]
+    sums = np.empty((starts.shape[0], width))
+    for cls in np.flatnonzero(np.bincount(classes)):
+        members = np.flatnonzero(classes == cls)
+        longest = int(lengths[members].max())
+        pos = np.arange(longest)[:, None]
+        step = max(1, PLANE_BYTES // (8 * width * longest))
+        for lo in range(0, members.shape[0], step):
+            segs = members[lo:lo + step]
+            # slots past a segment's end fetch any valid row, then
+            # become the identity
+            planes = rows_at(order[np.minimum(starts[segs] + pos, n - 1)])
+            planes[pos >= lengths[segs]] = -0.0
+            sums[segs] = _fold_planes(planes)
+    # starts index into the sorted order; order[starts] is each key's
+    # original first-occurrence position — sorting by it recovers the
+    # record path's dict insertion order
+    emit = np.argsort(order[starts])
+    return sorted_keys[starts][emit], sums[emit]
 
 
 def segmented_left_fold(
@@ -56,30 +106,8 @@ def segmented_left_fold(
     i-th distinct key *in order of first appearance* and ``out_rows[i]``
     is the left fold of that key's rows in record order.
     """
-    n = keys.shape[0]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_rows = rows[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    ends = np.r_[starts[1:], n]
-    width = rows.shape[1]
-    work = sorted_rows
-    if width == 1:
-        work = np.concatenate([work, np.zeros_like(work)], axis=1)
-    sums = np.empty((starts.shape[0], work.shape[1]))
-    lengths = ends - starts
-    singles = lengths == 1
-    sums[singles] = work[starts[singles]]
-    for seg in np.flatnonzero(~singles):
-        sums[seg] = np.add.reduce(work[starts[seg]:ends[seg]], axis=0)
-    if width == 1:
-        sums = sums[:, :1]
-    # starts index into the sorted order; order[starts] is each key's
-    # original first-occurrence position — sorting by it recovers the
-    # record path's dict insertion order
-    emit = np.argsort(order[starts])
-    return sorted_keys[starts][emit], sums[emit]
+    return segmented_fold_at(
+        keys, lambda at: np.take(rows, at, axis=0), rows.shape[1])
 
 
 def combine_rows_block(records: Iterable[Any], metrics=None) -> list:
@@ -94,7 +122,6 @@ def combine_rows_block(records: Iterable[Any], metrics=None) -> list:
     ``merge_value``/``merge_combiners`` coincide, so values and
     combiners can be folded interchangeably.
     """
-    from ..engine.blocks import KeyedRowBlock
     records = list(records)
     # keyed row blocks expand in place, preserving record order — a
     # block's rows sit exactly where its records would; runs of loose

@@ -32,10 +32,10 @@ from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 import numpy as np
 
-from ..engine.blocks import ColumnarBlock, KeyedRowBlock
+from ..engine.blocks import ColumnarBlock, KeyedRowBlock, stable_argsort
 from ..engine.rdd import MapPartitionsRDD
 from .base import Kernel
-from .segsum import combine_rows_block, fold_rows, segmented_left_fold
+from .segsum import combine_rows_block, fold_rows, segmented_fold_at
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
@@ -52,6 +52,30 @@ def _per_block(rdd: "RDD", op: str,
     return MapPartitionsRDD(
         rdd, lambda _split, it: [f(blk) for blk in it],
         preserves_partitioning=True).set_name(op)
+
+
+def block_contribution(
+        values: np.ndarray, key_col: np.ndarray,
+        fixed: list[tuple[np.ndarray, np.ndarray]],
+        prereduce: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, rows)`` MTTKRP contributions of one block: per nonzero
+    its value times the Hadamard product of the factor rows that the
+    ``(index column, factor)`` pairs of ``fixed`` select, left-folded
+    per key under ``prereduce``.  The fold asks for rows at sorted,
+    padded positions and the product is evaluated right there (it
+    commutes with a permutation, so the bits are those of folding the
+    materialised product).  Runs inline and in the pool worker."""
+    def product_at(at: "np.ndarray | slice") -> np.ndarray:
+        (col, factor), *rest = fixed
+        acc = np.take(factor, col[at], axis=0)
+        acc *= values[at][..., None]
+        for col, factor in rest:
+            acc *= np.take(factor, col[at], axis=0)
+        return acc
+    if prereduce:
+        return segmented_fold_at(key_col, product_at,
+                                 fixed[0][1].shape[1])
+    return key_col, product_at(slice(None))
 
 
 class VectorizedKernel(Kernel):
@@ -122,37 +146,23 @@ class VectorizedKernel(Kernel):
     def _block_contrib(self, blk: ColumnarBlock,
                        broadcasts: "dict[int, Broadcast]", mode: int,
                        prereduce: bool) -> KeyedRowBlock:
-        """One columnar partition's MTTKRP contributions.
-
-        Requires dense ndarray broadcast factors (row ``i`` at index
-        ``i``) so the gather is a fancy-index; the drivers broadcast
-        dense arrays whenever the kernel ``wants_blocks``.  Offloads
-        the Hadamard fold (and the pre-reduce) to the process pool
-        when one is attached; the inline path computes the exact same
-        product chain, so both are bit-identical.
-        """
+        """One columnar partition's MTTKRP contributions
+        (:func:`block_contribution`, run by a pool worker when one is
+        attached).  Requires dense ndarray broadcast factors (row ``i``
+        at index ``i``): the drivers broadcast dense arrays whenever
+        the kernel ``wants_blocks``."""
         key_col = blk.column(mode)
         fixed = [(blk.column(m), bc.value)
                  for m, bc in broadcasts.items()]
+        self._count(len(blk))
         if self._offload is not None:
             res = self._offload.contrib(
                 blk.values, key_col, fixed, prereduce)
             if res is not None:
-                keys, rows = res
-                self._count(len(blk))
-                if prereduce:
-                    return KeyedRowBlock(keys, rows)
-                return KeyedRowBlock(key_col, rows)
-        acc = None
-        for col, factor in fixed:
-            rows = factor[col]
-            acc = (rows * blk.values[:, None] if acc is None
-                   else acc * rows)
-        self._count(len(blk))
-        if prereduce:
-            out_keys, out_rows = segmented_left_fold(key_col, acc)
-            return KeyedRowBlock(out_keys, out_rows)
-        return KeyedRowBlock(key_col, acc)
+                return KeyedRowBlock(
+                    res[0] if prereduce else key_col, res[1])
+        return KeyedRowBlock(*block_contribution(
+            blk.values, key_col, fixed, prereduce))
 
     def key_tensor_by_mode(self, tensor_rdd: "RDD", mode: int) -> "RDD":
         return tensor_rdd.key_blocks(mode)
@@ -176,9 +186,12 @@ class VectorizedKernel(Kernel):
 
     def qcoo_canonical(self, queue_rdd: "RDD") -> "RDD":
         def by_coordinate(blk: ColumnarBlock) -> ColumnarBlock:
-            # lexsort's last key is the primary one; it is stable, so
+            # a lexsort is stable LSD passes, last column first, so
             # duplicate coordinates tie exactly as sorted() ties them
-            return blk.take(np.lexsort(blk.columns[::-1]))
+            order = stable_argsort(blk.columns[-1])
+            for col in blk.columns[-2::-1]:
+                order = order[stable_argsort(col[order])]
+            return blk.take(order)
         return _per_block(queue_rdd, "canonicalBlocks", by_coordinate)
 
     def qcoo_reduce(self, queue_rdd: "RDD") -> "RDD":

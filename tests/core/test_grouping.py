@@ -1,0 +1,231 @@
+"""The block path's one grouping primitive and the plane fold on it.
+
+``stable_argsort`` must be indistinguishable from numpy's stable sort
+(the four sites that call it are guarded by the existing order-sensitive
+suites, which run here a second time with the radix path forced onto
+their small blocks); ``segmented_left_fold`` must equal the record
+path's dict left fold byte for byte, the sign of a zero included; and a
+source guard keeps the next block-path sort from quietly being a merge
+sort again.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given
+
+import repro
+from repro.core import CstfCOO, CstfQCOO
+from repro.engine import blocks
+from repro.engine.blocks import sorted_runs, stable_argsort
+from repro.kernels import (combine_rows_block, fold_rows,
+                           segmented_left_fold)
+from repro.kernels.segsum import segmented_fold_at
+from repro.kernels.vectorized import block_contribution
+from repro.tensor import random_factors, uniform_sparse
+
+from ..strategies import integer_keys, keyed_rows
+from .test_kernels import assert_bit_identical, run
+
+
+def dict_fold(keys, rows):
+    """The record path: per-key ``a + b`` in record order, keys in
+    first-occurrence (dict insertion) order."""
+    acc = {}
+    for k, v in zip(keys.tolist(), rows):
+        acc[k] = acc[k] + v if k in acc else v
+    return acc
+
+
+def assert_equals_dict_fold(keys, rows, out_keys, out_rows):
+    oracle = dict_fold(keys, rows)
+    assert out_keys.tolist() == list(oracle)
+    assert out_rows.tobytes() == np.stack(list(oracle.values())).tobytes()
+
+
+# ----------------------------------------------------------------------
+# stable_argsort
+# ----------------------------------------------------------------------
+class TestStableArgsort:
+    @given(integer_keys())
+    def test_equals_numpy_stable_argsort(self, keys):
+        assert np.array_equal(stable_argsort(keys),
+                              np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("top", [65_535, 65_536, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize("n", [blocks.RADIX_MIN_KEYS - 1,
+                                   blocks.RADIX_MIN_KEYS, 5000])
+    def test_digit_boundaries_with_ties(self, n, top):
+        rng = np.random.default_rng(n + top % 97)
+        keys = rng.choice(np.array([0, 1, 65_535, 65_536, top // 2, top]),
+                          n).astype(np.int64)
+        assert np.array_equal(stable_argsort(keys),
+                              np.argsort(keys, kind="stable"))
+
+    @given(integer_keys(max_len=1500))
+    def test_sorted_runs_names_each_key_once_at_its_first_row(self, keys):
+        order, sorted_keys, starts = sorted_runs(keys)
+        assert np.array_equal(sorted_keys, np.sort(keys))
+        uniq, first = np.unique(keys, return_index=True)
+        assert np.array_equal(sorted_keys[starts], uniq)
+        assert np.array_equal(order[starts], first)
+
+
+# ----------------------------------------------------------------------
+# the segmented left fold
+# ----------------------------------------------------------------------
+class TestPlaneFold:
+    @given(keyed_rows())
+    def test_equals_dict_left_fold_bytes(self, batch):
+        keys, rows = batch
+        assert_equals_dict_fold(keys, rows,
+                                *segmented_left_fold(keys, rows))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("segments", [1, 2, 3])
+    def test_long_segments_are_not_summed_pairwise(self, width, segments):
+        """numpy sums a 1-D contiguous reduce pairwise, which differs
+        from the left fold from 8 addends on: one width-1 key of 300
+        rows is that shape unless the fold pads it."""
+        rng = np.random.default_rng(10 * width + segments)
+        keys = np.repeat(np.arange(segments), 300).astype(np.int64)
+        rows = rng.standard_normal((300 * segments, width)) * 1e6
+        assert_equals_dict_fold(keys, rows,
+                                *segmented_left_fold(keys, rows))
+        first = rows[:300]
+        assert fold_rows(first).tobytes() == \
+            dict_fold(keys[:300], first)[0].tobytes()
+        # and a transposed (non-contiguous) batch folds the same way
+        assert fold_rows(np.asfortranarray(first)).tobytes() == \
+            fold_rows(first).tobytes()
+
+    def test_sign_of_zero_matches_the_oracle(self):
+        """``-0.0 + -0.0`` is ``-0.0``; a reduce seeded with numpy's
+        default ``+0.0`` answers ``+0.0``."""
+        minus = np.full((3, 2), -0.0)
+        keys = np.array([5, 5, 7], dtype=np.int64)
+        out_keys, out_rows = segmented_left_fold(keys, minus)
+        assert out_keys.tolist() == [5, 7]
+        assert out_rows.tobytes() == minus[:2].tobytes()
+        assert fold_rows(minus).tobytes() == minus[0].tobytes()
+        (blk,) = combine_rows_block(
+            [(5, minus[0]), (5, minus[1]), (7, minus[2])])
+        assert blk.keys.tolist() == [5, 7]
+        assert blk.rows.tobytes() == minus[:2].tobytes()
+        # mixed signs: +0.0 wins exactly where the oracle says so
+        mixed = np.array([[0.0, -0.0], [-0.0, -0.0]])
+        same = np.zeros(2, dtype=np.int64)
+        assert_equals_dict_fold(same, mixed,
+                                *segmented_left_fold(same, mixed))
+
+    def test_padding_at_most_doubles_the_rows_gathered(self):
+        rng = np.random.default_rng(4)
+        n = 4000
+        keys = rng.integers(1, 500, n)
+        keys[rng.permutation(n)[:n // 2]] = 0      # one key, half the rows
+        rows = rng.standard_normal((n, 3))
+        fetched = []
+
+        def spy(at):
+            fetched.append(at.size)
+            return rows[at]
+        out = segmented_fold_at(keys, spy, 3)
+        assert n <= sum(fetched) <= 2 * n
+        assert_equals_dict_fold(keys, rows, *out)
+
+    @pytest.mark.parametrize("prereduce", [False, True])
+    def test_product_at_positions_equals_the_materialised_product(
+            self, prereduce):
+        """The broadcast MTTKRP evaluates its Hadamard product at the
+        fold's sorted, padded positions; the bits are those of the
+        record path's per-nonzero ``(val * row) * row`` and fold."""
+        rng = np.random.default_rng(12)
+        n, rank = 1500, 5
+        values = rng.standard_normal(n)
+        key_col = rng.integers(0, 40, n)
+        fixed = [(rng.integers(0, 30, n), rng.standard_normal((30, rank)))
+                 for _ in range(2)]
+        product = np.stack([
+            (values[i] * fixed[0][1][fixed[0][0][i]])
+            * fixed[1][1][fixed[1][0][i]] for i in range(n)])
+        keys, rows = block_contribution(values, key_col, fixed, prereduce)
+        if prereduce:
+            exp_keys, exp_rows = segmented_left_fold(key_col, product)
+            assert_equals_dict_fold(key_col, product, keys, rows)
+        else:
+            exp_keys, exp_rows = key_col, product
+        assert np.array_equal(keys, exp_keys)
+        assert rows.tobytes() == exp_rows.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the four call sites, with the radix path forced onto small blocks
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("cls,driver_kwargs", [
+    (CstfCOO, {}), (CstfCOO, {"factor_strategy": "broadcast"}),
+    (CstfQCOO, {})], ids=["coo-join", "coo-broadcast", "qcoo"])
+def test_drivers_stay_bit_identical_with_radix_on_every_block(
+        cls, driver_kwargs, monkeypatch):
+    """The conformance tensors' blocks are far below the short-input
+    cutoff; with the cutoff at 1 every sort in ``split_by_partition``,
+    ``BlockJoinRDD``, ``qcoo_canonical`` and the fold is a radix sort,
+    and the factors must still be the record oracle's."""
+    monkeypatch.setattr(blocks, "RADIX_MIN_KEYS", 1)
+    tensor = uniform_sparse((8, 10, 6, 7), 150, rng=11)
+    init = random_factors(tensor.shape, 2, 23)
+    rec, _ = run(cls, tensor, init, "record", driver_kwargs=driver_kwargs)
+    vec, batches = run(cls, tensor, init, "vectorized",
+                       driver_kwargs=driver_kwargs)
+    assert batches > 0
+    assert_bit_identical(rec, vec)
+
+
+# ----------------------------------------------------------------------
+# source guard
+# ----------------------------------------------------------------------
+def _merge_sorts(path: pathlib.Path) -> list[str]:
+    """Stable-argsort, ``lexsort`` and inverse-returning ``unique``
+    calls in one source file, as ``"<enclosing function>:<line>"``."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute):
+            keywords = {k.arg: k.value for k in node.keywords}
+            kind = keywords.get("kind")
+            if node.func.attr == "lexsort" \
+                    or (node.func.attr == "argsort"
+                        and isinstance(kind, ast.Constant)
+                        and kind.value == "stable") \
+                    or (node.func.attr == "unique"
+                        and "return_inverse" in keywords):
+                found.append(f"{scope}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_block_path_sorts_only_through_stable_argsort():
+    root = pathlib.Path(repro.__file__).parent
+    paths = [root / "engine" / "blocks.py", root / "engine" / "rdd.py",
+             *sorted((root / "kernels").glob("*.py"))]
+    offenders = {}
+    for path in paths:
+        if path.name == "record.py":      # the oracle sorts as it likes
+            continue
+        sorts = _merge_sorts(path)
+        if path.name == "blocks.py":
+            inside = [s for s in sorts if s.startswith("stable_argsort:")]
+            assert inside, "the guard no longer sees stable_argsort"
+            sorts = [s for s in sorts if s not in inside]
+        if sorts:
+            offenders[path.name] = sorts
+    assert not offenders

@@ -89,6 +89,32 @@ class TestDeduplicate:
         assert simple_tensor().has_duplicates()
         assert not simple_tensor().deduplicate().has_duplicates()
 
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [12, 2**32], ids=["int64", "fallback"])
+    def test_has_duplicates_by_linear_index_or_fallback(self, order, dim):
+        """The answer of the row-wise ``np.unique`` it replaces; mode
+        sizes of 2**32 put ``prod(shape)`` past int64 at every order,
+        which forces that expression itself."""
+        rng = np.random.default_rng(order)
+        shape = (dim,) * order
+        idx = np.unique(rng.integers(0, 6, (60, order)), axis=0)
+        rng.shuffle(idx)
+        clean = COOTensor(idx, np.ones(len(idx)), shape)
+        assert not clean.has_duplicates()
+        # a repeat that differs from its neighbour in the last mode
+        # only is not one; an exact repeat, far from its twin, is
+        near = idx[:1] + (np.arange(order) == order - 1) * (dim - 6)
+        for extra, expected in ((near, False), (idx[:1], True)):
+            both = np.concatenate([idx, extra])
+            tensor = COOTensor(both, np.ones(len(both)), shape)
+            assert tensor.has_duplicates() is expected
+
+    @pytest.mark.parametrize("nnz", [0, 1])
+    def test_has_duplicates_on_degenerate_tensors(self, nnz):
+        t = COOTensor(np.zeros((nnz, 3), dtype=np.int64), np.ones(nnz),
+                      (4, 5, 6))
+        assert t.has_duplicates() is False
+
     def test_preserves_shape(self):
         assert simple_tensor().deduplicate().shape == (3, 3, 4)
 
