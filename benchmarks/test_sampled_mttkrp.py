@@ -13,6 +13,14 @@ fastest exact configuration) on a planted low-rank tensor of
   the one-off setup), gated at ``MIN_SPEEDUP``x; and
 * the *exact offline* fit of both final models (the sampled run's own
   fit trace is an estimate), gated at ``MAX_FIT_GAP``.
+
+``MIN_SPEEDUP`` is a floor under measurements, not a target: 0.8 x the
+smallest ratio of six back-to-back runs on the 2-vCPU reference host
+after the exact path's plane fold halved the denominator (exact / lev
+seconds per iteration: 0.194/0.070 = 2.77, 0.163/0.065 = 2.52,
+0.164/0.078 = 2.09, 0.150/0.072 = 2.10, 0.144/0.066 = 2.16,
+0.155/0.071 = 2.17; 0.8 x 2.09 = 1.67).  Re-derive it the same way when
+either path's cost moves.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ NNZ = int(os.environ.get("REPRO_BENCH_SAMPLED_NNZ", "1000000"))
 SHAPE = (300, 300, 300)
 RANK = 4
 SAMPLE_COUNT = 4096
-MIN_SPEEDUP = 3.0
+MIN_SPEEDUP = 1.67
 MAX_FIT_GAP = 0.02
 
 

@@ -154,8 +154,9 @@ class CPALSDriver:
         self._live_broadcasts.clear()
 
     def flops_per_iteration(self, tensor: COOTensor, rank: int) -> float:
-        """Analytic flop count of one CP-ALS iteration (Table 4 row,
-        times N modes).  Subclasses override the per-MTTKRP constant."""
+        """Analytic flop count of one CP-ALS iteration: Table 4's
+        ``N * nnz * R`` per MTTKRP (CSTF-COO and, by Section 5,
+        CSTF-QCOO), times N modes.  Baselines override the constant."""
         n = tensor.order
         return float(n) * n * tensor.nnz * rank
 
@@ -395,7 +396,8 @@ class CPALSDriver:
            and broadcast both;
         3. draw ``sample_count`` nonzeros per partition by the product
            of the fixed modes' scores (site-seeded — backend/order/
-           retry independent) with ``1/(s q)`` folded into the values;
+           retry independent) with ``1/(s q)`` folded into the values
+           of the one block each sampled partition holds;
         4. run the kernel's broadcast-contribution fold plus the usual
            per-key sum over the sampled rows only.
 
@@ -425,7 +427,6 @@ class CPALSDriver:
         kernel = self.ctx.kernel
         sampled = self._sampler.sample_rdd(
             tensor_rdd, score_bcs, mode, iteration,
-            wants_blocks=getattr(kernel, "wants_blocks", False),
             metrics=self.ctx.metrics)
         contrib = kernel.broadcast_contributions(sampled, broadcasts,
                                                  mode)
@@ -434,36 +435,15 @@ class CPALSDriver:
         ).set_name(f"mttkrp-{mode}-sampled")
 
     def _distribute_tensor(self, tensor: COOTensor) -> RDD:
-        """Place the nonzero records per ``tensor_partitioning`` and
-        cache the resulting RDD.
-
-        Kernels that ``wants_blocks`` get columnar partitions
-        (:class:`~repro.engine.blocks.ColumnarBlock`) carved by
-        :meth:`COOTensor.partition_blocks`, whose placement and
-        within-partition order mirror the record path bit for bit; the
-        record oracle keeps plain record lists.
-        """
-        if getattr(self.ctx.kernel, "wants_blocks", False):
-            blocks = tensor.partition_blocks(
-                self.tensor_partitioning, self.num_partitions)
-            return self.ctx.parallelize_blocks(blocks).set_name(
-                "tensor-coo").persist(self.storage_level)
-        records = list(tensor.records())
-        n = self.num_partitions
-        if self.tensor_partitioning == "input":
-            rdd = self.ctx.parallelize(records, n)
-        elif self.tensor_partitioning == "hash":
-            keyed = [(idx, (idx, val)) for idx, val in records]
-            rdd = self.ctx.parallelize(
-                keyed, n, HashPartitioner(n)).values()
-        else:  # range:<mode>
-            mode = int(self.tensor_partitioning.split(":", 1)[1])
-            tensor._check_mode(mode)
-            from ..engine.partitioner import RangePartitioner
-            part = RangePartitioner.for_key_range(tensor.shape[mode], n)
-            keyed = [(idx[mode], (idx, val)) for idx, val in records]
-            rdd = self.ctx.parallelize(keyed, n, part).values()
-        return rdd.set_name("tensor-coo").persist(self.storage_level)
+        """Place the nonzeros per ``tensor_partitioning`` — one
+        :class:`~repro.engine.blocks.ColumnarBlock` per partition,
+        carved by :meth:`COOTensor.partition_blocks` — and cache the
+        resulting RDD.  Every kernel starts from these blocks; the
+        record oracle expands them inside its own ops."""
+        blocks = tensor.partition_blocks(
+            self.tensor_partitioning, self.num_partitions)
+        return self.ctx.parallelize_blocks(blocks).set_name(
+            "tensor-coo").persist(self.storage_level)
 
     def _distribute_factor(self, factor: np.ndarray) -> RDD:
         """``RDD[(index, row)]`` hash-partitioned by row index, so that

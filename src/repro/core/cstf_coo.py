@@ -18,7 +18,6 @@ remaining mode first.
 from __future__ import annotations
 
 from ..engine.rdd import RDD
-from ..tensor.coo import COOTensor
 from .cp_als import CPALSDriver
 
 
@@ -129,8 +128,3 @@ class CstfCOO(CPALSDriver):
         if self.factor_strategy == "broadcast":
             return 1
         return order
-
-    def flops_per_iteration(self, tensor: COOTensor, rank: int) -> float:
-        """Table 4: ``N * nnz * R`` flops per MTTKRP, N MTTKRPs."""
-        n = tensor.order
-        return float(n) * n * tensor.nnz * rank

@@ -117,8 +117,3 @@ class CstfQCOO(CPALSDriver):
     def shuffles_per_mttkrp(self, order: int) -> int:
         """Table 4: 2 shuffle rounds (1 join + 1 reduce), any order."""
         return 2
-
-    def flops_per_iteration(self, tensor: COOTensor, rank: int) -> float:
-        """Same vector-op count as CSTF-COO (Section 5)."""
-        n = tensor.order
-        return float(n) * n * tensor.nnz * rank

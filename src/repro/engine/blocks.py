@@ -336,7 +336,7 @@ class KeyedRowBlock:
 
 
 # ----------------------------------------------------------------------
-# record-view helpers (the materialize points)
+# partition views: blocks as records, many blocks as one
 # ----------------------------------------------------------------------
 def is_block(obj: object) -> bool:
     """Whether ``obj`` is a columnar partition block."""
@@ -413,39 +413,29 @@ def iter_records(partition: Iterable[Any]) -> Iterator[Any]:
             yield item
 
 
-def materialize_partition(partition: Iterable[Any]) -> list[Any]:
-    """``list(iter_records(partition))`` — the explicit block→records
-    materialize point used by record-shaped consumers."""
-    return list(iter_records(partition))
-
-
 def record_count(partition: Iterable[Any]) -> int:
     """Logical record count of a partition: blocks count their rows."""
     return sum(len(item) if is_block(item) else 1
                for item in partition)
 
 
-def rebatch_records(partition: Iterable[Any],
-                    order: int | None = None) -> list[ColumnarBlock]:
-    """Coalesce a partition of loose ``(idx, value)`` records (and/or
-    columnar blocks) back into a single :class:`ColumnarBlock` — the
-    inverse of :func:`materialize_partition`.  Row order is preserved,
-    so rebatch∘materialize is the identity on block content."""
-    loose: list[tuple[Any, ...]] = []
+def coalesce_blocks(partition: Iterable[Any]) -> ColumnarBlock | None:
+    """One tensor partition as a single :class:`ColumnarBlock`, rows in
+    block-then-row order; ``None`` when it holds no rows.  Anything but
+    a ``ColumnarBlock`` is refused here, by name: a stray record would
+    otherwise fail retries deep inside ``concat``."""
     blocks: list[ColumnarBlock] = []
     for item in partition:
-        if type(item) is ColumnarBlock:
-            if loose:
-                blocks.append(ColumnarBlock.from_records(loose, order))
-                loose = []
+        if type(item) is not ColumnarBlock:
+            raise TypeError(
+                f"a tensor partition must hold ColumnarBlocks, got "
+                f"{type(item).__name__}; distribute the tensor with "
+                f"COOTensor.partition_blocks + Context.parallelize_blocks")
+        if len(item):
             blocks.append(item)
-        else:
-            loose.append(item)
-    if loose or not blocks:
-        blocks.append(ColumnarBlock.from_records(loose, order))
-    if len(blocks) == 1:
-        return [blocks[0]]
-    return [ColumnarBlock.concat(blocks)]
+    if len(blocks) > 1:
+        return ColumnarBlock.concat(blocks)
+    return blocks[0] if blocks else None
 
 
 # ----------------------------------------------------------------------

@@ -31,8 +31,8 @@ from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 import numpy as np
 
 from . import linthooks
-from .blocks import (ColumnarBlock, KeyedRowBlock, iter_records,
-                     rebatch_records, sorted_runs, stable_argsort)
+from .blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
+                     iter_records, sorted_runs, stable_argsort)
 from .errors import EngineError
 from .partitioner import HashPartitioner, Partitioner
 from .shuffle import Aggregator
@@ -123,7 +123,7 @@ class RDD:
         self.partitioner = partitioner
         self.storage_level: StorageLevel | None = None
         self.name = type(self).__name__
-        #: semantic operation kind ("map", "rebatchBlocks", ...): pinned
+        #: semantic operation kind ("map", "keyBlocks", ...): pinned
         #: by the *first* set_name call (always the factory method), so
         #: user renames keep the display name and plan analysis apart
         self.op = type(self).__name__
@@ -319,43 +319,31 @@ class RDD:
             self, lambda _split, it: iter([list(it)])).set_name("glom")
 
     def materialize_records(self) -> "RDD":
-        """Explicit block→records materialize point.
+        """The one block→records seam, for record *programs* (the
+        BIGtensor baseline, the dimension tree) that run the tensor
+        through generic record transforms; kernels expand blocks inside
+        their own ops instead.
 
-        Columnar partition blocks are opaque to record-shaped
-        transforms; a consumer that needs plain records inserts this
-        narrow step to expand each block into its rows (in storage
-        order — bit-identical to a pipeline that never used blocks).
-        Non-block records pass through untouched, so the step is a
-        no-op on record partitions and preserves the partitioner.
+        Expands each block into its rows in storage order —
+        bit-identical to a pipeline that never used blocks.  Non-block
+        records pass through untouched, so the step is a no-op on
+        record partitions and preserves the partitioner.
         """
         return MapPartitionsRDD(
             self, lambda _split, it: iter_records(it),
             preserves_partitioning=True,
         ).set_name("materializeRecords")
 
-    def rebatch_blocks(self, order: int | None = None) -> "RDD":
-        """Explicit records→blocks rebatch point (inverse of
-        :meth:`materialize_records`): coalesce each partition's loose
-        ``(index_tuple, value)`` records and/or existing blocks into a
-        single :class:`~repro.engine.blocks.ColumnarBlock`, preserving
-        record order.  ``order`` pins the mode count for partitions
-        that may be empty."""
-        return MapPartitionsRDD(
-            self, lambda _split, it: iter(rebatch_records(it, order)),
-            preserves_partitioning=True,
-        ).set_name("rebatchBlocks")
-
     def key_blocks(self, mode: int) -> "RDD":
         """Coalesce each partition into one
         :class:`~repro.engine.blocks.ColumnarBlock` keyed by ``mode``'s
         index column — the block form of ``(idx, val) -> (idx[mode],
         (idx, val))``, ready for :meth:`block_join`.  An O(1) relabel
-        for a partition that already is one block; loose records are
-        batched first, and an empty partition stays empty.  Drops the
-        partitioner, like :meth:`map`."""
+        for a partition that already is one block; an empty partition
+        stays empty.  Drops the partitioner, like :meth:`map`."""
         def key(_split: int, it: Iterable) -> list:
-            (block,) = rebatch_records(it)
-            return [block.keyed_by(mode)] if len(block) else []
+            block = coalesce_blocks(it)
+            return [] if block is None else [block.keyed_by(mode)]
         return MapPartitionsRDD(self, key).set_name("keyBlocks")
 
     def sample(self, fraction: float, seed: int = 0) -> "RDD":

@@ -48,20 +48,14 @@ class Kernel(ABC):
     #: canonical kernel name (what ``Context.kernel.name`` reports)
     name: str = "abstract"
 
-    #: whether this kernel consumes columnar partition blocks
-    #: (:class:`~repro.engine.blocks.ColumnarBlock`); drivers
-    #: distribute the tensor as blocks only when True, so the record
-    #: oracle keeps its original record-list partitions bit for bit
-    wants_blocks: bool = False
-
     def key_tensor_by_mode(self, tensor_rdd: "RDD", mode: int) -> "RDD":
         """Key every tensor nonzero by one mode's index (the join
         dataflow's STAGE 1): ``(idx, val)`` becomes
         ``(idx[mode], (idx, val))``, in whatever representation this
-        kernel's :meth:`coo_join` consumes — records here (columnar
-        partitions are expanded in bulk inside this one op, loose
-        records pass through), keyed columnar blocks in the vectorized
-        kernel.  Drops the partitioner, like ``RDD.map``.
+        kernel's :meth:`coo_join` consumes — records here (the tensor's
+        columnar partitions are expanded inside this one op), keyed
+        columnar blocks in the vectorized kernel.  Drops the
+        partitioner, like ``RDD.map``.
         """
         def key(it: Iterable, _m=mode) -> Iterator:
             return ((rec[0][_m], rec) for rec in iter_records(it))

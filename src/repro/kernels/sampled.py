@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..engine.blocks import ColumnarBlock
+from ..engine.blocks import ColumnarBlock, coalesce_blocks
 from ..engine.partitioner import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -164,22 +164,22 @@ class LeverageSampler:
     # ------------------------------------------------------------------
     def sample_rdd(self, tensor_rdd: "RDD",
                    score_broadcasts: "dict[int, Broadcast]", mode: int,
-                   iteration: int, wants_blocks: bool,
+                   iteration: int,
                    metrics: "MetricsCollector | None" = None) -> "RDD":
         """Sampled replacement of the tensor RDD for one MTTKRP.
 
         ``score_broadcasts`` maps every fixed mode to a broadcast 1-D
-        leverage-score vector.  Output partitions hold one
-        :class:`ColumnarBlock` when ``wants_blocks`` (values carry the
-        folded ``1/(s q)`` weights), else plain ``(idx, val)`` records.
+        leverage-score vector.  Each non-empty output partition holds
+        one :class:`ColumnarBlock` whose values carry the folded
+        ``1/(s q)`` weights.
         """
         s = self.sample_count
         seed = self.seed
         floor = self.floor
 
         def sample(pid: int, it) -> list:
-            block = _partition_block(it)
-            if block is None or len(block) == 0:
+            block = coalesce_blocks(it)
+            if block is None:
                 return []
             n_input = len(block)
             block = uniform_pool(
@@ -193,30 +193,7 @@ class LeverageSampler:
                 (seed, "lev-sample", iteration, mode, pid), floor)
             if metrics is not None:
                 metrics.add_sampler_draw(s, n_input)
-            if wants_blocks:
-                return [scaled]
-            return scaled.to_records()
+            return [scaled]
 
         return tensor_rdd.map_partitions_with_index(sample).set_name(
             f"tensor-sampled-m{mode}")
-
-
-def _partition_block(partition) -> ColumnarBlock | None:
-    """Coalesce one tensor partition (columnar blocks or ``(idx, val)``
-    records) into a single :class:`ColumnarBlock`; ``None`` if empty."""
-    blocks: list[ColumnarBlock] = []
-    records: list[tuple] = []
-    for item in partition:
-        if type(item) is ColumnarBlock:
-            blocks.append(item)
-        else:
-            records.append(item)
-    if records:
-        order = len(records[0][0])
-        blocks.append(ColumnarBlock.from_records(records, order))
-    blocks = [b for b in blocks if len(b)]
-    if not blocks:
-        return None
-    if len(blocks) == 1:
-        return blocks[0]
-    return ColumnarBlock.concat(blocks)

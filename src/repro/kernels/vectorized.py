@@ -28,11 +28,12 @@ Batch counts are recorded on the metrics collector
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Iterable, TYPE_CHECKING
 
 import numpy as np
 
-from ..engine.blocks import ColumnarBlock, KeyedRowBlock, stable_argsort
+from ..engine.blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
+                             stable_argsort)
 from ..engine.rdd import MapPartitionsRDD
 from .base import Kernel
 from .segsum import combine_rows_block, fold_rows, segmented_fold_at
@@ -82,7 +83,6 @@ class VectorizedKernel(Kernel):
     """Batched numpy arithmetic, bit-identical to the record kernel."""
 
     name = "vectorized"
-    wants_blocks = True
 
     def __init__(self, metrics: "MetricsCollector | None" = None,
                  offload=None):
@@ -118,29 +118,12 @@ class VectorizedKernel(Kernel):
         # reduce-side fold groups them identically.
         prereduce = tensor_rdd.ctx.conf.map_side_combine
 
-        def batch(it: Iterable, _mode=mode, _bc=broadcasts) -> Iterator:
-            records = list(it)
-            if not records:
-                return iter(())
-            if type(records[0]) is ColumnarBlock:
-                out = []
-                for blk in records:
-                    if len(blk) == 0:
-                        continue
-                    out.append(self._block_contrib(
-                        blk, _bc, _mode, prereduce))
-                return iter(out)
-            n = len(records)
-            vals = np.fromiter((rec[1] for rec in records),
-                               dtype=np.float64, count=n)
-            acc = None
-            for m, bc in _bc.items():
-                factor = bc.value
-                rows = np.stack([factor[rec[0][m]] for rec in records])
-                acc = rows * vals[:, None] if acc is None else acc * rows
-            self._count(n)
-            return iter([(rec[0][_mode], acc[i])
-                         for i, rec in enumerate(records)])
+        def batch(it: Iterable) -> list:
+            block = coalesce_blocks(it)
+            if block is None:
+                return []
+            return [self._block_contrib(block, broadcasts, mode,
+                                        prereduce)]
         return tensor_rdd.map_partitions(batch)
 
     def _block_contrib(self, blk: ColumnarBlock,
@@ -149,8 +132,7 @@ class VectorizedKernel(Kernel):
         """One columnar partition's MTTKRP contributions
         (:func:`block_contribution`, run by a pool worker when one is
         attached).  Requires dense ndarray broadcast factors (row ``i``
-        at index ``i``): the drivers broadcast dense arrays whenever
-        the kernel ``wants_blocks``."""
+        at index ``i``), which is what every driver broadcasts."""
         key_col = blk.column(mode)
         fixed = [(blk.column(m), bc.value)
                  for m, bc in broadcasts.items()]

@@ -10,10 +10,10 @@ driver-side collection roots — a ``BlockCollectionRDD``'s blocks and a
 ``ParallelCollectionRDD``'s first record are already materialized on
 the driver, so peeking costs nothing — and propagated through the
 narrow/shuffle edges by operation kind (``materializeRecords`` expands
-blocks to records, ``rebatchBlocks`` re-batches, ``keyBlocks`` keys a
-block by one of its ``int64`` index columns, a ``BlockJoinRDD`` keeps
-keyed blocks keyed blocks — or emits keyed rows on its last step —
-``mapValues`` keeps the key, an opaque ``map`` degrades to unknown).
+blocks to records, ``keyBlocks`` keys a block by one of its ``int64``
+index columns, a ``BlockJoinRDD`` keeps keyed blocks keyed blocks — or
+emits keyed rows on its last step — ``mapValues`` keeps the key, an
+opaque ``map`` degrades to unknown).
 
 Four rule families run over the finished graph, all *before* any task
 executes:
@@ -25,11 +25,10 @@ executes:
     can never match (``1`` vs ``(1,)``).
 ``plan-block-churn`` (warning)
     A columnar block source degraded to loose records
-    (``materializeRecords``) and then either re-batched downstream —
-    the round trip buys nothing but conversion cost — or shipped
-    through a shuffle as pickled tuples, losing the raw-buffer framing
-    fast path.  The paper's Fig. 4 communication costs are exactly why
-    record-shaped shuffle payloads matter.
+    (``materializeRecords``) and then shipped through a shuffle as
+    pickled tuples, losing the raw-buffer framing fast path.  The
+    paper's Fig. 4 communication costs are exactly why record-shaped
+    shuffle payloads matter.
 ``plan-uncached-reuse`` (warning)
     An uncached RDD consumed by two or more downstream branches (in
     one plan) or by two or more jobs (tracked across plans by
@@ -260,8 +259,6 @@ def _propagate(rdd: Any,
                                key=key,
                                value_dtype=parent.value_dtype)
         return parent
-    if op == "rebatchBlocks":
-        return _blocks_schema(parent.order, keyed=False)
     if op == "keyBlocks":
         return _blocks_schema(parent.order, keyed=True)
     if op == "reduceQueueBlocks":
@@ -386,7 +383,7 @@ def _check_schema_mismatch(graph: PlanGraph,
 
 
 def _check_block_churn(graph: PlanGraph, report: LintReport) -> None:
-    """Rule ``plan-block-churn``: blocks -> records -> (rebatch|shuffle)."""
+    """Rule ``plan-block-churn``: blocks -> records -> shuffle."""
     degraded: set[int] = set()
     for node in graph.nodes.values():
         if node.op == "materializeRecords":
@@ -397,8 +394,8 @@ def _check_block_churn(graph: PlanGraph, report: LintReport) -> None:
     if not degraded:
         return
 
-    # propagate "carries degraded block rows, not yet re-batched"
-    # downstream in parents-first order
+    # propagate "carries degraded block rows" downstream in
+    # parents-first order
     tainted: dict[int, int] = {rdd_id: rdd_id for rdd_id in degraded}
     for node in graph.nodes.values():
         if node.rdd_id in tainted:
@@ -408,16 +405,7 @@ def _check_block_churn(graph: PlanGraph, report: LintReport) -> None:
             if origin is None:
                 continue
             origin_node = graph.node(origin)
-            if node.op == "rebatchBlocks":
-                report.add(Finding(
-                    rule="plan-block-churn", severity="warning",
-                    message=f"columnar blocks are expanded to records "
-                            f"at {origin_node.label()} and re-batched "
-                            f"here; keep the path columnar or move "
-                            f"the record work into a block-aware "
-                            f"kernel op",
-                    location=node.label(), pass_name=PASS_NAME))
-            elif edge.kind == "shuffle":
+            if edge.kind == "shuffle":
                 report.add(Finding(
                     rule="plan-block-churn", severity="warning",
                     message=f"columnar blocks are expanded to records "

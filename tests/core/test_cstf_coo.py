@@ -15,8 +15,7 @@ def run_single_mttkrp(ctx, tensor, factors, mode, rank=None):
     """Drive one distributed MTTKRP and return the dense result."""
     rank = rank or factors[0].shape[1]
     driver = CstfCOO(ctx)
-    tensor_rdd = ctx.parallelize(list(tensor.records()),
-                                 driver.num_partitions).cache()
+    tensor_rdd = driver._distribute_tensor(tensor)
     factor_rdds = [driver._distribute_factor(f) for f in factors]
     m_rdd = driver._mttkrp(mode, tensor_rdd, factor_rdds, rank)
     out = np.zeros((tensor.shape[mode], rank))

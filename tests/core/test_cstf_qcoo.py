@@ -17,8 +17,7 @@ class TestQueueSemantics:
         driver = CstfQCOO(ctx)
         factors = random_factors(small_tensor.shape, 2, rng)
         with ctx.release_scope():
-            tensor_rdd = ctx.parallelize(list(small_tensor.records()),
-                                         driver.num_partitions).cache()
+            tensor_rdd = driver._distribute_tensor(small_tensor)
             factor_rdds = [driver._distribute_factor(f) for f in factors]
             driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
             records = list(iter_records(driver._queue_rdd.collect()))
@@ -33,8 +32,7 @@ class TestQueueSemantics:
         driver = CstfQCOO(ctx)
         factors = random_factors(small_tensor.shape, 2, rng)
         with ctx.release_scope():
-            tensor_rdd = ctx.parallelize(list(small_tensor.records()),
-                                         driver.num_partitions).cache()
+            tensor_rdd = driver._distribute_tensor(small_tensor)
             factor_rdds = [driver._distribute_factor(f) for f in factors]
             driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
             driver._mttkrp(0, tensor_rdd, factor_rdds, 2).collect()
@@ -48,8 +46,7 @@ class TestQueueSemantics:
         driver = CstfQCOO(ctx)
         factors = random_factors(small_tensor.shape, 2, rng)
         with ctx.release_scope():
-            tensor_rdd = ctx.parallelize(list(small_tensor.records()),
-                                         driver.num_partitions).cache()
+            tensor_rdd = driver._distribute_tensor(small_tensor)
             factor_rdds = [driver._distribute_factor(f) for f in factors]
             driver._setup(tensor_rdd, small_tensor, factor_rdds, 2)
             with pytest.raises(RuntimeError, match="cyclic mode order"):

@@ -4,9 +4,10 @@
 (the four sites that call it are guarded by the existing order-sensitive
 suites, which run here a second time with the radix path forced onto
 their small blocks); ``segmented_left_fold`` must equal the record
-path's dict left fold byte for byte, the sign of a zero included; and a
-source guard keeps the next block-path sort from quietly being a merge
-sort again.
+path's dict left fold byte for byte, the sign of a zero included; and
+two source guards keep the next block-path sort from quietly being a
+merge sort again, and the next driver from growing a second tensor
+representation or a second conversion point.
 """
 
 from __future__ import annotations
@@ -229,3 +230,45 @@ def test_block_path_sorts_only_through_stable_argsort():
         if sorts:
             offenders[path.name] = sorts
     assert not offenders
+
+
+def _tensor_representation_breaches(path: pathlib.Path,
+                                    root: pathlib.Path) -> list[str]:
+    """What one source file does that would give the tensor RDD a
+    second representation, as ``"<file>:<line> <what>"``."""
+    rel = path.relative_to(root).as_posix()
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        name = getattr(node, "attr", None) or getattr(node, "arg", None) \
+            or getattr(node, "id", None)
+        if name == "wants_blocks":
+            found.append(f"{rel}:{node.lineno} names wants_blocks")
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "getattr" \
+                and rel.startswith("core/") and node.args \
+                and "kernel" in ast.unparse(node.args[0]):
+            found.append(f"{rel}:{node.lineno} reads a kernel by getattr")
+        if not isinstance(func, ast.Attribute):
+            continue
+        if func.attr == "materialize_records":
+            found.append(f"{rel}:{node.lineno} materialize_records")
+        if func.attr == "from_records" \
+                and ast.unparse(func.value) == "ColumnarBlock" \
+                and rel.startswith(("core/", "kernels/")):
+            found.append(f"{rel}:{node.lineno} ColumnarBlock.from_records")
+    return found
+
+
+def test_the_tensor_has_one_representation_and_one_record_seam():
+    """Every kernel and driver starts from the columnar tensor blocks;
+    only the two record *programs* may expand them through
+    ``materialize_records`` (kernels expand inside their own ops)."""
+    root = pathlib.Path(repro.__file__).parent
+    breaches = [b for path in sorted(root.rglob("*.py"))
+                for b in _tensor_representation_breaches(path, root)]
+    seam = [b for b in breaches if b.endswith(" materialize_records")]
+    assert [b.split(":")[0] for b in seam] == [
+        "baselines/bigtensor.py", "core/cstf_dimtree.py"]
+    assert [b for b in breaches if b not in seam] == []

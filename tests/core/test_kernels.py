@@ -22,10 +22,10 @@ from repro.core import (CstfCOO, CstfDimTree, CstfQCOO, DistributedTucker,
 from repro.engine import (Context, EngineConf, EngineError, FaultPlan,
                           HashPartitioner, JobExecutionError, KernelError)
 from repro.engine.blocks import iter_records
-from repro.kernels import (RecordKernel, VectorizedKernel,
+from repro.kernels import (LeverageSampler, RecordKernel, VectorizedKernel,
                            combine_rows_batch, create_kernel, fold_rows,
                            segmented_left_fold)
-from repro.tensor import random_factors, uniform_sparse
+from repro.tensor import COOTensor, random_factors, uniform_sparse
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -265,20 +265,16 @@ def run_profiled(tensor, rank, kernel, partitions=8, iterations=2,
                 shuffle_profile(ctx))
 
 
-def single_mttkrp(tensor, factors, mode, kernel, factor_records=None,
-                  loose=True):
+def single_mttkrp(tensor, factors, mode, kernel, factor_records=None):
     """One CSTF-COO MTTKRP's output records; ``factor_records[m]``
     replaces mode ``m``'s factor RDD content."""
     rank = factors[0].shape[1]
     with Context(num_nodes=4, default_parallelism=8,
-                 conf=EngineConf(kernel=kernel)) as ctx:
+                 conf=EngineConf(kernel=kernel)) as ctx, \
+            ctx.release_scope():
         driver = CstfCOO(ctx)
         n = driver.num_partitions
-        if loose:
-            tensor_rdd = ctx.parallelize(list(tensor.records()), n)
-        else:
-            tensor_rdd = ctx.parallelize_blocks(
-                tensor.partition_blocks("input", n))
+        tensor_rdd = driver._distribute_tensor(tensor)
         factor_rdds = []
         for m, factor in enumerate(factors):
             rows = (factor_records or {}).get(
@@ -383,29 +379,34 @@ class TestBlockJoin:
 
     def test_qcoo_cached_queue_is_priced_as_its_tuples(self, tensor4,
                                                        init4):
-        """The cost model prices cache bytes, and CSTF-QCOO re-caches
-        its queue every MTTKRP: a cached queue block must be charged
-        what the tuples it stands for were, or every modelled QCOO
-        second moves by representation alone.  The only cache entry
-        that may differ between the kernels is the plain tensor RDD
-        (blocks vs record lists), which CSTF-COO caches identically."""
+        """The cost model prices what ``RunStats`` holds, and CSTF-QCOO
+        re-caches its queue every MTTKRP: a cached queue block must be
+        charged what the tuples it stands for were, or every modelled
+        QCOO second moves by representation alone.  Every kernel reads
+        the same tensor blocks, so no field — ``cache_bytes`` included —
+        may tell the kernels apart, on any of the four dataflows."""
+        import dataclasses
         from repro.engine.costmodel import RunStats
 
-        def stats(cls, kernel):
+        def stats(cls, kernel, **driver_kwargs):
             with Context(num_nodes=4, default_parallelism=8,
                          conf=EngineConf(kernel=kernel)) as ctx:
-                cls(ctx).decompose(tensor4, 2, max_iterations=2, tol=0.0,
-                                   initial_factors=init4)
-                return RunStats.from_metrics(ctx.metrics)
-        coo_rec, coo_vec = stats(CstfCOO, "record"), stats(CstfCOO,
-                                                           "vectorized")
-        rec, vec = stats(CstfQCOO, "record"), stats(CstfQCOO, "vectorized")
-        assert rec.cache_bytes > 10 * coo_rec.cache_bytes  # the queues
-        assert rec.cache_bytes - vec.cache_bytes == \
-            coo_rec.cache_bytes - coo_vec.cache_bytes
-        for field in ("records_processed", "shuffle_total_bytes",
-                      "shuffle_records", "shuffle_rounds", "num_jobs"):
-            assert getattr(rec, field) == getattr(vec, field)
+                cls(ctx, **driver_kwargs).decompose(
+                    tensor4, 2, max_iterations=2, tol=0.0,
+                    initial_factors=init4)
+                return dataclasses.asdict(
+                    RunStats.from_metrics(ctx.metrics))
+        cached = {}
+        for name, cls, kwargs in (
+                ("coo-join", CstfCOO, {}),
+                ("coo-broadcast", CstfCOO,
+                 {"factor_strategy": "broadcast"}),
+                ("qcoo", CstfQCOO, {}),
+                ("lev", CstfCOO, {"sampler": "lev", "sample_count": 32})):
+            rec = stats(cls, "record", **kwargs)
+            assert rec == stats(cls, "vectorized", **kwargs), name
+            cached[name] = rec["cache_bytes"]
+        assert cached["qcoo"] > 10 * cached["coo-join"]  # the queues
 
     def test_qcoo_duplicate_coordinates_tie_in_arrival_order(self):
         """``decompose`` refuses duplicate coordinates, but the queue
@@ -420,6 +421,8 @@ class TestBlockJoin:
             for _ in range(2):
                 records.insert(int(rng.integers(0, len(records))),
                                (records[pick][0], float(rng.normal())))
+        duplicated = COOTensor([idx for idx, _ in records],
+                               [val for _, val in records], tensor.shape)
         factors = random_factors(tensor.shape, 3, 9)
         outcomes = {}
         for kernel in KERNELS:
@@ -427,8 +430,7 @@ class TestBlockJoin:
                          conf=EngineConf(kernel=kernel)) as ctx, \
                     ctx.release_scope():
                 driver = CstfQCOO(ctx)
-                n = driver.num_partitions
-                tensor_rdd = ctx.parallelize(records, n).cache()
+                tensor_rdd = driver._distribute_tensor(duplicated)
                 factor_rdds = [driver._distribute_factor(f)
                                for f in factors]
                 driver._setup(tensor_rdd, tensor, factor_rdds, 3)
@@ -447,16 +449,33 @@ class TestBlockJoin:
                 for part in rec_queue] == \
             [[(k, rec) for k, (rec, _) in part] for part in vec_queue]
 
-    @pytest.mark.parametrize("loose", [True, False])
-    def test_loose_record_tensor_is_rebatched(self, tensor3, init3, loose):
+    @pytest.mark.parametrize("consumer", ["key_blocks", "sample_rdd",
+                                          "broadcast_contributions"])
+    def test_stray_record_tensor_is_refused_by_name(self, tensor3, init3,
+                                                    consumer):
         """A tensor RDD built outside ``_distribute_tensor`` holds
-        ``(idx, val)`` records, not blocks; the key step must batch
-        them rather than assume blocks."""
-        rec, rec_rounds = single_mttkrp(tensor3, init3, 1, "record")
-        vec, vec_rounds = single_mttkrp(tensor3, init3, 1, "vectorized",
-                                        loose=loose)
-        assert_same_rows(rec, vec)
-        assert rec_rounds == vec_rounds == 3
+        ``(idx, val)`` records, not blocks: every block consumer says
+        what it got and how to build the right thing, instead of dying
+        inside ``concat`` on a tuple."""
+        with Context(num_nodes=4, default_parallelism=8,
+                     conf=EngineConf(kernel="vectorized")) as ctx:
+            loose = ctx.parallelize(list(tensor3.records()), 8)
+            if consumer == "key_blocks":
+                out = loose.key_blocks(1)
+            else:
+                bcs = {m: ctx.broadcast(init3[m]) for m in (0, 2)}
+                if consumer == "sample_rdd":
+                    scores = {m: ctx.broadcast(np.ones(tensor3.shape[m]))
+                              for m in (0, 2)}
+                    loose = LeverageSampler(16).sample_rdd(
+                        loose, scores, 1, iteration=0)
+                out = ctx.kernel.broadcast_contributions(loose, bcs, 1)
+            with pytest.raises(JobExecutionError) as err:
+                out.collect()
+        message = str(err.value)
+        assert "must hold ColumnarBlocks, got tuple" in message
+        assert "partition_blocks" in message
+        assert "parallelize_blocks" in message
 
     def test_missing_factor_keys_drop_their_nonzeros(self, tensor3, init3):
         """Inner-join semantics: nonzeros whose joined key has no

@@ -16,10 +16,9 @@ import pytest
 
 from repro.engine.blocks import (BLOCK_MAGIC, BLOCK_OVERHEAD,
                                  ColumnarBlock, KeyedRowBlock,
-                                 is_block_partition, is_block_payload,
-                                 is_keyed_block, iter_records,
-                                 materialize_partition, pack_blocks,
-                                 rebatch_records, record_count,
+                                 coalesce_blocks, is_block_partition,
+                                 is_block_payload, is_keyed_block,
+                                 iter_records, pack_blocks, record_count,
                                  split_by_partition, unpack_blocks)
 from repro.engine.partitioner import (HashPartitioner, RangePartitioner,
                                       stable_hash, stable_hash_int_array,
@@ -301,21 +300,34 @@ class TestRecordViews:
         part = [records[0], ColumnarBlock.from_records(records[1:4]),
                 records[4], records[5]]
         assert list(iter_records(part)) == records
-        assert materialize_partition(part) == records
 
     def test_record_count_counts_rows(self):
         part = [ColumnarBlock.from_records(sample_records(6)),
                 ("loose", 1.0)]
         assert record_count(part) == 7
 
-    def test_rebatch_then_materialize_is_identity(self):
+    def test_coalesce_keeps_block_then_row_order(self):
         records = sample_records(12)
-        part = [records[0], ColumnarBlock.from_records(records[1:9]),
-                *records[9:]]
-        rebatched = rebatch_records(part)
-        assert len(rebatched) == 1
-        assert type(rebatched[0]) is ColumnarBlock
-        assert rebatched[0].to_records() == records
+        empty = ColumnarBlock.from_records([], 3)
+        part = [ColumnarBlock.from_records(records[:1]), empty,
+                ColumnarBlock.from_records(records[1:9]),
+                ColumnarBlock.from_records(records[9:])]
+        merged = coalesce_blocks(part)
+        assert type(merged) is ColumnarBlock
+        assert merged.to_records() == records
+        # one non-empty block comes back as is: keying it stays O(1)
+        assert coalesce_blocks([empty, part[2]]) is part[2]
+        assert coalesce_blocks([]) is None
+        assert coalesce_blocks([empty, empty]) is None
+
+    def test_coalesce_refuses_a_stray_record_by_name(self):
+        records = sample_records(4)
+        part = [ColumnarBlock.from_records(records[:3]), records[3]]
+        with pytest.raises(TypeError, match="got tuple.*partition_blocks"
+                                            ".*parallelize_blocks"):
+            coalesce_blocks(part)
+        with pytest.raises(TypeError, match="got KeyedRowBlock"):
+            coalesce_blocks([KeyedRowBlock.from_records([], rank=2)])
 
 
 class TestFraming:

@@ -99,15 +99,6 @@ def test_matching_join_keys_are_silent():
 # ----------------------------------------------------------------------
 # rule: plan-block-churn
 # ----------------------------------------------------------------------
-def test_record_block_round_trip_is_churn():
-    with make_ctx() as ctx:
-        base = block_rdd(ctx)
-        round_trip = base.materialize_records() \
-            .filter(lambda rec: rec[1] > 0).rebatch_blocks(3)
-        report = audit_graph(PlanGraph.from_rdd(round_trip))
-        assert "plan-block-churn" in rules(report)
-
-
 def test_shuffling_degraded_records_is_churn():
     with make_ctx() as ctx:
         base = block_rdd(ctx)
