@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.blocks import KeyedRowBlock, partition_rows
 from ..engine.context import Context
+from ..engine.partitioner import slice_partitions
 from ..engine.rdd import RDD
 from ..tensor.coo import COOTensor
 from ..tensor.unfold import column_strides
@@ -51,10 +53,14 @@ class BigtensorCP(CPALSDriver):
 
     # ------------------------------------------------------------------
     def _distribute_factor(self, factor: np.ndarray) -> RDD:
-        """Factors live as plain HDFS files in BIGtensor — no
-        co-partitioning, so every join re-shuffles the factor side."""
-        rows = [(i, factor[i].copy()) for i in range(factor.shape[0])]
-        return self.ctx.parallelize(rows, self.num_partitions)
+        """Factors live as plain HDFS files in BIGtensor — contiguous
+        slices of rows, no co-partitioning, so every join re-shuffles
+        the factor side."""
+        index = np.arange(factor.shape[0])
+        return self.ctx.parallelize_blocks(partition_rows(
+            KeyedRowBlock(index, factor),
+            slice_partitions(factor.shape[0], self.num_partitions),
+            self.num_partitions))
 
     def _setup(self, tensor_rdd: RDD, tensor: COOTensor,
                factor_rdds: list[RDD], rank: int) -> None:
@@ -79,6 +85,11 @@ class BigtensorCP(CPALSDriver):
         fast, slow = sorted(others, key=lambda m: strides[m])
         s_fast, s_slow = int(strides[fast]), int(strides[slow])
 
+        # the matricization joins consume the factors record by record
+        # too (the same seam: it keeps a partitioner, were there one)
+        slow_rows = factor_rdds[slow].materialize_records()
+        fast_rows = factor_rdds[fast].materialize_records()
+
         # Job 1: matricized tensor joined with the slow mode's factor
         def to_matricized_slow(rec):
             idx, val = rec
@@ -87,7 +98,7 @@ class BigtensorCP(CPALSDriver):
 
         n1 = (tensor_rdd.map(to_matricized_slow)
               .set_name(f"bigtensor-X({mode})-by-slow")
-              .join(factor_rdds[slow], self.num_partitions)
+              .join(slow_rows, self.num_partitions)
               .map(lambda kv: ((kv[1][0][0], kv[1][0][1]),
                                kv[1][0][2] * kv[1][1]))
               .set_name("bigtensor-N1"))
@@ -101,7 +112,7 @@ class BigtensorCP(CPALSDriver):
 
         n2 = (tensor_rdd.map(to_bin_fast)
               .set_name(f"bigtensor-bin(X({mode}))-by-fast")
-              .join(factor_rdds[fast], self.num_partitions)
+              .join(fast_rows, self.num_partitions)
               .map(lambda kv: ((kv[1][0][0], kv[1][0][1]), kv[1][1]))
               .set_name("bigtensor-N2"))
 
@@ -111,9 +122,8 @@ class BigtensorCP(CPALSDriver):
                     .set_name("bigtensor-hadamard"))
 
         # Job 4: sum rows per mode index
-        return combined.reduce_by_key(
-            lambda a, b: a + b, self.num_partitions
-        ).set_name(f"mttkrp-{mode}")
+        return self.ctx.kernel.sum_rows_by_key(
+            combined, self.num_partitions).set_name(f"mttkrp-{mode}")
 
     # ------------------------------------------------------------------
     def shuffles_per_mttkrp(self, order: int) -> int:

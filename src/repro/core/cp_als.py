@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..engine.blocks import KeyedRowBlock, coalesce_rows, partition_rows
 from ..engine.conf import check
 from ..engine.context import Context
 from ..engine.errors import NumericalIntegrityError
@@ -143,7 +144,10 @@ class CPALSDriver:
 
     def _mttkrp(self, mode: int, tensor_rdd: RDD,
                 factor_rdds: list[RDD], rank: int) -> RDD:
-        """Return ``RDD[(index, row)]`` of the mode-``mode`` MTTKRP."""
+        """Return the mode-``mode`` MTTKRP as keyed rows — what
+        ``Kernel.sum_rows_by_key`` returns: one
+        :class:`~repro.engine.blocks.KeyedRowBlock` per non-empty
+        partition, hash-partitioned by row index."""
         raise NotImplementedError
 
     def _teardown(self) -> None:
@@ -303,9 +307,9 @@ class CPALSDriver:
                                                  factor_rdds, rank)
                         # M feeds two jobs (the column-norm aggregate
                         # and the factor materialization) and, for the
-                        # last mode, the fit join as well; uncached it
-                        # would be re-merged from shuffle outputs by
-                        # each (plan-uncached-reuse)
+                        # last mode, the fit's row products as well;
+                        # uncached it would be re-merged from shuffle
+                        # outputs by each (plan-uncached-reuse)
                         m_rdd.persist(self.storage_level)
                         pinv_v = grams.pinv_except(
                             mode, regularization=self.regularization)
@@ -446,12 +450,17 @@ class CPALSDriver:
             "tensor-coo").persist(self.storage_level)
 
     def _distribute_factor(self, factor: np.ndarray) -> RDD:
-        """``RDD[(index, row)]`` hash-partitioned by row index, so that
-        MTTKRP joins consume it without a shuffle."""
-        rows = [(i, factor[i].copy()) for i in range(factor.shape[0])]
-        return self.ctx.parallelize(
-            rows, self.num_partitions, self.partitioner
-        ).set_name("factor").cache()
+        """The factor's rows keyed by row index and hash-partitioned by
+        it, so that MTTKRP joins consume them without a shuffle: one
+        :class:`~repro.engine.blocks.KeyedRowBlock` per partition, in
+        index order."""
+        index = np.arange(factor.shape[0])
+        blocks = partition_rows(
+            KeyedRowBlock(index, factor),
+            self.partitioner.partition_int_keys(index),
+            self.num_partitions)
+        return self.ctx.parallelize_blocks(
+            blocks, self.partitioner).set_name("factor").cache()
 
     def _integrity_guard(self, array: np.ndarray, stage: str,
                          mode: int | None = None,
@@ -486,33 +495,25 @@ class CPALSDriver:
         """``A = normalize(M @ pinv(V))``; returns the cached factor RDD
         and the column norms (lambda).  With ``nonnegative``, rows are
         clipped at zero before normalisation (projected ALS)."""
-        if self.nonnegative:
-            def solve(row):
-                return np.maximum(row @ pinv_v, 0.0)
-        else:
-            def solve(row):
-                return row @ pinv_v
-        raw = m_rdd.map_values(solve).set_name("factor-unnormalized")
-        col_sq = raw.tree_aggregate(
-            np.zeros(rank),
-            lambda acc, kv: acc + kv[1] * kv[1],
-            lambda a, b: a + b)
+        kernel = self.ctx.kernel
+        raw = kernel.solve_rows(m_rdd, pinv_v, self.nonnegative
+                                ).set_name("factor-unnormalized")
+        col_sq = kernel.column_sums(raw, rank, squares=True)
         # col_sq aggregates every row of the solved MTTKRP output, so a
         # single NaN/Inf anywhere in M @ pinv(V) surfaces here
         self._integrity_guard(col_sq, "mttkrp-solve", mode=mode,
                               iteration=iteration)
         lambdas = np.sqrt(col_sq)
         safe = np.where(lambdas > 0, lambdas, 1.0)
-        factor = raw.map_values(lambda row: row / safe).set_name(
-            "factor").cache()
-        return factor, np.where(lambdas > 0, lambdas, 1.0)
+        factor = kernel.scale_rows(raw, safe).set_name("factor").cache()
+        return factor, safe
 
     def _fit(self, m_rdd: RDD, last_factor: RDD, lambdas: np.ndarray,
              grams: GramCache, norm_x: float) -> float:
         """CP fit via the standard MTTKRP trick (used by SPLATT and the
         Tensor Toolbox): ``<X, X̂> = sum_r lambda_r * sum_i M_N(i,r) *
-        A_N(i,r)`` — M_N and A_N are co-partitioned, so the join is
-        narrow and the fit costs no extra shuffle.  Under ``sampler=
+        A_N(i,r)`` — M_N and A_N are co-partitioned, so the row products
+        are narrow and the fit costs no extra shuffle.  Under ``sampler=
         "lev"`` the M fed in is itself the unbiased sampled estimate,
         so the returned fit is an estimate too (flagged by
         ``CPDecomposition.fit_is_estimate``); the accuracy gate in
@@ -521,15 +522,13 @@ class CPALSDriver:
         rank = lambdas.shape[0]
         if norm_x == 0.0:
             # a zero tensor is perfectly fit by the zero model; checking
-            # up front short-circuits the distributed join +
-            # tree_aggregate the answer cannot depend on
+            # up front short-circuits the distributed products + sum
+            # the answer cannot depend on
             return 1.0
-        prods = m_rdd.join(last_factor, self.num_partitions).map_values(
-            lambda pair: pair[0] * pair[1])
-        colsum = prods.tree_aggregate(
-            np.zeros(rank),
-            lambda acc, kv: acc + kv[1],
-            lambda a, b: a + b)
+        kernel = self.ctx.kernel
+        colsum = kernel.column_sums(
+            kernel.row_products(m_rdd, last_factor, self.num_partitions),
+            rank)
         inner = float(colsum @ lambdas)
         from ..tensor.ops import hadamard
         gram_prod = hadamard(*grams.grams)
@@ -546,12 +545,12 @@ class CPALSDriver:
         Without ``size`` the array ends at the largest index present —
         the broadcast strategy's sizing, which keeps the replicated
         bytes to the rows a kernel can look up."""
-        items = factor_rdd.collect()
+        block = coalesce_rows(factor_rdd.collect())
         if size is None:
-            size = 1 + max(i for i, _ in items)
+            size = 1 + int(block.keys.max())
         out = np.zeros((size, rank))
-        for idx, row in items:
-            out[idx] = row
+        if block is not None:
+            out[block.keys] = block.rows
         self._integrity_guard(out, "collect-factor", mode=mode)
         return out
 

@@ -146,7 +146,10 @@ class CstfDimTree(CPALSDriver):
             keyed = current.map(
                 lambda rec, _pos=pos: (rec[0][_pos], rec)
             ).set_name(f"dt-key-mode{m}")
-            joined = keyed.join(factor_rdds[m], self.num_partitions)
+            # the factor through the same record seam; it keeps the
+            # partitioner, so the join's factor side stays narrow
+            joined = keyed.join(factor_rdds[m].materialize_records(),
+                                self.num_partitions)
             if step == 0 and first:
                 # root records carry a scalar value
                 def fold(kv):
@@ -159,16 +162,19 @@ class CstfDimTree(CPALSDriver):
             current = joined.map(fold).set_name(f"dt-mult-mode{m}")
 
         if len(child.modes) == 1:
+            # a leaf is the MTTKRP output: keyed rows, as every driver's
             def rekey(rec, _pos=child_pos[0]):
                 key_p, vec = rec
                 return (key_p[_pos], vec)
+            reduced = self.ctx.kernel.sum_rows_by_key(
+                current.map(rekey), self.num_partitions)
         else:
             def rekey(rec, _pos=tuple(child_pos)):
                 key_p, vec = rec
                 return (tuple(key_p[p] for p in _pos), vec)
-        return (current.map(rekey)
-                .reduce_by_key(lambda a, b: a + b, self.num_partitions)
-                .set_name(f"dt-node{child.modes}"))
+            reduced = current.map(rekey).reduce_by_key(
+                lambda a, b: a + b, self.num_partitions)
+        return reduced.set_name(f"dt-node{child.modes}")
 
     def _order_of_root(self) -> int:
         assert self._root is not None

@@ -22,19 +22,24 @@ from ..tensor.ops import hadamard
 
 def gram_of_rdd(factor_rdd: RDD, rank: int,
                 kernel: Kernel | None = None) -> np.ndarray:
-    """``A^T A`` of a distributed factor ``RDD[(index, row)]``.
+    """``A^T A`` of a distributed factor (keyed rows, one
+    :class:`~repro.engine.blocks.KeyedRowBlock` per partition).
 
     One pass: each partition accumulates the outer products of its rows;
     partials (R x R) are merged on the driver, mirroring Spark's
     ``treeAggregate`` used for exactly this purpose.
 
-    Rows are accumulated in index order within each partition.  A
-    factor RDD's record order depends on how it was produced (a freshly
-    distributed matrix arrives index-ordered, a just-updated factor in
-    MTTKRP-output order), and floating-point summation order would leak
-    that history into the gram's low bits — breaking the bit-for-bit
-    guarantee checkpoint/resume makes.  Partition *contents* are fixed
-    by the hash partitioner, so sorting makes the sum canonical.
+    Rows are accumulated in index order within each partition:
+    floating-point summation order would otherwise leak how the factor
+    was produced (freshly distributed, or just updated in
+    MTTKRP-output order) into the gram's low bits — breaking the
+    bit-for-bit guarantee checkpoint/resume makes.  That order is
+    structural: a factor partition *is* sorted by row index
+    (``_distribute_factor`` carves it so, ``Kernel.scale_rows`` sorts
+    it once), and partition *contents* are fixed by the hash
+    partitioner, so the sum is canonical without a sort here (the
+    record oracle still sorts; the vectorized kernel scans, and sorts
+    only the re-cut slices of a hadoop-mode checkpoint).
 
     The accumulation itself is delegated to ``kernel`` (record-at-a-time
     fold or vectorized batch); the record kernel is used when none is

@@ -22,8 +22,9 @@ This module provides the columnar alternative:
 
 ``KeyedRowBlock``
     A batch of keyed factor rows — ``int64`` keys and a dense
-    ``(n, rank)`` ``float64`` row matrix — the shape MTTKRP
-    contributions take between the map side and the reduce side.
+    ``(n, rank)`` ``float64`` row matrix — the shape of a factor
+    partition (sorted by row index), of an MTTKRP output and of its
+    contributions between the map side and the reduce side.
 
 Stable-order contract
 ---------------------
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import struct
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, overload
 
 import numpy as np
 import numpy.typing as npt
@@ -99,12 +100,15 @@ class ColumnarBlock:
     a plain tensor slice.
     """
 
-    __slots__ = ("columns", "values", "rows", "key_mode")
+    __slots__ = ("columns", "values", "rows", "key_mode", "kind")
 
     columns: tuple[IndexArray, ...]
     values: ValueArray
     rows: ValueArray | None
     key_mode: int | None
+    #: what two blocks must share to be concatenated: order, key mode
+    #: and the shape of one nonzero's ``rows`` entry
+    kind: tuple[Any, ...]
 
     def __init__(self, columns: Sequence[npt.ArrayLike],
                  values: npt.ArrayLike,
@@ -133,6 +137,8 @@ class ColumnarBlock:
         self.values = values
         self.rows = rows
         self.key_mode = key_mode
+        self.kind = (len(columns), key_mode,
+                     None if rows is None else rows.shape[1:])
 
     # -- container protocol -------------------------------------------
     def __len__(self) -> int:
@@ -218,23 +224,7 @@ class ColumnarBlock:
         if not blocks:
             raise ValueError("concat of zero blocks is ambiguous "
                              "(unknown order)")
-        first = blocks[0]
-        if any(b.order != first.order for b in blocks):
-            raise ValueError("cannot concat blocks of different order")
-        kinds = {(b.key_mode, None if b.rows is None else b.rows.shape[1:])
-                 for b in blocks}
-        if len(kinds) > 1:
-            raise ValueError(
-                "cannot concat blocks that disagree on key_mode or on "
-                "rows (carried or not, queue length, rank); got "
-                f"(key_mode, rows shape per nonzero) = {kinds}")
-        cols = tuple(
-            np.concatenate([b.columns[m] for b in blocks])
-            for m in range(first.order))
-        vals = np.concatenate([b.values for b in blocks])
-        rows = (None if first.rows is None
-                else np.concatenate([b.rows for b in blocks]))
-        return cls(cols, vals, rows, first.key_mode)
+        return concat_ranges([(b, 0, len(b)) for b in blocks])
 
     def take(self, indices: npt.ArrayLike | slice) -> "ColumnarBlock":
         """Sub-block of the given rows, in the given index order (a
@@ -265,10 +255,13 @@ class ColumnarBlock:
 class KeyedRowBlock:
     """A batch of ``(int key, float64 row)`` pairs in dense layout."""
 
-    __slots__ = ("keys", "rows")
+    __slots__ = ("keys", "rows", "kind")
 
     keys: IndexArray
     rows: ValueArray
+    #: what two blocks must share to be concatenated: being keyed rows
+    #: of one rank
+    kind: tuple[Any, ...]
 
     def __init__(self, keys: npt.ArrayLike, rows: npt.ArrayLike) -> None:
         keys = _contiguous(keys, INDEX_DTYPE)
@@ -279,6 +272,7 @@ class KeyedRowBlock:
             raise ValueError("one key per row required")
         self.keys = keys
         self.rows = rows
+        self.kind = ("keyed rows", rows.shape[1])
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -316,8 +310,7 @@ class KeyedRowBlock:
         if not blocks:
             raise ValueError("concat of zero blocks is ambiguous "
                              "(unknown rank)")
-        return cls(np.concatenate([b.keys for b in blocks]),
-                   np.vstack([b.rows for b in blocks]))
+        return concat_ranges([(b, 0, len(b)) for b in blocks])
 
     def take(self, indices: npt.ArrayLike | slice) -> "KeyedRowBlock":
         """Sub-block of the given rows, in the given index order (a
@@ -338,6 +331,44 @@ class KeyedRowBlock:
 # ----------------------------------------------------------------------
 # partition views: blocks as records, many blocks as one
 # ----------------------------------------------------------------------
+@overload
+def concat_ranges(
+        ranges: Sequence[tuple[ColumnarBlock, int, int]]) -> ColumnarBlock: ...
+
+
+@overload
+def concat_ranges(
+        ranges: Sequence[tuple[KeyedRowBlock, int, int]]) -> KeyedRowBlock: ...
+
+
+def concat_ranges(ranges: Sequence[tuple[Any, int, int]]) -> Any:
+    """One block from ``(block, start, stop)`` row ranges, in the given
+    order: every column is sliced and concatenated raw, so no block is
+    built per range — a shuffle read assembles a reduce partition from
+    one range per map output this way."""
+    first, start, stop = ranges[0]
+    if len(ranges) == 1:    # nothing to join: a view, not a copy
+        return (first if stop - start == len(first)
+                else first.take(slice(start, stop)))
+    kinds = {b.kind for b, _, _ in ranges}
+    if len(kinds) > 1:
+        raise ValueError(
+            "cannot concat blocks that disagree on order, on key_mode "
+            "or on rows (carried or not, queue length, rank); got "
+            f"(order, key_mode, rows shape per nonzero) = {kinds}")
+    if type(first) is KeyedRowBlock:
+        return KeyedRowBlock(
+            np.concatenate([b.keys[lo:hi] for b, lo, hi in ranges]),
+            np.concatenate([b.rows[lo:hi] for b, lo, hi in ranges]))
+    cols = tuple(
+        np.concatenate([b.columns[m][lo:hi] for b, lo, hi in ranges])
+        for m in range(first.order))
+    vals = np.concatenate([b.values[lo:hi] for b, lo, hi in ranges])
+    rows = (None if first.rows is None
+            else np.concatenate([b.rows[lo:hi] for b, lo, hi in ranges]))
+    return ColumnarBlock(cols, vals, rows, first.key_mode)
+
+
 def is_block(obj: object) -> bool:
     """Whether ``obj`` is a columnar partition block."""
     return type(obj) is ColumnarBlock or type(obj) is KeyedRowBlock
@@ -387,20 +418,31 @@ def sorted_runs(keys: npt.NDArray[np.int64]) -> tuple[
     return order, sorted_keys, np.flatnonzero(first)
 
 
-def split_by_partition(
-        block: ColumnarBlock | KeyedRowBlock, pids: npt.NDArray[np.int64],
-) -> list[tuple[int, ColumnarBlock | KeyedRowBlock]]:
-    """Split ``block`` into ``(partition, sub-block)`` pairs given each
-    row's target partition: one :func:`stable_argsort` (a single radix
-    pass: partition ids are small), one gather, then a zero-copy slice
-    per non-empty partition.  Rows keep their original relative order
-    within each sub-block — the order per-record bucket appends would
-    produce — and an empty block yields nothing."""
-    order, sorted_pids, starts = sorted_runs(pids)
+def partition_order(
+        pids: npt.NDArray[np.int64], num_partitions: int,
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """Group rows by target partition: ``(order, offsets)`` — the
+    :func:`stable_argsort` permutation of ``pids`` (a single radix
+    pass: partition ids are small) and the ``num_partitions + 1``
+    offsets at which each partition's rows begin once gathered by it.
+    Rows keep their original relative order within a partition — the
+    order per-record bucket appends would produce."""
+    offsets = np.zeros(num_partitions + 1, dtype=np.intp)
+    np.cumsum(np.bincount(pids, minlength=num_partitions),
+              out=offsets[1:])
+    return stable_argsort(pids), offsets
+
+
+def partition_rows(block: KeyedRowBlock, pids: npt.NDArray[np.int64],
+                   num_partitions: int) -> list[KeyedRowBlock]:
+    """``block`` cut into one :class:`KeyedRowBlock` per partition
+    (empty ones included) given each row's target partition; rows keep
+    their relative order, so index-ordered rows stay index-ordered —
+    how a factor is distributed."""
+    order, offsets = partition_order(pids, num_partitions)
     gathered = block.take(order)
-    cuts = starts.tolist()
-    return [(int(sorted_pids[start]), gathered.take(slice(start, stop)))
-            for start, stop in zip(cuts, [*cuts[1:], len(block)])]
+    return [gathered.take(slice(start, stop))
+            for start, stop in zip(offsets[:-1], offsets[1:])]
 
 
 def iter_records(partition: Iterable[Any]) -> Iterator[Any]:
@@ -419,23 +461,46 @@ def record_count(partition: Iterable[Any]) -> int:
                for item in partition)
 
 
+def _coalesce(partition: Iterable[Any], kind: Any, what: str,
+              fix: str) -> Any:
+    """One partition's blocks of type ``kind`` as a single block, rows
+    in block-then-row order (``None`` when it holds no rows, the one
+    non-empty block as is); anything else is refused by name."""
+    blocks = []
+    for item in partition:
+        if type(item) is not kind:
+            raise TypeError(
+                f"a {what} partition must hold {kind.__name__}s, got "
+                f"{type(item).__name__}; {fix}")
+        if len(item):
+            blocks.append(item)
+    if len(blocks) > 1:
+        return kind.concat(blocks)
+    return blocks[0] if blocks else None
+
+
 def coalesce_blocks(partition: Iterable[Any]) -> ColumnarBlock | None:
     """One tensor partition as a single :class:`ColumnarBlock`, rows in
     block-then-row order; ``None`` when it holds no rows.  Anything but
     a ``ColumnarBlock`` is refused here, by name: a stray record would
     otherwise fail retries deep inside ``concat``."""
-    blocks: list[ColumnarBlock] = []
-    for item in partition:
-        if type(item) is not ColumnarBlock:
-            raise TypeError(
-                f"a tensor partition must hold ColumnarBlocks, got "
-                f"{type(item).__name__}; distribute the tensor with "
-                f"COOTensor.partition_blocks + Context.parallelize_blocks")
-        if len(item):
-            blocks.append(item)
-    if len(blocks) > 1:
-        return ColumnarBlock.concat(blocks)
-    return blocks[0] if blocks else None
+    block: ColumnarBlock | None = _coalesce(
+        partition, ColumnarBlock, "tensor",
+        "distribute the tensor with COOTensor.partition_blocks + "
+        "Context.parallelize_blocks")
+    return block
+
+
+def coalesce_rows(partition: Iterable[Any]) -> KeyedRowBlock | None:
+    """:func:`coalesce_blocks` for the factor side: one factor or
+    MTTKRP-output partition as a single :class:`KeyedRowBlock`, or
+    ``None`` — the common case for a short mode, most of whose
+    partitions are empty."""
+    block: KeyedRowBlock | None = _coalesce(
+        partition, KeyedRowBlock, "factor",
+        "distribute a factor with CPALSDriver._distribute_factor and "
+        "produce row sums with Kernel.sum_rows_by_key")
+    return block
 
 
 # ----------------------------------------------------------------------

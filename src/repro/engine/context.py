@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterator
 from . import linthooks
 from .accumulator import Accumulator
 from .backends import create_backend
+from .blocks import KeyedRowBlock, partition_rows, record_count
 from .broadcast import Broadcast
 from .clock import create_clock
 from .cluster import Cluster
@@ -34,7 +35,8 @@ from .faults import FaultInjector, FaultPlan
 from .integrity import IntegrityManager
 from .memory import MemoryManager
 from .metrics import MetricsCollector
-from .partitioner import HashPartitioner, Partitioner
+from .partitioner import (HashPartitioner, Partitioner,
+                          slice_partitions)
 from .rdd import RDD, ParallelCollectionRDD
 from .scheduler import DAGScheduler
 from .shuffle import ShuffleManager
@@ -281,16 +283,25 @@ class Context:
         n = num_partitions or rdd.num_partitions
         from .serialization import estimate_record_size
         size = sum(estimate_record_size(r) for r in records)
+        count = record_count(records)
         if self.hadoop_mode:
             self.metrics.hadoop.hdfs_bytes_written += size
             self.metrics.hadoop.hdfs_bytes_read += size
-            self.metrics.hadoop.hdfs_records_written += len(records)
+            self.metrics.hadoop.hdfs_records_written += count
         else:
             self.metrics.checkpoint_bytes_written += size
-            self.metrics.checkpoint_records_written += len(records)
+            self.metrics.checkpoint_records_written += count
             if partitioner is None and rdd.partitioner is not None \
                     and rdd.partitioner.num_partitions == n:
                 partitioner = rdd.partitioner
+        if count and all(type(r) is KeyedRowBlock for r in records):
+            # keyed rows (a factor) are placed as their records would
+            # be, row by row, and stay one block per partition
+            rows = KeyedRowBlock.concat(records)
+            pids = (slice_partitions(count, n) if partitioner is None
+                    else partitioner.partition_int_keys(rows.keys))
+            return self.parallelize_blocks(
+                partition_rows(rows, pids, n), partitioner)
         return self.parallelize(records, n, partitioner)
 
     def accumulator(self, zero: Any = 0, name: str = "") -> Accumulator:

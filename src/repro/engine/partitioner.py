@@ -106,6 +106,15 @@ class Partitioner:
         raise NotImplementedError
 
 
+def slice_partitions(count: int, num_partitions: int) -> np.ndarray:
+    """The partition of each of ``count`` rows under ``parallelize``'s
+    placement: contiguous slices in storage order, the first ``count %
+    num_partitions`` of them one row longer."""
+    step, extra = divmod(count, num_partitions)
+    return np.repeat(np.arange(num_partitions),
+                     step + (np.arange(num_partitions) < extra))
+
+
 class HashPartitioner(Partitioner):
     """Partition by ``stable_hash(key) % num_partitions`` (Spark default)."""
 

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import linthooks
 from .blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
-                     iter_records, sorted_runs, stable_argsort)
+                     coalesce_rows, iter_records, sorted_runs,
+                     stable_argsort)
 from .errors import EngineError
 from .partitioner import HashPartitioner, Partitioner
 from .shuffle import Aggregator
@@ -466,8 +467,8 @@ class RDD:
         if self.partitioner == partitioner:
             # already partitioned: combine within partitions, no shuffle
             if combine_batch is not None:
-                def combine_locally(_split: int, it: Iterable) -> Iterator:
-                    return iter_records(combine_batch(list(it)))
+                def combine_locally(_split: int, it: Iterable) -> list:
+                    return combine_batch(list(it))
             else:
                 def combine_locally(_split: int, it: Iterable) -> Iterator:
                     acc: dict = {}
@@ -544,13 +545,22 @@ class RDD:
                    fold: Callable[[ColumnarBlock, Any], Any],
                    out_key_mode: int, keep_index: bool = True,
                    num_partitions: int | None = None) -> "RDD":
-        """Inner join of keyed columnar blocks with ``(key, row)``
-        records, block in and block out (see :class:`BlockJoinRDD`).
-        Same narrow-vs-shuffle rule as :meth:`join`."""
+        """Inner join of keyed columnar blocks with keyed rows, block
+        in and block out (see :class:`BlockJoinRDD`).  Same
+        narrow-vs-shuffle rule as :meth:`join`."""
         return BlockJoinRDD(
             self.ctx, self, other,
             self._default_partitioner(num_partitions),
             fold, out_key_mode, keep_index)
+
+    def row_products(self, other: "RDD",
+                     num_partitions: int | None = None) -> "RDD":
+        """Each keyed row of this RDD times ``other``'s row of the same
+        key, block in and block out (see :class:`RowProductsRDD`).
+        Same narrow-vs-shuffle rule as :meth:`join`."""
+        return RowProductsRDD(
+            self.ctx, self, other,
+            self._default_partitioner(num_partitions))
 
     def left_outer_join(self, other: "RDD",
                         num_partitions: int | None = None) -> "RDD":
@@ -992,8 +1002,8 @@ class ShuffledRDD(RDD):
         if agg.combine_batch is not None:
             # batch fast path: valid for both raw values and map-side
             # combiners (the contract requires them to batch the same);
-            # a block-shaped result returns to records here
-            return iter_records(merged.merge_batch(records))
+            # a block-shaped result leaves whole
+            return merged.merge_batch(records)
         if self._dep.map_side_combine:
             # map side already produced combiners; merge combiners here
             for k, c in records:
@@ -1038,6 +1048,34 @@ class _KeyGroupingRDD(RDD):
                 dep.shuffle_id, split, task.stage_metrics.shuffle_read)
         return dep.rdd.iterator(split, task)
 
+    def _read_rows(self, dep: Dependency, split: int,
+                   task: "TaskContext") -> KeyedRowBlock | None:
+        """A keyed-row parent's partition as the table a
+        ``searchsorted`` gather reads: one block, sorted by key, no key
+        twice (``None`` when it holds no rows).  A co-partitioned
+        parent must arrive that way — a factor partition does; rows
+        fetched through a shuffle arrive in map order and are sorted
+        here."""
+        table = coalesce_rows(self._read_parent(dep, split, task))
+        if table is None:
+            return None
+        if isinstance(dep, ShuffleDependency):
+            table = table.take(stable_argsort(table.keys))
+        keys = table.keys
+        bad = np.flatnonzero(keys[1:] <= keys[:-1])
+        if bad.size:
+            prev, key = keys[bad[0]:bad[0] + 2].tolist()
+            if prev == key:
+                raise EngineError(
+                    f"{self.name} partition {split}: key {key} appears "
+                    f"more than once on the row side")
+            raise EngineError(
+                f"{self.name} partition {split}: the row side is not "
+                f"sorted by row index (key {key} follows {prev}); a "
+                f"co-partitioned factor partition is one KeyedRowBlock "
+                f"in index order")
+        return table
+
 
 class CoGroupedRDD(_KeyGroupingRDD):
     """Groups several key-value parents by key:
@@ -1066,8 +1104,11 @@ class CoGroupedRDD(_KeyGroupingRDD):
 
 class BlockJoinRDD(_KeyGroupingRDD):
     """Inner join of keyed :class:`~repro.engine.blocks.ColumnarBlock`
-    partitions with a ``(key, row)`` RDD, as one sort + ``searchsorted``
-    gather per partition instead of a hash probe per record.
+    partitions with a keyed-row RDD (a factor: one
+    :class:`~repro.engine.blocks.KeyedRowBlock` per partition, sorted
+    by key), as one sort of the left side + a ``searchsorted`` gather
+    straight into the row-side block instead of a hash probe per
+    record.
 
     Each output partition is a single block: the left side's blocks
     concatenated in fetch order, every row paired with the right-side
@@ -1111,21 +1152,11 @@ class BlockJoinRDD(_KeyGroupingRDD):
                     f"{type(item).__name__}")
             if len(item):
                 blocks.append(item)
-        right = list(self._read_parent(right_dep, split, task))
-        if not blocks or not right:
+        table = self._read_rows(right_dep, split, task)
+        if not blocks or table is None:
             return []
         block = (blocks[0] if len(blocks) == 1
                  else ColumnarBlock.concat(blocks))
-        table = KeyedRowBlock.from_records(right)
-
-        by_key = stable_argsort(table.keys)
-        table_keys = table.keys[by_key]
-        dup = np.flatnonzero(table_keys[1:] == table_keys[:-1])
-        if dup.size:
-            raise EngineError(
-                f"{self.name} partition {split}: key "
-                f"{int(table_keys[dup[0]])} appears more than once on "
-                f"the row side of a block join")
 
         # emission order: stable sort of the rows by the position at
         # which their key first occurs; group is each row's slot in uniq
@@ -1136,17 +1167,53 @@ class BlockJoinRDD(_KeyGroupingRDD):
                                  np.diff(starts, append=len(block)))
         emit = stable_argsort(order[starts][group])
 
-        slot = np.minimum(np.searchsorted(table_keys, uniq),
-                          table_keys.shape[0] - 1)
-        matched = table_keys[slot] == uniq
+        slot = np.minimum(np.searchsorted(table.keys, uniq),
+                          len(table) - 1)
+        matched = table.keys[slot] == uniq
         if not matched.all():
             emit = emit[matched[group[emit]]]
         block = block.take(emit)
-        rows = self._fold(block, table.rows[by_key[slot[group[emit]]]])
+        rows = self._fold(block, table.rows[slot[group[emit]]])
         if self.keep_index:
             return [ColumnarBlock(block.columns, block.values, rows,
                                   self.out_key_mode)]
         return [KeyedRowBlock(block.column(self.out_key_mode), rows)]
+
+
+class RowProductsRDD(_KeyGroupingRDD):
+    """Row-wise products of two keyed-row RDDs brought together by key:
+    every left row times the right row of its key, one ``searchsorted``
+    gather per partition — the block form of ``join`` + ``mapValues(a *
+    b)`` for a left side whose keys are distinct (an MTTKRP output
+    against its factor).  Keys, their order and the partitioner are the
+    left side's.  A left key with no right row raises
+    :class:`EngineError`: an unchecked gather would pair it with a
+    neighbour's row."""
+
+    def __init__(self, ctx: "Context", left: RDD, right: RDD,
+                 partitioner: Partitioner):
+        super().__init__(ctx, [left, right], partitioner)
+        self.set_name("rowProducts")
+
+    def compute(self, split: int, task: "TaskContext") -> Iterable:
+        """Multiply this partition's rows by their right-side rows."""
+        left_dep, right_dep = self.dependencies
+        left = coalesce_rows(self._read_parent(left_dep, split, task))
+        table = self._read_rows(right_dep, split, task)
+        if left is None:
+            return []
+        keys = left.keys
+        found = np.zeros(len(left), dtype=bool)
+        if table is not None:
+            slot = np.minimum(np.searchsorted(table.keys, keys),
+                              len(table) - 1)
+            found = table.keys[slot] == keys
+        if not found.all():
+            raise EngineError(
+                f"{self.name} partition {split}: key "
+                f"{int(keys[~found][0])} has no row on the right side; "
+                f"both sides must hold the same keys")
+        return [KeyedRowBlock(keys, left.rows * table.rows[slot])]
 
 
 class ZippedRDD(RDD):

@@ -71,12 +71,13 @@ def _size_dict(obj) -> int:
     return total
 
 
-def _size_columnar(block: ColumnarBlock) -> int:
+def _size_block(block: ColumnarBlock | KeyedRowBlock) -> int:
     # a keyed block at rest is charged as the records it stands for,
-    # as estimate_record_size charges it in flight: CSTF-QCOO caches
-    # its queue every MTTKRP and the cost model prices cache bytes, so
-    # nbytes would move every modelled second by representation alone
-    if block.key_mode is None:
+    # as estimate_record_size charges it in flight: every factor and
+    # MTTKRP output is cached as keyed rows, CSTF-QCOO caches its queue
+    # every MTTKRP, and the cost model prices cache bytes, so nbytes
+    # would move every modelled second by representation alone
+    if type(block) is ColumnarBlock and block.key_mode is None:
         return block.nbytes + BLOCK_OVERHEAD
     return len(block) * (wire_bytes_per_row(block) - RECORD_OVERHEAD)
 
@@ -98,10 +99,10 @@ _SIZERS: dict[type, Any] = {
     bytes: _size_str_like,
     dict: _size_dict,
     type(None): lambda _o: 1,
-    # ndarray-backed partition blocks: exact payload bytes plus a flat
-    # header constant — no sampling, no pickling, no per-row dispatch
-    ColumnarBlock: _size_columnar,
-    KeyedRowBlock: lambda o: o.nbytes + BLOCK_OVERHEAD,
+    # ndarray-backed partition blocks: a closed form of their shape —
+    # no sampling, no pickling, no per-row dispatch
+    ColumnarBlock: _size_block,
+    KeyedRowBlock: _size_block,
 }
 
 

@@ -8,6 +8,14 @@ map output and the reduce partition live on the same node, and
 **remote** otherwise — this is precisely the local/remote split Spark's
 metrics report and that Figure 4 of the paper is built from.
 
+A keyed block is stored the way Spark's sort-based shuffle writes a map
+task's file: **once**, its rows gathered into reduce-partition order,
+beside an ``offsets[num_partitions + 1]`` index.  Bucket ``p`` is the
+row range ``offsets[p]:offsets[p + 1]``, charged ``rows ×
+wire_bytes_per_row`` (what the same rows cost as records), and a reduce
+task concatenates one range per map output into a single block.  Loose
+records keep a list per bucket.
+
 Map-side combining (Spark's ``reduceByKey`` behaviour) is supported: when
 an aggregator is attached to the dependency, records are pre-merged per
 key inside each map task, shrinking the shuffle.
@@ -27,9 +35,10 @@ part) happen *outside* the lock, and reads iterate map outputs in
 sorted map-partition order so fetched record order — and therefore
 every downstream reduction — is independent of write interleaving.
 
-Data integrity: with ``EngineConf.integrity`` on, every bucket is
-additionally serialized and CRC-sealed at write time and re-verified on
-every fetch (see :mod:`repro.engine.integrity`).  A corrupt block never
+Data integrity: with ``EngineConf.integrity`` on, every bucket — a
+run's row range cut out as a block of its own — is additionally
+serialized and CRC-sealed at write time and re-verified on every fetch
+(see :mod:`repro.engine.integrity`).  A corrupt block never
 reaches the reduce task — the reader drops the writer's map output and
 raises :class:`~repro.engine.errors.CorruptedBlockError`, which the
 scheduler heals exactly like a fetch failure, by resubmitting the
@@ -39,15 +48,16 @@ parent map stage from lineage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from typing import Any, Callable, Iterable, NamedTuple, TYPE_CHECKING
 
 from . import linthooks
-from .blocks import is_keyed_block, record_count, split_by_partition
+from .blocks import (concat_ranges, is_block, is_keyed_block,
+                     partition_order)
 from .cluster import Cluster
 from .errors import CorruptedBlockError, FetchFailedError
 from .metrics import ShuffleReadMetrics, ShuffleWriteMetrics
 from .serialization import (deserialize_partition, estimate_record_size,
-                            serialize_partition)
+                            serialize_partition, wire_bytes_per_row)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .faults import FaultInjector
@@ -77,20 +87,83 @@ class Aggregator:
     combine_batch: Callable[[list], list] | None = None
 
 
+class _Run(NamedTuple):
+    """One keyed block of a map output, gathered into reduce-partition
+    order: bucket ``p`` is rows ``offsets[p]:offsets[p + 1]``, each
+    charged ``row_bytes``."""
+
+    block: Any
+    offsets: list[int]
+    row_bytes: int
+
+
+class _Range(NamedTuple):
+    """Rows ``start:stop`` of a stored run: one bucket's share of it."""
+
+    block: Any
+    start: int
+    stop: int
+
+
 @dataclass
 class _MapOutput:
-    """Shuffle blocks written by one map task: bucket -> records."""
+    """What one map task wrote, in arrival order: each keyed block
+    once, as a :class:`_Run`, and each stretch of loose records as a
+    ``{bucket: [records]}`` dict."""
 
     map_partition: int
     #: node that executed the map task (its loss invalidates the output)
     node: int = 0
-    buckets: dict[int, list] = field(default_factory=dict)
-    bucket_bytes: dict[int, int] = field(default_factory=dict)
+    segments: list = field(default_factory=list)
+    #: records held, a run's rows counted one each
+    records: int = 0
+    #: bytes of each bucket's loose records (a run's are a closed form
+    #: of its offsets)
+    record_bytes: dict[int, int] = field(default_factory=dict)
     #: integrity mode only: serialized bucket blobs and their CRC-32
     #: seals; reads deserialize the *verified* blob so corrupt bytes
     #: can never reach a reduce task
     bucket_blobs: dict[int, bytes] = field(default_factory=dict)
     bucket_checksums: dict[int, int] = field(default_factory=dict)
+
+    def bucket(self, reduce_partition: int) -> tuple[list, int, int]:
+        """``(items, bytes, records)`` of one bucket; the items are its
+        loose records and a :class:`_Range` per run holding rows for
+        it, in arrival order."""
+        items: list = []
+        nbytes = self.record_bytes.get(reduce_partition, 0)
+        count = 0
+        for segment in self.segments:
+            if type(segment) is _Run:
+                start = segment.offsets[reduce_partition]
+                stop = segment.offsets[reduce_partition + 1]
+                if stop > start:
+                    items.append(_Range(segment.block, start, stop))
+                    nbytes += (stop - start) * segment.row_bytes
+                    count += stop - start
+            else:
+                records = segment.get(reduce_partition, ())
+                items.extend(records)
+                count += len(records)
+        return items, nbytes, count
+
+
+def _assemble(items: list) -> list:
+    """What a reduce task is handed: every stretch of adjacent row
+    ranges concatenated into one block, loose records as they are."""
+    fetched: list = []
+    ranges: list[_Range] = []
+    for item in items:
+        if type(item) is _Range:
+            ranges.append(item)
+            continue
+        if ranges:
+            fetched.append(concat_ranges(ranges))
+            ranges = []
+        fetched.append(item)
+    if ranges:
+        fetched.append(concat_ranges(ranges))
+    return fetched
 
 
 class ShuffleManager:
@@ -165,37 +238,50 @@ class ShuffleManager:
         output = _MapOutput(
             map_partition=map_partition,
             node=self.cluster.node_of_partition(map_partition))
-        buckets = output.buckets
-        bucket_bytes = output.bucket_bytes
+        num_partitions = partitioner.num_partitions
         get_partition = partitioner.get_partition
+        record_bytes = output.record_bytes
+        loose: dict[int, list] | None = None
         n_records = 0
         n_bytes = 0
         for record in records:
             if is_keyed_block(record):
                 # columnar fast path: place all keys in one vectorized
-                # call and split into per-bucket sub-blocks, each
-                # charged as the records it stands for
-                pids = partitioner.partition_int_keys(record.keys)
-                for bucket, sub in split_by_partition(record, pids):
-                    size = estimate_record_size(sub)
-                    buckets.setdefault(bucket, []).append(sub)
-                    bucket_bytes[bucket] = \
-                        bucket_bytes.get(bucket, 0) + size
-                    n_bytes += size
+                # call and store the block once, gathered into bucket
+                # order, charged as the records it stands for
+                loose = None
+                if not len(record):
+                    continue
+                order, offsets = partition_order(
+                    partitioner.partition_int_keys(record.keys),
+                    num_partitions)
+                run = _Run(record.take(order), offsets.tolist(),
+                           wire_bytes_per_row(record))
+                output.segments.append(run)
                 n_records += len(record)
+                n_bytes += len(record) * run.row_bytes
                 continue
             bucket = get_partition(record[0])
             size = estimate_record_size(record)
-            buckets.setdefault(bucket, []).append(record)
-            bucket_bytes[bucket] = bucket_bytes.get(bucket, 0) + size
+            if loose is None:
+                loose = {}
+                output.segments.append(loose)
+            loose.setdefault(bucket, []).append(record)
+            record_bytes[bucket] = record_bytes.get(bucket, 0) + size
             n_records += 1
             n_bytes += size
         if self.integrity is not None and self.integrity.enabled:
             # seal outside the lock: pickling is the expensive part
-            for bucket, block in buckets.items():
-                blob = serialize_partition(block)
+            for bucket in range(num_partitions):
+                items = output.bucket(bucket)[0]
+                if not items:
+                    continue
+                blob = serialize_partition([
+                    item.block.take(slice(item.start, item.stop))
+                    if type(item) is _Range else item for item in items])
                 output.bucket_blobs[bucket] = blob
                 output.bucket_checksums[bucket] = self.integrity.seal(blob)
+        output.records = n_records
         # dropped shuffles (drop_shuffle_outputs) may be re-written when
         # lineage is recomputed; re-register lazily
         with self._lock:
@@ -251,25 +337,26 @@ class ShuffleManager:
         reduce_node = self.cluster.node_of_partition(reduce_partition)
         fetched: list = []
         for map_partition, output in snapshot:
-            block = output.buckets.get(reduce_partition)
-            if not block:
+            items, nbytes, n_fetched = output.bucket(reduce_partition)
+            if not items:
                 continue
             if self.faults is not None:
                 self.faults.maybe_fail_fetch(shuffle_id, map_partition,
                                              reduce_partition)
             if self.integrity is not None and self.integrity.enabled:
-                block = self._verified_block(shuffle_id, map_partition,
-                                             reduce_partition, output)
-            nbytes = output.bucket_bytes.get(reduce_partition, 0)
-            n_fetched = record_count(block)
+                items = [
+                    _Range(item, 0, len(item)) if is_block(item) else item
+                    for item in self._verified_block(
+                        shuffle_id, map_partition, reduce_partition,
+                        output)]
             if output.node == reduce_node:
                 read_metrics.local_bytes += nbytes
                 read_metrics.local_records += n_fetched
             else:
                 read_metrics.remote_bytes += nbytes
                 read_metrics.remote_records += n_fetched
-            fetched.extend(block)
-        return fetched
+            fetched.extend(items)
+        return _assemble(fetched)
 
     def _verified_block(self, shuffle_id: int, map_partition: int,
                         reduce_partition: int,
@@ -319,8 +406,7 @@ class ShuffleManager:
                 for p in doomed:
                     output = shuffle_outputs.pop(p)
                     outputs_lost += 1
-                    records_lost += sum(
-                        record_count(b) for b in output.buckets.values())
+                    records_lost += output.records
         return outputs_lost, records_lost
 
     def remove_shuffle(self, shuffle_id: int) -> None:

@@ -47,6 +47,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
+from .blocks import is_block
 from .cluster import NodeHealthTracker
 from .errors import (CancelledAttempt, CorruptedBlockError, FetchFailedError,
                      OutOfMemoryError, TaskFailedError, TaskTimedOutError)
@@ -593,7 +594,10 @@ class TaskScheduler:
 
 
 class _CountingIterator:
-    """Wraps an iterable, counting consumed records."""
+    """Wraps an iterable, counting consumed records: a block counts as
+    its rows (the rule of ``blocks.record_count`` and the shuffle's
+    ``records_written``), so a stage's ``output_records`` does not
+    depend on how its partitions are held."""
 
     def __init__(self, it: Iterable):
         self._it = iter(it)
@@ -604,5 +608,5 @@ class _CountingIterator:
 
     def __next__(self) -> Any:
         item = next(self._it)
-        self.count += 1
+        self.count += len(item) if is_block(item) else 1
         return item

@@ -25,15 +25,35 @@ but still bit-identical across kernels and backends at a fixed seed.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator, TYPE_CHECKING
+from typing import Callable, Iterable, Iterator, TYPE_CHECKING
 
 import numpy as np
 
 from ..engine.blocks import iter_records
+from ..engine.rdd import MapPartitionsRDD
+from .segsum import batch_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
     from ..engine.rdd import RDD
+
+
+def per_partition_rows(
+        rdd: "RDD", op: str,
+        f: Callable[[int, Iterable], Iterable] = lambda _split, it: it,
+) -> "RDD":
+    """Narrow step ``f(split, partition)`` (default: the partition as
+    it is) whose output — blocks,
+    ``(key, row)`` records or both — is batched into one
+    :class:`~repro.engine.blocks.KeyedRowBlock` per non-empty
+    partition, the one shape a factor and an MTTKRP output have.
+    ``repro.lint.plan`` types the op kind ``op`` as keyed rows;
+    preserves the partitioner."""
+    def apply(split: int, it: Iterable) -> list:
+        block = batch_rows(f(split, it))
+        return [] if block is None else [block]
+    return MapPartitionsRDD(rdd, apply,
+                            preserves_partitioning=True).set_name(op)
 
 
 class Kernel(ABC):
@@ -151,12 +171,57 @@ class Kernel(ABC):
 
         Per key, rows are folded left-to-right in record order; output
         keys appear in first-occurrence order.  Honours the context's
-        ``map_side_combine`` configuration.
+        ``map_side_combine`` configuration.  Takes ``(key, row)``
+        records and/or keyed row blocks; every non-empty partition of
+        the result is one :class:`~repro.engine.blocks.KeyedRowBlock`
+        (a combine denied its memory booking answers in records, which
+        are batched again), partitioned by key.
+        """
+
+    # -- the factor side: every partition one KeyedRowBlock ------------
+    @abstractmethod
+    def solve_rows(self, m_rdd: "RDD", pinv_v: np.ndarray,
+                   nonnegative: bool) -> "RDD":
+        """The ALS update ``M @ pinv_v`` row by row, clipped at zero
+        with ``nonnegative``; keys, order and partitioner are
+        ``m_rdd``'s.
+
+        Each row's product is an explicit left fold over the rank —
+        ``row[0] * pinv_v[0]``, then ``+= row[r] * pinv_v[r]`` — never
+        a BLAS call, whose summation order differs between a per-row
+        and a batched product and between BLAS builds.
+        """
+
+    @abstractmethod
+    def scale_rows(self, rdd: "RDD", divisor: np.ndarray) -> "RDD":
+        """Every row divided elementwise by ``divisor``, each partition
+        sorted by key: the normalised factor, in the index order
+        :meth:`gram` sums in and the block join gathers from.
+        Preserves the partitioner.
+        """
+
+    @abstractmethod
+    def row_products(self, left: "RDD", right: "RDD",
+                     num_partitions: int) -> "RDD":
+        """Each row of ``left`` (distinct keys: an MTTKRP output) times
+        ``right``'s row of the same key, in ``left``'s order.  Narrow
+        for a co-partitioned side, a shuffle for the other, as
+        ``RDD.join``; a ``left`` key with no row in ``right`` raises
+        ``EngineError``.
+        """
+
+    @abstractmethod
+    def column_sums(self, rdd: "RDD", rank: int,
+                    squares: bool = False) -> np.ndarray:
+        """Sum of all rows (of their elementwise squares with
+        ``squares``: the squared column norms).  Folded as :meth:`gram`
+        folds: partition partials left to right from a zero row, the
+        partials in partition order from a zero row.
         """
 
     @abstractmethod
     def gram(self, factor_rdd: "RDD", rank: int) -> np.ndarray:
-        """``A^T A`` of a distributed factor ``RDD[(index, row)]``.
+        """``A^T A`` of a distributed factor (keyed rows).
 
         Partition partials accumulate outer products in index-sorted
         order starting from a zero matrix; the driver folds the partials

@@ -110,22 +110,13 @@ def segmented_left_fold(
         keys, lambda at: np.take(rows, at, axis=0), rows.shape[1])
 
 
-def combine_rows_block(records: Iterable[Any], metrics=None) -> list:
-    """Batch combiner for ``(int key, float64 row)`` records and/or
-    :class:`~repro.engine.blocks.KeyedRowBlock` batches of them.
-
-    Drop-in for the record path's per-key ``a + b`` fold: same sums, same
-    bits, same output key order — returned as one ``KeyedRowBlock`` in
-    a list (empty for no input).  Suitable as an
-    :class:`~repro.engine.shuffle.Aggregator` ``combine_batch`` because
-    the row aggregation's ``create_combiner`` is the identity and
-    ``merge_value``/``merge_combiners`` coincide, so values and
-    combiners can be folded interchangeably.
-    """
-    records = list(records)
-    # keyed row blocks expand in place, preserving record order — a
-    # block's rows sit exactly where its records would; runs of loose
-    # records between them are batched the same way
+def batch_rows(records: Iterable[Any]) -> KeyedRowBlock | None:
+    """``(int key, float64 row)`` records and/or
+    :class:`~repro.engine.blocks.KeyedRowBlock` batches of them as one
+    block in record order (``None`` for no rows): a block's rows sit
+    exactly where its records would, and runs of loose records between
+    blocks are batched the same way.  A lone block is handed back as
+    is."""
     parts: list[KeyedRowBlock] = []
     loose: list[tuple[Any, np.ndarray]] = []
     for rec in records:
@@ -139,9 +130,26 @@ def combine_rows_block(records: Iterable[Any], metrics=None) -> list:
             loose.append(rec)
     if loose:
         parts.append(KeyedRowBlock.from_records(loose))
-    if not parts:
+    if len(parts) > 1:
+        return KeyedRowBlock.concat(parts)
+    return parts[0] if parts else None
+
+
+def combine_rows_block(records: Iterable[Any], metrics=None) -> list:
+    """Batch combiner for ``(int key, float64 row)`` records and/or
+    :class:`~repro.engine.blocks.KeyedRowBlock` batches of them.
+
+    Drop-in for the record path's per-key ``a + b`` fold: same sums, same
+    bits, same output key order — returned as one ``KeyedRowBlock`` in
+    a list (empty for no input).  Suitable as an
+    :class:`~repro.engine.shuffle.Aggregator` ``combine_batch`` because
+    the row aggregation's ``create_combiner`` is the identity and
+    ``merge_value``/``merge_combiners`` coincide, so values and
+    combiners can be folded interchangeably.
+    """
+    batch = batch_rows(records)
+    if batch is None:
         return []
-    batch = parts[0] if len(parts) == 1 else KeyedRowBlock.concat(parts)
     out_keys, out_rows = segmented_left_fold(batch.keys, batch.rows)
     if metrics is not None:
         metrics.add_kernel_batch(len(batch))

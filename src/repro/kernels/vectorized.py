@@ -22,20 +22,24 @@ an ``(n, q, R)`` queue, dropping the oldest slot once it is full.
 The per-key sum routes through ``RDD.combine_by_key``'s
 ``combine_batch`` fast path, so map-side combining still books memory
 in (and spills through) the shuffle's ``SpillableAppendOnlyMap``.
+Its output, the factors and every step between them (solve, column
+norms, normalise, Gram, fit) hold one ``KeyedRowBlock`` per partition
+and are one array expression each.
 Batch counts are recorded on the metrics collector
 (``kernel_batches`` / ``kernel_batch_records``).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
 import numpy as np
 
 from ..engine.blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
-                             stable_argsort)
+                             coalesce_rows, stable_argsort)
 from ..engine.rdd import MapPartitionsRDD
-from .base import Kernel
+from .base import Kernel, per_partition_rows
 from .segsum import combine_rows_block, fold_rows, segmented_fold_at
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,15 +48,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..engine.rdd import RDD
 
 
-def _per_block(rdd: "RDD", op: str,
-               f: Callable[[ColumnarBlock], Any]) -> "RDD":
+def _per_block(rdd: "RDD", op: str, f: Callable[[Any], Any]) -> "RDD":
     """Narrow step applying ``f`` to each block of every partition
-    under a pinned op kind, which ``repro.lint.plan`` types where a
-    bare ``mapPartitions`` would erase the schema.  For steps that keep
+    (the one block, on both dataflows and on the factor side) under a
+    pinned op kind, which ``repro.lint.plan`` types where a bare
+    ``mapPartitions`` would erase the schema.  For steps that keep
     every key: the partitioner is preserved, like ``RDD.map_values``."""
     return MapPartitionsRDD(
         rdd, lambda _split, it: [f(blk) for blk in it],
         preserves_partitioning=True).set_name(op)
+
+
+def _zero_led_sum(rows: np.ndarray) -> np.ndarray:
+    """Left fold of ``rows`` into a zero row, as the record path's
+    ``acc + row`` from ``np.zeros``: the explicit zero row in front
+    makes even the signs of zeros match."""
+    return fold_rows(np.concatenate([np.zeros((1, rows.shape[1])), rows]))
 
 
 def block_contribution(
@@ -195,31 +206,67 @@ class VectorizedKernel(Kernel):
         def batch(records):
             return combine_rows_block(records, metrics)
 
-        return rdd.combine_by_key(
+        # the combiner's block leaves the shuffle whole; only a combine
+        # that was denied its memory booking hands records back
+        return per_partition_rows(rdd.combine_by_key(
             lambda v: v, lambda a, b: a + b, lambda a, b: a + b,
             num_partitions,
             map_side_combine=rdd.ctx.conf.map_side_combine,
-            combine_batch=batch)
+            combine_batch=batch), "rowBlocks")
+
+    def solve_rows(self, m_rdd: "RDD", pinv_v: np.ndarray,
+                   nonnegative: bool) -> "RDD":
+        def solve(blk: KeyedRowBlock) -> KeyedRowBlock:
+            acc = blk.rows[:, 0, None] * pinv_v[0]
+            for r in range(1, blk.rank):
+                acc += blk.rows[:, r, None] * pinv_v[r]
+            if nonnegative:
+                np.maximum(acc, 0.0, out=acc)
+            return KeyedRowBlock(blk.keys, acc)
+        return _per_block(m_rdd, "solveRows", solve)
+
+    def scale_rows(self, rdd: "RDD", divisor: np.ndarray) -> "RDD":
+        def scale(blk: KeyedRowBlock) -> KeyedRowBlock:
+            order = stable_argsort(blk.keys)
+            return KeyedRowBlock(blk.keys[order],
+                                 (blk.rows / divisor)[order])
+        return _per_block(rdd, "scaleRows", scale)
+
+    def row_products(self, left: "RDD", right: "RDD",
+                     num_partitions: int) -> "RDD":
+        return left.row_products(right, num_partitions)
+
+    def _sum_partials(self, rdd: "RDD", what: str, zero: np.ndarray,
+                      partial: Callable[[KeyedRowBlock], np.ndarray]
+                      ) -> np.ndarray:
+        """One job: ``partial`` of every non-empty partition's block,
+        folded on the driver as ``aggregate()`` folds — zero-led, in
+        partition order."""
+        def run(_p: int, it: Iterable) -> np.ndarray:
+            block = coalesce_rows(it)
+            return zero if block is None else partial(block)
+        partials = rdd.ctx._scheduler.run_job(
+            rdd, run, f"{what} {rdd.name}")
+        return functools.reduce(lambda a, b: a + b, partials, zero)
+
+    def column_sums(self, rdd: "RDD", rank: int,
+                    squares: bool = False) -> np.ndarray:
+        def partial(blk: KeyedRowBlock) -> np.ndarray:
+            return _zero_led_sum(blk.rows * blk.rows if squares
+                                 else blk.rows)
+        return self._sum_partials(rdd, "aggregate", np.zeros(rank),
+                                  partial)
 
     def gram(self, factor_rdd: "RDD", rank: int) -> np.ndarray:
-        def partial(_p: int, it: Iterable) -> np.ndarray:
-            items = sorted(it, key=lambda kv: kv[0])
-            if not items:
-                return np.zeros((rank, rank))
-            rows = np.stack([kv[1] for kv in items])
+        def partial(blk: KeyedRowBlock) -> np.ndarray:
+            rows = blk.rows
+            if (blk.keys[1:] < blk.keys[:-1]).any():
+                # not a factor's index order: a hadoop-mode checkpoint
+                # re-cut the rows into contiguous slices
+                rows = rows[stable_argsort(blk.keys)]
             outers = (rows[:, :, None] * rows[:, None, :]).reshape(
-                len(items), rank * rank)
-            # the record path folds into a zero matrix in place; lead
-            # with an explicit zero row so even the signs of zeros match
-            lead = np.concatenate(
-                [np.zeros((1, rank * rank)), outers])
-            self._count(len(items))
-            return fold_rows(lead).reshape(rank, rank)
-
-        import functools
-        partials = factor_rdd.ctx._scheduler.run_job(
-            factor_rdd, partial, f"gram {factor_rdd.name}")
-        # same driver-side fold structure as aggregate(): zero-led, in
-        # partition order
-        return functools.reduce(lambda a, b: a + b, partials,
-                                np.zeros((rank, rank)))
+                len(blk), rank * rank)
+            self._count(len(blk))
+            return _zero_led_sum(outers).reshape(rank, rank)
+        return self._sum_partials(factor_rdd, "gram",
+                                  np.zeros((rank, rank)), partial)

@@ -12,17 +12,19 @@ the driver, so peeking costs nothing — and propagated through the
 narrow/shuffle edges by operation kind (``materializeRecords`` expands
 blocks to records, ``keyBlocks`` keys a block by one of its ``int64``
 index columns, a ``BlockJoinRDD`` keeps keyed blocks keyed blocks — or
-emits keyed rows on its last step — ``mapValues`` keeps the key, an
-opaque ``map`` degrades to unknown).
+emits keyed rows on its last step — a shuffle hands blocks on as
+blocks, the kernels' factor-side steps (``rowBlocks``, ``solveRows``,
+``scaleRows``, ``rowProducts``) yield keyed rows, ``mapValues`` keeps
+the key, an opaque ``map`` degrades to unknown).
 
 Four rule families run over the finished graph, all *before* any task
 executes:
 
 ``plan-schema-mismatch`` (error)
-    A cogroup/join, block join or union whose parents disagree on key
-    dtype/arity or block shape.  At runtime this surfaces partitions deep into a
-    shuffle as a dtype error or, worse, silently co-grouped keys that
-    can never match (``1`` vs ``(1,)``).
+    A cogroup/join, block join, row product or union whose parents
+    disagree on key dtype/arity or block shape.  At runtime this
+    surfaces partitions deep into a shuffle as a dtype error or, worse,
+    silently co-grouped keys that can never match (``1`` vs ``(1,)``).
 ``plan-block-churn`` (warning)
     A columnar block source degraded to loose records
     (``materializeRecords``) and then shipped through a shuffle as
@@ -59,6 +61,14 @@ PASS_NAME = "plan"
 _SCHEMA_PRESERVING_OPS = frozenset({
     "filter", "sample", "sampleByKey", "sortByKey", "coalesce",
     "reversedPartitions", "emptyQueueBlocks", "canonicalBlocks",
+})
+
+#: operation kinds that yield keyed factor rows whatever they read: the
+#: queue reduce and the kernels' factor-side steps (either kernel's —
+#: the record oracle batches its output into the same blocks)
+_KEYED_ROWS_OPS = frozenset({
+    "reduceQueueBlocks", "rowBlocks", "solveRows", "scaleRows",
+    "rowProducts",
 })
 
 #: narrow operation kinds that preserve the key but rebuild the value
@@ -227,7 +237,11 @@ def _propagate(rdd: Any,
 
     if cls in ("ParallelCollectionRDD", "BlockCollectionRDD"):
         return _peek_collection(rdd)
+    if op in _KEYED_ROWS_OPS:
+        return KEYED_ROWS_SCHEMA
     if cls == "ShuffledRDD":
+        if parent.form in ("blocks", "keyed-rows"):
+            return parent   # a shuffle read assembles blocks again
         return BlockSchema(form="records", key=parent.key)
     if cls == "CoGroupedRDD":
         key = next((s.key for s in parent_schemas if s.key is not None),
@@ -261,8 +275,6 @@ def _propagate(rdd: Any,
         return parent
     if op == "keyBlocks":
         return _blocks_schema(parent.order, keyed=True)
-    if op == "reduceQueueBlocks":
-        return KEYED_ROWS_SCHEMA
     if op in _SCHEMA_PRESERVING_OPS:
         return parent
     if op in _KEY_PRESERVING_OPS:
@@ -356,7 +368,8 @@ def _check_schema_mismatch(graph: PlanGraph,
     """Rule ``plan-schema-mismatch``: disagreeing join/union parents."""
     for node in graph.nodes.values():
         parents = [graph.node(e.parent_id) for e in node.parents]
-        if node.cls in ("CoGroupedRDD", "BlockJoinRDD"):
+        if node.cls in ("CoGroupedRDD", "BlockJoinRDD",
+                        "RowProductsRDD"):
             keys = sorted({p.schema.key for p in parents
                            if p.schema.key is not None})
             if len(keys) > 1:

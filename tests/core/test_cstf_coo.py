@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import CstfCOO
 from repro.engine import Context
+from repro.engine.blocks import iter_records
 from repro.tensor import mttkrp, random_factors, uniform_sparse
 from repro.analysis.complexity import measured_mttkrp_rounds
 
@@ -19,7 +20,7 @@ def run_single_mttkrp(ctx, tensor, factors, mode, rank=None):
     factor_rdds = [driver._distribute_factor(f) for f in factors]
     m_rdd = driver._mttkrp(mode, tensor_rdd, factor_rdds, rank)
     out = np.zeros((tensor.shape[mode], rank))
-    for i, row in m_rdd.collect():
+    for i, row in iter_records(m_rdd.collect()):
         out[i] = row
     tensor_rdd.unpersist()
     for f_rdd in factor_rdds:

@@ -5,15 +5,19 @@
 suites, which run here a second time with the radix path forced onto
 their small blocks); ``segmented_left_fold`` must equal the record
 path's dict left fold byte for byte, the sign of a zero included; and
-two source guards keep the next block-path sort from quietly being a
-merge sort again, and the next driver from growing a second tensor
-representation or a second conversion point.
+source guards keep the next block-path sort from quietly being a
+merge sort again, the next driver from growing a second tensor
+representation or a second conversion point, ``core/cp_als.py`` free
+of per-row callables, and the join dataflows at one block per
+partition and one run per map output (a counting spy on the block
+constructors).
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +273,112 @@ def test_the_tensor_has_one_representation_and_one_record_seam():
     breaches = [b for path in sorted(root.rglob("*.py"))
                 for b in _tensor_representation_breaches(path, root)]
     seam = [b for b in breaches if b.endswith(" materialize_records")]
-    assert [b.split(":")[0] for b in seam] == [
-        "baselines/bigtensor.py", "core/cstf_dimtree.py"]
+    assert {b.split(":")[0] for b in seam} == {
+        "baselines/bigtensor.py", "core/cstf_dimtree.py"}
     assert [b for b in breaches if b not in seam] == []
+
+
+# ----------------------------------------------------------------------
+# one block per partition, one run per map output: guards
+# ----------------------------------------------------------------------
+def _function_source(path: pathlib.Path, cls: str, name: str) -> str:
+    """Source text of method ``cls.name`` in one file."""
+    text = path.read_text()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return ast.get_source_segment(text, item)
+    raise AssertionError(f"{cls}.{name} not found in {path.name}")
+
+
+def test_the_driver_holds_no_per_row_callable():
+    """``core/cp_als.py`` names the factor-side steps and the kernels
+    own their arithmetic: no ``lambda``, no nested ``def`` and none of
+    the per-record RDD calls the steps replaced (AST, so the variable
+    ``lambdas`` and the docstrings do not count)."""
+    root = pathlib.Path(repro.__file__).parent
+    tree = ast.parse((root / "core" / "cp_als.py").read_text())
+    breaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda):
+            breaches.append(f"{node.lineno} lambda")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            breaches += [f"{inner.lineno} nested def {inner.name}"
+                         for inner in ast.walk(node) if inner is not node
+                         and isinstance(inner, ast.FunctionDef)]
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("map_values", "tree_aggregate",
+                                       "join", "parallelize"):
+            breaches.append(f"{node.lineno} calls {node.func.attr}")
+    assert breaches == []
+
+
+def test_one_factor_representation_and_one_shuffle_layout():
+    """No bucket-block splitter by its old name anywhere, no re-batching
+    of factor records on the vectorized path, and neither the block
+    join nor the vectorized Gram sorts or stacks per-row objects."""
+    root = pathlib.Path(repro.__file__).parent
+    named = [path.relative_to(root).as_posix()
+             for path in sorted(root.rglob("*.py"))
+             if "split_by_partition" in path.read_text()]
+    assert named == []
+    rebatch = []
+    for rel in ("engine/rdd.py", "kernels/vectorized.py"):
+        for node in ast.walk(ast.parse((root / rel).read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "from_records" \
+                    and ast.unparse(node.func.value) == "KeyedRowBlock":
+                rebatch.append(f"{rel}:{node.lineno}")
+    assert rebatch == []
+    for path, cls, name in (
+            (root / "engine" / "rdd.py", "BlockJoinRDD", "compute"),
+            (root / "kernels" / "vectorized.py", "VectorizedKernel",
+             "gram")):
+        source = _function_source(path, cls, name)
+        assert not re.findall(r"from_records|\bsorted\(|np\.stack",
+                              source), f"{cls}.{name}"
+
+
+@pytest.mark.parametrize("cls,shape", [
+    (CstfCOO, (60, 50, 8)), (CstfQCOO, (40, 30, 20, 8))],
+    ids=["coo-join", "qcoo"])
+def test_blocks_constructed_per_iteration_stay_within_three_per_task(
+        cls, shape, monkeypatch):
+    """A task reads one block per input, builds one and stores one run:
+    at 32 partitions a steady-state iteration constructs at most 3
+    blocks per task (it was 20.8 and 11.5 per task with a block per
+    (map, reduce) pair and a tuple per factor row).  The short last
+    mode leaves most of its factor partitions empty.  (Integrity off:
+    sealing cuts each (map, reduce) range out as a block of its own.)"""
+    from repro.engine import Context, EngineConf
+    from repro.engine.blocks import ColumnarBlock, KeyedRowBlock
+    built = [0]
+    for block_cls in (ColumnarBlock, KeyedRowBlock):
+        real = block_cls.__init__
+
+        def counting(self, *args, _real=real, **kwargs):
+            built[0] += 1
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(block_cls, "__init__", counting)
+    tensor = uniform_sparse(shape, 3000, rng=2)
+    init = random_factors(tensor.shape, 2, 4)
+
+    def totals(iterations):
+        built[0] = 0
+        with Context(num_nodes=8, default_parallelism=32,
+                     conf=EngineConf(kernel="vectorized", backend="serial",
+                                     integrity=False)) as ctx:
+            cls(ctx).decompose(tensor, 2, max_iterations=iterations,
+                               tol=0.0, initial_factors=init)
+            tasks = sum(st.num_tasks for job in ctx.metrics.jobs
+                        for st in job.stages)
+        return built[0], tasks
+    first_blocks, first_tasks = totals(1)
+    blocks, tasks = totals(3)
+    per_iteration = (blocks - first_blocks) / 2
+    tasks_per_iteration = (tasks - first_tasks) / 2
+    assert tasks_per_iteration >= 32 * tensor.order
+    assert per_iteration <= 3 * tasks_per_iteration

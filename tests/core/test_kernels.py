@@ -12,6 +12,7 @@ that dies mid-iteration no longer pins persisted RDDs in the cache.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from repro.core import (CstfCOO, CstfDimTree, CstfQCOO, DistributedTucker,
                         InMemoryCheckpointStore)
 from repro.engine import (Context, EngineConf, EngineError, FaultPlan,
                           HashPartitioner, JobExecutionError, KernelError)
-from repro.engine.blocks import iter_records
+from repro.engine.blocks import (KeyedRowBlock, iter_records,
+                                 partition_rows, record_count)
 from repro.kernels import (LeverageSampler, RecordKernel, VectorizedKernel,
                            combine_rows_batch, create_kernel, fold_rows,
                            segmented_left_fold)
@@ -233,8 +235,7 @@ class TestBitIdentity:
     def test_gram_identical(self, tensor3):
         factor = random_factors(tensor3.shape, 1, 3)[0]
         with Context(num_nodes=3, default_parallelism=6) as ctx:
-            rdd = ctx.parallelize_pairs(
-                [(i, factor[i].copy()) for i in range(factor.shape[0])])
+            rdd = rows_rdd(ctx, list(enumerate(factor)), 1)
             rec = RecordKernel().gram(rdd, 1)
             vec = VectorizedKernel().gram(rdd, 1)
         # rank 1 exercises the width-1 pairwise-summation guard
@@ -265,6 +266,17 @@ def run_profiled(tensor, rank, kernel, partitions=8, iterations=2,
                 shuffle_profile(ctx))
 
 
+def rows_rdd(ctx, records, rank, num_partitions=None):
+    """A factor-shaped RDD holding ``(index, row)`` ``records``: one
+    ``KeyedRowBlock`` per partition, hash-partitioned by index, rows in
+    the order given (a factor's is index order)."""
+    part = HashPartitioner(num_partitions or ctx.default_parallelism)
+    rows = KeyedRowBlock.from_records(records, rank)
+    return ctx.parallelize_blocks(
+        partition_rows(rows, part.partition_int_keys(rows.keys),
+                       part.num_partitions), part)
+
+
 def single_mttkrp(tensor, factors, mode, kernel, factor_records=None):
     """One CSTF-COO MTTKRP's output records; ``factor_records[m]``
     replaces mode ``m``'s factor RDD content."""
@@ -273,16 +285,15 @@ def single_mttkrp(tensor, factors, mode, kernel, factor_records=None):
                  conf=EngineConf(kernel=kernel)) as ctx, \
             ctx.release_scope():
         driver = CstfCOO(ctx)
-        n = driver.num_partitions
         tensor_rdd = driver._distribute_tensor(tensor)
         factor_rdds = []
         for m, factor in enumerate(factors):
             rows = (factor_records or {}).get(
                 m, [(i, factor[i].copy()) for i in range(factor.shape[0])])
             factor_rdds.append(
-                ctx.parallelize(rows, n, HashPartitioner(n)))
+                rows_rdd(ctx, rows, rank, driver.num_partitions))
         out = driver._mttkrp(mode, tensor_rdd, factor_rdds, rank).collect()
-        return out, ctx.metrics.total_shuffle_rounds()
+        return list(iter_records(out)), ctx.metrics.total_shuffle_rounds()
 
 
 def assert_same_rows(a, b):
@@ -373,7 +384,7 @@ class TestBlockJoin:
             classes = [type(r) for r in m_rdd.lineage_rdds()]
             assert classes.count(BlockJoinRDD) == tensor4.order
             assert CoGroupedRDD not in classes
-            assert len(m_rdd.collect()) == tensor4.shape[0]
+            assert record_count(m_rdd.collect()) == tensor4.shape[0]
             assert ctx.metrics.kernel_batch_records > 0
         assert set(shuffled) == {ColumnarBlock, KeyedRowBlock}
 
@@ -383,8 +394,12 @@ class TestBlockJoin:
         re-caches its queue every MTTKRP: a cached queue block must be
         charged what the tuples it stands for were, or every modelled
         QCOO second moves by representation alone.  Every kernel reads
-        the same tensor blocks, so no field — ``cache_bytes`` included —
-        may tell the kernels apart, on any of the four dataflows."""
+        the same tensor blocks and holds factors and MTTKRP outputs as
+        the same keyed row blocks, so no field may tell the kernels
+        apart on any of the four dataflows — ``cache_bytes`` (a keyed
+        block rests at its records' size), ``records_processed`` and
+        ``node_skew`` (a result stage counts a block as its rows) and
+        ``shuffle_records`` included."""
         import dataclasses
         from repro.engine.costmodel import RunStats
 
@@ -405,6 +420,8 @@ class TestBlockJoin:
                 ("lev", CstfCOO, {"sampler": "lev", "sample_count": 32})):
             rec = stats(cls, "record", **kwargs)
             assert rec == stats(cls, "vectorized", **kwargs), name
+            assert rec["records_processed"] > rec["shuffle_records"] > 0
+            assert rec["node_skew"] >= 1.0 and rec["cache_bytes"] > 0
             cached[name] = rec["cache_bytes"]
         assert cached["qcoo"] > 10 * cached["coo-join"]  # the queues
 
@@ -434,8 +451,9 @@ class TestBlockJoin:
                 factor_rdds = [driver._distribute_factor(f)
                                for f in factors]
                 driver._setup(tensor_rdd, tensor, factor_rdds, 3)
-                ms = [driver._mttkrp(mode, tensor_rdd, factor_rdds,
-                                     3).collect() for mode in range(3)]
+                ms = [list(iter_records(driver._mttkrp(
+                    mode, tensor_rdd, factor_rdds, 3).collect()))
+                      for mode in range(3)]
                 queue = [list(iter_records(part)) for part in
                          driver._queue_rdd.glom().collect()]
                 outcomes[kernel] = (ms, queue)
@@ -500,16 +518,212 @@ class TestBlockJoin:
         the block join refuses instead of gathering one row."""
         rows = [(i, init3[2][i].copy()) for i in range(init3[2].shape[0])]
         dup_key = int(tensor3.indices[0, 2])
-        rows.append((dup_key, init3[2][dup_key] * 2.0))
+        rows.insert(dup_key, (dup_key, init3[2][dup_key] * 2.0))
+        cause = self.row_side_error(tensor3, init3, rows, "more than once")
+        assert f"key {dup_key} " in str(cause)
+        assert "coo-acc-mode2" in str(cause) and "partition" in str(cause)
+
+    @staticmethod
+    def row_side_error(tensor3, init3, rows, phrase):
         with pytest.raises(JobExecutionError) as err:
             single_mttkrp(tensor3, init3, 0, "vectorized",
                           factor_records={2: rows})
         cause = err.value
-        while cause is not None and "more than once" not in str(cause):
+        while cause is not None and phrase not in str(cause):
             cause = cause.__cause__
         assert isinstance(cause, EngineError)
-        assert f"key {dup_key} " in str(cause)
-        assert "coo-acc-mode2" in str(cause) and "partition" in str(cause)
+        return cause
+
+    def test_unsorted_factor_partition_is_told_from_a_duplicate(
+            self, tensor3, init3):
+        """The gather reads the co-partitioned row side in place, so it
+        must be in index order; a partition that is not says so, with
+        the partition and the offending key — it is not mistaken for a
+        duplicate, and not silently gathered from."""
+        rows = [(i, init3[2][i].copy())
+                for i in reversed(range(init3[2].shape[0]))]
+        cause = self.row_side_error(tensor3, init3, rows,
+                                    "not sorted by row index")
+        assert "coo-acc-mode2 partition" in str(cause)
+        assert "more than once" not in str(cause)
+        follows, prev = (int(w) for w in re.findall(
+            r"key (\d+) follows (\d+)", str(cause))[0])
+        assert follows < prev
+
+
+# ----------------------------------------------------------------------
+# the factor side: one KeyedRowBlock per partition, degenerate inputs
+# ----------------------------------------------------------------------
+def untouched_row_tensor():
+    """Mode 0 declares 20 indices; no nonzero touches rows 12-19."""
+    base = uniform_sparse((12, 10, 14), 220, rng=6)
+    return COOTensor(base.indices, base.values, (20, 10, 14))
+
+
+#: name -> (tensor, rank, driver kwargs, conf kwargs)
+FACTOR_SIDE_CASES = {
+    # a mode with fewer indices than partitions: empty factor blocks
+    "short-mode": (uniform_sparse((40, 30, 3), 200, rng=5), 2, {}, {}),
+    "rank1": (uniform_sparse((12, 10, 14), 220, rng=41), 1, {}, {}),
+    "rank>mode": (uniform_sparse((3, 10, 8), 60, rng=41), 5, {}, {}),
+    "order2": (uniform_sparse((9, 7), 30, rng=41), 2, {}, {}),
+    "order5": (uniform_sparse((4, 5, 3, 4, 3), 120, rng=41), 2, {}, {}),
+    "nonnegative": (uniform_sparse((12, 10, 14), 220, rng=6), 2,
+                    {"nonnegative": True}, {}),
+    "ridge": (uniform_sparse((12, 10, 14), 220, rng=6), 2,
+              {"regularization": 0.05}, {}),
+    "no-map-side-combine": (uniform_sparse((12, 10, 14), 220, rng=6), 2,
+                            {}, {"map_side_combine": False}),
+    "untouched-row": (untouched_row_tensor(), 2, {}, {}),
+    # small enough to deny the row combiner its one-shot booking: map
+    # outputs and M arrive as records and are batched again
+    "denied-booking": (uniform_sparse((12, 10, 14), 220, rng=6), 2, {},
+                       {"memory_total_bytes": 100}),
+}
+
+_ORACLES: dict = {}
+
+
+def factor_side_run(name, cls, kernel, backend="serial", **decompose_kwargs):
+    tensor, rank, driver_kwargs, conf_kwargs = FACTOR_SIDE_CASES[name]
+    if "resume_from" not in decompose_kwargs:
+        decompose_kwargs["initial_factors"] = random_factors(
+            tensor.shape, rank, 29)
+    conf = EngineConf(kernel=kernel, backend=backend,
+                      backend_workers=None if backend == "serial" else 2,
+                      **conf_kwargs)
+    with Context(num_nodes=4, default_parallelism=8, conf=conf) as ctx:
+        return cls(ctx, **driver_kwargs).decompose(
+            tensor, rank, max_iterations=3, tol=0.0, **decompose_kwargs)
+
+
+def factor_side_oracle(name, cls):
+    """The serial record-kernel run of one case, computed once."""
+    if (name, cls) not in _ORACLES:
+        _ORACLES[name, cls] = factor_side_run(name, cls, "record")
+    return _ORACLES[name, cls]
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads", "process"])
+@pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO],
+                         ids=["coo", "qcoo"])
+class TestFactorSide:
+    @pytest.mark.parametrize("name", FACTOR_SIDE_CASES)
+    def test_bit_identical_to_the_record_oracle(self, name, cls, backend):
+        assert_bit_identical(
+            factor_side_oracle(name, cls),
+            factor_side_run(name, cls, "vectorized", backend))
+
+    @pytest.mark.parametrize("name", ["short-mode", "untouched-row"])
+    def test_resume_equals_the_uninterrupted_run(self, name, cls,
+                                                 backend):
+        """A resumed run distributes the snapshot's factors afresh, in
+        index order, where the uninterrupted one carried blocks the
+        normalise step sorted: the Gram must not notice."""
+        store = InMemoryCheckpointStore()
+        factor_side_run(name, cls, "vectorized", backend,
+                        checkpoint_every=1, checkpoint_store=store)
+        resumed = factor_side_run(name, cls, "vectorized", backend,
+                                  checkpoint_store=store, resume_from=0)
+        assert_bit_identical(factor_side_oracle(name, cls), resumed)
+
+
+def cause_of(err, phrase):
+    """The exception in ``err``'s cause chain whose text has ``phrase``."""
+    cause = err.value
+    while cause is not None and phrase not in str(cause):
+        cause = cause.__cause__
+    assert cause is not None, f"no cause mentions {phrase!r}"
+    return cause
+
+
+class TestLoudAndLocated:
+    """Every factor-side consumer reads a partition through
+    ``coalesce_rows``; what it refuses, it refuses by name."""
+
+    @pytest.mark.parametrize("consumer", ["block_join", "gram", "fit"])
+    def test_stray_record_factor_is_refused_by_name(self, tensor3, init3,
+                                                    consumer):
+        rows = list(enumerate(init3[2]))
+        with Context(num_nodes=4, default_parallelism=8,
+                     conf=EngineConf(kernel="vectorized")) as ctx, \
+                ctx.release_scope():
+            loose = ctx.parallelize(rows, 8, HashPartitioner(8))
+            # a result stage's partition function is not retried: the
+            # Gram's refusal arrives raw, the others through the job
+            with pytest.raises((JobExecutionError, TypeError)) as err:
+                if consumer == "block_join":
+                    driver = CstfCOO(ctx)
+                    ctx.kernel.coo_join(
+                        driver._distribute_tensor(tensor3).key_blocks(2),
+                        loose, 1, False, 8).collect()
+                elif consumer == "gram":
+                    ctx.kernel.gram(loose, 2)
+                else:
+                    ctx.kernel.column_sums(ctx.kernel.row_products(
+                        rows_rdd(ctx, rows, 2), loose, 8), 2)
+        message = str(cause_of(err, "must hold KeyedRowBlocks"))
+        assert "got tuple" in message
+        assert "_distribute_factor" in message
+        assert "sum_rows_by_key" in message
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fit_refuses_an_m_key_with_no_factor_row(self, kernel, init3):
+        """An unchecked gather would pair the key with a neighbour's
+        row and report a wrong fit (the per-record inner join dropped
+        it silently); both kernels name the partition and the key."""
+        m_rows = list(enumerate(init3[2]))
+        missing = 5
+        factor_rows = [kv for kv in m_rows if kv[0] != missing]
+        with Context(num_nodes=4, default_parallelism=8,
+                     conf=EngineConf(kernel=kernel)) as ctx, \
+                ctx.release_scope():
+            driver = CstfCOO(ctx)
+            with pytest.raises(JobExecutionError) as err:
+                driver._fit(rows_rdd(ctx, m_rows, 2),
+                            rows_rdd(ctx, factor_rows, 2),
+                            np.ones(2), None, norm_x=1.0)
+            # and with every key present the products are M * A
+            prods = ctx.kernel.row_products(
+                rows_rdd(ctx, m_rows[::-1], 2), rows_rdd(ctx, m_rows, 2), 8)
+            got = dict(iter_records(prods.collect()))
+        message = str(cause_of(err, "has no row on the right side"))
+        part = HashPartitioner(8).get_partition(missing)
+        assert f"rowProducts partition {part}: key {missing} " in message
+        assert sorted(got) == list(range(len(m_rows)))
+        for key, row in m_rows:
+            assert got[key].tobytes() == (row * row).tobytes()
+
+    def test_result_stage_counts_a_block_as_its_rows(self, init3):
+        """``output_records`` follows ``blocks.record_count``: a result
+        stage over block partitions reports what the record form did
+        (``RDD.count()`` itself still counts items)."""
+        with Context(num_nodes=4, default_parallelism=8) as ctx:
+            rdd = rows_rdd(ctx, list(enumerate(init3[2])), 2)
+            rdd.collect()
+            stage = ctx.metrics.jobs[-1].stages[-1]
+            assert stage.output_records == init3[2].shape[0]
+            assert sum(stage.records_per_node.values()) == \
+                init3[2].shape[0]
+            assert rdd.count() == 8
+
+
+def test_denied_booking_case_really_hands_records_back(monkeypatch):
+    """The budget of the ``denied-booking`` case makes
+    ``SpillableAppendOnlyMap.merge_batch`` expand the combiner's block
+    on both dataflows (without it the case would prove nothing)."""
+    from repro.engine.memory import SpillableAppendOnlyMap
+    handed_back = []
+    real = SpillableAppendOnlyMap.merged_items
+
+    def spy(self):
+        handed_back.append(self._site)
+        return real(self)
+    monkeypatch.setattr(SpillableAppendOnlyMap, "merged_items", spy)
+    for cls in (CstfCOO, CstfQCOO):
+        handed_back.clear()
+        factor_side_run("denied-booking", cls, "vectorized")
+        assert {site[0] for site in handed_back} == {"map", "reduce"}
 
 
 # ----------------------------------------------------------------------

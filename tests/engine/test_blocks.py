@@ -16,10 +16,12 @@ import pytest
 
 from repro.engine.blocks import (BLOCK_MAGIC, BLOCK_OVERHEAD,
                                  ColumnarBlock, KeyedRowBlock,
-                                 coalesce_blocks, is_block_partition,
+                                 coalesce_blocks, coalesce_rows,
+                                 concat_ranges, is_block_partition,
                                  is_block_payload, is_keyed_block,
-                                 iter_records, pack_blocks, record_count,
-                                 split_by_partition, unpack_blocks)
+                                 iter_records, pack_blocks,
+                                 partition_order, partition_rows,
+                                 record_count, unpack_blocks)
 from repro.engine.partitioner import (HashPartitioner, RangePartitioner,
                                       stable_hash, stable_hash_int_array,
                                       stable_hash_tuple_columns)
@@ -245,7 +247,8 @@ class TestQueueBlock:
 
 
 class TestSplitByPartition:
-    """The one bucketing helper both keyed block types share."""
+    """The one bucketing rule both keyed block types share: gathered by
+    ``partition_order``, bucket ``p`` is one contiguous row range."""
 
     @pytest.mark.parametrize("block", [
         keyed_block(40, rank=3, key_mode=0),
@@ -262,16 +265,23 @@ class TestSplitByPartition:
         for rec in block.to_records():
             expected.setdefault(part.get_partition(rec[0]), []) \
                 .append(rec)
-        pairs = split_by_partition(
-            block, part.partition_int_keys(block.keys))
-        assert [b for b, _ in pairs] == sorted(expected)
-        for bucket, sub in pairs:
-            assert type(bucket) is int and type(sub) is type(block)
-            assert exact(sub.to_records()) == exact(expected[bucket])
+        order, offsets = partition_order(
+            part.partition_int_keys(block.keys), 5)
+        run = block.take(order)
+        assert (offsets[0], offsets[-1]) == (0, len(block))
+        for bucket in range(5):
+            sub = run.take(slice(offsets[bucket], offsets[bucket + 1]))
+            assert type(sub) is type(block)
+            assert exact(sub.to_records()) == \
+                exact(expected.get(bucket, []))
+        # and ranges of several runs concatenate without a block each
+        whole = concat_ranges([(run, offsets[b], offsets[b + 1])
+                               for b in range(5)])
+        assert exact(whole.to_records()) == exact(run.to_records())
 
     def test_empty_block_yields_no_sub_blocks(self):
-        empty = KeyedRowBlock.from_records([], rank=3)
-        assert split_by_partition(empty, np.empty(0, np.int64)) == []
+        order, offsets = partition_order(np.empty(0, np.int64), 4)
+        assert order.size == 0 and offsets.tolist() == [0] * 5
 
 
 class TestKeyedRowBlock:
@@ -329,6 +339,39 @@ class TestRecordViews:
         with pytest.raises(TypeError, match="got KeyedRowBlock"):
             coalesce_blocks([KeyedRowBlock.from_records([], rank=2)])
 
+    def test_coalesce_rows_mirrors_it_for_the_factor_side(self):
+        rows = np.arange(24, dtype=float).reshape(12, 2)
+        whole = KeyedRowBlock(np.arange(12)[::-1], rows)
+        empty = KeyedRowBlock.from_records([], rank=2)
+        part = [whole.take(slice(0, 1)), empty, whole.take(slice(1, 9)),
+                whole.take(slice(9, 12))]
+        merged = coalesce_rows(part)
+        assert type(merged) is KeyedRowBlock
+        assert merged.keys.tolist() == whole.keys.tolist()
+        assert merged.rows.tobytes() == rows.tobytes()
+        assert coalesce_rows([empty, part[2]]) is part[2]
+        assert coalesce_rows([]) is None
+        assert coalesce_rows([empty, empty]) is None
+        # loud, and the message carries the fix
+        with pytest.raises(TypeError, match="got tuple.*_distribute_factor"
+                                            ".*sum_rows_by_key"):
+            coalesce_rows([part[0], (3, rows[0])])
+        with pytest.raises(TypeError, match="got ColumnarBlock"):
+            coalesce_rows([ColumnarBlock.from_records(sample_records(2))])
+
+    @pytest.mark.parametrize("parts", [1, 5, 64])
+    def test_partition_rows_places_like_the_scalar_partitioner(self, parts):
+        part = HashPartitioner(parts)
+        factor = np.random.default_rng(parts).standard_normal((37, 3))
+        index = np.arange(37)
+        blocks = partition_rows(KeyedRowBlock(index, factor),
+                                part.partition_int_keys(index), parts)
+        assert len(blocks) == parts
+        for p, blk in enumerate(blocks):
+            expected = [i for i in range(37) if part.get_partition(i) == p]
+            assert blk.keys.tolist() == expected       # index order
+            assert blk.rows.tobytes() == factor[expected].tobytes()
+
 
 class TestFraming:
     def test_pack_unpack_round_trip(self):
@@ -380,10 +423,16 @@ class TestSizerPinning:
     ``nbytes`` plus a pinned constant, immune to pickled-size drift."""
 
     def test_estimate_is_nbytes_plus_constant(self):
-        for block in (ColumnarBlock.from_records(sample_records(50)),
-                      KeyedRowBlock.from_records(
-                          [(i, np.zeros(6)) for i in range(50)])):
-            assert estimate_size(block) == block.nbytes + BLOCK_OVERHEAD
+        block = ColumnarBlock.from_records(sample_records(50))
+        assert estimate_size(block) == block.nbytes + BLOCK_OVERHEAD
+        # keyed rows are what every factor and MTTKRP output is cached
+        # as, and the cost model prices cache bytes: at rest they cost
+        # what their (key, row) records did, n(16 + 8R), like a keyed
+        # ColumnarBlock — not nbytes + BLOCK_OVERHEAD
+        rows = KeyedRowBlock.from_records(
+            [(i, np.zeros(6)) for i in range(50)])
+        assert estimate_size(rows) == 50 * (16 + 8 * 6) == \
+            sum(estimate_size(rec) for rec in rows.to_records())
 
     def test_frame_length_is_exactly_pinned(self):
         # an order-3 columnar frame is magic(6) + count(4) + kind(1) +

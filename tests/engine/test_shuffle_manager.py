@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import (Cluster, ColumnarBlock, FetchFailedError,
-                          HashPartitioner, KeyedRowBlock)
+from repro.engine import (Cluster, ColumnarBlock, CorruptedBlockError,
+                          FaultPlan, FetchFailedError, HashPartitioner,
+                          IntegrityManager, KeyedRowBlock)
+from repro.engine.blocks import iter_records
+from repro.engine.integrity import flip_byte
 from repro.engine.metrics import ShuffleReadMetrics, ShuffleWriteMetrics
+from repro.engine.serialization import wire_bytes_per_row
 from repro.engine.shuffle import Aggregator, ShuffleManager
+
+from ..strategies import integer_keys
 
 
 @pytest.fixture
@@ -162,3 +170,178 @@ class TestLifecycle:
 
     def test_ids_unique(self, mgr):
         assert mgr.new_shuffle_id() != mgr.new_shuffle_id()
+
+
+# ----------------------------------------------------------------------
+# the run layout: one stored block per keyed block, offsets per bucket
+# ----------------------------------------------------------------------
+@st.composite
+def map_stage(draw):
+    """``(num_partitions, [[block, ...] per map task])`` of one block
+    kind: keyed rows, or a keyed ``ColumnarBlock`` carrying a value, an
+    accumulator or a queue.  Keys come from ``integer_keys`` (empty,
+    constant — all rows to one bucket — repeated, skewed, beyond 2**32,
+    negative); a map task writes zero, one or two blocks."""
+    num_partitions = draw(st.sampled_from([1, 4, 7]))
+    kind = draw(st.sampled_from(["rows", "value", "accumulator", "queue"]))
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def block():
+        keys = draw(integer_keys(max_len=1100))
+        n = keys.shape[0]
+        if kind == "rows":
+            return KeyedRowBlock(keys, rng.standard_normal((n, rank)))
+        cols = [rng.integers(0, 9, n), keys, rng.integers(0, 9, n)]
+        rows = {"value": None,
+                "accumulator": rng.standard_normal((n, rank)),
+                "queue": rng.standard_normal((n, 2, rank))}[kind]
+        return ColumnarBlock(cols, rng.standard_normal(n), rows, 1)
+    return num_partitions, [[block() for _ in range(draw(st.integers(0, 2)))]
+                            for _ in range(draw(st.integers(1, 3)))]
+
+
+def exact(obj):
+    """``obj`` with every ndarray replaced by its bytes."""
+    if isinstance(obj, np.ndarray):
+        return obj.tobytes()
+    if isinstance(obj, (tuple, list)):
+        return [exact(x) for x in obj]
+    return obj
+
+
+class TestRunLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(map_stage())
+    def test_read_is_the_rows_of_the_bucket_in_map_then_arrival_order(
+            self, stage):
+        num_partitions, tasks = stage
+        mgr = ShuffleManager(Cluster(num_nodes=2))
+        part = HashPartitioner(num_partitions)
+        as_blocks, as_records = mgr.new_shuffle_id(), mgr.new_shuffle_id()
+        written = 0
+        for map_partition, blocks in enumerate(tasks):
+            wm = write(mgr, as_blocks, map_partition, blocks,
+                       parts=num_partitions)
+            rm = write(mgr, as_records, map_partition,
+                       [rec for blk in blocks for rec in blk.to_records()],
+                       parts=num_partitions)
+            assert (wm.bytes_written, wm.records_written) == \
+                (rm.bytes_written, rm.records_written)
+            written += wm.bytes_written
+            # each keyed block is stored once, whatever it spans
+            stored = mgr._shuffles[as_blocks][map_partition].segments
+            assert len(stored) == sum(1 for blk in blocks if len(blk))
+        read_bytes = 0
+        for p in range(num_partitions):
+            reference = [rec for blocks in tasks for blk in blocks
+                         for rec in blk.to_records()
+                         if part.get_partition(rec[0]) == p]
+            got, expected = ShuffleReadMetrics(), ShuffleReadMetrics()
+            fetched = mgr.read(as_blocks, p, got)
+            assert len(fetched) == (1 if reference else 0)
+            assert exact([rec for blk in fetched
+                          for rec in blk.to_records()]) == exact(reference)
+            assert exact(mgr.read(as_records, p, expected)) == \
+                exact(reference)
+            # a bucket's bytes are its rows times the closed form, and
+            # the local/remote split is the record shuffle's
+            if reference:
+                assert got.total_bytes == \
+                    len(reference) * wire_bytes_per_row(fetched[0])
+            assert (got.local_bytes, got.remote_bytes, got.local_records,
+                    got.remote_records) == (
+                expected.local_bytes, expected.remote_bytes,
+                expected.local_records, expected.remote_records)
+            read_bytes += got.total_bytes
+        assert read_bytes == written
+
+    def test_loose_records_between_blocks_keep_their_place(self, mgr):
+        """A map output is read in arrival order: a block's rows, the
+        records written after it, the next block's rows."""
+        sid = mgr.new_shuffle_id()
+        rows = np.arange(12, dtype=float).reshape(6, 2)
+        first = KeyedRowBlock(np.arange(3), rows[:3])
+        last = KeyedRowBlock(np.arange(3), rows[3:])
+        loose = [(k, rows[k] * 10) for k in range(3)]
+        write(mgr, sid, 0, [first, *loose, last], parts=1)
+        fetched = mgr.read(sid, 0, ShuffleReadMetrics())
+        assert [type(item) for item in fetched] == [
+            KeyedRowBlock, tuple, tuple, tuple, KeyedRowBlock]
+        assert exact(list(iter_records(fetched))) == exact(
+            [*first.to_records(), *loose, *last.to_records()])
+
+    def test_node_loss_reports_the_rows_a_run_held(self):
+        mgr = ShuffleManager(Cluster(num_nodes=2))
+        sid = mgr.new_shuffle_id(2)
+        block = KeyedRowBlock(np.arange(10), np.ones((10, 2)))
+        held = {0: 11, 1: 10}
+        write(mgr, sid, 0, [block, (3, np.ones(2))])
+        write(mgr, sid, 1, [block])
+        node = mgr.cluster.node_of_partition(0)
+        on_node = [m for m in held
+                   if mgr.cluster.node_of_partition(m) == node]
+        assert mgr.invalidate_node(node) == (
+            len(on_node), sum(held[m] for m in on_node))
+
+
+class TestRunIntegrity:
+    """With integrity on, a seal and a corruption site stay per (map,
+    reduce): each sealed over that range cut out of the one buffer."""
+
+    def sealed(self):
+        from repro.engine.metrics import IntegrityMetrics
+        integrity = IntegrityManager(True, FaultPlan(), IntegrityMetrics())
+        mgr = ShuffleManager(Cluster(num_nodes=2), integrity=integrity)
+        sid = mgr.new_shuffle_id(2)
+        rng = np.random.default_rng(5)
+        blocks = [KeyedRowBlock(rng.integers(0, 40, 60),
+                                rng.standard_normal((60, 3)))
+                  for _ in range(2)]
+        for map_partition, block in enumerate(blocks):
+            write(mgr, sid, map_partition, [block])
+        return mgr, sid, blocks
+
+    def test_flipped_byte_in_one_range_drops_that_map_output(self):
+        mgr, sid, blocks = self.sealed()
+        clean = [mgr.read(sid, q, ShuffleReadMetrics()) for q in range(4)]
+        output = mgr._shuffles[sid][1]
+        assert sorted(output.bucket_blobs) == sorted(
+            q for q in range(4) if output.bucket(q)[0])
+        blob = output.bucket_blobs[2]
+        output.bucket_blobs[2] = flip_byte(blob, len(blob) // 2)
+        with pytest.raises(CorruptedBlockError) as err:
+            mgr.read(sid, 2, ShuffleReadMetrics())
+        assert err.value.missing_map_partitions == (1,)
+        # the whole map output is one unit of recovery; map 0 stays
+        assert sorted(mgr._shuffles[sid]) == [0]
+        assert not mgr.is_written(sid, 2)
+        write(mgr, sid, 1, [blocks[1]])          # lineage rewrites it
+        again = [mgr.read(sid, q, ShuffleReadMetrics()) for q in range(4)]
+        assert exact([b.to_records() for part in again for b in part]) == \
+            exact([b.to_records() for part in clean for b in part])
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
+    def test_corrupted_ranges_heal_through_lineage(self, backend):
+        from repro.engine import Context, EngineConf
+        rng = np.random.default_rng(9)
+        blocks = [ColumnarBlock(
+            [rng.integers(0, 30, 80) for _ in range(3)],
+            rng.standard_normal(80), rng.standard_normal((80, 2)), 1)
+            for _ in range(6)]
+
+        def shuffled(plan):
+            conf = EngineConf(integrity=True, backend=backend,
+                              backend_workers=2)
+            with Context(num_nodes=3, default_parallelism=6,
+                         fault_plan=plan, conf=conf) as ctx:
+                out = ctx.parallelize_blocks(blocks).partition_by(
+                    HashPartitioner(6)).glom().collect()
+                return out, ctx.metrics.integrity
+        clean, _ = shuffled(FaultPlan())
+        healed, seen = shuffled(FaultPlan(seed=3, corrupt_block_prob=0.4))
+        assert seen.corrupted_blocks > 0
+        assert seen.corruptions_injected == seen.corrupted_blocks
+        assert seen.recompute_recoveries > 0
+        assert exact([[b.to_records() for b in part] for part in healed]) \
+            == exact([[b.to_records() for b in part] for part in clean])

@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine import Context, EngineConf
-from repro.engine.blocks import ColumnarBlock
+from repro.engine.blocks import (ColumnarBlock, KeyedRowBlock,
+                                 partition_rows, record_count)
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import ShuffledRDD
 from repro.kernels import VectorizedKernel
@@ -121,8 +122,11 @@ def test_block_pipeline_without_degrade_is_silent():
 # the block join: keyed blocks end to end
 # ----------------------------------------------------------------------
 def factor_rdd(ctx: Context, size: int = 5, parts: int = 4):
-    return ctx.parallelize([(i, np.full(2, float(i))) for i in range(size)],
-                           parts, HashPartitioner(parts))
+    part = HashPartitioner(parts)
+    index = np.arange(size)
+    rows = KeyedRowBlock(index, np.full((2, size), index, float).T)
+    return ctx.parallelize_blocks(
+        partition_rows(rows, part.partition_int_keys(index), parts), part)
 
 
 def first_fold(blk, rows):
@@ -155,7 +159,7 @@ def test_block_join_chain_is_typed_as_keyed_blocks():
         assert "blocks[order=3, key=int64, int64/float64]" in \
             graph.render(explain=True)
         assert rules(audit_graph(graph)) == []
-        assert len(summed.collect()) == 5
+        assert record_count(summed.collect()) == 5
 
 
 def test_block_join_key_mismatch_is_an_error():
@@ -188,9 +192,10 @@ def test_coo_mttkrp_plan_has_no_untyped_or_record_hop():
         graph = PlanGraph.from_rdd(m_rdd)
         forms = {n.name: n.schema.form for n in graph.nodes.values()}
         assert forms == {
-            "tensor-coo": "blocks", "factor": "records",
+            "tensor-coo": "blocks", "factor": "keyed-rows",
             "coo-key-mode2": "blocks", "coo-acc-mode2": "blocks",
-            "coo-acc-mode1": "keyed-rows", "mttkrp-0": "records"}
+            "coo-acc-mode1": "keyed-rows", "combineByKey": "keyed-rows",
+            "mttkrp-0": "keyed-rows"}
         assert rules(audit_graph(graph)) == []
         for rdd in (tensor_rdd, *factor_rdds):
             rdd.unpersist()
@@ -221,7 +226,7 @@ def test_qcoo_block_steps_are_typed_not_anonymous():
         assert graph.node(summed.rdd_id).schema.key == "int64"
         assert "unknown" not in graph.render(explain=True)
         assert rules(audit_graph(graph)) == []
-        assert len(summed.collect()) == 5
+        assert record_count(summed.collect()) == 5
 
 
 def test_qcoo_join_key_mismatch_is_an_error():
@@ -261,12 +266,12 @@ def test_qcoo_mttkrp_plan_is_block_joins_only():
         graph = PlanGraph.from_rdd(m_rdd)
         forms = {n.name: n.schema.form for n in graph.nodes.values()}
         assert forms == {
-            "tensor-coo": "blocks", "factor": "records",
+            "tensor-coo": "blocks", "factor": "keyed-rows",
             "keyBlocks": "blocks", "qcoo-init-key0": "blocks",
             "qcoo-init-enqueue0": "blocks",
             "qcoo-init-enqueue1": "blocks", "qcoo-queue": "blocks",
             "qcoo-rotate": "blocks", "qcoo-partials": "keyed-rows",
-            "mttkrp-0": "records"}
+            "combineByKey": "keyed-rows", "mttkrp-0": "keyed-rows"}
         classes = {n.cls for n in graph.nodes.values()}
         assert "BlockJoinRDD" in classes
         assert "CoGroupedRDD" not in classes
