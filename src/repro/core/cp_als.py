@@ -547,6 +547,10 @@ class CPALSDriver:
         bytes to the rows a kernel can look up."""
         block = coalesce_rows(factor_rdd.collect())
         if size is None:
+            if block is None:
+                raise ValueError(
+                    f"cannot size factor RDD {factor_rdd.name!r} "
+                    f"(mode {mode}): it holds no rows; pass size")
             size = 1 + int(block.keys.max())
         out = np.zeros((size, rank))
         if block is not None:

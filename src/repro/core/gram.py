@@ -36,10 +36,9 @@ def gram_of_rdd(factor_rdd: RDD, rank: int,
     bit-for-bit guarantee checkpoint/resume makes.  That order is
     structural: a factor partition *is* sorted by row index
     (``_distribute_factor`` carves it so, ``Kernel.scale_rows`` sorts
-    it once), and partition *contents* are fixed by the hash
-    partitioner, so the sum is canonical without a sort here (the
-    record oracle still sorts; the vectorized kernel scans, and sorts
-    only the re-cut slices of a hadoop-mode checkpoint).
+    it once, ``Context.checkpoint`` re-cuts it in index order), and
+    partition *contents* are fixed by the hash partitioner, so the sum
+    is canonical without a sort here (the record oracle still sorts).
 
     The accumulation itself is delegated to ``kernel`` (record-at-a-time
     fold or vectorized batch); the record kernel is used when none is

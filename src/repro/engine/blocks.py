@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import struct
 
-from typing import Any, Iterable, Iterator, Sequence, overload
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -100,15 +100,12 @@ class ColumnarBlock:
     a plain tensor slice.
     """
 
-    __slots__ = ("columns", "values", "rows", "key_mode", "kind")
+    __slots__ = ("columns", "values", "rows", "key_mode")
 
     columns: tuple[IndexArray, ...]
     values: ValueArray
     rows: ValueArray | None
     key_mode: int | None
-    #: what two blocks must share to be concatenated: order, key mode
-    #: and the shape of one nonzero's ``rows`` entry
-    kind: tuple[Any, ...]
 
     def __init__(self, columns: Sequence[npt.ArrayLike],
                  values: npt.ArrayLike,
@@ -137,8 +134,6 @@ class ColumnarBlock:
         self.values = values
         self.rows = rows
         self.key_mode = key_mode
-        self.kind = (len(columns), key_mode,
-                     None if rows is None else rows.shape[1:])
 
     # -- container protocol -------------------------------------------
     def __len__(self) -> int:
@@ -224,7 +219,9 @@ class ColumnarBlock:
         if not blocks:
             raise ValueError("concat of zero blocks is ambiguous "
                              "(unknown order)")
-        return concat_ranges([(b, 0, len(b)) for b in blocks])
+        block: ColumnarBlock = concat_ranges(
+            [(b, 0, len(b)) for b in blocks])
+        return block
 
     def take(self, indices: npt.ArrayLike | slice) -> "ColumnarBlock":
         """Sub-block of the given rows, in the given index order (a
@@ -255,13 +252,10 @@ class ColumnarBlock:
 class KeyedRowBlock:
     """A batch of ``(int key, float64 row)`` pairs in dense layout."""
 
-    __slots__ = ("keys", "rows", "kind")
+    __slots__ = ("keys", "rows")
 
     keys: IndexArray
     rows: ValueArray
-    #: what two blocks must share to be concatenated: being keyed rows
-    #: of one rank
-    kind: tuple[Any, ...]
 
     def __init__(self, keys: npt.ArrayLike, rows: npt.ArrayLike) -> None:
         keys = _contiguous(keys, INDEX_DTYPE)
@@ -272,7 +266,6 @@ class KeyedRowBlock:
             raise ValueError("one key per row required")
         self.keys = keys
         self.rows = rows
-        self.kind = ("keyed rows", rows.shape[1])
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -310,7 +303,9 @@ class KeyedRowBlock:
         if not blocks:
             raise ValueError("concat of zero blocks is ambiguous "
                              "(unknown rank)")
-        return concat_ranges([(b, 0, len(b)) for b in blocks])
+        block: KeyedRowBlock = concat_ranges(
+            [(b, 0, len(b)) for b in blocks])
+        return block
 
     def take(self, indices: npt.ArrayLike | slice) -> "KeyedRowBlock":
         """Sub-block of the given rows, in the given index order (a
@@ -331,16 +326,6 @@ class KeyedRowBlock:
 # ----------------------------------------------------------------------
 # partition views: blocks as records, many blocks as one
 # ----------------------------------------------------------------------
-@overload
-def concat_ranges(
-        ranges: Sequence[tuple[ColumnarBlock, int, int]]) -> ColumnarBlock: ...
-
-
-@overload
-def concat_ranges(
-        ranges: Sequence[tuple[KeyedRowBlock, int, int]]) -> KeyedRowBlock: ...
-
-
 def concat_ranges(ranges: Sequence[tuple[Any, int, int]]) -> Any:
     """One block from ``(block, start, stop)`` row ranges, in the given
     order: every column is sliced and concatenated raw, so no block is
@@ -350,7 +335,10 @@ def concat_ranges(ranges: Sequence[tuple[Any, int, int]]) -> Any:
     if len(ranges) == 1:    # nothing to join: a view, not a copy
         return (first if stop - start == len(first)
                 else first.take(slice(start, stop)))
-    kinds = {b.kind for b, _, _ in ranges}
+    kinds = {("keyed rows", b.rank) if type(b) is KeyedRowBlock
+             else (b.order, b.key_mode,
+                   None if b.rows is None else b.rows.shape[1:])
+             for b, _, _ in ranges}
     if len(kinds) > 1:
         raise ValueError(
             "cannot concat blocks that disagree on order, on key_mode "

@@ -21,7 +21,8 @@ from typing import Any, Callable, Iterator
 from . import linthooks
 from .accumulator import Accumulator
 from .backends import create_backend
-from .blocks import KeyedRowBlock, partition_rows, record_count
+from .blocks import (KeyedRowBlock, partition_rows, record_count,
+                     stable_argsort)
 from .broadcast import Broadcast
 from .clock import create_clock
 from .cluster import Cluster
@@ -294,14 +295,17 @@ class Context:
             if partitioner is None and rdd.partitioner is not None \
                     and rdd.partitioner.num_partitions == n:
                 partitioner = rdd.partitioner
-        if count and all(type(r) is KeyedRowBlock for r in records):
+        if records and all(type(r) is KeyedRowBlock for r in records):
             # keyed rows (a factor) are placed as their records would
-            # be, row by row, and stay one block per partition
+            # be, row by row, and stay one block per partition, each
+            # in index order as every factor-side consumer reads it
             rows = KeyedRowBlock.concat(records)
             pids = (slice_partitions(count, n) if partitioner is None
                     else partitioner.partition_int_keys(rows.keys))
+            by_key = stable_argsort(rows.keys)
             return self.parallelize_blocks(
-                partition_rows(rows, pids, n), partitioner)
+                partition_rows(rows.take(by_key), pids[by_key], n),
+                partitioner)
         return self.parallelize(records, n, partitioner)
 
     def accumulator(self, zero: Any = 0, name: str = "") -> Accumulator:

@@ -553,15 +553,6 @@ class RDD:
             self._default_partitioner(num_partitions),
             fold, out_key_mode, keep_index)
 
-    def row_products(self, other: "RDD",
-                     num_partitions: int | None = None) -> "RDD":
-        """Each keyed row of this RDD times ``other``'s row of the same
-        key, block in and block out (see :class:`RowProductsRDD`).
-        Same narrow-vs-shuffle rule as :meth:`join`."""
-        return RowProductsRDD(
-            self.ctx, self, other,
-            self._default_partitioner(num_partitions))
-
     def left_outer_join(self, other: "RDD",
                         num_partitions: int | None = None) -> "RDD":
         """Join keeping unmatched left keys (right value ``None``)."""

@@ -48,6 +48,7 @@ parent map stage from lineage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Callable, Iterable, NamedTuple, TYPE_CHECKING
 
 from . import linthooks
@@ -152,17 +153,8 @@ def _assemble(items: list) -> list:
     """What a reduce task is handed: every stretch of adjacent row
     ranges concatenated into one block, loose records as they are."""
     fetched: list = []
-    ranges: list[_Range] = []
-    for item in items:
-        if type(item) is _Range:
-            ranges.append(item)
-            continue
-        if ranges:
-            fetched.append(concat_ranges(ranges))
-            ranges = []
-        fetched.append(item)
-    if ranges:
-        fetched.append(concat_ranges(ranges))
+    for ranges, group in groupby(items, lambda it: type(it) is _Range):
+        fetched.extend([concat_ranges(list(group))] if ranges else group)
     return fetched
 
 

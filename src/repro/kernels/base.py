@@ -43,10 +43,10 @@ def per_partition_rows(
         f: Callable[[int, Iterable], Iterable] = lambda _split, it: it,
 ) -> "RDD":
     """Narrow step ``f(split, partition)`` (default: the partition as
-    it is) whose output — blocks,
-    ``(key, row)`` records or both — is batched into one
-    :class:`~repro.engine.blocks.KeyedRowBlock` per non-empty
-    partition, the one shape a factor and an MTTKRP output have.
+    it is) whose output — blocks, ``(key, row)`` records or both — is
+    batched into one :class:`~repro.engine.blocks.KeyedRowBlock` per
+    non-empty partition, the one shape a factor and an MTTKRP output
+    have.
     ``repro.lint.plan`` types the op kind ``op`` as keyed rows;
     preserves the partitioner."""
     def apply(split: int, it: Iterable) -> list:

@@ -132,12 +132,8 @@ class RecordKernel(Kernel):
 
     def column_sums(self, rdd: "RDD", rank: int,
                     squares: bool = False) -> np.ndarray:
-        if squares:
-            def seq(acc, kv):
-                return acc + kv[1] * kv[1]
-        else:
-            def seq(acc, kv):
-                return acc + kv[1]
+        def seq(acc, kv):
+            return acc + (kv[1] * kv[1] if squares else kv[1])
         return _records(rdd).tree_aggregate(
             np.zeros(rank), seq, lambda a, b: a + b)
 

@@ -38,7 +38,8 @@ import numpy as np
 
 from ..engine.blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
                              coalesce_rows, stable_argsort)
-from ..engine.rdd import MapPartitionsRDD
+from ..engine.partitioner import HashPartitioner
+from ..engine.rdd import MapPartitionsRDD, RowProductsRDD
 from .base import Kernel, per_partition_rows
 from .segsum import combine_rows_block, fold_rows, segmented_fold_at
 
@@ -234,7 +235,8 @@ class VectorizedKernel(Kernel):
 
     def row_products(self, left: "RDD", right: "RDD",
                      num_partitions: int) -> "RDD":
-        return left.row_products(right, num_partitions)
+        return RowProductsRDD(left.ctx, left, right,
+                              HashPartitioner(num_partitions))
 
     def _sum_partials(self, rdd: "RDD", what: str, zero: np.ndarray,
                       partial: Callable[[KeyedRowBlock], np.ndarray]
@@ -259,13 +261,8 @@ class VectorizedKernel(Kernel):
 
     def gram(self, factor_rdd: "RDD", rank: int) -> np.ndarray:
         def partial(blk: KeyedRowBlock) -> np.ndarray:
-            rows = blk.rows
-            if (blk.keys[1:] < blk.keys[:-1]).any():
-                # not a factor's index order: a hadoop-mode checkpoint
-                # re-cut the rows into contiguous slices
-                rows = rows[stable_argsort(blk.keys)]
-            outers = (rows[:, :, None] * rows[:, None, :]).reshape(
-                len(blk), rank * rank)
+            outers = (blk.rows[:, :, None] * blk.rows[:, None, :]
+                      ).reshape(len(blk), rank * rank)
             self._count(len(blk))
             return _zero_led_sum(outers).reshape(rank, rank)
         return self._sum_partials(factor_rdd, "gram",

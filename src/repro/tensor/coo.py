@@ -223,13 +223,22 @@ class COOTensor:
         order — exactly the order per-record placement produces — so a
         block pipeline and a record pipeline see identical partitions.
         """
-        from ..engine.partitioner import (HashPartitioner, RangePartitioner,
-                                          slice_partitions)
+        from ..engine.blocks import ColumnarBlock
+        from ..engine.partitioner import HashPartitioner, RangePartitioner
         n = num_partitions
         block = self.to_block()
         if partitioning == "input":
-            pids = slice_partitions(self.nnz, n)
-        elif partitioning == "hash":
+            step, extra = divmod(self.nnz, n)
+            out = []
+            start = 0
+            for i in range(n):
+                end = start + step + (1 if i < extra else 0)
+                out.append(ColumnarBlock(
+                    tuple(c[start:end] for c in block.columns),
+                    block.values[start:end]))
+                start = end
+            return out
+        if partitioning == "hash":
             pids = HashPartitioner(n).partition_tuple_columns(
                 block.columns)
         elif partitioning.startswith("range:"):

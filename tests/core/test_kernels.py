@@ -404,8 +404,11 @@ class TestBlockJoin:
         from repro.engine.costmodel import RunStats
 
         def stats(cls, kernel, **driver_kwargs):
+            # integrity pinned off: ``checksummed_bytes`` measures the
+            # serialized form, which is the one thing kernels may vary
             with Context(num_nodes=4, default_parallelism=8,
-                         conf=EngineConf(kernel=kernel)) as ctx:
+                         conf=EngineConf(kernel=kernel,
+                                         integrity=False)) as ctx:
                 cls(ctx, **driver_kwargs).decompose(
                     tensor4, 2, max_iterations=2, tol=0.0,
                     initial_factors=init4)
@@ -693,6 +696,51 @@ class TestLoudAndLocated:
         assert sorted(got) == list(range(len(m_rows)))
         for key, row in m_rows:
             assert got[key].tobytes() == (row * row).tobytes()
+
+    @pytest.mark.parametrize("cls", [BigtensorCP, CstfCOO, CstfQCOO])
+    def test_hadoop_mode_kernels_agree_bit_for_bit(self, cls):
+        """A hadoop-mode factor is re-cut by ``Context.checkpoint``
+        every update; the vectorized Gram sums its blocks as they lie,
+        so they must lie in the index order the oracle sorts into.
+        (Indices no nonzero touches make the slices straddle the old
+        partitions; a full index set re-cuts along them.)"""
+        tensor3 = uniform_sparse((40, 30, 50), 60, rng=3)
+        init3 = random_factors(tensor3.shape, 2, 5)
+        results = []
+        for kernel in KERNELS:
+            with Context(num_nodes=4, default_parallelism=8,
+                         execution_mode="hadoop",
+                         conf=EngineConf(kernel=kernel)) as ctx:
+                results.append(cls(ctx).decompose(
+                    tensor3, 2, max_iterations=2, tol=0.0,
+                    initial_factors=init3))
+        assert_bit_identical(*results)
+
+    @pytest.mark.parametrize("mode", ["spark", "hadoop"])
+    def test_checkpoint_recuts_keyed_rows_in_index_order(self, mode, init3):
+        """Rows land where their records would — by key under a kept
+        partitioner, in equal slices of the collected order without
+        one — and every new partition is one block sorted by key."""
+        records = list(enumerate(init3[2]))[::-1]
+        with Context(num_nodes=4, default_parallelism=8,
+                     execution_mode=mode) as ctx:
+            source = rows_rdd(ctx, records, 2)
+            copy = ctx.checkpoint(source)
+            expected = ctx.checkpoint(
+                source.materialize_records()).glom().collect()
+            parts = copy.glom().collect()
+            empty = ctx.checkpoint(rows_rdd(ctx, [], 2))
+            assert record_count(empty.collect()) == 0
+            assert all(type(b) is KeyedRowBlock for b in empty.collect())
+            with pytest.raises(ValueError, match="holds no rows"):
+                CstfCOO(ctx)._collect_factor(empty, 2)
+        assert (copy.partitioner is None) == (mode == "hadoop")
+        for part, recs in zip(parts, expected):
+            (block,) = part
+            assert block.keys.tolist() == sorted(k for k, _ in recs)
+            for key, row in recs:
+                at = block.keys.tolist().index(key)
+                assert block.rows[at].tobytes() == row.tobytes()
 
     def test_result_stage_counts_a_block_as_its_rows(self, init3):
         """``output_records`` follows ``blocks.record_count``: a result
