@@ -49,7 +49,21 @@ loc:
 # split_by_partition, the per-bucket block lists, the block join's
 # from_records + sort, the vectorized Gram's sorted + np.stack, the
 # driver's five per-row closures.
-LOC_CEILING = 19578
+#
+# PR 24 raised it 19,578 -> 19,701 (+123; the issue budgeted +60).
+# procpool.py itself shrank (593 -> 585: one generic OffloadClient.run
+# replaced contrib, _run_request, _release_outs and _op_contrib).  What
+# was added is the second call site the generic op exists for and the
+# contract around it: the fused sampled task body, its node and the
+# shared _run fallback in kernels/vectorized.py (+57), the two-node
+# oracle form of the same step on the Kernel base class (base.py +21),
+# draw_block, the one draw both forms call (sampled.py +18),
+# RDD.offloads + the stage rule that reads it (rdd.py +4 net of the
+# narrow-chain walker moved out of scheduler.py, taskscheduler.py +12,
+# backends.py +8) and the lint typing of three op kinds (plan.py +7).
+# About half of it is docstrings that carry a reason (why a stage gets
+# no threads, what a site is, where counters must be bumped).
+LOC_CEILING = 19701
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "src/repro: $$loc lines (ceiling $(LOC_CEILING))"; \
 	test "$$loc" -le $(LOC_CEILING)

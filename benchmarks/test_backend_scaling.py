@@ -12,7 +12,12 @@ workloads:
 * the same decomposition on the legacy records pipeline (the record
   kernel), giving the records-vs-blocks speedup column;
 * a latency-bound stage whose tasks block on a simulated I/O wait —
-  the regime where any pool pays off regardless of core count.
+  the regime where a *thread* pool pays off regardless of core count.
+  The ``process-N`` rows of this column read about 1.0x: the process
+  backend keeps its threads for stages that wait on a worker process
+  (``RDD.offloads``), and a plain ``map`` that sleeps is not one, so
+  it runs in partition order on the calling thread like ``serial``.
+  Only ``threads-4`` is asserted.
 
 Scaling must never cost correctness: every backend/kernel
 configuration has to reproduce the serial factorization bit for bit,
@@ -94,7 +99,9 @@ def _decompose(backend: str, workers: int | None,
 
 def _io_stage(backend: str, workers: int | None) -> float:
     """One timed latency-bound stage: every task blocks on a fake I/O
-    wait, so wall-clock scales with how many tasks overlap."""
+    wait, so wall-clock scales with how many tasks overlap (on the
+    thread backend; the process backend runs a stage that offloads
+    nothing inline — see the module docstring)."""
     def wait(x):
         time.sleep(IO_WAIT_S)
         return x

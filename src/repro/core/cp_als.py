@@ -398,12 +398,13 @@ class CPALSDriver:
            factor may be sparse in indices);
         2. compute its leverage scores from the cached ``pinv(G_m)``
            and broadcast both;
-        3. draw ``sample_count`` nonzeros per partition by the product
+        3. per partition, draw ``sample_count`` nonzeros by the product
            of the fixed modes' scores (site-seeded — backend/order/
-           retry independent) with ``1/(s q)`` folded into the values
-           of the one block each sampled partition holds;
-        4. run the kernel's broadcast-contribution fold plus the usual
-           per-key sum over the sampled rows only.
+           retry independent), fold ``1/(s q)`` into their values and
+           take their broadcast contributions
+           (``Kernel.sampled_contributions``: one task body in the
+           vectorized kernel, which a pool worker can run whole);
+        4. the usual per-key sum, over the sampled rows only.
 
         Broadcast lifecycle matches ``CstfCOO._mttkrp_broadcast``:
         the previous MTTKRP's broadcasts are destroyed here, lagged by
@@ -429,11 +430,9 @@ class CPALSDriver:
         self._live_broadcasts.extend(score_bcs.values())
 
         kernel = self.ctx.kernel
-        sampled = self._sampler.sample_rdd(
-            tensor_rdd, score_bcs, mode, iteration,
-            metrics=self.ctx.metrics)
-        contrib = kernel.broadcast_contributions(sampled, broadcasts,
-                                                 mode)
+        contrib = kernel.sampled_contributions(
+            tensor_rdd, self._sampler, score_bcs, broadcasts, mode,
+            iteration)
         return kernel.sum_rows_by_key(
             contrib, self.num_partitions
         ).set_name(f"mttkrp-{mode}-sampled")

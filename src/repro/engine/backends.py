@@ -22,11 +22,15 @@ Three implementations ship:
 ``ProcessPoolBackend``
     The thread backend's orchestration (same submission order, result
     order, cancellation and speculation semantics) plus a spawn-safe
-    pool of worker *processes* that the columnar kernel offloads its
-    block arithmetic to.  Partition blocks and broadcast factors cross
-    the process boundary as ``multiprocessing.shared_memory``
-    descriptors via a :class:`~repro.engine.procpool
-    .SharedBlockRegistry` — (name, dtype, shape) triples, not pickles.
+    pool of worker *processes* that the columnar kernel hands whole
+    task bodies to (:meth:`~repro.engine.procpool.OffloadClient.run`).
+    Partition blocks cross the process boundary as
+    ``multiprocessing.shared_memory`` descriptors via a
+    :class:`~repro.engine.procpool.SharedBlockRegistry` — (name, dtype,
+    shape) triples, not pickles.  Its threads only ever wait on those
+    workers, so the task scheduler gives them just the stages whose
+    lineage holds an offloading node (``RDD.offloads``) and runs every
+    other stage on the calling thread, as the serial backend would.
 
 Which backend a context gets, and how wide, is ``ctx.conf.backend`` /
 ``ctx.conf.backend_workers`` (resolved in :mod:`repro.engine.conf`):
@@ -56,6 +60,10 @@ class ExecutorBackend(ABC):
     #: whether concurrent speculative backup attempts make sense here
     #: (True only when tasks actually overlap in time)
     supports_speculation: bool = False
+    #: True when the pool's threads exist to wait on something outside
+    #: the GIL rather than to compute: the task scheduler then runs a
+    #: stage none of whose tasks will wait on the calling thread
+    threads_only_wait: bool = False
 
     @property
     @abstractmethod
@@ -168,15 +176,15 @@ class ProcessPoolBackend(ThreadPoolBackend):
     thread backend's determinism contract verbatim: submission and
     results in partition order, lowest failing partition's exception,
     cooperative cancellation, speculation support.  What *does* cross
-    the process boundary is pure block arithmetic: the vectorized
-    kernel hands its gather/Hadamard/segment-sum inner loop to
-    ``self.offload``, which publishes the operand arrays once into
-    shared memory and ships only descriptors per call.  Workers are
-    spawned lazily on the first offloaded call, so contexts that never
-    touch the columnar kernel pay nothing.
+    the process boundary is a task's array-only body: the vectorized
+    kernel hands it to ``self.offload``, which publishes the large
+    operand arrays once into shared memory and ships descriptors per
+    call.  Workers are spawned lazily on the first offloaded call, so
+    contexts that never touch the columnar kernel pay nothing.
     """
 
     name = "process"
+    threads_only_wait = True
 
     def __init__(self, num_workers: int):
         super().__init__(num_workers)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .costmodel import COMET, CostModel, HardwareProfile, RunStats, TimeBreakdown
 
@@ -95,6 +94,10 @@ def calibrate(points: list[CalibrationPoint],
     active = design.sum(axis=0) > 0
     multipliers = np.ones(4)
     if active.any():
+        # imported where it is called: every driver and every pool
+        # worker imports this package, none of them calibrates, and
+        # scipy.optimize is half of that import's time
+        from scipy.optimize import nnls
         solution, _residual = nnls(design[:, active], target)
         multipliers[active] = solution
     return CalibratedCostModel(profile, TermMultipliers(

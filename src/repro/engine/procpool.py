@@ -2,12 +2,13 @@
 
 The :class:`~repro.engine.backends.ProcessPoolBackend` splits work in
 two: task *orchestration* (lineage, shuffle bookkeeping, retries) stays
-on the driver's thread pool, while the numeric inner loops of the
-columnar kernel are offloaded to worker *processes* that escape the
-GIL.  Data crosses the process boundary as ``(name, dtype, shape)``
-shared-memory descriptors — a worker attaches the driver's segment by
-name and reads it zero-copy — so the per-task message is a few hundred
-bytes regardless of partition size.
+on the driver, while the array-only *body* of a task — one entry of
+:data:`_OPS`, a module-level ``repro.kernels`` function the inline path
+calls too — runs on a worker *process* that escapes the GIL
+(:meth:`OffloadClient.run`).  Large operands cross the process boundary
+as ``(name, dtype, shape)`` shared-memory descriptors — a worker
+attaches the driver's segment by name and reads it zero-copy — small
+ones and the results ride pickled in the frames.
 
 Workers are launched as ``python -m repro.engine.procpool`` child
 interpreters (spawn-safe: a fresh interpreter, no inherited fork
@@ -17,20 +18,24 @@ hazardous under pytest and arbitrary driver scripts.  The only shared
 state is the named shared memory itself.
 
 Segment lifetime has a single owner: the driver's
-:class:`SharedBlockRegistry` creates every segment (inputs *and*
-outputs) and unlinks every segment; workers only ever attach and
-close.  ``Context.stop()`` → ``backend.shutdown()`` →
+:class:`SharedBlockRegistry` creates every segment (operands *and*
+declared outputs) and unlinks every segment; workers only ever attach
+and close.  ``Context.stop()`` → ``backend.shutdown()`` →
 ``registry.unlink_all()`` guarantees nothing outlives the context —
 ``live_segments()`` after shutdown is the leak-test observable.
 
 Protocol: length-prefixed pickled frames over the worker's
 stdin/stdout pipes, one synchronous request per checked-out worker
 (the orchestration thread holds the worker for the duration of its
-task's offloaded call, so no demultiplexing is needed).
+task's offloaded call, so no demultiplexing is needed); end of input
+stops the worker.  In a request, ndarrays of :data:`_SHARE_MIN_BYTES`
+or more are their descriptors (pickle's persistent-id hook).
 """
 
 from __future__ import annotations
 
+import importlib
+import io
 import os
 import pickle
 import struct
@@ -38,12 +43,12 @@ import subprocess
 import sys
 import threading
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import linthooks
-from .blocks import INDEX_DTYPE, VALUE_DTYPE
+from .blocks import VALUE_DTYPE
 from .conf import shm_attach_cap
 from .errors import BackendError
 
@@ -52,14 +57,31 @@ try:  # pragma: no cover - available on every supported platform
 except ImportError:  # pragma: no cover
     shared_memory = None  # type: ignore[assignment]
 
-#: smallest block (rows) worth a round trip to a worker process; 1
-#: offloads everything so tests exercise the worker path
-_MIN_OFFLOAD_ROWS = 1
+#: operand arrays of at least this many bytes cross as shared-memory
+#: descriptors, published once each; smaller ones (score vectors, a
+#: 300 x R factor) cost less pickled into the request frame
+_SHARE_MIN_BYTES = 64 * 1024
 
-#: cap on driver-side cached input segments (FIFO eviction beyond
-#: this, skipping pinned in-flight descriptors); tests monkeypatch it
-#: to force an eviction storm
+#: cap on driver-side cached input segments (least recently used goes
+#: first beyond this, skipping pinned in-flight descriptors); tests
+#: monkeypatch it to force an eviction storm
 _PUBLISH_CACHE_CAP = 256
+
+#: what a worker can run: op name -> ``module:function`` under
+#: ``repro.kernels``, resolved on first use (the kernels import the
+#: engine).  Every entry is the function the inline path calls too, so
+#: where a task body runs cannot change a bit of it.
+_OPS = {
+    "contrib": "repro.kernels.vectorized:block_contribution",
+    "sampled_contrib":
+        "repro.kernels.vectorized:sampled_block_contribution",
+}
+
+
+def resolve_op(op: str) -> Callable[..., Any]:
+    """The function behind one :data:`_OPS` entry."""
+    module, name = _OPS[op].split(":")
+    return getattr(importlib.import_module(module), name)
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +93,8 @@ class SharedBlockRegistry:
     ``publish`` copies an ndarray into a fresh segment and returns its
     ``(name, dtype, shape)`` descriptor; ``publish_cached`` memoizes by
     array identity so a cached partition block or a broadcast factor is
-    copied out once per lifetime, not once per task.  ``create``
+    copied out once per lifetime, not once per task (least recently
+    used entries leave first past ``_PUBLISH_CACHE_CAP``).  ``create``
     allocates an uninitialized output segment for a worker to fill.
     Everything is unlinked at ``unlink_all()`` (backend shutdown);
     ``live_segments()`` is the leak-test observable.
@@ -87,22 +110,12 @@ class SharedBlockRegistry:
         #: while a request referencing their descriptor is in flight
         self._pins: dict[str, int] = {}
 
-    @staticmethod
-    def available() -> bool:
-        return shared_memory is not None
-
     def publish(self, arr: np.ndarray) -> tuple:
         """Copy ``arr`` into a new segment; returns its descriptor."""
         arr = np.ascontiguousarray(arr)
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, arr.nbytes))
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+        desc, view = self.create(arr.shape, arr.dtype)
         view[...] = arr
-        del view
-        with self._lock:
-            linthooks.access(self, "segments", write=True)
-            self._segments[shm.name] = shm
-        return (shm.name, arr.dtype.str, arr.shape)
+        return desc
 
     def publish_cached(self, arr: np.ndarray) -> tuple:
         """``publish`` memoized on array identity (with a keepalive
@@ -113,9 +126,12 @@ class SharedBlockRegistry:
         """
         key = id(arr)
         with self._lock:
-            linthooks.access(self, "cached", write=False)
+            linthooks.access(self, "cached", write=True)
             hit = self._cached.get(key)
             if hit is not None and hit[1] is arr:
+                # a hit is a use (the entry moves to the young end): a
+                # partition's columns outlive any number of one-shot arrays
+                self._cached[key] = self._cached.pop(key)
                 self._pins[hit[0][0]] = self._pins.get(hit[0][0], 0) + 1
                 return hit[0]
         desc = self.publish(arr)
@@ -124,15 +140,11 @@ class SharedBlockRegistry:
             self._cached[key] = (desc, arr)
             self._pins[desc[0]] = self._pins.get(desc[0], 0) + 1
             while len(self._cached) > _PUBLISH_CACHE_CAP:
-                victim = None
-                for cache_key, (old_desc, _) in self._cached.items():
-                    if not self._pins.get(old_desc[0]):
-                        victim = cache_key
-                        break
+                victim = next((k for k, (old, _) in self._cached.items()
+                               if not self._pins.get(old[0])), None)
                 if victim is None:  # everything in flight; grow past cap
                     break
-                old_desc, _ = self._cached.pop(victim)
-                self._release_locked(old_desc[0])
+                self._release_locked(self._cached.pop(victim)[0][0])
         return desc
 
     def unpin(self, names: Sequence[str]) -> None:
@@ -153,8 +165,7 @@ class SharedBlockRegistry:
         the descriptor's segment."""
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=max(1, nbytes))
+        shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
         view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
         with self._lock:
             linthooks.access(self, "segments", write=True)
@@ -212,22 +223,19 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
-def _write_frame(stream: Any, payload: dict) -> None:
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+def _write_frame(stream: Any, data: bytes) -> None:
     stream.write(struct.pack("<I", len(data)))
     stream.write(data)
     stream.flush()
 
 
-def _read_frame(stream: Any) -> dict | None:
+def _read_frame(stream: Any) -> bytes | None:
     header = stream.read(4)
     if len(header) < 4:
         return None
     (length,) = struct.unpack("<I", header)
     data = stream.read(length)
-    if len(data) < length:
-        return None
-    return pickle.loads(data)
+    return data if len(data) == length else None
 
 
 class WorkerDied(BackendError):
@@ -235,34 +243,39 @@ class WorkerDied(BackendError):
 
 
 class _WorkerProcess:
-    """One child interpreter speaking the frame protocol."""
+    """One child interpreter speaking the frame protocol.  Launching
+    does not wait for it — ``handshake`` does, before first use — so a
+    pool's workers pay their interpreter start-up side by side."""
 
     def __init__(self):
         self._proc = subprocess.Popen(
             [sys.executable, "-m", "repro.engine.procpool"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             env=_worker_env())
-        # eager handshake: surfaces import/env failures at spawn time
-        if self.request({"op": "ping"}).get("ok") is not True:
-            self.kill()
+
+    def handshake(self) -> None:
+        """Surface import/env failures before the first real request."""
+        if not self.request(pickle.dumps({"op": "ping"})).get("ok"):
             raise WorkerDied("worker failed its startup handshake")
 
-    def request(self, payload: dict) -> dict:
+    def request(self, data: bytes) -> dict:
         try:
-            _write_frame(self._proc.stdin, payload)
+            _write_frame(self._proc.stdin, data)
             reply = _read_frame(self._proc.stdout)
         except (OSError, ValueError) as exc:
             raise WorkerDied(f"worker pipe failed: {exc}") from exc
         if reply is None:
             raise WorkerDied("worker exited mid-request")
-        return reply
+        return pickle.loads(reply)
 
-    def stop(self) -> None:
+    def signal_stop(self) -> None:
+        """End of input is the worker's cue to exit."""
         try:
-            _write_frame(self._proc.stdin, {"op": "shutdown"})
             self._proc.stdin.close()
-        except (OSError, ValueError):
+        except OSError:
             pass
+
+    def wait_stopped(self) -> None:
         try:
             self._proc.wait(timeout=5)
         except subprocess.TimeoutExpired:  # pragma: no cover
@@ -274,6 +287,22 @@ class _WorkerProcess:
             self._proc.wait(timeout=5)
         except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
             pass
+
+
+def _spawn_workers(count: int) -> list[_WorkerProcess] | None:
+    """``count`` workers, every one launched before any is hand-shaken;
+    one failure kills them all and returns None."""
+    workers: list[_WorkerProcess] = []
+    try:
+        for _ in range(count):
+            workers.append(_WorkerProcess())
+        for worker in workers:
+            worker.handshake()
+    except (OSError, WorkerDied):
+        for worker in workers:
+            worker.kill()
+        return None
+    return workers
 
 
 class ProcessWorkerPool:
@@ -289,32 +318,20 @@ class ProcessWorkerPool:
         self._started = False
         self._stopped = False
 
-    @property
-    def num_workers(self) -> int:
-        return self._num_workers
-
     def ensure_started(self) -> bool:
         """Spawn the workers on first use; False when unavailable
         (spawn failed, no shared memory, or already stopped)."""
-        if not SharedBlockRegistry.available():
+        if shared_memory is None:
             return False
         with self._cond:
             linthooks.access(self, "workers", write=True)
             if self._stopped:
                 return False
-            if self._started:
-                return self._live > 0
-            self._started = True
-            try:
-                self._idle = [_WorkerProcess()
-                              for _ in range(self._num_workers)]
-            except (OSError, WorkerDied):
-                for worker in self._idle:
-                    worker.kill()
-                self._idle = []
-                return False
-            self._live = len(self._idle)
-            return True
+            if not self._started:
+                self._started = True
+                self._idle = _spawn_workers(self._num_workers) or []
+                self._live = len(self._idle)
+            return self._live > 0
 
     def checkout(self) -> _WorkerProcess:
         """Claim an idle worker, blocking while all are busy; raises
@@ -328,33 +345,29 @@ class ProcessWorkerPool:
                 raise BackendError("process worker pool is stopped")
             return self._idle.pop()
 
-    def checkin(self, worker: _WorkerProcess,
-                dead: bool = False) -> None:
+    def checkin(self, worker: _WorkerProcess, dead: bool = False) -> None:
         """Return a worker after a request; ``dead=True`` kills it and
         respawns a replacement (the pool shrinks when respawn fails)."""
-        replacement: _WorkerProcess | None = None
+        respawned = None
         if dead:
             worker.kill()
-            try:
-                replacement = _WorkerProcess()
-            except (OSError, WorkerDied):
-                replacement = None
+            respawned = _spawn_workers(1)
         with self._cond:
             linthooks.access(self, "workers", write=True)
             if not dead:
                 self._idle.append(worker)
-            elif replacement is not None:
-                if self._stopped:
-                    replacement.kill()
-                else:
-                    self._idle.append(replacement)
-            else:
+            elif respawned is None:
                 self._live -= 1
+            elif self._stopped:
+                respawned[0].kill()
+            else:
+                self._idle += respawned
             self._cond.notify_all()
 
     def stop(self) -> None:
-        """Shut every worker down (idempotent); subsequent checkouts
-        raise and ``ensure_started`` reports unavailability."""
+        """Shut every worker down (idempotent) — all are told before
+        any is waited for; subsequent checkouts raise and
+        ``ensure_started`` reports unavailability."""
         with self._cond:
             linthooks.access(self, "workers", write=True)
             self._stopped = True
@@ -362,98 +375,92 @@ class ProcessWorkerPool:
             self._live = 0
             self._cond.notify_all()
         for worker in workers:
-            worker.stop()
+            worker.signal_stop()
+        for worker in workers:
+            worker.wait_stopped()
+
+
+class _SharingPickler(pickle.Pickler):
+    """Pickles one request; an ndarray of :data:`_SHARE_MIN_BYTES` or
+    more, at any depth, goes as the pinned descriptor of its published
+    segment (the worker's unpickler attaches it), the rest by value."""
+
+    def __init__(self, file: Any, registry: SharedBlockRegistry,
+                 pinned: list[str]):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._registry = registry
+        self._pinned = pinned
+
+    def persistent_id(self, obj: Any) -> tuple | None:
+        if type(obj) is np.ndarray and obj.nbytes >= _SHARE_MIN_BYTES:
+            desc = self._registry.publish_cached(obj)
+            self._pinned.append(desc[0])
+            return desc
+        return None
 
 
 class OffloadClient:
-    """Kernel-facing handle for offloading block arithmetic.
-
-    ``contrib`` runs the broadcast-MTTKRP inner loop — gather the fixed
-    factors' rows, Hadamard-fold them against the values, optionally
-    pre-reduce with the segmented left fold — on a worker process.  It
-    returns ``None`` whenever offloading is unavailable or not
-    worthwhile, and the caller computes inline instead; both paths run
-    the same numpy expressions, so the choice never changes a bit of
-    output.
-    """
+    """Kernel-facing handle that runs a task body on a worker process.
+    ``run`` is the only way a request is built; whenever it cannot
+    offload it says so and the caller runs the same function inline, so
+    the choice never changes a bit of output."""
 
     def __init__(self, pool: ProcessWorkerPool,
                  registry: SharedBlockRegistry):
         self._pool = pool
         self._registry = registry
 
-    def contrib(self, values: np.ndarray, key_col: np.ndarray,
-                fixed: Sequence[tuple[np.ndarray, np.ndarray]],
-                reduce_: bool) -> tuple | None:
-        """Offload one block's contribution.  ``fixed`` is the ordered
-        ``(index column, factor matrix)`` fold sequence.  Returns
-        ``(keys, rows)`` (``keys`` is None when ``reduce_`` is False),
-        or None to signal the caller to compute inline."""
-        n = int(values.shape[0])
-        if n < _MIN_OFFLOAD_ROWS or not fixed:
-            return None
+    def run(self, op: str, arrays: Sequence[Any], meta: dict,
+            out: tuple | None = None) -> tuple | None:
+        """``_OPS[op](*arrays, **meta)`` on a worker: its result tuple,
+        or None for "compute inline" (pool unavailable or stopped, the
+        worker died, or an operand's segment lost the publish-cache
+        eviction race — ``missing_segment``).  A worker-side exception
+        raises ``RuntimeError`` here.
+
+        ``arrays`` may nest lists, tuples, dicts and blocks; their
+        large ndarrays are shared (pass a cached block's own arrays:
+        the publish cache keys on identity).  Results ride in the reply
+        frame, except that an op whose last result can be large names
+        its bound as ``out=(shape, dtype)`` and gets it through a
+        driver-created segment.
+        """
         if not self._pool.ensure_started():
             return None
-        rank = int(fixed[0][1].shape[1])
         registry = self._registry
-        arrays = [registry.publish_cached(values)]
+        pinned: list[str] = []
+        out_desc = out_view = None
         try:
-            if reduce_:
-                arrays.append(registry.publish_cached(key_col))
-            for col, factor in fixed:
-                arrays.append(registry.publish_cached(col))
-                arrays.append(registry.publish_cached(factor))
-            return self._run_request(arrays, n, rank, reduce_)
-        finally:
-            registry.unpin([desc[0] for desc in arrays])
-
-    def _run_request(self, arrays: list[tuple], n: int, rank: int,
-                     reduce_: bool) -> tuple | None:
-        registry = self._registry
-        out_descs: list[tuple] = []
-        rows_desc, rows_view = registry.create((n, rank))
-        keys_view = None
-        if reduce_:
-            keys_desc, keys_view = registry.create((n,), INDEX_DTYPE)
-            out_descs = [keys_desc, rows_desc]
-        else:
-            out_descs = [rows_desc]
-        request = {"op": "contrib", "arrays": arrays,
-                   "outs": out_descs,
-                   "meta": {"reduce": reduce_}}
-        try:
-            worker = self._pool.checkout()
-        except BackendError:
-            self._release_outs(out_descs, rows_view, keys_view)
-            return None
-        try:
-            reply = worker.request(request)
-        except WorkerDied:
-            self._pool.checkin(worker, dead=True)
-            self._release_outs(out_descs, rows_view, keys_view)
-            return None
-        self._pool.checkin(worker)
-        if not reply.get("ok"):
-            self._release_outs(out_descs, rows_view, keys_view)
-            if reply.get("missing_segment"):
-                # an input raced the publish-cache eviction window;
-                # the inline path recomputes it bit-identically
+            if out is not None:
+                out_desc, out_view = registry.create(*out)
+            frame = io.BytesIO()
+            _SharingPickler(frame, registry, pinned).dump(
+                {"op": op, "arrays": arrays, "meta": meta,
+                 "out": out_desc})
+            try:
+                worker = self._pool.checkout()
+            except BackendError:
                 return None
-            raise RuntimeError(
-                "process worker op failed:\n"
-                + str(reply.get("error")))
-        count = int(reply["meta"]["count"])
-        rows = np.array(rows_view[:count])
-        keys = (np.array(keys_view[:count]) if reduce_ else None)
-        self._release_outs(out_descs, rows_view, keys_view)
-        return keys, rows
-
-    def _release_outs(self, descs: list[tuple],
-                      rows_view: np.ndarray | None,
-                      keys_view: np.ndarray | None) -> None:
-        del rows_view, keys_view
-        for desc in descs:
-            self._registry.release(desc[0])
+            try:
+                reply = worker.request(frame.getvalue())
+            except WorkerDied:
+                self._pool.checkin(worker, dead=True)
+                return None
+            self._pool.checkin(worker)
+            if not reply.get("ok"):
+                if reply.get("missing_segment"):
+                    return None
+                raise RuntimeError("process worker op failed:\n"
+                                   + str(reply.get("error")))
+            results = reply["results"]
+            if out_view is not None:
+                results = (*results[:-1], np.array(out_view[:results[-1]]))
+            return results
+        finally:
+            registry.unpin(pinned)
+            if out_desc is not None:
+                out_view = None
+                registry.release(out_desc[0])
 
 
 # ----------------------------------------------------------------------
@@ -494,56 +501,59 @@ class _AttachmentCache:  # pragma: no cover - runs inside workers
     requests when no views exist.
     """
 
-    def __init__(self, cap: int):
-        self._cap = cap
+    def __init__(self):
         self._shms: dict[str, Any] = {}
 
     def view(self, desc: tuple) -> np.ndarray:
         name, dtype, shape = desc
-        shm = self._shms.get(name)
+        shm = self._shms.pop(name, None)
         if shm is None:
             shm = shared_memory.SharedMemory(name=name)
-            self._shms[name] = shm
-        return np.ndarray(shape, dtype=np.dtype(dtype),
-                          buffer=shm.buf)
+        self._shms[name] = shm   # (re)inserted last: most recent
+        return np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
 
-    def trim(self) -> None:
-        """Close the oldest attachments down to the cap.  Only safe
-        between requests — see the class docstring."""
-        while len(self._shms) > self._cap:
-            name = next(iter(self._shms))
-            old = self._shms.pop(name)
+    def trim(self, keep: int) -> None:
+        """Close all but the ``keep`` most recently viewed attachments.
+        Only safe between requests — see the class docstring."""
+        while len(self._shms) > keep:
             try:
-                old.close()
+                self._shms.pop(next(iter(self._shms))).close()
             except BufferError:
                 pass
 
-    def close_all(self) -> None:
-        for shm in self._shms.values():
-            try:
-                shm.close()
-            except BufferError:
-                pass
-        self._shms.clear()
+
+class _AttachingUnpickler(pickle.Unpickler):  # pragma: no cover
+    """Worker-side twin of :class:`_SharingPickler`: a descriptor
+    becomes an ndarray view of the attached segment."""
+
+    def __init__(self, file: Any, cache: _AttachmentCache):
+        super().__init__(file)
+        self._cache = cache
+
+    def persistent_load(self, desc: tuple) -> np.ndarray:
+        return self._cache.view(desc)
 
 
-def _op_contrib(arrays: list[np.ndarray], outs: list[np.ndarray],
-                meta: dict) -> dict:  # pragma: no cover - worker only
-    """One block's contribution, by the inline kernel path's own
-    function: ``arrays`` is ``values, [keys,] (column, factor)...``."""
-    from repro.kernels.vectorized import block_contribution
-    values, *rest = arrays
-    key_col = rest.pop(0) if meta["reduce"] else None
-    keys, rows = block_contribution(
-        values, key_col, list(zip(rest[::2], rest[1::2])), meta["reduce"])
-    count = rows.shape[0]
-    if meta["reduce"]:
-        outs[0][:count] = keys
-    outs[-1][:count] = rows
-    return {"count": int(count)}
-
-
-_OPS = {"contrib": _op_contrib}
+def _serve(data: bytes, cache: _AttachmentCache) -> dict:  # pragma: no cover
+    """Reply to one request frame (see :meth:`OffloadClient.run`)."""
+    try:
+        request = _AttachingUnpickler(io.BytesIO(data), cache).load()
+        if request["op"] == "ping":
+            return {"ok": True}
+        results = list(resolve_op(request["op"])(*request["arrays"],
+                                                 **request["meta"]))
+        if request["out"] is not None:
+            count = len(results[-1])
+            cache.view(request["out"])[:count] = results[-1]
+            results[-1] = count
+        return {"ok": True, "results": tuple(results)}
+    except FileNotFoundError:
+        # an operand's segment was evicted on the driver between
+        # publish and our attach; the driver recomputes inline
+        return {"ok": False, "missing_segment": True}
+    except Exception:
+        import traceback
+        return {"ok": False, "error": traceback.format_exc()}
 
 
 def worker_main() -> int:  # pragma: no cover - runs as a subprocess
@@ -553,39 +563,21 @@ def worker_main() -> int:  # pragma: no cover - runs as a subprocess
     # claim the protocol channel: anything print()ed goes to stderr
     sys.stdout = sys.stderr
     _disable_resource_tracking()
-    cache = _AttachmentCache(shm_attach_cap())
+    cache, cap = _AttachmentCache(), shm_attach_cap()
     try:
         while True:
-            request = _read_frame(inp)
-            if request is None or request.get("op") == "shutdown":
+            data = _read_frame(inp)
+            if data is None:
                 break
-            if request.get("op") == "ping":
-                _write_frame(out, {"ok": True})
-                continue
-            try:
-                op = _OPS[request["op"]]
-                arrays = [cache.view(d) for d in request["arrays"]]
-                outputs = [cache.view(d) for d in request["outs"]]
-                meta = op(arrays, outputs, request["meta"])
-                del arrays, outputs
-                _write_frame(out, {"ok": True, "meta": meta})
-            except FileNotFoundError as exc:
-                # an input segment was evicted on the driver between
-                # publish and our attach; the driver recomputes inline
-                _write_frame(out, {"ok": False,
-                                   "missing_segment": True,
-                                   "error": repr(exc)})
-            except Exception:
-                import traceback
-                _write_frame(out, {"ok": False,
-                                   "error": traceback.format_exc()})
-            finally:
-                # all request views are dead here, so closing surplus
-                # attachments cannot invalidate live buffers
-                arrays = outputs = None
-                cache.trim()
+            reply = _serve(data, cache)
+            _write_frame(out, pickle.dumps(
+                reply, protocol=pickle.HIGHEST_PROTOCOL))
+            # every view of the request died with _serve's frame, so
+            # closing surplus attachments cannot invalidate live buffers
+            del reply
+            cache.trim(cap)
     finally:
-        cache.close_all()
+        cache.trim(0)
     return 0
 
 

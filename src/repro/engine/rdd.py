@@ -114,6 +114,11 @@ class RDD:
     machinery.
     """
 
+    #: whether this node's tasks hand their body to the process
+    #: backend's offload client (set by the kernel that builds such a
+    #: node): only a stage holding one gets orchestration threads there
+    offloads = False
+
     def __init__(self, ctx: "Context", dependencies: list[Dependency],
                  num_partitions: int,
                  partitioner: Partitioner | None = None):
@@ -212,6 +217,23 @@ class RDD:
             for dep in rdd.dependencies:
                 stack.append((dep.rdd, False))
         return order
+
+    def narrow_chain(self) -> list["RDD"]:
+        """All RDDs reachable from this one through narrow dependencies
+        (the data one of its stage's tasks touches), itself included."""
+        chain: list[RDD] = []
+        visited: set[int] = set()
+        stack = [self]
+        while stack:
+            current = stack.pop()
+            if current.rdd_id in visited:
+                continue
+            visited.add(current.rdd_id)
+            chain.append(current)
+            for dep in current.dependencies:
+                if isinstance(dep, NarrowDependency):
+                    stack.append(dep.rdd)
+        return chain
 
     def to_debug_string(self) -> str:
         """Render the lineage tree (Spark's ``toDebugString``): one line

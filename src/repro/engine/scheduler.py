@@ -137,7 +137,7 @@ class MemoryPressurePolicy:
             factor = SPILL_MODE_FACTOR
         else:
             levels = [rdd.storage_level
-                      for rdd in self._narrow_chain(stage.rdd)
+                      for rdd in stage.rdd.narrow_chain()
                       if rdd.storage_level is not None]
             factor = min((LEVEL_MEMORY_FACTOR[lvl] for lvl in levels),
                          default=1.0)
@@ -161,7 +161,7 @@ class MemoryPressurePolicy:
         left to demote — degrade the task itself to spill mode."""
         with self._lock:
             demoted = False
-            for rdd in self._narrow_chain(stage.rdd):
+            for rdd in stage.rdd.narrow_chain():
                 level = rdd.storage_level
                 if level is None:
                     continue
@@ -175,24 +175,6 @@ class MemoryPressurePolicy:
                 demoted = True
             if not demoted:
                 self._spill_mode_tasks.add((stage.rdd.rdd_id, partition))
-
-    @staticmethod
-    def _narrow_chain(rdd: RDD) -> list[RDD]:
-        """All RDDs reachable from ``rdd`` through narrow dependencies
-        (the data one of its tasks touches), including ``rdd`` itself."""
-        chain: list[RDD] = []
-        visited: set[int] = set()
-        stack = [rdd]
-        while stack:
-            current = stack.pop()
-            if current.rdd_id in visited:
-                continue
-            visited.add(current.rdd_id)
-            chain.append(current)
-            for dep in current.dependencies:
-                if isinstance(dep, NarrowDependency):
-                    stack.append(dep.rdd)
-        return chain
 
 
 class DAGScheduler:

@@ -36,6 +36,7 @@ from .segsum import batch_rows
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
     from ..engine.rdd import RDD
+    from .sampled import LeverageSampler
 
 
 def per_partition_rows(
@@ -111,6 +112,26 @@ class Kernel(ABC):
         order) and scales by ``val``, emitting
         ``(idx[mode], contribution_row)``.
         """
+
+    def sampled_contributions(self, tensor_rdd: "RDD",
+                              sampler: "LeverageSampler",
+                              score_broadcasts: "dict[int, Broadcast]",
+                              broadcasts: "dict[int, Broadcast]",
+                              mode: int, iteration: int) -> "RDD":
+        """The CP-ARLS-LEV map side of one MTTKRP: per partition,
+        ``sampler.sample_count`` nonzeros drawn by the fixed modes'
+        broadcast leverage scores (1-D, by mode) at the site ``(seed,
+        iteration, mode, partition)``, and their
+        :meth:`broadcast_contributions` with the ``1/(s q)`` weights
+        folded in.  Here the two steps are two nodes —
+        ``LeverageSampler.sample_rdd``, then the exact contributions of
+        the sampled blocks; a kernel may fuse them into one task body
+        with the same draws and the same bits.
+        """
+        sampled = sampler.sample_rdd(
+            tensor_rdd, score_broadcasts, mode, iteration,
+            metrics=tensor_rdd.ctx.metrics)
+        return self.broadcast_contributions(sampled, broadcasts, mode)
 
     @abstractmethod
     def qcoo_key_tensor(self, tensor_rdd: "RDD", rank: int) -> "RDD":

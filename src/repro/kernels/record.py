@@ -16,6 +16,7 @@ import numpy as np
 
 from ..engine.blocks import iter_records
 from ..engine.errors import EngineError
+from ..engine.rdd import MapPartitionsRDD
 from .base import Kernel, per_partition_rows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,8 +62,9 @@ class RecordKernel(Kernel):
             return (idx[_mode], acc)
         # expanded inside the op: a materializeRecords node ahead of
         # the reduce would read as block churn to the plan auditor
-        return tensor_rdd.map_partitions(
-            lambda it: map(contribute, iter_records(it)))
+        return MapPartitionsRDD(
+            tensor_rdd, lambda _split, it: map(contribute, iter_records(it))
+        ).set_name("blockContributions")
 
     def qcoo_key_tensor(self, tensor_rdd: "RDD", rank: int) -> "RDD":
         return self.key_tensor_by_mode(tensor_rdd, 0).map_values(

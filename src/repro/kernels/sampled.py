@@ -40,6 +40,12 @@ only.  By the tower property the two-stage estimator stays unbiased,
 and the per-iteration cost becomes ``O(POOL_FACTOR * s)`` per
 partition — independent of nnz — instead of an ``O(nnz)`` weight scan.
 
+One partition's draw — pool, weigh, draw — is :func:`draw_block`;
+:meth:`LeverageSampler.sample_rdd` wraps it in an RDD node of its own
+(the record oracle's path) and the vectorized kernel's fused task body
+(:func:`repro.kernels.vectorized.sampled_block_contribution`) calls it
+ahead of the contribution fold, possibly in a pool worker process.
+
 Seeding discipline
 ------------------
 Every draw comes from a *site-seeded* RNG —
@@ -60,6 +66,7 @@ import numpy as np
 
 from ..engine.blocks import ColumnarBlock, coalesce_blocks
 from ..engine.partitioner import stable_hash
+from ..engine.rdd import MapPartitionsRDD
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
@@ -139,6 +146,25 @@ def sample_block(block: ColumnarBlock, weights: np.ndarray, s: int,
     return ColumnarBlock(picked.columns, picked.values / (s * q[draws]))
 
 
+def draw_block(block: ColumnarBlock, scores: "dict[int, np.ndarray]",
+               mode: int, s: int, site: tuple,
+               floor: float = UNIFORM_FLOOR) -> ColumnarBlock:
+    """One partition's whole draw: :func:`uniform_pool` to ``POOL_FACTOR
+    * s`` rows, weigh the pool by the product of the fixed modes'
+    leverage ``scores`` (mode -> 1-D vector, in iteration order), then
+    :func:`sample_block` ``s`` of them.  ``site`` is ``(seed, iteration,
+    partition)``; the two stages' RNG sites are derived from it and
+    ``mode``, so the draws depend on nothing else."""
+    seed, iteration, pid = site
+    block = uniform_pool(block, POOL_FACTOR * s,
+                         (seed, "lev-pool", iteration, mode, pid))
+    weights = np.ones(len(block), dtype=np.float64)
+    for m, score in scores.items():
+        weights = weights * score[block.column(m)]
+    return sample_block(block, weights, s,
+                        (seed, "lev-sample", iteration, mode, pid), floor)
+
+
 class LeverageSampler:
     """Draws ``sample_count`` nonzeros per partition by leverage score.
 
@@ -174,26 +200,18 @@ class LeverageSampler:
         ``1/(s q)`` weights.
         """
         s = self.sample_count
-        seed = self.seed
-        floor = self.floor
 
         def sample(pid: int, it) -> list:
             block = coalesce_blocks(it)
             if block is None:
                 return []
-            n_input = len(block)
-            block = uniform_pool(
-                block, POOL_FACTOR * s,
-                (seed, "lev-pool", iteration, mode, pid))
-            weights = np.ones(len(block), dtype=np.float64)
-            for m, bc in score_broadcasts.items():
-                weights = weights * bc.value[block.column(m)]
-            scaled = sample_block(
-                block, weights, s,
-                (seed, "lev-sample", iteration, mode, pid), floor)
+            scaled = draw_block(
+                block, {m: bc.value for m, bc in score_broadcasts.items()},
+                mode, s, (self.seed, iteration, pid), self.floor)
             if metrics is not None:
-                metrics.add_sampler_draw(s, n_input)
+                metrics.add_sampler_draw(s, len(block))
             return [scaled]
 
-        return tensor_rdd.map_partitions_with_index(sample).set_name(
-            f"tensor-sampled-m{mode}")
+        # the first name pins the op kind repro.lint.plan types
+        return MapPartitionsRDD(tensor_rdd, sample).set_name(
+            "sampleBlocks").set_name(f"tensor-sampled-m{mode}")

@@ -36,17 +36,19 @@ from typing import Any, Callable, Iterable, TYPE_CHECKING
 
 import numpy as np
 
-from ..engine.blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
-                             coalesce_rows, stable_argsort)
+from ..engine.blocks import (VALUE_DTYPE, ColumnarBlock, KeyedRowBlock,
+                             coalesce_blocks, coalesce_rows, stable_argsort)
 from ..engine.partitioner import HashPartitioner
 from ..engine.rdd import MapPartitionsRDD, RowProductsRDD
 from .base import Kernel, per_partition_rows
+from .sampled import draw_block
 from .segsum import combine_rows_block, fold_rows, segmented_fold_at
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
     from ..engine.metrics import MetricsCollector
     from ..engine.rdd import RDD
+    from .sampled import LeverageSampler
 
 
 def _per_block(rdd: "RDD", op: str, f: Callable[[Any], Any]) -> "RDD":
@@ -91,6 +93,24 @@ def block_contribution(
     return key_col, product_at(slice(None))
 
 
+def sampled_block_contribution(
+        block: ColumnarBlock, scores: "dict[int, np.ndarray]",
+        factors: "dict[int, np.ndarray]", mode: int, s: int, site: tuple,
+        floor: float, prereduce: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled MTTKRP's whole map task on one partition's block:
+    :func:`~repro.kernels.sampled.draw_block` (pool, weigh, draw ``s``
+    rows at ``site``) and the :func:`block_contribution` of what was
+    drawn against the fixed modes' ``factors``.  Without ``prereduce``
+    the ``s`` raw rows come back in draw order.  Runs inline and in the
+    pool worker, which gets the cached partition's own arrays and only
+    has to send ``s`` rows back."""
+    drawn = draw_block(block, scores, mode, s, site, floor)
+    return block_contribution(
+        drawn.values, drawn.column(mode),
+        [(drawn.column(m), factor) for m, factor in factors.items()],
+        prereduce)
+
+
 class VectorizedKernel(Kernel):
     """Batched numpy arithmetic, bit-identical to the record kernel."""
 
@@ -99,13 +119,23 @@ class VectorizedKernel(Kernel):
     def __init__(self, metrics: "MetricsCollector | None" = None,
                  offload=None):
         self._metrics = metrics
-        # optional process-pool offload client (ProcessPoolBackend);
-        # every offloaded op has a bit-identical inline fallback
+        # optional process-pool offload client (ProcessPoolBackend)
         self._offload = offload
 
     def _count(self, records: int) -> None:
         if self._metrics is not None:
             self._metrics.add_kernel_batch(records)
+
+    def _run(self, op: str, body: Callable[..., tuple], arrays: tuple,
+             meta: dict, out: tuple | None = None) -> tuple:
+        """A task body on a pool worker (``op`` is ``body``'s name in
+        ``procpool._OPS``) when one is attached and answers, else
+        inline: the same function either way, so the same bits."""
+        if self._offload is not None:
+            res = self._offload.run(op, arrays, meta, out)
+            if res is not None:
+                return res
+        return body(*arrays, **meta)
 
     # ------------------------------------------------------------------
     def coo_join(self, keyed: "RDD", factor_rdd: "RDD", next_mode: int,
@@ -130,33 +160,60 @@ class VectorizedKernel(Kernel):
         # reduce-side fold groups them identically.
         prereduce = tensor_rdd.ctx.conf.map_side_combine
 
-        def batch(it: Iterable) -> list:
+        def batch(_split: int, it: Iterable) -> list:
+            """One partition's :func:`block_contribution`.  Requires
+            dense ndarray broadcast factors (row ``i`` at index ``i``),
+            which is what every driver broadcasts."""
+            blk = coalesce_blocks(it)
+            if blk is None:
+                return []
+            key_col = blk.column(mode)
+            fixed = [(blk.column(m), bc.value)
+                     for m, bc in broadcasts.items()]
+            self._count(len(blk))
+            # unreduced, a row per nonzero comes back — too much for
+            # the reply frame — under the keys as they are: not sent
+            out = None if prereduce else (
+                (len(blk), fixed[0][1].shape[1]), VALUE_DTYPE)
+            keys, rows = self._run(
+                "contrib", block_contribution,
+                (blk.values, key_col if prereduce else None, fixed),
+                {"prereduce": prereduce}, out)
+            return [KeyedRowBlock(keys if prereduce else key_col, rows)]
+        node = MapPartitionsRDD(tensor_rdd, batch).set_name(
+            "blockContributions")
+        node.offloads = True
+        return node
+
+    def sampled_contributions(self, tensor_rdd: "RDD",
+                              sampler: "LeverageSampler",
+                              score_broadcasts: "dict[int, Broadcast]",
+                              broadcasts: "dict[int, Broadcast]",
+                              mode: int, iteration: int) -> "RDD":
+        conf, metrics = tensor_rdd.ctx.conf, tensor_rdd.ctx.metrics
+        s = sampler.sample_count
+
+        def task(pid: int, it: Iterable) -> list:
+            # the persisted partition's one block, as it is cached: its
+            # arrays are published to the workers once per run
             block = coalesce_blocks(it)
             if block is None:
                 return []
-            return [self._block_contrib(block, broadcasts, mode,
-                                        prereduce)]
-        return tensor_rdd.map_partitions(batch)
-
-    def _block_contrib(self, blk: ColumnarBlock,
-                       broadcasts: "dict[int, Broadcast]", mode: int,
-                       prereduce: bool) -> KeyedRowBlock:
-        """One columnar partition's MTTKRP contributions
-        (:func:`block_contribution`, run by a pool worker when one is
-        attached).  Requires dense ndarray broadcast factors (row ``i``
-        at index ``i``), which is what every driver broadcasts."""
-        key_col = blk.column(mode)
-        fixed = [(blk.column(m), bc.value)
-                 for m, bc in broadcasts.items()]
-        self._count(len(blk))
-        if self._offload is not None:
-            res = self._offload.contrib(
-                blk.values, key_col, fixed, prereduce)
-            if res is not None:
-                return KeyedRowBlock(
-                    res[0] if prereduce else key_col, res[1])
-        return KeyedRowBlock(*block_contribution(
-            blk.values, key_col, fixed, prereduce))
+            scores = {m: bc.value for m, bc in score_broadcasts.items()}
+            factors = {m: bc.value for m, bc in broadcasts.items()}
+            keys, rows = self._run(
+                "sampled_contrib", sampled_block_contribution,
+                (block, scores, factors),
+                {"mode": mode, "s": s, "floor": sampler.floor,
+                 "site": (sampler.seed, iteration, pid),
+                 "prereduce": conf.map_side_combine})
+            metrics.add_sampler_draw(s, len(block))
+            self._count(s)
+            return [KeyedRowBlock(keys, rows)]
+        node = MapPartitionsRDD(tensor_rdd, task).set_name(
+            "sampledContributions")
+        node.offloads = True
+        return node
 
     def key_tensor_by_mode(self, tensor_rdd: "RDD", mode: int) -> "RDD":
         return tensor_rdd.key_blocks(mode)

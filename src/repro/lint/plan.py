@@ -13,9 +13,11 @@ narrow/shuffle edges by operation kind (``materializeRecords`` expands
 blocks to records, ``keyBlocks`` keys a block by one of its ``int64``
 index columns, a ``BlockJoinRDD`` keeps keyed blocks keyed blocks — or
 emits keyed rows on its last step — a shuffle hands blocks on as
-blocks, the kernels' factor-side steps (``rowBlocks``, ``solveRows``,
-``scaleRows``, ``rowProducts``) yield keyed rows, ``mapValues`` keeps
-the key, an opaque ``map`` degrades to unknown).
+blocks, the broadcast MTTKRP's ``blockContributions`` /
+``sampledContributions`` and the kernels' factor-side steps
+(``rowBlocks``, ``solveRows``, ``scaleRows``, ``rowProducts``) yield
+keyed rows, ``mapValues`` keeps the key, an opaque ``map`` degrades to
+unknown).
 
 Four rule families run over the finished graph, all *before* any task
 executes:
@@ -56,19 +58,24 @@ from .model import Finding, LintReport
 PASS_NAME = "plan"
 
 #: narrow operation kinds that preserve both keys and record schema
-#: (the last two are the vectorized kernel's CSTF-QCOO block steps:
-#: attaching the empty queue column and the per-partition lexsort)
+#: (the last three are block steps: the vectorized kernel's CSTF-QCOO
+#: empty queue column and per-partition lexsort, and the leverage
+#: sampler's draw of a tensor block's rows)
 _SCHEMA_PRESERVING_OPS = frozenset({
     "filter", "sample", "sampleByKey", "sortByKey", "coalesce",
     "reversedPartitions", "emptyQueueBlocks", "canonicalBlocks",
+    "sampleBlocks",
 })
 
 #: operation kinds that yield keyed factor rows whatever they read: the
-#: queue reduce and the kernels' factor-side steps (either kernel's —
-#: the record oracle batches its output into the same blocks)
+#: queue reduce, the broadcast MTTKRP's per-partition contributions
+#: (exact, or the fused sample-and-contribute task body) and the
+#: kernels' factor-side steps (either kernel's — the record oracle
+#: batches its output into the same blocks, and its contributions are
+#: the same ``int64`` key -> ``float64`` row pairs, loose)
 _KEYED_ROWS_OPS = frozenset({
-    "reduceQueueBlocks", "rowBlocks", "solveRows", "scaleRows",
-    "rowProducts",
+    "reduceQueueBlocks", "blockContributions", "sampledContributions",
+    "rowBlocks", "solveRows", "scaleRows", "rowProducts",
 })
 
 #: narrow operation kinds that preserve the key but rebuild the value

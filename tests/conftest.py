@@ -78,6 +78,18 @@ def hadoop_ctx(request):
 
 
 @pytest.fixture
+def share_everything(monkeypatch):
+    """Process-backend requests share *every* operand array through
+    shared memory: at test sizes a partition's columns are far below
+    ``procpool._SHARE_MIN_BYTES`` and would otherwise all ride in the
+    request frame, leaving publish / attach / evict unexercised.  (The
+    threshold is read on the driver only, so patching it here is
+    enough.)"""
+    from repro.engine import procpool
+    monkeypatch.setattr(procpool, "_SHARE_MIN_BYTES", 1)
+
+
+@pytest.fixture
 def small_tensor() -> COOTensor:
     """A 3rd-order sparse tensor small enough to densify."""
     return uniform_sparse((12, 15, 9), 180, rng=42)

@@ -144,3 +144,105 @@ class TestUnderFaults:
         clean, _, _ = run(CstfQCOO, tensor, init, "serial", None)
         assert_bit_identical(serial, threads)
         assert_bit_identical(serial, clean)
+
+
+@pytest.mark.usefixtures("share_everything")
+class TestProcessWorkerFailures:
+    """Whatever goes wrong between the driver and a worker, the task
+    finishes inline with the same bits and nothing is left behind."""
+
+    #: the record oracle never offloads: pin the kernel that does
+    EXACT = {"kernel": "vectorized"}
+    LEV = {"kernel": "vectorized", "sampler": "lev", "sample_count": 8}
+
+    @pytest.fixture
+    def refusals(self, monkeypatch):
+        """``OffloadClient.run`` calls that answered "compute inline"."""
+        from repro.engine.procpool import OffloadClient
+        refused = []
+        real = OffloadClient.run
+
+        def run_(self, op, *args, **kwargs):
+            result = real(self, op, *args, **kwargs)
+            if result is None:
+                refused.append(op)
+            return result
+        monkeypatch.setattr(OffloadClient, "run", run_)
+        return refused
+
+    @pytest.mark.parametrize("conf", [LEV, EXACT], ids=["lev", "exact"])
+    def test_a_worker_killed_between_two_iterations(
+            self, tensor, init, monkeypatch, refusals, conf):
+        """The next request to the dead worker fails in transport: that
+        task runs inline, a hand-shaken replacement takes the worker's
+        place and later tasks offload again."""
+        kwargs = {"driver_kwargs": {"factor_strategy": "broadcast"},
+                  **conf}
+        serial, _, _ = run(CstfCOO, tensor, init, "serial", None,
+                           **kwargs)
+        pools = []
+        real_drop = Context.drop_shuffle_outputs
+
+        def drop_and_kill(ctx):   # the driver's end-of-iteration call
+            real_drop(ctx)
+            pool = ctx.backend._workers
+            if not pools:
+                pools.append(pool)
+                victim = pool._idle[-1]._proc
+                victim.kill()
+                victim.wait(timeout=10)
+        monkeypatch.setattr(Context, "drop_shuffle_outputs",
+                            drop_and_kill)
+        process, _, _ = run(CstfCOO, tensor, init, "process", 2,
+                            **kwargs)
+        assert_bit_identical(serial, process)
+        assert len(refusals) == 1
+        assert pools[0]._stopped
+
+    def test_a_missing_segment_reply(self, tensor, init, monkeypatch,
+                                     refusals):
+        """One operand is unlinked between publish and attach (what
+        losing the eviction race looks like to a worker)."""
+        from repro.engine.procpool import SharedBlockRegistry
+        real = SharedBlockRegistry.publish_cached
+        sabotaged = []
+
+        def publish_then_unlink(self, arr):
+            desc = real(self, arr)
+            if not sabotaged:
+                sabotaged.append(desc)
+                self._release_locked(desc[0])
+            return desc
+        monkeypatch.setattr(SharedBlockRegistry, "publish_cached",
+                            publish_then_unlink)
+        kwargs = {"driver_kwargs": {"factor_strategy": "broadcast"},
+                  **self.LEV}
+        serial, _, _ = run(CstfCOO, tensor, init, "serial", None,
+                           **kwargs)
+        process, _, _ = run(CstfCOO, tensor, init, "process", 2,
+                            **kwargs)
+        assert_bit_identical(serial, process)
+        # that array's descriptor stays cached, so every task reading
+        # it falls back: one partition's task, once per MTTKRP
+        assert set(refusals) == {"sampled_contrib"}
+        assert len(refusals) == 3 * tensor.order
+
+    @pytest.mark.parametrize("conf", [LEV, EXACT], ids=["lev", "exact"])
+    def test_no_segment_survives_a_decompose_that_raises(
+            self, tensor, init, monkeypatch, conf):
+        class Boom(Exception):
+            pass
+
+        def boom(ctx):   # the end of the first iteration
+            raise Boom
+        monkeypatch.setattr(Context, "drop_shuffle_outputs", boom)
+        with Context(num_nodes=4, default_parallelism=8,
+                     conf=EngineConf(backend="process", backend_workers=2,
+                                     **conf)) as ctx:
+            with pytest.raises(Boom):
+                CstfCOO(ctx, factor_strategy="broadcast").decompose(
+                    tensor, 2, max_iterations=3, tol=0.0,
+                    initial_factors=init)
+            backend = ctx.backend
+            assert backend.live_segments()   # the partitions' columns
+        assert backend.live_segments() == []

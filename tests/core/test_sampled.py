@@ -449,3 +449,159 @@ class TestAccuracyGate:
         # own fit_history is itself an estimate
         assert abs(sampled.fit(tensor)
                    - exact.fit_history[-1]) <= 0.02
+
+
+# ---------------------------------------------------------------------
+# the fused task body: one function, wherever it runs
+# ---------------------------------------------------------------------
+class TestSampledBlockContribution:
+    """``sampled_block_contribution`` is the composition of the pieces
+    the two-node oracle path runs, array for array."""
+
+    @pytest.mark.parametrize("prereduce", [True, False])
+    @pytest.mark.parametrize("s", [4, 64], ids=["pooled", "pool-passes"])
+    def test_equals_contribution_of_the_sampled_pooled_block(
+            self, rng, s, prereduce):
+        from repro.kernels.vectorized import (block_contribution,
+                                              sampled_block_contribution)
+        n, shape, rank, mode = 90, (7, 9, 5), 3, 1
+        block = ColumnarBlock([rng.integers(0, d, n) for d in shape],
+                              rng.standard_normal(n))
+        scores = {m: rng.uniform(0.0, 1.0, shape[m]) for m in (0, 2)}
+        factors = {m: rng.standard_normal((shape[m], rank))
+                   for m in (0, 2)}
+        keys, rows = sampled_block_contribution(
+            block, scores, factors, mode=mode, s=s, site=(11, 2, 5),
+            floor=1e-3, prereduce=prereduce)
+
+        pooled = uniform_pool(block, POOL_FACTOR * s,
+                              (11, "lev-pool", 2, mode, 5))
+        assert (pooled is block) == (s == 64)
+        weights = np.ones(len(pooled))
+        for m, score in scores.items():
+            weights = weights * score[pooled.column(m)]
+        drawn = sample_block(pooled, weights, s,
+                             (11, "lev-sample", 2, mode, 5), 1e-3)
+        exp_keys, exp_rows = block_contribution(
+            drawn.values, drawn.column(mode),
+            [(drawn.column(m), factors[m]) for m in (0, 2)], prereduce)
+        assert np.array_equal(keys, exp_keys)
+        assert np.array_equal(rows, exp_rows)
+        if not prereduce:   # the s raw rows, in draw order
+            assert np.array_equal(keys, drawn.column(mode))
+            assert len(rows) == s
+
+
+_TENSOR = uniform_sparse((12, 10, 14), 220, rng=6)   # ~27 rows a partition
+
+#: name -> (tensor, rank, sample_count, conf kwargs)
+TASK_BODY_CASES = {
+    # 5 nonzeros over 8 partitions: most tasks have nothing to draw from
+    "empty-partitions": (uniform_sparse((12, 10, 14), 5, rng=6), 2, 8, {}),
+    "pool-passes-through": (_TENSOR, 2, 64, {}),
+    "pool-draws": (_TENSOR, 2, 4, {}),
+    "rank1": (_TENSOR, 1, 4, {}),
+    "order4": (uniform_sparse((8, 10, 6, 7), 300, rng=43), 2, 6, {}),
+    # the s raw rows cross the shuffle; the reduce side folds them
+    "no-map-side-combine": (_TENSOR, 2, 4, {"map_side_combine": False}),
+}
+
+_TASK_BODY_ORACLES: dict = {}
+
+
+def task_body_run(name, backend="serial", workers=None, kernel="record",
+                  faulty=False, **decompose_kwargs):
+    from repro.engine import FaultPlan
+    tensor, rank, samples, conf_kwargs = TASK_BODY_CASES[name]
+    if "resume_from" not in decompose_kwargs:
+        decompose_kwargs["initial_factors"] = random_factors(
+            tensor.shape, rank, 17)
+    conf = EngineConf(backend=backend, backend_workers=workers,
+                      kernel=kernel, sampler="lev", sample_count=samples,
+                      **conf_kwargs)
+    plan = FaultPlan(seed=SEED, task_failure_prob=0.05) if faulty \
+        else None
+    with Context(num_nodes=4, default_parallelism=8, conf=conf,
+                 fault_plan=plan) as ctx:
+        result = CstfCOO(ctx).decompose(
+            tensor, rank, max_iterations=3, tol=0.0, seed=SEED,
+            **decompose_kwargs)
+        failures = ctx.metrics.faults.task_failures
+    if backend == "process":
+        assert ctx.backend.live_segments() == []
+    return result, failures
+
+
+def task_body_oracle(name):
+    """The clean serial record-kernel run of one case, computed once:
+    two nodes per MTTKRP (sample, then contribute), no pool."""
+    if name not in _TASK_BODY_ORACLES:
+        _TASK_BODY_ORACLES[name] = task_body_run(name)[0]
+    return _TASK_BODY_ORACLES[name]
+
+
+@pytest.mark.usefixtures("share_everything")
+class TestSampledTaskBody:
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["clean", "fault-seeded"])
+    @pytest.mark.parametrize("kernel", ["vectorized", "record"])
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", None), ("threads", 4), ("process", 2)])
+    @pytest.mark.parametrize("name", TASK_BODY_CASES)
+    def test_bit_identical_wherever_it_runs(self, name, backend, workers,
+                                            kernel, faulty):
+        result, failures = task_body_run(name, backend, workers, kernel,
+                                         faulty)
+        assert_bit_identical(task_body_oracle(name), result)
+        assert faulty or failures == 0
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("threads", 4), ("process", 2)])
+    def test_resume_on_another_backend_replays_the_draws(self, backend,
+                                                         workers):
+        store = InMemoryCheckpointStore()
+        full, _ = task_body_run("pool-draws", checkpoint_every=1,
+                                checkpoint_store=store)
+        assert_bit_identical(task_body_oracle("pool-draws"), full)
+        resumed, _ = task_body_run(
+            "pool-draws", backend, workers, "vectorized",
+            resume_from=0, checkpoint_store=store)
+        assert_bit_identical(full, resumed)
+
+    @pytest.mark.parametrize("kernel", ["vectorized", "record"])
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", None), ("threads", 4), ("process", 2)])
+    def test_one_mttkrp_with_the_combiner_denied_its_booking(
+            self, backend, workers, kernel):
+        """100 bytes of memory: the row combiner cannot book the task
+        body's block and expands it into records, which are batched
+        again.  One MTTKRP, not a run — with every cached factor
+        evicted, a later iteration would recompute lineage through
+        broadcasts the driver has already destroyed, sampler or not."""
+        from repro.engine.blocks import coalesce_rows
+
+        def mttkrp(backend, workers, kernel):
+            conf = EngineConf(backend=backend, backend_workers=workers,
+                              kernel=kernel, memory_total_bytes=100)
+            factors = random_factors(_TENSOR.shape, RANK, 17)
+            with Context(num_nodes=4, default_parallelism=8,
+                         conf=conf) as ctx:
+                driver = CstfCOO(ctx)
+                tensor_rdd = driver._distribute_tensor(_TENSOR)
+                scores = {m: ctx.broadcast(leverage_scores(
+                    factors[m], np.linalg.pinv(factors[m].T @ factors[m])))
+                    for m in (0, 2)}
+                fixed = {m: ctx.broadcast(factors[m]) for m in (0, 2)}
+                m_rdd = ctx.kernel.sum_rows_by_key(
+                    ctx.kernel.sampled_contributions(
+                        tensor_rdd, LeverageSampler(4, seed=SEED), scores,
+                        fixed, mode=1, iteration=0), 8)
+                block = coalesce_rows(m_rdd.collect())
+                tensor_rdd.unpersist()
+                for bc in (*scores.values(), *fixed.values()):
+                    bc.destroy()
+            return block
+        expected = mttkrp("serial", None, "record")
+        got = mttkrp(backend, workers, kernel)
+        assert np.array_equal(expected.keys, got.keys)
+        assert np.array_equal(expected.rows, got.rows)

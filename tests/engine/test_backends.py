@@ -163,6 +163,7 @@ class TestContextWiring:
             assert ctx.backend.name == "serial"
 
 
+@pytest.mark.usefixtures("share_everything")
 class TestProcessBackendSharedMemory:
     """Segment lifetime: the driver registry owns every segment and
     ``Context.stop`` must leave none behind."""
@@ -210,8 +211,11 @@ class TestProcessBackendSharedMemory:
             fixed = [(rng.integers(0, 30, 64),
                       rng.uniform(-1, 1, (30, 5))) for _ in range(2)]
             for reduce_ in (False, True):
-                res = backend.offload.contrib(values, key_col, fixed,
-                                              reduce_)
+                res = backend.offload.run(
+                    "contrib",
+                    (values, key_col if reduce_ else None, fixed),
+                    {"prereduce": reduce_},
+                    None if reduce_ else ((64, 5), np.float64))
                 assert res is not None, "offload unavailable"
                 keys, rows = res
                 acc = None
@@ -227,7 +231,7 @@ class TestProcessBackendSharedMemory:
                     assert np.array_equal(keys, exp_keys)
                     assert np.array_equal(rows, exp_rows)
                 else:
-                    assert keys is None
+                    assert keys is None   # unreduced: keys not sent
                     assert np.array_equal(rows, acc)
         finally:
             backend.shutdown()
@@ -262,10 +266,35 @@ class TestProcessBackendSharedMemory:
         inline-fallback reply when the race still lands) and the
         worker must never close an attachment while the request's
         views are live — the historical failure mode was silent
-        zeroed-out results, not an error."""
+        zeroed-out results, not an error.  Both caches evict by
+        recency, not age: an array hit between any number of one-shot
+        ones (a partition's column between broadcast factors) is copied
+        out once and stays attached."""
         from repro.engine import procpool
         monkeypatch.setattr(procpool, "_PUBLISH_CACHE_CAP", 2)
         monkeypatch.setenv("REPRO_SHM_ATTACH_CAP", "2")
+        registry = procpool.SharedBlockRegistry()
+        attached = procpool._AttachmentCache()
+        published = []
+        real_publish = registry.publish
+        monkeypatch.setattr(
+            registry, "publish",
+            lambda arr: published.append(arr) or real_publish(arr))
+        hot = np.arange(16.0)
+        try:
+            for n in range(8):
+                for arr in (hot, np.full(4, float(n))):
+                    desc = registry.publish_cached(arr)
+                    assert np.array_equal(attached.view(desc), arr)
+                    registry.unpin([desc[0]])
+                    attached.trim(2)
+            assert sum(arr is hot for arr in published) == 1
+            assert len(published) == 9
+            assert registry.publish_cached(hot)[0] in attached._shms
+        finally:
+            attached.trim(0)
+            registry.unlink_all()
+        assert registry.live_segments() == []
         with Context(num_nodes=2,
                      conf=EngineConf(backend="serial")) as ctx:
             expected = self._decompose(ctx)
@@ -279,6 +308,29 @@ class TestProcessBackendSharedMemory:
         for a, b in zip(expected.factors, starved.factors):
             assert np.array_equal(a, b)
 
+    def test_missing_segment_means_compute_inline(self):
+        """An operand whose segment was unlinked between publish and
+        the worker's attach (the eviction race) is not an error: the
+        worker says ``missing_segment`` and ``run`` says None."""
+        backend = create_backend("process", 1)
+        try:
+            values = np.ones(8)
+            key_col = np.arange(8)
+            fixed = [(np.zeros(8, dtype=np.int64), np.ones((3, 2)))]
+            desc = backend.registry.publish_cached(values)
+            backend.registry.unpin([desc[0]])
+            backend.registry.release(desc[0])   # behind the cache's back
+            assert backend.offload.run(
+                "contrib", (values, key_col, fixed),
+                {"prereduce": True}) is None
+            keys, _rows = backend.offload.run(
+                "contrib", (values.copy(), key_col, fixed),
+                {"prereduce": True})
+            assert np.array_equal(keys, key_col)
+        finally:
+            backend.shutdown()
+        assert backend.live_segments() == []
+
     def test_worker_error_surfaces(self):
         """A worker-side exception raises on the driver instead of
         silently falling back (silent fallback is only for transport
@@ -291,7 +343,227 @@ class TestProcessBackendSharedMemory:
             fixed = [(np.full(8, 99, dtype=np.int64),
                       np.ones((3, 2)))]
             with pytest.raises(RuntimeError, match="worker op failed"):
-                backend.offload.contrib(values, key_col, fixed, False)
+                backend.offload.run("contrib", (values, key_col, fixed),
+                                    {"prereduce": False})
         finally:
             backend.shutdown()
         assert backend.live_segments() == []
+
+
+class TestProcessPoolLifecycle:
+    """Start-up and shutdown: every worker is launched before any is
+    waited for, and told to stop before any is waited for; the failure
+    paths still leave no process behind."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Names of the ``_WorkerProcess`` steps, in call order."""
+        from repro.engine import procpool
+        log = []
+        for name in ("__init__", "handshake", "signal_stop",
+                     "wait_stopped"):
+            real = getattr(procpool._WorkerProcess, name)
+
+            def step(self, *args, _real=real, _name=name):
+                log.append(_name)
+                return _real(self, *args)
+            monkeypatch.setattr(procpool._WorkerProcess, name, step)
+        return log
+
+    def test_launch_all_then_handshake_all_then_stop_all(self, events):
+        from repro.engine.procpool import ProcessWorkerPool
+        pool = ProcessWorkerPool(3)
+        assert pool.ensure_started()
+        pool.stop()
+        assert events == (["__init__"] * 3 + ["handshake"] * 3
+                          + ["signal_stop"] * 3 + ["wait_stopped"] * 3)
+        assert not pool.ensure_started()
+
+    def test_one_failed_handshake_kills_every_worker(self, monkeypatch):
+        from repro.engine import procpool
+        launched = []
+        real_init = procpool._WorkerProcess.__init__
+
+        def launch(self):
+            real_init(self)
+            launched.append(self)
+
+        def handshake(self):
+            if self is launched[1]:
+                raise procpool.WorkerDied("no answer")
+        monkeypatch.setattr(procpool._WorkerProcess, "__init__", launch)
+        monkeypatch.setattr(procpool._WorkerProcess, "handshake",
+                            handshake)
+        backend = create_backend("process", 2)
+        try:
+            assert backend.offload.run(
+                "contrib", (np.ones(4), np.arange(4),
+                            [(np.zeros(4, dtype=np.int64),
+                              np.ones((1, 2)))]),
+                {"prereduce": True}) is None
+            assert len(launched) == 2
+            assert all(w._proc.poll() is not None for w in launched)
+        finally:
+            backend.shutdown()
+
+    def test_a_respawned_worker_is_handshaken_first(self, events):
+        from repro.engine.procpool import ProcessWorkerPool
+        pool = ProcessWorkerPool(1)
+        try:
+            assert pool.ensure_started()
+            worker = pool.checkout()
+            worker.kill()
+            del events[:]
+            pool.checkin(worker, dead=True)
+            assert events == ["__init__", "handshake"]
+            replacement = pool.checkout()
+            assert replacement is not worker
+            replacement.handshake()
+            pool.checkin(replacement)
+        finally:
+            pool.stop()
+
+    def test_importing_the_pool_does_not_import_scipy_optimize(self):
+        """Every driver and every worker imports ``repro.engine``; only
+        ``calibrate`` needs ``nnls`` and imports it when called."""
+        import os
+        import subprocess
+        import sys
+        import repro
+        program = (
+            "import sys\n"
+            "import repro.engine.procpool\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "from repro.engine import (CalibrationPoint, RunStats,\n"
+            "                          calibrate)\n"
+            "stats = RunStats(records_processed=10, flops=1e6,\n"
+            "                 shuffle_total_bytes=10, shuffle_rounds=1,\n"
+            "                 num_jobs=1)\n"
+            "calibrate([CalibrationPoint(stats, 2, 1.0)])\n"
+            "assert 'scipy.optimize' in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+
+
+class TestOneGenericOp:
+    """Guards on the shape of the offload path: one request builder,
+    no worker-only arithmetic, threads only where a stage waits on a
+    worker, nothing published in steady state."""
+
+    @staticmethod
+    def sources():
+        import pathlib
+        import repro
+        root = pathlib.Path(repro.__file__).parent
+        return {path.relative_to(root).as_posix(): path.read_text()
+                for path in sorted(root.rglob("*.py"))}
+
+    def test_every_op_is_a_kernels_function_the_inline_path_calls(self):
+        import ast
+        import inspect
+        from repro.engine import procpool
+        sources = self.sources()
+        assert procpool._OPS
+        for op in procpool._OPS:
+            fn = procpool.resolve_op(op)
+            assert inspect.isfunction(fn)
+            assert fn.__module__.startswith("repro.kernels.")
+            assert fn.__qualname__ == fn.__name__, "not module-level"
+            users = [rel for rel, text in sources.items()
+                     if rel != "engine/procpool.py"
+                     and any(isinstance(node, ast.Name)
+                             and node.id == fn.__name__
+                             and isinstance(node.ctx, ast.Load)
+                             for node in ast.walk(ast.parse(text)))]
+            assert users, f"{op}: {fn.__name__} runs in workers only"
+
+    def test_run_is_the_only_request_builder(self):
+        import ast
+        from repro.engine.procpool import OffloadClient
+        assert {name for name, value in vars(OffloadClient).items()
+                if callable(value)} == {"__init__", "run"}
+        text = self.sources()["engine/procpool.py"]
+        assert len(text.splitlines()) <= 593
+        builders = set()
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(node, ast.Name)
+                        and node.id == "_SharingPickler"
+                        for node in ast.walk(fn)):
+                    builders.add(f"{cls.name}.{fn.name}")
+        assert builders == {"OffloadClient.run"}
+
+    @staticmethod
+    def _submits(monkeypatch, cls, **driver_kwargs):
+        """``ThreadPoolExecutor.submit`` calls of one process-backend
+        decomposition."""
+        from concurrent.futures import ThreadPoolExecutor
+        from repro.tensor import uniform_sparse
+        calls = [0]
+        real = ThreadPoolExecutor.submit
+
+        def submit(self, *args, **kwargs):
+            calls[0] += 1
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        tensor = uniform_sparse((15, 12, 10), 200, rng=4)
+        with Context(num_nodes=2, default_parallelism=4,
+                     conf=EngineConf(backend="process", backend_workers=2,
+                                     kernel="vectorized")) as ctx:
+            cls(ctx, **driver_kwargs).decompose(
+                tensor, 2, max_iterations=2, tol=0.0, seed=9)
+        return calls[0]
+
+    def test_join_stages_never_reach_the_thread_pool(self, monkeypatch):
+        from repro.core import CstfCOO, CstfQCOO
+        assert self._submits(monkeypatch, CstfCOO) == 0
+        assert self._submits(monkeypatch, CstfQCOO) == 0
+
+    def test_every_offloading_stage_does(self, monkeypatch):
+        """2 iterations x 3 modes x 4 map tasks, and nothing else."""
+        from repro.core import CstfCOO
+        assert self._submits(monkeypatch, CstfCOO,
+                             factor_strategy="broadcast") == 24
+        assert self._submits(monkeypatch, CstfCOO, sampler="lev",
+                             sample_count=16) == 24
+
+    def test_a_steady_state_lev_iteration_creates_no_segment(
+            self, monkeypatch):
+        """A partition's columns (>= 64 KiB each here) are published
+        once per run; scores, factors and results ride in the frames.
+        (Before the fused op: one segment per drawn array and two per
+        result, every task.)"""
+        from repro.core import CstfCOO
+        from repro.engine.procpool import SharedBlockRegistry
+        from repro.tensor import random_factors, uniform_sparse
+        created = [0]
+        real = SharedBlockRegistry.create
+
+        def create(self, *args, **kwargs):   # publish allocates here too
+            created[0] += 1
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(SharedBlockRegistry, "create", create)
+        tensor = uniform_sparse((300, 300, 300), 40_000, rng=3)
+        init = random_factors(tensor.shape, 4, 5)
+
+        def segments(iterations):
+            created[0] = 0
+            with Context(num_nodes=2, default_parallelism=4,
+                         conf=EngineConf(backend="process",
+                                         backend_workers=2,
+                                         kernel="vectorized",
+                                         sampler="lev",
+                                         sample_count=128)) as ctx:
+                CstfCOO(ctx).decompose(
+                    tensor, 4, max_iterations=iterations, tol=0.0,
+                    initial_factors=init)
+            return created[0]
+        assert segments(1) == 4 * 4   # 4 partitions x (3 columns + values)
+        assert segments(3) == segments(1)
