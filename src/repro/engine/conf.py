@@ -19,11 +19,6 @@ the exception type follows the field's subsystem
 :class:`~repro.engine.errors.EngineError`).  Names are compared
 case-insensitively after ``strip()``, one spelling per value; booleans
 accept exactly ``1/true/yes/on`` and ``0/false/no/off``.
-
-A tenth variable, ``REPRO_SHM_ATTACH_CAP``, is not a conf field: it is
-the test hook that shrinks the attachment cache *inside* process-pool
-workers, which inherit the driver's environment and never see its conf
-(:func:`shm_attach_cap`).
 """
 
 from __future__ import annotations
@@ -283,19 +278,4 @@ def resolve(conf: EngineConf | None = None) -> EngineConf:
             value, source = _from_env(var), f"${var}"
         concrete[field] = default if value is None else _parsed(
             parse, error, field, value, source)
-    # a malformed worker-side variable should fail here, in the driver,
-    # not as a dead worker process
-    shm_attach_cap()
     return replace(conf, **concrete)
-
-
-def shm_attach_cap() -> int:
-    """Cap on a process-pool worker's cached shared-memory attachments,
-    from ``$REPRO_SHM_ATTACH_CAP`` (default 256).  Read by the worker
-    itself at start-up — workers inherit the driver's environment, not
-    its conf — so tests can force an eviction storm."""
-    raw = _from_env("REPRO_SHM_ATTACH_CAP")
-    if raw is None:
-        return 256
-    return _parsed(_positive_int, BackendError, "shm attach cap", raw,
-                   "$REPRO_SHM_ATTACH_CAP")

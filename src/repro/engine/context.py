@@ -234,10 +234,6 @@ class Context:
         from .rdd import BlockCollectionRDD
         return BlockCollectionRDD(self, list(blocks), partitioner)
 
-    def empty_rdd(self, num_partitions: int = 1) -> RDD:
-        """An RDD with no records."""
-        return self.parallelize([], num_partitions)
-
     # ------------------------------------------------------------------
     def kill_node(self, node_id: int) -> None:
         """Simulate losing a worker node mid-run.

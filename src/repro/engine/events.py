@@ -635,11 +635,6 @@ class TimelineListener(EngineListener):
         """Accumulate spill-mode bytes streamed through disk."""
         self.task_spill_bytes += event.nbytes
 
-    @property
-    def total_duration_s(self) -> float:
-        """Wall-clock seconds summed over all recorded stages."""
-        return sum(span.duration_s for span in self.spans)
-
     def clear(self) -> None:
         """Forget all recorded spans (e.g. between benchmark phases)."""
         self.spans.clear()

@@ -137,11 +137,6 @@ def session_active() -> bool:
     return _session is not None
 
 
-def lockset_active() -> bool:
-    """Whether a lockset monitor is currently installed."""
-    return _lockset is not None
-
-
 # ----------------------------------------------------------------------
 # engine-side call points
 # ----------------------------------------------------------------------

@@ -10,10 +10,9 @@ as ``(name, dtype, shape)`` shared-memory descriptors — a worker
 attaches the driver's segment by name and reads it zero-copy — small
 ones and the results ride pickled in the frames.
 
-Workers are launched as ``python -m repro.engine.procpool`` child
-interpreters (spawn-safe: a fresh interpreter, no inherited fork
-state), not via :mod:`multiprocessing` process start, because the
-latter re-imports the parent's ``__main__`` module in every child —
+Workers are ``python -m repro.engine.procpool`` child interpreters
+(spawn-safe, no inherited fork state), not :mod:`multiprocessing`
+processes, which re-import the parent's ``__main__`` in every child —
 hazardous under pytest and arbitrary driver scripts.  The only shared
 state is the named shared memory itself.
 
@@ -26,10 +25,9 @@ and close.  ``Context.stop()`` → ``backend.shutdown()`` →
 
 Protocol: length-prefixed pickled frames over the worker's
 stdin/stdout pipes, one synchronous request per checked-out worker
-(the orchestration thread holds the worker for the duration of its
-task's offloaded call, so no demultiplexing is needed); end of input
-stops the worker.  In a request, ndarrays of :data:`_SHARE_MIN_BYTES`
-or more are their descriptors (pickle's persistent-id hook).
+(the calling thread holds the worker until the reply, so nothing needs
+demultiplexing); end of input stops the worker.  In a request,
+ndarrays of :data:`_SHARE_MIN_BYTES` or more are their descriptors.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ import numpy as np
 
 from . import linthooks
 from .blocks import VALUE_DTYPE
-from .conf import shm_attach_cap
 from .errors import BackendError
 
 try:  # pragma: no cover - available on every supported platform
@@ -62,10 +59,11 @@ except ImportError:  # pragma: no cover
 #: 300 x R factor) cost less pickled into the request frame
 _SHARE_MIN_BYTES = 64 * 1024
 
-#: cap on driver-side cached input segments (least recently used goes
-#: first beyond this, skipping pinned in-flight descriptors); tests
-#: monkeypatch it to force an eviction storm
+#: caps on the driver's cached input segments (least recently used go
+#: first, pinned in-flight ones never) and on a worker's attachments
+#: (sent in its handshake); tests patch them to force eviction storms
 _PUBLISH_CACHE_CAP = 256
+_ATTACH_CACHE_CAP = 256
 
 #: what a worker can run: op name -> ``module:function`` under
 #: ``repro.kernels``, resolved on first use (the kernels import the
@@ -217,9 +215,8 @@ def _worker_env() -> dict[str, str]:
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (pkg_root if not existing
-                         else pkg_root + os.pathsep + existing)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (pkg_root, env.get("PYTHONPATH"))))
     return env
 
 
@@ -255,7 +252,8 @@ class _WorkerProcess:
 
     def handshake(self) -> None:
         """Surface import/env failures before the first real request."""
-        if not self.request(pickle.dumps({"op": "ping"})).get("ok"):
+        ping = {"op": "ping", "cap": _ATTACH_CACHE_CAP}
+        if not self.request(pickle.dumps(ping)).get("ok"):
             raise WorkerDied("worker failed its startup handshake")
 
     def request(self, data: bytes) -> dict:
@@ -503,6 +501,7 @@ class _AttachmentCache:  # pragma: no cover - runs inside workers
 
     def __init__(self):
         self._shms: dict[str, Any] = {}
+        self.cap = _ATTACH_CACHE_CAP
 
     def view(self, desc: tuple) -> np.ndarray:
         name, dtype, shape = desc
@@ -539,6 +538,7 @@ def _serve(data: bytes, cache: _AttachmentCache) -> dict:  # pragma: no cover
     try:
         request = _AttachingUnpickler(io.BytesIO(data), cache).load()
         if request["op"] == "ping":
+            cache.cap = request["cap"]
             return {"ok": True}
         results = list(resolve_op(request["op"])(*request["arrays"],
                                                  **request["meta"]))
@@ -563,7 +563,7 @@ def worker_main() -> int:  # pragma: no cover - runs as a subprocess
     # claim the protocol channel: anything print()ed goes to stderr
     sys.stdout = sys.stderr
     _disable_resource_tracking()
-    cache, cap = _AttachmentCache(), shm_attach_cap()
+    cache = _AttachmentCache()
     try:
         while True:
             data = _read_frame(inp)
@@ -575,7 +575,7 @@ def worker_main() -> int:  # pragma: no cover - runs as a subprocess
             # every view of the request died with _serve's frame, so
             # closing surplus attachments cannot invalidate live buffers
             del reply
-            cache.trim(cap)
+            cache.trim(cache.cap)
     finally:
         cache.trim(0)
     return 0

@@ -226,12 +226,6 @@ class CacheManager:
                     self.metrics.cache_disk_read_bytes += len(blob)
             return records
 
-    def contains(self, rdd_id: int, partition: int) -> bool:
-        """True iff the partition is currently cached."""
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=False)
-            return (rdd_id, partition) in self._entries
-
     def has_all_partitions(self, rdd_id: int, num_partitions: int) -> bool:
         """True iff every partition of ``rdd_id`` is cached — the scheduler
         then prunes lineage walks at this RDD."""

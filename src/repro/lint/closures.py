@@ -307,14 +307,6 @@ def _engine_types() -> tuple[type, type, type]:
     return RDD, Context, Broadcast
 
 
-def _describe(fn: Callable) -> str:
-    name = getattr(fn, "__qualname__", None) or repr(fn)
-    code = getattr(fn, "__code__", None)
-    if code is not None:
-        return f"{name} ({code.co_filename}:{code.co_firstlineno})"
-    return name
-
-
 def _location_of(fn: Callable) -> str:
     code = getattr(fn, "__code__", None)
     if code is not None:

@@ -41,6 +41,7 @@ import ast
 from pathlib import Path
 from typing import Iterable
 
+from .closures import _dotted_name as _dotted
 from .model import Finding, LintReport
 from .static import iter_python_files
 
@@ -74,18 +75,6 @@ _UNSTABLE_SOURCES = frozenset({
 
 #: bare builtins whose value is process-dependent
 _UNSTABLE_BUILTINS = frozenset({"hash", "id"})
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` rendering of a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _seed_args(call: ast.Call) -> list[ast.expr]:

@@ -9,27 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import BigtensorCP, local_cp_als
-from repro.core import CstfCOO, CstfQCOO
-from repro.engine import Context
+from repro.baselines import local_cp_als
 from repro.tensor import congruence, random_factors, uniform_sparse
 
-
-def run(cls, tensor, init, iterations=3, **ctx_kw):
-    mode = "hadoop" if cls is BigtensorCP else "spark"
-    with Context(num_nodes=4, default_parallelism=8,
-                 execution_mode=mode, **ctx_kw) as ctx:
-        return cls(ctx).decompose(tensor, init[0].shape[1],
-                                  max_iterations=iterations, tol=0.0,
-                                  initial_factors=init)
-
-
-def assert_same(a, b, atol=1e-8):
-    assert np.allclose(a.lambdas, b.lambdas, atol=atol)
-    for fa, fb in zip(a.factors, b.factors):
-        assert np.allclose(fa, fb, atol=atol)
-    if a.fit_history and b.fit_history:
-        assert np.allclose(a.fit_history, b.fit_history, atol=1e-6)
+from .. import conformance as cf
 
 
 class TestThirdOrderAgreement:
@@ -43,15 +26,17 @@ class TestThirdOrderAgreement:
 
     def test_coo_matches_local(self, setup):
         tensor, init, ref = setup
-        assert_same(run(CstfCOO, tensor, init), ref)
+        cf.assert_close(cf.run(driver="coo-join", data=tensor, init=init),
+                        ref)
 
     def test_qcoo_matches_local(self, setup):
         tensor, init, ref = setup
-        assert_same(run(CstfQCOO, tensor, init), ref)
+        cf.assert_close(cf.run(driver="qcoo", data=tensor, init=init), ref)
 
     def test_bigtensor_matches_local(self, setup):
         tensor, init, ref = setup
-        assert_same(run(BigtensorCP, tensor, init), ref)
+        cf.assert_close(cf.run(driver="bigtensor", data=tensor, init=init),
+                        ref)
 
 
 class TestFourthOrderAgreement:
@@ -59,8 +44,9 @@ class TestFourthOrderAgreement:
         init = random_factors(tensor4d.shape, 3, 5)
         ref = local_cp_als(tensor4d, 3, max_iterations=3, tol=0.0,
                            initial_factors=init)
-        assert_same(run(CstfCOO, tensor4d, init), ref)
-        assert_same(run(CstfQCOO, tensor4d, init), ref)
+        for driver in ("coo-join", "qcoo"):
+            cf.assert_close(cf.run(driver=driver, data=tensor4d, init=init),
+                            ref)
 
 
 class TestFifthOrderAgreement:
@@ -69,7 +55,8 @@ class TestFifthOrderAgreement:
         init = random_factors(tensor.shape, 2, 13)
         ref = local_cp_als(tensor, 2, max_iterations=2, tol=0.0,
                            initial_factors=init)
-        assert_same(run(CstfQCOO, tensor, init, iterations=2), ref)
+        cf.assert_close(cf.run(driver="qcoo", data=tensor, init=init,
+                               iterations=2), ref)
 
 
 class TestRecovery:
@@ -82,10 +69,11 @@ class TestRecovery:
         lam = np.ones(2)
         tensor = COOTensor.from_dense(cp_reconstruct(lam, planted))
         init = random_factors(tensor.shape, 2, 77)
-        for cls in (CstfCOO, CstfQCOO, BigtensorCP):
-            res = run(cls, tensor, init, iterations=25)
+        for driver in ("coo-join", "qcoo", "bigtensor"):
+            res = cf.run(driver=driver, data=tensor, init=init,
+                         iterations=25).result
             score = congruence(res.factors, res.lambdas, planted, lam)
-            assert score > 0.99, (cls.__name__, score)
+            assert score > 0.99, (driver, score)
             assert res.fit_history[-1] > 0.99
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -95,8 +83,9 @@ class TestRecovery:
         init = random_factors(tensor.shape, 2, seed + 1)
         ref = local_cp_als(tensor, 2, max_iterations=2, tol=0.0,
                            initial_factors=init)
-        assert_same(run(CstfCOO, tensor, init, iterations=2), ref)
-        assert_same(run(CstfQCOO, tensor, init, iterations=2), ref)
+        for driver in ("coo-join", "qcoo"):
+            cf.assert_close(cf.run(driver=driver, data=tensor, init=init,
+                                   iterations=2), ref)
 
 
 class TestNodeCountInvariance:
@@ -105,8 +94,6 @@ class TestNodeCountInvariance:
         init = random_factors(small_tensor.shape, 2, 0)
         ref = local_cp_als(small_tensor, 2, max_iterations=2, tol=0.0,
                            initial_factors=init)
-        with Context(num_nodes=nodes, default_parallelism=2 * nodes) as ctx:
-            res = CstfQCOO(ctx).decompose(
-                small_tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
+        res = cf.run(driver="qcoo", data=small_tensor, init=init,
+                     iterations=2, nodes=nodes, partitions=2 * nodes)
+        assert np.allclose(res.result.lambdas, ref.lambdas)

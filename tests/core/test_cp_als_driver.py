@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import CstfCOO, CstfQCOO
-from repro.engine import Context
 from repro.tensor import COOTensor, random_factors
+
+from .. import conformance as cf
 
 
 class TestValidation:
@@ -124,37 +125,26 @@ class TestResult:
 class TestGramAblationFlag:
     def test_recompute_grams_same_result(self, small_tensor):
         init = random_factors(small_tensor.shape, 2, 0)
-        with Context(num_nodes=2, default_parallelism=4) as a:
-            res_a = CstfCOO(a).decompose(
-                small_tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        with Context(num_nodes=2, default_parallelism=4) as b:
-            res_b = CstfCOO(b, recompute_grams_per_mttkrp=True).decompose(
-                small_tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(res_a.lambdas, res_b.lambdas)
-        for fa, fb in zip(res_a.factors, res_b.factors):
-            assert np.allclose(fa, fb)
+        cf.assert_bit_identical(*(
+            cf.run(data=small_tensor, init=init, iterations=2, nodes=2,
+                   partitions=4,
+                   driver_kwargs={"recompute_grams_per_mttkrp": again})
+            for again in (False, True)))
 
     def test_recompute_grams_costs_more_jobs(self, small_tensor):
-        def jobs(recompute):
-            with Context(num_nodes=2, default_parallelism=4) as ctx:
-                CstfCOO(ctx, recompute_grams_per_mttkrp=recompute).decompose(
-                    small_tensor, 2, max_iterations=2, tol=0.0,
-                    compute_fit=False)
-                return len(ctx.metrics.jobs)
-        assert jobs(True) > jobs(False)
+        recomputed, kept = (
+            len(cf.run(data=small_tensor, init=None, rank=2, iterations=2,
+                       nodes=2, partitions=4, compute_fit=False,
+                       driver_kwargs={"recompute_grams_per_mttkrp": again}
+                       ).metrics.jobs) for again in (True, False))
+        assert recomputed > kept
 
 
 class TestPartitionCounts:
     @pytest.mark.parametrize("partitions", [1, 3, 16])
     def test_any_partition_count_correct(self, small_tensor, partitions):
         init = random_factors(small_tensor.shape, 2, 0)
-        results = []
-        for p in (partitions, 8):
-            with Context(num_nodes=2, default_parallelism=p) as ctx:
-                res = CstfCOO(ctx).decompose(
-                    small_tensor, 2, max_iterations=2, tol=0.0,
-                    initial_factors=init)
-                results.append(res)
-        assert np.allclose(results[0].lambdas, results[1].lambdas)
+        got, ref = (cf.run(data=small_tensor, init=init, iterations=2,
+                           nodes=2, partitions=p).result
+                    for p in (partitions, 8))
+        assert np.allclose(got.lambdas, ref.lambdas)

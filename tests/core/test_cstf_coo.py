@@ -11,6 +11,8 @@ from repro.engine.blocks import iter_records
 from repro.tensor import mttkrp, random_factors, uniform_sparse
 from repro.analysis.complexity import measured_mttkrp_rounds
 
+from .. import conformance as cf
+
 
 def run_single_mttkrp(ctx, tensor, factors, mode, rank=None):
     """Drive one distributed MTTKRP and return the dense result."""
@@ -82,11 +84,10 @@ class TestDistributedMTTKRP:
 
 class TestFullDecomposition:
     def test_shuffle_rounds_per_iteration(self, small_tensor):
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            CstfCOO(ctx).decompose(small_tensor, 2, max_iterations=2,
-                                   tol=0.0, compute_fit=False)
-            per_mode = measured_mttkrp_rounds(ctx.metrics, 3, iterations=2)
-            assert per_mode == {1: 3.0, 2: 3.0, 3: 3.0}
+        metrics = cf.run(data=small_tensor, init=None, rank=2, iterations=2,
+                         compute_fit=False).metrics
+        per_mode = measured_mttkrp_rounds(metrics, 3, iterations=2)
+        assert per_mode == {1: 3.0, 2: 3.0, 3: 3.0}
 
     def test_fit_improves(self, ctx, small_tensor):
         res = CstfCOO(ctx).decompose(small_tensor, 3, max_iterations=4,

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import local_cp_als
-from repro.core import CstfCOO, CstfDimTree
+from repro.core import CstfDimTree
 from repro.core.cstf_dimtree import build_tree
-from repro.engine import Context
 from repro.tensor import random_factors, uniform_sparse, zipf_sparse
 from repro.analysis.complexity import measured_mttkrp_rounds
+
+from .. import conformance as cf
 
 
 class TestTreeStructure:
@@ -49,37 +50,27 @@ class TestAgreement:
         init = random_factors(tensor.shape, 2, order + 10)
         ref = local_cp_als(tensor, 2, max_iterations=2, tol=0.0,
                            initial_factors=init)
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            res = CstfDimTree(ctx).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.allclose(a, b, atol=1e-8)
+        cf.assert_close(cf.run(driver="dimtree", data=tensor, init=init,
+                               iterations=2), ref)
 
     def test_matches_coo(self, small_tensor):
         init = random_factors(small_tensor.shape, 2, 0)
-        results = []
-        for cls in (CstfCOO, CstfDimTree):
-            with Context(num_nodes=2, default_parallelism=4) as ctx:
-                results.append(cls(ctx).decompose(
-                    small_tensor, 2, max_iterations=3, tol=0.0,
-                    initial_factors=init))
-        assert np.allclose(results[0].lambdas, results[1].lambdas)
+        coo, dimtree = (cf.run(driver=d, data=small_tensor, init=init,
+                               nodes=2, partitions=4).result
+                        for d in ("coo-join", "dimtree"))
+        assert np.allclose(coo.lambdas, dimtree.lambdas)
 
 
 class TestReuse:
     def test_mode2_reuses_left_node(self, small_tensor):
         """The {0,1} node built for mode-1 serves mode-2 with a single
         join+reduce (2 rounds vs COO's 3)."""
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            CstfDimTree(ctx).decompose(small_tensor, 2,
-                                       max_iterations=2, tol=0.0,
-                                       compute_fit=False)
-            per_mode = measured_mttkrp_rounds(ctx.metrics, 3, iterations=2)
-            assert per_mode[1] == 4.0  # build {0,1} (2) + {0} (2)
-            assert per_mode[2] == 2.0  # reuse {0,1}: only {1}
-            assert per_mode[3] == 3.0  # {2} from root: 2 joins + reduce
+        metrics = cf.run(driver="dimtree", data=small_tensor, init=None,
+                         rank=2, iterations=2, compute_fit=False).metrics
+        per_mode = measured_mttkrp_rounds(metrics, 3, iterations=2)
+        assert per_mode[1] == 4.0  # build {0,1} (2) + {0} (2)
+        assert per_mode[2] == 2.0  # reuse {0,1}: only {1}
+        assert per_mode[3] == 3.0  # {2} from root: 2 joins + reduce
 
     def test_fiber_collapse_shrinks_records(self):
         """On a tensor with many nonzeros per (i, j) fiber, the {0,1}
@@ -87,25 +78,20 @@ class TestReuse:
         plain COO."""
         tensor = zipf_sparse((20, 20, 2000), 4000, (0.0, 0.0, 1.2),
                              rng=0)
-
-        def written(cls):
-            with Context(num_nodes=4, default_parallelism=8) as ctx:
-                cls(ctx).decompose(tensor, 2, max_iterations=2, tol=0.0,
-                                   compute_fit=False)
-                return ctx.metrics.total_shuffle_write().records_written
-
-        assert written(CstfDimTree) < written(CstfCOO)
+        dimtree, coo = (cf.run(driver=driver, data=tensor, init=None, rank=2,
+                               iterations=2, compute_fit=False)
+                        .metrics.total_shuffle_write().records_written
+                        for driver in ("dimtree", "coo-join"))
+        assert dimtree < coo
 
     def test_nodes_invalidated_across_iterations(self, small_tensor):
         """The {0,1} node must be rebuilt every iteration (its excluded
         factor C changes at mode-3) — fits would diverge from the oracle
         otherwise, and rounds stay constant per iteration."""
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            CstfDimTree(ctx).decompose(small_tensor, 2,
-                                       max_iterations=3, tol=0.0,
-                                       compute_fit=False)
-            per_mode = measured_mttkrp_rounds(ctx.metrics, 3, iterations=3)
-            assert per_mode[1] == 4.0  # rebuilt each iteration
+        metrics = cf.run(driver="dimtree", data=small_tensor, init=None,
+                         rank=2, compute_fit=False).metrics
+        per_mode = measured_mttkrp_rounds(metrics, 3, iterations=3)
+        assert per_mode[1] == 4.0  # rebuilt each iteration
 
 
 class TestDriverIntegration:

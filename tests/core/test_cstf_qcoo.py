@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import CstfCOO, CstfQCOO
-from repro.engine import Context
 from repro.engine.blocks import iter_records
 from repro.tensor import random_factors
 from repro.analysis.complexity import measured_mttkrp_rounds
+
+from .. import conformance as cf
 
 
 class TestQueueSemantics:
@@ -62,31 +63,28 @@ class TestShuffleStructure:
     def test_two_rounds_per_mttkrp_steady_state(self, small_tensor):
         """Table 4: QCOO needs 2 shuffle rounds per MTTKRP regardless of
         order; mode-1 additionally pays the one-time queue build."""
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            CstfQCOO(ctx).decompose(small_tensor, 2, max_iterations=3,
-                                    tol=0.0, compute_fit=False)
-            per_mode = measured_mttkrp_rounds(ctx.metrics, 3, iterations=3)
-            # modes 2..N: exactly 2 per iteration
-            assert per_mode[2] == 2.0
-            assert per_mode[3] == 2.0
-            # mode 1 carries the N-1 init joins in iteration 1
-            assert per_mode[1] == pytest.approx(2.0 + 2 / 3)
+        metrics = cf.run(driver="qcoo", data=small_tensor, init=None, rank=2,
+                         compute_fit=False).metrics
+        per_mode = measured_mttkrp_rounds(metrics, 3, iterations=3)
+        # modes 2..N: exactly 2 per iteration
+        assert per_mode[2] == 2.0
+        assert per_mode[3] == 2.0
+        # mode 1 carries the N-1 init joins in iteration 1
+        assert per_mode[1] == pytest.approx(2.0 + 2 / 3)
 
     def test_constant_rounds_for_4th_order(self, tensor4d):
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            CstfQCOO(ctx).decompose(tensor4d, 2, max_iterations=2,
-                                    tol=0.0, compute_fit=False)
-            per_mode = measured_mttkrp_rounds(ctx.metrics, 4, iterations=2)
-            for mode in (2, 3, 4):
-                assert per_mode[mode] == 2.0
+        metrics = cf.run(driver="qcoo", data=tensor4d, init=None, rank=2,
+                         iterations=2, compute_fit=False).metrics
+        per_mode = measured_mttkrp_rounds(metrics, 4, iterations=2)
+        for mode in (2, 3, 4):
+            assert per_mode[mode] == 2.0
 
     def test_fewer_rounds_than_coo(self, small_tensor):
-        def total_rounds(cls):
-            with Context(num_nodes=4, default_parallelism=8) as ctx:
-                cls(ctx).decompose(small_tensor, 2, max_iterations=3,
-                                   tol=0.0, compute_fit=False)
-                return ctx.metrics.total_shuffle_rounds()
-        assert total_rounds(CstfQCOO) < total_rounds(CstfCOO)
+        qcoo, coo = (cf.run(driver=driver, data=small_tensor, init=None,
+                            rank=2, compute_fit=False)
+                     .metrics.total_shuffle_rounds()
+                     for driver in ("qcoo", "coo-join"))
+        assert qcoo < coo
 
     def test_flops_match_coo(self, small_tensor):
         q = CstfQCOO.__new__(CstfQCOO)

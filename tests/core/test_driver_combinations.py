@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import local_cp_als
-from repro.core import CstfCOO, CstfDimTree, CstfQCOO
-from repro.engine import Context
 from repro.tensor import initial_factors, uniform_sparse
+
+from .. import conformance as cf
 
 
 @pytest.fixture(scope="module")
@@ -28,64 +28,52 @@ COMBOS = [
     dict(nonnegative=True),
 ]
 
+#: a small 2-node cluster, the geometry these stacks were written for
+SMALL = {"nodes": 2, "partitions": 4, "iterations": 2}
+
 
 class TestOptionStacks:
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO, CstfDimTree])
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO", "CstfDimTree"])
     @pytest.mark.parametrize("combo", COMBOS,
                              ids=["ridge+nn", "ridge", "nn"])
     def test_every_variant_matches_local(self, tensor, cls, combo):
         init = initial_factors(tensor, 2, "nvecs")
         ref = local_cp_als(tensor, 2, max_iterations=2, tol=0.0,
                            initial_factors=init, **combo)
-        with Context(num_nodes=2, default_parallelism=4) as ctx:
-            res = cls(ctx, **combo).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.allclose(a, b, atol=1e-8)
+        driver = {"CstfDimTree": "dimtree", **cf.DRIVER_OF}[cls]
+        res = cf.run(driver=driver, data=tensor, init=init,
+                     driver_kwargs=combo, **SMALL)
+        cf.assert_close(res, ref)
 
     def test_broadcast_strategy_with_ridge(self, tensor):
         init = initial_factors(tensor, 2, "random", seed=4)
         ref = local_cp_als(tensor, 2, max_iterations=2, tol=0.0,
                            initial_factors=init, regularization=0.3)
-        with Context(num_nodes=2, default_parallelism=4) as ctx:
-            res = CstfCOO(ctx, factor_strategy="broadcast",
-                          regularization=0.3).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
+        res = cf.run(driver="coo-broadcast", data=tensor, init=init,
+                     driver_kwargs={"regularization": 0.3}, **SMALL)
+        assert np.allclose(res.result.lambdas, ref.lambdas)
 
     def test_range_partitioning_with_qcoo(self, tensor):
         init = initial_factors(tensor, 2, "random", seed=5)
-        with Context(num_nodes=2, default_parallelism=4) as a:
-            base = CstfQCOO(a).decompose(tensor, 2, max_iterations=2,
-                                         tol=0.0, initial_factors=init)
-        with Context(num_nodes=2, default_parallelism=4) as b:
-            ranged = CstfQCOO(b, tensor_partitioning="range:1")\
-                .decompose(tensor, 2, max_iterations=2, tol=0.0,
-                           initial_factors=init)
+        base, ranged = (
+            cf.run(driver="qcoo", data=tensor, init=init, **SMALL,
+                   driver_kwargs={"tensor_partitioning": part}).result
+            for part in ("hash", "range:1"))
         assert np.allclose(base.lambdas, ranged.lambdas)
 
     def test_nvecs_with_dimtree(self, tensor):
-        with Context(num_nodes=2, default_parallelism=4) as ctx:
-            res = CstfDimTree(ctx).decompose(tensor, 2,
-                                             max_iterations=3,
-                                             tol=0.0, init="nvecs")
+        res = cf.run(driver="dimtree", data=tensor, init="nvecs", rank=2,
+                     **{**SMALL, "iterations": 3}).result
         assert res.fit_history[-1] >= res.fit_history[0] - 1e-9
 
     def test_gram_recompute_with_qcoo_and_ridge(self, tensor):
         init = initial_factors(tensor, 2, "random", seed=6)
-        with Context(num_nodes=2, default_parallelism=4) as a:
-            fast = CstfQCOO(a, regularization=0.1).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        with Context(num_nodes=2, default_parallelism=4) as b:
-            slow = CstfQCOO(b, regularization=0.1,
-                            recompute_grams_per_mttkrp=True).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(fast.lambdas, slow.lambdas)
+        fast, slow = (
+            cf.run(driver="qcoo", data=tensor, init=init, **SMALL,
+                   driver_kwargs={"regularization": 0.1,
+                                  "recompute_grams_per_mttkrp": again})
+            for again in (False, True))
+        cf.assert_bit_identical(fast, slow)
 
 
 class TestHarnessVariants:

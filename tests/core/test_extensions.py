@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import local_cp_als
-from repro.core import CstfCOO, CstfQCOO
-from repro.engine import Context
+from repro.core import CstfCOO
 from repro.tensor import random_factors, uniform_sparse
+
+from .. import conformance as cf
 
 
 @pytest.fixture(scope="module")
@@ -23,42 +24,27 @@ def init(tensor):
 
 class TestBroadcastStrategy:
     def test_matches_join_strategy(self, tensor, init):
-        results = {}
-        for strategy in ("join", "broadcast"):
-            with Context(num_nodes=4, default_parallelism=8) as ctx:
-                results[strategy] = CstfCOO(
-                    ctx, factor_strategy=strategy).decompose(
-                        tensor, 2, max_iterations=3, tol=0.0,
-                        initial_factors=init)
-        assert np.allclose(results["join"].lambdas,
-                           results["broadcast"].lambdas)
-        for a, b in zip(results["join"].factors,
-                        results["broadcast"].factors):
-            assert np.allclose(a, b, atol=1e-8)
+        join, broadcast = (cf.run(driver=d, data=tensor, init=init)
+                           for d in ("coo-join", "coo-broadcast"))
+        cf.assert_close(join, broadcast)
 
     def test_one_round_per_mttkrp(self, tensor, init):
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            CstfCOO(ctx, factor_strategy="broadcast").decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init, compute_fit=False)
-            # 2 iterations x 3 modes x 1 reduce round
-            assert ctx.metrics.total_shuffle_rounds() == 6
-            # 2 broadcasts per MTTKRP (the two fixed factors)
-            assert ctx.metrics.broadcast_count == 12
-            assert ctx.metrics.broadcast_bytes > 0
+        metrics = cf.run(driver="coo-broadcast", data=tensor, init=init,
+                         iterations=2, compute_fit=False).metrics
+        # 2 iterations x 3 modes x 1 reduce round
+        assert metrics.total_shuffle_rounds() == 6
+        # 2 broadcasts per MTTKRP (the two fixed factors)
+        assert metrics.broadcast_count == 12
+        assert metrics.broadcast_bytes > 0
 
     def test_less_shuffle_more_broadcast_than_join(self, tensor, init):
-        stats = {}
-        for strategy in ("join", "broadcast"):
-            with Context(num_nodes=4, default_parallelism=8) as ctx:
-                CstfCOO(ctx, factor_strategy=strategy).decompose(
-                    tensor, 2, max_iterations=2, tol=0.0,
-                    initial_factors=init, compute_fit=False)
-                stats[strategy] = (
-                    ctx.metrics.total_shuffle_read().total_bytes,
-                    ctx.metrics.broadcast_bytes)
-        assert stats["broadcast"][0] < stats["join"][0]
-        assert stats["broadcast"][1] > stats["join"][1] == 0
+        join, broadcast = (
+            (m.total_shuffle_read().total_bytes, m.broadcast_bytes)
+            for m in (cf.run(driver=d, data=tensor, init=init, iterations=2,
+                             compute_fit=False).metrics
+                      for d in ("coo-join", "coo-broadcast")))
+        assert broadcast[0] < join[0]
+        assert broadcast[1] > join[1] == 0
 
     def test_invalid_strategy(self, ctx):
         with pytest.raises(ValueError, match="factor_strategy"):
@@ -74,31 +60,22 @@ class TestRegularization:
     def test_matches_local_reference(self, tensor, init):
         ref = local_cp_als(tensor, 2, max_iterations=3, tol=0.0,
                            initial_factors=init, regularization=0.5)
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            res = CstfQCOO(ctx, regularization=0.5).decompose(
-                tensor, 2, max_iterations=3, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.allclose(a, b, atol=1e-8)
+        cf.assert_close(cf.run(driver="qcoo", data=tensor, init=init,
+                               driver_kwargs={"regularization": 0.5}), ref)
 
     def test_changes_solution(self, tensor, init):
-        with Context(num_nodes=2, default_parallelism=4) as a:
-            plain = CstfCOO(a).decompose(tensor, 2, max_iterations=2,
-                                         tol=0.0, initial_factors=init)
-        with Context(num_nodes=2, default_parallelism=4) as b:
-            ridge = CstfCOO(b, regularization=1.0).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
+        plain, ridge = (
+            cf.run(data=tensor, init=init, iterations=2, nodes=2,
+                   partitions=4, driver_kwargs={"regularization": r}).result
+            for r in (0.0, 1.0))
         assert not np.allclose(plain.lambdas, ridge.lambdas)
 
     def test_stabilises_singular_grams(self):
         """With rank > effective tensor rank, plain ALS hits singular V;
         ridge keeps it well-posed and finite."""
         t = uniform_sparse((6, 6, 6), 20, rng=0)
-        with Context(num_nodes=2, default_parallelism=4) as ctx:
-            res = CstfCOO(ctx, regularization=0.1).decompose(
-                t, 8, max_iterations=3, tol=0.0, seed=0)
+        res = cf.run(data=t, init=None, rank=8, nodes=2, partitions=4,
+                     driver_kwargs={"regularization": 0.1}).result
         for f in res.factors:
             assert np.all(np.isfinite(f))
 
@@ -112,23 +89,16 @@ class TestRegularization:
 
 class TestNonnegative:
     def test_factors_nonnegative(self, tensor, init):
-        with Context(num_nodes=2, default_parallelism=4) as ctx:
-            res = CstfQCOO(ctx, nonnegative=True).decompose(
-                tensor, 2, max_iterations=3, tol=0.0,
-                initial_factors=init)
-        for f in res.factors:
+        res = cf.run(driver="qcoo", data=tensor, init=init, nodes=2,
+                     partitions=4, driver_kwargs={"nonnegative": True})
+        for f in res.result.factors:
             assert (f >= 0).all()
 
     def test_matches_local_reference(self, tensor, init):
         ref = local_cp_als(tensor, 2, max_iterations=3, tol=0.0,
                            initial_factors=init, nonnegative=True)
-        with Context(num_nodes=2, default_parallelism=4) as ctx:
-            res = CstfCOO(ctx, nonnegative=True).decompose(
-                tensor, 2, max_iterations=3, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.allclose(a, b, atol=1e-8)
+        cf.assert_close(cf.run(data=tensor, init=init, nodes=2, partitions=4,
+                               driver_kwargs={"nonnegative": True}), ref)
 
     def test_fit_reasonable_on_nonnegative_data(self):
         """Uniform(0,1)-valued tensors are nonnegative; projected ALS

@@ -8,192 +8,103 @@ bit-identical results, and exercise driver-level checkpoint/resume.
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
 import pytest
 
 from repro.core import (CstfCOO, CstfQCOO, DirectoryCheckpointStore,
                         InMemoryCheckpointStore)
-from repro.engine import (Context, EngineConf, FaultPlan,
-                          JobExecutionError, NodeKillEvent,
+from repro.engine import (Context, FaultPlan, JobExecutionError,
                           TaskFailedError)
-from repro.tensor import random_factors, uniform_sparse
 
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
-
-@pytest.fixture(scope="module")
-def tensor():
-    return uniform_sparse((12, 10, 14), 220, rng=6)
-
-
-@pytest.fixture(scope="module")
-def init(tensor):
-    return random_factors(tensor.shape, 2, 17)
-
-
-def clean_run(cls, tensor, init):
-    with Context(num_nodes=4, default_parallelism=8) as ctx:
-        return cls(ctx).decompose(tensor, 2, max_iterations=2, tol=0.0,
-                                  initial_factors=init)
+from .. import conformance as cf
 
 
 class TestTransientFaults:
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
-    def test_sporadic_failures_do_not_change_results(self, cls, tensor,
-                                                     init):
-        ref = clean_run(cls, tensor, init)
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            state = {"count": 0}
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
+    def test_sporadic_failures_do_not_change_results(self, cls):
+        state = {"count": 0}
 
-            def flaky(stage_id, partition, attempt):
-                state["count"] += 1
-                # fail every 17th task attempt once
-                if state["count"] % 17 == 0 and attempt == 0:
-                    raise RuntimeError("injected transient fault")
-
-            ctx.fault_injector = flaky
-            res = cls(ctx).decompose(tensor, 2, max_iterations=2,
-                                     tol=0.0, initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.allclose(a, b)
+        def flaky(stage_id, partition, attempt):
+            state["count"] += 1
+            # fail every 17th task attempt once
+            if state["count"] % 17 == 0 and attempt == 0:
+                raise RuntimeError("injected transient fault")
+        driver = cf.DRIVER_OF[cls]
+        got = cf.run(driver=driver, injector=flaky, iterations=2)
+        cf.assert_bit_identical(cf.oracle(driver=driver, iterations=2), got)
         assert state["count"] > 17  # faults actually fired
 
-    def test_every_first_attempt_fails(self, tensor, init):
+    def test_every_first_attempt_fails(self, request, monkeypatch):
         """Worst transient case: every task fails once, all retried."""
-        ref = clean_run(CstfCOO, tensor, init)
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            def always_once(stage_id, partition, attempt):
-                if attempt == 0:
-                    raise RuntimeError("first attempt always dies")
-            ctx.fault_injector = always_once
-            res = CstfCOO(ctx).decompose(tensor, 2, max_iterations=2,
-                                         tol=0.0, initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
+        cf.check_kept(request, monkeypatch)
 
 
 class TestNodeLoss:
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
-    def test_node_killed_mid_iteration_recovers_exactly(self, cls,
-                                                        tensor, init):
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
+    def test_node_killed_mid_iteration_recovers_exactly(
+            self, request, monkeypatch, cls):
         """Kill a node mid-iteration, while its shuffle map outputs are
         still live: the reduce-side read hits FetchFailedError, the
         scheduler resubmits the map stage from lineage, and the
         decomposition converges to the fault-free factors exactly."""
-        ref = clean_run(cls, tensor, init)
-        plan = FaultPlan(
-            seed=SEED,
-            node_kills=(NodeKillEvent(node_id=2, after_tasks=80),))
-        with Context(num_nodes=4, default_parallelism=8,
-                     fault_plan=plan) as ctx:
-            res = cls(ctx).decompose(tensor, 2, max_iterations=2,
-                                     tol=0.0, initial_factors=init)
-            faults = ctx.metrics.faults
-            assert faults.nodes_killed == 1
-            assert faults.map_outputs_lost > 0
-            assert faults.cached_partitions_lost > 0
-            assert faults.fetch_failures > 0
-            assert faults.stages_resubmitted > 0
-            assert faults.records_recomputed > 0
-        assert np.allclose(res.lambdas, ref.lambdas, atol=1e-10, rtol=0)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.allclose(a, b, atol=1e-10, rtol=0)
+        (got,) = cf.check_kept(request, monkeypatch)
+        faults = got.metrics.faults
+        assert faults.map_outputs_lost > 0
+        assert faults.cached_partitions_lost > 0
+        assert faults.fetch_failures > 0
 
-    def test_node_killed_late_during_factor_collection(self, tensor,
-                                                       init):
+    def test_node_killed_late_during_factor_collection(self):
         """A kill after the iterations, during factor collection,
         invalidates cached factor partitions whose lineage reaches
         already-gc'd shuffles — recovery must recompute those too."""
-        ref = clean_run(CstfCOO, tensor, init)
-        plan = FaultPlan(
-            seed=SEED,
-            node_kills=(NodeKillEvent(node_id=2, after_tasks=300),))
-        with Context(num_nodes=4, default_parallelism=8,
-                     fault_plan=plan) as ctx:
-            res = CstfCOO(ctx).decompose(tensor, 2, max_iterations=2,
-                                         tol=0.0, initial_factors=init)
-            assert ctx.metrics.faults.nodes_killed == 1
-        for a, b in zip(res.factors, ref.factors):
-            assert np.allclose(a, b, atol=1e-10, rtol=0)
+        late = FaultPlan(seed=0, node_kills=(cf.NODE_KILLS["after-300"],))
+        got = cf.run(plan=late, iterations=2)
+        assert got.metrics.faults.nodes_killed == 1
+        cf.assert_bit_identical(cf.oracle(iterations=2), got)
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
-    def test_resume_is_bit_for_bit(self, cls, tensor, init):
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
+    def test_resume_is_bit_for_bit(self, cls):
         """Simulated driver crash: run 2 of 4 iterations with
         checkpointing, then resume in a brand-new context.  The resumed
         run must match the uninterrupted one exactly."""
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            full = cls(ctx).decompose(tensor, 2, max_iterations=4,
-                                      tol=0.0, initial_factors=init)
+        driver = cf.DRIVER_OF[cls]
         store = InMemoryCheckpointStore()
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            cls(ctx).decompose(tensor, 2, max_iterations=2, tol=0.0,
-                               initial_factors=init, checkpoint_every=1,
-                               checkpoint_store=store)
+        cf.run(driver=driver, iterations=2, store=store, checkpoint_every=1)
         assert store.iterations() == [0, 1]
-        # "crash": the context above is gone; resume in a fresh one
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            resumed = cls(ctx).decompose(tensor, 2, max_iterations=4,
-                                         tol=0.0, checkpoint_store=store,
-                                         resume_from="latest")
-        assert np.array_equal(resumed.lambdas, full.lambdas)
-        for a, b in zip(resumed.factors, full.factors):
-            assert np.array_equal(a, b)
-        assert resumed.fit_history == full.fit_history
+        # "crash": that context is gone; resume in a fresh one
+        resumed = cf.run(driver=driver, iterations=4, store=store,
+                         resume_from="latest")
+        cf.assert_bit_identical(cf.oracle(driver=driver, iterations=4),
+                                resumed)
 
-    def test_resume_from_explicit_iteration(self, tensor, init):
-        full = clean_run(CstfCOO, tensor, init)
+    def test_resume_from_explicit_iteration(self):
         store = InMemoryCheckpointStore()
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            CstfCOO(ctx).decompose(tensor, 2, max_iterations=2, tol=0.0,
-                                   initial_factors=init,
-                                   checkpoint_every=1,
-                                   checkpoint_store=store)
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            resumed = CstfCOO(ctx).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                checkpoint_store=store, resume_from=0)
-        for a, b in zip(resumed.factors, full.factors):
-            assert np.array_equal(a, b)
+        cf.run(iterations=2, store=store, checkpoint_every=1)
+        resumed = cf.run(iterations=2, store=store, resume_from=0)
+        cf.assert_bit_identical(cf.oracle(iterations=2), resumed)
 
-    def test_directory_store_roundtrip(self, tensor, init, tmp_path):
-        full = clean_run(CstfCOO, tensor, init)
+    def test_directory_store_roundtrip(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path / "ckpts")
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            CstfCOO(ctx).decompose(tensor, 2, max_iterations=1, tol=0.0,
-                                   initial_factors=init,
-                                   checkpoint_every=1,
-                                   checkpoint_store=store)
+        cf.run(iterations=1, store=store, checkpoint_every=1)
         assert store.iterations() == [0]
         snap = store.load()
         assert snap.algorithm == CstfCOO.name
         assert snap.rank == 2
         assert snap.iteration == 0
         # resume off disk — the real crash-recovery path
-        store2 = DirectoryCheckpointStore(tmp_path / "ckpts")
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            resumed = CstfCOO(ctx).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                checkpoint_store=store2, resume_from="latest")
-        for a, b in zip(resumed.factors, full.factors):
-            assert np.array_equal(a, b)
+        resumed = cf.run(iterations=2, resume_from="latest",
+                         store=DirectoryCheckpointStore(tmp_path / "ckpts"))
+        cf.assert_bit_identical(cf.oracle(iterations=2), resumed)
 
-    def test_checkpointing_does_not_change_results(self, tensor, init):
-        ref = clean_run(CstfCOO, tensor, init)
+    def test_checkpointing_does_not_change_results(self):
         store = InMemoryCheckpointStore()
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            res = CstfCOO(ctx).decompose(tensor, 2, max_iterations=2,
-                                         tol=0.0, initial_factors=init,
-                                         checkpoint_every=2,
-                                         checkpoint_store=store)
+        got = cf.run(iterations=2, store=store, checkpoint_every=2)
         assert store.iterations() == [1]
-        for a, b in zip(res.factors, ref.factors):
-            assert np.array_equal(a, b)
+        cf.assert_bit_identical(cf.oracle(iterations=2), got)
 
-    def test_checkpoint_validations(self, tensor, init):
+    def test_checkpoint_validations(self):
+        tensor, init = cf.tensor("order3"), list(cf.initial("order3"))
         store = InMemoryCheckpointStore()
         with Context(num_nodes=4, default_parallelism=8) as ctx:
             driver = CstfCOO(ctx)
@@ -231,17 +142,13 @@ class TestCheckpointResume:
 
 
 class TestPermanentFaults:
-    def test_exhausted_retries_surface(self, tensor, init):
-        conf = EngineConf(task_max_failures=2)
-        with Context(num_nodes=4, default_parallelism=8,
-                     conf=conf) as ctx:
-            def doomed(stage_id, partition, attempt):
-                if partition == 3:
-                    raise RuntimeError("partition 3 is cursed")
-            ctx.fault_injector = doomed
-            with pytest.raises(JobExecutionError) as err:
-                CstfCOO(ctx).decompose(tensor, 2, max_iterations=1,
-                                       tol=0.0, initial_factors=init)
-            assert err.value.partition == 3
-            assert isinstance(err.value.__cause__, TaskFailedError)
-            assert err.value.__cause__.attempts == 2
+    def test_exhausted_retries_surface(self):
+        def doomed(stage_id, partition, attempt):
+            if partition == 3:
+                raise RuntimeError("partition 3 is cursed")
+        got = cf.run(injector=doomed, iterations=1,
+                     conf={"task_max_failures": 2},
+                     raises=JobExecutionError)
+        assert got.error.partition == 3
+        assert isinstance(got.error.__cause__, TaskFailedError)
+        assert got.error.__cause__.attempts == 2

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given
 
 import repro
-from repro.core import CstfCOO, CstfQCOO
 from repro.engine import blocks
 from repro.engine.blocks import sorted_runs, stable_argsort
 from repro.kernels import (combine_rows_block, fold_rows,
@@ -33,8 +32,8 @@ from repro.kernels.segsum import segmented_fold_at
 from repro.kernels.vectorized import block_contribution
 from repro.tensor import random_factors, uniform_sparse
 
+from .. import conformance as cf
 from ..strategies import integer_keys, keyed_rows
-from .test_kernels import assert_bit_identical, run
 
 
 def dict_fold(keys, rows):
@@ -170,23 +169,17 @@ class TestPlaneFold:
 # ----------------------------------------------------------------------
 # the four call sites, with the radix path forced onto small blocks
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cls,driver_kwargs", [
-    (CstfCOO, {}), (CstfCOO, {"factor_strategy": "broadcast"}),
-    (CstfQCOO, {})], ids=["coo-join", "coo-broadcast", "qcoo"])
+@pytest.mark.parametrize("driver", ["coo-join", "coo-broadcast", "qcoo"])
 def test_drivers_stay_bit_identical_with_radix_on_every_block(
-        cls, driver_kwargs, monkeypatch):
+        driver, monkeypatch):
     """The conformance tensors' blocks are far below the short-input
     cutoff; with the cutoff at 1 every sort in ``split_by_partition``,
     ``BlockJoinRDD``, ``qcoo_canonical`` and the fold is a radix sort,
     and the factors must still be the record oracle's."""
     monkeypatch.setattr(blocks, "RADIX_MIN_KEYS", 1)
-    tensor = uniform_sparse((8, 10, 6, 7), 150, rng=11)
-    init = random_factors(tensor.shape, 2, 23)
-    rec, _ = run(cls, tensor, init, "record", driver_kwargs=driver_kwargs)
-    vec, batches = run(cls, tensor, init, "vectorized",
-                       driver_kwargs=driver_kwargs)
-    assert batches > 0
-    assert_bit_identical(rec, vec)
+    vec = cf.run("order4", driver, kernel="vectorized")
+    assert vec.metrics.kernel_batches > 0
+    cf.assert_bit_identical(cf.oracle("order4", driver), vec)
 
 
 # ----------------------------------------------------------------------
@@ -342,18 +335,17 @@ def test_one_factor_representation_and_one_shuffle_layout():
                               source), f"{cls}.{name}"
 
 
-@pytest.mark.parametrize("cls,shape", [
-    (CstfCOO, (60, 50, 8)), (CstfQCOO, (40, 30, 20, 8))],
+@pytest.mark.parametrize("driver,shape", [
+    ("coo-join", (60, 50, 8)), ("qcoo", (40, 30, 20, 8))],
     ids=["coo-join", "qcoo"])
 def test_blocks_constructed_per_iteration_stay_within_three_per_task(
-        cls, shape, monkeypatch):
+        driver, shape, monkeypatch):
     """A task reads one block per input, builds one and stores one run:
     at 32 partitions a steady-state iteration constructs at most 3
     blocks per task (it was 20.8 and 11.5 per task with a block per
     (map, reduce) pair and a tuple per factor row).  The short last
     mode leaves most of its factor partitions empty.  (Integrity off:
     sealing cuts each (map, reduce) range out as a block of its own.)"""
-    from repro.engine import Context, EngineConf
     from repro.engine.blocks import ColumnarBlock, KeyedRowBlock
     built = [0]
     for block_cls in (ColumnarBlock, KeyedRowBlock):
@@ -366,18 +358,16 @@ def test_blocks_constructed_per_iteration_stay_within_three_per_task(
     tensor = uniform_sparse(shape, 3000, rng=2)
     init = random_factors(tensor.shape, 2, 4)
 
-    def totals(iterations):
+    counts = []
+    for iterations in (1, 3):
         built[0] = 0
-        with Context(num_nodes=8, default_parallelism=32,
-                     conf=EngineConf(kernel="vectorized", backend="serial",
-                                     integrity=False)) as ctx:
-            cls(ctx).decompose(tensor, 2, max_iterations=iterations,
-                               tol=0.0, initial_factors=init)
-            tasks = sum(st.num_tasks for job in ctx.metrics.jobs
-                        for st in job.stages)
-        return built[0], tasks
-    first_blocks, first_tasks = totals(1)
-    blocks, tasks = totals(3)
+        jobs = cf.run(driver=driver, data=tensor, init=init,
+                      iterations=iterations, nodes=8, partitions=32,
+                      kernel="vectorized", backend="serial",
+                      conf={"integrity": False}).metrics.jobs
+        counts.append((built[0], sum(st.num_tasks for job in jobs
+                                     for st in job.stages)))
+    (first_blocks, first_tasks), (blocks, tasks) = counts
     per_iteration = (blocks - first_blocks) / 2
     tasks_per_iteration = (tasks - first_tasks) / 2
     assert tasks_per_iteration >= 32 * tensor.order

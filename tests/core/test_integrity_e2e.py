@@ -1,156 +1,64 @@
 """End-to-end acceptance: CP-ALS under corruption with integrity on.
 
-The PR's headline property: under a seeded fault plan with
-``corrupt_block_prob > 0`` and ``torn_write_prob > 0``, a full CP-ALS
-decomposition with the integrity layer enabled (a) completes, (b) ends
-with factors bit-identical to a fault-free run, (c) detects *every*
-injected corruption (``corruptions_injected == corrupted_blocks``),
-and (d) does all of that on both executor backends.  Plus the
-numerical-integrity watchdog: NaN poisoning raises
-:class:`~repro.engine.errors.NumericalIntegrityError` with stage
-context instead of converging to garbage.
+Under a seeded fault plan with ``corrupt_block_prob > 0`` and
+``torn_write_prob > 0``, a full CP-ALS decomposition with the integrity
+layer enabled (a) completes, (b) ends with factors bit-identical to a
+fault-free run, (c) detects *every* injected corruption
+(``corruptions_injected == corrupted_blocks``), and (d) does all of that
+on both executor backends.  Plus the numerical-integrity watchdog: NaN
+poisoning raises :class:`~repro.engine.errors.NumericalIntegrityError`
+with stage context instead of converging to garbage.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.core import CstfCOO, CstfQCOO, FileCheckpointStore
-from repro.engine import (Context, EngineConf, FaultPlan,
-                          NumericalIntegrityError)
-from repro.tensor import random_factors, uniform_sparse
+from repro.engine import NumericalIntegrityError
 
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
-
-@pytest.fixture(scope="module")
-def tensor():
-    return uniform_sparse((12, 10, 14), 220, rng=6)
-
-
-@pytest.fixture(scope="module")
-def init(tensor):
-    return random_factors(tensor.shape, 2, 17)
-
-
-def clean_run(cls, tensor, init, iterations=3):
-    with Context(num_nodes=4, default_parallelism=8) as ctx:
-        return cls(ctx).decompose(tensor, 2, max_iterations=iterations,
-                                  tol=0.0, initial_factors=init)
+from .. import conformance as cf
 
 
 class TestCorruptionTransparency:
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
     @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_corrupted_run_is_bit_identical(self, cls, backend, tensor,
-                                            init):
-        ref = clean_run(cls, tensor, init)
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=0.05)
-        conf = EngineConf(integrity=True, backend=backend)
-        with Context(num_nodes=4, default_parallelism=8, fault_plan=plan,
-                     conf=conf) as ctx:
-            res = cls(ctx).decompose(tensor, 2, max_iterations=3,
-                                     tol=0.0, initial_factors=init)
-            integrity = ctx.metrics.integrity
-            assert integrity.corrupted_blocks > 0
-            # every injected corruption was detected, none slipped by
-            assert integrity.corruptions_injected == \
-                integrity.corrupted_blocks
-            assert integrity.recompute_recoveries > 0
-            assert integrity.blocks_verified > 0
-        assert np.array_equal(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.array_equal(a, b)
-        assert res.fit_history == ref.fit_history
+    def test_corrupted_run_is_bit_identical(self, request, monkeypatch,
+                                            cls, backend):
+        (got,) = cf.check_kept(request, monkeypatch)
+        integrity = got.metrics.integrity
+        assert integrity.recompute_recoveries > 0
+        assert integrity.blocks_verified > 0
 
-    def test_integrity_on_clean_plan_is_bit_transparent(self, tensor,
-                                                        init):
-        ref = clean_run(CstfCOO, tensor, init)
-        with Context(num_nodes=4, default_parallelism=8,
-                     conf=EngineConf(integrity=True)) as ctx:
-            res = CstfCOO(ctx).decompose(tensor, 2, max_iterations=3,
-                                         tol=0.0, initial_factors=init)
-            assert ctx.metrics.integrity.blocks_verified > 0
-            assert ctx.metrics.integrity.corrupted_blocks == 0
-        assert np.array_equal(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.array_equal(a, b)
+    def test_integrity_on_clean_plan_is_bit_transparent(self, request,
+                                                        monkeypatch):
+        cf.check_kept(request, monkeypatch)
 
 
 class TestCorruptionWithTornCheckpoints:
-    def test_full_gauntlet_completes_bit_identically(self, tmp_path,
-                                                     tensor, init):
+    def test_full_gauntlet_completes_bit_identically(self, request,
+                                                     monkeypatch):
         """Block corruption in flight AND torn checkpoint writes at
-        once — the acceptance scenario of the issue."""
-        ref = clean_run(CstfCOO, tensor, init)
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=0.05,
-                         torn_write_prob=0.5)
-        conf = EngineConf(integrity=True)
-        with Context(num_nodes=4, default_parallelism=8, fault_plan=plan,
-                     conf=conf) as ctx:
-            store = FileCheckpointStore(
-                tmp_path / "ckpts", fault_plan=plan,
-                metrics=ctx.metrics.integrity)
-            res = CstfCOO(ctx).decompose(
-                tensor, 2, max_iterations=3, tol=0.0,
-                initial_factors=init, checkpoint_every=1,
-                checkpoint_store=store)
-            integrity = ctx.metrics.integrity
-            assert integrity.corrupted_blocks > 0
-            # resume from whatever survived: the newest good snapshot
-            # still replays to the same bits (or no snapshot survived
-            # and the store says so honestly)
-            try:
-                snap = store.load()
-            except KeyError:
-                snap = None
-            if snap is not None:
-                assert snap.iteration in (0, 1, 2)
-        assert np.array_equal(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.array_equal(a, b)
-
-
-def _poisoned(tensor):
-    """Copy of ``tensor`` with one NaN value.
-
-    A NaN *tensor entry* flows through the mode-0 MTTKRP into the
-    factor solve while every gram matrix stays finite — the scenario
-    the watchdog exists for.  (A NaN planted in a factor instead would
-    contaminate that factor's gram and crash ``np.linalg.pinv`` with a
-    context-free LinAlgError before any factor update.)
-    """
-    from repro.tensor import COOTensor
-    values = tensor.values.copy()
-    values[0] = np.nan
-    return COOTensor(tensor.indices.copy(), values, tensor.shape)
+        once; the newest good snapshot replays to the same bits."""
+        cf.check_kept(request, monkeypatch)
 
 
 class TestNumericalWatchdog:
-    def test_nan_raises_with_stage_context(self, tensor, init):
-        with Context(num_nodes=4, default_parallelism=8,
-                     conf=EngineConf(integrity=True)) as ctx:
-            with pytest.raises(NumericalIntegrityError) as err:
-                CstfCOO(ctx).decompose(_poisoned(tensor), 2,
-                                       max_iterations=2, tol=0.0,
-                                       initial_factors=init)
-            assert ctx.metrics.integrity.nan_guards_tripped >= 1
-        assert err.value.stage == "mttkrp-solve"
-        assert err.value.mode == 0
-        assert err.value.iteration == 0
+    def test_nan_raises_with_stage_context(self):
+        """A NaN tensor entry flows through the mode-0 MTTKRP into the
+        factor solve while every Gram stays finite — the scenario the
+        watchdog exists for."""
+        got = cf.run("order3-nan", conf=cf.INTEGRITY, iterations=2,
+                     raises=NumericalIntegrityError)
+        assert got.metrics.integrity.nan_guards_tripped >= 1
+        assert got.error.stage == "mttkrp-solve"
+        assert got.error.mode == 0
+        assert got.error.iteration == 0
 
-    def test_nan_fails_without_context_when_integrity_off(self, tensor,
-                                                          init):
-        """Documents the pre-PR behaviour the watchdog replaces: with
-        integrity off, the NaN poisons the first factor update and the
-        run dies later inside numpy with no stage/mode context (or, in
-        shapes where pinv survives, silently converges to garbage)."""
-        with Context(num_nodes=4, default_parallelism=8,
-                     conf=EngineConf(integrity=False)) as ctx:
-            with pytest.raises(np.linalg.LinAlgError):
-                CstfCOO(ctx).decompose(_poisoned(tensor), 2,
-                                       max_iterations=2, tol=0.0,
-                                       initial_factors=init)
+    def test_nan_fails_without_context_when_integrity_off(self):
+        """Documents the behaviour the watchdog replaces: with integrity
+        off, the NaN poisons the first factor update and the run dies
+        later inside numpy with no stage/mode context (or, in shapes
+        where pinv survives, silently converges to garbage)."""
+        cf.run("order3-nan", conf={"integrity": False}, iterations=2,
+               raises=np.linalg.LinAlgError)

@@ -2,25 +2,22 @@
 
 The vectorized kernel must be a pure throughput knob: every CP-ALS
 decomposition it produces — COO and QCOO, 3rd- and 4th-order, clean and
-under the fault-seed matrix, straight through or checkpoint/resumed —
-has to be bit-identical to the record kernel's.  Alongside the
-determinism suite live the driver leak regressions this PR fixed: the
-broadcast-strategy MTTKRP now destroys its broadcasts, and a decompose
-that dies mid-iteration no longer pins persisted RDDs in the cache.
+under injected faults, straight through or checkpoint/resumed — has to
+be bit-identical to the record kernel's.  Alongside the determinism
+suite live the driver leak regressions: the broadcast-strategy MTTKRP
+destroys its broadcasts, and a decompose that dies mid-iteration does
+not pin persisted RDDs in the cache.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
 import pytest
 
-from repro.baselines import BigtensorCP
-from repro.core import (CstfCOO, CstfDimTree, CstfQCOO, DistributedTucker,
-                        InMemoryCheckpointStore)
-from repro.engine import (Context, EngineConf, EngineError, FaultPlan,
+from repro.core import CstfCOO, CstfQCOO
+from repro.engine import (Context, EngineConf, EngineError,
                           HashPartitioner, JobExecutionError, KernelError)
 from repro.engine.blocks import (KeyedRowBlock, iter_records,
                                  partition_rows, record_count)
@@ -29,52 +26,29 @@ from repro.kernels import (LeverageSampler, RecordKernel, VectorizedKernel,
                            segmented_left_fold)
 from repro.tensor import COOTensor, random_factors, uniform_sparse
 
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+from .. import conformance as cf
 
-KERNELS = ("record", "vectorized")
+KERNELS = cf.KERNELS
 
 
 @pytest.fixture(scope="module")
 def tensor3():
-    return uniform_sparse((12, 10, 14), 220, rng=6)
+    return cf.tensor("order3")
 
 
 @pytest.fixture(scope="module")
-def init3(tensor3):
-    return random_factors(tensor3.shape, 2, 17)
+def init3():
+    return cf.initial("order3")
 
 
 @pytest.fixture(scope="module")
 def tensor4():
-    return uniform_sparse((8, 10, 6, 7), 150, rng=11)
+    return cf.tensor("order4")
 
 
 @pytest.fixture(scope="module")
-def init4(tensor4):
-    return random_factors(tensor4.shape, 2, 23)
-
-
-def run(cls, tensor, init, kernel, fault_plan=None, driver_kwargs=None,
-        decompose_kwargs=None, **conf_kwargs):
-    conf = EngineConf(kernel=kernel, **conf_kwargs)
-    kwargs = dict(decompose_kwargs or {})
-    if init is not None:  # resume_from excludes initial_factors
-        kwargs["initial_factors"] = init
-    with Context(num_nodes=4, default_parallelism=8, conf=conf,
-                 fault_plan=fault_plan) as ctx:
-        assert ctx.kernel.name == kernel
-        result = cls(ctx, **(driver_kwargs or {})).decompose(
-            tensor, 2, max_iterations=3, tol=0.0, **kwargs)
-        batches = ctx.metrics.kernel_batches
-        return result, batches
-
-
-def assert_bit_identical(a, b):
-    assert np.array_equal(a.lambdas, b.lambdas)
-    assert len(a.factors) == len(b.factors)
-    for fa, fb in zip(a.factors, b.factors):
-        assert np.array_equal(fa, fb)
-    assert a.fit_history == b.fit_history
+def init4():
+    return cf.initial("order4")
 
 
 # ----------------------------------------------------------------------
@@ -153,84 +127,53 @@ class TestSelection:
         with Context(num_nodes=2) as ctx:
             assert ctx.kernel.name == "vectorized"
 
-    def test_record_kernel_counts_no_batches(self, tensor3, init3):
-        _, batches = run(CstfCOO, tensor3, init3, "record")
-        assert batches == 0
+    def test_record_kernel_counts_no_batches(self, request, monkeypatch):
+        (got,) = cf.check_kept(request, monkeypatch)
+        assert got.metrics.kernel_batches == 0
 
-    def test_vectorized_kernel_counts_batches(self, tensor3, init3):
-        _, batches = run(CstfCOO, tensor3, init3, "vectorized")
-        assert batches > 0
+    def test_vectorized_kernel_counts_batches(self, request, monkeypatch):
+        (got,) = cf.check_kept(request, monkeypatch)
+        assert got.metrics.kernel_batches > 0
 
 
 # ----------------------------------------------------------------------
 # bit-identity: vectorized vs record
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
-    def test_third_order(self, cls, tensor3, init3):
-        record, _ = run(cls, tensor3, init3, "record")
-        vector, _ = run(cls, tensor3, init3, "vectorized")
-        assert_bit_identical(record, vector)
+    """Each runs its cells under both kernels against the record oracle."""
 
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
-    def test_fourth_order(self, cls, tensor4, init4):
-        record, _ = run(cls, tensor4, init4, "record")
-        vector, _ = run(cls, tensor4, init4, "vectorized")
-        assert_bit_identical(record, vector)
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
+    def test_third_order(self, request, monkeypatch, cls):
+        cf.check_kept(request, monkeypatch)
 
-    def test_broadcast_strategy(self, tensor3, init3):
-        kwargs = {"factor_strategy": "broadcast"}
-        record, _ = run(CstfCOO, tensor3, init3, "record",
-                        driver_kwargs=kwargs)
-        vector, _ = run(CstfCOO, tensor3, init3, "vectorized",
-                        driver_kwargs=kwargs)
-        assert_bit_identical(record, vector)
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
+    def test_fourth_order(self, request, monkeypatch, cls):
+        cf.check_kept(request, monkeypatch)
 
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
-    def test_under_injected_faults(self, cls, tensor3, init3):
-        plan = FaultPlan(seed=SEED, task_failure_prob=0.05)
-        record, _ = run(cls, tensor3, init3, "record", fault_plan=plan)
-        vector, _ = run(cls, tensor3, init3, "vectorized",
-                        fault_plan=plan)
-        assert_bit_identical(record, vector)
+    def test_broadcast_strategy(self, request, monkeypatch):
+        cf.check_kept(request, monkeypatch)
 
-    @pytest.mark.parametrize("seed", [SEED, SEED + 10, SEED + 20])
-    def test_fault_seed_matrix(self, tensor3, init3, seed):
-        plan = FaultPlan(seed=seed, task_failure_prob=0.03)
-        record, _ = run(CstfCOO, tensor3, init3, "record",
-                        fault_plan=plan)
-        vector, _ = run(CstfCOO, tensor3, init3, "vectorized",
-                        fault_plan=plan)
-        assert_bit_identical(record, vector)
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
+    def test_under_injected_faults(self, request, monkeypatch, cls):
+        cf.check_kept(request, monkeypatch)
 
-    def check_resume_crosses_kernels(self, cls, tensor, init):
-        record, _ = run(cls, tensor, init, "record")
-        store = InMemoryCheckpointStore()
-        run(cls, tensor, init, "vectorized",
-            decompose_kwargs={"checkpoint_every": 1,
-                              "checkpoint_store": store})
-        resumed, _ = run(
-            cls, tensor, None, "vectorized",
-            decompose_kwargs={"checkpoint_store": store,
-                              "resume_from": 0})
-        assert_bit_identical(record, resumed)
+    @pytest.mark.parametrize("seed", [0, 10, 20])
+    def test_fault_seed_matrix(self, request, monkeypatch, seed):
+        cf.check_kept(request, monkeypatch)
 
-    def test_checkpoint_resume_crosses_kernels(self, tensor3, init3):
-        """An uninterrupted record-kernel run must equal a vectorized
-        run resumed from a mid-run snapshot (and vice versa)."""
-        self.check_resume_crosses_kernels(CstfCOO, tensor3, init3)
+    def test_checkpoint_resume_crosses_kernels(self, request, monkeypatch):
+        """A run checkpointed under one kernel and resumed under the
+        other, from a mid-run snapshot, equals the record oracle."""
+        cf.check_kept(request, monkeypatch)
 
-    @pytest.mark.parametrize("tensor,init", [
-        ("tensor3", "init3"), ("tensor4", "init4")], ids=["order3", "order4"])
-    def test_qcoo_checkpoint_resume_crosses_kernels(self, tensor, init,
-                                                    request):
+    @pytest.mark.parametrize("case", ["order3", "order4"])
+    def test_qcoo_checkpoint_resume_crosses_kernels(self, request,
+                                                    monkeypatch, case):
         """The reason ``qcoo_canonical`` exists: the resumed run
         rebuilds its queue with N-1 init joins where the uninterrupted
         one carried it across iterations, and both must sum the same
         rows in the same order."""
-        self.check_resume_crosses_kernels(
-            CstfQCOO, request.getfixturevalue(tensor),
-            request.getfixturevalue(init))
+        cf.check_kept(request, monkeypatch)
 
     def test_gram_identical(self, tensor3):
         factor = random_factors(tensor3.shape, 1, 3)[0]
@@ -245,27 +188,6 @@ class TestBitIdentity:
 # ----------------------------------------------------------------------
 # the block join: same answers, same shuffles, degenerate inputs
 # ----------------------------------------------------------------------
-def shuffle_profile(ctx):
-    """Per-stage shuffle traffic, in execution order."""
-    return [(st.shuffle_write.bytes_written,
-             st.shuffle_write.records_written,
-             st.shuffle_read.total_bytes, st.shuffle_read.total_records)
-            for job in ctx.metrics.jobs for st in job.stages
-            if st.is_shuffle_map]
-
-
-def run_profiled(tensor, rank, kernel, partitions=8, iterations=2,
-                 cls=CstfCOO, **conf_kwargs):
-    init = random_factors(tensor.shape, rank, 29)
-    with Context(num_nodes=4, default_parallelism=partitions,
-                 conf=EngineConf(kernel=kernel, **conf_kwargs)) as ctx:
-        result = cls(ctx).decompose(
-            tensor, rank, max_iterations=iterations, tol=0.0,
-            initial_factors=init)
-        return (result, ctx.metrics.total_shuffle_rounds(),
-                shuffle_profile(ctx))
-
-
 def rows_rdd(ctx, records, rank, num_partitions=None):
     """A factor-shaped RDD holding ``(index, row)`` ``records``: one
     ``KeyedRowBlock`` per partition, hash-partitioned by index, rows in
@@ -302,59 +224,24 @@ def assert_same_rows(a, b):
         assert ra.tobytes() == rb.tobytes()
 
 
-#: (shape, nnz, rank, partitions) of the block-join conformance matrix
-JOIN_CASES = {
-    "order2": ((9, 7), 30, 2, 8),           # one join; a queue of 1
-    "rank1": ((12, 10, 14), 220, 1, 8),     # width-1 fold_rows pad
-    "order4": ((8, 10, 6, 7), 150, 3, 8),
-    "order5": ((4, 5, 3, 4, 3), 120, 2, 8),
-    "rank>mode": ((3, 10, 8), 60, 5, 8),    # rank above the smallest mode
-    "empty": ((6, 5, 4), 5, 2, 16),         # mostly empty partitions
-}
-
-
-def table4_rounds(cls, order, iterations):
-    """Shuffle rounds of ``iterations`` CP-ALS iterations (Table 4):
-    N MTTKRPs of N rounds each for CSTF-COO; of 2 each, after N-1
-    queue-building joins, for CSTF-QCOO."""
-    if cls is CstfQCOO:
-        return iterations * order * 2 + (order - 1)
-    return iterations * order * order
-
-
 class TestBlockJoin:
+    """The conformance matrix of the block join (order 2-5, rank 1,
+    rank above the smallest mode, mostly empty partitions, both
+    drivers): both kernels equal the record oracle, with Table 4's
+    shuffle rounds and equal per-stage shuffle traffic."""
+
     # CSTF-COO cases keep their bare ids; CSTF-QCOO's are prefixed
-    @pytest.mark.parametrize("cls,shape,nnz,rank,partitions", [
-        pytest.param(cls, *case, id=prefix + name)
-        for cls, prefix in ((CstfCOO, ""), (CstfQCOO, "qcoo-"))
-        for name, case in JOIN_CASES.items()])
-    def test_bit_identical_with_equal_shuffles(self, cls, shape, nnz, rank,
-                                               partitions):
-        tensor = uniform_sparse(shape, nnz, rng=41)
-        rec, rec_rounds, rec_profile = run_profiled(
-            tensor, rank, "record", partitions, cls=cls)
-        vec, vec_rounds, vec_profile = run_profiled(
-            tensor, rank, "vectorized", partitions, cls=cls)
-        assert_bit_identical(rec, vec)
-        assert rec_rounds == vec_rounds == \
-            table4_rounds(cls, len(shape), iterations=2)
-        # stage by stage, the queue-building init stages included
-        assert rec_profile == vec_profile
+    @pytest.mark.parametrize("name", [
+        prefix + name for prefix in ("", "qcoo-") for name in cf.JOIN_CASES])
+    def test_bit_identical_with_equal_shuffles(self, request, monkeypatch,
+                                               name):
+        cf.check_kept(request, monkeypatch)
 
-    def check_map_side_combine_off(self, cls, tensor):
-        rec, rec_rounds, rec_profile = run_profiled(
-            tensor, 2, "record", cls=cls, map_side_combine=False)
-        vec, vec_rounds, vec_profile = run_profiled(
-            tensor, 2, "vectorized", cls=cls, map_side_combine=False)
-        assert_bit_identical(rec, vec)
-        assert rec_rounds == vec_rounds
-        assert rec_profile == vec_profile
+    def test_map_side_combine_off(self, request, monkeypatch):
+        cf.check_kept(request, monkeypatch)
 
-    def test_map_side_combine_off(self, tensor3):
-        self.check_map_side_combine_off(CstfCOO, tensor3)
-
-    def test_qcoo_map_side_combine_off(self, tensor3):
-        self.check_map_side_combine_off(CstfQCOO, tensor3)
+    def test_qcoo_map_side_combine_off(self, request, monkeypatch):
+        cf.check_kept(request, monkeypatch)
 
     def test_qcoo_runs_no_cogroup_and_no_tuple(self, tensor4, init4,
                                                monkeypatch):
@@ -388,8 +275,7 @@ class TestBlockJoin:
             assert ctx.metrics.kernel_batch_records > 0
         assert set(shuffled) == {ColumnarBlock, KeyedRowBlock}
 
-    def test_qcoo_cached_queue_is_priced_as_its_tuples(self, tensor4,
-                                                       init4):
+    def test_qcoo_cached_queue_is_priced_as_its_tuples(self):
         """The cost model prices what ``RunStats`` holds, and CSTF-QCOO
         re-caches its queue every MTTKRP: a cached queue block must be
         charged what the tuples it stands for were, or every modelled
@@ -399,34 +285,25 @@ class TestBlockJoin:
         apart on any of the four dataflows — ``cache_bytes`` (a keyed
         block rests at its records' size), ``records_processed`` and
         ``node_skew`` (a result stage counts a block as its rows) and
-        ``shuffle_records`` included."""
+        ``shuffle_records`` included.  (Integrity pinned off:
+        ``checksummed_bytes`` measures the serialized form, the one
+        thing kernels may vary.)"""
         import dataclasses
         from repro.engine.costmodel import RunStats
-
-        def stats(cls, kernel, **driver_kwargs):
-            # integrity pinned off: ``checksummed_bytes`` measures the
-            # serialized form, which is the one thing kernels may vary
-            with Context(num_nodes=4, default_parallelism=8,
-                         conf=EngineConf(kernel=kernel,
-                                         integrity=False)) as ctx:
-                cls(ctx, **driver_kwargs).decompose(
-                    tensor4, 2, max_iterations=2, tol=0.0,
-                    initial_factors=init4)
-                return dataclasses.asdict(
-                    RunStats.from_metrics(ctx.metrics))
         cached = {}
-        for name, cls, kwargs in (
-                ("coo-join", CstfCOO, {}),
-                ("coo-broadcast", CstfCOO,
-                 {"factor_strategy": "broadcast"}),
-                ("qcoo", CstfQCOO, {}),
-                ("lev", CstfCOO, {"sampler": "lev", "sample_count": 32})):
-            rec = stats(cls, "record", **kwargs)
-            assert rec == stats(cls, "vectorized", **kwargs), name
+        for driver, sampler in (("coo-join", "exact"),
+                                ("coo-broadcast", "exact"),
+                                ("qcoo", "exact"), ("coo-join", "lev")):
+            rec, vec = (dataclasses.asdict(RunStats.from_metrics(cf.run(
+                "order4", driver, kernel=kernel, sampler=sampler,
+                sample_count=32, iterations=2,
+                conf={"integrity": False}).metrics)) for kernel in KERNELS)
+            assert rec == vec, (driver, sampler)
             assert rec["records_processed"] > rec["shuffle_records"] > 0
             assert rec["node_skew"] >= 1.0 and rec["cache_bytes"] > 0
-            cached[name] = rec["cache_bytes"]
-        assert cached["qcoo"] > 10 * cached["coo-join"]  # the queues
+            cached[driver, sampler] = rec["cache_bytes"]
+        # the queues
+        assert cached["qcoo", "exact"] > 10 * cached["coo-join", "exact"]
 
     def test_qcoo_duplicate_coordinates_tie_in_arrival_order(self):
         """``decompose`` refuses duplicate coordinates, but the queue
@@ -531,9 +408,7 @@ class TestBlockJoin:
         with pytest.raises(JobExecutionError) as err:
             single_mttkrp(tensor3, init3, 0, "vectorized",
                           factor_records={2: rows})
-        cause = err.value
-        while cause is not None and phrase not in str(cause):
-            cause = cause.__cause__
+        cause = cause_of(err, phrase)
         assert isinstance(cause, EngineError)
         return cause
 
@@ -557,78 +432,24 @@ class TestBlockJoin:
 # ----------------------------------------------------------------------
 # the factor side: one KeyedRowBlock per partition, degenerate inputs
 # ----------------------------------------------------------------------
-def untouched_row_tensor():
-    """Mode 0 declares 20 indices; no nonzero touches rows 12-19."""
-    base = uniform_sparse((12, 10, 14), 220, rng=6)
-    return COOTensor(base.indices, base.values, (20, 10, 14))
-
-
-#: name -> (tensor, rank, driver kwargs, conf kwargs)
-FACTOR_SIDE_CASES = {
-    # a mode with fewer indices than partitions: empty factor blocks
-    "short-mode": (uniform_sparse((40, 30, 3), 200, rng=5), 2, {}, {}),
-    "rank1": (uniform_sparse((12, 10, 14), 220, rng=41), 1, {}, {}),
-    "rank>mode": (uniform_sparse((3, 10, 8), 60, rng=41), 5, {}, {}),
-    "order2": (uniform_sparse((9, 7), 30, rng=41), 2, {}, {}),
-    "order5": (uniform_sparse((4, 5, 3, 4, 3), 120, rng=41), 2, {}, {}),
-    "nonnegative": (uniform_sparse((12, 10, 14), 220, rng=6), 2,
-                    {"nonnegative": True}, {}),
-    "ridge": (uniform_sparse((12, 10, 14), 220, rng=6), 2,
-              {"regularization": 0.05}, {}),
-    "no-map-side-combine": (uniform_sparse((12, 10, 14), 220, rng=6), 2,
-                            {}, {"map_side_combine": False}),
-    "untouched-row": (untouched_row_tensor(), 2, {}, {}),
-    # small enough to deny the row combiner its one-shot booking: map
-    # outputs and M arrive as records and are batched again
-    "denied-booking": (uniform_sparse((12, 10, 14), 220, rng=6), 2, {},
-                       {"memory_total_bytes": 100}),
-}
-
-_ORACLES: dict = {}
-
-
-def factor_side_run(name, cls, kernel, backend="serial", **decompose_kwargs):
-    tensor, rank, driver_kwargs, conf_kwargs = FACTOR_SIDE_CASES[name]
-    if "resume_from" not in decompose_kwargs:
-        decompose_kwargs["initial_factors"] = random_factors(
-            tensor.shape, rank, 29)
-    conf = EngineConf(kernel=kernel, backend=backend,
-                      backend_workers=None if backend == "serial" else 2,
-                      **conf_kwargs)
-    with Context(num_nodes=4, default_parallelism=8, conf=conf) as ctx:
-        return cls(ctx, **driver_kwargs).decompose(
-            tensor, rank, max_iterations=3, tol=0.0, **decompose_kwargs)
-
-
-def factor_side_oracle(name, cls):
-    """The serial record-kernel run of one case, computed once."""
-    if (name, cls) not in _ORACLES:
-        _ORACLES[name, cls] = factor_side_run(name, cls, "record")
-    return _ORACLES[name, cls]
-
-
 @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
-@pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO],
-                         ids=["coo", "qcoo"])
+@pytest.mark.parametrize("cls", ["coo", "qcoo"])
 class TestFactorSide:
-    @pytest.mark.parametrize("name", FACTOR_SIDE_CASES)
-    def test_bit_identical_to_the_record_oracle(self, name, cls, backend):
-        assert_bit_identical(
-            factor_side_oracle(name, cls),
-            factor_side_run(name, cls, "vectorized", backend))
+    """The vectorized kernel on every backend equals the record oracle
+    on the degenerate shapes of ``cf.FACTOR_SIDE_CASES``."""
+
+    @pytest.mark.parametrize("name", cf.FACTOR_SIDE_CASES)
+    def test_bit_identical_to_the_record_oracle(self, request, monkeypatch,
+                                                name, cls, backend):
+        cf.check_kept(request, monkeypatch)
 
     @pytest.mark.parametrize("name", ["short-mode", "untouched-row"])
-    def test_resume_equals_the_uninterrupted_run(self, name, cls,
-                                                 backend):
+    def test_resume_equals_the_uninterrupted_run(self, request, monkeypatch,
+                                                 name, cls, backend):
         """A resumed run distributes the snapshot's factors afresh, in
         index order, where the uninterrupted one carried blocks the
         normalise step sorted: the Gram must not notice."""
-        store = InMemoryCheckpointStore()
-        factor_side_run(name, cls, "vectorized", backend,
-                        checkpoint_every=1, checkpoint_store=store)
-        resumed = factor_side_run(name, cls, "vectorized", backend,
-                                  checkpoint_store=store, resume_from=0)
-        assert_bit_identical(factor_side_oracle(name, cls), resumed)
+        cf.check_kept(request, monkeypatch)
 
 
 def cause_of(err, phrase):
@@ -697,24 +518,19 @@ class TestLoudAndLocated:
         for key, row in m_rows:
             assert got[key].tobytes() == (row * row).tobytes()
 
-    @pytest.mark.parametrize("cls", [BigtensorCP, CstfCOO, CstfQCOO])
+    @pytest.mark.parametrize("cls", ["BigtensorCP", "CstfCOO", "CstfQCOO"])
     def test_hadoop_mode_kernels_agree_bit_for_bit(self, cls):
         """A hadoop-mode factor is re-cut by ``Context.checkpoint``
         every update; the vectorized Gram sums its blocks as they lie,
         so they must lie in the index order the oracle sorts into.
         (Indices no nonzero touches make the slices straddle the old
         partitions; a full index set re-cuts along them.)"""
-        tensor3 = uniform_sparse((40, 30, 50), 60, rng=3)
-        init3 = random_factors(tensor3.shape, 2, 5)
-        results = []
-        for kernel in KERNELS:
-            with Context(num_nodes=4, default_parallelism=8,
-                         execution_mode="hadoop",
-                         conf=EngineConf(kernel=kernel)) as ctx:
-                results.append(cls(ctx).decompose(
-                    tensor3, 2, max_iterations=2, tol=0.0,
-                    initial_factors=init3))
-        assert_bit_identical(*results)
+        data = uniform_sparse((40, 30, 50), 60, rng=3)
+        init = random_factors(data.shape, 2, 5)
+        driver = {"BigtensorCP": "bigtensor", **cf.DRIVER_OF}[cls]
+        cf.assert_bit_identical(*(
+            cf.run(driver=driver, kernel=kernel, data=data, init=init,
+                   iterations=2, mode="hadoop") for kernel in KERNELS))
 
     @pytest.mark.parametrize("mode", ["spark", "hadoop"])
     def test_checkpoint_recuts_keyed_rows_in_index_order(self, mode, init3):
@@ -768,42 +584,19 @@ def test_denied_booking_case_really_hands_records_back(monkeypatch):
         handed_back.append(self._site)
         return real(self)
     monkeypatch.setattr(SpillableAppendOnlyMap, "merged_items", spy)
-    for cls in (CstfCOO, CstfQCOO):
+    for driver in ("coo-join", "qcoo"):
         handed_back.clear()
-        factor_side_run("denied-booking", cls, "vectorized")
+        cf.run("denied-booking", driver, kernel="vectorized")
         assert {site[0] for site in handed_back} == {"map", "reduce"}
 
 
 # ----------------------------------------------------------------------
 # driver resource-leak regressions
 # ----------------------------------------------------------------------
-#: every driver the failure-site sweep covers: (execution mode, class,
-#: driver kwargs)
-SWEEP_DRIVERS = {
-    "coo-join": ("spark", CstfCOO, {}),
-    "coo-broadcast": ("spark", CstfCOO, {"factor_strategy": "broadcast"}),
-    "coo-lev": ("spark", CstfCOO, {"sampler": "lev", "sample_count": 64}),
-    "qcoo": ("spark", CstfQCOO, {}),
-    "dimtree": ("spark", CstfDimTree, {}),
-    "bigtensor": ("hadoop", BigtensorCP, {}),
-    "tucker": ("spark", DistributedTucker, {}),
-}
-
-
-def sweep_run(driver, tensor, init):
-    """Two iterations of ``driver``; the arrays a rerun must repeat."""
-    if isinstance(driver, DistributedTucker):
-        res = driver.decompose(tensor, (2, 2, 2), max_iterations=2, tol=0.0)
-        return [res.core, *res.factors]
-    res = driver.decompose(tensor, 2, max_iterations=2, tol=0.0,
-                           initial_factors=init)
-    return [res.lambdas, *res.factors]
-
-
 class TestLeaks:
     @pytest.mark.parametrize("partition", [0, 7], ids=["first", "last"])
     @pytest.mark.parametrize("backend", ["serial", "threads"])
-    @pytest.mark.parametrize("name", SWEEP_DRIVERS)
+    @pytest.mark.parametrize("name", cf.SWEEP_DRIVERS)
     def test_failure_site_sweep(self, name, backend, partition, tensor3,
                                 init3):
         """Kill the run at every stage it has — set-up and both
@@ -816,7 +609,7 @@ class TestLeaks:
         first one fails on the serial backend nothing of the dying
         stage is cached yet, which hid the leak of a freshly solved
         factor."""
-        mode, cls, kwargs = SWEEP_DRIVERS[name]
+        mode, cls, kwargs = cf.DRIVERS[name]
 
         def context():
             return Context(num_nodes=4, default_parallelism=8,
@@ -827,7 +620,7 @@ class TestLeaks:
                                            backend_workers=4))
 
         with context() as ctx:
-            want = sweep_run(cls(ctx, **kwargs), tensor3, init3)
+            want = cf.sweep_run(cls(ctx, **kwargs), tensor3, init3)
             stages = ctx._scheduler._next_stage_id
         sites, leaky = 0, []
         for threshold in range(stages):
@@ -838,7 +631,7 @@ class TestLeaks:
                 ctx.fault_injector = hook
                 driver = cls(ctx, **kwargs)
                 try:
-                    sweep_run(driver, tensor3, init3)
+                    cf.sweep_run(driver, tensor3, init3)
                 except JobExecutionError:
                     sites += 1
                 else:
@@ -850,51 +643,32 @@ class TestLeaks:
                 if any(held) or threshold % 4:
                     continue
                 ctx.fault_injector = None
-                got = sweep_run(driver, tensor3, init3)
+                got = cf.sweep_run(driver, tensor3, init3)
                 assert all(np.array_equal(a, b)
                            for a, b in zip(got, want)), threshold
         assert sites >= 12  # set-up and two iterations were reached
         assert leaky == [], f"{len(leaky)} of {sites} sites leak"
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_broadcasts_destroyed_after_decompose(self, kernel, tensor3,
-                                                  init3):
+    def test_broadcasts_destroyed_after_decompose(self, kernel):
         """Regression: the broadcast strategy used to create one
-        broadcast per fixed mode per MTTKRP and never destroy any."""
-        with Context(num_nodes=4, default_parallelism=8,
-                     conf=EngineConf(kernel=kernel)) as ctx:
-            driver = CstfCOO(ctx, factor_strategy="broadcast")
-            driver.decompose(tensor3, 2, max_iterations=3, tol=0.0,
-                             initial_factors=init3)
-            assert ctx.metrics.broadcast_count > 0
-            assert ctx.live_broadcasts() == []
+        broadcast per fixed mode per MTTKRP and never destroy any
+        (``cf.run`` checks that none is live afterwards)."""
+        got = cf.run(driver="coo-broadcast", kernel=kernel)
+        assert got.metrics.broadcast_count > 0
 
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
-    def test_failed_decompose_releases_cache(self, cls, tensor3, init3):
+    @staticmethod
+    def mid_iteration_fault(stage_id, partition, attempt):
+        if stage_id >= 8 and partition == 0:
+            raise RuntimeError("injected mid-iteration fault")
+
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
+    def test_failed_decompose_releases_cache(self, cls):
         """Regression: a JobExecutionError escaping mid-iteration used
         to leak the persisted tensor, queue and factor RDDs."""
-        with Context(num_nodes=4, default_parallelism=8,
-                     conf=EngineConf(task_max_failures=2)) as ctx:
-            def hook(stage_id, partition, attempt):
-                if stage_id >= 8 and partition == 0:
-                    raise RuntimeError("injected mid-iteration fault")
-            ctx.fault_injector = hook
-            with pytest.raises(JobExecutionError):
-                cls(ctx).decompose(tensor3, 2, max_iterations=3,
-                                   tol=0.0, initial_factors=init3)
-            assert len(ctx._cache._entries) == 0
+        cf.run(driver=cf.DRIVER_OF[cls], injector=self.mid_iteration_fault,
+               conf={"task_max_failures": 2}, raises=JobExecutionError)
 
-    def test_failed_broadcast_decompose_destroys_broadcasts(
-            self, tensor3, init3):
-        with Context(num_nodes=4, default_parallelism=8,
-                     conf=EngineConf(task_max_failures=2)) as ctx:
-            def hook(stage_id, partition, attempt):
-                if stage_id >= 8 and partition == 0:
-                    raise RuntimeError("injected mid-iteration fault")
-            ctx.fault_injector = hook
-            driver = CstfCOO(ctx, factor_strategy="broadcast")
-            with pytest.raises(JobExecutionError):
-                driver.decompose(tensor3, 2, max_iterations=3, tol=0.0,
-                                 initial_factors=init3)
-            assert ctx.live_broadcasts() == []
-            assert len(ctx._cache._entries) == 0
+    def test_failed_broadcast_decompose_destroys_broadcasts(self):
+        cf.run(driver="coo-broadcast", injector=self.mid_iteration_fault,
+               conf={"task_max_failures": 2}, raises=JobExecutionError)

@@ -8,16 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import local_cp_als
-from repro.core import CstfCOO, CstfQCOO
-from repro.engine import Context
 from repro.tensor import random_factors, uniform_sparse
 
-
-def run_distributed(cls, tensor, init, iterations=2):
-    with Context(num_nodes=2, default_parallelism=4) as ctx:
-        return cls(ctx).decompose(tensor, init[0].shape[1],
-                                  max_iterations=iterations, tol=0.0,
-                                  initial_factors=init)
+from .. import conformance as cf
 
 
 class TestRecordOrderInvariance:
@@ -28,8 +21,8 @@ class TestRecordOrderInvariance:
         tensor = uniform_sparse((9, 8, 7), 100, rng=5)
         shuffled = tensor.permuted(np.random.default_rng(seed))
         init = random_factors(tensor.shape, 2, 1)
-        a = run_distributed(CstfCOO, tensor, init)
-        b = run_distributed(CstfCOO, shuffled, init)
+        a, b = (cf.run(data=data, init=init, iterations=2, nodes=2,
+                       partitions=4).result for data in (tensor, shuffled))
         assert np.allclose(a.lambdas, b.lambdas)
         for fa, fb in zip(a.factors, b.factors):
             assert np.allclose(fa, fb, atol=1e-9)
@@ -105,8 +98,6 @@ class TestPartitionCountInvariance:
         init = random_factors(tensor.shape, 2, 4)
         ref = local_cp_als(tensor, 2, max_iterations=2, tol=0.0,
                            initial_factors=init)
-        with Context(num_nodes=2, default_parallelism=partitions) as ctx:
-            res = CstfQCOO(ctx).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
+        res = cf.run(driver="qcoo", data=tensor, init=init, iterations=2,
+                     nodes=2, partitions=partitions).result
         assert np.allclose(res.lambdas, ref.lambdas)

@@ -11,14 +11,12 @@ a planted low-rank tensor).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CstfCOO, CstfQCOO, InMemoryCheckpointStore
+from repro.core import CstfCOO, InMemoryCheckpointStore
 from repro.core.checkpoint import FileCheckpointStore
 from repro.engine import Context, EngineConf, KernelError
 from repro.engine.blocks import ColumnarBlock
@@ -26,47 +24,12 @@ from repro.kernels import (DEFAULT_SAMPLE_COUNT, POOL_FACTOR,
                            LeverageSampler, leverage_scores,
                            sample_block, sample_probabilities,
                            uniform_pool)
-from repro.tensor import low_rank_sparse, random_factors, uniform_sparse
+from repro.tensor import low_rank_sparse, random_factors
 
-RANK = 2
-SAMPLES = 64
-#: base sampler seed; the CI sampler job sweeps a seed x backend matrix
-SEED = int(os.environ.get("REPRO_SAMPLER_SEED", "0"))
+from .. import conformance as cf
 
-
-@pytest.fixture(scope="module")
-def tensor():
-    return uniform_sparse((12, 10, 14), 220, rng=6)
-
-
-@pytest.fixture(scope="module")
-def init(tensor):
-    return random_factors(tensor.shape, RANK, 17)
-
-
-def run(cls, tensor, init, backend="serial", workers=None, seed=SEED,
-        iterations=3, driver_kwargs=None, **conf_kwargs):
-    """One lev-sampled decomposition; returns (result, setup job count,
-    total sampler draws)."""
-    conf_kwargs.setdefault("sampler", "lev")
-    conf_kwargs.setdefault("sample_count", SAMPLES)
-    conf = EngineConf(backend=backend, backend_workers=workers,
-                      **conf_kwargs)
-    with Context(num_nodes=4, default_parallelism=8, conf=conf) as ctx:
-        result = cls(ctx, **(driver_kwargs or {})).decompose(
-            tensor, RANK, max_iterations=iterations, tol=0.0, seed=seed,
-            initial_factors=init)
-        setup_jobs = len(ctx.metrics.jobs_in_phase("setup"))
-        draws = ctx.metrics.sampler_draws
-    return result, setup_jobs, draws
-
-
-def assert_bit_identical(a, b):
-    assert np.array_equal(a.lambdas, b.lambdas)
-    assert len(a.factors) == len(b.factors)
-    for fa, fb in zip(a.factors, b.factors):
-        assert np.array_equal(fa, fb)
-    assert a.fit_history == b.fit_history
+#: draws per partition of the standard case under ``lev``
+SAMPLES = cf.CASES["order3"].sample_count
 
 
 # ---------------------------------------------------------------------
@@ -119,7 +82,7 @@ class TestSpecResolution:
         with pytest.raises(KernelError, match="invalid sample_count"):
             driver_spec(sample_count=0)
 
-    def test_conf_wires_driver(self, tensor):
+    def test_conf_wires_driver(self):
         conf = EngineConf(sampler="lev", sample_count=9)
         with Context(num_nodes=2, default_parallelism=4,
                      conf=conf) as ctx:
@@ -287,53 +250,46 @@ class TestUniformPool:
 # driver integration
 # ---------------------------------------------------------------------
 class TestSampledDecompose:
-    def test_flags_fit_as_estimate(self, tensor, init):
-        sampled, _, draws = run(CstfCOO, tensor, init)
-        exact, _, exact_draws = run(CstfCOO, tensor, init,
-                                    sampler="exact")
-        assert sampled.fit_is_estimate
-        assert not exact.fit_is_estimate
+    def test_flags_fit_as_estimate(self):
+        sampled = cf.run(sampler="lev")
+        exact = cf.run(sampler="exact")
+        assert sampled.result.fit_is_estimate
+        assert not exact.result.fit_is_estimate
+        draws = sampled.metrics.sampler_draws
         assert draws > 0 and draws % SAMPLES == 0
-        assert exact_draws == 0
+        assert exact.metrics.sampler_draws == 0
 
-    def test_same_seed_is_reproducible(self, tensor, init):
-        a, _, _ = run(CstfCOO, tensor, init, seed=SEED + 5)
-        b, _, _ = run(CstfCOO, tensor, init, seed=SEED + 5)
-        assert_bit_identical(a, b)
+    def test_same_seed_is_reproducible(self):
+        cf.assert_bit_identical(cf.run(sampler="lev", seed=5),
+                                cf.run(sampler="lev", seed=5))
 
-    def test_seed_changes_draws(self, tensor, init):
-        a, _, _ = run(CstfCOO, tensor, init, seed=SEED)
-        b, _, _ = run(CstfCOO, tensor, init, seed=SEED + 1)
-        assert not np.array_equal(a.factors[0], b.factors[0])
+    def test_seed_changes_draws(self):
+        a, b = (cf.oracle(sampler="lev", seed=seed) for seed in (0, 1))
+        assert not np.array_equal(a.result.factors[0], b.result.factors[0])
 
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
     @pytest.mark.parametrize("backend,workers",
                              [("threads", 4), ("process", 2)])
-    def test_backends_bit_identical(self, cls, tensor, init, backend,
-                                    workers):
-        serial, _, _ = run(cls, tensor, init)
-        pooled, _, _ = run(cls, tensor, init, backend, workers)
-        assert_bit_identical(serial, pooled)
+    def test_backends_bit_identical(self, request, monkeypatch, cls,
+                                    backend, workers):
+        cf.check_kept(request, monkeypatch)
 
-    def test_kernels_bit_identical(self, tensor, init):
-        vec, _, _ = run(CstfCOO, tensor, init, kernel="vectorized")
-        rec, _, _ = run(CstfCOO, tensor, init, kernel="record")
-        assert_bit_identical(vec, rec)
+    def test_kernels_bit_identical(self, request, monkeypatch):
+        cf.check_kept(request, monkeypatch)
 
-    def test_drivers_bit_identical(self, tensor, init):
+    def test_drivers_bit_identical(self, request, monkeypatch):
         """Sampled MTTKRP replaces each driver's exact dataflow with the
-        same broadcast estimator, so COO and QCOO must agree exactly."""
-        coo, _, _ = run(CstfCOO, tensor, init)
-        qcoo, _, _ = run(CstfQCOO, tensor, init)
-        assert_bit_identical(coo, qcoo)
+        same broadcast estimator, so COO and QCOO equal one oracle."""
+        cf.check_kept(request, monkeypatch)
 
-    def test_qcoo_skips_queue_construction(self, tensor, init):
+    def test_qcoo_skips_queue_construction(self):
         """Under lev the QCOO queue (N-1 tensor-sized joins) is never
         read, so ``_setup`` must not build it: the setup phase runs the
         same jobs as plain COO."""
-        coo, coo_setup, _ = run(CstfCOO, tensor, init)
-        qcoo, qcoo_setup, _ = run(CstfQCOO, tensor, init)
-        assert qcoo_setup == coo_setup
+        coo, qcoo = (cf.run(driver=d, sampler="lev").metrics
+                     for d in ("coo-join", "qcoo"))
+        assert len(qcoo.jobs_in_phase("setup")) \
+            == len(coo.jobs_in_phase("setup"))
 
 
 # ---------------------------------------------------------------------
@@ -341,93 +297,61 @@ class TestSampledDecompose:
 # ---------------------------------------------------------------------
 class TestSampledResume:
     @staticmethod
-    def lev_context():
-        return Context(num_nodes=2, default_parallelism=4,
-                       conf=EngineConf(sampler="lev",
-                                       sample_count=SAMPLES))
+    def lev(**kwargs):
+        return cf.run(sampler="lev", iterations=4, **kwargs)
 
-    def decompose(self, ctx, tensor, init, **kwargs):
-        return CstfCOO(ctx).decompose(
-            tensor, RANK, max_iterations=4, tol=0.0, seed=0,
-            **kwargs)
-
-    def test_resume_is_bit_identical(self, tensor, init):
+    def test_resume_is_bit_identical(self):
         """A lev run resumed from iteration 1 must replay the exact
         draws of the uninterrupted run — the site-seeded RNG keys on
         the iteration number, not on how many draws happened before."""
         store = InMemoryCheckpointStore()
-        with self.lev_context() as ctx:
-            full = self.decompose(ctx, tensor, init,
-                                  initial_factors=init,
-                                  checkpoint_every=1,
-                                  checkpoint_store=store)
-            resumed = self.decompose(ctx, tensor, init, resume_from=1,
-                                     checkpoint_store=store)
-        assert full.fit_is_estimate and resumed.fit_is_estimate
-        assert_bit_identical(full, resumed)
+        full = self.lev(store=store, checkpoint_every=1)
+        resumed = self.lev(store=store, resume_from=1)
+        assert full.result.fit_is_estimate and resumed.result.fit_is_estimate
+        cf.assert_bit_identical(full, resumed)
 
-    def test_snapshot_records_sampler_state(self, tensor, init):
+    def test_snapshot_records_sampler_state(self):
         store = InMemoryCheckpointStore()
-        with self.lev_context() as ctx:
-            self.decompose(ctx, tensor, init, initial_factors=init,
-                           checkpoint_every=2, checkpoint_store=store)
-        ck = store.load()
-        assert ck.rng_state == {"sampler": "lev",
-                                "sample_count": SAMPLES, "seed": 0}
+        self.lev(store=store, checkpoint_every=2)
+        assert store.load().rng_state == {"sampler": "lev",
+                                          "sample_count": SAMPLES, "seed": 0}
 
-    def test_file_store_round_trips_sampler_state(self, tensor, init,
-                                                  tmp_path):
+    def test_file_store_round_trips_sampler_state(self, tmp_path):
         store = FileCheckpointStore(tmp_path / "ckpts")
-        with self.lev_context() as ctx:
-            self.decompose(ctx, tensor, init, initial_factors=init,
-                           checkpoint_every=2, checkpoint_store=store)
-        loaded = store.load()
-        assert loaded.rng_state == {"sampler": "lev",
-                                    "sample_count": SAMPLES, "seed": 0}
+        self.lev(store=store, checkpoint_every=2)
+        assert store.load().rng_state == {"sampler": "lev",
+                                          "sample_count": SAMPLES, "seed": 0}
 
-    def test_exact_snapshots_have_no_sampler_state(self, tensor, init,
-                                                   tmp_path):
+    def test_exact_snapshots_have_no_sampler_state(self, tmp_path):
         store = FileCheckpointStore(tmp_path / "ckpts")
-        with Context(num_nodes=2, default_parallelism=4) as ctx:
-            self.decompose(ctx, tensor, init, initial_factors=init,
-                           checkpoint_every=2, checkpoint_store=store)
-            assert store.load().rng_state is None
-            # and an exact resume of an exact checkpoint still works
-            resumed = self.decompose(ctx, tensor, init, resume_from=1,
-                                     checkpoint_store=store)
-            full = self.decompose(ctx, tensor, init,
-                                  initial_factors=init)
-        assert_bit_identical(full, resumed)
+        cf.run(sampler="exact", iterations=4, store=store,
+               checkpoint_every=2)
+        assert store.load().rng_state is None
+        # and an exact resume of an exact checkpoint still works
+        resumed = cf.run(sampler="exact", iterations=4, store=store,
+                         resume_from=1)
+        cf.assert_bit_identical(cf.oracle(iterations=4), resumed)
 
     @pytest.mark.parametrize("mismatch", [
         {"sampler": None},
         {"sample_count": SAMPLES * 2},
         {"seed": 1},
     ])
-    def test_mismatched_resume_rejected(self, tensor, init, mismatch):
+    def test_mismatched_resume_rejected(self, mismatch):
         """Resuming with a different sampler configuration would replay
         different draws — the driver must refuse, not silently
         diverge."""
         store = InMemoryCheckpointStore()
-        conf = EngineConf(sampler="lev", sample_count=SAMPLES)
-        with Context(num_nodes=2, default_parallelism=4,
-                     conf=conf) as ctx:
-            self.decompose(ctx, tensor, init, initial_factors=init,
-                           checkpoint_every=1, checkpoint_store=store)
-        resume_conf = EngineConf(
-            sampler=mismatch.get("sampler", "lev"),
-            sample_count=mismatch.get("sample_count", SAMPLES))
-        with Context(num_nodes=2, default_parallelism=4,
-                     conf=resume_conf) as ctx:
-            with pytest.raises(ValueError, match="sampler state"):
-                CstfCOO(ctx).decompose(
-                    tensor, RANK, max_iterations=4, tol=0.0,
-                    seed=mismatch.get("seed", 0), resume_from=1,
-                    checkpoint_store=store)
+        self.lev(store=store, checkpoint_every=1)
+        got = cf.run(sampler=mismatch.get("sampler", "lev"),
+                     sample_count=mismatch.get("sample_count"),
+                     seed=mismatch.get("seed", 0), iterations=4,
+                     store=store, resume_from=1, raises=ValueError)
+        assert "sampler state" in str(got.error)
 
 
 # ---------------------------------------------------------------------
-# accuracy gate (the CI sampler job runs this class on a seed matrix)
+# accuracy gate
 # ---------------------------------------------------------------------
 class TestAccuracyGate:
     @pytest.mark.parametrize("seed", [0, 1])
@@ -435,16 +359,10 @@ class TestAccuracyGate:
         tensor, _ = low_rank_sparse((30, 30, 30), 3000, 3, noise=0.05,
                                     rng=11)
         init = random_factors(tensor.shape, 3, 13)
-        conf = EngineConf(sampler="lev", sample_count=512)
-        with Context(num_nodes=4, default_parallelism=8,
-                     conf=conf) as ctx:
-            sampled = CstfCOO(ctx).decompose(
-                tensor, 3, max_iterations=5, tol=0.0, seed=seed,
-                initial_factors=init)
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            exact = CstfCOO(ctx).decompose(
-                tensor, 3, max_iterations=5, tol=0.0,
-                initial_factors=init)
+        sampled, exact = (
+            cf.run(data=tensor, init=init, rank=3, iterations=5,
+                   sampler=sampler, sample_count=512, seed=seed).result
+            for sampler in ("lev", "exact"))
         # score the *sampled model* with the exact offline fit — its
         # own fit_history is itself an estimate
         assert abs(sampled.fit(tensor)
@@ -492,81 +410,38 @@ class TestSampledBlockContribution:
             assert len(rows) == s
 
 
-_TENSOR = uniform_sparse((12, 10, 14), 220, rng=6)   # ~27 rows a partition
-
-#: name -> (tensor, rank, sample_count, conf kwargs)
-TASK_BODY_CASES = {
-    # 5 nonzeros over 8 partitions: most tasks have nothing to draw from
-    "empty-partitions": (uniform_sparse((12, 10, 14), 5, rng=6), 2, 8, {}),
-    "pool-passes-through": (_TENSOR, 2, 64, {}),
-    "pool-draws": (_TENSOR, 2, 4, {}),
-    "rank1": (_TENSOR, 1, 4, {}),
-    "order4": (uniform_sparse((8, 10, 6, 7), 300, rng=43), 2, 6, {}),
-    # the s raw rows cross the shuffle; the reduce side folds them
-    "no-map-side-combine": (_TENSOR, 2, 4, {"map_side_combine": False}),
-}
-
-_TASK_BODY_ORACLES: dict = {}
-
-
-def task_body_run(name, backend="serial", workers=None, kernel="record",
-                  faulty=False, **decompose_kwargs):
-    from repro.engine import FaultPlan
-    tensor, rank, samples, conf_kwargs = TASK_BODY_CASES[name]
-    if "resume_from" not in decompose_kwargs:
-        decompose_kwargs["initial_factors"] = random_factors(
-            tensor.shape, rank, 17)
-    conf = EngineConf(backend=backend, backend_workers=workers,
-                      kernel=kernel, sampler="lev", sample_count=samples,
-                      **conf_kwargs)
-    plan = FaultPlan(seed=SEED, task_failure_prob=0.05) if faulty \
-        else None
-    with Context(num_nodes=4, default_parallelism=8, conf=conf,
-                 fault_plan=plan) as ctx:
-        result = CstfCOO(ctx).decompose(
-            tensor, rank, max_iterations=3, tol=0.0, seed=SEED,
-            **decompose_kwargs)
-        failures = ctx.metrics.faults.task_failures
-    if backend == "process":
-        assert ctx.backend.live_segments() == []
-    return result, failures
-
-
-def task_body_oracle(name):
-    """The clean serial record-kernel run of one case, computed once:
-    two nodes per MTTKRP (sample, then contribute), no pool."""
-    if name not in _TASK_BODY_ORACLES:
-        _TASK_BODY_ORACLES[name] = task_body_run(name)[0]
-    return _TASK_BODY_ORACLES[name]
-
-
 @pytest.mark.usefixtures("share_everything")
 class TestSampledTaskBody:
+    """The sampled map task — one fused body wherever it runs — on the
+    degenerate shapes of ``cf.TASK_BODY_CASES``: every backend and
+    kernel, clean and under injected task failures, equals the record
+    oracle's two-node (sample, then contribute) composition."""
+
     @pytest.mark.parametrize("faulty", [False, True],
                              ids=["clean", "fault-seeded"])
     @pytest.mark.parametrize("kernel", ["vectorized", "record"])
     @pytest.mark.parametrize("backend,workers", [
         ("serial", None), ("threads", 4), ("process", 2)])
-    @pytest.mark.parametrize("name", TASK_BODY_CASES)
-    def test_bit_identical_wherever_it_runs(self, name, backend, workers,
-                                            kernel, faulty):
-        result, failures = task_body_run(name, backend, workers, kernel,
-                                         faulty)
-        assert_bit_identical(task_body_oracle(name), result)
-        assert faulty or failures == 0
+    @pytest.mark.parametrize("name", cf.TASK_BODY_CASES)
+    def test_bit_identical_wherever_it_runs(self, request, monkeypatch,
+                                            name, backend, workers, kernel,
+                                            faulty):
+        (got,) = cf.check_kept(request, monkeypatch)
+        assert faulty or got.metrics.faults.task_failures == 0
 
     @pytest.mark.parametrize("backend,workers", [
         ("threads", 4), ("process", 2)])
     def test_resume_on_another_backend_replays_the_draws(self, backend,
                                                          workers):
         store = InMemoryCheckpointStore()
-        full, _ = task_body_run("pool-draws", checkpoint_every=1,
-                                checkpoint_store=store)
-        assert_bit_identical(task_body_oracle("pool-draws"), full)
-        resumed, _ = task_body_run(
-            "pool-draws", backend, workers, "vectorized",
-            resume_from=0, checkpoint_store=store)
-        assert_bit_identical(full, resumed)
+        full = cf.run("lev-pool-draws", kernel="record", backend="serial",
+                      sampler="lev", store=store, checkpoint_every=1)
+        cf.assert_bit_identical(cf.oracle("lev-pool-draws", sampler="lev"),
+                                full)
+        resumed = cf.run("lev-pool-draws", kernel="vectorized",
+                         backend=backend, sampler="lev", store=store,
+                         resume_from=0)
+        cf.assert_bit_identical(full, resumed)
 
     @pytest.mark.parametrize("kernel", ["vectorized", "record"])
     @pytest.mark.parametrize("backend,workers", [
@@ -583,18 +458,19 @@ class TestSampledTaskBody:
         def mttkrp(backend, workers, kernel):
             conf = EngineConf(backend=backend, backend_workers=workers,
                               kernel=kernel, memory_total_bytes=100)
-            factors = random_factors(_TENSOR.shape, RANK, 17)
+            data = cf.tensor("order3")
+            factors = cf.initial("order3")
             with Context(num_nodes=4, default_parallelism=8,
                          conf=conf) as ctx:
                 driver = CstfCOO(ctx)
-                tensor_rdd = driver._distribute_tensor(_TENSOR)
+                tensor_rdd = driver._distribute_tensor(data)
                 scores = {m: ctx.broadcast(leverage_scores(
                     factors[m], np.linalg.pinv(factors[m].T @ factors[m])))
                     for m in (0, 2)}
                 fixed = {m: ctx.broadcast(factors[m]) for m in (0, 2)}
                 m_rdd = ctx.kernel.sum_rows_by_key(
                     ctx.kernel.sampled_contributions(
-                        tensor_rdd, LeverageSampler(4, seed=SEED), scores,
+                        tensor_rdd, LeverageSampler(4, seed=0), scores,
                         fixed, mode=1, iteration=0), 8)
                 block = coalesce_rows(m_rdd.collect())
                 tensor_rdd.unpersist()

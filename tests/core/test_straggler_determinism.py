@@ -6,110 +6,41 @@ commit-once latch guarantees exactly one attempt's records reach the
 shuffle layer, so a decomposition with speculation on — even racing
 backups against a 10x-slow node — must be bit-identical to a clean run
 with everything off, on both backends.  All runs use the virtual clock
-so minutes of injected latency cost milliseconds of wall time.  Seeded
-via ``REPRO_FAULT_SEED`` so CI sweeps a matrix.
+so minutes of injected latency cost milliseconds of wall time.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
 import pytest
 
-from repro.core import CstfCOO, CstfQCOO
-from repro.engine import Context, EngineConf, FaultPlan
-from repro.tensor import random_factors, uniform_sparse
-
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+from .. import conformance as cf
 
 BACKENDS = (("serial", None), ("threads", 4))
 
 
-@pytest.fixture(scope="module")
-def tensor():
-    return uniform_sparse((12, 10, 14), 220, rng=6)
-
-
-@pytest.fixture(scope="module")
-def init(tensor):
-    return random_factors(tensor.shape, 2, 17)
-
-
-def slow_node_plan():
-    """Node 2 stalls every task placed on it for ~10x a typical task."""
-    return FaultPlan(seed=SEED, task_base_delay_s=0.02,
-                     slow_node_budgets={2: 0.2})
-
-
-def run(cls, tensor, init, backend, workers, fault_plan=None,
-        **conf_kwargs):
-    conf_kwargs.setdefault("clock", "virtual")
-    conf = EngineConf(backend=backend, backend_workers=workers,
-                      **conf_kwargs)
-    with Context(num_nodes=4, default_parallelism=8, conf=conf,
-                 fault_plan=fault_plan) as ctx:
-        assert ctx.backend.name == backend
-        result = cls(ctx).decompose(tensor, 2, max_iterations=3, tol=0.0,
-                                    initial_factors=init)
-        return result, ctx.metrics.stragglers
-
-
-def assert_bit_identical(a, b):
-    assert np.array_equal(a.lambdas, b.lambdas)
-    assert len(a.factors) == len(b.factors)
-    for fa, fb in zip(a.factors, b.factors):
-        assert np.array_equal(fa, fb)
-    assert a.fit_history == b.fit_history
-
-
 class TestSpeculationPreservesResults:
     @pytest.mark.parametrize("backend,workers", BACKENDS)
-    @pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO])
-    def test_speculation_matches_clean_run(self, cls, backend, workers,
-                                           tensor, init):
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
+    def test_speculation_matches_clean_run(self, request, monkeypatch, cls,
+                                           backend, workers):
         """Speculating against a seeded 10x-slow node reproduces the
         clean run's factors bit-for-bit."""
-        clean, _ = run(cls, tensor, init, backend, workers)
-        spec, stragglers = run(
-            cls, tensor, init, backend, workers,
-            fault_plan=slow_node_plan(), speculation=True,
-            speculative_min_deadline_s=0.05,
-            speculative_multiplier=2.0)
-        assert_bit_identical(clean, spec)
-        assert stragglers.tasks_speculated > 0
+        cf.check_kept(request, monkeypatch)
 
     @pytest.mark.parametrize("backend,workers", BACKENDS)
-    def test_deadline_retries_match_clean_run(self, backend, workers,
-                                              tensor, init):
+    def test_deadline_retries_match_clean_run(self, request, monkeypatch,
+                                              backend, workers):
         """Hard-deadline timeouts plus quarantine re-placement also
         leave the numerics untouched."""
-        clean, _ = run(CstfCOO, tensor, init, backend, workers)
-        healed, stragglers = run(
-            CstfCOO, tensor, init, backend, workers,
-            fault_plan=slow_node_plan(), task_deadline_s=0.1,
-            quarantine_threshold=2.0, quarantine_decay_s=1000.0)
-        assert_bit_identical(clean, healed)
-        assert stragglers.tasks_timed_out > 0
+        cf.check_kept(request, monkeypatch)
 
-    def test_speculation_off_equals_on_for_clean_plan(self, tensor,
-                                                      init):
+    def test_speculation_off_equals_on_for_clean_plan(self):
         """With nothing slow, enabling speculation is a no-op on the
         results (backups may or may not launch; commits are unique)."""
-        off, _ = run(CstfCOO, tensor, init, "threads", 4)
-        on, _ = run(CstfCOO, tensor, init, "threads", 4,
-                    speculation=True)
-        assert_bit_identical(off, on)
+        on = cf.run(backend="threads", conf={"speculation": True})
+        cf.assert_bit_identical(cf.oracle(), on)
 
-    def test_thread_spec_matches_serial_spec(self, tensor, init):
+    def test_thread_spec_matches_serial_spec(self, request, monkeypatch):
         """The serial inline-failover path and the threaded racing
         path converge on identical factors."""
-        serial, _ = run(CstfCOO, tensor, init, "serial", None,
-                        fault_plan=slow_node_plan(), speculation=True,
-                        speculative_min_deadline_s=0.05,
-                        speculative_multiplier=2.0)
-        threads, _ = run(CstfCOO, tensor, init, "threads", 4,
-                         fault_plan=slow_node_plan(), speculation=True,
-                         speculative_min_deadline_s=0.05,
-                         speculative_multiplier=2.0)
-        assert_bit_identical(serial, threads)
+        cf.check_kept(request, monkeypatch)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import CstfCOO
 from repro.engine import Context
 from repro.engine.blocks import record_count
 from repro.tensor import random_factors, uniform_sparse, zipf_sparse
+
+from .. import conformance as cf
 
 
 @pytest.fixture(scope="module")
@@ -24,17 +25,10 @@ def init(tensor):
 class TestStrategies:
     @pytest.mark.parametrize("strategy", ["input", "hash", "range:0"])
     def test_all_strategies_same_result(self, tensor, init, strategy):
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            res = CstfCOO(ctx, tensor_partitioning=strategy).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        with Context(num_nodes=4, default_parallelism=8) as ctx:
-            ref = CstfCOO(ctx).decompose(
-                tensor, 2, max_iterations=2, tol=0.0,
-                initial_factors=init)
-        assert np.allclose(res.lambdas, ref.lambdas)
-        for a, b in zip(res.factors, ref.factors):
-            assert np.allclose(a, b, atol=1e-10)
+        res, ref = (cf.run(data=tensor, init=init, iterations=2,
+                           driver_kwargs={"tensor_partitioning": part})
+                    for part in (strategy, "hash"))
+        cf.assert_close(res, ref, atol=1e-10)
 
     def test_invalid_strategy_rejected(self, ctx):
         with pytest.raises(ValueError, match="tensor_partitioning"):

@@ -272,7 +272,7 @@ class TestProcessBackendSharedMemory:
         out once and stays attached."""
         from repro.engine import procpool
         monkeypatch.setattr(procpool, "_PUBLISH_CACHE_CAP", 2)
-        monkeypatch.setenv("REPRO_SHM_ATTACH_CAP", "2")
+        monkeypatch.setattr(procpool, "_ATTACH_CACHE_CAP", 2)
         registry = procpool.SharedBlockRegistry()
         attached = procpool._AttachmentCache()
         published = []
@@ -430,8 +430,9 @@ class TestProcessPoolLifecycle:
         import subprocess
         import sys
         import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
         program = (
-            "import sys\n"
+            f"import sys\nsys.path.insert(0, {src!r})\n"
             "import repro.engine.procpool\n"
             "assert 'scipy.optimize' not in sys.modules\n"
             "from repro.engine import (CalibrationPoint, RunStats,\n"
@@ -441,11 +442,9 @@ class TestProcessPoolLifecycle:
             "                 num_jobs=1)\n"
             "calibrate([CalibrationPoint(stats, 2, 1.0)])\n"
             "assert 'scipy.optimize' in sys.modules\n")
-        src = os.path.dirname(os.path.dirname(repro.__file__))
         done = subprocess.run(
             [sys.executable, "-c", program], capture_output=True,
-            text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src})
+            text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
 

@@ -3,8 +3,9 @@
 Table-driven: every env-backed ``EngineConf`` field goes through the
 same five checks — default, environment fallback, explicit conf beats
 environment, malformed environment raises the documented type with the
-variable named, and the resolved conf is concrete and frozen.  An AST
-guard keeps ``conf.py`` the only module that reads the environment.
+variable named, and the resolved conf is concrete and frozen.  AST
+guards keep ``conf.py`` the only library module that reads the
+environment, and ``tests/conftest.py`` the only test module.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import os
 import pathlib
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import repro
 from repro.engine import (BackendError, Context, EngineConf, EngineError,
                           KernelError)
-from repro.engine.conf import check, resolve, shm_attach_cap
+from repro.engine.conf import check, resolve
 
 class Case(NamedTuple):
     """One env-backed field's row of expectations."""
@@ -56,7 +58,7 @@ CASES = [
          9.0, "soon", EngineError),
 ]
 IDS = [case.field for case in CASES]
-VARIABLES = [case.var for case in CASES] + ["REPRO_SHM_ATTACH_CAP"]
+VARIABLES = [case.var for case in CASES]
 
 
 @pytest.fixture(autouse=True)
@@ -135,12 +137,33 @@ class TestResolvedConf:
             resolve(EngineConf(**{field: value}))
 
     def test_shm_attach_cap(self, monkeypatch):
-        assert shm_attach_cap() == 256
-        monkeypatch.setenv("REPRO_SHM_ATTACH_CAP", "2")
-        assert shm_attach_cap() == 2
-        monkeypatch.setenv("REPRO_SHM_ATTACH_CAP", "abc")
-        with pytest.raises(BackendError, match="REPRO_SHM_ATTACH_CAP"):
-            Context(num_nodes=2)
+        """A worker's attachment cap is no setting but a constant,
+        ``procpool._ATTACH_CACHE_CAP``: patched before the pool spawns,
+        it reaches the worker in the handshake, and the worker then
+        keeps only that many segments attached between requests — a
+        segment the driver unlinks behind its cache's back is still
+        readable under the stock cap and gone under a cap of 2."""
+        from repro.engine import create_backend, procpool
+        monkeypatch.setattr(procpool, "_SHARE_MIN_BYTES", 1)
+        values = np.ones(8)
+        args = ((values, np.arange(8),
+                 [(np.zeros(8, dtype=np.int64), np.ones((3, 2)))]),
+                {"prereduce": True})
+
+        def still_attached(cap):
+            monkeypatch.setattr(procpool, "_ATTACH_CACHE_CAP", cap)
+            backend = create_backend("process", 1)
+            try:
+                assert backend.offload.run("contrib", *args) is not None
+                (name, *_) = backend.registry.publish_cached(values)
+                backend.registry.unpin([name])
+                backend.registry.release(name)
+                return backend.offload.run("contrib", *args) is not None
+            finally:
+                backend.shutdown()
+        assert procpool._ATTACH_CACHE_CAP == 256
+        assert still_attached(256)
+        assert not still_attached(2)
 
 
 def _environment_reads(path: pathlib.Path) -> list[str]:
@@ -182,3 +205,19 @@ def test_only_conf_reads_the_environment():
         if reads:
             offenders[rel] = reads
     assert not offenders
+
+
+def test_only_conftest_reads_the_environment_in_tests():
+    """Tests take their seeds from their cases, not the environment:
+    only ``tests/conftest.py`` reads variables, and only the two it
+    documents (the hypothesis profile and the constrained-cache run)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    reads = {path.relative_to(root).as_posix(): _environment_reads(path)
+             for path in sorted(root.rglob("*.py"))}
+    assert {rel for rel, found in reads.items() if found} == {"conftest.py"}
+    conftest = ast.parse((root / "conftest.py").read_text())
+    names = [node.args[0].value for node in ast.walk(conftest)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "os.environ.get"]
+    assert len(reads["conftest.py"]) == 2 and sorted(names) == [
+        "REPRO_CACHE_CAPACITY_BYTES", "REPRO_HYPOTHESIS_PROFILE"]

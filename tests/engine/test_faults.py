@@ -8,16 +8,11 @@ are unchanged and that :class:`FaultMetrics` records what happened.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.engine import (Context, EngineConf, EngineError, FaultPlan,
                           FetchFailedError, JobExecutionError,
                           NodeKillEvent)
-
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
 
 def wordcount(ctx, n=60, parts=6, reducers=6):
     return (ctx.parallelize([(i % 5, 1) for i in range(n)], parts)
@@ -52,7 +47,7 @@ class TestFaultPlanValidation:
 
 class TestInjectedTaskFaults:
     def test_lazy_midstream_fault_is_retried(self):
-        plan = FaultPlan(seed=SEED, task_failure_prob=1.0,
+        plan = FaultPlan(task_failure_prob=1.0,
                          task_failure_mode="lazy")
         with Context(num_nodes=4, default_parallelism=8,
                      fault_plan=plan) as ctx:
@@ -63,7 +58,7 @@ class TestInjectedTaskFaults:
             assert faults.task_failures > 0
 
     def test_eager_fault_is_retried(self):
-        plan = FaultPlan(seed=SEED, task_failure_prob=1.0,
+        plan = FaultPlan(task_failure_prob=1.0,
                          task_failure_mode="eager")
         with Context(num_nodes=4, default_parallelism=8,
                      fault_plan=plan) as ctx:
@@ -79,13 +74,14 @@ class TestInjectedTaskFaults:
                          fault_plan=plan) as ctx:
                 out = wordcount(ctx).collect_as_map()
                 return out, ctx.metrics.faults.injected_task_failures
-        out_a, n_a = run(SEED)
-        out_b, n_b = run(SEED)
-        assert out_a == out_b == EXPECTED
-        assert n_a == n_b
+        for seed in (0, 1, 2):
+            out_a, n_a = run(seed)
+            out_b, n_b = run(seed)
+            assert out_a == out_b == EXPECTED
+            assert n_a == n_b
 
     def test_stragglers_counted(self):
-        plan = FaultPlan(seed=SEED, slow_task_prob=1.0,
+        plan = FaultPlan(slow_task_prob=1.0,
                          slow_task_delay_s=1e-4)
         with Context(num_nodes=4, default_parallelism=8,
                      fault_plan=plan) as ctx:
@@ -95,24 +91,26 @@ class TestInjectedTaskFaults:
 
 class TestFetchFailureRecovery:
     def test_injected_fetch_failures_recovered(self):
-        plan = FaultPlan(seed=SEED, fetch_failure_prob=0.3)
         conf = EngineConf(stage_max_failures=50)
-        with Context(num_nodes=4, default_parallelism=4, conf=conf,
-                     fault_plan=plan) as ctx:
-            rdd = (ctx.parallelize([(i % 2, 1) for i in range(16)], 2)
-                   .reduce_by_key(lambda a, b: a + b, 2))
-            # several reads, so every seed draws enough fetch decisions
-            for _ in range(4):
-                assert rdd.collect_as_map() == {0: 8, 1: 8}
-            faults = ctx.metrics.faults
-            assert faults.fetch_failures > 0
-            # injected fetch failures are transient: no map output was
-            # actually lost, so the retried read succeeds without
-            # recomputing parents
-            assert faults.stages_resubmitted == 0
+        for seed in (0, 1, 2):
+            plan = FaultPlan(seed=seed, fetch_failure_prob=0.3)
+            with Context(num_nodes=4, default_parallelism=4, conf=conf,
+                         fault_plan=plan) as ctx:
+                rdd = (ctx.parallelize([(i % 2, 1) for i in range(16)], 2)
+                       .reduce_by_key(lambda a, b: a + b, 2))
+                # several reads, so every seed draws enough fetch
+                # decisions
+                for _ in range(4):
+                    assert rdd.collect_as_map() == {0: 8, 1: 8}
+                faults = ctx.metrics.faults
+                assert faults.fetch_failures > 0
+                # injected fetch failures are transient: no map output
+                # was actually lost, so the retried read succeeds
+                # without recomputing parents
+                assert faults.stages_resubmitted == 0
 
     def test_exhausted_stage_retries_surface(self):
-        plan = FaultPlan(seed=SEED, fetch_failure_prob=1.0)
+        plan = FaultPlan(fetch_failure_prob=1.0)
         conf = EngineConf(stage_max_failures=2)
         with Context(num_nodes=4, default_parallelism=8, conf=conf,
                      fault_plan=plan) as ctx:
@@ -146,8 +144,7 @@ class TestNodeLoss:
             assert sorted(rdd.collect()) == list(range(1, 41))
 
     def test_kill_at_stage_trigger(self):
-        plan = FaultPlan(
-            seed=SEED, node_kills=(NodeKillEvent(node_id=1, at_stage=1),))
+        plan = FaultPlan(node_kills=(NodeKillEvent(node_id=1, at_stage=1),))
         with Context(num_nodes=4, default_parallelism=8,
                      fault_plan=plan) as ctx:
             assert wordcount(ctx).collect_as_map() == EXPECTED
@@ -160,7 +157,6 @@ class TestNodeLoss:
         incomplete shuffle (FetchFailedError) and the scheduler
         resubmits the map stage from lineage."""
         plan = FaultPlan(
-            seed=SEED,
             node_kills=(NodeKillEvent(node_id=1, after_tasks=4),))
         with Context(num_nodes=4, default_parallelism=8,
                      fault_plan=plan) as ctx:
@@ -173,8 +169,7 @@ class TestNodeLoss:
             assert faults.records_recomputed > 0
 
     def test_kill_fires_once(self):
-        plan = FaultPlan(
-            seed=SEED, node_kills=(NodeKillEvent(node_id=1, at_stage=0),))
+        plan = FaultPlan(node_kills=(NodeKillEvent(node_id=1, at_stage=0),))
         with Context(num_nodes=4, default_parallelism=8,
                      fault_plan=plan) as ctx:
             ctx.parallelize(range(8), 4).count()
@@ -196,7 +191,7 @@ class TestNodeLoss:
 
 class TestNodeExclusion:
     def test_broken_node_excluded_and_tasks_replaced(self):
-        plan = FaultPlan(seed=SEED, broken_nodes=(1,))
+        plan = FaultPlan(broken_nodes=(1,))
         conf = EngineConf(task_max_failures=6, node_max_failures=2)
         with Context(num_nodes=4, default_parallelism=8, conf=conf,
                      fault_plan=plan) as ctx:
@@ -209,7 +204,7 @@ class TestNodeExclusion:
             assert ctx.cluster.is_available(1) is False
 
     def test_broken_node_without_exclusion_exhausts_retries(self):
-        plan = FaultPlan(seed=SEED, broken_nodes=(1,))
+        plan = FaultPlan(broken_nodes=(1,))
         conf = EngineConf(task_max_failures=2, node_max_failures=None)
         with Context(num_nodes=4, default_parallelism=8, conf=conf,
                      fault_plan=plan) as ctx:

@@ -10,17 +10,13 @@ blob-free.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.engine import (Context, CorruptedBlockError, CorruptedDataError,
                           EngineConf, FaultPlan, FetchFailedError,
                           IntegrityManager, IntegrityMetrics, StorageLevel)
 from repro.engine.integrity import flip_byte, site_rng
-from repro.engine.serialization import checksum_blob, serialize_partition
-
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+from repro.engine.serialization import serialize_partition
 
 INTEGRITY = EngineConf(integrity=True)
 
@@ -104,7 +100,7 @@ class TestIntegrityManager:
         assert metrics.corrupted_blocks == 1
 
     def test_injection_hits_first_read_only(self):
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=1.0)
+        plan = FaultPlan(corrupt_block_prob=1.0)
         metrics = IntegrityMetrics()
         mgr = IntegrityManager(True, plan, metrics)
         blob = serialize_partition([(1, 2.0)])
@@ -117,10 +113,12 @@ class TestIntegrityManager:
         assert metrics.corrupted_blocks == 1
 
     def test_site_rng_is_order_independent(self):
-        a = site_rng(SEED, "corrupt", "shuffle", 1, 2, 3).random()
-        b = site_rng(SEED, "corrupt", "shuffle", 1, 2, 3).random()
-        assert a == b
-        assert a != site_rng(SEED, "corrupt", "shuffle", 1, 2, 4).random()
+        for seed in (0, 1, 2):
+            a = site_rng(seed, "corrupt", "shuffle", 1, 2, 3).random()
+            b = site_rng(seed, "corrupt", "shuffle", 1, 2, 3).random()
+            assert a == b
+            assert a != site_rng(seed, "corrupt", "shuffle", 1, 2,
+                                 4).random()
 
 
 class TestErrorHierarchy:
@@ -145,7 +143,7 @@ class TestShuffleIntegrity:
             assert ctx.metrics.integrity.checksum_bytes > 0
 
     def test_corruption_detected_and_healed(self):
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=1.0)
+        plan = FaultPlan(corrupt_block_prob=1.0)
         with Context(num_nodes=4, default_parallelism=8, fault_plan=plan,
                      conf=INTEGRITY) as ctx:
             assert wordcount(ctx).collect_as_map() == EXPECTED
@@ -158,7 +156,7 @@ class TestShuffleIntegrity:
     def test_corruption_without_integrity_is_silent(self):
         # the whole point of the layer: without it the plan's corruption
         # knob has no detector to trip (and no bytes are sealed at all)
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=1.0)
+        plan = FaultPlan(corrupt_block_prob=1.0)
         with Context(num_nodes=4, default_parallelism=8, fault_plan=plan,
                      conf=EngineConf(integrity=False)) as ctx:
             assert wordcount(ctx).collect_as_map() == EXPECTED
@@ -183,7 +181,7 @@ class TestBroadcastIntegrity:
             assert bc.value is None  # cached path
 
     def test_broadcast_corruption_heals_via_task_retry(self):
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=1.0)
+        plan = FaultPlan(corrupt_block_prob=1.0)
         with Context(num_nodes=4, default_parallelism=4, fault_plan=plan,
                      conf=INTEGRITY) as ctx:
             bc = ctx.broadcast([10, 20, 30])
@@ -207,7 +205,7 @@ class TestCacheIntegrity:
             assert ctx.metrics.integrity.blocks_verified > before
 
     def test_cache_corruption_becomes_miss_and_recomputes(self):
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=1.0)
+        plan = FaultPlan(corrupt_block_prob=1.0)
         with Context(num_nodes=2, default_parallelism=2, fault_plan=plan,
                      conf=INTEGRITY) as ctx:
             rdd = ctx.parallelize(range(20), 2).map(
@@ -233,7 +231,7 @@ class TestSpillIntegrity:
                 assert ctx.metrics.integrity.blocks_verified > 0
 
     def test_spill_corruption_detected(self):
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=1.0)
+        plan = FaultPlan(corrupt_block_prob=1.0)
         conf = EngineConf(integrity=True, memory_total_bytes=20_000)
         with Context(num_nodes=2, default_parallelism=2, fault_plan=plan,
                      conf=conf) as ctx:
@@ -249,15 +247,16 @@ class TestSpillIntegrity:
 
 class TestBackendEquivalence:
     def test_threads_backend_matches_serial_under_corruption(self):
-        plan = FaultPlan(seed=SEED, corrupt_block_prob=0.3)
-        results = {}
-        for backend in ("serial", "threads"):
-            conf = EngineConf(integrity=True, backend=backend)
-            with Context(num_nodes=4, default_parallelism=8,
-                         fault_plan=plan, conf=conf) as ctx:
-                results[backend] = wordcount(ctx).collect_as_map()
-                assert ctx.metrics.integrity.corrupted_blocks > 0
-        assert results["serial"] == results["threads"] == EXPECTED
+        for seed in (0, 1, 2):
+            plan = FaultPlan(seed=seed, corrupt_block_prob=0.3)
+            results = {}
+            for backend in ("serial", "threads"):
+                conf = EngineConf(integrity=True, backend=backend)
+                with Context(num_nodes=4, default_parallelism=8,
+                             fault_plan=plan, conf=conf) as ctx:
+                    results[backend] = wordcount(ctx).collect_as_map()
+                    assert ctx.metrics.integrity.corrupted_blocks > 0
+            assert results["serial"] == results["threads"] == EXPECTED
 
 
 class TestMetricsSummary:

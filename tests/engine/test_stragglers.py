@@ -10,8 +10,6 @@ quarantine-term arithmetic.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.engine import (CancellationGroup, CancellationToken,
@@ -19,8 +17,6 @@ from repro.engine import (CancellationGroup, CancellationToken,
                           EngineError, FaultPlan, MonotonicClock,
                           NodeHealthTracker, TaskTimedOutError,
                           VirtualClock, backoff_delay, create_clock)
-
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 BACKENDS = (("serial", None), ("threads", 4))
 
@@ -193,16 +189,17 @@ class TestBackoff:
         assert len(draws) > 1
 
     def test_retries_sleep_on_the_engine_clock(self):
-        plan = FaultPlan(seed=SEED, task_failure_prob=0.25)
-        with make_ctx(plan=plan) as ctx:
-            assert wordcount(ctx).collect_as_map() == EXPECTED
-            failures = ctx.metrics.faults.task_failures
-            stragglers = ctx.metrics.stragglers
-            assert failures > 0
-            assert stragglers.backoff_sleeps == failures
-            assert stragglers.backoff_total_s > 0
-            # the sleeps advanced virtual, not wall, time
-            assert ctx.clock.time() >= stragglers.backoff_total_s
+        for seed in (0, 1, 2):
+            plan = FaultPlan(seed=seed, task_failure_prob=0.25)
+            with make_ctx(plan=plan) as ctx:
+                assert wordcount(ctx).collect_as_map() == EXPECTED
+                failures = ctx.metrics.faults.task_failures
+                stragglers = ctx.metrics.stragglers
+                assert failures > 0
+                assert stragglers.backoff_sleeps == failures
+                assert stragglers.backoff_total_s > 0
+                # the sleeps advanced virtual, not wall, time
+                assert ctx.clock.time() >= stragglers.backoff_total_s
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +207,7 @@ class TestBackoff:
 # ----------------------------------------------------------------------
 class TestDelayInjection:
     def test_base_delay_accrues_virtual_time(self):
-        plan = FaultPlan(seed=SEED, task_base_delay_s=0.05)
+        plan = FaultPlan(task_base_delay_s=0.05)
         with make_ctx(plan=plan) as ctx:
             assert wordcount(ctx).collect_as_map() == EXPECTED
             s = ctx.metrics.stragglers
@@ -221,33 +218,32 @@ class TestDelayInjection:
     def test_slow_draws_identical_across_backends(self, backend, workers):
         """Seeded slow-task/slow-node decisions are per-site, so the
         injected totals match across backends exactly."""
-        plan = FaultPlan(seed=SEED, slow_task_prob=0.3,
-                         slow_task_delay_s=1.0,
-                         slow_node_budgets={1: 2.0}, slow_node_prob=0.5)
-        with make_ctx(backend, workers, plan=plan) as ctx:
-            assert wordcount(ctx).collect_as_map() == EXPECTED
-            slow = ctx.metrics.stragglers.injected_slow_tasks
-            delay = ctx.metrics.stragglers.injected_delay_s
-        with make_ctx("serial", plan=FaultPlan(
-                seed=SEED, slow_task_prob=0.3, slow_task_delay_s=1.0,
-                slow_node_budgets={1: 2.0},
-                slow_node_prob=0.5)) as ctx2:
-            assert wordcount(ctx2).collect_as_map() == EXPECTED
-            assert ctx2.metrics.stragglers.injected_slow_tasks == slow
-            assert ctx2.metrics.stragglers.injected_delay_s == delay
+        for seed in (0, 1, 2):
+            plan = FaultPlan(seed=seed, slow_task_prob=0.3,
+                             slow_task_delay_s=1.0,
+                             slow_node_budgets={1: 2.0}, slow_node_prob=0.5)
+            totals = []
+            for where in ((backend, workers), ("serial", None)):
+                with make_ctx(*where, plan=plan) as ctx:
+                    assert wordcount(ctx).collect_as_map() == EXPECTED
+                    stragglers = ctx.metrics.stragglers
+                    totals.append((stragglers.injected_slow_tasks,
+                                   stragglers.injected_delay_s))
+            assert totals[0] == totals[1]
 
     def test_hang_healed_by_deadline_retry(self):
-        plan = FaultPlan(seed=SEED, hang_task_prob=0.2)
-        with make_ctx(plan=plan, task_deadline_s=0.5) as ctx:
-            assert wordcount(ctx).collect_as_map() == EXPECTED
-            s = ctx.metrics.stragglers
-            assert s.injected_hangs > 0
-            assert s.tasks_timed_out >= s.injected_hangs
-            # hang caps keep retries clean: the job still finished
-            assert s.wasted_attempt_s > 0
+        for seed in (0, 1, 2):
+            plan = FaultPlan(seed=seed, hang_task_prob=0.2)
+            with make_ctx(plan=plan, task_deadline_s=0.5) as ctx:
+                assert wordcount(ctx).collect_as_map() == EXPECTED
+                s = ctx.metrics.stragglers
+                assert s.injected_hangs > 0
+                assert s.tasks_timed_out >= s.injected_hangs
+                # hang caps keep retries clean: the job still finished
+                assert s.wasted_attempt_s > 0
 
     def test_hang_without_deadline_raises_not_deadlocks(self):
-        plan = FaultPlan(seed=SEED, hang_task_prob=1.0,
+        plan = FaultPlan(hang_task_prob=1.0,
                          max_injected_hangs_per_task=10)
         with make_ctx(plan=plan) as ctx:
             with pytest.raises(Exception, match="cannot terminate"):
@@ -276,7 +272,7 @@ class TestDeadlinesAndSpeculation:
         full pipeline: deadlines convert stalls into straggles, the
         straggles cross the quarantine threshold, and retries re-place
         onto a healthy node."""
-        plan = FaultPlan(seed=SEED, task_base_delay_s=0.01,
+        plan = FaultPlan(task_base_delay_s=0.01,
                          slow_node_budgets={2: 30.0})
         with make_ctx(backend, workers, plan=plan, task_deadline_s=0.5,
                       quarantine_threshold=2.0,
@@ -290,7 +286,7 @@ class TestDeadlinesAndSpeculation:
 
     @pytest.mark.parametrize("backend,workers", BACKENDS)
     def test_speculation_rescues_slow_node(self, backend, workers):
-        plan = FaultPlan(seed=SEED, task_base_delay_s=0.05,
+        plan = FaultPlan(task_base_delay_s=0.05,
                          slow_node_budgets={2: 30.0})
         with make_ctx(backend, workers, plan=plan, speculation=True,
                       task_deadline_s=60.0,
@@ -303,7 +299,7 @@ class TestDeadlinesAndSpeculation:
             assert s.attempts_cancelled > 0
 
     def test_speculation_off_by_default(self):
-        plan = FaultPlan(seed=SEED, task_base_delay_s=0.01)
+        plan = FaultPlan(task_base_delay_s=0.01)
         with make_ctx(plan=plan) as ctx:
             assert not ctx.conf.speculation
             assert ctx.conf.task_deadline_s is None
@@ -389,7 +385,7 @@ class TestNodeHealth:
         """A persistently slow node times out repeatedly, crosses the
         quarantine threshold, sits out its term on the virtual clock,
         and is probationally readmitted."""
-        plan = FaultPlan(seed=SEED, task_base_delay_s=0.01,
+        plan = FaultPlan(task_base_delay_s=0.01,
                          slow_node_budgets={1: 30.0})
         with make_ctx(plan=plan, task_deadline_s=0.5,
                       quarantine_threshold=2.0,
