@@ -130,10 +130,6 @@ class CPALSDriver:
                                       "the driver's sample_count=")
         #: the per-run LeverageSampler (seeded in :meth:`decompose`)
         self._sampler: LeverageSampler | None = None
-        #: the previous MTTKRP's replicated factors and leverage
-        #: scores, destroyed lagged by one MTTKRP (see
-        #: CstfCOO._mttkrp_broadcast for the lifecycle contract)
-        self._live_broadcasts: list = []
 
     # ------------------------------------------------------------------
     # subclass interface
@@ -155,7 +151,6 @@ class CPALSDriver:
         a finished *or failed* run.  Nothing is released here: whatever
         the run still holds is on the context's ledger and freed by the
         ``release_scope`` that :meth:`decompose` runs inside."""
-        self._live_broadcasts.clear()
 
     def flops_per_iteration(self, tensor: COOTensor, rank: int) -> float:
         """Analytic flop count of one CP-ALS iteration: Table 4's
@@ -405,16 +400,8 @@ class CPALSDriver:
            (``Kernel.sampled_contributions``: one task body in the
            vectorized kernel, which a pool worker can run whole);
         4. the usual per-key sum, over the sampled rows only.
-
-        Broadcast lifecycle matches ``CstfCOO._mttkrp_broadcast``:
-        the previous MTTKRP's broadcasts are destroyed here, lagged by
-        one mode; the run's release scope frees whatever the last one
-        left, or a failing ``collect`` left half-built.
         """
         assert self._sampler is not None
-        for bc in self._live_broadcasts:
-            bc.destroy()
-        self._live_broadcasts.clear()
         order = len(factor_rdds)
         broadcasts = {}
         score_bcs = {}
@@ -426,8 +413,6 @@ class CPALSDriver:
             scores = leverage_scores(dense, grams.pinv_gram(m))
             broadcasts[m] = self.ctx.broadcast(dense)
             score_bcs[m] = self.ctx.broadcast(scores)
-        self._live_broadcasts.extend(broadcasts.values())
-        self._live_broadcasts.extend(score_bcs.values())
 
         kernel = self.ctx.kernel
         contrib = kernel.sampled_contributions(

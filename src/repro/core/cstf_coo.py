@@ -85,35 +85,17 @@ class CstfCOO(CPALSDriver):
     def _mttkrp_broadcast(self, mode: int, tensor_rdd: RDD,
                           factor_rdds: list[RDD], rank: int) -> RDD:
         """Replicate the fixed factors to every node and reduce locally:
-        one shuffle round total, at the cost of full factor replication.
-
-        Broadcast lifecycle: the previous mode's broadcasts are
-        destroyed *here*, lagged by one MTTKRP — by the time the next
-        mode starts, the previous m_rdd has been materialized by the
-        driver's solve step, and downstream consumers (fit included)
-        read its shuffle output, never the map side that captured the
-        broadcasts.  This mirrors Spark's unsafe ``destroy()``: a
-        post-hoc lineage recompute of a destroyed-broadcast stage would
-        fail, which is the documented contract.  Whatever is still live
-        when the decomposition ends — the last MTTKRP's broadcasts, or
-        the ones a failing ``collect`` of a later mode left half-built —
-        is destroyed by the release scope ``decompose`` runs inside.
-        """
-        for bc in self._live_broadcasts:
-            bc.destroy()
-        self._live_broadcasts.clear()
+        one shuffle round total, at the cost of full factor replication."""
         order = len(factor_rdds)
-        # factors are replicated as dense (size, rank) ndarrays: row i
-        # at index i.  Kernels index them identically to the previous
-        # dict-of-rows (``value[i]`` returns row i with the same bits),
-        # and the vectorized block path needs the fancy-index gather;
-        # rows absent from the factor RDD are never looked up (every
-        # tensor index of a mode appears in that mode's MTTKRP output).
+        # factors are replicated as dense (size, rank) ndarrays, row i
+        # at index i, for the kernels' fancy-index gather; rows absent
+        # from the factor RDD are never looked up (every tensor index of
+        # a mode appears in that mode's MTTKRP output).  The kernel's
+        # node names the broadcasts, so their lifetime is the engine's.
         broadcasts = {
             m: self.ctx.broadcast(
                 self._collect_factor(factor_rdds[m], rank, mode=m))
             for m in range(order) if m != mode}
-        self._live_broadcasts.extend(broadcasts.values())
 
         kernel = self.ctx.kernel
         contrib = kernel.broadcast_contributions(tensor_rdd, broadcasts,

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..engine.context import Context
 from ..engine.partitioner import HashPartitioner
+from ..engine.rdd import MapPartitionsRDD
 from ..tensor.coo import COOTensor
 from ..tensor.ops import sparse_tucker_core
 from ..baselines.local_tucker import _validate, random_orthonormal
@@ -136,7 +137,10 @@ class DistributedTucker:
                 vec = np.kron(_bc[m].value[idx[m]], vec)
             return (idx[mode], vec)
 
-        y_rows = (tensor_rdd.map(contribute)
+        # named by the map node, the broadcasts die once Y(n) is unpersisted
+        y_rows = (MapPartitionsRDD(
+                      tensor_rdd, lambda _split, it: map(contribute, it),
+                      broadcasts=broadcasts.values()).set_name("map")
                   .reduce_by_key(lambda a, b: a + b, self.num_partitions)
                   .set_name(f"Y({mode})-rows").cache())
 
@@ -159,10 +163,7 @@ class DistributedTucker:
         for i, row in y_rows.map_values(
                 lambda vec: vec @ projector).collect():
             new_factor[i] = row
-        # eager: Y(n) and the replicated factors are dead once the new
-        # factor is on the driver; holding them to the end of the run
-        # would stack N modes' worth per iteration
+        # eager: Y(n) is dead once the new factor is on the driver;
+        # holding it to the end of the run would stack N modes' worth
         y_rows.unpersist()
-        for bc in broadcasts.values():
-            bc.destroy()
         return new_factor

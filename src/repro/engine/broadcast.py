@@ -8,6 +8,12 @@ trade-off can be measured (``benchmarks/test_ablation_broadcast.py``):
 a broadcast MTTKRP costs one shuffle (the reduce) but ``(nodes-1) x
 size`` of one-shot network traffic and full replication memory.
 
+Lifetime: a broadcast handed to an RDD node (``MapPartitionsRDD(...,
+broadcasts=...)``) is the engine's: ``Context.drop_shuffle_outputs``
+destroys it once no persisted RDD's lineage reads it, so a lost cached
+partition always recomputes.  One never handed over stays its
+creator's, or the enclosing ``release_scope``'s.
+
 Data integrity: with ``EngineConf.integrity`` on, the payload is sealed
 (pickled + CRC-32) at creation, mirroring the serialized form an
 executor would fetch.  The first ``.value`` read verifies and
@@ -44,8 +50,10 @@ class Broadcast(Generic[T]):
         self.size_bytes = estimate_size(value)
         self._ctx = ctx
         self._destroyed = False
-        self._integrity = getattr(ctx, "integrity", None)
-        if self._integrity is not None and self._integrity.enabled:
+        #: set once an RDD node names it (see the module docstring)
+        self.handed = False
+        self._integrity = ctx.integrity
+        if self._integrity.enabled:
             # one-element list so the partition (de)serializers apply;
             # the live value is only handed out after verification
             self._blob = serialize_partition([value])

@@ -356,11 +356,11 @@ class Context:
         that is still on the ledger is unpersisted / destroyed.
 
         Eager releases inside the block (a superseded factor, the
-        previous MTTKRP's broadcasts) stay where peak memory wants
-        them; the scope is what makes forgetting one, or dying between
-        a ``persist`` and the line that would have recorded it, not a
-        leak.  Handles that predate the block are not touched, so
-        scopes nest.
+        broadcasts :meth:`drop_shuffle_outputs` finds unread) stay
+        where peak memory wants them; the scope is what makes
+        forgetting one, or dying between a ``persist`` and the line
+        that would have recorded it, not a leak.  Handles that predate
+        the block are not touched, so scopes nest.
         """
         held_rdds = set(self._persisted_rdds)
         held_broadcasts = set(self._broadcasts)
@@ -378,15 +378,24 @@ class Context:
     # housekeeping
     # ------------------------------------------------------------------
     def drop_shuffle_outputs(self) -> None:
-        """Discard all retained shuffle map outputs.
+        """Discard all retained shuffle map outputs, and destroy every
+        broadcast handed to an RDD node that no persisted RDD's lineage
+        reads (the lineage is walked only while one is live).
 
         Safe at any point: the scheduler recomputes dropped shuffles from
         lineage on demand.  Iterative drivers call this once per
         iteration, after caching everything still live, to bound memory —
         the analogue of Spark's ``ContextCleaner`` collecting shuffles
-        whose RDDs went out of scope.
+        and broadcasts whose RDDs went out of scope.
         """
         self._shuffle_manager.clear()
+        handed = [bc for bc in self._broadcasts.values() if bc.handed]
+        if handed:
+            read = {bc.broadcast_id for rdd in self._persisted_rdds.values()
+                    for node in rdd.lineage_rdds() for bc in node.broadcasts}
+            for bc in handed:
+                if bc.broadcast_id not in read:
+                    bc.destroy()
 
     def clear_cache(self) -> None:
         """Drop every cached partition (RDDs recompute from lineage)."""

@@ -118,6 +118,9 @@ class RDD:
     #: backend's offload client (set by the kernel that builds such a
     #: node): only a stage holding one gets orchestration threads there
     offloads = False
+    #: the broadcasts this node's tasks read, handed to the context
+    #: (``MapPartitionsRDD(broadcasts=...)``; see ``repro.engine.broadcast``)
+    broadcasts: tuple = ()
 
     def __init__(self, ctx: "Context", dependencies: list[Dependency],
                  num_partitions: int,
@@ -964,15 +967,20 @@ class BlockCollectionRDD(RDD):
 
 
 class MapPartitionsRDD(RDD):
-    """Narrow transformation applying ``f(split, iterator)``."""
+    """Narrow transformation applying ``f(split, iterator)``, which
+    reads ``broadcasts`` (:attr:`RDD.broadcasts`)."""
 
     def __init__(self, parent: RDD, f: Callable[[int, Iterable], Iterable],
-                 preserves_partitioning: bool = False):
+                 preserves_partitioning: bool = False,
+                 broadcasts: Iterable = ()):
         super().__init__(
             parent.ctx, [OneToOneDependency(parent)], parent.num_partitions,
             parent.partitioner if preserves_partitioning else None)
         self._parent = parent
         self._f = f
+        self.broadcasts = tuple(broadcasts)
+        for bc in self.broadcasts:
+            bc.handed = True
         # the partition function usually wraps a user closure in its
         # cells; the closure analyzer unwraps the chain
         linthooks.closure_created(f, "mapPartitions")
@@ -1010,7 +1018,7 @@ class ShuffledRDD(RDD):
         from .memory import SpillableAppendOnlyMap
         merged = SpillableAppendOnlyMap(
             self.ctx.memory, agg,
-            integrity=getattr(self.ctx, "integrity", None),
+            integrity=self.ctx.integrity,
             site=("reduce", self._dep.shuffle_id, split))
         if agg.combine_batch is not None:
             # batch fast path: valid for both raw values and map-side

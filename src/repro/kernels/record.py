@@ -63,7 +63,8 @@ class RecordKernel(Kernel):
         # expanded inside the op: a materializeRecords node ahead of
         # the reduce would read as block churn to the plan auditor
         return MapPartitionsRDD(
-            tensor_rdd, lambda _split, it: map(contribute, iter_records(it))
+            tensor_rdd, lambda _split, it: map(contribute, iter_records(it)),
+            broadcasts=broadcasts.values()
         ).set_name("blockContributions")
 
     def qcoo_key_tensor(self, tensor_rdd: "RDD", rank: int) -> "RDD":

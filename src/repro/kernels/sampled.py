@@ -213,5 +213,6 @@ class LeverageSampler:
             return [scaled]
 
         # the first name pins the op kind repro.lint.plan types
-        return MapPartitionsRDD(tensor_rdd, sample).set_name(
-            "sampleBlocks").set_name(f"tensor-sampled-m{mode}")
+        return MapPartitionsRDD(
+            tensor_rdd, sample, broadcasts=score_broadcasts.values()
+        ).set_name("sampleBlocks").set_name(f"tensor-sampled-m{mode}")

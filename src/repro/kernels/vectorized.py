@@ -180,8 +180,9 @@ class VectorizedKernel(Kernel):
                 (blk.values, key_col if prereduce else None, fixed),
                 {"prereduce": prereduce}, out)
             return [KeyedRowBlock(keys if prereduce else key_col, rows)]
-        node = MapPartitionsRDD(tensor_rdd, batch).set_name(
-            "blockContributions")
+        node = MapPartitionsRDD(
+            tensor_rdd, batch, broadcasts=broadcasts.values()
+        ).set_name("blockContributions")
         node.offloads = True
         return node
 
@@ -210,8 +211,10 @@ class VectorizedKernel(Kernel):
             metrics.add_sampler_draw(s, len(block))
             self._count(s)
             return [KeyedRowBlock(keys, rows)]
-        node = MapPartitionsRDD(tensor_rdd, task).set_name(
-            "sampledContributions")
+        node = MapPartitionsRDD(
+            tensor_rdd, task,
+            broadcasts=(*score_broadcasts.values(), *broadcasts.values())
+        ).set_name("sampledContributions")
         node.offloads = True
         return node
 

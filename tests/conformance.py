@@ -473,14 +473,19 @@ NODE_KILLS = {
 
 
 def _node_kill(c: Cell, monkeypatch) -> tuple[Run, dict]:
+    """What the node held when it died, and the cached partitions
+    lineage rebuilt.  A join re-reads its lost map outputs through a
+    fetch failure; the broadcast and sampled map sides re-run as missing
+    parent stages, through the broadcasts their factors still name."""
     got = _run(c, plan=FaultPlan(seed=c.seed,
                                  node_kills=(NODE_KILLS[c.variant],)))
     faults = got.metrics.faults
     assert faults.nodes_killed == 1
-    if c.variant == "at-iteration":   # between jobs: no live map output
-        return got, {"cached_partitions_lost": faults.cached_partitions_lost}
-    return got, {"stages_resubmitted": faults.stages_resubmitted,
-                 "records_recomputed": faults.records_recomputed}
+    held = "map_outputs_lost" if c.variant == "after-80" \
+        else "cached_partitions_lost"
+    return got, {held: getattr(faults, held),
+                 "partitions_recomputed": cache_misses(got.metrics)
+                 - cache_misses(cell_oracle(c).metrics)}
 
 
 SPECULATION = {"speculation": True, "speculative_min_deadline_s": 0.05,
@@ -702,15 +707,13 @@ def _offloads(c: Cell) -> bool:
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     """One column of the contract: how to run a cell, which cells are
-    valid, whether it injects a fault (its counters must read > 0),
-    and whether it loses cached factor partitions mid-run."""
+    valid and whether it injects a fault (its counters must read > 0)."""
 
     execute: Callable[[Cell, Any], tuple[Run, dict]]
     variants: tuple[str, ...] = ("",)
     cases: tuple[str, ...] = ("order3",)
     valid: Callable[[Cell], bool] = lambda c: True
     fault: bool = True
-    loses_factors: Callable[[Cell], bool] = lambda c: False
     #: valid cells generated whatever the pairwise cover picks
     always: tuple[Cell, ...] = ()
 
@@ -721,17 +724,14 @@ SCENARIOS: dict[str, Scenario] = {
     "variants": Scenario(
         _clean, fault=False,
         cases=("no-map-side-combine", "denied-booking", "nonnegative",
-               "ridge", "nvecs", "range-partitioning", "recompute-grams"),
-        loses_factors=lambda c: c.case == "denied-booking"),
+               "ridge", "nvecs", "range-partitioning", "recompute-grams")),
     "task-faults": Scenario(_task_faults, variants=(
         "task-failures", "first-attempt-fails", "fetch-failures")),
-    "node-kill": Scenario(_node_kill, variants=tuple(NODE_KILLS),
-                          loses_factors=lambda c: True),
+    "node-kill": Scenario(_node_kill, variants=tuple(NODE_KILLS)),
     "stragglers": Scenario(_stragglers,
                            variants=("speculation", "deadline-quarantine")),
-    "memory": Scenario(
-        _memory, variants=("oom-budgets", "squeezed-disk", "squeezed-memory"),
-        loses_factors=lambda c: c.variant != "oom-budgets"),
+    "memory": Scenario(_memory, variants=(
+        "oom-budgets", "squeezed-disk", "squeezed-memory")),
     "integrity": Scenario(_integrity, variants=(
         "integrity-clean", "corruption", "torn-checkpoints")),
     "resume": Scenario(_resume, fault=False, cases=("order3", "order4")),
@@ -740,28 +740,10 @@ SCENARIOS: dict[str, Scenario] = {
             "worker-killed", "missing-segment", "starved-attachments",
             "raise-leaves-no-segment")),
     # the broadcast strategy and lev on the workers, whatever pairs pick
-    "composition": Scenario(
-        _composition, loses_factors=lambda c: True,
-        always=(cell("composition", "coo-broadcast", backend="process",
-                     sampler="lev"),)),
+    "composition": Scenario(_composition, always=(
+        cell("composition", "coo-broadcast", backend="process",
+             sampler="lev"),)),
 }
-
-#: where cells that lose a cached factor partition on a broadcast or
-#: sampled dataflow fail
-BROADCAST_LINEAGE = (
-    "CstfCOO._mttkrp_broadcast (core/cstf_coo.py) and "
-    "CPALSDriver._mttkrp_sampled (core/cp_als.py) destroy an MTTKRP's "
-    "broadcasts one MTTKRP later, but the cached factor solved from its "
-    "M keeps them in its lineage: recomputing a lost partition of it "
-    "raises 'broadcast N was destroyed' in CPALSDriver._collect_factor")
-
-
-def known_failure(c: Cell) -> str | None:
-    """Why a valid cell is expected to fail, or None."""
-    reads_broadcasts = c.sampler == "lev" or c.driver == "coo-broadcast"
-    if reads_broadcasts and SCENARIOS[c.scenario].loses_factors(c):
-        return BROADCAST_LINEAGE
-    return None
 
 
 def check(c: Cell, monkeypatch) -> Run:

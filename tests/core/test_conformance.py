@@ -4,29 +4,19 @@ Every cell of ``tests/conformance.py``'s grid that no hand-written test
 runs: scenario x variant x case x driver x kernel x backend x sampler,
 filtered by each scenario's validity rule and thinned by a
 deterministic pairwise cover.  A cell's seed is a stable hash of its
-id and shows in it, so ``pytest -k <id>`` replays the cell.  Cells that
-hit a known engine failure are strict xfails naming its location.
+id and shows in it, so ``pytest -k <id>`` replays the cell.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import JobExecutionError
-
 from .. import conformance as cf
 
 DECLARED = cf.GENERATED + [c for cells in cf.KEPT.values() for c in cells]
 
 
-def _param(c: cf.Cell):
-    reason = cf.known_failure(c)
-    marks = [pytest.mark.xfail(strict=True, raises=JobExecutionError,
-                               reason=reason)] if reason else []
-    return pytest.param(c, id=c.id, marks=marks)
-
-
-@pytest.mark.parametrize("cell", [_param(c) for c in cf.GENERATED])
+@pytest.mark.parametrize("cell", cf.GENERATED, ids=lambda c: c.id)
 def test_cell(cell, monkeypatch):
     cf.check(cell, monkeypatch)
 

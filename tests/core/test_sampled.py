@@ -21,9 +21,8 @@ from repro.core.checkpoint import FileCheckpointStore
 from repro.engine import Context, EngineConf, KernelError
 from repro.engine.blocks import ColumnarBlock
 from repro.kernels import (DEFAULT_SAMPLE_COUNT, POOL_FACTOR,
-                           LeverageSampler, leverage_scores,
-                           sample_block, sample_probabilities,
-                           uniform_pool)
+                           leverage_scores, sample_block,
+                           sample_probabilities, uniform_pool)
 from repro.tensor import low_rank_sparse, random_factors
 
 from .. import conformance as cf
@@ -450,34 +449,10 @@ class TestSampledTaskBody:
             self, backend, workers, kernel):
         """100 bytes of memory: the row combiner cannot book the task
         body's block and expands it into records, which are batched
-        again.  One MTTKRP, not a run — with every cached factor
-        evicted, a later iteration would recompute lineage through
-        broadcasts the driver has already destroyed, sampler or not."""
-        from repro.engine.blocks import coalesce_rows
-
-        def mttkrp(backend, workers, kernel):
-            conf = EngineConf(backend=backend, backend_workers=workers,
-                              kernel=kernel, memory_total_bytes=100)
-            data = cf.tensor("order3")
-            factors = cf.initial("order3")
-            with Context(num_nodes=4, default_parallelism=8,
-                         conf=conf) as ctx:
-                driver = CstfCOO(ctx)
-                tensor_rdd = driver._distribute_tensor(data)
-                scores = {m: ctx.broadcast(leverage_scores(
-                    factors[m], np.linalg.pinv(factors[m].T @ factors[m])))
-                    for m in (0, 2)}
-                fixed = {m: ctx.broadcast(factors[m]) for m in (0, 2)}
-                m_rdd = ctx.kernel.sum_rows_by_key(
-                    ctx.kernel.sampled_contributions(
-                        tensor_rdd, LeverageSampler(4, seed=0), scores,
-                        fixed, mode=1, iteration=0), 8)
-                block = coalesce_rows(m_rdd.collect())
-                tensor_rdd.unpersist()
-                for bc in (*scores.values(), *fixed.values()):
-                    bc.destroy()
-            return block
-        expected = mttkrp("serial", None, "record")
-        got = mttkrp(backend, workers, kernel)
-        assert np.array_equal(expected.keys, got.keys)
-        assert np.array_equal(expected.rows, got.rows)
+        again, and no factor stays cached, so every later MTTKRP
+        recomputes the factors through the broadcasts they were solved
+        from.  A whole run equals the serial record oracle."""
+        got = cf.run("denied-booking", kernel=kernel, backend=backend,
+                     sampler="lev")
+        cf.assert_bit_identical(cf.oracle("denied-booking", sampler="lev"),
+                                got)

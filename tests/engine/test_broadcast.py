@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Context, RunStats, StorageLevel
+from repro.engine.rdd import MapPartitionsRDD
 
 
 # broadcast handle mechanics are this class's very subject; the shared
@@ -50,6 +51,32 @@ class TestBroadcast:
         assert "Broadcast" in repr(b)
         b.destroy()
         assert "destroyed" in repr(b)
+
+
+class TestHandedLifetime:
+    """A broadcast named by an RDD node dies at the first
+    ``drop_shuffle_outputs`` after no persisted lineage reads it."""
+
+    def test_lives_while_a_persisted_lineage_reads_it(self, ctx):
+        bc = ctx.broadcast(np.arange(4.0))
+        reads = MapPartitionsRDD(
+            ctx.parallelize(list(range(8)), 2),
+            lambda _split, it: (bc.value[x % 4] for x in it),
+            broadcasts=[bc])
+        doubled = reads.map(lambda x: 2 * x).cache()
+        want = doubled.collect()
+        ctx.drop_shuffle_outputs()
+        ctx.clear_cache()          # a lost partition recomputes through bc
+        assert not bc.destroyed and doubled.collect() == want
+        doubled.unpersist()
+        ctx.drop_shuffle_outputs()
+        assert bc.destroyed and ctx.live_broadcasts() == []
+
+    def test_one_never_handed_over_stays_the_creators(self, ctx):
+        bc = ctx.broadcast(1)
+        ctx.drop_shuffle_outputs()
+        assert ctx.live_broadcasts() == [bc]
+        bc.destroy()
 
 
 class TestBroadcastCostModel:
