@@ -39,7 +39,8 @@ def _partition(nnz: int):
 
 
 def _record_path(keys, vals, rows_a, rows_b):
-    # per-record closures + dict fold, as the record kernel executes them
+    # per-record closures + dict fold, as the record kernel executes them,
+    # keys in ascending order as its sum_rows_by_key emits them
     acc: dict[int, np.ndarray] = {}
     for i in range(keys.shape[0]):
         row = vals[i] * rows_a[i] * rows_b[i]
@@ -48,7 +49,7 @@ def _record_path(keys, vals, rows_a, rows_b):
             acc[k] = acc[k] + row
         else:
             acc[k] = row
-    return list(acc.items())
+    return sorted(acc.items(), key=lambda kv: kv[0])
 
 
 def _vectorized_path(keys, vals, rows_a, rows_b):

@@ -35,8 +35,8 @@ def gram_of_rdd(factor_rdd: RDD, rank: int,
     MTTKRP-output order) into the gram's low bits — breaking the
     bit-for-bit guarantee checkpoint/resume makes.  That order is
     structural: a factor partition *is* sorted by row index
-    (``_distribute_factor`` carves it so, ``Kernel.scale_rows`` sorts
-    it once, ``Context.checkpoint`` re-cuts it in index order), and
+    (``_distribute_factor`` carves it so, ``Kernel.sum_rows_by_key``
+    emits ``M`` so, ``Context.checkpoint`` re-cuts it in index order), and
     partition *contents* are fixed by the hash partitioner, so the sum
     is canonical without a sort here (the record oracle still sorts).
 

@@ -31,10 +31,10 @@ Stable-order contract
 Blocks are *ordered* containers: ``to_records()`` yields rows in
 storage order, ``from_records`` preserves input order, ``concat``
 preserves block-then-row order and ``take`` follows the index order it
-is given.  This is the same contract the PR 4 kernel batching rules
-rely on (left folds in record order, keys in first-occurrence order),
-so a pipeline that materializes a block back to records is bit-identical
-to one that never used blocks at all.
+is given.  This is the contract the kernels' batching rules rely on
+(joins emit in probe order, folds run left to right in record order and
+emit keys in ascending order), so a pipeline that materializes a block
+back to records is bit-identical to one that never used blocks at all.
 
 Framing
 -------

@@ -282,11 +282,9 @@ class SpillableAppendOnlyMap:
         batch form of inserting every record, then
         :meth:`merged_items`).
 
-        The batch combiner emits each key once (in first-occurrence
-        order), so on an empty buffer the inserts below never merge and
-        the resulting dict order matches the record-at-a-time path
-        exactly; memory booking and spill behaviour are those of
-        :meth:`insert_combiner`.
+        The batch combiner emits each key once, so on an empty buffer
+        the inserts below never merge; booking and spilling are
+        :meth:`insert_combiner`'s, and the items leave in key order.
 
         A combiner that answers with one
         :class:`~repro.engine.blocks.KeyedRowBlock` gets it back whole
@@ -305,7 +303,7 @@ class SpillableAppendOnlyMap:
                 return combined
         for key, combiner in iter_records(combined):
             self.insert_combiner(key, combiner)
-        return self.merged_items()
+        return sorted(self.merged_items(), key=lambda kv: kv[0])
 
     def _book(self, nbytes: int) -> None:
         self._pending += nbytes

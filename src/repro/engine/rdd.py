@@ -32,8 +32,7 @@ import numpy as np
 
 from . import linthooks
 from .blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
-                     coalesce_rows, iter_records, sorted_runs,
-                     stable_argsort)
+                     coalesce_rows, iter_records, stable_argsort)
 from .errors import EngineError
 from .partitioner import HashPartitioner, Partitioner
 from .shuffle import Aggregator
@@ -552,19 +551,16 @@ class RDD:
         return CoGroupedRDD(self.ctx, [self, other], partitioner)
 
     def join(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
-        """Inner join by key: ``(key, (v_self, v_other))``.
+        """Inner join by key: ``(key, (v_self, v_other))``, in probe
+        order (see :class:`HashJoinRDD`).
 
         Sides already partitioned by the join partitioner are consumed
         through a narrow dependency (no shuffle) — CSTF relies on this
         for the factor-matrix side of every MTTKRP join.
         """
-        def emit(groups: tuple[list, list]) -> Iterator:
-            left, right = groups
-            for lv in left:
-                for rv in right:
-                    yield (lv, rv)
-        return (self.cogroup(other, num_partitions)
-                .flat_map_values(emit).set_name("join"))
+        return HashJoinRDD(self.ctx, [self, other],
+                           self._default_partitioner(num_partitions)
+                           ).set_name("join")
 
     def block_join(self, other: "RDD",
                    fold: Callable[[ColumnarBlock, Any], Any],
@@ -1071,12 +1067,10 @@ class _KeyGroupingRDD(RDD):
 
     def _read_rows(self, dep: Dependency, split: int,
                    task: "TaskContext") -> KeyedRowBlock | None:
-        """A keyed-row parent's partition as the table a
-        ``searchsorted`` gather reads: one block, sorted by key, no key
-        twice (``None`` when it holds no rows).  A co-partitioned
-        parent must arrive that way — a factor partition does; rows
-        fetched through a shuffle arrive in map order and are sorted
-        here."""
+        """A keyed-row parent's partition as :meth:`_slots`' table: one
+        block sorted by key, no key twice (``None`` for no rows), as a
+        co-partitioned factor arrives; rows fetched through a shuffle
+        (hadoop mode) arrive in map order and are sorted here."""
         table = coalesce_rows(self._read_parent(dep, split, task))
         if table is None:
             return None
@@ -1096,6 +1090,22 @@ class _KeyGroupingRDD(RDD):
                 f"co-partitioned factor partition is one KeyedRowBlock "
                 f"in index order")
         return table
+
+    def _slots(self, split: int, table: KeyedRowBlock,
+               keys: np.ndarray) -> np.ndarray:
+        """Each key's row in a :meth:`_read_rows` ``table`` (-1 for
+        none), in probe order, from a dense lookup built in O(largest
+        key).  Keys are mode indices: a negative one raises."""
+        low = min(int(table.keys[0]), int(keys.min()))
+        if low < 0:
+            raise EngineError(
+                f"{self.name} partition {split}: key {low} is negative; "
+                f"a dense key lookup takes mode indices")
+        top = int(table.keys[-1])
+        # one slot past the largest key stays -1 for larger probes
+        slot = np.full(top + 2, -1, dtype=np.intp)
+        slot[table.keys] = np.arange(len(table))
+        return slot[np.minimum(keys, top + 1)]
 
 
 class CoGroupedRDD(_KeyGroupingRDD):
@@ -1123,28 +1133,36 @@ class CoGroupedRDD(_KeyGroupingRDD):
         return iter(groups.items())
 
 
+class HashJoinRDD(_KeyGroupingRDD):
+    """Inner join as a shuffled hash join, with a ``cogroup``'s
+    dependencies: the right partition becomes a dict of value lists and
+    the left records probe it, leaving in probe order — fetch order,
+    once per right value of the key; unmatched left records drop."""
+
+    def compute(self, split: int, task: "TaskContext") -> Iterable:
+        """Probe this partition's right records with its left ones."""
+        left_dep, right_dep = self.dependencies
+        left = list(self._read_parent(left_dep, split, task))
+        table: dict[Any, list] = {}
+        for k, v in self._read_parent(right_dep, split, task):
+            table.setdefault(k, []).append(v)
+        return ((k, (lv, rv)) for k, lv in left for rv in table.get(k, ()))
+
+
 class BlockJoinRDD(_KeyGroupingRDD):
     """Inner join of keyed :class:`~repro.engine.blocks.ColumnarBlock`
-    partitions with a keyed-row RDD (a factor: one
-    :class:`~repro.engine.blocks.KeyedRowBlock` per partition, sorted
-    by key), as one sort of the left side + a ``searchsorted`` gather
-    straight into the row-side block instead of a hash probe per
-    record.
+    partitions with a factor (one sorted
+    :class:`~repro.engine.blocks.KeyedRowBlock` per partition), as one
+    gather through :meth:`_slots` instead of a hash probe per record.
 
     Each output partition is a single block: the left side's blocks
-    concatenated in fetch order, every row paired with the right-side
-    row of its key, the rows' accumulator column replaced by
-    ``fold(block, gathered_rows)`` and the block re-keyed by
-    ``out_key_mode`` (``keep_index=False`` drops the index columns and
-    emits a :class:`~repro.engine.blocks.KeyedRowBlock` instead).
-
-    Ordering contract: rows leave in exactly the order the record path
-    (``cogroup`` + ``flatMapValues``) emits them — keys by first
-    occurrence in fetch order, rows of one key in fetch order, rows
-    whose key has no right-side row dropped — so downstream folds see
-    the same operands in the same order.  A key that appears twice on
-    the right would make the record path emit a cross product; here it
-    raises :class:`EngineError`.
+    concatenated in fetch order — :class:`HashJoinRDD`'s probe order —
+    rows whose key has no right-side row dropped, the accumulator
+    column replaced by ``fold(block, gathered_rows)`` and the block
+    re-keyed by ``out_key_mode`` (``keep_index=False`` drops the index
+    columns: a :class:`~repro.engine.blocks.KeyedRowBlock`).  A key
+    twice on the right (a cross product there) raises
+    :class:`EngineError`.
     """
 
     def __init__(self, ctx: "Context", left: RDD, right: RDD,
@@ -1178,23 +1196,12 @@ class BlockJoinRDD(_KeyGroupingRDD):
             return []
         block = (blocks[0] if len(blocks) == 1
                  else ColumnarBlock.concat(blocks))
-
-        # emission order: stable sort of the rows by the position at
-        # which their key first occurs; group is each row's slot in uniq
-        order, sorted_keys, starts = sorted_runs(block.keys)
-        uniq = sorted_keys[starts]
-        group = np.empty(len(block), dtype=np.intp)
-        group[order] = np.repeat(np.arange(starts.shape[0]),
-                                 np.diff(starts, append=len(block)))
-        emit = stable_argsort(order[starts][group])
-
-        slot = np.minimum(np.searchsorted(table.keys, uniq),
-                          len(table) - 1)
-        matched = table.keys[slot] == uniq
+        at = self._slots(split, table, block.keys)
+        matched = at >= 0
         if not matched.all():
-            emit = emit[matched[group[emit]]]
-        block = block.take(emit)
-        rows = self._fold(block, table.rows[slot[group[emit]]])
+            block = block.take(np.flatnonzero(matched))
+            at = at[matched]
+        rows = self._fold(block, table.rows[at])
         if self.keep_index:
             return [ColumnarBlock(block.columns, block.values, rows,
                                   self.out_key_mode)]
@@ -1203,13 +1210,11 @@ class BlockJoinRDD(_KeyGroupingRDD):
 
 class RowProductsRDD(_KeyGroupingRDD):
     """Row-wise products of two keyed-row RDDs brought together by key:
-    every left row times the right row of its key, one ``searchsorted``
-    gather per partition — the block form of ``join`` + ``mapValues(a *
-    b)`` for a left side whose keys are distinct (an MTTKRP output
-    against its factor).  Keys, their order and the partitioner are the
-    left side's.  A left key with no right row raises
-    :class:`EngineError`: an unchecked gather would pair it with a
-    neighbour's row."""
+    every left row times the right row of its key, one :meth:`_slots`
+    gather per partition — ``join`` + ``mapValues(a * b)`` for a left
+    side with distinct keys (an MTTKRP output against its factor).
+    Keys, order and partitioner are the left side's.  A left key with
+    no right row, or a negative one, raises :class:`EngineError`."""
 
     def __init__(self, ctx: "Context", left: RDD, right: RDD,
                  partitioner: Partitioner):
@@ -1224,17 +1229,15 @@ class RowProductsRDD(_KeyGroupingRDD):
         if left is None:
             return []
         keys = left.keys
-        found = np.zeros(len(left), dtype=bool)
-        if table is not None:
-            slot = np.minimum(np.searchsorted(table.keys, keys),
-                              len(table) - 1)
-            found = table.keys[slot] == keys
-        if not found.all():
+        at = (np.full(len(left), -1) if table is None
+              else self._slots(split, table, keys))
+        missing = np.flatnonzero(at < 0)
+        if missing.size:
             raise EngineError(
                 f"{self.name} partition {split}: key "
-                f"{int(keys[~found][0])} has no row on the right side; "
+                f"{int(keys[missing[0]])} has no row on the right side; "
                 f"both sides must hold the same keys")
-        return [KeyedRowBlock(keys, left.rows * table.rows[slot])]
+        return [KeyedRowBlock(keys, left.rows * table.rows[at])]
 
 
 class ZippedRDD(RDD):

@@ -75,8 +75,9 @@ class Aggregator:
     combined ``(key, combiner)`` pairs — as records, or batched in a
     :class:`~repro.engine.blocks.KeyedRowBlock`, which the combine
     buffer and the shuffle then carry whole.  It must reproduce the record
-    path exactly — per-key merges folded left-to-right in record order,
-    output keys in first-occurrence order — and is only valid when
+    path's sums exactly — per-key merges folded left-to-right in record
+    order — and emit each key once, in ascending order (what
+    ``Kernel.sum_rows_by_key`` promises); it is only valid when
     ``create_combiner`` is the identity and ``merge_value`` coincides
     with ``merge_combiners`` (so pre-combined and raw inputs batch the
     same way).

@@ -95,10 +95,10 @@ class Kernel(ABC):
         row after it.  On the ``last`` step (``next_mode`` is then the
         MTTKRP's output mode) the index tuple is dropped:
         ``(idx[next_mode], acc * row)``, the input of
-        :meth:`sum_rows_by_key`.  Output order is the record path's:
-        keys by first occurrence in shuffle-fetch order, rows of one
-        key in fetch order.  One shuffle round (the factor side is
-        co-partitioned); drops the partitioner, like ``RDD.map``.
+        :meth:`sum_rows_by_key`.  Output is in ``RDD.join``'s probe
+        order: shuffle-fetch order, unmatched nonzeros dropped.  One
+        shuffle round (the factor side is co-partitioned); drops the
+        partitioner, like ``RDD.map``.
         """
 
     @abstractmethod
@@ -190,13 +190,12 @@ class Kernel(ABC):
                         num_partitions: int | None = None) -> "RDD":
         """Sum row vectors per key (the MTTKRP's final ``reduceByKey``).
 
-        Per key, rows are folded left-to-right in record order; output
-        keys appear in first-occurrence order.  Honours the context's
-        ``map_side_combine`` configuration.  Takes ``(key, row)``
-        records and/or keyed row blocks; every non-empty partition of
-        the result is one :class:`~repro.engine.blocks.KeyedRowBlock`
-        (a combine denied its memory booking answers in records, which
-        are batched again), partitioned by key.
+        Per key, rows are folded left-to-right in record order; keys
+        leave in ascending order, a factor partition's order, whether a
+        combine spilled or not.  Honours ``map_side_combine``.  Takes
+        ``(key, row)`` records and/or keyed row blocks; every non-empty
+        partition of the result is one
+        :class:`~repro.engine.blocks.KeyedRowBlock`, partitioned by key.
         """
 
     # -- the factor side: every partition one KeyedRowBlock ------------
@@ -215,11 +214,9 @@ class Kernel(ABC):
 
     @abstractmethod
     def scale_rows(self, rdd: "RDD", divisor: np.ndarray) -> "RDD":
-        """Every row divided elementwise by ``divisor``, each partition
-        sorted by key: the normalised factor, in the index order
-        :meth:`gram` sums in and the block join gathers from.
-        Preserves the partitioner.
-        """
+        """Every row divided elementwise by ``divisor``, keys and order
+        kept (a solved ``M`` is in key order already): the normalised
+        factor.  Preserves the partitioner."""
 
     @abstractmethod
     def row_products(self, left: "RDD", right: "RDD",

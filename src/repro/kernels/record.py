@@ -97,7 +97,8 @@ class RecordKernel(Kernel):
                         num_partitions: int | None = None) -> "RDD":
         return per_partition_rows(
             rdd.reduce_by_key(lambda a, b: a + b, num_partitions),
-            "rowBlocks")
+            "rowBlocks",
+            lambda _split, it: sorted(it, key=lambda kv: kv[0]))
 
     def solve_rows(self, m_rdd: "RDD", pinv_v: np.ndarray,
                    nonnegative: bool) -> "RDD":
@@ -114,9 +115,8 @@ class RecordKernel(Kernel):
     def scale_rows(self, rdd: "RDD", divisor: np.ndarray) -> "RDD":
         return per_partition_rows(
             rdd, "scaleRows",
-            lambda _split, it: sorted(
-                ((k, row / divisor) for k, row in iter_records(it)),
-                key=lambda kv: kv[0]))
+            lambda _split, it: ((k, row / divisor)
+                                for k, row in iter_records(it)))
 
     def row_products(self, left: "RDD", right: "RDD",
                      num_partitions: int) -> "RDD":

@@ -1,32 +1,29 @@
 """The vectorized kernel: ndarray batches per partition.
 
-Each partition's records are gathered into contiguous numpy arrays —
-stacked factor rows, a value vector, output indices — so the MTTKRP
-arithmetic runs as one broadcasted Hadamard product per join step plus a
-deterministic sort-then-segmented-sum reduce, instead of one Python
+Each partition's records are gathered into contiguous numpy arrays, so
+the MTTKRP arithmetic runs as one broadcasted Hadamard product per join
+step plus a deterministic segmented-sum reduce, instead of one Python
 dispatch per nonzero.  The result is bit-identical to the record kernel
 because every elementwise product batches exactly (``vals[:, None] *
 rows`` multiplies the same pairs of doubles as ``val * row`` per
-record), and the segmented sum (:mod:`repro.kernels.segsum`) replays the
-record path's per-key left folds and first-occurrence key order.
+record), and the segmented sum (:mod:`repro.kernels.segsum`) replays
+the record path's per-key left folds, keys in ascending order.
 
 Both paper dataflows run on keyed columnar blocks end to end: keying a
 tensor partition is an O(1) relabel of its block, each join step is one
-``RDD.block_join`` (sort + ``searchsorted`` gather + a fold of the
-gathered rows into the block's ``rows`` column) and the blocks are
-shuffled whole — no per-nonzero tuple exists between the tensor load
-and the reduce output.  CSTF-COO folds with a row-wise Hadamard product
-into an ``(n, R)`` accumulator; CSTF-QCOO appends the gathered rows to
-an ``(n, q, R)`` queue, dropping the oldest slot once it is full.
+``RDD.block_join`` (a gather in probe order + a fold of the gathered
+rows into the block's ``rows`` column: a row-wise Hadamard product into
+CSTF-COO's ``(n, R)`` accumulator, or an append to CSTF-QCOO's ``(n,
+q, R)`` queue, oldest slot dropped once full) and the blocks are
+shuffled whole.  A join iteration sorts nothing but the shuffle's
+partition order and QCOO's canonical queue order.
 
 The per-key sum routes through ``RDD.combine_by_key``'s
 ``combine_batch`` fast path, so map-side combining still books memory
 in (and spills through) the shuffle's ``SpillableAppendOnlyMap``.
 Its output, the factors and every step between them (solve, column
-norms, normalise, Gram, fit) hold one ``KeyedRowBlock`` per partition
-and are one array expression each.
-Batch counts are recorded on the metrics collector
-(``kernel_batches`` / ``kernel_batch_records``).
+norms, normalise, Gram, fit) hold one ``KeyedRowBlock`` per partition,
+in key order, and are one array expression each.
 """
 
 from __future__ import annotations
@@ -288,9 +285,7 @@ class VectorizedKernel(Kernel):
 
     def scale_rows(self, rdd: "RDD", divisor: np.ndarray) -> "RDD":
         def scale(blk: KeyedRowBlock) -> KeyedRowBlock:
-            order = stable_argsort(blk.keys)
-            return KeyedRowBlock(blk.keys[order],
-                                 (blk.rows / divisor)[order])
+            return KeyedRowBlock(blk.keys, blk.rows / divisor)
         return _per_block(rdd, "scaleRows", scale)
 
     def row_products(self, left: "RDD", right: "RDD",

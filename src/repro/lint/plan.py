@@ -375,7 +375,7 @@ def _check_schema_mismatch(graph: PlanGraph,
     """Rule ``plan-schema-mismatch``: disagreeing join/union parents."""
     for node in graph.nodes.values():
         parents = [graph.node(e.parent_id) for e in node.parents]
-        if node.cls in ("CoGroupedRDD", "BlockJoinRDD",
+        if node.cls in ("CoGroupedRDD", "HashJoinRDD", "BlockJoinRDD",
                         "RowProductsRDD"):
             keys = sorted({p.schema.key for p in parents
                            if p.schema.key is not None})

@@ -1,11 +1,14 @@
-"""The block path's one grouping primitive and the plane fold on it.
+"""The block path's one grouping primitive and the folds beside it.
 
 ``stable_argsort`` must be indistinguishable from numpy's stable sort
-(the four sites that call it are guarded by the existing order-sensitive
+(the sites that call it are guarded by the existing order-sensitive
 suites, which run here a second time with the radix path forced onto
-their small blocks); ``segmented_left_fold`` must equal the record
-path's dict left fold byte for byte, the sign of a zero included; and
-source guards keep the next block-path sort from quietly being a
+their small blocks); ``segmented_left_fold`` — one ``np.bincount``,
+pinned on the installed numpy — and the plane fold must equal the
+record path's dict left fold byte for byte, the sign of a zero
+included; a counting spy pins what a steady-state iteration still
+sorts; and source guards keep the next block-path sort from quietly
+being a
 merge sort again, the next driver from growing a second tensor
 representation or a second conversion point, ``core/cp_als.py`` free
 of per-row callables, and the join dataflows at one block per
@@ -16,8 +19,10 @@ constructors).
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -38,11 +43,12 @@ from ..strategies import integer_keys, keyed_rows
 
 def dict_fold(keys, rows):
     """The record path: per-key ``a + b`` in record order, keys in
-    first-occurrence (dict insertion) order."""
+    ascending order (``sum_rows_by_key`` sorts its ``reduceByKey``
+    output)."""
     acc = {}
     for k, v in zip(keys.tolist(), rows):
         acc[k] = acc[k] + v if k in acc else v
-    return acc
+    return dict(sorted(acc.items()))
 
 
 def assert_equals_dict_fold(keys, rows, out_keys, out_rows):
@@ -167,15 +173,67 @@ class TestPlaneFold:
 
 
 # ----------------------------------------------------------------------
+# np.bincount: the combine's fold, pinned on the installed numpy
+# ----------------------------------------------------------------------
+class TestBincountAccumulation:
+    """``segmented_left_fold`` is one ``np.bincount`` with weights, and
+    its bits are the record path's only while numpy adds each weight
+    into its bin in input order from a ``+0.0`` start.  A numpy that
+    sums a bin pairwise, or starts it anywhere else, fails here."""
+
+    @staticmethod
+    def left_fold(column):
+        acc = 0.0
+        for x in column.tolist():
+            acc = acc + x
+        return np.float64(acc)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_a_300_row_bin_is_a_sequential_fold(self, width):
+        # (a seed whose columns a pairwise sum gets wrong in the last bit)
+        rows = np.random.default_rng(40).standard_normal((300, width)) * 1e6
+        sums = np.bincount(np.tile(np.arange(width), 300),
+                           weights=rows.ravel())
+        for r in range(width):
+            column = np.ascontiguousarray(rows[:, r])
+            assert sums[r].tobytes() == self.left_fold(column).tobytes()
+            # the data tells the two orders apart
+            assert np.add.reduce(column) != self.left_fold(column)
+        keys = np.zeros(300, dtype=np.int64)
+        assert_equals_dict_fold(keys, rows, *segmented_left_fold(keys, rows))
+
+    def test_an_all_negative_zero_bin_keeps_its_sign(self):
+        """numpy starts a bin at +0.0, so ``-0.0`` terms alone sum to
+        ``+0.0``; the fold's second count restores the record path's
+        ``-0.0 + -0.0 == -0.0``."""
+        minus = np.full((4, 2), -0.0)
+        raw = np.bincount(np.tile(np.arange(2), 4), weights=minus.ravel())
+        assert not np.signbit(raw).any()
+        keys = np.array([3, 3, 3, 9], dtype=np.int64)
+        out_keys, out_rows = segmented_left_fold(keys, minus)
+        assert out_keys.tolist() == [3, 9]
+        assert out_rows.tobytes() == minus[:2].tobytes()
+
+    def test_mixed_signed_zeros_match_the_record_fold(self):
+        rows = np.array([[-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0],
+                         [-0.0, -0.0], [1.5, -0.0], [-0.0, 2.5]])
+        keys = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
+        out_keys, out_rows = segmented_left_fold(keys, rows)
+        assert_equals_dict_fold(keys, rows, out_keys, out_rows)
+        assert np.signbit(out_rows).tolist() == [
+            [True, False], [False, True], [False, False]]
+
+
+# ----------------------------------------------------------------------
 # the four call sites, with the radix path forced onto small blocks
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("driver", ["coo-join", "coo-broadcast", "qcoo"])
 def test_drivers_stay_bit_identical_with_radix_on_every_block(
         driver, monkeypatch):
     """The conformance tensors' blocks are far below the short-input
-    cutoff; with the cutoff at 1 every sort in ``split_by_partition``,
-    ``BlockJoinRDD``, ``qcoo_canonical`` and the fold is a radix sort,
-    and the factors must still be the record oracle's."""
+    cutoff; with the cutoff at 1 every sort in ``partition_order``,
+    ``qcoo_canonical`` and the fused fold is a radix sort, and the
+    factors must still be the record oracle's."""
     monkeypatch.setattr(blocks, "RADIX_MIN_KEYS", 1)
     vec = cf.run("order4", driver, kernel="vectorized")
     assert vec.metrics.kernel_batches > 0
@@ -227,6 +285,46 @@ def test_block_path_sorts_only_through_stable_argsort():
         if sorts:
             offenders[path.name] = sorts
     assert not offenders
+
+
+@pytest.mark.parametrize("driver,sampler,callers", [
+    ("coo-join", "exact", {"partition_order"}),
+    ("qcoo", "exact", {"partition_order", "by_coordinate"}),
+    ("coo-broadcast", "exact", {"partition_order", "sorted_runs"}),
+    ("coo-join", "lev", {"partition_order", "sorted_runs"}),
+], ids=["coo-join", "qcoo", "coo-broadcast", "lev"])
+def test_a_steady_state_iteration_sorts_only_where_it_must(
+        driver, sampler, callers, monkeypatch):
+    """A counting spy on ``stable_argsort``, wherever it is imported,
+    armed once the first iteration (and the set-up before it) is over.
+    What is left to sort is the shuffle map side's partition order;
+    QCOO adds its canonical queue order (``qcoo_canonical``'s
+    ``by_coordinate``), the broadcast and sampled MTTKRPs their fused
+    fold's one sort (``sorted_runs``).  Joins, combines, reduces and
+    the normalise step sort nothing."""
+    from repro.engine import Context
+    seen = collections.Counter()
+    armed = []
+    real_sort = blocks.stable_argsort
+
+    def spy(keys):
+        if armed:
+            seen[sys._getframe(1).f_code.co_name] += 1
+        return real_sort(keys)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "stable_argsort", None) is real_sort:
+            monkeypatch.setattr(module, "stable_argsort", spy)
+    real_drop = Context.drop_shuffle_outputs
+
+    def boundary(ctx):
+        real_drop(ctx)
+        armed.append(True)
+    monkeypatch.setattr(Context, "drop_shuffle_outputs", boundary)
+    cf.run("order4", driver, kernel="vectorized", backend="serial",
+           sampler=sampler, iterations=3)
+    assert len(armed) >= 3
+    assert set(seen) == callers, seen
 
 
 def _tensor_representation_breaches(path: pathlib.Path,

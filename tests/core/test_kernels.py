@@ -19,7 +19,7 @@ import pytest
 from repro.core import CstfCOO, CstfQCOO
 from repro.engine import (Context, EngineConf, EngineError,
                           HashPartitioner, JobExecutionError, KernelError)
-from repro.engine.blocks import (KeyedRowBlock, iter_records,
+from repro.engine.blocks import (ColumnarBlock, KeyedRowBlock, iter_records,
                                  partition_rows, record_count)
 from repro.kernels import (LeverageSampler, RecordKernel, VectorizedKernel,
                            combine_rows_batch, create_kernel, fold_rows,
@@ -59,7 +59,7 @@ class TestSegsum:
         acc = {}
         for k, v in pairs:
             acc[k] = acc[k] + v if k in acc else v
-        return acc
+        return dict(sorted(acc.items()))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 8])
     def test_matches_dict_fold_bitwise(self, width):
@@ -69,7 +69,7 @@ class TestSegsum:
             -3, 4, size=(64, 1))
         oracle = self.dict_fold(zip(keys.tolist(), rows))
         out_keys, out_rows = segmented_left_fold(keys, rows)
-        # first-occurrence emission order, same as dict insertion order
+        # ascending key order, as the record path's sorted reduce output
         assert out_keys.tolist() == list(oracle)
         for i, k in enumerate(out_keys.tolist()):
             assert out_rows[i].tobytes() == oracle[k].tobytes()
@@ -78,8 +78,8 @@ class TestSegsum:
         keys = np.array([7, 3, 5], dtype=np.int64)
         rows = np.array([[1.1, 2.2], [3.3, 4.4], [5.5, 6.6]])
         out_keys, out_rows = segmented_left_fold(keys, rows)
-        assert out_keys.tolist() == [7, 3, 5]
-        assert out_rows.tobytes() == rows.tobytes()
+        assert out_keys.tolist() == [3, 5, 7]
+        assert out_rows.tobytes() == rows[[1, 2, 0]].tobytes()
 
     def test_fold_rows_is_strict_left_fold(self):
         rng = np.random.default_rng(5)
@@ -429,6 +429,56 @@ class TestBlockJoin:
         assert follows < prev
 
 
+def test_both_joins_emit_in_probe_order():
+    """``BlockJoinRDD`` and ``RDD.join`` equal a Python probe loop over
+    the left side in fetch order, byte for byte: a reduce partition
+    holds its map partitions' rows in map order, each map partition's
+    in storage order, and a key with no right row drops its rows.  A
+    right key that appears twice still raises in the block join."""
+    rng = np.random.default_rng(3)
+    n, size, rank, parts = 400, 60, 2, 4
+    keys = rng.integers(0, size, n)
+    other = rng.integers(0, 9, n)
+    values = rng.standard_normal(n)
+    factor = rng.standard_normal((size, rank))
+    kept = [i for i in range(size) if i % 7]
+    pid = HashPartitioner(parts).partition_int_keys(keys)
+    # the probe loop: reduce partition by reduce partition, the left
+    # side in fetch order (four contiguous map partitions)
+    probe = [i for p in range(parts) for i in range(n)
+             if pid[i] == p and keys[i] % 7]
+    with Context(num_nodes=2, default_parallelism=parts) as ctx:
+        right = rows_rdd(ctx, [(i, factor[i]) for i in kept], rank, parts)
+        tensor = ColumnarBlock((keys, other), values)
+        left = ctx.parallelize_blocks([
+            tensor.take(slice(lo, lo + n // parts))
+            for lo in range(0, n, n // parts)]).key_blocks(0)
+        joined = left.block_join(
+            right, lambda blk, rows: blk.values[:, None] * rows, 1,
+            num_partitions=parts).collect()
+        pairs = ctx.parallelize(
+            [(int(k), (int(o), float(v)))
+             for k, o, v in zip(keys, other, values)], parts
+        ).join(right.materialize_records(), parts).collect()
+        twice = [(i, factor[i]) for i in kept]
+        twice.insert(1, (1, factor[1]))     # kept[0] is 1
+        duplicated = rows_rdd(ctx, twice, rank, parts)
+        with pytest.raises(JobExecutionError) as err:
+            left.block_join(duplicated, lambda blk, rows: rows, 1,
+                            num_partitions=parts).collect()
+    block = ColumnarBlock.concat(joined)
+    assert block.column(0).tolist() == keys[probe].tolist()
+    assert block.column(1).tolist() == other[probe].tolist()
+    assert block.rows.tobytes() == \
+        (values[:, None] * factor[keys])[probe].tobytes()
+    assert [(k, lv) for k, (lv, _) in pairs] == [
+        (int(keys[i]), (int(other[i]), float(values[i]))) for i in probe]
+    assert np.stack([rv for _, (_, rv) in pairs]).tobytes() == \
+        factor[keys[probe]].tobytes()
+    assert "key 1 appears more than once" in str(
+        cause_of(err, "more than once"))
+
+
 # ----------------------------------------------------------------------
 # the factor side: one KeyedRowBlock per partition, degenerate inputs
 # ----------------------------------------------------------------------
@@ -517,6 +567,21 @@ class TestLoudAndLocated:
         assert sorted(got) == list(range(len(m_rows)))
         for key, row in m_rows:
             assert got[key].tobytes() == (row * row).tobytes()
+
+    def test_row_products_refuse_a_negative_key(self, init3):
+        """The gather looks rows up by key, and keys are mode indices:
+        a negative one is named, not wrapped around to another row."""
+        rows = [(-1, init3[2][0])] + list(enumerate(init3[2]))
+        with Context(num_nodes=4, default_parallelism=8,
+                     conf=EngineConf(kernel="vectorized")) as ctx, \
+                ctx.release_scope():
+            prods = ctx.kernel.row_products(
+                rows_rdd(ctx, rows, 2), rows_rdd(ctx, rows, 2), 8)
+            with pytest.raises(JobExecutionError) as err:
+                prods.collect()
+        message = str(cause_of(err, "is negative"))
+        part = HashPartitioner(8).get_partition(-1)
+        assert f"rowProducts partition {part}: key -1 " in message
 
     @pytest.mark.parametrize("cls", ["BigtensorCP", "CstfCOO", "CstfQCOO"])
     def test_hadoop_mode_kernels_agree_bit_for_bit(self, cls):
