@@ -40,7 +40,6 @@ EXPERIMENT_INDEX = {
     "extension_variants": "Extension — all variants, Figure 2(a) panel",
     "extension_weak_scaling": "Extension — weak scaling",
     "extension_rank_sweep": "Extension — rank sensitivity",
-    "crosscheck_mapreduce": "Cross-check — BIGtensor formulations",
     "sampled_mttkrp": "Extension — CP-ARLS-LEV sampled MTTKRP",
 }
 

@@ -1,11 +1,11 @@
 """``repro.baselines`` — reference algorithms CSTF is evaluated against:
-the BIGtensor/GigaTensor MapReduce workflow (comparative baseline) and a
-single-node numpy CP-ALS (correctness oracle)."""
+the BIGtensor/GigaTensor workflow on a hadoop-mode context
+(comparative baseline) and single-node numpy CP-ALS and HOOI
+(correctness oracles)."""
 
 from .bigtensor import BigtensorCP
-from .bigtensor_mapreduce import BigtensorMapReduce
 from .local_als import local_cp_als
 from .local_tucker import local_hooi, random_orthonormal
 
-__all__ = ["BigtensorCP", "BigtensorMapReduce", "local_cp_als", "local_hooi",
+__all__ = ["BigtensorCP", "local_cp_als", "local_hooi",
            "random_orthonormal"]

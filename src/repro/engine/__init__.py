@@ -37,8 +37,6 @@ from .events import (BlockCorrupted, EngineEventBus, EngineListener,
 from .faults import (FaultInjector, FaultPlan, InjectedFaultError,
                      NodeKillEvent)
 from .integrity import IntegrityManager
-from .mapreduce import (HadoopRuntime, HDFSFile, JobResult,
-                        MapReduceJob, SimulatedHDFS)
 from .memory import (LEVEL_MEMORY_FACTOR, MemoryManager,
                      SpillableAppendOnlyMap, demote_level)
 from .metrics import (FaultMetrics, HadoopMetrics, IntegrityMetrics,
@@ -88,11 +86,6 @@ __all__ = [
     "InjectedFaultError",
     "NodeKillEvent",
     "HadoopMetrics",
-    "HadoopRuntime",
-    "HDFSFile",
-    "JobResult",
-    "MapReduceJob",
-    "SimulatedHDFS",
     "HardwareProfile",
     "HashPartitioner",
     "IntegrityManager",

@@ -10,7 +10,8 @@ Two execution modes:
   across jobs, stage-oriented accounting;
 * ``"hadoop"`` — models MapReduce for the BIGtensor baseline: caching is
   suppressed and every shuffle round is a separate job materialized
-  through simulated HDFS (see :mod:`repro.engine.hadoop`).
+  through simulated HDFS (see the "Hadoop mode" section of
+  ``docs/architecture.md``).
 """
 
 from __future__ import annotations

@@ -278,9 +278,9 @@ class SpeculationLatch:
 
     The first attempt to finish *computing* claims the latch with
     :meth:`offer`; the loser's result is discarded by the caller.  A
-    backup that fails records its error instead — backup errors never
-    surface directly (the primary is still running and may win), they
-    only matter for accounting.  The coordinating thread uses
+    backup that fails never offers: its error does not surface (the
+    primary is still running and may win) and is accounted as a
+    ``backup-failed`` cancellation event.  The coordinating thread uses
     :meth:`wait` after the primary lost the race, which by construction
     only happens after a successful backup offer, so it never blocks
     indefinitely.
@@ -290,7 +290,6 @@ class SpeculationLatch:
         self._lock = linthooks.make_lock("SpeculationLatch")
         self._done = threading.Event()
         self._winner: AttemptOutcome | None = None
-        self._backup_error: BaseException | None = None
         #: backup bookkeeping, set by the launcher (coordinator joins
         #: the thread before returning so no attempt outlives its stage)
         self.backup_thread: threading.Thread | None = None
@@ -307,25 +306,12 @@ class SpeculationLatch:
             self._done.set()
             return True
 
-    def backup_failed(self, error: BaseException) -> None:
-        """Record the backup attempt's terminal error (accounting only)."""
-        with self._lock:
-            linthooks.access(self, "winner", write=True)
-            self._backup_error = error
-
     @property
     def winner(self) -> AttemptOutcome | None:
         """The committed outcome, if any attempt has claimed the latch."""
         with self._lock:
             linthooks.access(self, "winner", write=False)
             return self._winner
-
-    @property
-    def backup_error(self) -> BaseException | None:
-        """The backup's terminal error, if it failed."""
-        with self._lock:
-            linthooks.access(self, "winner", write=False)
-            return self._backup_error
 
     def wait(self, timeout: float | None = None) -> AttemptOutcome | None:
         """Block until an attempt claims the latch; returns the winner

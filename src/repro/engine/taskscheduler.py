@@ -378,10 +378,9 @@ class TaskScheduler:
                     bus.post(TaskAttemptCancelled(
                         stage_id, partition, backup_attempt, backup_node,
                         backup_token.elapsed(), "cancelled"))
-                except BaseException as exc:  # noqa: BLE001 - see below
-                    # recorded for accounting only: the primary is still
-                    # running and may succeed
-                    latch.backup_failed(exc)
+                except BaseException:  # noqa: BLE001 - see below
+                    # swallowed, recorded for accounting only: the
+                    # primary is still running and may succeed
                     bus.post(TaskAttemptCancelled(
                         stage_id, partition, backup_attempt, backup_node,
                         backup_token.elapsed(), "backup-failed"))

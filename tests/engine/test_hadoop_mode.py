@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-
-from repro.engine.hadoop import (HDFS_REPLICATION, hadoop_jobs_launched,
-                                 hdfs_traffic_bytes)
+from repro.engine import COMET, CostModel, RunStats
 
 
 class TestHadoopAccounting:
@@ -33,12 +31,19 @@ class TestHadoopAccounting:
         assert ctx.metrics.hadoop.hdfs_bytes_written == 0
 
     def test_traffic_helper_applies_replication(self, hadoop_ctx):
+        # replication is applied once, in the cost model, to the
+        # unreplicated bytes the run recorded
         hadoop_ctx.parallelize([(i, i) for i in range(100)], 4)\
             .reduce_by_key(lambda a, b: a + b, 4).collect()
-        h = hadoop_ctx.metrics.hadoop
-        assert hdfs_traffic_bytes(hadoop_ctx.metrics) == \
-            h.hdfs_bytes_written * HDFS_REPLICATION + h.hdfs_bytes_read
-        assert hadoop_jobs_launched(hadoop_ctx.metrics) == 1
+        stats = RunStats.from_metrics(hadoop_ctx.metrics)
+        assert stats.hadoop_jobs == 1
+        assert stats.hdfs_write_bytes > 0 and stats.spill_bytes == 0
+        for n in (4, 8, 16, 32):
+            disk_s = CostModel().estimate(stats, n, "hadoop").disk_s
+            assert disk_s == (
+                (stats.hdfs_write_bytes * COMET.hdfs_replication
+                 + stats.hdfs_read_bytes)
+                / (n * COMET.disk_bw_bytes_per_s))
 
     def test_caching_flags(self, hadoop_ctx, ctx):
         assert hadoop_ctx.hadoop_mode

@@ -1,143 +1,164 @@
-"""The native MapReduce layer."""
+"""MapReduce semantics on the hadoop-mode engine: HDFS charging, jobs
+as shuffle rounds, combiners, counters and the reducer's key order."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.engine import Cluster
-from repro.engine.mapreduce import (REPLICATION, HadoopRuntime,
-                                    MapReduceJob, SimulatedHDFS)
+from repro.engine import COMET, Context, CostModel, RunStats
 
 
-@pytest.fixture
-def rt():
-    return HadoopRuntime(Cluster(num_nodes=4))
-
-
-def wordcount_job(**kw) -> MapReduceJob:
-    return MapReduceJob(
-        "wordcount",
-        mapper=lambda _k, word: [(word, 1)],
-        reducer=lambda word, counts: [(word, sum(counts))], **kw)
+def wordcount(rdd, num_partitions=4, **kw):
+    """Classic word count over ``(key, word)`` records."""
+    return rdd.map(lambda kv: (kv[1], 1)).reduce_by_key(
+        lambda a, b: a + b, num_partitions, **kw)
 
 
 class TestHDFS:
-    def test_write_stripes_blocks(self):
-        hdfs = SimulatedHDFS()
-        f = hdfs.write("f", [(i, i) for i in range(10)], 4)
-        assert len(f.blocks) == 4
-        assert f.num_records == 10
-        assert sorted(f.records()) == [(i, i) for i in range(10)]
+    def test_write_stripes_blocks(self, hadoop_ctx):
+        # the HDFS round trip of a checkpoint loses the partitioning:
+        # records land striped over the requested splits, unkeyed
+        rdd = hadoop_ctx.parallelize([(i, i) for i in range(50)], 4)\
+            .reduce_by_key(lambda a, b: a + b, 4)
+        assert rdd.partitioner is not None
+        cp = hadoop_ctx.checkpoint(rdd)
+        assert cp.partitioner is None
+        assert cp.num_partitions == 4
+        assert [len(p) for p in cp.glom().collect()] == [13, 13, 12, 12]
 
-    def test_write_charges_replication(self):
-        hdfs = SimulatedHDFS()
-        hdfs.write("f", [(1, 1)], 1)
-        single = hdfs.bytes_written
-        assert single > 0
-        hdfs.write("g", [(1, 1), (2, 2)], 1)
-        assert hdfs.bytes_written == 3 * single
-        assert REPLICATION == 3
+    def test_write_charges_replication(self, hadoop_ctx):
+        # bytes are recorded once, unreplicated: the replication factor
+        # lives in the hardware profile and is applied by the cost model
+        wordcount(hadoop_ctx.parallelize(
+            [(i, i % 5) for i in range(60)], 4)).collect()
+        h = hadoop_ctx.metrics.hadoop
+        write = hadoop_ctx.metrics.total_shuffle_write()
+        assert h.hdfs_bytes_written == write.bytes_written > 0
+        assert h.hdfs_records_written == write.records_written
+        assert COMET.hdfs_replication == 3
 
-    def test_read_charges(self):
-        hdfs = SimulatedHDFS()
-        f = hdfs.write("f", [(1, 1)], 1)
-        list(hdfs.read(f))
-        assert hdfs.bytes_read > 0
+    def test_read_charges(self, hadoop_ctx):
+        # every map output is read back once, and a checkpoint charges
+        # its write and its read-back alike
+        wordcount(hadoop_ctx.parallelize(
+            [(i, i % 5) for i in range(60)], 4)).collect()
+        h = hadoop_ctx.metrics.hadoop
+        assert h.hdfs_bytes_read == h.hdfs_bytes_written > 0
+        before = h.hdfs_bytes_read
+        hadoop_ctx.checkpoint(hadoop_ctx.parallelize(
+            [(i, i) for i in range(20)], 2))
+        assert h.hdfs_bytes_read - before == \
+            h.hdfs_bytes_written - before > 0
 
     def test_invalid_blocks(self):
-        with pytest.raises(ValueError):
-            SimulatedHDFS().write("f", [], 0)
+        with pytest.raises(ValueError, match="execution_mode"):
+            Context(num_nodes=4, execution_mode="mapreduce")
+        with pytest.raises(ValueError, match="mode"):
+            CostModel().estimate(RunStats(), 4, "mapreduce")
 
 
 class TestJobExecution:
-    def test_wordcount(self, rt):
-        data = rt.put([(i, ["a", "b", "a", "c"][i % 4])
-                       for i in range(40)])
-        result = rt.run(wordcount_job(), data)
-        assert dict(result.output.records()) == {"a": 20, "b": 10,
-                                                 "c": 10}
+    def test_wordcount(self, hadoop_ctx):
+        data = hadoop_ctx.parallelize(
+            [(i, ["a", "b", "a", "c"][i % 4]) for i in range(40)], 4)
+        assert dict(wordcount(data).collect()) == {"a": 20, "b": 10,
+                                                   "c": 10}
+        assert hadoop_ctx.metrics.hadoop.jobs_launched == 1
 
-    def test_reducer_sees_sorted_keys(self, rt):
-        seen = []
-        job = MapReduceJob(
-            "order",
-            mapper=lambda _k, v: [(v, 1)],
-            reducer=lambda k, vs: (seen.append(k), [(k, len(vs))])[1],
-            num_reducers=1)
-        data = rt.put([(i, i % 7) for i in range(30)])
-        rt.run(job, data)
-        assert seen == sorted(seen)
+    def test_reducer_sees_sorted_keys(self, hadoop_ctx):
+        # the MTTKRP's reduceByKey leaves every partition in key order
+        rdd = hadoop_ctx.parallelize(
+            [((i * 7) % 29, np.full(2, float(i))) for i in range(90)], 4)
+        out = hadoop_ctx.kernel.sum_rows_by_key(rdd, 3).collect()
+        assert out
+        for block in out:
+            assert np.all(np.diff(block.keys) > 0)
+        assert sorted(int(k) for b in out for k in b.keys) == \
+            list(range(29))
 
-    def test_combiner_shrinks_shuffle(self, rt):
-        data = rt.put([(i, "x") for i in range(64)])
-        plain = rt.run(wordcount_job(), data)
-        combined = rt.run(wordcount_job(
-            combiner=lambda k, vs: [(k, sum(vs))]), data)
-        assert combined.shuffle_write.records_written < \
-            plain.shuffle_write.records_written
-        assert dict(plain.output.records()) == \
-            dict(combined.output.records())
+    def test_combiner_shrinks_shuffle(self, hadoop_ctx):
+        data = hadoop_ctx.parallelize([(i, "x") for i in range(64)], 4)
+        plain = wordcount(data, map_side_combine=False)
+        assert dict(plain.collect()) == {"x": 64}
+        plain_records = \
+            hadoop_ctx.metrics.total_shuffle_write().records_written
+        combined = wordcount(data, map_side_combine=True)
+        assert dict(combined.collect()) == {"x": 64}
+        combined_records = hadoop_ctx.metrics.total_shuffle_write()\
+            .records_written - plain_records
+        assert plain_records == 64
+        assert combined_records == 4  # one per map task
 
-    def test_counters(self, rt):
-        job = MapReduceJob(
-            "count",
-            mapper=lambda _k, v, ctx: (ctx.increment("mapped"),
-                                       [(v, 1)])[1],
-            reducer=lambda k, vs, ctx: (ctx.increment("reduced", 2),
-                                        [(k, sum(vs))])[1])
-        data = rt.put([(i, i % 3) for i in range(12)])
-        result = rt.run(job, data)
-        assert result.counters["mapped"] == 12
-        assert result.counters["reduced"] == 6  # 3 keys x 2
+    def test_counters(self, hadoop_ctx):
+        # accumulators are the engine's job counters
+        mapped = hadoop_ctx.accumulator(0, "mapped")
+        reduced = hadoop_ctx.accumulator(0, "reduced")
 
-    def test_multiple_inputs_concatenated(self, rt):
-        a = rt.put([(0, "x")])
-        b = rt.put([(0, "x"), (0, "y")])
-        result = rt.run(wordcount_job(), a, b)
-        assert dict(result.output.records()) == {"x": 2, "y": 1}
+        def mapper(kv):
+            mapped.add(1)
+            return (kv[1], 1)
 
-    def test_local_remote_split(self, rt):
-        # keys decorrelated from block striping, else every record's
+        def reducer(kv):
+            reduced.add(2)
+            return kv
+
+        hadoop_ctx.parallelize([(i, i % 3) for i in range(12)], 4)\
+            .map(mapper).reduce_by_key(lambda a, b: a + b, 4)\
+            .map(reducer).collect()
+        assert mapped.value == 12
+        assert reduced.value == 6  # 3 keys x 2
+
+    def test_multiple_inputs_concatenated(self, hadoop_ctx):
+        a = hadoop_ctx.parallelize([(0, "x")], 1)
+        b = hadoop_ctx.parallelize([(0, "x"), (0, "y")], 2)
+        assert dict(wordcount(a.union(b)).collect()) == {"x": 2, "y": 1}
+        assert hadoop_ctx.metrics.hadoop.jobs_launched == 1
+
+    def test_local_remote_split(self, hadoop_ctx):
+        # keys decorrelated from the input splits, else every record's
         # source and destination node coincide by construction
-        data = rt.put([(i, (i * 7 + 3) % 13) for i in range(160)])
-        result = rt.run(wordcount_job(num_reducers=8), data)
-        read = result.shuffle_read
+        data = hadoop_ctx.parallelize(
+            [(i, (i * 7 + 3) % 13) for i in range(160)], 4)
+        wordcount(data, num_partitions=8).collect()
+        read = hadoop_ctx.metrics.total_shuffle_read()
         assert read.remote_records > 0
         assert read.local_records > 0
         frac = read.remote_records / read.total_records
         assert 0.5 < frac < 0.95  # ~3/4 on 4 nodes
 
-    def test_jobs_counted(self, rt):
-        data = rt.put([(0, "a")])
-        rt.run(wordcount_job(), data)
-        rt.run(wordcount_job(), data)
-        assert rt.jobs_run == 2
+    def test_jobs_counted(self, hadoop_ctx):
+        data = hadoop_ctx.parallelize([(0, "a")], 1)
+        wordcount(data).collect()
+        wordcount(data).collect()
+        assert hadoop_ctx.metrics.hadoop.jobs_launched == 2
 
-    def test_job_chaining(self, rt):
-        data = rt.put([(i, i % 5) for i in range(50)])
-        first = rt.run(wordcount_job(), data)
-        second = rt.run(MapReduceJob(
-            "invert",
-            mapper=lambda word, count: [(count, word)],
-            reducer=lambda count, words: [(count, sorted(words))]),
-            first.output)
-        assert dict(second.output.records()) == {10: [0, 1, 2, 3, 4]}
+    def test_job_chaining(self, hadoop_ctx):
+        # two shuffles are two jobs, and the second re-reads HDFS
+        counts = wordcount(hadoop_ctx.parallelize(
+            [(i, i % 5) for i in range(50)], 4))
+        inverted = counts.map(lambda kv: (kv[1], kv[0])).group_by_key(2)\
+            .map_values(sorted)
+        assert dict(inverted.collect()) == {10: [0, 1, 2, 3, 4]}
+        h = hadoop_ctx.metrics.hadoop
+        assert h.jobs_launched == 2
+        writes = [st.shuffle_write.bytes_written
+                  for st in hadoop_ctx.metrics.jobs[-1].stages
+                  if st.is_shuffle_map]
+        assert len(writes) == 2 and all(writes)
+        assert h.hdfs_bytes_read == sum(writes)
 
-    def test_validations(self, rt):
-        with pytest.raises(ValueError, match="num_reducers"):
-            MapReduceJob("x", lambda k, v: [], lambda k, v: [],
-                         num_reducers=0)
-        with pytest.raises(ValueError, match="input"):
-            rt.run(wordcount_job())
+    def test_validations(self, hadoop_ctx):
+        with pytest.raises(ValueError, match="num_partitions"):
+            hadoop_ctx.parallelize([(1, 1)], 2)\
+                .reduce_by_key(lambda a, b: a + b, 0)
+        with pytest.raises(ValueError, match="num_partitions"):
+            hadoop_ctx.parallelize([(1, 1)], 0)
 
-    def test_numpy_values_flow(self, rt):
-        data = rt.put([(i % 2, np.ones(3) * i) for i in range(6)])
-        job = MapReduceJob(
-            "sum-vec",
-            mapper=lambda k, v: [(k, v)],
-            reducer=lambda k, vs: [(k, sum(vs[1:], vs[0]))])
-        result = rt.run(job, data)
-        out = dict(result.output.records())
+    def test_numpy_values_flow(self, hadoop_ctx):
+        data = hadoop_ctx.parallelize(
+            [(i % 2, np.ones(3) * i) for i in range(6)], 3)
+        out = data.reduce_by_key(lambda a, b: a + b, 2).collect_as_map()
         assert np.allclose(out[0], [6, 6, 6])
         assert np.allclose(out[1], [9, 9, 9])
+        assert hadoop_ctx.metrics.hadoop.hdfs_bytes_written > 0
