@@ -110,10 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           "under --sampler lev (default: "
                           "$REPRO_SAMPLE_COUNT, then 1024)")
     dec.add_argument("--speculation", action="store_true", default=False,
-                     help="launch a backup attempt for task attempts "
-                          "running past a multiple of their stage's "
-                          "median runtime; the first result computed "
-                          "commits (bit-identical either way).  "
+                     help="cancel task attempts running past a "
+                          "multiple of their stage's median runtime and "
+                          "run a backup attempt on another node "
+                          "(bit-identical either way).  "
                           "Defaults to $REPRO_SPECULATION, then off")
     dec.add_argument("--task-deadline", type=float, default=None,
                      metavar="SECONDS",

@@ -49,7 +49,7 @@ from .rdd import RDD
 from .serialization import (checksum_blob, estimate_record_size,
                             estimate_size, verify_blob)
 from .speculation import (CancellationGroup, CancellationToken,
-                          SpeculationLatch, StageRuntimes, backoff_delay)
+                          StageRuntimes, backoff_delay)
 from .storage import CacheManager, StorageLevel
 from .taskscheduler import TaskContext, TaskRunResult, TaskScheduler, TaskSet
 
@@ -112,7 +112,6 @@ __all__ = [
     "SerialBackend",
     "ShuffleReadMetrics",
     "ShuffleWriteMetrics",
-    "SpeculationLatch",
     "StageMetrics",
     "StageRuntimes",
     "StorageLevel",

@@ -21,7 +21,7 @@ Three implementations ship:
 
 ``ProcessPoolBackend``
     The thread backend's orchestration (same submission order, result
-    order, cancellation and speculation semantics) plus a spawn-safe
+    order and cancellation semantics) plus a spawn-safe
     pool of worker *processes* that the columnar kernel hands whole
     task bodies to (:meth:`~repro.engine.procpool.OffloadClient.run`).
     Partition blocks cross the process boundary as
@@ -31,6 +31,10 @@ Three implementations ship:
     workers, so the task scheduler gives them just the stages whose
     lineage holds an offloading node (``RDD.offloads``) and runs every
     other stage on the calling thread, as the serial backend would.
+
+Speculation is the task scheduler's, not the backend's: a speculated
+attempt is cancelled and its backup runs inline on the same thread, so
+no backend starts a thread outside its pool.
 
 Which backend a context gets, and how wide, is ``ctx.conf.backend`` /
 ``ctx.conf.backend_workers`` (resolved in :mod:`repro.engine.conf`):
@@ -57,9 +61,6 @@ class ExecutorBackend(ABC):
 
     #: canonical backend name (what ``Context.backend.name`` reports)
     name: str = "abstract"
-    #: whether concurrent speculative backup attempts make sense here
-    #: (True only when tasks actually overlap in time)
-    supports_speculation: bool = False
     #: True when the pool's threads exist to wait on something outside
     #: the GIL rather than to compute: the task scheduler then runs a
     #: stage none of whose tasks will wait on the calling thread
@@ -108,7 +109,6 @@ class ThreadPoolBackend(ExecutorBackend):
     failing partition's exception wins)."""
 
     name = "threads"
-    supports_speculation = True
 
     def __init__(self, num_workers: int):
         if num_workers < 1:
@@ -175,7 +175,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
     on the inherited driver thread pool — which also inherits the
     thread backend's determinism contract verbatim: submission and
     results in partition order, lowest failing partition's exception,
-    cooperative cancellation, speculation support.  What *does* cross
+    cooperative cancellation.  What *does* cross
     the process boundary is a task's array-only body: the vectorized
     kernel hands it to ``self.offload``, which publishes the large
     operand arrays once into shared memory and ships descriptors per

@@ -14,13 +14,13 @@ makes co-partitioned joins communication-free.
 
 Node liveness: the fault-tolerance layer can *kill* a node (its shuffle
 outputs and cached partitions are lost and must be recomputed from
-lineage) or *exclude* one (Spark's blacklisting — the node keeps its
-data but receives no new tasks).  The straggler layer adds a third,
-softer state: *quarantine*, a timed exclusion driven by
-:class:`NodeHealthTracker` scores that ends with probational
-readmission.  Partitions whose primary node is
-unavailable are re-placed deterministically onto the remaining available
-nodes, modelling the scheduler moving tasks to healthy executors.
+lineage).  The task scheduler can *quarantine* one: a timed exclusion
+driven by :class:`NodeHealthTracker` scores (task failures, straggles,
+corrupt writes) in which the node keeps its data but receives no new
+tasks, ending with probational readmission.  Partitions whose primary
+node is unavailable are re-placed deterministically onto the remaining
+available nodes, modelling the scheduler moving tasks to healthy
+executors.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ class Cluster:
     nodes: list[Node] = field(init=False)
     #: nodes lost to simulated failure (their data is gone)
     dead_nodes: set[int] = field(init=False, default_factory=set)
-    #: nodes blacklisted by the scheduler (alive, but receive no tasks)
-    excluded_nodes: set[int] = field(init=False, default_factory=set)
-    #: nodes temporarily quarantined by the straggler health tracker,
+    #: nodes temporarily quarantined by the node health tracker,
     #: mapped to the clock time at which they become eligible for
     #: probational readmission
     quarantined_nodes: dict[int, float] = field(init=False,
@@ -85,7 +83,7 @@ class Cluster:
             for i in range(self.num_nodes)
         ]
         # liveness/placement are read on every task and mutated by
-        # kills/exclusions from any backend worker; reentrant because
+        # kills/quarantines from any backend worker; reentrant because
         # the mutators consult available_nodes
         self._lock = linthooks.make_rlock("Cluster")
 
@@ -98,12 +96,11 @@ class Cluster:
                 f"node_id must be in [0, {self.num_nodes}), got {node_id}")
 
     def is_available(self, node_id: int) -> bool:
-        """True iff the node is alive and neither excluded nor
-        quarantined — i.e. it may receive new tasks."""
+        """True iff the node is alive and not quarantined — i.e. it
+        may receive new tasks."""
         with self._lock:
             linthooks.access(self, "liveness", write=False)
             return (node_id not in self.dead_nodes
-                    and node_id not in self.excluded_nodes
                     and node_id not in self.quarantined_nodes)
 
     @property
@@ -135,36 +132,14 @@ class Cluster:
             linthooks.access(self, "liveness", write=True)
             self.dead_nodes.discard(node_id)
 
-    def exclude_node(self, node_id: int) -> bool:
-        """Blacklist a node from task placement.  Returns False (and does
-        nothing) when exclusion would leave no available node."""
-        self._check_node_id(node_id)
-        with self._lock:
-            if node_id in self.excluded_nodes:
-                return True
-            if len(self.available_nodes) <= 1 \
-                    and self.is_available(node_id):
-                return False
-            linthooks.access(self, "liveness", write=True)
-            self.excluded_nodes.add(node_id)
-            return True
-
-    def include_node(self, node_id: int) -> None:
-        """Lift a node's exclusion."""
-        self._check_node_id(node_id)
-        with self._lock:
-            linthooks.access(self, "liveness", write=True)
-            self.excluded_nodes.discard(node_id)
-
     # ------------------------------------------------------------------
-    # quarantine (straggler health layer)
+    # quarantine (node health layer)
     # ------------------------------------------------------------------
     def quarantine_node(self, node_id: int, until: float) -> bool:
-        """Quarantine a straggling node until clock time ``until``.
-
-        Like :meth:`exclude_node`, but temporary: the node keeps its
-        data and is eligible for probational readmission once the
-        engine clock passes ``until`` (see :meth:`quarantine_expired`).
+        """Quarantine a failing or straggling node until clock time
+        ``until``: it receives no new tasks but keeps its data, and is
+        eligible for probational readmission once the engine clock
+        passes ``until`` (see :meth:`quarantine_expired`).
         Returns False (and does nothing) when quarantining would leave
         no available node.
         """
@@ -203,9 +178,9 @@ class Cluster:
         """Node id hosting ``partition`` (round-robin placement).
 
         When the primary node ``partition % num_nodes`` is dead or
-        excluded, the partition's tasks are re-placed round-robin over
-        the remaining available nodes — deterministic, so repeated runs
-        under the same fault plan place identically.
+        quarantined, the partition's tasks are re-placed round-robin
+        over the remaining available nodes — deterministic, so repeated
+        runs under the same fault plan place identically.
         """
         with self._lock:
             linthooks.access(self, "liveness", write=False)
@@ -231,9 +206,10 @@ class Cluster:
 class NodeHealthTracker:
     """Decayed per-node badness scores driving quarantine decisions.
 
-    Every straggle (task deadline expiry, lost speculative race) and
-    task failure observed by the :class:`~repro.engine.taskscheduler.
-    TaskScheduler` adds weight to the offending node's score; scores
+    Every straggle (task deadline expiry, speculated attempt), task
+    failure and corrupt write observed by the
+    :class:`~repro.engine.taskscheduler.TaskScheduler` adds weight to
+    the offending node's score; scores
     decay exponentially with half-life ``decay_s`` so ancient sins are
     forgiven.  When a node's score reaches
     ``EngineConf.quarantine_threshold`` the scheduler quarantines it

@@ -51,10 +51,6 @@ class EngineConf:
         from lineage) one stage may consume before the job aborts with
         :class:`~repro.engine.errors.JobExecutionError` (Spark's
         ``spark.stage.maxConsecutiveAttempts``).
-    ``node_max_failures``
-        Failed task attempts a node may accumulate before it is excluded
-        from placement (Spark's blacklisting); ``None`` disables
-        exclusion (the Spark default).
     ``cache_capacity_bytes``
         Optional cluster-wide cache budget (a hard cap on the storage
         pool): over-budget entries are demoted to disk
@@ -91,18 +87,20 @@ class EngineConf:
         Opt-in speculative execution: once a stage has a few completed
         tasks, an attempt running longer than
         ``speculative_multiplier`` times the stage's median task runtime
-        (never less than ``speculative_min_deadline_s``) triggers a
-        backup attempt on a different node; the first result computed
-        wins (commit-once, bit-identical either way).  Env-backed
+        (never less than ``speculative_min_deadline_s``) is cancelled
+        and a backup attempt runs in its place on a different node,
+        inline on the same thread (bit-identical either way).  Env-backed
         (``$REPRO_SPECULATION``), default off.
     ``speculative_multiplier`` / ``speculative_min_deadline_s``
         Shape of the adaptive speculative deadline (see above).
     ``quarantine_threshold``
-        Decayed per-node badness score (failures weigh 1, straggles
-        weigh 1; half-life ``quarantine_decay_s``) at which a node is
-        quarantined for ``quarantine_duration_s`` engine-clock seconds,
-        then readmitted on probation at half the threshold score.
-        ``None`` (default) disables quarantine.
+        Decayed per-node badness score (failures, straggles and corrupt
+        writes weigh 1 each; half-life ``quarantine_decay_s``) at which
+        a node is quarantined for ``quarantine_duration_s`` engine-clock
+        seconds, then readmitted on probation at half the threshold
+        score — the engine's one node-health policy (a permanently
+        broken node is sidelined with a long duration).  ``None``
+        (default) disables quarantine.
     ``clock``
         Engine time source: ``"monotonic"`` (real time, the default) or
         ``"virtual"`` (sleeps advance a counter and return immediately
@@ -159,7 +157,6 @@ class EngineConf:
     map_side_combine: bool = True
     task_max_failures: int = 4
     stage_max_failures: int = 4
-    node_max_failures: int | None = None
     cache_capacity_bytes: int | None = None
     memory_total_bytes: int | None = None
     memory_fraction: float = 0.6

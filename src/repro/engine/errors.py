@@ -174,12 +174,8 @@ class CancelledAttempt(BaseException):
     ``kind`` distinguishes why the attempt ended:
 
     ``"speculation-deadline"``
-        The attempt overran its speculative deadline on a backend with
-        no concurrent speculation (serial): the scheduler fails over to
-        a backup attempt on another node inline.
-    ``"speculation-lost"``
-        A concurrent backup attempt committed first; this attempt's
-        result is discarded (commit-once latch).
+        The attempt overran its speculative deadline: the scheduler
+        fails over to a backup attempt on another node, inline.
     ``"task-set-cancelled"``
         A sibling task of the same set failed terminally; the backend
         cancelled the rest of the set.

@@ -168,18 +168,15 @@ class TaskSpeculated:
 
 @dataclass(frozen=True)
 class TaskAttemptCancelled:
-    """One side of a speculation race ended without committing:
-    ``reason`` is ``"lost-race"`` (the attempt finished second),
-    ``"cancelled"`` (it observed the winner's cancellation mid-compute)
-    or ``"backup-failed"`` (the backup died; the primary's result
-    stands).  ``elapsed_s`` is the duplicated work's wasted time."""
+    """A task attempt passed its speculative deadline and was cancelled
+    in favour of an inline backup (:class:`TaskSpeculated`).
+    ``elapsed_s`` is the abandoned work's wasted time."""
 
     stage_id: int
     partition: int
     attempt: int
     node: int
     elapsed_s: float
-    reason: str
     handler = "on_task_attempt_cancelled"
 
 
@@ -202,15 +199,6 @@ class NodeReadmitted:
 
     node: int
     handler = "on_node_readmitted"
-
-
-@dataclass(frozen=True)
-class NodeExcluded:
-    """A node was blacklisted after repeated task failures."""
-
-    node: int
-    failures: int
-    handler = "on_node_excluded"
 
 
 @dataclass(frozen=True)
@@ -341,9 +329,6 @@ class EngineListener:
     def on_node_readmitted(self, event: NodeReadmitted) -> None:
         """Handle :class:`NodeReadmitted`."""
 
-    def on_node_excluded(self, event: NodeExcluded) -> None:
-        """Handle :class:`NodeExcluded`."""
-
     def on_fetch_failed(self, event: FetchFailed) -> None:
         """Handle :class:`FetchFailed`."""
 
@@ -447,10 +432,6 @@ class FaultMetricsListener(EngineListener):
         if event.will_retry:
             f.tasks_retried += 1
 
-    def on_node_excluded(self, event: NodeExcluded) -> None:
-        """Count a blacklisted node."""
-        self._faults.nodes_excluded += 1
-
     def on_fetch_failed(self, event: FetchFailed) -> None:
         """Count a reduce-side fetch failure."""
         self._faults.fetch_failures += 1
@@ -525,7 +506,7 @@ class StragglerEventListener(EngineListener):
 
     def on_task_attempt_cancelled(
             self, event: TaskAttemptCancelled) -> None:
-        """Count one discarded side of a speculation race."""
+        """Count one attempt abandoned at its speculative deadline."""
         s = self._stragglers
         s.add("attempts_cancelled", 1)
         s.add("wasted_attempt_s", event.elapsed_s)

@@ -137,8 +137,8 @@ class FaultPlan:
         any one ``(stage, partition)``, so retries heal them.
     ``broken_nodes``
         Node ids whose tasks always fail — models bad hardware; combined
-        with ``EngineConf.node_max_failures`` this exercises node
-        exclusion and re-placement onto healthy nodes.
+        with ``EngineConf.quarantine_threshold`` this exercises node
+        quarantine and re-placement onto healthy nodes.
     ``node_kills``
         Deterministic :class:`NodeKillEvent`\\ s.
     ``oom_node_budgets``

@@ -161,13 +161,11 @@ class FaultMetrics:
     records_recomputed: int = 0
     #: nodes killed (Context.kill_node / NodeKillEvent)
     nodes_killed: int = 0
-    #: nodes excluded (blacklisted) after repeated task failures
-    nodes_excluded: int = 0
     #: shuffle map outputs invalidated by node deaths
     map_outputs_lost: int = 0
     #: cached partitions invalidated by node deaths
     cached_partitions_lost: int = 0
-    #: per-node failed-task-attempt counts (drives exclusion)
+    #: per-node failed-task-attempt counts
     failures_per_node: dict[int, int] = field(default_factory=dict)
 
     def record_node_failure(self, node: int) -> int:
@@ -179,7 +177,7 @@ class FaultMetrics:
     @property
     def any_activity(self) -> bool:
         return bool(self.task_failures or self.fetch_failures
-                    or self.nodes_killed or self.nodes_excluded)
+                    or self.nodes_killed)
 
 
 @dataclass
@@ -276,10 +274,9 @@ class StragglerMetrics:
     tasks_timed_out: int = 0
     #: backup attempts launched past the speculative deadline
     tasks_speculated: int = 0
-    #: backup attempts that committed before their primary
+    #: backup attempts that committed (the primary was cancelled)
     speculative_wins: int = 0
-    #: attempts abandoned at a cancellation checkpoint (lost races,
-    #: task-set cancellations, failed backups)
+    #: attempts abandoned at their speculative deadline
     attempts_cancelled: int = 0
     #: slow-task / slow-node delays injected by the FaultPlan
     injected_slow_tasks: int = 0
@@ -587,8 +584,7 @@ class MetricsCollector:
                 f"({f.tasks_retried} retried), {f.fetch_failures} fetch "
                 f"failures, {f.stages_resubmitted} stages resubmitted, "
                 f"{f.records_recomputed:,} records recomputed, "
-                f"{f.nodes_killed} nodes killed, "
-                f"{f.nodes_excluded} excluded")
+                f"{f.nodes_killed} nodes killed")
         if self.stragglers.any_activity:
             s = self.stragglers
             lines.append(

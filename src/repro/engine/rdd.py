@@ -5,15 +5,15 @@ This is the abstraction the CSTF paper programs against (Section 2.4).
 The subset implemented here is everything the paper's workflows need and
 the usual supporting cast:
 
-* narrow transformations — ``map``, ``flatMap``, ``filter``,
-  ``mapValues``, ``flatMapValues``, ``mapPartitions``, ``keyBy``,
+* narrow transformations — ``map``, ``flat_map``, ``filter``,
+  ``map_values``, ``flat_map_values``, ``map_partitions``, ``key_by``,
   ``keys``, ``values``, ``union``, ``zip_with_index``;
-* wide transformations — ``partitionBy``, ``reduceByKey``,
-  ``combineByKey``, ``aggregateByKey``, ``groupByKey``, ``distinct``,
-  ``join``, ``leftOuterJoin``, ``cogroup``;
+* wide transformations — ``partition_by``, ``reduce_by_key``,
+  ``combine_by_key``, ``aggregate_by_key``, ``group_by_key``,
+  ``distinct``, ``join``, ``left_outer_join``, ``cogroup``;
 * actions — ``collect``, ``count``, ``take``, ``first``, ``reduce``,
-  ``fold``, ``aggregate``, ``treeAggregate``, ``sum``, ``countByKey``,
-  ``foreach``, ``foreachPartition``;
+  ``fold``, ``aggregate``, ``tree_aggregate``, ``sum``,
+  ``count_by_key``, ``foreach``, ``foreach_partition``;
 * persistence — ``persist``/``cache``/``unpersist`` with the storage
   levels of :mod:`repro.engine.storage`.
 
@@ -889,28 +889,6 @@ class RDD:
         """Apply ``f`` once per partition iterator."""
         self.ctx._scheduler.run_job(
             self, lambda _p, it: f(it), f"foreachPartition {self.name}")
-
-    # camelCase aliases (Spark spelling), for familiarity ---------------
-    flatMap = flat_map
-    mapValues = map_values
-    flatMapValues = flat_map_values
-    mapPartitions = map_partitions
-    reduceByKey = reduce_by_key
-    groupByKey = group_by_key
-    combineByKey = combine_by_key
-    aggregateByKey = aggregate_by_key
-    partitionBy = partition_by
-    leftOuterJoin = left_outer_join
-    treeAggregate = tree_aggregate
-    countByKey = count_by_key
-    countByValue = count_by_value
-    collectAsMap = collect_as_map
-    keyBy = key_by
-    zipWithIndex = zip_with_index
-    rightOuterJoin = right_outer_join
-    fullOuterJoin = full_outer_join
-    subtractByKey = subtract_by_key
-    sortByKey = sort_by_key
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,8 @@ Key behaviours reproduced from Spark:
   the whole lineage every action);
 * lineage walks prune at fully-cached RDDs;
 * failed tasks are retried up to ``conf.task_max_failures`` times, with
-  per-node failure counting: a node that keeps failing tasks is excluded
-  (Spark's blacklisting, ``conf.node_max_failures``) and the failed
+  per-node health scoring: a node that keeps failing tasks is
+  quarantined (``conf.quarantine_threshold``) and the failed
   partition's tasks are re-placed onto healthy nodes (both handled by the
   :class:`~repro.engine.taskscheduler.TaskScheduler`);
 * a :class:`~repro.engine.errors.FetchFailedError` (a reduce task found

@@ -175,15 +175,14 @@ class ShuffleManager:
         self.integrity = integrity
         self._lock = linthooks.make_rlock("ShuffleManager")
         self._shuffles: dict[int, dict[int, _MapOutput]] = {}
-        #: shuffle id -> expected map-partition count (None when the
-        #: shuffle was registered through the legacy argless API)
-        self._num_maps: dict[int, int | None] = {}
+        #: shuffle id -> expected map-partition count
+        self._num_maps: dict[int, int] = {}
         self._next_shuffle_id = 0
 
-    def new_shuffle_id(self, num_map_partitions: int | None = None) -> int:
-        """Register a new shuffle and return its id.  When the map-side
-        partition count is declared, reduce-side reads verify the
-        shuffle is complete and raise ``FetchFailedError`` otherwise."""
+    def new_shuffle_id(self, num_map_partitions: int) -> int:
+        """Register a new shuffle of ``num_map_partitions`` map tasks and
+        return its id.  Reduce-side reads verify the shuffle is complete
+        and raise ``FetchFailedError`` otherwise."""
         with self._lock:
             linthooks.access(self, "_shuffles", write=True)
             sid = self._next_shuffle_id
@@ -304,16 +303,15 @@ class ShuffleManager:
                     raise KeyError(f"unknown shuffle id {shuffle_id}")
                 # registered but dropped (gc'd or removed): recoverable —
                 # the scheduler recomputes the map stage from lineage
-                expected = self._num_maps[shuffle_id]
-                missing = tuple(range(expected)) if expected else ()
+                missing = tuple(range(self._num_maps[shuffle_id]))
                 raise FetchFailedError(
                     f"shuffle {shuffle_id} has no map outputs (dropped "
                     f"or lost) for reduce partition {reduce_partition}",
                     shuffle_id=shuffle_id,
                     reduce_partition=reduce_partition,
                     missing_map_partitions=missing)
-            expected = self._num_maps.get(shuffle_id)
-            if expected is not None and len(outputs) < expected:
+            expected = self._num_maps[shuffle_id]
+            if len(outputs) < expected:
                 missing = tuple(sorted(set(range(expected))
                                        - set(outputs)))
                 raise FetchFailedError(

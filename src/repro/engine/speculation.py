@@ -1,4 +1,4 @@
-"""Cooperative cancellation, commit-once speculation and retry backoff.
+"""Cooperative cancellation, speculative failover and retry backoff.
 
 The primitives behind the task scheduler's straggler defences:
 
@@ -7,22 +7,17 @@ The primitives behind the task scheduler's straggler defences:
     Checkpoints inside the attempt (injected delay/hang sleeps, the
     per-record guard) call :meth:`CancellationToken.check`, which
     raises :class:`~repro.engine.errors.CancelledAttempt` when the
-    attempt was cancelled (lost a speculation race, or its task set was
-    aborted) and :class:`~repro.engine.errors.TaskTimedOutError` when
-    the attempt overran its hard deadline.  Past the *speculative*
-    deadline the token fires its ``on_late`` callback exactly once —
-    that is where the scheduler launches the backup attempt.
+    attempt's task set was aborted or the attempt passed its
+    *speculative* deadline (the scheduler then runs a backup attempt
+    on another node, inline), and
+    :class:`~repro.engine.errors.TaskTimedOutError` when the attempt
+    overran its hard deadline.  Only the attempt's own thread touches
+    its token.
 :class:`CancellationGroup`
-    One per task set.  The thread backend cancels the group when any
-    task fails terminally, so in-flight sibling attempts abort at their
-    next checkpoint instead of running to completion.
-:class:`SpeculationLatch`
-    The commit-once latch between a primary attempt and its backup:
-    the first attempt to *finish computing* claims the latch; exactly
-    one result is handed to the output side (shuffle write / partition
-    function), which only ever runs on the coordinating thread.  Both
-    attempts are deterministic by the backend/kernel contracts, so
-    whichever one wins, the committed bits are identical.
+    One per task set, and the one flag shared across threads.  The
+    thread backend cancels the group when any task fails terminally,
+    so in-flight sibling attempts abort at their next checkpoint
+    instead of running to completion.
 :class:`StageRuntimes`
     Per-stage runtime quantile tracker feeding the adaptive speculative
     deadline (``speculative_multiplier`` x the stage's median task
@@ -34,19 +29,18 @@ The primitives behind the task scheduler's straggler defences:
 All shared state here is guarded by monitored
 :class:`~repro.engine.linthooks.HookLock` proxies so the lockset race
 detector covers the speculation machinery.  The one deliberate
-exception: the cancelled *flags* are read lock-free on the checkpoint
-fast path (single attribute loads, atomic in CPython — the volatile
-pattern) and mutated under the lock; the annotated accesses all happen
-inside locked regions.
+exception: the group's cancelled *flag* is read lock-free on the
+checkpoint fast path (a single attribute load, atomic in CPython — the
+volatile pattern) and mutated under the lock; the annotated accesses
+all happen inside locked regions.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 
 from statistics import median
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from . import linthooks
 from .errors import CancelledAttempt, EngineError, TaskTimedOutError
@@ -63,8 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
 SPECULATIVE_ATTEMPT_OFFSET = 1000
 
 #: upper bound on a single cooperative sleep chunk: keeps real-clock
-#: sleepers responsive to cross-thread cancellation, and bounds how far
-#: one virtual-clock sleeper can race ahead of a concurrent backup
+#: sleepers responsive to their task set's cancellation
 _MAX_SLEEP_CHUNK_S = 0.05
 
 
@@ -114,24 +107,14 @@ class CancellationToken:
                  stage_id: int | None = None,
                  group: CancellationGroup | None = None,
                  hard_deadline_s: float | None = None,
-                 spec_deadline_s: float | None = None,
-                 on_late: Callable[["CancellationToken"], None]
-                 | None = None):
+                 spec_deadline_s: float | None = None):
         self.clock = clock
         self.partition = partition
         self.stage_id = stage_id
         self.group = group
         self.hard_deadline_s = hard_deadline_s
         self.spec_deadline_s = spec_deadline_s
-        #: fired once at the speculative deadline; ``None`` means the
-        #: deadline itself cancels the attempt (serial failover)
-        self.on_late = on_late
         self.started_s = clock.time()
-        self._lock = linthooks.make_lock("CancellationToken")
-        self._cancelled = False
-        self._reason = ""
-        self._kind = "cancelled"
-        self._late_fired = False
 
     # ------------------------------------------------------------------
     def elapsed(self) -> float:
@@ -144,29 +127,14 @@ class CancellationToken:
         return (self.hard_deadline_s is not None
                 or self.spec_deadline_s is not None)
 
-    def cancel(self, reason: str, kind: str = "cancelled") -> None:
-        """Cancel the attempt: its next checkpoint raises
-        :class:`~repro.engine.errors.CancelledAttempt` of ``kind``."""
-        with self._lock:
-            linthooks.access(self, "state", write=True)
-            if not self._cancelled:
-                self._cancelled = True
-                self._reason = reason
-                self._kind = kind
-
     # ------------------------------------------------------------------
     def check(self) -> None:
         """Checkpoint: raise if cancelled or past a deadline.
 
-        Order matters: explicit cancellation first (a lost race must
-        not surface as a timeout), then the task-set group, then the
-        hard deadline, then the speculative deadline (fired once).
+        Order matters: the task-set group first (a sibling's terminal
+        failure must not surface as a timeout), then the hard
+        deadline, then the speculative deadline.
         """
-        if self._cancelled:
-            with self._lock:
-                linthooks.access(self, "state", write=False)
-                reason, kind = self._reason, self._kind
-            raise CancelledAttempt(reason, kind=kind)
         group = self.group
         if group is not None and group.cancelled:
             raise CancelledAttempt(
@@ -184,20 +152,10 @@ class CancellationToken:
                 deadline_s=hard, stage_id=self.stage_id)
         spec = self.spec_deadline_s
         if spec is not None and elapsed >= spec:
-            fire = False
-            with self._lock:
-                linthooks.access(self, "state", write=True)
-                if not self._late_fired:
-                    self._late_fired = True
-                    fire = True
-            if fire:
-                if self.on_late is None:
-                    raise CancelledAttempt(
-                        f"task attempt for partition {self.partition} "
-                        f"passed its speculative deadline "
-                        f"({elapsed:.3f}s >= {spec:.3f}s)",
-                        kind="speculation-deadline")
-                self.on_late(self)
+            raise CancelledAttempt(
+                f"task attempt for partition {self.partition} passed its "
+                f"speculative deadline ({elapsed:.3f}s >= {spec:.3f}s)",
+                kind="speculation-deadline")
 
     # ------------------------------------------------------------------
     def _next_chunk(self, remaining: float) -> float:
@@ -256,7 +214,7 @@ def guard_iterator(records: Any,
 
 
 # ----------------------------------------------------------------------
-# commit-once latch
+# attempt outcome
 # ----------------------------------------------------------------------
 class AttemptOutcome:
     """One attempt's computed (not yet committed) result."""
@@ -269,55 +227,6 @@ class AttemptOutcome:
         self.scratch = scratch
         self.node = node
         self.attempt = attempt
-
-
-class SpeculationLatch:
-    """Commit-once coordination between a primary attempt and its
-    concurrent backup (thread backend only; the serial backend fails
-    over inline and needs no latch).
-
-    The first attempt to finish *computing* claims the latch with
-    :meth:`offer`; the loser's result is discarded by the caller.  A
-    backup that fails never offers: its error does not surface (the
-    primary is still running and may win) and is accounted as a
-    ``backup-failed`` cancellation event.  The coordinating thread uses
-    :meth:`wait` after the primary lost the race, which by construction
-    only happens after a successful backup offer, so it never blocks
-    indefinitely.
-    """
-
-    def __init__(self) -> None:
-        self._lock = linthooks.make_lock("SpeculationLatch")
-        self._done = threading.Event()
-        self._winner: AttemptOutcome | None = None
-        #: backup bookkeeping, set by the launcher (coordinator joins
-        #: the thread before returning so no attempt outlives its stage)
-        self.backup_thread: threading.Thread | None = None
-        self.backup_token: CancellationToken | None = None
-
-    def offer(self, outcome: AttemptOutcome) -> bool:
-        """Claim the latch with a successful computation.  Returns True
-        when ``outcome`` won (it will be the committed result)."""
-        with self._lock:
-            linthooks.access(self, "winner", write=True)
-            if self._winner is not None:
-                return False
-            self._winner = outcome
-            self._done.set()
-            return True
-
-    @property
-    def winner(self) -> AttemptOutcome | None:
-        """The committed outcome, if any attempt has claimed the latch."""
-        with self._lock:
-            linthooks.access(self, "winner", write=False)
-            return self._winner
-
-    def wait(self, timeout: float | None = None) -> AttemptOutcome | None:
-        """Block until an attempt claims the latch; returns the winner
-        (or ``None`` on timeout — callers treat that as a lost backup)."""
-        self._done.wait(timeout)
-        return self.winner
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,9 @@ The :class:`~repro.engine.scheduler.DAGScheduler` decides *what* runs
 (the stage graph, lineage recovery, the retry-by-demotion policy); the
 :class:`TaskScheduler` decides *how one stage's tasks run*: it builds a
 :class:`TaskSet`, places every task on a node via the cluster, runs the
-per-task retry loop (fault admission, per-node failure counting and
-exclusion, OOM relief, retry backoff), and hands the per-partition
-thunks to the configured
-:class:`~repro.engine.backends.ExecutorBackend`.
+per-task retry loop (fault admission, node health and quarantine,
+OOM relief, retry backoff), and hands the per-partition thunks to the
+configured :class:`~repro.engine.backends.ExecutorBackend`.
 
 A backend whose threads only wait on worker processes
 (``ExecutorBackend.threads_only_wait``: the process backend) is handed
@@ -29,20 +28,22 @@ Straggler resilience (all opt-in, see
 :class:`~repro.engine.speculation.CancellationToken` whose cooperative
 checkpoints observe deadlines and cancellation.  An attempt past its
 *speculative* deadline (a multiple of the stage's median task runtime)
-gets a backup attempt on a different node; the first result *computed*
-claims a commit-once latch and only that result reaches the output
-side, so speculation never changes committed bits.  Hard-deadline
-expiries (:class:`~repro.engine.errors.TaskTimedOutError`) and lost
-races feed a decayed per-node health score that can *quarantine* a
-persistently slow node for a while (see
-:class:`~repro.engine.cluster.NodeHealthTracker`).
+is cancelled and a backup attempt runs inline, on a different node and
+the same thread, on every backend; only a completed attempt reaches
+the output side, so speculation never changes committed bits.  Task
+failures, hard-deadline expiries
+(:class:`~repro.engine.errors.TaskTimedOutError`) and speculated
+attempts feed a decayed per-node health score that can *quarantine* a
+bad or persistently slow node for a while (see
+:class:`~repro.engine.cluster.NodeHealthTracker`) — the one node-health
+policy.
 
 Instrumentation flows through the
 :class:`~repro.engine.events.EngineEventBus` (``TaskStart`` /
 ``TaskEnd`` / ``TaskFailure`` / ``TaskTimedOut`` / ``TaskSpeculated`` /
-``TaskAttemptCancelled`` / ``NodeExcluded`` / ``NodeQuarantined`` /
-``NodeReadmitted``); the fault injector subscribes to ``TaskStart`` and
-may raise from it to fail the attempt.
+``TaskAttemptCancelled`` / ``NodeQuarantined`` / ``NodeReadmitted``);
+the fault injector subscribes to ``TaskStart`` and may raise from it to
+fail the attempt.
 """
 
 from __future__ import annotations
@@ -56,14 +57,13 @@ from .blocks import is_block
 from .cluster import NodeHealthTracker
 from .errors import (CancelledAttempt, CorruptedBlockError, FetchFailedError,
                      OutOfMemoryError, TaskFailedError, TaskTimedOutError)
-from .events import (NodeExcluded, NodeQuarantined, NodeReadmitted,
-                     TaskAttemptCancelled, TaskEnd, TaskFailure,
-                     TaskSpeculated, TaskStart, TaskTimedOut)
+from .events import (NodeQuarantined, NodeReadmitted, TaskAttemptCancelled,
+                     TaskEnd, TaskFailure, TaskSpeculated, TaskStart,
+                     TaskTimedOut)
 from .metrics import StageMetrics
 from .speculation import (SPECULATIVE_ATTEMPT_OFFSET, AttemptOutcome,
                           CancellationGroup, CancellationToken,
-                          SpeculationLatch, StageRuntimes, backoff_delay,
-                          guard_iterator)
+                          StageRuntimes, backoff_delay, guard_iterator)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import ExecutorBackend
@@ -77,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _SPECULATIVE_MIN_TASKS = 3
 #: with speculation on and no ``task_deadline_s``, an attempt is
 #: hard-killed at this multiple of its speculative deadline — what
-#: rescues a task whose *primary* hangs forever
+#: rescues a task whose *backup* hangs forever
 _SPECULATIVE_HARD_CAP = 16.0
 #: cap (seconds) and seeded jitter fraction of the doubling retry
 #: backoff (see ``speculation.backoff_delay``)
@@ -152,7 +152,6 @@ class TaskScheduler:
     def __init__(self, ctx: "Context", backend: "ExecutorBackend"):
         self.ctx = ctx
         self.backend = backend
-        self._exclusion_lock = threading.Lock()
         #: per-stage runtime samples feeding adaptive spec deadlines
         self.runtimes = StageRuntimes()
         #: decayed per-node badness scores feeding quarantine
@@ -191,13 +190,12 @@ class TaskScheduler:
                   group: CancellationGroup | None = None) -> TaskRunResult:
         """One task's retry loop (runs on a backend worker).
 
-        Failed attempts are counted against the node the task ran on;
-        once a node accumulates ``conf.node_max_failures`` failures it
-        is excluded from placement and the next attempt runs on a
-        healthy node.  Timed-out attempts count as *straggles* toward
-        quarantine instead.  Every retry backs off with seeded-jitter
-        exponential delay (``conf.retry_backoff_base_s``).  Fetch
-        failures propagate to the stage level — retrying in place
+        Failed and timed-out attempts are charged to the node the task
+        ran on; once a node's decayed score crosses
+        ``conf.quarantine_threshold`` it is quarantined and the next
+        attempt runs on a healthy node.  Every retry backs off with
+        seeded-jitter exponential delay (``conf.retry_backoff_base_s``).
+        Fetch failures propagate to the stage level — retrying in place
         cannot recover lost shuffle outputs.
         """
         ctx = self.ctx
@@ -218,13 +216,13 @@ class TaskScheduler:
                 # the *writer* node's quarantine health (that node
                 # produced the corrupt bytes), then heals at stage
                 # level exactly like a fetch failure
-                self._note_health(exc.node, 1.0)
+                self._note_health(exc.node)
                 raise
             except (TaskFailedError, FetchFailedError):
                 raise
             except CancelledAttempt:
-                # control flow, never a task fault: a lost speculation
-                # race is resolved inside _execute_attempt, so what
+                # control flow, never a task fault: a speculative
+                # deadline is resolved inside _execute_attempt, so what
                 # reaches here is a task-set cancellation — propagate,
                 # exactly like KeyboardInterrupt/SystemExit (all
                 # BaseExceptions the retry clause below cannot swallow)
@@ -237,7 +235,7 @@ class TaskScheduler:
                 bus.post(TaskTimedOut(stage.stage_id, partition, attempt,
                                       node, exc.elapsed_s, exc.deadline_s,
                                       will_retry, backoff))
-                self._note_straggle(node)
+                self._note_health(node)
                 if backoff > 0:
                     ctx.clock.sleep(backoff)
                 continue
@@ -248,7 +246,7 @@ class TaskScheduler:
                                         attempt) if will_retry else 0.0
                 bus.post(TaskFailure(stage.stage_id, partition, attempt,
                                      node, exc, will_retry, backoff))
-                self._note_failure(node)
+                self._note_health(node)
                 if will_retry and isinstance(exc, OutOfMemoryError):
                     # degrade before retrying: demote the persisted RDDs
                     # feeding the task one storage level (or fall back
@@ -272,8 +270,9 @@ class TaskScheduler:
                          group: CancellationGroup | None) -> AttemptOutcome:
         """Run one attempt, applying whichever time-domain features are
         configured: no token at all (the legacy fast path), a hard
-        deadline only, or full speculation (concurrent race on backends
-        that overlap tasks, inline failover on the serial backend)."""
+        deadline only, or speculation: past its speculative deadline
+        the attempt is cancelled and a backup attempt runs inline on
+        another node, from the same thread, on every backend."""
         if not self._wants_tokens:
             return self._attempt_compute(ts, partition, attempt, node,
                                          None)
@@ -291,34 +290,11 @@ class TaskScheduler:
                     # the hard deadline fires first anyway
                     spec = None
                 elif hard is None:
-                    # safety net: a hung *primary* must still die even
-                    # if its backup fails
+                    # safety net: a hung *backup* must still die
                     hard = spec * _SPECULATIVE_HARD_CAP
-        if spec is None:
-            token = CancellationToken(ctx.clock, partition, stage_id,
-                                      group=group, hard_deadline_s=hard)
-            return self._attempt_compute(ts, partition, attempt, node,
-                                         token)
-        if self.backend.supports_speculation:
-            return self._race_attempts(ts, partition, attempt, node,
-                                       group, hard, spec)
-        return self._serial_failover(ts, partition, attempt, node,
-                                     group, hard, spec)
-
-    def _serial_failover(self, ts: TaskSet, partition: int, attempt: int,
-                         node: int, group: CancellationGroup | None,
-                         hard: float | None,
-                         spec: float) -> AttemptOutcome:
-        """Speculation without concurrency: the speculative deadline
-        *cancels* the primary attempt and a backup attempt runs inline
-        on a different node — same decision points as the concurrent
-        race, deterministic order."""
-        ctx = self.ctx
-        bus = ctx.event_bus
-        stage_id = ts.stage.stage_id
         token = CancellationToken(ctx.clock, partition, stage_id,
                                   group=group, hard_deadline_s=hard,
-                                  spec_deadline_s=spec, on_late=None)
+                                  spec_deadline_s=spec)
         try:
             return self._attempt_compute(ts, partition, attempt, node,
                                          token)
@@ -326,121 +302,17 @@ class TaskScheduler:
             if exc.kind != "speculation-deadline":
                 raise
         backup_node = self._backup_node(partition, node)
-        backup_attempt = attempt + SPECULATIVE_ATTEMPT_OFFSET
+        bus = ctx.event_bus
         bus.post(TaskSpeculated(stage_id, partition, attempt, node,
                                 backup_node, spec))
         bus.post(TaskAttemptCancelled(stage_id, partition, attempt, node,
-                                      token.elapsed(), "cancelled"))
-        self._note_straggle(node)
+                                      token.elapsed()))
+        self._note_health(node)
         backup_token = CancellationToken(ctx.clock, partition, stage_id,
-                                         group=group,
-                                         hard_deadline_s=hard)
-        return self._attempt_compute(ts, partition, backup_attempt,
+                                         group=group, hard_deadline_s=hard)
+        return self._attempt_compute(ts, partition,
+                                     attempt + SPECULATIVE_ATTEMPT_OFFSET,
                                      backup_node, backup_token)
-
-    def _race_attempts(self, ts: TaskSet, partition: int, attempt: int,
-                       node: int, group: CancellationGroup | None,
-                       hard: float | None, spec: float) -> AttemptOutcome:
-        """Concurrent speculation (thread backend): the primary's token
-        fires ``on_late`` at the speculative deadline, launching a
-        backup attempt on its own (non-pool) thread; the first attempt
-        to finish computing claims the commit-once latch, the loser is
-        cancelled at its next checkpoint, and the backup thread is
-        always joined before returning — no attempt outlives its
-        stage.  Backup errors are recorded but never surface (the
-        primary may still win; a hung primary dies at the hard cap)."""
-        ctx = self.ctx
-        bus = ctx.event_bus
-        stage_id = ts.stage.stage_id
-        latch = SpeculationLatch()
-
-        def launch_backup(primary_token: CancellationToken) -> None:
-            """Fired once, from the primary's checkpoint, at the
-            speculative deadline."""
-            backup_node = self._backup_node(partition, node)
-            backup_attempt = attempt + SPECULATIVE_ATTEMPT_OFFSET
-            backup_token = CancellationToken(ctx.clock, partition,
-                                             stage_id, group=group,
-                                             hard_deadline_s=hard)
-            latch.backup_token = backup_token
-            bus.post(TaskSpeculated(stage_id, partition, attempt, node,
-                                    backup_node, spec))
-            self._note_straggle(node)
-
-            def run_backup() -> None:
-                """Backup attempt body (its own daemon thread — using
-                the pool could self-deadlock a fully busy stage)."""
-                try:
-                    out = self._attempt_compute(ts, partition,
-                                                backup_attempt,
-                                                backup_node, backup_token)
-                except CancelledAttempt:
-                    bus.post(TaskAttemptCancelled(
-                        stage_id, partition, backup_attempt, backup_node,
-                        backup_token.elapsed(), "cancelled"))
-                except BaseException:  # noqa: BLE001 - see below
-                    # swallowed, recorded for accounting only: the
-                    # primary is still running and may succeed
-                    bus.post(TaskAttemptCancelled(
-                        stage_id, partition, backup_attempt, backup_node,
-                        backup_token.elapsed(), "backup-failed"))
-                else:
-                    if latch.offer(out):
-                        primary_token.cancel(
-                            "lost speculation race to backup attempt",
-                            kind="speculation-lost")
-
-            thread = threading.Thread(
-                target=run_backup, daemon=True,
-                name=f"repro-spec-{stage_id}-{partition}")
-            latch.backup_thread = thread
-            thread.start()
-
-        token = CancellationToken(ctx.clock, partition, stage_id,
-                                  group=group, hard_deadline_s=hard,
-                                  spec_deadline_s=spec,
-                                  on_late=launch_backup)
-        try:
-            outcome = self._attempt_compute(ts, partition, attempt, node,
-                                            token)
-        except CancelledAttempt as exc:
-            if exc.kind != "speculation-lost":
-                self._reap_backup(latch)
-                raise
-            # the backup committed and cancelled us; by construction
-            # the latch is already claimed
-            bus.post(TaskAttemptCancelled(stage_id, partition, attempt,
-                                          node, token.elapsed(),
-                                          "lost-race"))
-            winner = latch.wait(timeout=60.0)
-            self._reap_backup(latch)
-            if winner is None:  # pragma: no cover - defensive
-                raise
-            return winner
-        except BaseException:
-            self._reap_backup(latch)
-            raise
-        if latch.offer(outcome):
-            self._reap_backup(latch)
-            return outcome
-        # the backup claimed the latch while the primary was between
-        # checkpoints: honour commit-once (the bits are identical, the
-        # accounting goes to the backup)
-        bus.post(TaskAttemptCancelled(stage_id, partition, attempt, node,
-                                      token.elapsed(), "lost-race"))
-        self._reap_backup(latch)
-        return latch.winner
-
-    @staticmethod
-    def _reap_backup(latch: SpeculationLatch) -> None:
-        """Cancel and join the backup attempt's thread, if one was
-        launched (idempotent)."""
-        if latch.backup_token is not None:
-            latch.backup_token.cancel(
-                "primary attempt finished first",
-                kind="speculation-lost")
-        if latch.backup_thread is not None:
-            latch.backup_thread.join()
 
     def _attempt_compute(self, ts: TaskSet, partition: int, attempt: int,
                          node: int,
@@ -450,7 +322,7 @@ class TaskScheduler:
         through the fault injector's delay/poison wrappers and the
         token's per-record guard, and admit the working set.  The
         output side (shuffle write / partition function) is *not* run
-        here — with speculation only the winning attempt commits."""
+        here — a speculated primary never reaches it."""
         ctx = self.ctx
         stage = ts.stage
         scratch = StageMetrics(
@@ -486,8 +358,7 @@ class TaskScheduler:
         """Commit the winning attempt's records: shuffle write or
         partition function, then ``TaskEnd``.  The output side is not
         retried — its errors propagate raw, matching the old
-        stage-loop structure — and runs exactly once per task
-        (commit-once latch upstream)."""
+        stage-loop structure — and runs exactly once per task."""
         ctx = self.ctx
         cluster = ctx.cluster
         bus = ctx.event_bus
@@ -520,7 +391,7 @@ class TaskScheduler:
                              count=count, value=value)
 
     # ------------------------------------------------------------------
-    # node health: exclusion, quarantine, backoff
+    # node health: quarantine, backoff
     # ------------------------------------------------------------------
     def _backoff(self, stage_id: int, partition: int,
                  attempt: int) -> float:
@@ -542,25 +413,15 @@ class TaskScheduler:
             return node
         return candidates[partition % len(candidates)]
 
-    def _note_failure(self, node: int) -> None:
-        """Charge a task failure to ``node``: legacy exclusion counting
-        plus the quarantine health score."""
-        self._maybe_exclude(node)
-        self._note_health(node, 1.0)
-
-    def _note_straggle(self, node: int) -> None:
-        """Charge a straggle (timeout or speculation trigger) to
-        ``node``'s quarantine health score."""
-        self._note_health(node, 1.0)
-
-    def _note_health(self, node: int, weight: float) -> None:
-        """Record badness against ``node`` and quarantine it when its
-        decayed score crosses ``conf.quarantine_threshold``."""
+    def _note_health(self, node: int) -> None:
+        """Charge one incident (a task failure, a straggle or a corrupt
+        write) to ``node`` and quarantine it when its decayed score
+        crosses ``conf.quarantine_threshold``."""
         conf = self.ctx.conf
         if conf.quarantine_threshold is None:
             return
         now = self.ctx.clock.time()
-        score = self.health.record(node, weight, now)
+        score = self.health.record(node, 1.0, now)
         if score < conf.quarantine_threshold:
             return
         cluster = self.ctx.cluster
@@ -585,23 +446,6 @@ class TaskScheduler:
                 self.health.reset(node, conf.quarantine_threshold / 2.0,
                                   now)
                 self.ctx.event_bus.post(NodeReadmitted(node))
-
-    def _maybe_exclude(self, node: int) -> None:
-        """Blacklist ``node`` once its failure count (kept in the fault
-        metrics, which the ``TaskFailure`` listener just updated —
-        dispatch is synchronous) crosses ``conf.node_max_failures``."""
-        conf = self.ctx.conf
-        if conf.node_max_failures is None:
-            return
-        cluster = self.ctx.cluster
-        with self._exclusion_lock:
-            failures = self.ctx.metrics.faults.failures_per_node.get(
-                node, 0)
-            if failures < conf.node_max_failures \
-                    or not cluster.is_available(node):
-                return
-            if cluster.exclude_node(node):
-                self.ctx.event_bus.post(NodeExcluded(node, failures))
 
 
 class _CountingIterator:

@@ -1,17 +1,22 @@
 """Bit-identity of CP-ALS under straggler resilience.
 
 Speculation, task deadlines and quarantine are *time-domain* features:
-they change when and where attempts run, never what they compute.  The
-commit-once latch guarantees exactly one attempt's records reach the
-shuffle layer, so a decomposition with speculation on — even racing
-backups against a 10x-slow node — must be bit-identical to a clean run
-with everything off, on both backends.  All runs use the virtual clock
-so minutes of injected latency cost milliseconds of wall time.
+they change when and where attempts run, never what they compute.  A
+speculated attempt is cancelled before it reaches the shuffle layer and
+its backup runs in its place, so a decomposition with speculation on —
+even failing over from a 10x-slow node on every backend — must be
+bit-identical to a clean run with everything off.  All runs use the
+virtual clock so minutes of injected latency cost milliseconds of wall
+time.
 """
 
 from __future__ import annotations
 
+import threading
+
 import pytest
+
+from repro.engine import FaultPlan
 
 from .. import conformance as cf
 
@@ -41,6 +46,29 @@ class TestSpeculationPreservesResults:
         cf.assert_bit_identical(cf.oracle(), on)
 
     def test_thread_spec_matches_serial_spec(self, request, monkeypatch):
-        """The serial inline-failover path and the threaded racing
-        path converge on identical factors."""
+        """Inline failover on the serial backend and on the thread pool
+        converge on identical factors."""
         cf.check_kept(request, monkeypatch)
+
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_speculation_starts_no_thread_outside_the_pool(
+            self, monkeypatch, backend):
+        """A backup runs inline on the thread of the attempt it replaces:
+        speculating against a slow node starts no thread but the
+        executor pool's, and with nothing failing every backup
+        commits."""
+        started = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        plan = FaultPlan(task_base_delay_s=0.02, slow_node_budgets={2: 0.2})
+        got = cf.run(backend=backend, plan=plan, conf=cf.SPECULATION)
+        monkeypatch.undo()
+        assert [n for n in started if not n.startswith("repro-exec")] == []
+        cf.assert_bit_identical(cf.oracle(), got)
+        s = got.metrics.stragglers
+        assert s.tasks_speculated > 0
+        assert s.speculative_wins == s.tasks_speculated

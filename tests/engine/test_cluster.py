@@ -94,8 +94,9 @@ class TestLiveness:
 
     def test_exclude_never_empties_cluster(self):
         c = Cluster(num_nodes=2)
-        assert c.exclude_node(0)
-        assert not c.exclude_node(1)  # refused: last available node
+        assert c.quarantine_node(0, until=10.0)
+        # refused: last available node
+        assert not c.quarantine_node(1, until=10.0)
         assert c.available_nodes == [1]
-        c.include_node(0)
+        assert c.readmit_node(0)
         assert c.available_nodes == [0, 1]

@@ -31,7 +31,7 @@ class Recorder(EngineListener):
     on_job_start = on_job_shuffle_rounds = on_job_end = _record
     on_stage_submitted = on_stage_completed = _record
     on_task_start = on_task_end = on_task_failure = _record
-    on_node_excluded = on_fetch_failed = on_stages_resubmitted = _record
+    on_fetch_failed = on_stages_resubmitted = _record
     on_node_lost = on_oom_kill = on_task_spill = on_rdd_demoted = _record
 
     def of_type(self, cls):

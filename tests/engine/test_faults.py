@@ -1,7 +1,7 @@
 """Structured fault injection: plans, node loss, lineage recovery.
 
 These tests drive the fault framework end to end: seeded probabilistic
-task/fetch faults, deterministic node kills, node exclusion and the
+task/fetch faults, deterministic node kills, node quarantine and the
 scheduler's lineage-based shuffle recovery, asserting both that results
 are unchanged and that :class:`FaultMetrics` records what happened.
 """
@@ -191,21 +191,25 @@ class TestNodeLoss:
 
 class TestNodeExclusion:
     def test_broken_node_excluded_and_tasks_replaced(self):
+        """Quarantine with a long term is how a broken node is sidelined:
+        two failures cross the threshold, the node sits out and its
+        partitions are re-placed onto healthy nodes."""
         plan = FaultPlan(broken_nodes=(1,))
-        conf = EngineConf(task_max_failures=6, node_max_failures=2)
+        conf = EngineConf(task_max_failures=6, quarantine_threshold=2.0,
+                          quarantine_duration_s=1e6)
         with Context(num_nodes=4, default_parallelism=8, conf=conf,
                      fault_plan=plan) as ctx:
             assert wordcount(ctx).collect_as_map() == EXPECTED
             faults = ctx.metrics.faults
-            assert faults.nodes_excluded == 1
+            assert ctx.metrics.stragglers.nodes_quarantined == 1
             assert faults.failures_per_node[1] >= 2
-            assert 1 in ctx.cluster.excluded_nodes
-            # excluded nodes keep their shuffle data (unlike dead ones)
+            assert 1 in ctx.cluster.quarantined_nodes
+            # quarantined nodes keep their shuffle data (unlike dead ones)
             assert ctx.cluster.is_available(1) is False
 
     def test_broken_node_without_exclusion_exhausts_retries(self):
         plan = FaultPlan(broken_nodes=(1,))
-        conf = EngineConf(task_max_failures=2, node_max_failures=None)
+        conf = EngineConf(task_max_failures=2)  # no quarantine
         with Context(num_nodes=4, default_parallelism=8, conf=conf,
                      fault_plan=plan) as ctx:
             with pytest.raises(JobExecutionError):

@@ -33,7 +33,7 @@ def write(mgr, sid, map_partition, records, parts=4, aggregator=None):
 
 class TestWriteRead:
     def test_roundtrip_all_buckets(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         records = [(k, k * 10) for k in range(12)]
         write(mgr, sid, 0, records)
         rm = ShuffleReadMetrics()
@@ -44,7 +44,7 @@ class TestWriteRead:
         assert rm.total_records == 12
 
     def test_bucket_assignment_by_key_hash(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         part = HashPartitioner(4)
         write(mgr, sid, 0, [(7, "x")])
         rm = ShuffleReadMetrics()
@@ -57,7 +57,7 @@ class TestWriteRead:
     def test_local_remote_classification(self, mgr):
         """2-node cluster: map partition 0 (node 0); reduce partition 0
         is node-local, reduce partition 1 is remote."""
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         part = HashPartitioner(2)
         write(mgr, sid, 0, [(0, "a"), (1, "b")], parts=2)
         local = ShuffleReadMetrics()
@@ -69,13 +69,13 @@ class TestWriteRead:
         assert remote.remote_records == 1
 
     def test_write_metrics_accumulate(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         wm = write(mgr, sid, 0, [(1, "a"), (2, "b")])
         assert wm.records_written == 2
         assert wm.bytes_written > 0
 
     def test_multiple_map_partitions_merge(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(2)
         part = HashPartitioner(1)
         write(mgr, sid, 0, [(1, "a")], parts=1)
         write(mgr, sid, 1, [(1, "b")], parts=1)
@@ -104,7 +104,8 @@ class TestKeyedBlocks:
 
     def test_same_buckets_bytes_and_order_as_the_records(self, mgr):
         for block in self.blocks():
-            as_block, as_records = mgr.new_shuffle_id(), mgr.new_shuffle_id()
+            as_block, as_records = (mgr.new_shuffle_id(1),
+                                    mgr.new_shuffle_id(1))
             wm_block = write(mgr, as_block, 0, [block])
             wm_records = write(mgr, as_records, 0, block.to_records())
             assert (wm_block.bytes_written, wm_block.records_written) == \
@@ -121,7 +122,7 @@ class TestKeyedBlocks:
                 assert rm_block.total_records == rm_records.total_records
 
     def test_empty_block_writes_nothing(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         wm = write(mgr, sid, 0, [KeyedRowBlock.from_records([], rank=2)])
         assert (wm.bytes_written, wm.records_written) == (0, 0)
         assert all(mgr.read(sid, q, ShuffleReadMetrics()) == []
@@ -130,7 +131,7 @@ class TestKeyedBlocks:
 
 class TestAggregator:
     def test_map_side_combine(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         agg = Aggregator(lambda v: v, lambda a, b: a + b,
                          lambda a, b: a + b)
         wm = write(mgr, sid, 0, [(1, 10), (1, 5), (2, 1)], parts=1,
@@ -142,7 +143,7 @@ class TestAggregator:
 
 class TestLifecycle:
     def test_is_written_tracks_map_tasks(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(2)
         assert not mgr.is_written(sid, 2)
         write(mgr, sid, 0, [(1, "a")])
         assert not mgr.is_written(sid, 2)
@@ -150,7 +151,7 @@ class TestLifecycle:
         assert mgr.is_written(sid, 2)
 
     def test_remove_shuffle(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         write(mgr, sid, 0, [(1, "a")])
         mgr.remove_shuffle(sid)
         # a registered-then-dropped shuffle is recoverable: the read
@@ -161,7 +162,7 @@ class TestLifecycle:
             mgr.read(sid, 0, ShuffleReadMetrics())
 
     def test_clear_then_rewrite(self, mgr):
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         write(mgr, sid, 0, [(1, "a")])
         mgr.clear()
         assert not mgr.is_written(sid, 1)
@@ -169,7 +170,7 @@ class TestLifecycle:
         assert mgr.is_written(sid, 1)
 
     def test_ids_unique(self, mgr):
-        assert mgr.new_shuffle_id() != mgr.new_shuffle_id()
+        assert mgr.new_shuffle_id(1) != mgr.new_shuffle_id(1)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +219,8 @@ class TestRunLayout:
         num_partitions, tasks = stage
         mgr = ShuffleManager(Cluster(num_nodes=2))
         part = HashPartitioner(num_partitions)
-        as_blocks, as_records = mgr.new_shuffle_id(), mgr.new_shuffle_id()
+        as_blocks, as_records = (mgr.new_shuffle_id(len(tasks)),
+                                 mgr.new_shuffle_id(len(tasks)))
         written = 0
         for map_partition, blocks in enumerate(tasks):
             wm = write(mgr, as_blocks, map_partition, blocks,
@@ -259,7 +261,7 @@ class TestRunLayout:
     def test_loose_records_between_blocks_keep_their_place(self, mgr):
         """A map output is read in arrival order: a block's rows, the
         records written after it, the next block's rows."""
-        sid = mgr.new_shuffle_id()
+        sid = mgr.new_shuffle_id(1)
         rows = np.arange(12, dtype=float).reshape(6, 2)
         first = KeyedRowBlock(np.arange(3), rows[:3])
         last = KeyedRowBlock(np.arange(3), rows[3:])

@@ -81,13 +81,14 @@ class TestClocks:
 class TestCancellationToken:
     def test_explicit_cancel_wins_over_deadline(self):
         clock = VirtualClock()
-        token = CancellationToken(clock, partition=0,
+        group = CancellationGroup()
+        token = CancellationToken(clock, partition=0, group=group,
                                   hard_deadline_s=1.0)
         clock.advance(5.0)  # past the deadline too
-        token.cancel("lost race", kind="speculation-lost")
+        group.cancel("sibling died")
         with pytest.raises(CancelledAttempt) as exc:
             token.check()
-        assert exc.value.kind == "speculation-lost"
+        assert exc.value.kind == "task-set-cancelled"
 
     def test_hard_deadline_raises_timeout(self):
         clock = VirtualClock()
@@ -114,19 +115,20 @@ class TestCancellationToken:
 
     def test_on_late_fires_exactly_once(self):
         clock = VirtualClock()
-        fired = []
         token = CancellationToken(clock, partition=0,
-                                  spec_deadline_s=1.0,
-                                  on_late=fired.append)
-        clock.advance(1.5)
-        token.check()
-        token.check()
-        assert fired == [token]
+                                  spec_deadline_s=1.0)
+        clock.advance(0.5)
+        token.check()  # before the speculative deadline: fine
+        with pytest.raises(CancelledAttempt) as exc:
+            token.sleep(10.0)
+        assert exc.value.kind == "speculation-deadline"
+        # the chunked sleep checkpoints exactly at the deadline
+        assert clock.time() == pytest.approx(1.0)
 
     def test_spec_deadline_without_callback_cancels(self):
         clock = VirtualClock()
         token = CancellationToken(clock, partition=0,
-                                  spec_deadline_s=1.0, on_late=None)
+                                  spec_deadline_s=1.0)
         clock.advance(1.0)
         with pytest.raises(CancelledAttempt) as exc:
             token.check()
