@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from ..baselines.bigtensor import BigtensorCP
 from ..core.cp_als import CPALSDriver
 from ..core.cstf_coo import CstfCOO
-from ..core.cstf_dimtree import CstfDimTree
 from ..core.cstf_qcoo import CstfQCOO
 from ..engine.conf import EngineConf
 from ..engine.context import Context
@@ -38,7 +37,6 @@ NODE_COUNTS = (4, 8, 16, 32)
 DRIVERS: dict[str, type[CPALSDriver]] = {
     "cstf-coo": CstfCOO,
     "cstf-qcoo": CstfQCOO,
-    "cstf-dimtree": CstfDimTree,
     "bigtensor": BigtensorCP,
 }
 

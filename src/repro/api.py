@@ -17,7 +17,6 @@ from typing import Any
 
 from .core.cp_als import CPALSDriver
 from .core.cstf_coo import CstfCOO
-from .core.cstf_dimtree import CstfDimTree
 from .core.cstf_qcoo import CstfQCOO
 from .core.result import CPDecomposition
 from .engine.context import Context
@@ -27,7 +26,6 @@ from .tensor.stats import recommend_algorithm
 _DRIVERS: dict[str, type[CPALSDriver]] = {
     "cstf-coo": CstfCOO,
     "cstf-qcoo": CstfQCOO,
-    "cstf-dimtree": CstfDimTree,
 }
 
 
@@ -40,8 +38,8 @@ def decompose(tensor: COOTensor, rank: int,
 
     ``algorithm="auto"`` profiles the tensor's structure and picks a
     CSTF variant (:func:`repro.tensor.stats.recommend_algorithm`); or
-    name one of ``cstf-coo`` / ``cstf-qcoo`` / ``cstf-dimtree``
-    explicitly.  Remaining keyword arguments pass through to
+    name ``cstf-coo`` or ``cstf-qcoo`` explicitly.  Remaining keyword
+    arguments pass through to
     :meth:`~repro.core.cp_als.CPALSDriver.decompose`
     (``max_iterations``, ``tol``, ``init``, ``seed``, ...).
 

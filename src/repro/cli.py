@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four subcommands cover the library's main entry points without writing
+Nine subcommands cover the library's main entry points without writing
 code:
 
 ``datasets``
@@ -14,7 +14,16 @@ code:
 ``sweep``
     The Figure 2/3 experiment: measured dataflow priced across a node
     sweep for one dataset.
-"""
+``ranksweep``
+    Fit against rank with local CP-ALS, plus CORCONDIA per rank.
+``advise``
+    Profile a tensor's structure and recommend COO or QCOO.
+``report``
+    Run the full evaluation and emit it as markdown.
+``lint``
+    Dataflow lint: closure, leak, race and plan checks.
+``plan``
+    Export and audit the job plan graphs a program builds."""
 
 from __future__ import annotations
 
@@ -177,20 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--nnz", type=int, default=8000)
     sweep.add_argument("--node-counts", nargs="+", type=int,
                        default=list(NODE_COUNTS))
-
-    tucker = sub.add_parser("tucker",
-                            help="distributed Tucker/HOOI decomposition")
-    tucker.add_argument("--dataset", choices=sorted(DATASETS),
-                        default="nell1")
-    tucker.add_argument("--tns", metavar="FILE",
-                        help="FROSTT .tns file (overrides --dataset)")
-    tucker.add_argument("--ranks", nargs="+", type=int, required=True)
-    tucker.add_argument("--iterations", type=int, default=8)
-    tucker.add_argument("--nnz", type=int, default=5000)
-    tucker.add_argument("--nodes", type=int, default=8)
-    tucker.add_argument("--seed", type=int, default=0)
-    tucker.add_argument("--save", metavar="NPZ",
-                        help="write the model to a .npz archive")
 
     rs = sub.add_parser("ranksweep",
                         help="fit-vs-rank elbow + CORCONDIA")
@@ -401,28 +396,6 @@ def _load_tensor(args: argparse.Namespace):
     return tensor, f"{args.dataset} analogue"
 
 
-def _cmd_tucker(args: argparse.Namespace) -> int:
-    from .core.tucker import DistributedTucker
-    from .engine import Context
-    tensor, source = _load_tensor(args)
-    print(f"tensor : {tensor}  ({source})")
-    with Context(num_nodes=args.nodes,
-                 default_parallelism=4 * args.nodes) as ctx:
-        model = DistributedTucker(ctx).decompose(
-            tensor, args.ranks, max_iterations=args.iterations,
-            seed=args.seed)
-        rounds = ctx.metrics.total_shuffle_rounds()
-    print(f"ranks  : {model.ranks}")
-    print(f"fit    : {model.final_fit:.6f} "
-          f"({'converged' if model.converged else 'max iterations'})")
-    print(f"compression: {model.compression_ratio():.1f}x, "
-          f"shuffle rounds: {rounds}")
-    if args.save:
-        model.save(args.save)
-        print(f"saved  : {args.save}")
-    return 0
-
-
 def _cmd_ranksweep(args: argparse.Namespace) -> int:
     from .analysis.diagnostics import corcondia, rank_sweep, suggest_rank
     tensor, source = _load_tensor(args)
@@ -521,8 +494,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_communication(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "tucker":
-        return _cmd_tucker(args)
     if args.command == "ranksweep":
         return _cmd_ranksweep(args)
     if args.command == "advise":

@@ -1,19 +1,15 @@
-"""``repro.core`` — the paper's contribution: CSTF-COO and CSTF-QCOO
-distributed CP-ALS, plus the shared driver, gram machinery and result
-types."""
+"""``repro.core`` — the paper's contribution and nothing beside it:
+CSTF-COO and CSTF-QCOO distributed CP-ALS, plus the shared driver, gram
+machinery, checkpoint stores and result types."""
 
 from .checkpoint import (CheckpointStore, CPCheckpoint,
                          DirectoryCheckpointStore, FileCheckpointStore,
                          InMemoryCheckpointStore)
 from .cp_als import CPALSDriver
 from .cstf_coo import CstfCOO
-from .cstf_dimtree import CstfDimTree
 from .cstf_qcoo import CstfQCOO
 from .gram import GramCache, gram_of_rdd
 from .result import CPDecomposition, IterationStats
-from .streaming import StreamingCP, extend_factor
-from .tucker import DistributedTucker
-from .tucker_result import TuckerDecomposition
 
 __all__ = [
     "CheckpointStore",
@@ -24,13 +20,8 @@ __all__ = [
     "FileCheckpointStore",
     "InMemoryCheckpointStore",
     "CstfCOO",
-    "CstfDimTree",
     "CstfQCOO",
-    "DistributedTucker",
     "GramCache",
     "IterationStats",
-    "StreamingCP",
-    "TuckerDecomposition",
-    "extend_factor",
     "gram_of_rdd",
 ]

@@ -80,11 +80,10 @@ class CPCheckpoint:
     lambdas: np.ndarray
     factors: list[np.ndarray]
     fit_history: list[float]
-    #: JSON-able RNG/sampler state the run's randomness depends on —
-    #: a ``LeverageSampler.state()`` signature for sampled CP-ALS, a
-    #: numpy ``bit_generator.state`` dict for streaming — so a resumed
-    #: run replays the exact draws of the uninterrupted one.  ``None``
-    #: for fully deterministic (exact) runs and pre-existing snapshots.
+    #: JSON-able draw state of the leverage sampler
+    #: (``LeverageSampler.state()``), so a resumed sampled run replays
+    #: the exact draws of the uninterrupted one.  ``None`` for exact
+    #: runs, which draw nothing.
     rng_state: dict | None = None
 
     def copy(self) -> "CPCheckpoint":

@@ -237,7 +237,7 @@ class CPALSDriver:
         norm_x = tensor.norm()
 
         # everything persisted or broadcast from here on — the tensor
-        # RDD, factor RDDs, MTTKRP outputs, subclass queue/tree RDDs,
+        # RDD, factor RDDs, MTTKRP outputs, the QCOO queue RDD,
         # replicated factors — is on the context's ledger, and the
         # scope releases whatever is still live when the run ends, even
         # when an iteration dies mid-flight (e.g. a JobExecutionError

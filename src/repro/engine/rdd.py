@@ -344,10 +344,10 @@ class RDD:
             self, lambda _split, it: iter([list(it)])).set_name("glom")
 
     def materialize_records(self) -> "RDD":
-        """The one block→records seam, for record *programs* (the
-        BIGtensor baseline, the dimension tree) that run the tensor
-        through generic record transforms; kernels expand blocks inside
-        their own ops instead.
+        """The one block→records seam, for the one record *program*
+        (the BIGtensor baseline) that runs the tensor through generic
+        record transforms; kernels expand blocks inside their own ops
+        instead.
 
         Expands each block into its rows in storage order —
         bit-identical to a pipeline that never used blocks.  Non-block

@@ -9,8 +9,7 @@ from .init import initial_factors, nvecs_init
 from .io import read_tns, write_tns
 from .ops import (cp_fit, cp_inner_product, cp_model_norm, cp_reconstruct,
                   hadamard, khatri_rao, kronecker, mttkrp,
-                  mttkrp_via_unfolding, sparse_tucker_core, ttm,
-                  tucker_fit, tucker_reconstruct)
+                  mttkrp_via_unfolding, sparse_tucker_core)
 from .random import low_rank_sparse, uniform_sparse, zipf_sparse
 from .stats import (Recommendation, TensorProfile, fiber_collapse,
                     profile_tensor, recommend_algorithm, slice_gini)
@@ -49,9 +48,6 @@ __all__ = [
     "recommend_algorithm",
     "slice_gini",
     "sparse_tucker_core",
-    "ttm",
-    "tucker_fit",
-    "tucker_reconstruct",
     "uniform_sparse",
     "unfold",
     "write_tns",

@@ -111,20 +111,8 @@ def mttkrp_via_unfolding(tensor: COOTensor, factors: Sequence[np.ndarray],
 
 
 # ----------------------------------------------------------------------
-# Tucker model arithmetic
+# the Tucker core CORCONDIA measures a CP model against
 # ----------------------------------------------------------------------
-def ttm(dense: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
-    """Tensor-times-matrix: ``Y = X x_mode M`` (``Y(mode) = M X(mode)``).
-
-    Dense operand — used by the local Tucker/HOOI reference on small
-    tensors; the distributed path contracts the sparse tensor directly.
-    """
-    moved = np.moveaxis(dense, mode, 0)
-    shape = moved.shape
-    out = matrix @ moved.reshape(shape[0], -1)
-    return np.moveaxis(out.reshape((matrix.shape[0],) + shape[1:]), 0, mode)
-
-
 def sparse_tucker_core(tensor: COOTensor,
                        factors: Sequence[np.ndarray],
                        chunk: int = 65536) -> np.ndarray:
@@ -152,26 +140,6 @@ def sparse_tucker_core(tensor: COOTensor,
                 rows.shape[:1] + (1,) * m + (ranks[m],))
         core += acc.sum(axis=0)
     return core
-
-
-def tucker_reconstruct(core: np.ndarray,
-                       factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense tensor of the Tucker model ``[G; U_1 .. U_N]``."""
-    out = core
-    for mode, factor in enumerate(factors):
-        out = ttm(out, factor, mode)
-    return out
-
-
-def tucker_fit(tensor: COOTensor, core: np.ndarray,
-               factors: Sequence[np.ndarray]) -> float:
-    """Fit of a Tucker model with *orthonormal* factors:
-    ``||X - X̂||² = ||X||² - ||G||²`` (Kolda & Bader eq. 4.6)."""
-    norm_x_sq = tensor.norm() ** 2
-    if norm_x_sq == 0.0:
-        return 1.0
-    residual_sq = max(norm_x_sq - float((core * core).sum()), 0.0)
-    return 1.0 - np.sqrt(residual_sq / norm_x_sq)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Sparse tensor structure statistics and the algorithm advisor.
 
 A production library should tell its user *which* variant fits their
-tensor.  The statistics here quantify the two structural properties the
-variants trade on:
+tensor.  The statistics here quantify two structural properties:
 
 * **fiber collapse** — how many distinct index pairs remain when one
-  mode is summed out; dimension trees (CSTF-DT) win when fibers
-  collapse heavily;
+  mode is summed out;
 * **mode skew** — the Gini coefficient of nonzeros per slice; heavy
   skew stresses partitioning and favours nonzero hashing.
 
-:func:`recommend_algorithm` turns them plus the tensor order into a
-variant suggestion with the reasoning attached.
+:func:`recommend_algorithm` turns the tensor order, the cluster size
+and the skew into a COO-or-QCOO suggestion with the reasoning
+attached.
 """
 
 from __future__ import annotations
@@ -68,10 +67,6 @@ class TensorProfile:
     def max_skew(self) -> float:
         return max(self.skew)
 
-    @property
-    def max_collapse(self) -> float:
-        return max(self.collapse)
-
 
 def profile_tensor(tensor: COOTensor) -> TensorProfile:
     """Compute the full structural profile."""
@@ -99,21 +94,13 @@ def recommend_algorithm(tensor: COOTensor,
 
     Heuristics (each encoded from a measured ablation):
 
-    * strong fiber collapse (> 0.5 on some mode) -> CSTF-DT, whose
-      contracted tree nodes shrink below nnz;
-    * otherwise large clusters or order >= 4 -> CSTF-QCOO, whose
+    * large clusters or order >= 4 -> CSTF-QCOO, whose
       2-shuffles-per-MTTKRP wins once synchronisation dominates
       (Figure 2/3 crossovers);
     * otherwise -> CSTF-COO (lean records, fewest moving parts).
     """
     prof = profile_tensor(tensor)
     reasons: list[str] = []
-    if prof.max_collapse > 0.5:
-        mode = prof.collapse.index(prof.max_collapse)
-        reasons.append(
-            f"mode {mode} fibers collapse {prof.max_collapse:.0%}: "
-            "dimension-tree nodes shrink well below nnz")
-        return Recommendation("cstf-dimtree", tuple(reasons))
     if prof.order >= 4:
         reasons.append(
             f"order {prof.order}: QCOO runs 2 shuffles per MTTKRP vs "
@@ -125,8 +112,8 @@ def recommend_algorithm(tensor: COOTensor,
     if reasons:
         return Recommendation("cstf-qcoo", tuple(reasons))
     reasons.append(
-        "small cluster, 3rd-order, no fiber collapse: COO's lean "
-        "records beat QCOO's queue overhead (Figure 2 at 4 nodes)")
+        "small cluster, 3rd-order: COO's lean records beat QCOO's "
+        "queue overhead (Figure 2 at 4 nodes)")
     if prof.max_skew > 0.6:
         reasons.append(
             f"high skew (gini {prof.max_skew:.2f}): keep the default "

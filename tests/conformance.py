@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import BigtensorCP, local_cp_als
-from repro.core import (CstfCOO, CstfDimTree, CstfQCOO, DistributedTucker,
-                        FileCheckpointStore, InMemoryCheckpointStore)
+from repro.core import (CstfCOO, CstfQCOO, FileCheckpointStore,
+                        InMemoryCheckpointStore)
 from repro.engine import (Context, EngineConf, FaultPlan, IntegrityMetrics,
                           NodeKillEvent, StorageLevel)
 from repro.engine.integrity import site_rng
@@ -154,22 +154,16 @@ DRIVERS: dict[str, tuple[str, type, dict]] = {
     "coo-broadcast": ("spark", CstfCOO, {"factor_strategy": "broadcast"}),
     "qcoo": ("spark", CstfQCOO, {}),
     "coo-lev": ("spark", CstfCOO, {"sampler": "lev", "sample_count": 64}),
-    "dimtree": ("spark", CstfDimTree, {}),
     "bigtensor": ("hadoop", BigtensorCP, {}),
-    "tucker": ("spark", DistributedTucker, {}),
 }
 
 #: the failure-site sweep's drivers (``TestLeaks``), in sweep order
-SWEEP_DRIVERS = ("coo-join", "coo-broadcast", "coo-lev", "qcoo", "dimtree",
-                 "bigtensor", "tucker")
+SWEEP_DRIVERS = ("coo-join", "coo-broadcast", "coo-lev", "qcoo", "bigtensor")
 
 
 def sweep_run(driver, data: COOTensor, init) -> list[np.ndarray]:
     """Two iterations of an already built ``driver`` object; the arrays
     a rerun must repeat (the failure-site sweep reuses one driver)."""
-    if isinstance(driver, DistributedTucker):
-        res = driver.decompose(data, (2, 2, 2), max_iterations=2, tol=0.0)
-        return [res.core, *res.factors]
     res = driver.decompose(data, 2, max_iterations=2, tol=0.0,
                            initial_factors=init)
     return [res.lambdas, *res.factors]

@@ -4,10 +4,9 @@ A broadcast handed to an RDD node is destroyed by
 ``Context.drop_shuffle_outputs`` once no persisted RDD's lineage reads
 it.  A spy counts what is live at every iteration boundary: one
 MTTKRP's broadcasts per live factor (N(N-1) exact, 2N(N-1) sampled, the
-same at every iteration), none on the join dataflows — which never walk
-a lineage — and none on Tucker.  A Tucker run that loses a node
-mid-iteration repeats the clean run's bits, and a source guard keeps
-``destroy()`` out of the drivers and kernels.
+same at every iteration) and none on the join dataflows, which never
+walk a lineage.  A source guard keeps ``destroy()`` out of the drivers
+and kernels.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import pathlib
 import pytest
 
 import repro
-from repro.core import DistributedTucker
-from repro.engine import Context, FaultPlan, NodeKillEvent
+from repro.engine import Context
 from repro.engine.rdd import RDD
 
 from .. import conformance as cf
@@ -62,29 +60,6 @@ def test_join_dataflows_hold_none_and_never_walk(boundaries, driver):
     cf.run(driver=driver, sampler="exact", iterations=ITERATIONS)
     assert boundaries["live"] == [0] * ITERATIONS
     assert boundaries["walks"] == 0
-
-
-def tucker(plan: FaultPlan | None = None):
-    with Context(num_nodes=4, default_parallelism=8,
-                 fault_plan=plan) as ctx:
-        res = DistributedTucker(ctx).decompose(
-            cf.tensor("order3"), (2, 2, 2), max_iterations=ITERATIONS,
-            tol=0.0)
-        assert ctx.live_broadcasts() == []
-    return res, ctx.metrics
-
-
-def test_tucker_survives_a_node_lost_mid_iteration(boundaries):
-    clean, _ = tucker()
-    killed, metrics = tucker(FaultPlan(node_kills=(
-        NodeKillEvent(node_id=2, after_tasks=80),)))
-    assert metrics.faults.nodes_killed == 1
-    assert metrics.faults.records_recomputed > 0
-    assert killed.core.tobytes() == clean.core.tobytes()
-    for a, b in zip(killed.factors, clean.factors):
-        assert a.tobytes() == b.tobytes()
-    assert killed.fit_history == clean.fit_history
-    assert boundaries["live"] == [0] * (2 * ITERATIONS)
 
 
 def test_no_driver_or_kernel_destroys_a_broadcast():

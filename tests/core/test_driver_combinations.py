@@ -33,15 +33,14 @@ SMALL = {"nodes": 2, "partitions": 4, "iterations": 2}
 
 
 class TestOptionStacks:
-    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO", "CstfDimTree"])
+    @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
     @pytest.mark.parametrize("combo", COMBOS,
                              ids=["ridge+nn", "ridge", "nn"])
     def test_every_variant_matches_local(self, tensor, cls, combo):
         init = initial_factors(tensor, 2, "nvecs")
         ref = local_cp_als(tensor, 2, max_iterations=2, tol=0.0,
                            initial_factors=init, **combo)
-        driver = {"CstfDimTree": "dimtree", **cf.DRIVER_OF}[cls]
-        res = cf.run(driver=driver, data=tensor, init=init,
+        res = cf.run(driver=cf.DRIVER_OF[cls], data=tensor, init=init,
                      driver_kwargs=combo, **SMALL)
         cf.assert_close(res, ref)
 
@@ -61,8 +60,8 @@ class TestOptionStacks:
             for part in ("hash", "range:1"))
         assert np.allclose(base.lambdas, ranged.lambdas)
 
-    def test_nvecs_with_dimtree(self, tensor):
-        res = cf.run(driver="dimtree", data=tensor, init="nvecs", rank=2,
+    def test_nvecs_with_qcoo(self, tensor):
+        res = cf.run(driver="qcoo", data=tensor, init="nvecs", rank=2,
                      **{**SMALL, "iterations": 3}).result
         assert res.fit_history[-1] >= res.fit_history[0] - 1e-9
 
@@ -77,14 +76,14 @@ class TestOptionStacks:
 
 
 class TestHarnessVariants:
-    def test_runtime_series_with_dimtree(self):
+    def test_runtime_series_coo_and_qcoo(self):
         from repro.analysis import MeasurementConfig, runtime_series
         cfg = MeasurementConfig(target_nnz=1200, measure_nodes=4,
                                 partitions=8)
         series = runtime_series("synt3d",
-                                ("cstf-coo", "cstf-dimtree"), cfg,
+                                ("cstf-coo", "cstf-qcoo"), cfg,
                                 node_counts=(4, 16))
-        assert set(series.seconds) == {"cstf-coo", "cstf-dimtree"}
+        assert set(series.seconds) == {"cstf-coo", "cstf-qcoo"}
         for secs in series.seconds.values():
             assert all(s > 0 for s in secs)
 

@@ -358,14 +358,13 @@ def _tensor_representation_breaches(path: pathlib.Path,
 
 def test_the_tensor_has_one_representation_and_one_record_seam():
     """Every kernel and driver starts from the columnar tensor blocks;
-    only the two record *programs* may expand them through
+    only the one record *program*, BIGtensor, may expand them through
     ``materialize_records`` (kernels expand inside their own ops)."""
     root = pathlib.Path(repro.__file__).parent
     breaches = [b for path in sorted(root.rglob("*.py"))
                 for b in _tensor_representation_breaches(path, root)]
     seam = [b for b in breaches if b.endswith(" materialize_records")]
-    assert {b.split(":")[0] for b in seam} == {
-        "baselines/bigtensor.py", "core/cstf_dimtree.py"}
+    assert {b.split(":")[0] for b in seam} == {"baselines/bigtensor.py"}
     assert [b for b in breaches if b not in seam] == []
 
 

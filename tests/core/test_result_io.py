@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import local_cp_als, local_hooi
-from repro.core import CPDecomposition, TuckerDecomposition
-from repro.tensor import uniform_sparse
+from repro.baselines import local_cp_als
+from repro.core import CPDecomposition
 
 
 class TestCPSaveLoad:
@@ -38,24 +37,3 @@ class TestCPSaveLoad:
         model.save(path)
         assert CPDecomposition.load(path).fit_history == []
 
-
-class TestTuckerSaveLoad:
-    def test_roundtrip(self, tmp_path):
-        tensor = uniform_sparse((8, 7, 6), 80, rng=1)
-        model = local_hooi(tensor, (2, 2, 2), max_iterations=2, tol=0.0)
-        path = tmp_path / "tucker.npz"
-        model.save(path)
-        loaded = TuckerDecomposition.load(path)
-        assert np.allclose(loaded.core, model.core)
-        for a, b in zip(loaded.factors, model.factors):
-            assert np.allclose(a, b)
-        assert loaded.ranks == model.ranks
-        assert loaded.algorithm == "local-hooi"
-
-    def test_loaded_fit_matches(self, tmp_path):
-        tensor = uniform_sparse((8, 7, 6), 80, rng=1)
-        model = local_hooi(tensor, (2, 2, 2), max_iterations=2, tol=0.0)
-        path = tmp_path / "tucker.npz"
-        model.save(path)
-        loaded = TuckerDecomposition.load(path)
-        assert loaded.fit(tensor) == pytest.approx(model.fit(tensor))

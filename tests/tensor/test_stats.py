@@ -62,15 +62,15 @@ class TestProfile:
         assert len(prof.skew) == 3
         assert len(prof.collapse) == 3
         assert 0 <= prof.max_skew <= 1
-        assert 0 <= prof.max_collapse <= 1
+        assert all(0 <= c <= 1 for c in prof.collapse)
 
 
 class TestAdvisor:
-    def test_collapsing_tensor_gets_dimtree(self):
+    def test_collapsing_tensor_gets_coo(self):
         t = zipf_sparse((10, 10, 5000), 4000, (0.0, 0.0, 1.5), rng=0)
         rec = recommend_algorithm(t)
-        assert rec.algorithm == "cstf-dimtree"
-        assert any("collapse" in r for r in rec.reasons)
+        assert rec.algorithm == "cstf-coo"
+        assert any("3rd-order" in r for r in rec.reasons)
 
     def test_fourth_order_gets_qcoo(self):
         t = uniform_sparse((200, 200, 200, 50), 3000, rng=1)

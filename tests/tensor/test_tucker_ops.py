@@ -1,60 +1,36 @@
-"""Tucker-related tensor algebra: TTM, sparse core contraction, fit."""
+"""The sparse Tucker core contraction CORCONDIA measures a CP model
+against."""
 
 from __future__ import annotations
+
+import string
 
 import numpy as np
 import pytest
 
-from repro.baselines import random_orthonormal
-from repro.tensor import (COOTensor, sparse_tucker_core, ttm, tucker_fit,
-                          tucker_reconstruct)
+from repro.tensor import sparse_tucker_core
 
 
-class TestTTM:
-    def test_mode0_is_matmul_of_unfolding(self, rng):
-        x = rng.random((4, 5, 6))
-        m = rng.random((3, 4))
-        y = ttm(x, m, 0)
-        assert y.shape == (3, 5, 6)
-        x0 = x.reshape(4, -1)
-        assert np.allclose(y.reshape(3, -1), m @ x0)
-
-    @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_identity_is_noop(self, rng, mode):
-        x = rng.random((4, 5, 6))
-        eye = np.eye(x.shape[mode])
-        assert np.allclose(ttm(x, eye, mode), x)
-
-    def test_ttm_commutes_across_modes(self, rng):
-        x = rng.random((4, 5, 6))
-        a, b = rng.random((2, 4)), rng.random((3, 5))
-        assert np.allclose(ttm(ttm(x, a, 0), b, 1),
-                           ttm(ttm(x, b, 1), a, 0))
-
-    def test_ttm_composes_within_mode(self, rng):
-        x = rng.random((4, 5, 6))
-        a, b = rng.random((3, 4)), rng.random((2, 3))
-        assert np.allclose(ttm(ttm(x, a, 0), b, 0), ttm(x, b @ a, 0))
+def dense_core(dense: np.ndarray, factors) -> np.ndarray:
+    """``X x_1 U_1^T ... x_N U_N^T`` as one dense ``einsum``."""
+    modes = string.ascii_lowercase[:dense.ndim]
+    ranks = string.ascii_uppercase[:dense.ndim]
+    spec = ",".join([modes] + [m + r for m, r in zip(modes, ranks)])
+    return np.einsum(f"{spec}->{ranks}", dense, *factors)
 
 
 class TestSparseTuckerCore:
     def test_matches_dense_ttm_chain(self, small_tensor, rng):
         factors = [rng.random((s, 2)) for s in small_tensor.shape]
         core = sparse_tucker_core(small_tensor, factors)
-        dense = small_tensor.to_dense()
-        ref = dense
-        for m, f in enumerate(factors):
-            ref = ttm(ref, f.T, m)
         assert core.shape == (2, 2, 2)
-        assert np.allclose(core, ref)
+        assert np.allclose(core, dense_core(small_tensor.to_dense(),
+                                            factors))
 
     def test_fourth_order(self, tensor4d, rng):
         factors = [rng.random((s, 2)) for s in tensor4d.shape]
         core = sparse_tucker_core(tensor4d, factors)
-        ref = tensor4d.to_dense()
-        for m, f in enumerate(factors):
-            ref = ttm(ref, f.T, m)
-        assert np.allclose(core, ref)
+        assert np.allclose(core, dense_core(tensor4d.to_dense(), factors))
 
     def test_chunking_equivalent(self, small_tensor, rng):
         factors = [rng.random((s, 3)) for s in small_tensor.shape]
@@ -65,38 +41,3 @@ class TestSparseTuckerCore:
     def test_factor_count_checked(self, small_tensor, rng):
         with pytest.raises(ValueError, match="factors"):
             sparse_tucker_core(small_tensor, [np.ones((3, 2))])
-
-
-class TestTuckerModel:
-    def test_reconstruct_exact_model(self, rng):
-        core = rng.standard_normal((2, 3, 2))
-        factors = [random_orthonormal(s, r, rng)
-                   for s, r in zip((6, 7, 8), (2, 3, 2))]
-        dense = tucker_reconstruct(core, factors)
-        t = COOTensor.from_dense(dense)
-        # sqrt of a catastrophically-cancelled residual: ~1e-7 accuracy
-        assert tucker_fit(t, core, factors) == pytest.approx(1.0, abs=1e-6)
-
-    def test_fit_decreases_with_perturbation(self, rng):
-        core = rng.standard_normal((2, 2, 2))
-        factors = [random_orthonormal(s, 2, rng) for s in (6, 7, 8)]
-        t = COOTensor.from_dense(tucker_reconstruct(core, factors))
-        good = tucker_fit(t, core, factors)
-        bad = tucker_fit(t, core * 0.5, factors)
-        assert bad < good
-
-    def test_fit_of_zero_tensor(self):
-        t = COOTensor(np.empty((0, 2), dtype=np.int64), np.empty(0),
-                      (3, 3))
-        assert tucker_fit(t, np.zeros((1, 1)),
-                          [np.zeros((3, 1))] * 2) == 1.0
-
-
-class TestRandomOrthonormal:
-    def test_columns_orthonormal(self, rng):
-        q = random_orthonormal(10, 4, rng)
-        assert np.allclose(q.T @ q, np.eye(4), atol=1e-10)
-
-    def test_rejects_wide(self, rng):
-        with pytest.raises(ValueError):
-            random_orthonormal(3, 5, rng)

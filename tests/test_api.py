@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.api import decompose
-from repro.tensor import COOTensor, zipf_sparse
+from repro.tensor import COOTensor, recommend_algorithm, zipf_sparse
+
+from . import conformance as cf
 
 
 class TestDecompose:
@@ -14,19 +17,30 @@ class TestDecompose:
         res = decompose(small_tensor, rank=2, max_iterations=3,
                         num_nodes=2)
         assert res.rank == 2
-        assert res.algorithm in ("cstf-coo", "cstf-qcoo",
-                                 "cstf-dimtree")
+        assert res.algorithm in ("cstf-coo", "cstf-qcoo")
 
     def test_explicit_algorithm(self, small_tensor):
         res = decompose(small_tensor, rank=2, algorithm="cstf-qcoo",
                         max_iterations=2, num_nodes=2, tol=0.0)
         assert res.algorithm == "cstf-qcoo"
 
-    def test_auto_picks_dimtree_for_collapsing(self):
+    def test_auto_picks_coo_for_collapsing(self):
         t = zipf_sparse((10, 10, 5000), 3000, (0.0, 0.0, 1.5), rng=0)
         res = decompose(t, rank=2, max_iterations=1, num_nodes=2,
                         tol=0.0, compute_fit=False)
-        assert res.algorithm == "cstf-dimtree"
+        assert res.algorithm == "cstf-coo"
+
+    def test_auto_only_picks_grid_drivers(self):
+        """Whatever ``auto`` runs is a driver the conformance grid
+        checks, on every harness case and on a tensor whose fibers
+        collapse (few (i, j) pairs, many k per pair)."""
+        grid = {cls for name, (_, cls, _) in cf.DRIVERS.items()
+                if name in cf.GRID_DRIVERS}
+        collapsing = zipf_sparse((30, 30, 3000), 4000, (0.0, 0.0, 1.2),
+                                 rng=1)
+        tensors = [cf.tensor(case) for case in cf.CASES] + [collapsing]
+        for t in tensors:
+            assert api._DRIVERS[recommend_algorithm(t).algorithm] in grid
 
     def test_duplicates_handled(self):
         idx = np.array([[0, 0, 0], [0, 0, 0], [1, 1, 1]])

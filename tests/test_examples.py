@@ -14,8 +14,8 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 EXAMPLES = ["quickstart", "tag_recommendation", "communication_analysis",
-            "cluster_sizing", "tucker_compression", "rank_selection", "online_updates",
-            "engine_tour", "reproduce_paper"]
+            "cluster_sizing", "rank_selection", "engine_tour",
+            "reproduce_paper"]
 
 
 def load_example(name: str):
@@ -60,12 +60,3 @@ class TestTagRecommendation:
         top = module.recommend_tags(result, user=0, item=0, k=3)
         true_scores = dense[0, 0]
         assert true_scores[top[0]] >= np.sort(true_scores)[-3]
-
-
-class TestTuckerCompression:
-    def test_measurement_tensor_sparse(self):
-        module = load_example("tucker_compression")
-        t = module.make_measurement_tensor(shape=(10, 8, 12),
-                                           ranks=(2, 2, 2))
-        assert t.shape == (10, 8, 12)
-        assert 0 < t.density < 0.9

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import CstfCOO, CstfDimTree, CstfQCOO
+from repro.core import CstfCOO, CstfQCOO
 from repro.baselines import BigtensorCP
 from repro.engine import Context
 from repro.tensor import random_factors, uniform_sparse
@@ -37,8 +37,7 @@ def reference(big_tensor, big_init):
                         initial_factors=big_init, compute_fit=False)
 
 
-@pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO, CstfDimTree,
-                                 BigtensorCP])
+@pytest.mark.parametrize("cls", [CstfCOO, CstfQCOO, BigtensorCP])
 def test_algorithm_at_scale(cls, big_tensor, big_init, reference):
     mode = "hadoop" if cls is BigtensorCP else "spark"
     t0 = time.perf_counter()
