@@ -19,8 +19,6 @@ from .backends import (ExecutorBackend, ProcessPoolBackend, SerialBackend,
                        ThreadPoolBackend, create_backend)
 from .blocks import ColumnarBlock, KeyedRowBlock
 from .broadcast import Broadcast
-from .calibration import (CalibratedCostModel, CalibrationPoint,
-                          TermMultipliers, calibrate)
 from .clock import Clock, MonotonicClock, VirtualClock, create_clock
 from .cluster import Cluster, Node, NodeHealthTracker
 from .conf import EngineConf
@@ -57,8 +55,6 @@ __all__ = [
     "Accumulator",
     "BackendError",
     "Broadcast",
-    "CalibratedCostModel",
-    "CalibrationPoint",
     "CacheEvictedError",
     "CacheManager",
     "CancellationGroup",
@@ -122,13 +118,11 @@ __all__ = [
     "TaskScheduler",
     "TaskSet",
     "TaskTimedOutError",
-    "TermMultipliers",
     "ThreadPoolBackend",
     "TimeBreakdown",
     "TimelineListener",
     "VirtualClock",
     "backoff_delay",
-    "calibrate",
     "checksum_blob",
     "create_backend",
     "create_clock",

@@ -37,8 +37,7 @@ from .faults import FaultInjector, FaultPlan
 from .integrity import IntegrityManager
 from .memory import MemoryManager
 from .metrics import MetricsCollector
-from .partitioner import (HashPartitioner, Partitioner,
-                          slice_partitions)
+from .partitioner import Partitioner, slice_partitions
 from .rdd import RDD, ParallelCollectionRDD
 from .scheduler import DAGScheduler
 from .shuffle import ShuffleManager
@@ -216,12 +215,6 @@ class Context:
                 "partitioner.num_partitions disagrees with num_partitions")
         return ParallelCollectionRDD(self, list(data), num_partitions,
                                      partitioner)
-
-    def parallelize_pairs(self, pairs: list,
-                          num_partitions: int | None = None) -> RDD:
-        """Distribute key-value pairs pre-partitioned by key hash."""
-        n = num_partitions or self.default_parallelism
-        return self.parallelize(pairs, n, HashPartitioner(n))
 
     def parallelize_blocks(self, blocks: list,
                            partitioner: Partitioner | None = None) -> RDD:
@@ -401,10 +394,6 @@ class Context:
     def clear_cache(self) -> None:
         """Drop every cached partition (RDDs recompute from lineage)."""
         self._cache.clear()
-
-    def reset_metrics(self) -> None:
-        """Forget all recorded metrics."""
-        self.metrics.reset()
 
     def stop(self) -> None:
         """Release all engine state; the context is unusable afterwards."""

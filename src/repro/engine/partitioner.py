@@ -156,7 +156,7 @@ class RangePartitioner(Partitioner):
 
     Keys in ``[bounds[i-1], bounds[i])`` go to partition ``i``.  Bounds
     may be any mutually comparable values (ints for the mode-major
-    tensor ablation, strings for ``sortByKey`` on text keys).
+    tensor ablation).
     """
 
     def __init__(self, bounds: Iterable):

@@ -2,18 +2,16 @@
 collections with Spark transformation/action semantics.
 
 This is the abstraction the CSTF paper programs against (Section 2.4).
-The subset implemented here is everything the paper's workflows need and
-the usual supporting cast:
+The subset implemented here is what the paper's dataflows (Table 2),
+the BIGtensor baseline, the record oracle and the examples call:
 
-* narrow transformations — ``map``, ``flat_map``, ``filter``,
-  ``map_values``, ``flat_map_values``, ``map_partitions``, ``key_by``,
-  ``keys``, ``values``, ``union``, ``zip_with_index``;
-* wide transformations — ``partition_by``, ``reduce_by_key``,
-  ``combine_by_key``, ``aggregate_by_key``, ``group_by_key``,
-  ``distinct``, ``join``, ``left_outer_join``, ``cogroup``;
-* actions — ``collect``, ``count``, ``take``, ``first``, ``reduce``,
-  ``fold``, ``aggregate``, ``tree_aggregate``, ``sum``,
-  ``count_by_key``, ``foreach``, ``foreach_partition``;
+* narrow transformations — ``map``, ``map_values``, ``flat_map_values``,
+  ``map_partitions``, ``key_blocks``, ``materialize_records``;
+* wide transformations — ``partition_by``, ``combine_by_key``,
+  ``reduce_by_key``, ``join``, ``block_join``, ``cogroup``,
+  ``left_outer_join``;
+* actions — ``collect``, ``count``, ``take``, ``top``, ``reduce``,
+  ``tree_aggregate``, ``sum``, ``collect_as_map``;
 * persistence — ``persist``/``cache``/``unpersist`` with the storage
   levels of :mod:`repro.engine.storage`.
 
@@ -25,7 +23,6 @@ re-shuffling (Section 4.2).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 import numpy as np
@@ -54,34 +51,8 @@ class Dependency:
 
 
 class NarrowDependency(Dependency):
-    """Each child partition depends on a bounded set of parent partitions."""
-
-    def parent_partitions(self, partition: int) -> list[int]:
-        """Parent partitions feeding child partition ``partition``."""
-        raise NotImplementedError
-
-
-class OneToOneDependency(NarrowDependency):
-    def parent_partitions(self, partition: int) -> list[int]:
-        """1:1 mapping: the same-numbered parent partition."""
-        return [partition]
-
-
-class RangeDependency(NarrowDependency):
-    """Used by union: child partitions map 1:1 onto a contiguous range of
-    parent partitions, shifted by ``out_start``."""
-
-    def __init__(self, rdd: "RDD", in_start: int, out_start: int, length: int):
-        super().__init__(rdd)
-        self.in_start = in_start
-        self.out_start = out_start
-        self.length = length
-
-    def parent_partitions(self, partition: int) -> list[int]:
-        """The shifted parent partition, or none outside the range."""
-        if self.out_start <= partition < self.out_start + self.length:
-            return [partition - self.out_start + self.in_start]
-        return []
+    """One-to-one edge: child partition ``p`` reads parent partition
+    ``p``, inside the same task."""
 
 
 class ShuffleDependency(Dependency):
@@ -271,19 +242,6 @@ class RDD:
             preserves_partitioning=preserves_partitioning,
         ).set_name("map")
 
-    def flat_map(self, f: Callable[[Any], Iterable]) -> "RDD":
-        """Apply ``f`` and flatten the resulting iterables."""
-        return MapPartitionsRDD(
-            self, lambda _split, it: itertools.chain.from_iterable(map(f, it)),
-        ).set_name("flatMap")
-
-    def filter(self, pred: Callable[[Any], bool]) -> "RDD":
-        """Keep records satisfying ``pred`` (keeps the partitioner)."""
-        return MapPartitionsRDD(
-            self, lambda _split, it: filter(pred, it),
-            preserves_partitioning=True,
-        ).set_name("filter")
-
     def map_partitions(self, f: Callable[[Iterable], Iterable],
                        preserves_partitioning: bool = False) -> "RDD":
         """Apply ``f`` to each whole partition iterator."""
@@ -291,15 +249,6 @@ class RDD:
             self, lambda _split, it: f(it),
             preserves_partitioning=preserves_partitioning,
         ).set_name("mapPartitions")
-
-    def map_partitions_with_index(
-            self, f: Callable[[int, Iterable], Iterable],
-            preserves_partitioning: bool = False) -> "RDD":
-        """Like :meth:`map_partitions`, with the partition index as the
-        first argument of ``f``."""
-        return MapPartitionsRDD(
-            self, f, preserves_partitioning=preserves_partitioning,
-        ).set_name("mapPartitionsWithIndex")
 
     def map_values(self, f: Callable[[Any], Any]) -> "RDD":
         """Apply ``f`` to the value of each key-value record; the key —
@@ -321,27 +270,6 @@ class RDD:
         return MapPartitionsRDD(self, apply,
                                 preserves_partitioning=True
                                 ).set_name("flatMapValues")
-
-    def key_by(self, f: Callable[[Any], Any]) -> "RDD":
-        """Turn each record ``x`` into ``(f(x), x)``."""
-        return self.map(lambda x: (f(x), x)).set_name("keyBy")
-
-    def keys(self) -> "RDD":
-        """First element of each key-value record."""
-        return self.map(lambda kv: kv[0]).set_name("keys")
-
-    def values(self) -> "RDD":
-        """Second element of each key-value record."""
-        return self.map(lambda kv: kv[1]).set_name("values")
-
-    def union(self, other: "RDD") -> "RDD":
-        """Concatenate two RDDs (partitions of both, no dedup)."""
-        return UnionRDD(self.ctx, [self, other])
-
-    def glom(self) -> "RDD":
-        """Coalesce each partition into a single list record."""
-        return MapPartitionsRDD(
-            self, lambda _split, it: iter([list(it)])).set_name("glom")
 
     def materialize_records(self) -> "RDD":
         """The one block→records seam, for the one record *program*
@@ -371,85 +299,6 @@ class RDD:
             return [] if block is None else [block.keyed_by(mode)]
         return MapPartitionsRDD(self, key).set_name("keyBlocks")
 
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        """Bernoulli sample of the records (deterministic per seed and
-        partition, as in Spark)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-
-        def sample_partition(split: int, it: Iterable) -> Iterator:
-            import random
-            rng = random.Random(seed * 1_000_003 + split)
-            return (x for x in it if rng.random() < fraction)
-        return MapPartitionsRDD(self, sample_partition,
-                                preserves_partitioning=True
-                                ).set_name("sample")
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce the partition count without a shuffle by merging
-        neighbouring partitions."""
-        if num_partitions < 1:
-            raise ValueError(
-                f"num_partitions must be >= 1, got {num_partitions}")
-        if num_partitions >= self.num_partitions:
-            return self
-        return CoalescedRDD(self, num_partitions)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Change the partition count via a full shuffle (records are
-        keyed round-robin then re-bucketed, as in Spark)."""
-        def key_round_robin(split: int, it: Iterable) -> Iterator:
-            for i, x in enumerate(it):
-                yield ((split + i), x)
-        keyed = MapPartitionsRDD(self, key_round_robin)
-        return (ShuffledRDD(keyed, HashPartitioner(num_partitions))
-                .map(lambda kv: kv[1]).set_name("repartition"))
-
-    def zip(self, other: "RDD") -> "RDD":
-        """Pair records positionally: ``(self[i], other[i])``.  Both
-        RDDs must have identical partition counts and per-partition
-        sizes (Spark's contract)."""
-        if other.num_partitions != self.num_partitions:
-            raise EngineError(
-                f"zip requires equal partition counts "
-                f"({self.num_partitions} vs {other.num_partitions})")
-        return ZippedRDD(self, other)
-
-    def fold_by_key(self, zero: Any, f: Callable[[Any, Any], Any],
-                    num_partitions: int | None = None) -> "RDD":
-        """Per-key fold with a zero value (deep-copied per key)."""
-        import copy
-        return self.combine_by_key(
-            lambda v: f(copy.deepcopy(zero), v), f, f,
-            num_partitions).set_name("foldByKey")
-
-    def is_empty(self) -> bool:
-        """True iff the RDD has no records (runs a count job)."""
-        return self.count() == 0
-
-    def cartesian(self, other: "RDD") -> "RDD":
-        """All pairs ``(a, b)``.  The other RDD is evaluated through the
-        driver (as a broadcast), which is fine at the scales the library
-        targets for this operator (small RHS)."""
-        other_data = other.collect()
-        return self.flat_map(
-            lambda a: [(a, b) for b in other_data]).set_name("cartesian")
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each record with its global index.  Triggers one job to
-        count partition sizes (as in Spark)."""
-        counts = self.ctx._scheduler.run_job(
-            self, lambda _p, it: sum(1 for _ in it), "zipWithIndex-count")
-        offsets = [0]
-        for c in counts[:-1]:
-            offsets.append(offsets[-1] + c)
-
-        def index(split: int, it: Iterable) -> Iterator:
-            base = offsets[split]
-            for i, x in enumerate(it):
-                yield (x, base + i)
-        return MapPartitionsRDD(self, index).set_name("zipWithIndex")
-
     # ------------------------------------------------------------------
     # wide transformations
     # ------------------------------------------------------------------
@@ -473,7 +322,7 @@ class RDD:
                        map_side_combine: bool = True,
                        combine_batch: Callable | None = None) -> "RDD":
         """General per-key aggregation (the primitive under
-        ``reduceByKey``/``aggregateByKey``/``groupByKey``).
+        :meth:`reduce_by_key`).
 
         ``combine_batch`` is an optional whole-partition fast path (see
         :class:`~repro.engine.shuffle.Aggregator`): the caller warrants
@@ -520,30 +369,6 @@ class RDD:
             lambda v: v, f, f, num_partitions,
             map_side_combine=map_side_combine).set_name("reduceByKey")
 
-    def aggregate_by_key(self, zero: Any, seq_op: Callable, comb_op: Callable,
-                         num_partitions: int | None = None) -> "RDD":
-        """Per-key aggregation with distinct within-partition and
-        cross-partition operators; ``zero`` deep-copied per key."""
-        import copy
-        return self.combine_by_key(
-            lambda v: seq_op(copy.deepcopy(zero), v), seq_op, comb_op,
-            num_partitions).set_name("aggregateByKey")
-
-    def group_by_key(self, num_partitions: int | None = None) -> "RDD":
-        """Group values per key into lists (no map-side combine, as in
-        Spark: grouping gains nothing from pre-merging)."""
-        return self.combine_by_key(
-            lambda v: [v],
-            lambda acc, v: acc + [v],
-            lambda a, b: a + b,
-            num_partitions, map_side_combine=False).set_name("groupByKey")
-
-    def distinct(self, num_partitions: int | None = None) -> "RDD":
-        """Unique records (one shuffle round)."""
-        return (self.map(lambda x: (x, None))
-                .reduce_by_key(lambda a, _b: a, num_partitions)
-                .keys().set_name("distinct"))
-
     def cogroup(self, other: "RDD",
                 num_partitions: int | None = None) -> "RDD":
         """Group both RDDs by key: ``(key, (list_self, list_other))``."""
@@ -588,132 +413,6 @@ class RDD:
         return (self.cogroup(other, num_partitions)
                 .flat_map_values(emit).set_name("leftOuterJoin"))
 
-    def right_outer_join(self, other: "RDD",
-                         num_partitions: int | None = None) -> "RDD":
-        """Join keeping unmatched right keys (left value ``None``)."""
-        def emit(groups: tuple[list, list]) -> Iterator:
-            left, right = groups
-            for rv in right:
-                if left:
-                    for lv in left:
-                        yield (lv, rv)
-                else:
-                    yield (None, rv)
-        return (self.cogroup(other, num_partitions)
-                .flat_map_values(emit).set_name("rightOuterJoin"))
-
-    def full_outer_join(self, other: "RDD",
-                        num_partitions: int | None = None) -> "RDD":
-        """Join keeping unmatched keys from both sides."""
-        def emit(groups: tuple[list, list]) -> Iterator:
-            left, right = groups
-            if left and right:
-                for lv in left:
-                    for rv in right:
-                        yield (lv, rv)
-            elif left:
-                for lv in left:
-                    yield (lv, None)
-            else:
-                for rv in right:
-                    yield (None, rv)
-        return (self.cogroup(other, num_partitions)
-                .flat_map_values(emit).set_name("fullOuterJoin"))
-
-    def subtract_by_key(self, other: "RDD",
-                        num_partitions: int | None = None) -> "RDD":
-        """Key-value records of ``self`` whose key does not appear in
-        ``other``."""
-        def emit(kv) -> Iterator:
-            key, (left, right) = kv
-            if not right:
-                for lv in left:
-                    yield (key, lv)
-        return (self.cogroup(other, num_partitions)
-                .flat_map(emit).set_name("subtractByKey"))
-
-    def intersection(self, other: "RDD",
-                     num_partitions: int | None = None) -> "RDD":
-        """Distinct records present in both RDDs."""
-        def both_sides(kv) -> Iterator:
-            key, (left, right) = kv
-            if left and right:
-                yield key
-        return (self.map(lambda x: (x, None))
-                .cogroup(other.map(lambda x: (x, None)), num_partitions)
-                .flat_map(both_sides).set_name("intersection"))
-
-    def sample_by_key(self, fractions: dict, seed: int = 0) -> "RDD":
-        """Stratified Bernoulli sample: per-key sampling fractions
-        (keys absent from ``fractions`` are dropped)."""
-        for key, frac in fractions.items():
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(
-                    f"fraction for key {key!r} must be in [0, 1], "
-                    f"got {frac}")
-
-        def sample_partition(split: int, it: Iterable) -> Iterator:
-            import random
-            rng = random.Random(seed * 1_000_003 + split)
-            for k, v in it:
-                frac = fractions.get(k, 0.0)
-                if frac and rng.random() < frac:
-                    yield (k, v)
-        return MapPartitionsRDD(self, sample_partition,
-                                preserves_partitioning=True
-                                ).set_name("sampleByKey")
-
-    def histogram(self, buckets: int) -> tuple[list, list[int]]:
-        """Bucket numeric records into ``buckets`` equal-width bins;
-        returns ``(bin_edges, counts)`` like Spark\'s ``histogram``."""
-        if buckets < 1:
-            raise ValueError(f"buckets must be >= 1, got {buckets}")
-        stats = self.stats()
-        lo, hi = stats["min"], stats["max"]
-        if lo == hi:
-            return [lo, hi], [stats["count"]]
-        width = (hi - lo) / buckets
-        edges = [lo + i * width for i in range(buckets)] + [hi]
-
-        def count_partition(_p: int, it: Iterable) -> list[int]:
-            counts = [0] * buckets
-            for x in it:
-                idx = min(int((x - lo) / width), buckets - 1)
-                counts[idx] += 1
-            return counts
-        partials = self.ctx._scheduler.run_job(
-            self, count_partition, f"histogram {self.name}")
-        totals = [sum(p[i] for p in partials) for i in range(buckets)]
-        return edges, totals
-
-    def sort_by_key(self, ascending: bool = True,
-                    num_partitions: int | None = None) -> "RDD":
-        """Globally sort key-value records: range-partition by sampled
-        key bounds, then sort within partitions (Spark's approach)."""
-        n = num_partitions or self.num_partitions
-        keys = sorted(k for k, _v in self.collect())
-        if not keys:
-            return self
-        from .partitioner import RangePartitioner
-        if n == 1 or keys[0] == keys[-1]:
-            part = RangePartitioner([])
-        else:
-            step = max(1, len(keys) // n)
-            bounds = sorted({keys[i] for i in
-                             range(step, len(keys), step)})[:n - 1]
-            part = RangePartitioner(bounds)
-        shuffled = ShuffledRDD(self, part)
-
-        def sort_partition(split: int, it: Iterable) -> Iterator:
-            return iter(sorted(it, key=lambda kv: kv[0],
-                               reverse=not ascending))
-        out = MapPartitionsRDD(shuffled, sort_partition,
-                               preserves_partitioning=True)
-        if not ascending:
-            # descending order needs the partition order reversed too
-            return ReversedPartitionsRDD(out)
-        return out.set_name("sortByKey")
-
     # ------------------------------------------------------------------
     # actions
     # ------------------------------------------------------------------
@@ -739,13 +438,6 @@ class RDD:
         collected = self.collect()
         return collected[:n]
 
-    def first(self) -> Any:
-        """The first record; raises on an empty RDD."""
-        items = self.take(1)
-        if not items:
-            raise EngineError("first() on an empty RDD")
-        return items[0]
-
     def reduce(self, f: Callable[[Any, Any], Any]) -> Any:
         """Combine all records with an associative ``f``."""
         import functools
@@ -761,67 +453,30 @@ class RDD:
             raise EngineError("reduce() on an empty RDD")
         return functools.reduce(f, flat)
 
-    def fold(self, zero: Any, f: Callable[[Any, Any], Any]) -> Any:
-        """Like :meth:`reduce` with a zero element applied per
-        partition and at the final merge."""
-        import functools
-        partials = self.ctx._scheduler.run_job(
-            self, lambda _p, it: functools.reduce(f, it, zero),
-            f"fold {self.name}")
-        return functools.reduce(f, partials, zero)
-
-    def aggregate(self, zero: Any, seq_op: Callable, comb_op: Callable) -> Any:
+    def tree_aggregate(self, zero: Any, seq_op: Callable,
+                       comb_op: Callable) -> Any:
         """Aggregate with distinct within-partition (``seq_op``) and
         cross-partition (``comb_op``) operators.  ``zero`` is deep-copied
-        per partition, so mutable accumulators (numpy arrays) are safe."""
+        per partition, so mutable accumulators (numpy arrays) are safe.
+        Spark merges the partials in a tree on the executors; in-process
+        the result is identical (used for gram matrices)."""
         import copy
         import functools
 
         def agg_partition(_p: int, it: Iterable) -> Any:
             return functools.reduce(seq_op, it, copy.deepcopy(zero))
         partials = self.ctx._scheduler.run_job(
-            self, agg_partition, f"aggregate {self.name}")
+            self, agg_partition, f"treeAggregate {self.name}")
         return functools.reduce(comb_op, partials, copy.deepcopy(zero))
 
-    def tree_aggregate(self, zero: Any, seq_op: Callable, comb_op: Callable,
-                       depth: int = 2) -> Any:
-        """Like :meth:`aggregate`; Spark merges partials in a tree on the
-        executors — in-process the result is identical, so this is an
-        alias kept for API fidelity (used for gram matrices)."""
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        return self.aggregate(zero, seq_op, comb_op)
-
     def sum(self) -> Any:
-        """Sum of all records."""
-        return self.fold(0, lambda a, b: a + b)
-
-    def count_by_key(self) -> dict:
-        """Record count per key, as a driver-side dict."""
-        out: dict = {}
-        for k, _v in self.collect():
-            out[k] = out.get(k, 0) + 1
-        return out
-
-    def count_by_value(self) -> dict:
-        """Occurrence count per distinct record."""
-        out: dict = {}
-        for x in self.collect():
-            out[x] = out.get(x, 0) + 1
-        return out
-
-    def lookup(self, key: Any) -> list:
-        """All values stored under ``key``.  When the RDD is partitioned
-        by key, only the owning partition is scanned (as in Spark)."""
-        if self.partitioner is not None:
-            target = self.partitioner.get_partition(key)
-            results = self.ctx._scheduler.run_job(
-                self,
-                lambda p, it: ([v for k, v in it if k == key]
-                               if p == target else []),
-                f"lookup {self.name}")
-            return [v for part in results for v in part]
-        return [v for k, v in self.collect() if k == key]
+        """Sum of all records (``0`` for an empty RDD)."""
+        import functools
+        import operator
+        partials = self.ctx._scheduler.run_job(
+            self, lambda _p, it: functools.reduce(operator.add, it, 0),
+            f"sum {self.name}")
+        return functools.reduce(operator.add, partials, 0)
 
     def top(self, n: int, key: Callable | None = None) -> list:
         """Largest ``n`` records (descending)."""
@@ -833,62 +488,10 @@ class RDD:
         return heapq.nlargest(n, [x for p in partials for x in p],
                               key=key)
 
-    def max(self) -> Any:
-        """Largest record."""
-        return self.reduce(lambda a, b: a if a >= b else b)
-
-    def min(self) -> Any:
-        """Smallest record."""
-        return self.reduce(lambda a, b: a if a <= b else b)
-
-    def mean(self) -> float:
-        """Arithmetic mean of numeric records."""
-        total, count = self.aggregate(
-            (0.0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]))
-        if count == 0:
-            raise EngineError("mean() on an empty RDD")
-        return total / count
-
-    def stats(self) -> dict:
-        """count / mean / stdev / min / max in one pass."""
-        import math
-        zero = (0, 0.0, 0.0, float("inf"), float("-inf"))
-
-        def seq(acc, x):
-            n, s, sq, lo, hi = acc
-            return (n + 1, s + x, sq + x * x,
-                    x if x < lo else lo, x if x > hi else hi)
-
-        def comb(a, b):
-            return (a[0] + b[0], a[1] + b[1], a[2] + b[2],
-                    min(a[3], b[3]), max(a[4], b[4]))
-
-        n, s, sq, lo, hi = self.aggregate(zero, seq, comb)
-        if n == 0:
-            raise EngineError("stats() on an empty RDD")
-        mean = s / n
-        var = max(sq / n - mean * mean, 0.0)
-        return {"count": n, "mean": mean, "stdev": math.sqrt(var),
-                "min": lo, "max": hi}
-
     def collect_as_map(self) -> dict:
         """Collect key-value records into a driver-side dict (later
         duplicates win, as in Spark)."""
         return dict(self.collect())
-
-    def foreach(self, f: Callable[[Any], None]) -> None:
-        """Apply ``f`` to every record for its side effects."""
-        def run(_p: int, it: Iterable) -> None:
-            for x in it:
-                f(x)
-        self.ctx._scheduler.run_job(self, run, f"foreach {self.name}")
-
-    def foreach_partition(self, f: Callable[[Iterable], None]) -> None:
-        """Apply ``f`` once per partition iterator."""
-        self.ctx._scheduler.run_job(
-            self, lambda _p, it: f(it), f"foreachPartition {self.name}")
 
 
 # ----------------------------------------------------------------------
@@ -948,7 +551,7 @@ class MapPartitionsRDD(RDD):
                  preserves_partitioning: bool = False,
                  broadcasts: Iterable = ()):
         super().__init__(
-            parent.ctx, [OneToOneDependency(parent)], parent.num_partitions,
+            parent.ctx, [NarrowDependency(parent)], parent.num_partitions,
             parent.partitioner if preserves_partitioning else None)
         self._parent = parent
         self._f = f
@@ -1024,7 +627,7 @@ class _KeyGroupingRDD(RDD):
         deps: list[Dependency] = []
         for parent in parents:
             if parent.partitioner == partitioner:
-                deps.append(OneToOneDependency(parent))
+                deps.append(NarrowDependency(parent))
             else:
                 deps.append(ShuffleDependency(parent, partitioner))
         super().__init__(ctx, deps, partitioner.num_partitions, partitioner)
@@ -1216,96 +819,3 @@ class RowProductsRDD(_KeyGroupingRDD):
                 f"{int(keys[missing[0]])} has no row on the right side; "
                 f"both sides must hold the same keys")
         return [KeyedRowBlock(keys, left.rows * table.rows[at])]
-
-
-class ZippedRDD(RDD):
-    """Positional pairing of two equally-partitioned RDDs."""
-
-    def __init__(self, left: RDD, right: RDD):
-        super().__init__(left.ctx,
-                         [OneToOneDependency(left),
-                          OneToOneDependency(right)],
-                         left.num_partitions, None)
-        self._left = left
-        self._right = right
-        self.set_name("zip")
-
-    def compute(self, split: int, task: "TaskContext") -> Iterable:
-        """Pair the two parents' same-numbered partitions."""
-        left = list(self._left.iterator(split, task))
-        right = list(self._right.iterator(split, task))
-        if len(left) != len(right):
-            raise EngineError(
-                f"zip partition {split}: unequal sizes "
-                f"({len(left)} vs {len(right)})")
-        return zip(left, right)
-
-
-class CoalescedRDD(RDD):
-    """Merges neighbouring parent partitions without a shuffle."""
-
-    def __init__(self, parent: RDD, num_partitions: int):
-        self._groups: list[list[int]] = [[] for _ in range(num_partitions)]
-        for p in range(parent.num_partitions):
-            self._groups[p * num_partitions // parent.num_partitions].append(p)
-        dep = _CoalesceDependency(parent, self._groups)
-        super().__init__(parent.ctx, [dep], num_partitions, None)
-        self._parent = parent
-        self.set_name("coalesce")
-
-    def compute(self, split: int, task: "TaskContext") -> Iterable:
-        """Chain the merged parent partitions."""
-        return itertools.chain.from_iterable(
-            self._parent.iterator(p, task) for p in self._groups[split])
-
-
-class _CoalesceDependency(NarrowDependency):
-    def __init__(self, rdd: RDD, groups: list[list[int]]):
-        super().__init__(rdd)
-        self._groups = groups
-
-    def parent_partitions(self, partition: int) -> list[int]:
-        return self._groups[partition]
-
-
-class ReversedPartitionsRDD(RDD):
-    """Reads the parent's partitions in reverse order (used by
-    descending ``sortByKey``)."""
-
-    def __init__(self, parent: RDD):
-        super().__init__(parent.ctx, [_ReversedDependency(parent)],
-                         parent.num_partitions, None)
-        self._parent = parent
-        self.set_name("reversedPartitions")
-
-    def compute(self, split: int, task: "TaskContext") -> Iterable:
-        """Read the mirrored parent partition."""
-        return self._parent.iterator(self.num_partitions - 1 - split, task)
-
-
-class _ReversedDependency(NarrowDependency):
-    def parent_partitions(self, partition: int) -> list[int]:
-        return [self.rdd.num_partitions - 1 - partition]
-
-
-class UnionRDD(RDD):
-    """Concatenation of several parents' partitions."""
-
-    def __init__(self, ctx: "Context", parents: list[RDD]):
-        deps: list[Dependency] = []
-        out = 0
-        for parent in parents:
-            deps.append(RangeDependency(parent, 0, out, parent.num_partitions))
-            out += parent.num_partitions
-        super().__init__(ctx, deps, out, None)
-        self._parents = parents
-        self.set_name("union")
-
-    def compute(self, split: int, task: "TaskContext") -> Iterable:
-        """Delegate to the owning parent's partition."""
-        for dep in self.dependencies:
-            assert isinstance(dep, RangeDependency)
-            parents = dep.parent_partitions(split)
-            if parents:
-                return dep.rdd.iterator(parents[0], task)
-        raise EngineError(f"union partition {split} out of range")

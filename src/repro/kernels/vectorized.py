@@ -297,8 +297,8 @@ class VectorizedKernel(Kernel):
                       partial: Callable[[KeyedRowBlock], np.ndarray]
                       ) -> np.ndarray:
         """One job: ``partial`` of every non-empty partition's block,
-        folded on the driver as ``aggregate()`` folds — zero-led, in
-        partition order."""
+        folded on the driver as ``RDD.tree_aggregate`` folds — zero-led,
+        in partition order."""
         def run(_p: int, it: Iterable) -> np.ndarray:
             block = coalesce_rows(it)
             return zero if block is None else partial(block)

@@ -23,10 +23,10 @@ Four rule families run over the finished graph, all *before* any task
 executes:
 
 ``plan-schema-mismatch`` (error)
-    A cogroup/join, block join, row product or union whose parents
-    disagree on key dtype/arity or block shape.  At runtime this
-    surfaces partitions deep into a shuffle as a dtype error or, worse,
-    silently co-grouped keys that can never match (``1`` vs ``(1,)``).
+    A cogroup/join, block join or row product whose parents disagree
+    on key dtype/arity.  At runtime this surfaces partitions deep into
+    a shuffle as a dtype error or, worse, silently co-grouped keys that
+    can never match (``1`` vs ``(1,)``).
 ``plan-block-churn`` (warning)
     A columnar block source degraded to loose records
     (``materializeRecords``) and then shipped through a shuffle as
@@ -40,9 +40,8 @@ executes:
     narrow chain above it.
 ``plan-redundant-shuffle`` (warning)
     A shuffle over records that are already partitioned by an equal
-    partitioner — directly, or through a ``union`` of co-partitioned
-    parents (union preserves keys but drops the partitioner, so the
-    engine cannot elide the shuffle itself).
+    partitioner (the engine elides such a shuffle itself, so only a
+    hand-built ``ShuffledRDD`` plans one).
 
 Everything here is lazy: nothing in the engine builds a plan graph
 unless a plan-auditing session (or ``repro plan --explain``) asks.
@@ -57,14 +56,12 @@ from .model import Finding, LintReport
 
 PASS_NAME = "plan"
 
-#: narrow operation kinds that preserve both keys and record schema
-#: (the last three are block steps: the vectorized kernel's CSTF-QCOO
-#: empty queue column and per-partition lexsort, and the leverage
-#: sampler's draw of a tensor block's rows)
+#: narrow operation kinds that preserve both keys and record schema:
+#: block steps — the vectorized kernel's CSTF-QCOO empty queue column
+#: and per-partition lexsort, and the leverage sampler's draw of a
+#: tensor block's rows
 _SCHEMA_PRESERVING_OPS = frozenset({
-    "filter", "sample", "sampleByKey", "sortByKey", "coalesce",
-    "reversedPartitions", "emptyQueueBlocks", "canonicalBlocks",
-    "sampleBlocks",
+    "emptyQueueBlocks", "canonicalBlocks", "sampleBlocks",
 })
 
 #: operation kinds that yield keyed factor rows whatever they read: the
@@ -81,7 +78,7 @@ _KEYED_ROWS_OPS = frozenset({
 #: narrow operation kinds that preserve the key but rebuild the value
 _KEY_PRESERVING_OPS = frozenset({
     "mapValues", "flatMapValues", "combineByKey(local)",
-    "join", "leftOuterJoin", "rightOuterJoin", "fullOuterJoin",
+    "join", "leftOuterJoin",
 })
 
 
@@ -259,16 +256,6 @@ def _propagate(rdd: Any,
         if rdd.keep_index:
             return _blocks_schema(parent.order, keyed=True)
         return KEYED_ROWS_SCHEMA
-    if cls == "UnionRDD":
-        known = [s for s in parent_schemas if s.form != "unknown"]
-        if known and all(s == known[0] for s in known) \
-                and len(known) == len(parent_schemas):
-            return known[0]
-        return UNKNOWN_SCHEMA
-    if cls in ("CoalescedRDD", "ReversedPartitionsRDD"):
-        return parent
-    if cls == "ZippedRDD":
-        return UNKNOWN_SCHEMA
 
     # MapPartitionsRDD and friends: dispatch on the pinned op kind
     if op == "materializeRecords":
@@ -372,7 +359,7 @@ def _is_collection_root(node: PlanNode) -> bool:
 
 def _check_schema_mismatch(graph: PlanGraph,
                            report: LintReport) -> None:
-    """Rule ``plan-schema-mismatch``: disagreeing join/union parents."""
+    """Rule ``plan-schema-mismatch``: disagreeing join parents."""
     for node in graph.nodes.values():
         parents = [graph.node(e.parent_id) for e in node.parents]
         if node.cls in ("CoGroupedRDD", "HashJoinRDD", "BlockJoinRDD",
@@ -389,16 +376,6 @@ def _check_schema_mismatch(graph: PlanGraph,
                             f"type ({sides}); these keys can never "
                             f"match, so the join silently produces "
                             f"empty groups",
-                    location=node.label(), pass_name=PASS_NAME))
-        elif node.cls == "UnionRDD":
-            shapes = sorted({p.schema.describe() for p in parents
-                             if p.schema.form != "unknown"})
-            if len(shapes) > 1:
-                report.add(Finding(
-                    rule="plan-schema-mismatch", severity="error",
-                    message=f"union parents have incompatible record "
-                            f"shapes ({', '.join(shapes)}); downstream "
-                            f"consumers will see mixed layouts",
                     location=node.label(), pass_name=PASS_NAME))
 
 
@@ -499,21 +476,6 @@ def _check_uncached_reuse(graph: PlanGraph, report: LintReport,
                 location=node.label(), pass_name=PASS_NAME))
 
 
-def _union_leaves(graph: PlanGraph, node: PlanNode) -> list[PlanNode]:
-    """Non-union ancestors reached through union edges only."""
-    leaves: list[PlanNode] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        for edge in current.parents:
-            parent = graph.node(edge.parent_id)
-            if parent.cls == "UnionRDD":
-                stack.append(parent)
-            else:
-                leaves.append(parent)
-    return leaves
-
-
 def _check_redundant_shuffle(graph: PlanGraph,
                              report: LintReport) -> None:
     """Rule ``plan-redundant-shuffle``: shuffling co-partitioned data."""
@@ -532,23 +494,6 @@ def _check_redundant_shuffle(graph: PlanGraph,
                             f"({edge.partitioner!r}); the shuffle "
                             f"moves every record to the partition it "
                             f"is already in",
-                    location=node.label(), pass_name=PASS_NAME))
-                continue
-            if parent.cls != "UnionRDD":
-                continue
-            leaves = _union_leaves(graph, parent)
-            if leaves and all(
-                    leaf.partitioner is not None
-                    and leaf.partitioner == edge.partitioner
-                    for leaf in leaves):
-                report.add(Finding(
-                    rule="plan-redundant-shuffle", severity="warning",
-                    message=f"{node.label()} shuffles a union of "
-                            f"{len(leaves)} RDDs that are all "
-                            f"already partitioned by "
-                            f"{edge.partitioner!r}; union preserves "
-                            f"keys, so a partition-wise concat plus "
-                            f"a local combine avoids the shuffle",
                     location=node.label(), pass_name=PASS_NAME))
 
 

@@ -42,24 +42,12 @@ PASS_NAME = "static"
 #: method name -> indices of callable-taking positional parameters
 RDD_OP_FUNCTION_ARGS: dict[str, tuple[int, ...]] = {
     "map": (0,),
-    "flat_map": (0,),
-    "filter": (0,),
     "map_partitions": (0,),
-    "map_partitions_with_index": (0,),
     "map_values": (0,),
     "flat_map_values": (0,),
-    "key_by": (0,),
-    "sort_by": (0,),
-    "group_by": (0,),
-    "foreach": (0,),
-    "foreach_partition": (0,),
     "reduce": (0,),
-    "fold": (1,),
-    "aggregate": (1, 2),
     "tree_aggregate": (1, 2),
     "reduce_by_key": (0,),
-    "fold_by_key": (1,),
-    "aggregate_by_key": (1, 2),
     "combine_by_key": (0, 1, 2),
 }
 

@@ -335,7 +335,8 @@ class TestBlockJoin:
                     mode, tensor_rdd, factor_rdds, 3).collect()))
                       for mode in range(3)]
                 queue = [list(iter_records(part)) for part in
-                         driver._queue_rdd.glom().collect()]
+                         driver._queue_rdd.map_partitions(
+                             lambda it: [list(it)]).collect()]
                 outcomes[kernel] = (ms, queue)
         (rec_ms, rec_queue), (vec_ms, vec_queue) = outcomes.values()
         for rec_m, vec_m in zip(rec_ms, vec_ms):
@@ -608,8 +609,9 @@ class TestLoudAndLocated:
             source = rows_rdd(ctx, records, 2)
             copy = ctx.checkpoint(source)
             expected = ctx.checkpoint(
-                source.materialize_records()).glom().collect()
-            parts = copy.glom().collect()
+                source.materialize_records()).map_partitions(
+                    lambda it: [list(it)]).collect()
+            parts = copy.map_partitions(lambda it: [list(it)]).collect()
             empty = ctx.checkpoint(rows_rdd(ctx, [], 2))
             assert record_count(empty.collect()) == 0
             assert all(type(b) is KeyedRowBlock for b in empty.collect())

@@ -36,13 +36,6 @@ class TestTakeFirst:
     def test_take_zero(self, ctx):
         assert ctx.parallelize([1], 1).take(0) == []
 
-    def test_first(self, ctx):
-        assert ctx.parallelize([9, 8], 2).first() == 9
-
-    def test_first_empty_raises(self, ctx):
-        with pytest.raises(EngineError, match="empty"):
-            ctx.parallelize([], 2).first()
-
 
 class TestReduceFold:
     def test_reduce_sum(self, ctx):
@@ -55,9 +48,6 @@ class TestReduceFold:
     def test_reduce_empty_raises(self, ctx):
         with pytest.raises(EngineError, match="empty"):
             ctx.parallelize([], 2).reduce(lambda a, b: a + b)
-
-    def test_fold(self, ctx):
-        assert ctx.parallelize(range(10), 3).fold(0, lambda a, b: a + b) == 45
 
     def test_sum(self, ctx):
         assert ctx.parallelize(range(10), 3).sum() == 45
@@ -72,7 +62,7 @@ class TestReduceFold:
 class TestAggregate:
     def test_aggregate_two_ops(self, ctx):
         # (sum, count) with distinct seq/comb operators
-        out = ctx.parallelize(range(10), 4).aggregate(
+        out = ctx.parallelize(range(10), 4).tree_aggregate(
             (0, 0),
             lambda acc, x: (acc[0] + x, acc[1] + 1),
             lambda a, b: (a[0] + b[0], a[1] + b[1]))
@@ -80,47 +70,19 @@ class TestAggregate:
 
     def test_aggregate_mutable_zero_not_shared(self, ctx):
         """numpy zero accumulators must be deep-copied per partition."""
-        out = ctx.parallelize([np.ones(2)] * 6, 3).aggregate(
+        out = ctx.parallelize([np.ones(2)] * 6, 3).tree_aggregate(
             np.zeros(2), lambda acc, v: acc + v, lambda a, b: a + b)
         assert np.allclose(out, 6)
-        out2 = ctx.parallelize([np.ones(2)] * 6, 3).aggregate(
+        out2 = ctx.parallelize([np.ones(2)] * 6, 3).tree_aggregate(
             np.zeros(2), lambda acc, v: acc.__iadd__(v),
             lambda a, b: a + b)
         assert np.allclose(out2, 6)
-
-    def test_tree_aggregate_equals_aggregate(self, ctx):
-        rdd = ctx.parallelize(range(20), 5)
-        agg = rdd.aggregate(0, lambda a, x: a + x, lambda a, b: a + b)
-        tree = rdd.tree_aggregate(0, lambda a, x: a + x, lambda a, b: a + b)
-        assert agg == tree == 190
-
-    def test_tree_aggregate_depth_validation(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([1]).tree_aggregate(
-                0, lambda a, x: a + x, lambda a, b: a + b, depth=0)
-
-
-class TestForeachCountByKey:
-    def test_count_by_key(self, ctx):
-        rdd = ctx.parallelize([(1, "x")] * 3 + [(2, "y")] * 2, 3)
-        assert rdd.count_by_key() == {1: 3, 2: 2}
-
-    def test_foreach_side_effect(self, ctx):
-        seen = []
-        ctx.parallelize(range(5), 2).foreach(seen.append)
-        assert sorted(seen) == [0, 1, 2, 3, 4]
-
-    def test_foreach_partition(self, ctx):
-        sizes = []
-        ctx.parallelize(range(10), 2).foreach_partition(
-            lambda it: sizes.append(sum(1 for _ in it)))
-        assert sorted(sizes) == [5, 5]
 
 
 class TestAccumulator:
     def test_accumulates_from_tasks(self, ctx):
         acc = ctx.accumulator(0, "records")
-        ctx.parallelize(range(10), 4).foreach(lambda _x: acc.add(1))
+        ctx.parallelize(range(10), 4).map(lambda _x: acc.add(1)).count()
         assert acc.value == 10
 
     def test_reset(self, ctx):

@@ -1,4 +1,4 @@
-"""Engine edge cases: deep pipelines, chained unions, odd shapes."""
+"""Engine edge cases: deep pipelines, odd shapes."""
 
 from __future__ import annotations
 
@@ -33,29 +33,6 @@ class TestDeepPipelines:
         assert out[0] + out[1] == sum(range(50))
 
 
-class TestChainedUnions:
-    def test_triple_union(self, ctx):
-        a = ctx.parallelize([1], 1)
-        b = ctx.parallelize([2], 1)
-        c = ctx.parallelize([3], 1)
-        u = a.union(b).union(c)
-        assert sorted(u.collect()) == [1, 2, 3]
-        assert u.num_partitions == 3
-
-    def test_union_then_shuffle(self, ctx):
-        a = ctx.parallelize([(1, "a")], 2)
-        b = ctx.parallelize([(1, "b"), (2, "c")], 2)
-        grouped = a.union(b).group_by_key(4).collect_as_map()
-        assert sorted(grouped[1]) == ["a", "b"]
-        assert grouped[2] == ["c"]
-
-    def test_union_of_shuffled(self, ctx):
-        a = ctx.parallelize([(i % 2, 1) for i in range(10)], 2)\
-            .reduce_by_key(lambda x, y: x + y, 2)
-        b = ctx.parallelize([(9, 9)], 1)
-        assert sorted(a.union(b).collect()) == [(0, 5), (1, 5), (9, 9)]
-
-
 class TestOddShapes:
     def test_more_partitions_than_records(self, ctx):
         assert ctx.parallelize([42], 16).collect() == [42]
@@ -64,8 +41,8 @@ class TestOddShapes:
         with Context(num_nodes=1, default_parallelism=1) as ctx:
             out = (ctx.parallelize([(i % 3, i) for i in range(30)], 1)
                    .reduce_by_key(lambda a, b: a + b, 1)
-                   .sort_by_key().collect())
-            assert [k for k, _ in out] == [0, 1, 2]
+                   .collect())
+            assert sorted(out) == [(0, 135), (1, 145), (2, 155)]
 
     def test_many_nodes_few_partitions(self):
         with Context(num_nodes=32, default_parallelism=2) as ctx:
@@ -82,11 +59,6 @@ class TestOddShapes:
             lambda a, b: a + b).collect_as_map()
         assert sum(out.values()) == 60
         assert len(out) == 6
-
-    def test_string_sort(self, ctx):
-        data = [("pear", 1), ("apple", 2), ("mango", 3)]
-        out = ctx.parallelize(data, 2).sort_by_key().collect()
-        assert [k for k, _ in out] == ["apple", "mango", "pear"]
 
 
 class TestRecomputationConsistency:

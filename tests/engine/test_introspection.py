@@ -7,8 +7,8 @@ from __future__ import annotations
 
 class TestDebugString:
     def test_narrow_chain_single_indent(self, ctx):
-        rdd = ctx.parallelize(range(5)).map(lambda x: x).filter(
-            lambda x: True)
+        rdd = ctx.parallelize(range(5)).map(lambda x: x).map_partitions(
+            lambda it: it)
         out = rdd.to_debug_string()
         lines = out.splitlines()
         assert len(lines) == 3

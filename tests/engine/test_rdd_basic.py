@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Context
+from repro.engine import Context, HashPartitioner
 
 int_lists = st.lists(st.integers(min_value=-1000, max_value=1000),
                      max_size=60)
@@ -17,18 +17,24 @@ def data():
     return list(range(50))
 
 
+def hashed_pairs(ctx, pairs):
+    """``pairs`` placed by key under a hash partitioner."""
+    n = ctx.default_parallelism
+    return ctx.parallelize(pairs, n, HashPartitioner(n))
+
+
 class TestMap:
     def test_map(self, ctx, data):
         assert ctx.parallelize(data).map(lambda x: x * 2).collect() == \
             [x * 2 for x in data]
 
     def test_map_loses_partitioner(self, ctx):
-        rdd = ctx.parallelize_pairs([(i, i) for i in range(10)])
+        rdd = hashed_pairs(ctx, [(i, i) for i in range(10)])
         assert rdd.partitioner is not None
         assert rdd.map(lambda kv: kv).partitioner is None
 
     def test_map_preserves_partitioning_flag(self, ctx):
-        rdd = ctx.parallelize_pairs([(i, i) for i in range(10)])
+        rdd = hashed_pairs(ctx, [(i, i) for i in range(10)])
         assert rdd.map(lambda kv: kv,
                        preserves_partitioning=True).partitioner is not None
 
@@ -40,25 +46,6 @@ class TestMap:
                 [x + 1 for x in xs]
 
 
-class TestFlatMap:
-    def test_flat_map(self, ctx):
-        out = ctx.parallelize([1, 2, 3]).flat_map(lambda x: range(x)).collect()
-        assert out == [0, 0, 1, 0, 1, 2]
-
-    def test_flat_map_empty_outputs(self, ctx):
-        assert ctx.parallelize([1, 2]).flat_map(lambda x: []).collect() == []
-
-
-class TestFilter:
-    def test_filter(self, ctx, data):
-        out = ctx.parallelize(data).filter(lambda x: x % 3 == 0).collect()
-        assert out == [x for x in data if x % 3 == 0]
-
-    def test_filter_keeps_partitioner(self, ctx):
-        rdd = ctx.parallelize_pairs([(i, i) for i in range(10)])
-        assert rdd.filter(lambda kv: kv[0] > 3).partitioner == rdd.partitioner
-
-
 class TestMapValues:
     def test_map_values(self, ctx):
         rdd = ctx.parallelize([(1, 2), (3, 4)], 2)
@@ -66,7 +53,7 @@ class TestMapValues:
             [(1, 20), (3, 40)]
 
     def test_preserves_partitioner(self, ctx):
-        rdd = ctx.parallelize_pairs([(i, i) for i in range(10)])
+        rdd = hashed_pairs(ctx, [(i, i) for i in range(10)])
         assert rdd.map_values(lambda v: v).partitioner == rdd.partitioner
 
     def test_flat_map_values(self, ctx):
@@ -81,44 +68,6 @@ class TestMapPartitions:
         out = rdd.map_partitions(lambda it: [sum(it)]).collect()
         assert len(out) == 4
         assert sum(out) == sum(range(20))
-
-    def test_with_index(self, ctx):
-        rdd = ctx.parallelize(range(8), 4)
-        out = rdd.map_partitions_with_index(
-            lambda i, it: [(i, sorted(it))]).collect()
-        assert [i for i, _ in out] == [0, 1, 2, 3]
-
-
-class TestKeyByKeysValues:
-    def test_key_by(self, ctx):
-        assert ctx.parallelize([5, 6]).key_by(lambda x: x % 2).collect() == \
-            [(1, 5), (0, 6)]
-
-    def test_keys_values(self, ctx):
-        rdd = ctx.parallelize([(1, "a"), (2, "b")], 2)
-        assert rdd.keys().collect() == [1, 2]
-        assert rdd.values().collect() == ["a", "b"]
-
-
-class TestUnion:
-    def test_union(self, ctx):
-        a = ctx.parallelize([1, 2], 2)
-        b = ctx.parallelize([3, 4, 5], 2)
-        u = a.union(b)
-        assert u.num_partitions == 4
-        assert sorted(u.collect()) == [1, 2, 3, 4, 5]
-
-    def test_union_empty(self, ctx):
-        a = ctx.parallelize([], 2)
-        b = ctx.parallelize([1], 1)
-        assert a.union(b).collect() == [1]
-
-
-class TestZipWithIndex:
-    def test_indices_sequential(self, ctx):
-        data = ["a", "b", "c", "d", "e"]
-        out = ctx.parallelize(data, 3).zip_with_index().collect()
-        assert out == [(x, i) for i, x in enumerate(data)]
 
 
 class TestPartitioning:
@@ -137,7 +86,7 @@ class TestPartitioning:
         assert ctx.parallelize(data, 7).collect() == data
 
     def test_parallelize_pairs_partitioned_by_key(self, ctx):
-        rdd = ctx.parallelize_pairs([(i, i) for i in range(20)])
+        rdd = hashed_pairs(ctx, [(i, i) for i in range(20)])
         assert rdd.partitioner is not None
         # records must live in the partition their key hashes to
         part = rdd.partitioner
@@ -150,8 +99,8 @@ class TestPartitioning:
     def test_chained_narrow_ops(self, ctx, data):
         out = (ctx.parallelize(data)
                .map(lambda x: x + 1)
-               .filter(lambda x: x % 2 == 0)
-               .flat_map(lambda x: [x, -x])
+               .map_partitions(lambda it: (y for y in it if y % 2 == 0))
+               .map_partitions(lambda it: (z for y in it for z in (y, -y)))
                .collect())
         expected = []
         for x in data:

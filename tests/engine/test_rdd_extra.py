@@ -1,146 +1,9 @@
-"""Extended RDD operations: sampling, sorting, outer joins, stats."""
+"""The ``top`` action."""
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.engine import Context, EngineError
-
-
-class TestGlom:
-    def test_one_list_per_partition(self, ctx):
-        out = ctx.parallelize(range(10), 4).glom().collect()
-        assert len(out) == 4
-        assert sorted(x for part in out for x in part) == list(range(10))
-
-
-class TestSample:
-    def test_fraction_zero_and_one(self, ctx):
-        rdd = ctx.parallelize(range(100), 4)
-        assert rdd.sample(0.0).collect() == []
-        assert rdd.sample(1.0).collect() == list(range(100))
-
-    def test_fraction_roughly_respected(self, ctx):
-        n = len(ctx.parallelize(range(2000), 4).sample(0.3, seed=1)
-                .collect())
-        assert 450 < n < 750
-
-    def test_deterministic_per_seed(self, ctx):
-        rdd = ctx.parallelize(range(100), 4)
-        assert rdd.sample(0.5, seed=3).collect() == \
-            rdd.sample(0.5, seed=3).collect()
-
-    def test_invalid_fraction(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([1]).sample(1.5)
-
-
-class TestCoalesceRepartition:
-    def test_coalesce_reduces_partitions(self, ctx):
-        rdd = ctx.parallelize(range(20), 8).coalesce(3)
-        assert rdd.num_partitions == 3
-        assert sorted(rdd.collect()) == list(range(20))
-
-    def test_coalesce_no_shuffle(self, ctx):
-        ctx.parallelize(range(20), 8).coalesce(3).collect()
-        assert ctx.metrics.total_shuffle_rounds() == 0
-
-    def test_coalesce_to_more_is_noop(self, ctx):
-        rdd = ctx.parallelize(range(5), 2)
-        assert rdd.coalesce(10) is rdd
-
-    def test_coalesce_validation(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([1], 2).coalesce(0)
-
-    def test_repartition_shuffles(self, ctx):
-        rdd = ctx.parallelize(range(30), 2).repartition(6)
-        assert rdd.num_partitions == 6
-        assert sorted(rdd.collect()) == list(range(30))
-        assert ctx.metrics.total_shuffle_rounds() == 1
-
-    def test_repartition_balances(self, ctx):
-        sizes = [len(p) for p in
-                 ctx.parallelize(range(600), 1).repartition(6)
-                 .glom().collect()]
-        assert max(sizes) - min(sizes) < 300
-
-
-class TestCartesian:
-    def test_all_pairs(self, ctx):
-        out = ctx.parallelize([1, 2], 2).cartesian(
-            ctx.parallelize(["a", "b"], 1)).collect()
-        assert sorted(out) == [(1, "a"), (1, "b"), (2, "a"), (2, "b")]
-
-
-class TestSortByKey:
-    def test_ascending(self, ctx):
-        data = [(5, "e"), (1, "a"), (3, "c"), (2, "b"), (4, "d")]
-        out = ctx.parallelize(data, 3).sort_by_key().collect()
-        assert [k for k, _ in out] == [1, 2, 3, 4, 5]
-
-    def test_descending(self, ctx):
-        data = [(i, i) for i in range(20)]
-        out = ctx.parallelize(data, 4).sort_by_key(ascending=False).collect()
-        assert [k for k, _ in out] == list(range(19, -1, -1))
-
-    def test_duplicate_keys_kept(self, ctx):
-        data = [(1, "a"), (1, "b"), (0, "z")]
-        out = ctx.parallelize(data, 2).sort_by_key().collect()
-        assert [k for k, _ in out] == [0, 1, 1]
-
-    def test_empty(self, ctx):
-        assert ctx.parallelize([], 2).sort_by_key().collect() == []
-
-    def test_constant_keys(self, ctx):
-        out = ctx.parallelize([(7, i) for i in range(5)], 3)\
-            .sort_by_key().collect()
-        assert len(out) == 5
-
-    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers()),
-                    max_size=40))
-    @settings(max_examples=25, deadline=None)
-    def test_property_sorted(self, pairs):
-        with Context(num_nodes=2, default_parallelism=3) as ctx:
-            out = ctx.parallelize(pairs, 3).sort_by_key().collect()
-        assert [k for k, _ in out] == sorted(k for k, _ in pairs)
-
-
-class TestOuterJoins:
-    def test_right_outer(self, ctx):
-        left = ctx.parallelize([(1, "a")], 2)
-        right = ctx.parallelize([(1, "x"), (2, "y")], 2)
-        out = sorted(left.right_outer_join(right).collect())
-        assert out == [(1, ("a", "x")), (2, (None, "y"))]
-
-    def test_full_outer(self, ctx):
-        left = ctx.parallelize([(1, "a"), (2, "b")], 2)
-        right = ctx.parallelize([(2, "x"), (3, "y")], 2)
-        out = dict(left.full_outer_join(right).collect())
-        assert out == {1: ("a", None), 2: ("b", "x"), 3: (None, "y")}
-
-    def test_subtract_by_key(self, ctx):
-        left = ctx.parallelize([(1, "a"), (2, "b"), (3, "c")], 2)
-        right = ctx.parallelize([(2, None)], 2)
-        out = sorted(left.subtract_by_key(right).collect())
-        assert out == [(1, "a"), (3, "c")]
-
 
 class TestLookupTop:
-    def test_lookup_partitioned_rdd(self, ctx):
-        rdd = ctx.parallelize_pairs([(i % 5, i) for i in range(50)])
-        assert sorted(rdd.lookup(2)) == [2, 7, 12, 17, 22, 27, 32, 37,
-                                         42, 47]
-
-    def test_lookup_unpartitioned(self, ctx):
-        rdd = ctx.parallelize([(1, "a"), (2, "b"), (1, "c")], 3)
-        assert sorted(rdd.lookup(1)) == ["a", "c"]
-
-    def test_lookup_missing_key(self, ctx):
-        assert ctx.parallelize_pairs([(1, "a")]).lookup(99) == []
-
     def test_top(self, ctx):
         assert ctx.parallelize(range(100), 5).top(3) == [99, 98, 97]
 
@@ -148,33 +11,3 @@ class TestLookupTop:
         out = ctx.parallelize([(1, 9), (2, 3)], 2).top(1,
                                                        key=lambda kv: kv[1])
         assert out == [(1, 9)]
-
-
-class TestNumericActions:
-    def test_max_min(self, ctx):
-        rdd = ctx.parallelize([3, -7, 12, 0], 2)
-        assert rdd.max() == 12
-        assert rdd.min() == -7
-
-    def test_mean(self, ctx):
-        assert ctx.parallelize(range(10), 3).mean() == pytest.approx(4.5)
-
-    def test_mean_empty(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.parallelize([], 2).mean()
-
-    def test_stats(self, ctx):
-        s = ctx.parallelize([1.0, 2.0, 3.0, 4.0], 2).stats()
-        assert s["count"] == 4
-        assert s["mean"] == pytest.approx(2.5)
-        assert s["min"] == 1.0
-        assert s["max"] == 4.0
-        assert s["stdev"] == pytest.approx(1.118, abs=1e-3)
-
-    def test_stats_empty(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.parallelize([], 1).stats()
-
-    def test_count_by_value(self, ctx):
-        rdd = ctx.parallelize(["a", "b", "a", "a"], 2)
-        assert rdd.count_by_value() == {"a": 3, "b": 1}

@@ -33,9 +33,10 @@ class TestReduceByKey:
         assert out.partitioner == HashPartitioner(4)
 
     def test_already_partitioned_no_shuffle(self, ctx):
-        rdd = ctx.parallelize_pairs([(i, 1) for i in range(20)])
-        out = rdd.reduce_by_key(lambda a, b: a + b,
-                                rdd.partitioner.num_partitions)
+        n = ctx.default_parallelism
+        rdd = ctx.parallelize([(i, 1) for i in range(20)], n,
+                              HashPartitioner(n))
+        out = rdd.reduce_by_key(lambda a, b: a + b, n)
         out.collect()
         assert ctx.metrics.total_shuffle_rounds() == 0
 
@@ -72,35 +73,14 @@ class TestReduceByKey:
 
 
 class TestGroupByKey:
-    def test_groups(self, ctx):
-        rdd = ctx.parallelize([(1, "a"), (2, "b"), (1, "c")], 3)
-        out = {k: sorted(v) for k, v in rdd.group_by_key().collect()}
-        assert out == {1: ["a", "c"], 2: ["b"]}
-
     def test_no_map_side_combine(self, ctx):
+        """Grouping values into lists gains nothing from pre-merging:
+        without a map-side combine every record crosses the shuffle."""
         rdd = ctx.parallelize([(0, i) for i in range(40)], 4)
-        rdd.group_by_key().collect()
+        rdd.combine_by_key(lambda v: [v], lambda acc, v: acc + [v],
+                           lambda a, b: a + b,
+                           map_side_combine=False).collect()
         assert ctx.metrics.total_shuffle_write().records_written == 40
-
-
-class TestAggregateByKey:
-    def test_mean_accumulator(self, ctx):
-        rdd = ctx.parallelize([(i % 2, float(i)) for i in range(10)])
-        out = rdd.aggregate_by_key(
-            (0.0, 0),
-            lambda acc, v: (acc[0] + v, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1])).collect_as_map()
-        assert out[0] == (20.0, 5)
-        assert out[1] == (25.0, 5)
-
-
-class TestDistinct:
-    def test_distinct(self, ctx):
-        rdd = ctx.parallelize([1, 2, 2, 3, 3, 3])
-        assert sorted(rdd.distinct().collect()) == [1, 2, 3]
-
-    def test_distinct_empty(self, ctx):
-        assert ctx.parallelize([], 2).distinct().collect() == []
 
 
 class TestPartitionBy:

@@ -10,8 +10,8 @@ from repro.engine import (Context, EngineConf, JobExecutionError,
 
 class TestStageExecution:
     def test_narrow_chain_single_stage(self, ctx):
-        ctx.parallelize(range(10), 2).map(lambda x: x).filter(
-            lambda x: True).collect()
+        ctx.parallelize(range(10), 2).map(lambda x: x).map_partitions(
+            lambda it: it).collect()
         job = ctx.metrics.jobs[-1]
         assert len(job.stages) == 1
         assert not job.stages[0].is_shuffle_map
@@ -165,7 +165,7 @@ class TestContextLifecycle:
     def test_reset_metrics(self, ctx):
         ctx.parallelize([1, 2]).count()
         assert ctx.metrics.jobs
-        ctx.reset_metrics()
+        ctx.metrics.reset()
         assert not ctx.metrics.jobs
 
     def test_checkpoint_truncates_lineage(self, ctx):

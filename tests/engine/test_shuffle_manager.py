@@ -338,7 +338,8 @@ class TestRunIntegrity:
             with Context(num_nodes=3, default_parallelism=6,
                          fault_plan=plan, conf=conf) as ctx:
                 out = ctx.parallelize_blocks(blocks).partition_by(
-                    HashPartitioner(6)).glom().collect()
+                    HashPartitioner(6)).map_partitions(
+                        lambda it: [list(it)]).collect()
                 return out, ctx.metrics.integrity
         clean, _ = shuffled(FaultPlan())
         healed, seen = shuffled(FaultPlan(seed=3, corrupt_block_prob=0.4))

