@@ -34,13 +34,14 @@ tests this contract directly.
 
 Partitions much larger than the draw budget first pass through a
 *uniform pre-sample* of ``POOL_FACTOR * s`` rows with values scaled by
-``n / pool`` (:func:`uniform_pool`, itself unbiased for the partition
+``n / pool`` (:func:`pool_rows`, itself unbiased for the partition
 sum); leverage weighting and the importance draw then run on the pool
 only.  By the tower property the two-stage estimator stays unbiased,
 and the per-iteration cost becomes ``O(POOL_FACTOR * s)`` per
 partition — independent of nnz — instead of an ``O(nnz)`` weight scan.
 
-One partition's draw — pool, weigh, draw — is :func:`draw_block`;
+One partition's draw — pool by index, weigh, draw by ``choice``'s own
+inverse CDF — is :func:`draw_block`;
 :meth:`LeverageSampler.sample_rdd` wraps it in an RDD node of its own
 (the record oracle's path) and the vectorized kernel's fused task body
 (:func:`repro.kernels.vectorized.sampled_block_contribution`) calls it
@@ -99,11 +100,14 @@ def sample_probabilities(weights: np.ndarray,
     """Floor-mixed draw probabilities from raw leverage weights.
 
     ``q = (1 - floor) * w / sum(w) + floor / n``; degenerates to the
-    uniform distribution when every weight is zero.  Renormalized so
-    ``sum(q) == 1`` exactly (``Generator.choice`` requires it).
+    uniform distribution when every weight is zero; a non-finite one (a
+    diverged factor) raises ``ValueError``.  Renormalized so ``sum(q)``
+    is 1 within the sqrt(eps) that :func:`draw_rows` checks.
     """
     n = weights.shape[0]
     total = float(weights.sum())
+    if not np.isfinite(total):
+        raise ValueError(f"leverage weights sum to {total}: diverged")
     if total > 0.0:
         q = (1.0 - floor) * (weights / total) + floor / n
     else:
@@ -111,37 +115,52 @@ def sample_probabilities(weights: np.ndarray,
     return q / q.sum()
 
 
+def pool_rows(n: int, target: int, site: tuple) -> tuple[np.ndarray, float]:
+    """Stage-1 uniform pre-sample of ``n`` rows by index: ``(rows,
+    n / target)``, or every row at scale 1 within the target."""
+    if n <= target:
+        return np.arange(n), 1.0
+    rng = np.random.default_rng(stable_hash(site))
+    return rng.integers(0, n, size=target), n / target
+
+
+def draw_rows(q: np.ndarray, s: int, site: tuple) -> np.ndarray:
+    """``s`` indices drawn with replacement with probabilities ``q``:
+    index for index ``default_rng(stable_hash(site)).choice(len(q), s,
+    p=q)``, raising where it raises: its inverse CDF and uniforms, the
+    uniforms searched in sorted order and scattered back."""
+    tol = np.sqrt(np.finfo(np.float64).eps)   # choice's, for float64 p
+    if not ((q >= 0.0).all() and abs(q.sum() - 1.0) <= tol):
+        raise ValueError("probabilities must be >= 0 and sum to 1")
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    uniforms = np.random.default_rng(stable_hash(site)).random(s)
+    order = np.argsort(uniforms)
+    draws = np.empty(s, dtype=np.int64)
+    draws[order] = cdf.searchsorted(uniforms[order], side="right")
+    return draws
+
+
 def uniform_pool(block: ColumnarBlock, target: int,
                  site: tuple) -> ColumnarBlock:
-    """Stage-1 uniform pre-sample: ``target`` rows drawn uniformly with
-    replacement, values scaled by ``n / target`` so the pooled block's
-    exact contribution sum is an unbiased estimator of the input
-    block's.  Blocks already within the target pass through unchanged
-    (and bit-identical), so small partitions never pay for pooling."""
-    n = len(block)
-    if n <= target:
+    """:func:`pool_rows` of ``block`` as a block, values scaled: an
+    unbiased estimator of its sum.  Within the target it passes
+    through unchanged, so small partitions never pay for pooling."""
+    if len(block) <= target:
         return block
-    rng = np.random.default_rng(stable_hash(site))
-    pool = rng.integers(0, n, size=target)
-    picked = block.take(pool)
-    return ColumnarBlock(picked.columns, picked.values * (n / target))
+    rows, scale = pool_rows(len(block), target, site)
+    picked = block.take(rows)
+    return ColumnarBlock(picked.columns, picked.values * scale)
 
 
 def sample_block(block: ColumnarBlock, weights: np.ndarray, s: int,
                  site: tuple, floor: float = UNIFORM_FLOOR
                  ) -> ColumnarBlock:
-    """Draw ``s`` nonzeros from one coalesced partition block.
-
-    ``site`` is the stable-hash seed tuple identifying *where* the draw
-    happens (seed, tag, iteration, mode, partition); the same site
-    always yields the same draws.  Returned values carry the unbiasing
-    ``1/(s q)`` scale, so summing the output block's contributions
-    estimates the input block's exact sum (see the estimator contract
-    in the module docstring).
-    """
+    """Draw ``s`` nonzeros of one partition block by :func:`draw_rows`
+    at ``site`` (the stable-hash seed tuple naming *where*), values
+    scaled by ``1/(s q)``: the estimator contract above."""
     q = sample_probabilities(weights, floor)
-    rng = np.random.default_rng(stable_hash(site))
-    draws = rng.choice(len(block), size=s, replace=True, p=q)
+    draws = draw_rows(q, s, site)
     picked = block.take(draws)
     return ColumnarBlock(picked.columns, picked.values / (s * q[draws]))
 
@@ -149,20 +168,24 @@ def sample_block(block: ColumnarBlock, weights: np.ndarray, s: int,
 def draw_block(block: ColumnarBlock, scores: "dict[int, np.ndarray]",
                mode: int, s: int, site: tuple,
                floor: float = UNIFORM_FLOOR) -> ColumnarBlock:
-    """One partition's whole draw: :func:`uniform_pool` to ``POOL_FACTOR
-    * s`` rows, weigh the pool by the product of the fixed modes'
-    leverage ``scores`` (mode -> 1-D vector, in iteration order), then
-    :func:`sample_block` ``s`` of them.  ``site`` is ``(seed, iteration,
-    partition)``; the two stages' RNG sites are derived from it and
-    ``mode``, so the draws depend on nothing else."""
+    """One partition's whole draw: :func:`pool_rows` to ``POOL_FACTOR *
+    s`` rows, weigh them by the product of the fixed modes' leverage
+    ``scores`` (mode -> 1-D vector, in iteration order), then
+    :func:`draw_rows` ``s`` of them: :func:`sample_block` of
+    :func:`uniform_pool` bit for bit, ``block`` gathered once.  ``site``
+    is ``(seed, iteration, partition)``; the two stages' RNG sites are
+    derived from it and ``mode``, so the draws depend on nothing else."""
     seed, iteration, pid = site
-    block = uniform_pool(block, POOL_FACTOR * s,
-                         (seed, "lev-pool", iteration, mode, pid))
-    weights = np.ones(len(block), dtype=np.float64)
+    rows, scale = pool_rows(len(block), POOL_FACTOR * s,
+                            (seed, "lev-pool", iteration, mode, pid))
+    weights = np.ones(len(rows))
     for m, score in scores.items():
-        weights = weights * score[block.column(m)]
-    return sample_block(block, weights, s,
-                        (seed, "lev-sample", iteration, mode, pid), floor)
+        weights = weights * score[block.column(m)[rows]]
+    q = sample_probabilities(weights, floor)
+    draws = draw_rows(q, s, (seed, "lev-sample", iteration, mode, pid))
+    picked = block.take(rows[draws])
+    return ColumnarBlock(picked.columns,
+                         picked.values * scale / (s * q[draws]))
 
 
 class LeverageSampler:

@@ -6,24 +6,26 @@ order; both feed later floating-point reductions, so the batched folds
 here reproduce them *bitwise*, keys in ascending order too:
 
 * :func:`segmented_left_fold` folds materialised rows (every combine
-  and reduce of ``sum_rows_by_key``) without a sort: dense key ids from
-  a presence count over the key span, then one ``np.bincount`` over
-  ``id * width + column``.  ``bincount`` adds each weight into its bin
-  in input order from ``+0.0`` — per bin the strict left fold — which
-  differs from the record path's fold only in a bin of ``-0.0`` terms
-  alone; a second ``bincount`` counts the other terms, and such bins
-  are set to ``-0.0``.  ``tests/core/test_grouping.py`` pins this on
-  the installed numpy.
+  and reduce of ``sum_rows_by_key``, a fused product within one plane)
+  without a sort: dense key ids from a presence count over the key
+  span, then one ``np.bincount`` over ``id * width + column``.
+  ``bincount`` adds each weight into its bin in input order from
+  ``+0.0`` — per bin the strict left fold — which differs from the
+  record path's fold only in a bin of ``-0.0`` terms alone; a second
+  ``bincount`` counts the other terms and sets such bins to ``-0.0``
+  (``tests/core/test_grouping.py`` pins this on the installed numpy).
 * :func:`segmented_fold_at` folds rows computed on demand (the fused
-  broadcast / sampled product): one stable sort by key
-  (:func:`~repro.engine.blocks.sorted_runs`), then each length class of
-  segments (1, 2, 3-4, 5-8, ...) gathered *position-major* into
-  ``(longest, segments, width)`` planes of at most ``PLANE_BYTES`` and
-  reduced along axis 0 from a **-0.0** seed (the one additive identity
-  that returns every operand's bits): the strict left fold of every key
-  of the class at once.  ``np.add.reduceat`` and a 1-D reduce may sum
-  pairwise (:func:`_fold_planes` pads a lone column).  A ``bincount``
-  measured 1.6x slower here at rank 16.
+  broadcast / sampled product larger than one ``PLANE_BYTES`` plane):
+  one stable sort by key (:func:`~repro.engine.blocks.sorted_runs`),
+  then each length class of segments (1, 2, 3-4, 5-8, ...) gathered
+  *position-major* into ``(longest, segments, width)`` planes of at
+  most ``PLANE_BYTES`` and reduced along axis 0 from a **-0.0** seed
+  (the one additive identity that returns every operand's bits): the
+  strict left fold of every key of the class at once.
+  ``np.add.reduceat`` and a 1-D reduce may sum pairwise
+  (:func:`_fold_planes` pads a lone column).  Within one plane a
+  ``bincount`` is faster (4096 x 4: 0.25 vs 0.3-0.6 ms); above, 2x
+  slower (31k x 16: 10 vs 5 ms).
 """
 
 from __future__ import annotations

@@ -39,7 +39,8 @@ from ..engine.partitioner import HashPartitioner
 from ..engine.rdd import MapPartitionsRDD, RowProductsRDD
 from .base import Kernel, per_partition_rows
 from .sampled import draw_block
-from .segsum import combine_rows_block, fold_rows, segmented_fold_at
+from .segsum import (PLANE_BYTES, combine_rows_block, fold_rows,
+                     segmented_fold_at, segmented_left_fold)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
@@ -73,10 +74,11 @@ def block_contribution(
     """``(keys, rows)`` MTTKRP contributions of one block: per nonzero
     its value times the Hadamard product of the factor rows that the
     ``(index column, factor)`` pairs of ``fixed`` select, left-folded
-    per key under ``prereduce``.  The fold asks for rows at sorted,
-    padded positions and the product is evaluated right there (it
-    commutes with a permutation, so the bits are those of folding the
-    materialised product).  Runs inline and in the pool worker."""
+    per key under ``prereduce``: by ``bincount`` if the product fits one
+    ``PLANE_BYTES`` plane, else evaluated at the plane fold's sorted,
+    padded positions (it commutes with a permutation); either is the
+    strict left fold in record order.  Runs inline and in the pool
+    worker."""
     def product_at(at: "np.ndarray | slice") -> np.ndarray:
         (col, factor), *rest = fixed
         acc = np.take(factor, col[at], axis=0)
@@ -84,10 +86,12 @@ def block_contribution(
         for col, factor in rest:
             acc *= np.take(factor, col[at], axis=0)
         return acc
-    if prereduce:
-        return segmented_fold_at(key_col, product_at,
-                                 fixed[0][1].shape[1])
-    return key_col, product_at(slice(None))
+    width = fixed[0][1].shape[1]
+    if not prereduce:
+        return key_col, product_at(slice(None))
+    if len(key_col) * width * 8 > PLANE_BYTES:
+        return segmented_fold_at(key_col, product_at, width)
+    return segmented_left_fold(key_col, product_at(slice(None)))
 
 
 def sampled_block_contribution(

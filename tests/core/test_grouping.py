@@ -6,14 +6,14 @@ suites, which run here a second time with the radix path forced onto
 their small blocks); ``segmented_left_fold`` — one ``np.bincount``,
 pinned on the installed numpy — and the plane fold must equal the
 record path's dict left fold byte for byte, the sign of a zero
-included; a counting spy pins what a steady-state iteration still
-sorts; and source guards keep the next block-path sort from quietly
-being a
-merge sort again, the next driver from growing a second tensor
-representation or a second conversion point, ``core/cp_als.py`` free
-of per-row callables, and the join dataflows at one block per
-partition and one run per map output (a counting spy on the block
-constructors).
+included; the sampled draw must equal ``Generator.choice``'s, pinned
+on the installed numpy too; a counting spy pins what a steady-state
+iteration still sorts; and source guards keep the next block-path
+sort from quietly being a merge sort again, the next driver from
+growing a second tensor representation or a second conversion point,
+``core/cp_als.py`` free of per-row callables, and the join dataflows
+at one block per partition and one run per map output (a counting spy
+on the block constructors).
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ from hypothesis import given
 import repro
 from repro.engine import blocks
 from repro.engine.blocks import sorted_runs, stable_argsort
+from repro.engine.partitioner import stable_hash
 from repro.kernels import (combine_rows_block, fold_rows,
                            segmented_left_fold)
-from repro.kernels.segsum import segmented_fold_at
+from repro.kernels.sampled import draw_rows
+from repro.kernels.segsum import PLANE_BYTES, segmented_fold_at
 from repro.kernels.vectorized import block_contribution
 from repro.tensor import random_factors, uniform_sparse
 
@@ -171,6 +173,34 @@ class TestPlaneFold:
         assert np.array_equal(keys, exp_keys)
         assert rows.tobytes() == exp_rows.tobytes()
 
+    @pytest.mark.parametrize("n,width", [
+        (PLANE_BYTES // 8 - 1, 1), (PLANE_BYTES // 8, 1),
+        (PLANE_BYTES // 8 + 1, 1), (PLANE_BYTES // 16, 2),
+        (PLANE_BYTES // 16 + 1, 2)])
+    def test_both_sides_of_the_plane_budget_fold_the_same_bits(
+            self, n, width, monkeypatch):
+        """``block_contribution`` folds a product of at most
+        ``PLANE_BYTES // 8`` cells by ``bincount`` and a larger one on
+        planes; at the boundary both folds give the same bytes."""
+        from repro.kernels import vectorized
+        rng = np.random.default_rng(n + width)
+        values = rng.standard_normal(n) * 1e3
+        key_col = rng.integers(0, 300, n)
+        fixed = [(rng.integers(0, 50, n), rng.standard_normal((50, width)))]
+        product = fixed[0][1][fixed[0][0]] * values[:, None]
+        planes = segmented_fold_at(key_col, lambda at: product[at], width)
+        bincount = segmented_left_fold(key_col, product)
+        assert np.array_equal(planes[0], bincount[0])
+        assert planes[1].tobytes() == bincount[1].tobytes()
+        on_planes = []
+        monkeypatch.setattr(vectorized, "segmented_fold_at",
+                            lambda *a: on_planes.append(1)
+                            or segmented_fold_at(*a))
+        keys, rows = block_contribution(values, key_col, fixed, True)
+        assert bool(on_planes) == (n * width > PLANE_BYTES // 8)
+        assert np.array_equal(keys, bincount[0])
+        assert rows.tobytes() == bincount[1].tobytes()
+
 
 # ----------------------------------------------------------------------
 # np.bincount: the combine's fold, pinned on the installed numpy
@@ -222,6 +252,48 @@ class TestBincountAccumulation:
         assert_equals_dict_fold(keys, rows, out_keys, out_rows)
         assert np.signbit(out_rows).tolist() == [
             [True, False], [False, True], [False, False]]
+
+
+# ----------------------------------------------------------------------
+# Generator.choice: the sampled draw, pinned on the installed numpy
+# ----------------------------------------------------------------------
+class TestChoiceDraw:
+    """``draw_rows`` replays ``Generator.choice(n, s, p=q)``'s inverse
+    CDF with its uniforms searched in sorted order, so its draws are
+    ``choice``'s only while numpy draws that way.  A numpy that changes
+    ``choice``'s algorithm or checks of ``p`` fails here."""
+
+    @pytest.mark.parametrize("s", [1, 64, 4096, 20000])
+    @pytest.mark.parametrize("n", [1, 7, 4096, 16384, 100000])
+    def test_index_for_index_equal_to_choice(self, n, s):
+        for seed in range(5):
+            q = np.random.default_rng(100 + seed).uniform(0.0, 1.0, n)
+            q /= q.sum()
+            site = (seed, "choice-pin", n, s)
+            expected = np.random.default_rng(stable_hash(site)).choice(
+                n, s, replace=True, p=q)
+            assert np.array_equal(draw_rows(q, s, site), expected)
+
+    @pytest.mark.parametrize("bad", ["negative", "nan", "sum"])
+    def test_raises_where_choice_raises(self, bad):
+        q = np.full(8, 1.0 / 8)
+        if bad == "negative":
+            q[[0, 1]] = [-1.0 / 8, 3.0 / 8]
+        elif bad == "nan":
+            q[3] = np.nan
+        else:       # off 1 by 10x choice's sqrt(eps) tolerance
+            q[0] += 10 * np.sqrt(np.finfo(np.float64).eps)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(8, 4, replace=True, p=q)
+        with pytest.raises(ValueError):
+            draw_rows(q, 4, (0, "bad"))
+
+    def test_a_sum_within_tolerance_draws_as_choice(self):
+        q = np.full(8, 1.0 / 8)
+        q[0] += 0.1 * np.sqrt(np.finfo(np.float64).eps)
+        expected = np.random.default_rng(stable_hash((1, "tol"))).choice(
+            8, 50, replace=True, p=q)
+        assert np.array_equal(draw_rows(q, 50, (1, "tol")), expected)
 
 
 # ----------------------------------------------------------------------
@@ -290,8 +362,8 @@ def test_block_path_sorts_only_through_stable_argsort():
 @pytest.mark.parametrize("driver,sampler,callers", [
     ("coo-join", "exact", {"partition_order"}),
     ("qcoo", "exact", {"partition_order", "by_coordinate"}),
-    ("coo-broadcast", "exact", {"partition_order", "sorted_runs"}),
-    ("coo-join", "lev", {"partition_order", "sorted_runs"}),
+    ("coo-broadcast", "exact", {"partition_order"}),
+    ("coo-join", "lev", {"partition_order"}),
 ], ids=["coo-join", "qcoo", "coo-broadcast", "lev"])
 def test_a_steady_state_iteration_sorts_only_where_it_must(
         driver, sampler, callers, monkeypatch):
@@ -299,9 +371,10 @@ def test_a_steady_state_iteration_sorts_only_where_it_must(
     armed once the first iteration (and the set-up before it) is over.
     What is left to sort is the shuffle map side's partition order;
     QCOO adds its canonical queue order (``qcoo_canonical``'s
-    ``by_coordinate``), the broadcast and sampled MTTKRPs their fused
-    fold's one sort (``sorted_runs``).  Joins, combines, reduces and
-    the normalise step sort nothing."""
+    ``by_coordinate``).  The broadcast and sampled MTTKRPs' products on
+    these tensors fit one ``PLANE_BYTES`` plane, so their fused fold is
+    a ``bincount`` and sorts nothing either; joins, combines, reduces
+    and the normalise step sort nothing."""
     from repro.engine import Context
     seen = collections.Counter()
     armed = []

@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from repro.core import CstfCOO, InMemoryCheckpointStore
 from repro.core.checkpoint import FileCheckpointStore
-from repro.engine import Context, EngineConf, KernelError
+from repro.engine import (Context, EngineConf, JobExecutionError,
+                          KernelError)
 from repro.engine.blocks import ColumnarBlock
 from repro.kernels import (DEFAULT_SAMPLE_COUNT, POOL_FACTOR,
                            leverage_scores, sample_block,
                            sample_probabilities, uniform_pool)
+from repro.kernels.sampled import draw_block
 from repro.tensor import low_rank_sparse, random_factors
 
 from .. import conformance as cf
@@ -129,6 +131,22 @@ class TestSampleProbabilities:
         w = np.array([0.0, 1.0, 1.0, 1.0])
         q = sample_probabilities(w, floor=0.1)
         assert q[0] == pytest.approx(0.1 / 4, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_raise(self, bad):
+        """A diverged factor's NaN leverage must not silently become
+        uniform draws (``total > 0`` is false for NaN)."""
+        w = np.ones(6)
+        w[2] = bad
+        with pytest.raises(ValueError, match="leverage weights"):
+            sample_probabilities(w)
+
+    def test_draw_block_refuses_a_nan_score_vector(self, rng):
+        block = ColumnarBlock([rng.integers(0, 5, 40) for _ in range(3)],
+                              rng.standard_normal(40))
+        scores = {1: rng.uniform(0.0, 1.0, 5), 2: np.full(5, np.nan)}
+        with pytest.raises(ValueError, match="leverage weights"):
+            draw_block(block, scores, 0, 8, (0, 0, 0))
 
 
 class TestUnbiasedEstimator:
@@ -280,6 +298,27 @@ class TestSampledDecompose:
         """Sampled MTTKRP replaces each driver's exact dataflow with the
         same broadcast estimator, so COO and QCOO equal one oracle."""
         cf.check_kept(request, monkeypatch)
+
+    @pytest.mark.parametrize("lapack", ["checks-nan", "propagates-nan"])
+    def test_a_nan_factor_row_raises_instead_of_fitting(
+            self, lapack, monkeypatch):
+        """A NaN row in mode 1's initial factor makes its Gram NaN.  A
+        LAPACK that checks refuses the Gram's pinv; one that hands NaN
+        back gives NaN leverage scores, and the sampled map task then
+        fails by name instead of drawing uniformly into a NaN fit."""
+        expected = np.linalg.LinAlgError
+        if lapack == "propagates-nan":
+            real = np.linalg.pinv
+            monkeypatch.setattr(np.linalg, "pinv", lambda a, **kw: (
+                real(a, **kw) if np.isfinite(a).all()
+                else np.full(a.shape[::-1], np.nan)))
+            expected = JobExecutionError
+        init = [f.copy() for f in cf.initial("order3")]
+        init[1][3] = np.nan
+        got = cf.run(sampler="lev", init=init, raises=expected)
+        assert got.result is None
+        if lapack == "propagates-nan":
+            assert "leverage weights sum to nan" in str(got.error)
 
     def test_qcoo_skips_queue_construction(self):
         """Under lev the QCOO queue (N-1 tensor-sized joins) is never
