@@ -309,36 +309,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     read = ctx.metrics.total_shuffle_read()
     print(f"shuffles  : {ctx.metrics.total_shuffle_rounds()} rounds, "
           f"{read.remote_bytes:,} remote B, {read.local_bytes:,} local B")
-    mem = ctx.metrics.memory
-    print(f"memory    : peak {mem.execution_peak_bytes:,} B execution, "
-          f"{mem.storage_peak_bytes:,} B storage; "
-          f"spilled {mem.spill_bytes:,} B in {mem.spill_count} spills, "
-          f"{mem.demotions} demotions, {mem.oom_kills} OOM kills")
-    if ctx.metrics.sampler_partitions:
-        print(f"sampler   : lev — {ctx.metrics.sampler_draws:,} draws "
-              f"over {ctx.metrics.sampler_partitions:,} partitions "
-              f"({ctx.metrics.sampler_input_records:,} input nonzeros)")
-    stragglers = ctx.metrics.stragglers
-    if stragglers.any_activity:
-        print(f"stragglers: {stragglers.tasks_timed_out} timeouts, "
-              f"{stragglers.tasks_speculated} speculated "
-              f"({stragglers.speculative_wins} backup wins), "
-              f"{stragglers.backoff_sleeps} backoffs "
-              f"({stragglers.backoff_total_s:.2f}s), "
-              f"{stragglers.wasted_attempt_s:.2f}s wasted, "
-              f"{stragglers.nodes_quarantined} nodes quarantined "
-              f"({stragglers.nodes_readmitted} readmitted)")
-    integrity = ctx.metrics.integrity
-    if integrity.any_activity:
-        print(f"integrity : {integrity.blocks_verified:,} blocks "
-              f"verified ({integrity.checksum_bytes:,} B), "
-              f"{integrity.corrupted_blocks} corrupt "
-              f"({integrity.corruptions_injected} injected), "
-              f"{integrity.recompute_recoveries} recompute recoveries, "
-              f"{integrity.nan_guards_tripped} NaN guards")
-    if ctx.hadoop_mode:
-        print(f"hadoop    : {ctx.metrics.hadoop.jobs_launched} jobs, "
-              f"{ctx.metrics.hadoop.hdfs_bytes_written:,} HDFS B written")
+    print(ctx.metrics.summary())
     ctx.stop()
     return 0
 

@@ -30,8 +30,7 @@ from .errors import (BackendError, CacheEvictedError, CancelledAttempt,
                      JobExecutionError, KernelError,
                      NumericalIntegrityError, OutOfMemoryError,
                      TaskFailedError, TaskTimedOutError)
-from .events import (BlockCorrupted, EngineEventBus, EngineListener,
-                     TimelineListener)
+from .events import BlockCorrupted, EngineEventBus, EngineListener
 from .faults import (FaultInjector, FaultPlan, InjectedFaultError,
                      NodeKillEvent)
 from .integrity import IntegrityManager
@@ -120,7 +119,6 @@ __all__ = [
     "TaskTimedOutError",
     "ThreadPoolBackend",
     "TimeBreakdown",
-    "TimelineListener",
     "VirtualClock",
     "backoff_delay",
     "checksum_blob",

@@ -29,10 +29,7 @@ from .clock import create_clock
 from .cluster import Cluster
 from .conf import EngineConf, resolve
 from .errors import ContextStoppedError
-from .events import (EngineEventBus, FaultMetricsListener,
-                     HadoopAccountingListener, IntegrityEventListener,
-                     MemoryEventListener, MetricsListener, NodeLost,
-                     StragglerEventListener, TimelineListener)
+from .events import EngineEventBus, NodeLost
 from .faults import FaultInjector, FaultPlan
 from .integrity import IntegrityManager
 from .memory import MemoryManager
@@ -86,10 +83,9 @@ class Context:
         self.default_parallelism = (
             default_parallelism if default_parallelism is not None
             else 8 * self.cluster.num_nodes)
-        self.metrics = MetricsCollector()
+        self.metrics = MetricsCollector(hadoop_mode=self.hadoop_mode)
         #: engine event bus: every scheduler-level lifecycle event flows
-        #: through it to the subscribed listeners (metrics, fault
-        #: accounting, memory accounting, the fault injector)
+        #: through it to the metrics collector, then the fault injector
         self.event_bus = EngineEventBus()
         #: unified execution/storage memory accounting (see
         #: :mod:`repro.engine.memory`)
@@ -132,20 +128,9 @@ class Context:
                                                     "offload", None))
         self._task_scheduler = TaskScheduler(self, self.backend)
         self._scheduler = DAGScheduler(self)
-        #: live per-stage timeline (the cost model's event-bus feed)
-        self.timeline = TimelineListener()
-        # accounting listeners first (in posting order they must observe
-        # events before the fault injector, which may raise); the
-        # injector is subscribed LAST for the same reason
-        self.event_bus.subscribe(MetricsListener(self.metrics))
-        self.event_bus.subscribe(FaultMetricsListener(self.metrics))
-        self.event_bus.subscribe(MemoryEventListener(self.metrics))
-        self.event_bus.subscribe(StragglerEventListener(self.metrics))
-        self.event_bus.subscribe(IntegrityEventListener(self.metrics))
-        if self.hadoop_mode:
-            self.event_bus.subscribe(
-                HadoopAccountingListener(self.metrics))
-        self.event_bus.subscribe(self.timeline)
+        # the collector first: accounting must observe every event
+        # before the fault injector, which may raise from it
+        self.event_bus.subscribe(self.metrics)
         self.event_bus.subscribe(self.faults)
         self._rdd_counter = 0
         self._accumulators: list[Accumulator] = []

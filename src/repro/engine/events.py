@@ -2,12 +2,13 @@
 
 The layered execution stack (``DAGScheduler`` -> ``TaskScheduler`` ->
 ``ExecutorBackend``) does not call cross-cutting services directly.
-Instead, schedulers *post* typed events and every interested service —
-metrics collection, fault accounting, memory accounting, Hadoop-mode
-HDFS charging, the cost-model timeline and the
-:class:`~repro.engine.faults.FaultInjector` itself — *subscribes* to the
-bus.  That keeps the scheduler layers free of instrumentation and makes
-the services swappable, exactly like Spark's ``SparkListener`` API.
+Instead, schedulers *post* typed events and a context's two services
+*subscribe* to the bus: the
+:class:`~repro.engine.metrics.MetricsCollector`, which turns events into
+the job records and the fault, straggler, memory, integrity and
+Hadoop-mode HDFS counters, and the
+:class:`~repro.engine.faults.FaultInjector`.  That keeps the scheduler
+layers free of instrumentation, like Spark's ``SparkListener`` API.
 
 Differences from Spark's bus, both deliberate:
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .metrics import MetricsCollector, StageMetrics
+    from .metrics import StageMetrics
     from .storage import StorageLevel
 
 
@@ -378,245 +379,3 @@ class EngineEventBus:
         with self._lock:
             for listener in list(self._listeners):
                 getattr(listener, event.handler)(event)
-
-
-# ----------------------------------------------------------------------
-# standard listeners (the cross-cutting services, as subscriptions)
-# ----------------------------------------------------------------------
-class MetricsListener(EngineListener):
-    """Feeds the job/stage structure of a
-    :class:`~repro.engine.metrics.MetricsCollector`."""
-
-    def __init__(self, collector: "MetricsCollector"):
-        self._collector = collector
-        self._open_jobs: dict[int, object] = {}
-
-    def on_job_start(self, event: JobStart) -> None:
-        """Open a :class:`~repro.engine.metrics.JobMetrics` record."""
-        self._open_jobs[event.job_id] = self._collector.start_job(
-            event.job_id, event.description)
-
-    def on_job_shuffle_rounds(self, event: JobShuffleRounds) -> None:
-        """Record the job's paper-style shuffle-round count."""
-        job = self._open_jobs.get(event.job_id)
-        if job is not None:
-            job.shuffle_rounds = event.rounds
-
-    def on_stage_completed(self, event: StageCompleted) -> None:
-        """Append the stage's metrics to its job's record."""
-        job = self._open_jobs.get(event.job_id)
-        if job is not None:
-            job.stages.append(event.metrics)
-
-    def on_job_end(self, event: JobEnd) -> None:
-        """Close the job's record."""
-        self._open_jobs.pop(event.job_id, None)
-
-
-class FaultMetricsListener(EngineListener):
-    """Feeds :class:`~repro.engine.metrics.FaultMetrics` from scheduler
-    and recovery events."""
-
-    def __init__(self, collector: "MetricsCollector"):
-        self._collector = collector
-
-    @property
-    def _faults(self):
-        return self._collector.faults
-
-    def on_task_failure(self, event: TaskFailure) -> None:
-        """Count the failure against the task and its node."""
-        f = self._faults
-        f.task_failures += 1
-        f.record_node_failure(event.node)
-        if event.will_retry:
-            f.tasks_retried += 1
-
-    def on_fetch_failed(self, event: FetchFailed) -> None:
-        """Count a reduce-side fetch failure."""
-        self._faults.fetch_failures += 1
-
-    def on_stages_resubmitted(self, event: StagesResubmitted) -> None:
-        """Count lineage-recovery stage resubmissions."""
-        self._faults.stages_resubmitted += event.count
-
-    def on_stage_completed(self, event: StageCompleted) -> None:
-        """Charge recovery re-executions as recomputed records."""
-        if event.recomputation:
-            self._faults.records_recomputed += \
-                event.metrics.shuffle_write.records_written
-
-    def on_node_lost(self, event: NodeLost) -> None:
-        """Account a node death and the data it took down."""
-        f = self._faults
-        f.nodes_killed += 1
-        f.map_outputs_lost += event.map_outputs_lost
-        f.cached_partitions_lost += event.cached_partitions_lost
-
-
-class IntegrityEventListener(EngineListener):
-    """Feeds :class:`~repro.engine.metrics.IntegrityMetrics` from
-    scheduler-level integrity events.
-
-    Detection counters (blocks verified/corrupt) are written directly
-    by the :class:`~repro.engine.integrity.IntegrityManager` — the data
-    plane must not post events from under its own locks — so this
-    listener only accounts the *recoveries* the scheduler performs:
-    each :class:`BlockCorrupted` means a corrupt shuffle block was
-    healed by resubmitting its map stage from lineage."""
-
-    def __init__(self, collector) -> None:
-        self._collector = collector
-
-    @property
-    def _integrity(self):
-        # late-bound: collector.reset() replaces the metrics object
-        return self._collector.integrity
-
-    def on_block_corrupted(self, event: BlockCorrupted) -> None:
-        """Count one corruption healed by lineage recomputation."""
-        self._integrity.add("recompute_recoveries")
-
-
-class StragglerEventListener(EngineListener):
-    """Feeds :class:`~repro.engine.metrics.StragglerMetrics` from the
-    time-domain events: timeouts, speculation launches/outcomes,
-    quarantine transitions and retry backoff."""
-
-    def __init__(self, collector: "MetricsCollector"):
-        self._collector = collector
-
-    @property
-    def _stragglers(self):
-        return self._collector.stragglers
-
-    def on_task_timed_out(self, event: TaskTimedOut) -> None:
-        """Count a hard-deadline expiry, its wasted attempt time and
-        the retry's backoff sleep."""
-        s = self._stragglers
-        s.add("tasks_timed_out", 1)
-        s.add("wasted_attempt_s", event.elapsed_s)
-        if event.backoff_s > 0:
-            s.add("backoff_sleeps", 1)
-            s.add("backoff_total_s", event.backoff_s)
-
-    def on_task_speculated(self, event: TaskSpeculated) -> None:
-        """Count a backup-attempt launch."""
-        self._stragglers.add("tasks_speculated", 1)
-
-    def on_task_attempt_cancelled(
-            self, event: TaskAttemptCancelled) -> None:
-        """Count one attempt abandoned at its speculative deadline."""
-        s = self._stragglers
-        s.add("attempts_cancelled", 1)
-        s.add("wasted_attempt_s", event.elapsed_s)
-
-    def on_task_end(self, event: TaskEnd) -> None:
-        """Recognize committed backup attempts as speculative wins."""
-        from .speculation import SPECULATIVE_ATTEMPT_OFFSET
-        if event.attempt >= SPECULATIVE_ATTEMPT_OFFSET:
-            self._stragglers.add("speculative_wins", 1)
-
-    def on_task_failure(self, event: TaskFailure) -> None:
-        """Account the retry's backoff sleep."""
-        if event.backoff_s > 0:
-            s = self._stragglers
-            s.add("backoff_sleeps", 1)
-            s.add("backoff_total_s", event.backoff_s)
-
-    def on_node_quarantined(self, event: NodeQuarantined) -> None:
-        """Count a node entering quarantine."""
-        self._stragglers.add("nodes_quarantined", 1)
-
-    def on_node_readmitted(self, event: NodeReadmitted) -> None:
-        """Count a probational readmission."""
-        self._stragglers.add("nodes_readmitted", 1)
-
-
-class MemoryEventListener(EngineListener):
-    """Feeds the OOM/demotion/task-spill counters of
-    :class:`~repro.engine.metrics.MemoryMetrics` (pool peaks and shuffle
-    spills are accounted by the pools themselves)."""
-
-    def __init__(self, collector: "MetricsCollector"):
-        self._collector = collector
-
-    def on_oom_kill(self, event: OOMKill) -> None:
-        """Count an injected-budget OOM kill."""
-        self._collector.memory.add("oom_kills", 1)
-
-    def on_task_spill(self, event: TaskSpill) -> None:
-        """Account a spill-mode task's streamed bytes."""
-        self._collector.memory.add("task_spill_bytes", event.nbytes)
-
-    def on_rdd_demoted(self, event: RDDDemoted) -> None:
-        """Record the demotion in the human-readable event log."""
-        self._collector.memory.record_demotion(
-            f"oom: rdd {event.rdd_id} ({event.rdd_name}) "
-            f"{event.from_level.value} -> {event.to_level.value}")
-
-
-class HadoopAccountingListener(EngineListener):
-    """Hadoop-mode accounting: MapReduce materializes every job boundary
-    through HDFS, so each shuffle round is a separate job and each map
-    output is written to and read back from HDFS."""
-
-    def __init__(self, collector: "MetricsCollector"):
-        self._collector = collector
-
-    def on_job_shuffle_rounds(self, event: JobShuffleRounds) -> None:
-        """One MapReduce job per shuffle round."""
-        self._collector.hadoop.jobs_launched += event.rounds
-
-    def on_stage_completed(self, event: StageCompleted) -> None:
-        """Charge map-stage output as an HDFS write + read-back."""
-        if not event.metrics.is_shuffle_map:
-            return
-        hadoop = self._collector.hadoop
-        write = event.metrics.shuffle_write
-        hadoop.hdfs_bytes_written += write.bytes_written
-        hadoop.hdfs_bytes_read += write.bytes_written
-        hadoop.hdfs_records_written += write.records_written
-
-
-@dataclass
-class StageSpan:
-    """One stage execution on the timeline."""
-
-    stage_id: int
-    name: str
-    phase: str
-    num_tasks: int
-    duration_s: float
-    shuffle_read_bytes: int
-    shuffle_write_bytes: int
-    recomputation: bool
-
-
-class TimelineListener(EngineListener):
-    """Keeps an ordered record of stage executions — the live feed the
-    cost model (and debugging) reads instead of poking scheduler
-    internals."""
-
-    def __init__(self) -> None:
-        self.spans: list[StageSpan] = []
-        self.task_spill_bytes = 0
-
-    def on_stage_completed(self, event: StageCompleted) -> None:
-        """Append a :class:`StageSpan` for the finished stage."""
-        m = event.metrics
-        self.spans.append(StageSpan(
-            stage_id=m.stage_id, name=m.name, phase=m.phase,
-            num_tasks=m.num_tasks, duration_s=m.duration_s,
-            shuffle_read_bytes=m.shuffle_read.total_bytes,
-            shuffle_write_bytes=m.shuffle_write.bytes_written,
-            recomputation=event.recomputation))
-
-    def on_task_spill(self, event: TaskSpill) -> None:
-        """Accumulate spill-mode bytes streamed through disk."""
-        self.task_spill_bytes += event.nbytes
-
-    def clear(self) -> None:
-        """Forget all recorded spans (e.g. between benchmark phases)."""
-        self.spans.clear()
-        self.task_spill_bytes = 0

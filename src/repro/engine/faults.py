@@ -25,7 +25,7 @@ engine hook points:
   block to inject transient fetch failures.
 
 The injector is an :class:`~repro.engine.events.EngineListener`: the
-context subscribes it (last, after the accounting listeners) and the
+context subscribes it (last, after the metrics collector) and the
 schedulers reach it by posting ``StageSubmitted`` / ``TaskStart``
 events, never by calling it directly.  Raising from an event handler
 fails the task attempt being started — the bus propagates listener
@@ -252,8 +252,8 @@ MAX_INJECTED_FAILURES_PER_TASK = 1
 class FaultInjector(EngineListener):
     """Executes a :class:`FaultPlan` against one context.
 
-    Subscribed to the engine event bus (last, so that accounting
-    listeners observe every event even when the injector raises):
+    Subscribed to the engine event bus (last, so that the metrics
+    collector observes every event even when the injector raises):
     ``StageSubmitted`` drives :meth:`on_stage_start` and ``TaskStart``
     drives :meth:`on_task_attempt`.  Drivers still call
     :meth:`on_iteration` directly — iteration boundaries are an

@@ -22,7 +22,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from . import linthooks
+from . import events, linthooks
+from .speculation import SPECULATIVE_ATTEMPT_OFFSET
 
 
 @dataclass
@@ -180,17 +181,33 @@ class FaultMetrics:
                     or self.nodes_killed)
 
 
+class _LockedCounters:
+    """Base of the counter records that backend worker threads feed
+    concurrently: plain ``+=`` on a shared field is a lost-update race
+    under the thread backend, so writers go through the lock-protected
+    :meth:`add`; bare reads of a single counter are safe (atomic
+    attribute loads).  The lock is named after the class
+    (``"MemoryMetrics"``, ...)."""
+
+    def __post_init__(self) -> None:
+        # not a dataclass field: excluded from __eq__/__repr__/asdict
+        self._lock = linthooks.make_lock(type(self).__name__)
+
+    def add(self, counter: str, amount: float = 1) -> None:
+        """Atomically add ``amount`` to the named counter field."""
+        with self._lock:
+            linthooks.access(self, counter, write=True)
+            setattr(self, counter, getattr(self, counter) + amount)
+
+
 @dataclass
-class MemoryMetrics:
+class MemoryMetrics(_LockedCounters):
     """Accounting for the unified memory manager: pool peaks, spills,
     storage-level demotions and OOM kills.
 
-    Update paths are lock-protected: counters are fed concurrently by
-    backend worker threads (through the memory pools, the cache manager
-    and the event-bus listeners), and plain ``+=`` on a shared field is
-    a lost-update race under the thread backend.  Writers go through
-    :meth:`add` / :meth:`update_peak` / :meth:`record_demotion`; bare
-    reads of a single counter are safe (atomic attribute loads).
+    Fed concurrently by the memory pools, the cache manager and the
+    collector's event handlers; writers go through :meth:`add` /
+    :meth:`update_peak` / :meth:`record_demotion`.
     """
 
     #: high-water mark of the execution pool (shuffle combine buffers)
@@ -217,16 +234,6 @@ class MemoryMetrics:
     #: single cache entries larger than the whole storage budget that
     #: stayed resident (memory-only levels cannot spill them)
     oversized_entries: int = 0
-
-    def __post_init__(self) -> None:
-        # not a dataclass field: excluded from __eq__/__repr__
-        self._lock = linthooks.make_lock("MemoryMetrics")
-
-    def add(self, counter: str, amount: int = 1) -> None:
-        """Atomically add ``amount`` to the named counter field."""
-        with self._lock:
-            linthooks.access(self, counter, write=True)
-            setattr(self, counter, getattr(self, counter) + amount)
 
     def update_peak(self, counter: str, value: int) -> None:
         """Atomically raise the named high-water mark to ``value``."""
@@ -259,15 +266,12 @@ class MemoryMetrics:
 
 
 @dataclass
-class StragglerMetrics:
+class StragglerMetrics(_LockedCounters):
     """Accounting for the straggler-resilience layer: injected slowness,
     deadline expiries, speculative attempts and node quarantine.
 
-    Like :class:`MemoryMetrics`, counters are fed concurrently by
-    backend worker threads (through the fault injector's delay draws,
-    the task scheduler's retry loop and the event-bus straggler
-    listener), so all writes go through the lock-protected :meth:`add`;
-    bare single-counter reads are safe atomic attribute loads.
+    Fed concurrently by the fault injector's delay draws and the
+    collector's event handlers, through :meth:`add`.
     """
 
     #: task attempts that overran a hard deadline (TaskTimedOutError)
@@ -296,16 +300,6 @@ class StragglerMetrics:
     #: quarantined nodes readmitted on probation after expiry
     nodes_readmitted: int = 0
 
-    def __post_init__(self) -> None:
-        # not a dataclass field: excluded from __eq__/__repr__
-        self._lock = linthooks.make_lock("StragglerMetrics")
-
-    def add(self, counter: str, amount: float = 1) -> None:
-        """Atomically add ``amount`` to the named counter field."""
-        with self._lock:
-            linthooks.access(self, counter, write=True)
-            setattr(self, counter, getattr(self, counter) + amount)
-
     @property
     def any_activity(self) -> bool:
         """Whether anything straggler-related happened this run."""
@@ -316,14 +310,13 @@ class StragglerMetrics:
 
 
 @dataclass
-class IntegrityMetrics:
+class IntegrityMetrics(_LockedCounters):
     """Accounting for the data-integrity layer: checksum verifications,
     detected corruption and the recoveries that healed it.
 
     Fed concurrently by backend worker threads (the
     :class:`~repro.engine.integrity.IntegrityManager` verifies blobs
-    inside tasks), so all writes go through the lock-protected
-    :meth:`add`; bare single-counter reads are safe atomic loads.
+    inside tasks), through :meth:`add`.
     """
 
     #: checksum verifications that passed (blob matched its CRC)
@@ -352,16 +345,6 @@ class IntegrityMetrics:
     #: raising NumericalIntegrityError
     nan_guards_tripped: int = 0
 
-    def __post_init__(self) -> None:
-        # not a dataclass field: excluded from __eq__/__repr__
-        self._lock = linthooks.make_lock("IntegrityMetrics")
-
-    def add(self, counter: str, amount: float = 1) -> None:
-        """Atomically add ``amount`` to the named counter field."""
-        with self._lock:
-            linthooks.access(self, counter, write=True)
-            setattr(self, counter, getattr(self, counter) + amount)
-
     @property
     def any_activity(self) -> bool:
         """Whether the integrity layer verified or detected anything."""
@@ -372,15 +355,26 @@ class IntegrityMetrics:
                     or self.nan_guards_tripped)
 
 
-class MetricsCollector:
+class MetricsCollector(events.EngineListener):
     """Accumulates job/stage metrics for one :class:`~repro.engine.Context`.
+
+    The collector is the event bus's accounting subscriber: its
+    ``on_*`` handlers turn scheduler events into the job records and the
+    fault, straggler, memory, integrity and (with ``hadoop_mode``) HDFS
+    counters.  The data plane — memory pools, the cache, the integrity
+    manager, the fault injector's draws — writes its own counters
+    directly, since it must not post from under its locks.
 
     The collector is append-only; analysis code slices it by phase label
     (:mod:`repro.analysis.communication`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, hadoop_mode: bool = False) -> None:
+        #: charge every map output as an HDFS write + read-back and
+        #: every shuffle round as a MapReduce job (BIGtensor baseline)
+        self.hadoop_mode = hadoop_mode
         self.jobs: list[JobMetrics] = []
+        self._open_jobs: dict[int, JobMetrics] = {}
         self.hadoop = HadoopMetrics()
         self.faults = FaultMetrics()
         self.memory = MemoryMetrics()
@@ -466,14 +460,123 @@ class MetricsCollector:
                    if label.startswith(prefix))
 
     # ------------------------------------------------------------------
-    # recording (called by the scheduler)
+    # recording (event-bus handlers)
     # ------------------------------------------------------------------
-    def start_job(self, job_id: int, description: str) -> JobMetrics:
+    def on_job_start(self, event: events.JobStart) -> None:
         """Open a job record attributed to the current phase."""
-        job = JobMetrics(job_id=job_id, phase=self.current_phase,
-                         description=description)
+        job = JobMetrics(job_id=event.job_id, phase=self.current_phase,
+                         description=event.description)
         self.jobs.append(job)
-        return job
+        self._open_jobs[event.job_id] = job
+
+    def on_job_shuffle_rounds(self, event: events.JobShuffleRounds) -> None:
+        """Record the job's paper-style shuffle-round count; in Hadoop
+        mode each round is one MapReduce job."""
+        job = self._open_jobs.get(event.job_id)
+        if job is not None:
+            job.shuffle_rounds = event.rounds
+        if self.hadoop_mode:
+            self.hadoop.jobs_launched += event.rounds
+
+    def on_job_end(self, event: events.JobEnd) -> None:
+        """Close the job's record."""
+        self._open_jobs.pop(event.job_id, None)
+
+    def on_stage_completed(self, event: events.StageCompleted) -> None:
+        """Append the stage to its job's record, charge a recovery
+        re-execution's shuffle records as recomputed and, in Hadoop
+        mode, a map stage's output as an HDFS write + read-back."""
+        m = event.metrics
+        job = self._open_jobs.get(event.job_id)
+        if job is not None:
+            job.stages.append(m)
+        if event.recomputation:
+            self.faults.records_recomputed += m.shuffle_write.records_written
+        if self.hadoop_mode and m.is_shuffle_map:
+            self.hadoop.hdfs_bytes_written += m.shuffle_write.bytes_written
+            self.hadoop.hdfs_bytes_read += m.shuffle_write.bytes_written
+            self.hadoop.hdfs_records_written += \
+                m.shuffle_write.records_written
+
+    def on_task_end(self, event: events.TaskEnd) -> None:
+        """Recognize a committed backup attempt as a speculative win."""
+        if event.attempt >= SPECULATIVE_ATTEMPT_OFFSET:
+            self.stragglers.add("speculative_wins", 1)
+
+    def _backoff(self, backoff_s: float) -> None:
+        if backoff_s > 0:
+            self.stragglers.add("backoff_sleeps", 1)
+            self.stragglers.add("backoff_total_s", backoff_s)
+
+    def on_task_failure(self, event: events.TaskFailure) -> None:
+        """Count the failure against the task and its node, and the
+        retry's backoff sleep."""
+        f = self.faults
+        f.task_failures += 1
+        f.record_node_failure(event.node)
+        if event.will_retry:
+            f.tasks_retried += 1
+        self._backoff(event.backoff_s)
+
+    def on_task_timed_out(self, event: events.TaskTimedOut) -> None:
+        """Count a hard-deadline expiry, its wasted attempt time and
+        the retry's backoff sleep."""
+        self.stragglers.add("tasks_timed_out", 1)
+        self.stragglers.add("wasted_attempt_s", event.elapsed_s)
+        self._backoff(event.backoff_s)
+
+    def on_task_speculated(self, event: events.TaskSpeculated) -> None:
+        """Count a backup-attempt launch."""
+        self.stragglers.add("tasks_speculated", 1)
+
+    def on_task_attempt_cancelled(
+            self, event: events.TaskAttemptCancelled) -> None:
+        """Count one attempt abandoned at its speculative deadline."""
+        self.stragglers.add("attempts_cancelled", 1)
+        self.stragglers.add("wasted_attempt_s", event.elapsed_s)
+
+    def on_node_quarantined(self, event: events.NodeQuarantined) -> None:
+        """Count a node entering quarantine."""
+        self.stragglers.add("nodes_quarantined", 1)
+
+    def on_node_readmitted(self, event: events.NodeReadmitted) -> None:
+        """Count a probational readmission."""
+        self.stragglers.add("nodes_readmitted", 1)
+
+    def on_fetch_failed(self, event: events.FetchFailed) -> None:
+        """Count a reduce-side fetch failure."""
+        self.faults.fetch_failures += 1
+
+    def on_stages_resubmitted(
+            self, event: events.StagesResubmitted) -> None:
+        """Count lineage-recovery stage resubmissions."""
+        self.faults.stages_resubmitted += event.count
+
+    def on_block_corrupted(self, event: events.BlockCorrupted) -> None:
+        """Count one corruption healed by lineage recomputation (the
+        integrity manager counts the detection itself)."""
+        self.integrity.add("recompute_recoveries")
+
+    def on_node_lost(self, event: events.NodeLost) -> None:
+        """Account a node death and the data it took down."""
+        f = self.faults
+        f.nodes_killed += 1
+        f.map_outputs_lost += event.map_outputs_lost
+        f.cached_partitions_lost += event.cached_partitions_lost
+
+    def on_oom_kill(self, event: events.OOMKill) -> None:
+        """Count an injected-budget OOM kill."""
+        self.memory.add("oom_kills", 1)
+
+    def on_task_spill(self, event: events.TaskSpill) -> None:
+        """Account a spill-mode task's streamed bytes."""
+        self.memory.add("task_spill_bytes", event.nbytes)
+
+    def on_rdd_demoted(self, event: events.RDDDemoted) -> None:
+        """Record the demotion in the human-readable event log."""
+        self.memory.record_demotion(
+            f"oom: rdd {event.rdd_id} ({event.rdd_name}) "
+            f"{event.from_level.value} -> {event.to_level.value}")
 
     # ------------------------------------------------------------------
     # aggregation helpers
@@ -574,7 +677,7 @@ class MetricsCollector:
                 f"({self.kernel_batch_records:,} records)")
         if self.sampler_partitions:
             lines.append(
-                f"sampled MTTKRP      : {self.sampler_draws:,} draws "
+                f"sampler (lev)       : {self.sampler_draws:,} draws "
                 f"over {self.sampler_partitions:,} partitions "
                 f"({self.sampler_input_records:,} input nonzeros)")
         if self.faults.any_activity:
@@ -608,33 +711,11 @@ class MetricsCollector:
                 f"{i.recompute_recoveries} recompute recoveries, "
                 f"{i.checkpoint_shards_verified} ckpt shards verified, "
                 f"{i.checkpoint_fallbacks} ckpt fallbacks "
-                f"({i.torn_writes_detected} torn)")
+                f"({i.torn_writes_detected} torn), "
+                f"{i.nan_guards_tripped} NaN guards")
         by_phase = self.shuffle_read_by_phase()
         if len(by_phase) > 1:
             lines.append("per phase (remote B):")
             for phase, m in by_phase.items():
                 lines.append(f"  {phase:12s} {m.remote_bytes:,}")
         return "\n".join(lines)
-
-    def reset(self) -> None:
-        """Drop all recorded metrics (phase stack is preserved)."""
-        self.jobs.clear()
-        self.hadoop = HadoopMetrics()
-        self.faults = FaultMetrics()
-        self.memory = MemoryMetrics()
-        self.stragglers = StragglerMetrics()
-        self.integrity = IntegrityMetrics()
-        self.cache_deserialized_bytes = 0
-        self.cache_stored_bytes.clear()
-        self.cache_bytes_written.clear()
-        self.cache_disk_read_bytes = 0
-        self.broadcast_bytes = 0
-        self.broadcast_count = 0
-        self.checkpoint_bytes_written = 0
-        self.checkpoint_records_written = 0
-        self.kernel_batches = 0
-        self.kernel_batch_records = 0
-        self.sampler_partitions = 0
-        self.sampler_draws = 0
-        self.sampler_input_records = 0
-        self.phase_seconds.clear()

@@ -10,12 +10,21 @@ job emits the expected event sequence.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.engine import Context, EngineListener, FaultPlan
-from repro.engine.events import (EngineEventBus, JobEnd, JobStart,
-                                 NodeLost, StageCompleted, StageSubmitted,
-                                 TaskEnd, TaskStart)
+from repro.engine import (Context, EngineListener, FaultPlan, StageMetrics,
+                          ShuffleWriteMetrics, StorageLevel)
+from repro.engine.events import (BlockCorrupted, EngineEventBus,
+                                 FetchFailed, JobEnd, JobShuffleRounds,
+                                 JobStart, NodeLost, NodeQuarantined,
+                                 NodeReadmitted, OOMKill, RDDDemoted,
+                                 StageCompleted, StagesResubmitted,
+                                 StageSubmitted, TaskAttemptCancelled,
+                                 TaskEnd, TaskFailure, TaskSpeculated,
+                                 TaskSpill, TaskStart, TaskTimedOut)
+from repro.engine.speculation import SPECULATIVE_ATTEMPT_OFFSET
 
 
 class Recorder(EngineListener):
@@ -173,3 +182,109 @@ class TestSchedulerIntegration:
         assert ctx.metrics.faults.nodes_killed == 1
         assert lost[0].map_outputs_lost \
             == ctx.metrics.faults.map_outputs_lost
+
+
+@pytest.mark.parametrize("mode", ["spark", "hadoop"])
+def test_collector_and_injector_are_the_only_subscribers(mode):
+    with Context(num_nodes=2, execution_mode=mode) as ctx:
+        assert ctx.event_bus._listeners == [ctx.metrics, ctx.faults]
+
+
+def _counters(metrics) -> dict:
+    """Every event-fed counter of ``metrics``, flattened by name."""
+    flat = {"total_shuffle_rounds": metrics.total_shuffle_rounds()}
+    for group in ("faults", "memory", "stragglers", "integrity", "hadoop"):
+        for name, value in dataclasses.asdict(
+                getattr(metrics, group)).items():
+            flat[f"{group}.{name}"] = value
+    return flat
+
+
+_RECOVERED_MAP_STAGE = StageMetrics(
+    stage_id=4, job_id=0, phase="Other", is_shuffle_map=True,
+    shuffle_write=ShuffleWriteMetrics(bytes_written=120,
+                                      records_written=7))
+
+#: (events posted in order, counters they move on every context,
+#:  counters they move only in hadoop mode)
+ACCOUNTING = [
+    pytest.param(
+        [TaskFailure(0, 0, 0, 2, RuntimeError("x"), will_retry=True,
+                     backoff_s=0.5)],
+        {"faults.task_failures": 1, "faults.tasks_retried": 1,
+         "faults.failures_per_node": {2: 1},
+         "stragglers.backoff_sleeps": 1,
+         "stragglers.backoff_total_s": 0.5}, {}, id="TaskFailure"),
+    pytest.param(
+        [TaskTimedOut(0, 0, 0, 1, elapsed_s=2.0, deadline_s=1.0,
+                      will_retry=True, backoff_s=0.25)],
+        {"stragglers.tasks_timed_out": 1,
+         "stragglers.wasted_attempt_s": 2.0,
+         "stragglers.backoff_sleeps": 1,
+         "stragglers.backoff_total_s": 0.25}, {}, id="TaskTimedOut"),
+    pytest.param(
+        [TaskSpeculated(0, 0, 0, 1, backup_node=2, deadline_s=1.0)],
+        {"stragglers.tasks_speculated": 1}, {}, id="TaskSpeculated"),
+    pytest.param(
+        [TaskAttemptCancelled(0, 0, 0, 1, elapsed_s=1.5)],
+        {"stragglers.attempts_cancelled": 1,
+         "stragglers.wasted_attempt_s": 1.5}, {},
+        id="TaskAttemptCancelled"),
+    pytest.param(
+        [TaskEnd(0, 0, SPECULATIVE_ATTEMPT_OFFSET, 2, records=5)],
+        {"stragglers.speculative_wins": 1}, {}, id="TaskEnd-speculative"),
+    pytest.param(
+        [NodeQuarantined(1, score=3.0, until_s=10.0), NodeReadmitted(1)],
+        {"stragglers.nodes_quarantined": 1,
+         "stragglers.nodes_readmitted": 1}, {},
+        id="NodeQuarantined-NodeReadmitted"),
+    pytest.param(
+        [FetchFailed(0, 0, 0)], {"faults.fetch_failures": 1}, {},
+        id="FetchFailed"),
+    pytest.param(
+        [StagesResubmitted(0, 3)], {"faults.stages_resubmitted": 3}, {},
+        id="StagesResubmitted"),
+    pytest.param(
+        [StageCompleted(0, _RECOVERED_MAP_STAGE, recomputation=True)],
+        {"faults.records_recomputed": 7},
+        {"hadoop.hdfs_bytes_written": 120, "hadoop.hdfs_bytes_read": 120,
+         "hadoop.hdfs_records_written": 7}, id="StageCompleted-recomputed"),
+    pytest.param(
+        [NodeLost(1, map_outputs_lost=4, cached_partitions_lost=2)],
+        {"faults.nodes_killed": 1, "faults.map_outputs_lost": 4,
+         "faults.cached_partitions_lost": 2}, {}, id="NodeLost"),
+    pytest.param(
+        [BlockCorrupted(0, 0, 0, node=1)],
+        {"integrity.recompute_recoveries": 1}, {}, id="BlockCorrupted"),
+    pytest.param(
+        [OOMKill(0, 0, 1, requested_bytes=10, budget_bytes=5)],
+        {"memory.oom_kills": 1}, {}, id="OOMKill"),
+    pytest.param(
+        [TaskSpill(0, 0, nbytes=64)], {"memory.task_spill_bytes": 64}, {},
+        id="TaskSpill"),
+    pytest.param(
+        [RDDDemoted(3, "factor", StorageLevel.MEMORY_RAW,
+                    StorageLevel.MEMORY_SER)],
+        {"memory.demotions": 1, "memory.demotion_events":
+         ["oom: rdd 3 (factor) memory_raw -> memory_ser"]}, {},
+        id="RDDDemoted"),
+    pytest.param(
+        [JobStart(0, "job"), JobShuffleRounds(0, rounds=2)],
+        {"total_shuffle_rounds": 2}, {"hadoop.jobs_launched": 2},
+        id="JobShuffleRounds"),
+]
+
+
+@pytest.mark.parametrize("mode", ["spark", "hadoop"])
+@pytest.mark.parametrize("posted, fed, hadoop_only", ACCOUNTING)
+def test_event_feeds_its_counters(mode, posted, fed, hadoop_only):
+    """Each accounting event, posted to a fresh context's bus, moves
+    exactly the counters it feeds; HDFS charges and MapReduce jobs only
+    in hadoop mode."""
+    with Context(num_nodes=4, execution_mode=mode) as ctx:
+        before = _counters(ctx.metrics)
+        for event in posted:
+            ctx.event_bus.post(event)
+        after = _counters(ctx.metrics)
+    moved = {k: v for k, v in after.items() if v != before[k]}
+    assert moved == {**fed, **(hadoop_only if mode == "hadoop" else {})}

@@ -113,8 +113,6 @@ class TestPhases:
         assert total > 0.0
         assert total == (ctx.metrics.phase_seconds["MTTKRP-1"]
                          + ctx.metrics.phase_seconds["MTTKRP-2"])
-        ctx.metrics.reset()
-        assert ctx.metrics.phase_seconds == {}
 
 
 class TestStageMetrics:
@@ -152,10 +150,3 @@ class TestStageMetrics:
         a.merge(ShuffleWriteMetrics(bytes_written=5, records_written=1))
         assert a.bytes_written == 15
         assert a.records_written == 3
-
-    def test_reset_clears_everything(self, ctx):
-        ctx.parallelize([(1, 1)]).reduce_by_key(lambda a, b: a + b).collect()
-        ctx.metrics.reset()
-        assert not ctx.metrics.jobs
-        assert ctx.metrics.total_shuffle_rounds() == 0
-        assert ctx.metrics.hadoop.jobs_launched == 0

@@ -162,12 +162,6 @@ class TestContextLifecycle:
         with pytest.raises(ValueError, match="disagrees"):
             ctx.parallelize([(1, 1)], 4, HashPartitioner(2))
 
-    def test_reset_metrics(self, ctx):
-        ctx.parallelize([1, 2]).count()
-        assert ctx.metrics.jobs
-        ctx.metrics.reset()
-        assert not ctx.metrics.jobs
-
     def test_checkpoint_truncates_lineage(self, ctx):
         rdd = ctx.parallelize([(i % 3, 1) for i in range(30)], 4)\
             .reduce_by_key(lambda a, b: a + b, 4)
