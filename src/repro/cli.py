@@ -216,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="dataflow lint: closure, leak, and race checks")
     lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files or directories to scan statically")
+                      help="files or directories to scan statically "
+                           "(closure + determinism rules)")
     lint.add_argument("--run", metavar="PROG",
                       help="execute PROG under the dynamic lint "
                            "session (closure + lifecycle hooks)")
@@ -230,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="with --run: audit every job's plan graph "
                            "before it executes (schema mismatches, "
                            "block churn, uncached reuse, redundant "
-                           "shuffles); PATHs also get the "
-                           "determinism scan")
+                           "shuffles); PROG's source also gets the "
+                           "determinism rules")
     lint.add_argument("--strict", action="store_true",
                       help="exit non-zero on warnings too")
     lint.add_argument("--json", action="store_true", dest="as_json",
@@ -398,8 +399,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import (LintReport, LintSession, run_program,
-                       scan_determinism_paths, scan_paths)
+    from .lint import LintReport, LintSession, run_program, scan_paths
     report = LintReport()
     if not args.paths and not args.run:
         print("repro lint: nothing to do (give PATHs to scan and/or "
@@ -407,13 +407,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     if args.paths:
         scan_paths(args.paths, report)
-        if args.plan:
-            scan_determinism_paths(args.paths, report)
     if args.run:
         if args.plan:
-            # the executed program's own source gets the
-            # determinism scan too
-            scan_determinism_paths([args.run], report)
+            # the executed program's closures are analysed at runtime;
+            # its source gets the determinism rules only
+            scan_paths([args.run], report, closure_checks=False)
         session = LintSession(lockset=args.racecheck, plan=args.plan)
         with session:
             run_program(args.run, list(args.args), session=session)

@@ -20,7 +20,7 @@ from .backends import (ExecutorBackend, ProcessPoolBackend, SerialBackend,
 from .blocks import ColumnarBlock, KeyedRowBlock
 from .broadcast import Broadcast
 from .clock import Clock, MonotonicClock, VirtualClock, create_clock
-from .cluster import Cluster, Node, NodeHealthTracker
+from .cluster import Cluster, NodeHealthTracker
 from .conf import EngineConf
 from .context import Context
 from .costmodel import COMET, CostModel, HardwareProfile, RunStats, TimeBreakdown
@@ -95,7 +95,6 @@ __all__ = [
     "MemoryMetrics",
     "MetricsCollector",
     "MonotonicClock",
-    "Node",
     "NodeHealthTracker",
     "OutOfMemoryError",
     "SpillableAppendOnlyMap",

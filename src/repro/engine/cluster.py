@@ -31,19 +31,6 @@ from . import linthooks
 from .errors import EngineError
 
 
-@dataclass(frozen=True)
-class Node:
-    """One worker node of the simulated cluster."""
-
-    node_id: int
-    cores: int = 24          # Comet: Intel Xeon E5-2680v3, 24 cores
-    memory_gb: float = 128.0  # Comet: 128 GB RAM
-
-    @property
-    def name(self) -> str:
-        return f"node-{self.node_id}"
-
-
 @dataclass
 class Cluster:
     """A set of worker nodes with deterministic partition placement.
@@ -52,18 +39,9 @@ class Cluster:
     ----------
     num_nodes:
         Number of worker nodes (the paper sweeps 4, 8, 16, 32).
-    cores_per_node:
-        Cores per node; used by the cost model to bound per-node task
-        parallelism.
-    memory_gb_per_node:
-        Per-node memory budget; the cache manager can enforce it for
-        eviction experiments.
     """
 
     num_nodes: int = 4
-    cores_per_node: int = 24
-    memory_gb_per_node: float = 128.0
-    nodes: list[Node] = field(init=False)
     #: nodes lost to simulated failure (their data is gone)
     dead_nodes: set[int] = field(init=False, default_factory=set)
     #: nodes temporarily quarantined by the node health tracker,
@@ -75,13 +53,6 @@ class Cluster:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        if self.cores_per_node < 1:
-            raise ValueError(
-                f"cores_per_node must be >= 1, got {self.cores_per_node}")
-        self.nodes = [
-            Node(i, self.cores_per_node, self.memory_gb_per_node)
-            for i in range(self.num_nodes)
-        ]
         # liveness/placement are read on every task and mutated by
         # kills/quarantines from any backend worker; reentrant because
         # the mutators consult available_nodes
@@ -107,8 +78,8 @@ class Cluster:
     def available_nodes(self) -> list[int]:
         """Sorted ids of nodes that may receive tasks."""
         with self._lock:
-            return [n.node_id for n in self.nodes
-                    if self.is_available(n.node_id)]
+            return [n for n in range(self.num_nodes)
+                    if self.is_available(n)]
 
     def kill_node(self, node_id: int) -> None:
         """Mark a node dead.  The caller (``Context.kill_node``) is
@@ -191,16 +162,6 @@ class Cluster:
             if not available:
                 raise EngineError("no available nodes left in the cluster")
             return available[partition % len(available)]
-
-    @property
-    def total_cores(self) -> int:
-        return self.num_nodes * self.cores_per_node
-
-    def default_parallelism(self) -> int:
-        """Default number of partitions for new RDDs: 2 tasks per core (a
-        common Spark rule of thumb), capped at 128 partitions so tiny
-        test clusters stay cheap."""
-        return min(2 * self.total_cores, 128)
 
 
 class NodeHealthTracker:

@@ -47,8 +47,8 @@ class Context:
 
     Parameters
     ----------
-    num_nodes, cores_per_node:
-        Cluster topology (the paper sweeps 4-32 nodes of 24 cores).
+    num_nodes:
+        Cluster size (the paper sweeps 4-32 nodes).
     default_parallelism:
         Partition count for new RDDs; defaults to 8 partitions per node,
         a practical rule of thumb that keeps partition skew low while
@@ -62,7 +62,7 @@ class Context:
         ``ctx.conf`` is the frozen, fully concrete result.
     """
 
-    def __init__(self, num_nodes: int = 4, cores_per_node: int = 24,
+    def __init__(self, num_nodes: int = 4,
                  default_parallelism: int | None = None,
                  execution_mode: str = "spark",
                  conf: EngineConf | None = None,
@@ -72,8 +72,7 @@ class Context:
             raise ValueError(
                 f"execution_mode must be 'spark' or 'hadoop', "
                 f"got {execution_mode!r}")
-        self.cluster = cluster or Cluster(num_nodes=num_nodes,
-                                          cores_per_node=cores_per_node)
+        self.cluster = cluster or Cluster(num_nodes=num_nodes)
         self.conf = resolve(conf)
         #: engine time source (monotonic or virtual) every time-domain
         #: feature — injected delays, deadlines, backoff, quarantine —

@@ -74,7 +74,6 @@ class StageMetrics:
     is_shuffle_map: bool
     name: str = ""
     num_tasks: int = 0
-    input_records: int = 0
     output_records: int = 0
     shuffle_read: ShuffleReadMetrics = field(default_factory=ShuffleReadMetrics)
     shuffle_write: ShuffleWriteMetrics = field(default_factory=ShuffleWriteMetrics)
@@ -95,7 +94,6 @@ class StageMetrics:
         record.  Every counter is additive, so merging per-attempt
         scratches in any completion order yields the same totals as the
         old scheme where tasks mutated the shared object directly."""
-        self.input_records += other.input_records
         self.output_records += other.output_records
         self.shuffle_read.merge(other.shuffle_read)
         self.shuffle_write.merge(other.shuffle_write)

@@ -15,10 +15,12 @@ Passes behind one report model:
   job's lineage as a typed plan graph (schemas, partitioners, storage
   levels) and flags schema mismatches, block churn, uncached reuse and
   redundant shuffles before any task runs.
-- :mod:`~repro.lint.static` — file-level scan applying the closure
-  checks to RDD-operation call sites without executing anything.
-- :mod:`~repro.lint.determinism` — file-level reproducibility scan
-  (global/unseeded/unstably-seeded RNGs, unordered set iteration).
+- :mod:`~repro.lint.static` — the one source scan: each file is
+  parsed once; closures passed to RDD operations get the closure
+  checks, the rest of the file the determinism rules.
+- :mod:`~repro.lint.determinism` — the one nondeterminism classifier
+  both scopes ask, and the driver-code rules (global/unseeded/
+  unstably-seeded RNGs, unordered set iteration).
 
 Dynamic passes hang off :mod:`repro.engine.linthooks`;
 :class:`~repro.lint.runner.LintSession` installs them and
@@ -28,7 +30,6 @@ the session.  ``python -m repro lint`` is the CLI front end;
 """
 
 from .closures import LARGE_CAPTURE_BYTES, analyze_callable
-from .determinism import scan_determinism_paths, scan_determinism_source
 from .lifecycle import audit_context
 from .lockorder import LockOrderGraph
 from .lockset import LocksetMonitor
@@ -52,8 +53,6 @@ __all__ = [
     "audit_context",
     "audit_graph",
     "run_program",
-    "scan_determinism_paths",
-    "scan_determinism_source",
     "scan_paths",
     "scan_source",
 ]

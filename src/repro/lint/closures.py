@@ -8,9 +8,10 @@ makes three closure shapes bugs:
 nondeterminism
     A closure calling ``time.time()`` or unseeded ``random``/
     ``np.random`` produces different records on recomputation, silently
-    corrupting lineage recovery and cache/recompute equivalence.  Seeded
-    instance RNGs (``random.Random(seed)``, ``np.random.default_rng(s)``)
-    are fine — the catalog targets *shared or unseeded* entropy sources.
+    corrupting lineage recovery and cache/recompute equivalence.  Every
+    kind :func:`~repro.lint.determinism.classify_call` names is a
+    ``closure-nondeterminism`` finding; seeded instance RNGs
+    (``random.Random(seed)``, ``np.random.default_rng(s)``) are fine.
 engine-handle capture
     Capturing an :class:`~repro.engine.rdd.RDD` or
     :class:`~repro.engine.context.Context` inside a task closure is the
@@ -45,33 +46,13 @@ import textwrap
 
 from typing import Any, Callable
 
+from .determinism import classify_call
 from .model import Finding, LintReport
 
 PASS_NAME = "closures"
 
 #: captured ndarrays at or above this size should be broadcasts
 LARGE_CAPTURE_BYTES = 1 << 20
-
-#: dotted call names that are nondeterministic wherever they appear
-_NONDET_DOTTED = {
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "uuid.uuid1", "uuid.uuid4",
-    "os.urandom",
-    "datetime.now", "datetime.utcnow", "datetime.today",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.date.today",
-    "random.SystemRandom",
-}
-
-#: module-level ``random.*`` functions (shared, unseedable-per-task state)
-_RANDOM_MODULE_FUNCS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "betavariate",
-    "expovariate", "lognormvariate", "triangular", "vonmisesvariate",
-    "paretovariate", "weibullvariate", "getrandbits", "randbytes",
-    "seed",
-}
 
 #: ``x.<method>(...)`` calls that mutate ``x`` in place.  ``add`` is
 #: deliberately absent: ``Accumulator.add`` is the supported way to
@@ -82,56 +63,11 @@ _MUTATING_METHODS = {"append", "extend", "update", "setdefault",
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
 
-def _dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _base_name(node: ast.AST) -> str | None:
     """The root Name of an Attribute/Subscript chain, else None."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
     return node.id if isinstance(node, ast.Name) else None
-
-
-def _classify_nondet_call(node: ast.Call) -> str | None:
-    """A message when ``node`` is a nondeterministic call, else None."""
-    dotted = _dotted_name(node.func)
-    if dotted is None:
-        return None
-    has_args = bool(node.args or node.keywords)
-    if dotted in _NONDET_DOTTED:
-        return f"nondeterministic call {dotted}()"
-    head, _, tail = dotted.partition(".")
-    if head == "random" and tail in _RANDOM_MODULE_FUNCS:
-        return (f"{dotted}() uses the shared module-level RNG; "
-                f"use a seeded random.Random(seed) instance")
-    if dotted == "random.Random" and not has_args:
-        return "random.Random() without a seed is nondeterministic"
-    if head in ("np", "numpy") and tail.startswith("random"):
-        sub = dotted.split(".", 2)[-1] if dotted.count(".") >= 2 else ""
-        if sub in ("default_rng", "RandomState", "Generator"):
-            if not has_args:
-                return (f"{dotted}() without a seed is "
-                        f"nondeterministic")
-            return None
-        if tail == "random" and not isinstance(node.func, ast.Name):
-            # bare ``np.random`` attribute used as a call target
-            return (f"{dotted}() uses the legacy global numpy RNG; "
-                    f"use np.random.default_rng(seed)")
-        if tail.startswith("random."):
-            return (f"{dotted}() uses the legacy global numpy RNG; "
-                    f"use np.random.default_rng(seed)")
-    if head == "secrets":
-        return f"{dotted}() draws from the system entropy pool"
-    return None
 
 
 def compute_free_names(node: ast.Lambda | ast.FunctionDef) -> set[str]:
@@ -176,7 +112,8 @@ class ClosureIssueVisitor(ast.NodeVisitor):
     unguarded mutations of captured state.
 
     ``captured_names`` scopes the mutation check (mutating a parameter
-    or local is fine); the nondeterminism check is unconditional.
+    or local is fine); the nondeterminism check is unconditional, and a
+    flagged call's arguments are not classified again.
     ``known_values`` (runtime path only) maps captured names to their
     live objects so the mutation check can skip thread-safe structures
     (anything carrying a ``_lock``) and non-container values.
@@ -194,6 +131,7 @@ class ClosureIssueVisitor(ast.NodeVisitor):
         self.pass_name = pass_name
         self.known_values = known_values
         self._guard_depth = 0
+        self._quiet = 0
 
     # ------------------------------------------------------------------
     def _loc(self, node: ast.AST) -> str:
@@ -225,9 +163,9 @@ class ClosureIssueVisitor(ast.NodeVisitor):
     # ------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         """Flag nondeterministic calls and mutating-method calls."""
-        message = _classify_nondet_call(node)
-        if message is not None:
-            self._add("closure-nondeterminism", "warning", message, node)
+        found = None if self._quiet else classify_call(node)
+        if found is not None:
+            self._add("closure-nondeterminism", "warning", found[1], node)
         if (self._guard_depth == 0
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _MUTATING_METHODS):
@@ -239,7 +177,9 @@ class ClosureIssueVisitor(ast.NodeVisitor):
                     f".{node.func.attr}() without synchronization; "
                     f"racy under the threads backend and double-counted "
                     f"on lineage recomputation", node)
+        self._quiet += found is not None
         self.generic_visit(node)
+        self._quiet -= found is not None
 
     def _check_subscript_store(self, target: ast.AST,
                                node: ast.AST) -> None:

@@ -1,23 +1,24 @@
-"""Static dataflow scan: closure checks without running the program.
+"""The one source scan behind ``repro lint PATH``.
 
 The runtime analyzer sees real function objects; this pass gets the
 same coverage from source alone so CI can lint ``examples/`` and the
-drivers without executing them.  It parses each file, finds call sites
-of RDD operations that take user functions (``rdd.map(f)``,
-``reduce_by_key``...), resolves each function argument — an inline
-lambda, a ``def`` in the same module, or a ``functools.partial`` over
-one — and runs the shared
-:class:`~repro.lint.closures.ClosureIssueVisitor` over its body with
-statically computed free names standing in for ``co_freevars``.
+drivers without executing them.  Each file is read and parsed once,
+and gets two scopes:
 
-Two scopes per file:
+- *closure scope*: call sites of RDD operations that take user
+  functions (``rdd.map(f)``, ``reduce_by_key``...) are found, each
+  function argument is resolved — an inline lambda, a ``def`` in the
+  same module, or a ``functools.partial`` over one — and the shared
+  :class:`~repro.lint.closures.ClosureIssueVisitor` runs over its body
+  with statically computed free names standing in for ``co_freevars``
+  (nondeterminism + shared-state mutation).
+- *driver scope*: the rest of the file gets the ``determinism-*``
+  rules of :class:`~repro.lint.determinism.DeterminismVisitor`; entropy
+  such as ``time.perf_counter`` stays silent there, because drivers
+  time themselves.
 
-- *closure scope*: bodies of functions passed to RDD ops get the full
-  check set (nondeterminism + shared-state mutation).
-- *module scope*: everything else only gets structural checks that are
-  unconditionally wrong (nothing today — kept deliberately empty so
-  driver code that legitimately calls ``time.perf_counter`` for metrics
-  is never flagged).
+Both scopes ask :func:`~repro.lint.determinism.classify_call`, so a
+call is flagged or clean the same way in either, and reported once.
 
 The operation-name catalog is derived from the RDD API; ``self``-style
 receivers are not tracked, so a method named ``map`` on an unrelated
@@ -34,21 +35,25 @@ from pathlib import Path
 from typing import Iterable
 
 from .closures import analyze_function_node, compute_free_names
+from .determinism import DeterminismVisitor, dotted_name
 from .model import Finding, LintReport
 
 PASS_NAME = "static"
 
-#: RDD methods whose positional callable arguments run inside tasks:
-#: method name -> indices of callable-taking positional parameters
-RDD_OP_FUNCTION_ARGS: dict[str, tuple[int, ...]] = {
-    "map": (0,),
-    "map_partitions": (0,),
-    "map_values": (0,),
-    "flat_map_values": (0,),
-    "reduce": (0,),
-    "tree_aggregate": (1, 2),
-    "reduce_by_key": (0,),
-    "combine_by_key": (0, 1, 2),
+#: RDD methods whose callable arguments run inside tasks: method name
+#: -> {positional index: parameter name} of each callable parameter
+RDD_OP_FUNCTION_ARGS: dict[str, dict[int, str]] = {
+    "map": {0: "f"},
+    "map_partitions": {0: "f"},
+    "map_values": {0: "f"},
+    "flat_map_values": {0: "f"},
+    "block_join": {1: "fold"},
+    "reduce": {0: "f"},
+    "tree_aggregate": {1: "seq_op", 2: "comb_op"},
+    "top": {1: "key"},
+    "reduce_by_key": {0: "f"},
+    "combine_by_key": {0: "create_combiner", 1: "merge_value",
+                       2: "merge_combiners", 5: "combine_batch"},
 }
 
 
@@ -69,34 +74,58 @@ def _function_defs(tree: ast.AST) -> dict[str, ast.FunctionDef]:
     enough for resolving ``rdd.map(helper)`` references)."""
     out: dict[str, ast.FunctionDef] = {}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.FunctionDef):
             out[node.name] = node
     return out
 
 
 def _resolve_callable_arg(arg: ast.AST,
                           defs: dict[str, ast.FunctionDef],
-                          lambdas: dict[str, ast.Lambda]) -> ast.AST | None:
+                          lambdas: dict[str, ast.Lambda]
+                          ) -> ast.Lambda | ast.FunctionDef | None:
     """The function node behind one call argument, if recoverable."""
     if isinstance(arg, ast.Lambda):
         return arg
     if isinstance(arg, ast.Name):
         return defs.get(arg.id) or lambdas.get(arg.id)
-    if isinstance(arg, ast.Call):
-        # functools.partial(f, ...) -> analyze f
-        dotted = None
-        if isinstance(arg.func, ast.Name):
-            dotted = arg.func.id
-        elif isinstance(arg.func, ast.Attribute):
-            dotted = arg.func.attr
-        if dotted == "partial" and arg.args:
-            return _resolve_callable_arg(arg.args[0], defs, lambdas)
+    if isinstance(arg, ast.Call) and arg.args \
+            and dotted_name(arg.func) in ("partial", "functools.partial"):
+        return _resolve_callable_arg(arg.args[0], defs, lambdas)
     return None
 
 
+def _rdd_closures(tree: ast.Module
+                  ) -> dict[ast.Lambda | ast.FunctionDef, str]:
+    """Function nodes passed to RDD operations -> operation name."""
+    defs = _function_defs(tree)
+    lambdas = _lambda_assignments(tree)
+    out: dict[ast.Lambda | ast.FunctionDef, str] = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        op = node.func.attr
+        params = RDD_OP_FUNCTION_ARGS.get(op, {})
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        for index, name in params.items():
+            arg = node.args[index] if index < len(node.args) \
+                else keywords.get(name)
+            fn_node = None if arg is None \
+                else _resolve_callable_arg(arg, defs, lambdas)
+            if fn_node is not None:
+                out.setdefault(fn_node, op)
+    return out
+
+
 def scan_source(source: str, path: str = "<string>",
-                report: LintReport | None = None) -> LintReport:
-    """Scan one file's source text."""
+                report: LintReport | None = None, *,
+                closure_checks: bool = True) -> LintReport:
+    """Scan one file's source text: closures passed to RDD operations
+    get the closure checks, the rest of the file the determinism rules.
+
+    ``closure_checks=False`` treats the whole file as driver code, for
+    a program whose closures are analysed at runtime instead.
+    """
     if report is None:
         report = LintReport()
     try:
@@ -107,35 +136,14 @@ def scan_source(source: str, path: str = "<string>",
             message=f"cannot parse: {exc.msg}",
             location=f"{path}:{exc.lineno or 1}", pass_name=PASS_NAME))
         return report
-
-    defs = _function_defs(tree)
-    lambdas = _lambda_assignments(tree)
-    analyzed: set[int] = set()
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if not isinstance(node.func, ast.Attribute):
-            continue
-        op = node.func.attr
-        arg_indices = RDD_OP_FUNCTION_ARGS.get(op)
-        if arg_indices is None:
-            continue
-        for index in arg_indices:
-            if index >= len(node.args):
-                continue
-            fn_node = _resolve_callable_arg(node.args[index], defs,
-                                            lambdas)
-            if fn_node is None or id(fn_node) in analyzed:
-                continue
-            analyzed.add(id(fn_node))
-            # linenos are absolute in a whole-file parse; the visitor
-            # computes line_offset + lineno - 1, so offset 1 is identity
-            analyze_function_node(
-                fn_node, report,
-                captured_names=compute_free_names(fn_node),
-                file=path, line_offset=1,
-                operation=op, pass_name=PASS_NAME)
+    closures = _rdd_closures(tree) if closure_checks else {}
+    for fn_node, op in closures.items():
+        # linenos are absolute in a whole-file parse; the visitor
+        # computes line_offset + lineno - 1, so offset 1 is identity
+        analyze_function_node(
+            fn_node, report, captured_names=compute_free_names(fn_node),
+            file=path, line_offset=1, operation=op, pass_name=PASS_NAME)
+    DeterminismVisitor(path, report, closures).visit(tree)
     return report
 
 
@@ -152,18 +160,21 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
 
 
 def scan_paths(paths: Iterable[str | Path],
-               report: LintReport | None = None) -> LintReport:
-    """Scan every ``.py`` file under ``paths`` (files or directories)."""
+               report: LintReport | None = None, *,
+               closure_checks: bool = True) -> LintReport:
+    """:func:`scan_source` over every ``.py`` file under ``paths``
+    (files or directories)."""
     if report is None:
         report = LintReport()
     for path in iter_python_files(paths):
         try:
             source = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             report.add(Finding(
                 rule="unreadable-file", severity="error",
                 message=f"cannot read: {exc}", location=str(path),
                 pass_name=PASS_NAME))
             continue
-        scan_source(source, str(path), report)
+        scan_source(source, str(path), report,
+                    closure_checks=closure_checks)
     return report

@@ -10,24 +10,6 @@ from repro.engine import Cluster
 
 
 class TestCluster:
-    def test_node_count(self):
-        assert len(Cluster(num_nodes=8).nodes) == 8
-
-    def test_node_ids_sequential(self):
-        c = Cluster(num_nodes=4)
-        assert [n.node_id for n in c.nodes] == [0, 1, 2, 3]
-
-    def test_node_name(self):
-        assert Cluster(num_nodes=2).nodes[1].name == "node-1"
-
-    def test_defaults_match_comet(self):
-        c = Cluster()
-        assert c.cores_per_node == 24
-        assert c.memory_gb_per_node == 128.0
-
-    def test_total_cores(self):
-        assert Cluster(num_nodes=4, cores_per_node=24).total_cores == 96
-
     def test_round_robin_placement(self):
         c = Cluster(num_nodes=4)
         assert [c.node_of_partition(p) for p in range(8)] == \
@@ -36,19 +18,6 @@ class TestCluster:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
             Cluster(num_nodes=0)
-
-    def test_rejects_zero_cores(self):
-        with pytest.raises(ValueError):
-            Cluster(num_nodes=1, cores_per_node=0)
-
-    def test_default_parallelism_positive(self):
-        assert Cluster(num_nodes=2).default_parallelism() > 0
-
-    def test_default_parallelism_two_per_core_capped(self):
-        assert Cluster(num_nodes=2, cores_per_node=4)\
-            .default_parallelism() == 16
-        assert Cluster(num_nodes=32, cores_per_node=24)\
-            .default_parallelism() == 128  # capped
 
     @given(st.integers(min_value=1, max_value=64),
            st.integers(min_value=0, max_value=10**6))

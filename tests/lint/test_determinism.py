@@ -1,14 +1,15 @@
-"""Determinism linter tests: every rule fires on its seeded source
-shape and stays silent on the stable-hash idiom the engine uses."""
+"""Determinism rule tests: every rule fires on its seeded source shape
+in driver code and stays silent on the stable-hash idiom the engine
+uses."""
 
 from __future__ import annotations
 
-from repro.lint import LintReport, scan_determinism_source
+from repro.lint import LintReport, scan_source
 
 
 def scan(source: str) -> list:
     report = LintReport()
-    scan_determinism_source(source, "snippet.py", report)
+    scan_source(source, "snippet.py", report)
     return list(report.sorted_findings())
 
 
@@ -114,11 +115,11 @@ def test_iterating_sorted_set_is_clean():
 
 
 # ----------------------------------------------------------------------
-# determinism-parse-error + severities
+# parse errors + severities
 # ----------------------------------------------------------------------
 def test_syntax_error_is_reported_not_raised():
     findings = scan("def broken(:\n")
-    assert [f.rule for f in findings] == ["determinism-parse-error"]
+    assert [f.rule for f in findings] == ["syntax-error"]
 
 
 def test_all_rules_are_warnings():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 from pathlib import Path
 
+from repro.cli import main
 from repro.engine import RDD
 from repro.lint import scan_paths, scan_source
 from repro.lint.static import RDD_OP_FUNCTION_ARGS
@@ -107,15 +110,54 @@ def test_aggregator_positions_checked():
 
 
 def test_catalog_names_only_rdd_methods():
-    """Every operation the static pass scans is a public ``RDD``
-    method: a stale entry would scan calls no RDD can make."""
-    public = {name for name in dir(RDD) if not name.startswith("_")}
-    assert set(RDD_OP_FUNCTION_ARGS) - public == set()
+    """The table holds exactly the ``Callable``-annotated parameters of
+    ``RDD``'s public methods, by position and name: a stale entry would
+    scan calls no RDD can make, a missing one would skip a closure."""
+    expected = {}
+    for name, method in inspect.getmembers(RDD, inspect.isfunction):
+        params = list(inspect.signature(method).parameters.values())[1:]
+        callables = {i: p.name for i, p in enumerate(params)
+                     if "Callable" in str(p.annotation)}
+        if callables and not name.startswith("_"):
+            expected[name] = callables
+    assert RDD_OP_FUNCTION_ARGS == expected
+
+
+def test_block_join_fold_checked():
+    report = scan_source(
+        "seen = []\n"
+        "def fold(block, rows):\n"
+        "    seen.append(len(block))\n"
+        "    return rows\n"
+        "keyed.block_join(factor, fold, 0)\n",
+        "prog.py")
+    assert rules(report) == {"closure-shared-mutation"}
+
+
+def test_keyword_callable_arguments_checked():
+    report = scan_source(
+        "import random\n"
+        "rdd.top(3, key=lambda r: random.random())\n"
+        "rdd.combine_by_key(f, f, f, combine_batch=lambda rs: {\n"
+        "    random.choice(rs)})\n",
+        "prog.py")
+    assert [f.location for f in report.sorted_findings()] \
+        == ["prog.py:2", "prog.py:4"]
 
 
 def test_syntax_error_reported_not_raised():
     report = scan_source("def broken(:\n", "bad.py")
     assert rules(report) == {"syntax-error"}
+
+
+def test_non_utf8_file_reported_not_raised(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.py"
+    latin1.write_bytes(b"name = '\xe9'\n")
+    [finding] = list(scan_paths([latin1]))
+    assert finding.rule == "unreadable-file"
+    assert finding.location == str(latin1)
+    assert main(["lint", str(latin1)]) == 1
+    assert "unreadable-file" in capsys.readouterr().out
 
 
 def test_scan_paths_directory(tmp_path):
