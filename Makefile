@@ -3,17 +3,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-threads lint loc loc-check bench perfbench perfbench-quick figures examples clean
+.PHONY: install test lint loc loc-check bench perfbench perfbench-quick figures examples clean
 
 install:
 	$(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
-
-# the whole suite again, on the thread-pool executor backend
-test-threads:
-	REPRO_BACKEND=threads REPRO_BACKEND_WORKERS=4 $(PYTHON) -m pytest tests/
 
 # style lint (ruff, skipped with a notice when not installed) plus the
 # project's own dataflow linter over the library, examples and fixtures
@@ -75,7 +71,7 @@ loc:
 # drawing uniformly, block_contribution picks bincount or planes by
 # PLANE_BYTES (vectorized.py +4) and the fold's docstring gives the
 # crossover (segsum.py +2).
-LOC_CEILING = 17015
+LOC_CEILING = 16989
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "src/repro: $$loc lines (ceiling $(LOC_CEILING))"; \
 	test "$$loc" -le $(LOC_CEILING)

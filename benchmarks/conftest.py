@@ -35,7 +35,7 @@ EXPERIMENT_INDEX = {
     "ablation_order": "Ablation — QCOO saving vs order (§5)",
     "ablation_broadcast": "Ablation — factor replication",
     "ablation_combine": "Ablation — map-side combining",
-    "backend_scaling": "Backend scaling — serial vs thread-pool executors",
+    "backend_scaling": "Backend scaling — serial vs process-pool executors",
     "extension_variants": "Extension — all variants, Figure 2(a) panel",
     "extension_weak_scaling": "Extension — weak scaling",
     "extension_rank_sweep": "Extension — rank sensitivity",

@@ -1,23 +1,13 @@
-"""Backend scaling — serial, thread-pool and process-pool executors.
+"""Backend scaling — serial and process-pool executors.
 
 The layered scheduler delegates task execution to a pluggable
 :class:`~repro.engine.ExecutorBackend`.  This bench sweeps the backend
-(serial, thread pool and process pool at 1/2/4/8 workers) over three
-workloads:
-
-* a CP-ALS decomposition on a 1e5-nnz synthetic tensor with the
-  columnar (block) pipeline — the process backend offloads the MTTKRP
-  Hadamard folds to worker processes over shared memory, the regime
-  where it escapes the GIL;
-* the same decomposition on the legacy records pipeline (the record
-  kernel), giving the records-vs-blocks speedup column;
-* a latency-bound stage whose tasks block on a simulated I/O wait —
-  the regime where a *thread* pool pays off regardless of core count.
-  The ``process-N`` rows of this column read about 1.0x: the process
-  backend keeps its threads for stages that wait on a worker process
-  (``RDD.offloads``), and a plain ``map`` that sleeps is not one, so
-  it runs in partition order on the calling thread like ``serial``.
-  Only ``threads-4`` is asserted.
+(serial, and the process pool at 1/2/4/8 workers) over a CP-ALS
+decomposition on a 1e5-nnz synthetic tensor with the columnar (block)
+pipeline — the process backend offloads the MTTKRP Hadamard folds to
+worker processes over shared memory, the regime where it escapes the
+GIL — and runs the same decomposition once on the records pipeline
+(the record kernel), giving the records-vs-blocks speedup column.
 
 Scaling must never cost correctness: every backend/kernel
 configuration has to reproduce the serial factorization bit for bit,
@@ -45,17 +35,10 @@ ITERATIONS = 2
 
 #: (label, backend name, worker count) sweep, serial first as baseline
 SWEEP = (("serial", "serial", None),
-         ("threads-1", "threads", 1),
-         ("threads-2", "threads", 2),
-         ("threads-4", "threads", 4),
-         ("threads-8", "threads", 8),
          ("process-1", "process", 1),
          ("process-2", "process", 2),
          ("process-4", "process", 4),
          ("process-8", "process", 8))
-
-IO_TASKS = 16
-IO_WAIT_S = 0.02
 
 
 def _context(backend: str, workers: int | None,
@@ -97,23 +80,6 @@ def _decompose(backend: str, workers: int | None,
     return seconds, result
 
 
-def _io_stage(backend: str, workers: int | None) -> float:
-    """One timed latency-bound stage: every task blocks on a fake I/O
-    wait, so wall-clock scales with how many tasks overlap (on the
-    thread backend; the process backend runs a stage that offloads
-    nothing inline — see the module docstring)."""
-    def wait(x):
-        time.sleep(IO_WAIT_S)
-        return x
-
-    with _context(backend, workers) as ctx:
-        t0 = time.perf_counter()
-        out = ctx.parallelize(range(IO_TASKS), IO_TASKS).map(wait).collect()
-        seconds = time.perf_counter() - t0
-    assert out == list(range(IO_TASKS))
-    return seconds
-
-
 def _identical(a, b) -> bool:
     return (np.array_equal(a.lambdas, b.lambdas)
             and all(np.array_equal(fa, fb)
@@ -124,49 +90,42 @@ def test_backend_scaling(benchmark):
     def sweep():
         records_s, records_result = _decompose("serial", None,
                                                kernel="record")
-        blocks = {label: (_decompose(name, workers),
-                          _io_stage(name, workers))
+        blocks = {label: _decompose(name, workers)
                   for label, name, workers in SWEEP}
         return records_s, records_result, blocks
 
     records_s, records_result, results = benchmark.pedantic(
         sweep, rounds=1, iterations=1)
 
-    (base_s, base_result), base_io = results["serial"]
+    base_s, base_result = results["serial"]
     rows = []
     for label, _, _ in SWEEP:
-        (als_s, result), io_s = results[label]
+        als_s, result = results[label]
         rows.append([label, f"{als_s:.3f}",
                      f"{records_s / als_s:.2f}x",
                      f"{base_s / als_s:.2f}x",
-                     "yes" if _identical(result, base_result) else "NO",
-                     f"{io_s:.3f}", f"{base_io / io_s:.2f}x"])
+                     "yes" if _identical(result, base_result) else "NO"])
     report("backend_scaling", format_table(
         ["backend", "CP-ALS s", "vs records", "vs serial blocks",
-         "bit-identical", "I/O stage s", "I/O speedup"],
+         "bit-identical"],
         rows,
         title=f"Backend scaling: {NNZ} nnz synthetic {SHAPE}, "
               f"{CONFIG.measure_nodes} nodes, {ITERATIONS} CP-ALS "
               f"iterations (broadcast MTTKRP, columnar blocks; "
               f"'vs records' is the record-kernel pipeline at "
-              f"{records_s:.3f} s); I/O stage = {IO_TASKS} tasks x "
-              f"{IO_WAIT_S * 1e3:.0f} ms wait"))
+              f"{records_s:.3f} s)"))
 
     # the backend/kernel is a pure throughput knob — results never
     # change, down to the bit
     assert _identical(records_result, base_result)
     for label, _, _ in SWEEP:
-        assert _identical(results[label][0][1], base_result), label
-    # sleeping tasks overlap on the pool: 4 workers must show a real
-    # speedup on the latency-bound stage even on a single-core host
-    (_, _), io4 = results["threads-4"]
-    assert io4 < base_io * 0.75
+        assert _identical(results[label][1], base_result), label
     # the blocks pipeline beats the records pipeline outright
     assert base_s < records_s
     # with real cores, 4 worker processes must beat serial by >1.8x on
     # the compute-bound decomposition; single-core hosts can't overlap
     # compute, so the claim is only checkable with >= 4 cpus
     if (os.cpu_count() or 1) >= 4:
-        (p4_s, _), _ = results["process-4"]
+        p4_s, _ = results["process-4"]
         assert base_s / p4_s > 1.8, (
             f"process-4 speedup {base_s / p4_s:.2f}x <= 1.8x")

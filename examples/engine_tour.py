@@ -49,9 +49,9 @@ def main() -> None:
               f"(broadcast payload {weights.size_bytes} B)")
 
         # fault tolerance: a task that dies once is retried invisibly
-        # (the shared flag is lock-guarded: task closures run
-        # concurrently under the threads backend, and `repro lint`
-        # flags unsynchronized writes to captured state)
+        # (the shared flag is lock-guarded: `repro lint` flags
+        # unsynchronized writes to captured state, which lineage
+        # recomputation would double-count)
         state = {"failed": False}
         state_lock = threading.Lock()
 

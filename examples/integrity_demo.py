@@ -13,8 +13,9 @@ Run:  python examples/integrity_demo.py
 This example doubles as the dynamic racecheck target for the integrity
 layer in CI: under ``repro lint --racecheck`` the lockset detector
 watches the new IntegrityManager / IntegrityMetrics / Broadcast
-fetch-cache locks while corruption recovery runs on the thread-pool
-backend.
+fetch-cache locks while corruption recovery runs on the process
+backend, whose orchestration threads run the broadcast strategy's
+MTTKRP map stages.
 """
 
 from __future__ import annotations
@@ -35,20 +36,20 @@ def main() -> None:
     init = random_factors(tensor.shape, 2, 11)
 
     with Context(num_nodes=4, default_parallelism=8) as ctx:
-        clean = CstfCOO(ctx).decompose(
+        clean = CstfCOO(ctx, factor_strategy="broadcast").decompose(
             tensor, 2, max_iterations=3, tol=0.0, initial_factors=init)
     print(f"clean fit        : {clean.final_fit:.6f}")
 
     plan = FaultPlan(seed=0, corrupt_block_prob=0.05, torn_write_prob=0.5)
-    conf = EngineConf(integrity=True, backend="threads",
-                      backend_workers=4)
+    conf = EngineConf(integrity=True, backend="process",
+                      backend_workers=2)
     with tempfile.TemporaryDirectory() as tmp:
         with Context(num_nodes=4, default_parallelism=8,
                      fault_plan=plan, conf=conf) as ctx:
             store = FileCheckpointStore(Path(tmp) / "ckpts",
                                         fault_plan=plan,
                                         metrics=ctx.metrics.integrity)
-            hostile = CstfCOO(ctx).decompose(
+            hostile = CstfCOO(ctx, factor_strategy="broadcast").decompose(
                 tensor, 2, max_iterations=3, tol=0.0,
                 initial_factors=init, checkpoint_every=1,
                 checkpoint_store=store)

@@ -38,7 +38,8 @@ from .analysis.experiments import (NODE_COUNTS, execution_mode,
                                    make_context, make_driver, paper_scale,
                                    per_iteration_stats)
 from .datasets import DATASETS, get_spec, make_dataset
-from .engine import CostModel, EngineConf, StorageLevel
+from .engine import CostModel, EngineConf, EngineError, StorageLevel
+from .engine.conf import check, resolve
 from .tensor import read_tns
 
 ALGORITHMS = ("cstf-coo", "cstf-qcoo", "bigtensor")
@@ -83,29 +84,24 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="per-node unified memory (execution + "
                           "storage); undersizing it forces shuffle "
                           "aggregation to spill")
-    dec.add_argument("--backend",
-                     choices=["serial", "threads", "process"],
-                     default=None,
+    dec.add_argument("--backend", default=None,
                      help="executor backend running stage tasks: "
-                          "'serial' (one after another, the default), "
-                          "'threads' (a thread pool) or 'process' "
-                          "(thread-pool orchestration plus a worker-"
-                          "process pool computing columnar batches over "
-                          "shared memory); all bit-identical.  Defaults "
-                          "to $REPRO_BACKEND, then 'serial'")
+                          "'serial' (one after another, the default) or "
+                          "'process' (orchestration threads plus a "
+                          "worker-process pool computing columnar "
+                          "batches over shared memory); bit-identical.  "
+                          "Defaults to $REPRO_BACKEND, then 'serial'")
     dec.add_argument("--backend-workers", type=int, default=None,
                      metavar="N",
-                     help="worker count for pooled backends (default: "
+                     help="process backend worker count (default: "
                           "$REPRO_BACKEND_WORKERS, then min(8, cpus))")
-    dec.add_argument("--kernel", choices=["record", "vectorized"],
-                     default=None,
+    dec.add_argument("--kernel", default=None,
                      help="partition-level MTTKRP kernel: 'vectorized' "
                           "(ndarray batches, the default) or 'record' "
                           "(per-record closures; bit-identical "
                           "results).  Defaults to $REPRO_KERNEL, then "
                           "'vectorized'")
-    dec.add_argument("--sampler", choices=["exact", "lev"],
-                     default=None,
+    dec.add_argument("--sampler", default=None,
                      help="MTTKRP estimator: 'exact' (every nonzero, "
                           "the default) or 'lev' (CP-ARLS-LEV "
                           "leverage-score sampling — unbiased, "
@@ -125,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(bit-identical either way).  "
                           "Defaults to $REPRO_SPECULATION, then off")
     dec.add_argument("--task-deadline", type=float, default=None,
-                     metavar="SECONDS",
+                     metavar="SECONDS", dest="task_deadline_s",
                      help="hard per-attempt deadline: overrunning "
                           "attempts are abandoned at a cooperative "
                           "checkpoint and retried on another node.  "
@@ -141,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="decayed per-node failure/straggle score at "
                           "which a node is temporarily quarantined "
                           "from placement (default: disabled)")
-    dec.add_argument("--clock", choices=["monotonic", "virtual"],
-                     default=None,
+    dec.add_argument("--clock", default=None,
                      help="engine time source: 'monotonic' (real time, "
                           "the default) or 'virtual' (sleeps advance a "
                           "counter — simulated time).  Defaults to "
@@ -260,7 +255,38 @@ def _cmd_datasets() -> int:
     return 0
 
 
+#: env-backed conf field -> the decompose flag that sets it
+_CONF_FLAGS = {"backend": "--backend", "backend_workers": "--backend-workers",
+               "kernel": "--kernel", "sampler": "--sampler",
+               "sample_count": "--sample-count", "clock": "--clock",
+               "task_deadline_s": "--task-deadline"}
+
+
+def _engine_conf(args: argparse.Namespace) -> EngineConf:
+    """The decompose flags as a resolved conf: each env-backed flag is
+    validated by :func:`~repro.engine.conf.check` under its own name,
+    then the environment fills what the flags leave unset.  Raises
+    :class:`~repro.engine.errors.EngineError` naming the flag or the
+    variable at fault."""
+    conf = EngineConf(cache_capacity_bytes=args.cache_budget,
+                      memory_total_bytes=args.memory_budget,
+                      speculation=args.speculation or None,
+                      quarantine_threshold=args.quarantine_threshold,
+                      integrity=args.integrity or None,
+                      **{field: check(field, getattr(args, field), flag)
+                         for field, flag in _CONF_FLAGS.items()
+                         if getattr(args, field) is not None})
+    if args.retry_backoff is not None:
+        conf = replace(conf, retry_backoff_base_s=args.retry_backoff)
+    return resolve(conf)
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    try:
+        conf = _engine_conf(args)
+    except EngineError as exc:
+        print(f"repro decompose: error: {exc}", file=sys.stderr)
+        return 2
     if args.tns:
         tensor = read_tns(args.tns).deduplicate()
         source = args.tns
@@ -272,20 +298,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     config = MeasurementConfig(
         rank=args.rank, measure_nodes=args.nodes,
         partitions=args.partitions or 4 * args.nodes, seed=args.seed)
-    conf = EngineConf(cache_capacity_bytes=args.cache_budget,
-                      memory_total_bytes=args.memory_budget,
-                      backend=args.backend,
-                      backend_workers=args.backend_workers,
-                      kernel=args.kernel,
-                      sampler=args.sampler,
-                      sample_count=args.sample_count,
-                      speculation=args.speculation or None,
-                      task_deadline_s=args.task_deadline,
-                      quarantine_threshold=args.quarantine_threshold,
-                      clock=args.clock,
-                      integrity=args.integrity or None)
-    if args.retry_backoff is not None:
-        conf = replace(conf, retry_backoff_base_s=args.retry_backoff)
     fault_plan = None
     if args.corrupt_block_prob or args.torn_write_prob:
         from .engine.faults import FaultPlan

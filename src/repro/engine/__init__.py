@@ -16,7 +16,7 @@ Quick example::
 
 from .accumulator import Accumulator
 from .backends import (ExecutorBackend, ProcessPoolBackend, SerialBackend,
-                       ThreadPoolBackend, create_backend)
+                       create_backend)
 from .blocks import ColumnarBlock, KeyedRowBlock
 from .broadcast import Broadcast
 from .clock import Clock, MonotonicClock, VirtualClock, create_clock
@@ -116,7 +116,6 @@ __all__ = [
     "TaskScheduler",
     "TaskSet",
     "TaskTimedOutError",
-    "ThreadPoolBackend",
     "TimeBreakdown",
     "VirtualClock",
     "backoff_delay",

@@ -16,7 +16,7 @@ T = TypeVar("T", int, float)
 class Accumulator(Generic[T]):
     """An additive counter tasks can ``add`` to and the driver reads.
 
-    Updates are lock-protected: tasks on the thread-pool backend add
+    Updates are lock-protected: tasks on the process backend add
     concurrently, and ``+=`` on a shared value is not atomic in Python.
     Addition commutes, so the final value is backend-independent.
     """

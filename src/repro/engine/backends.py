@@ -3,27 +3,17 @@
 The :class:`~repro.engine.taskscheduler.TaskScheduler` builds one thunk
 per partition and hands the list to an :class:`ExecutorBackend`; the
 backend decides *where* and *with what concurrency* they execute.
-Three implementations ship:
+Two implementations ship:
 
 ``SerialBackend``
     Runs thunks in partition order on the calling thread.  This is the
     pre-refactor engine, bit for bit: the first raised exception aborts
     the set immediately and later thunks never start.
 
-``ThreadPoolBackend``
-    Runs thunks on a shared ``ThreadPoolExecutor``.  MTTKRP inner loops
-    are numpy kernels that release the GIL, so threads buy real
-    parallelism without pickling task closures.  Results are returned
-    in partition order regardless of completion order (straggler-free
-    determinism); when attempts fail terminally, *all* thunks are still
-    awaited and the lowest-partition exception is raised, so the error
-    surfaced to the driver is deterministic too.
-
 ``ProcessPoolBackend``
-    The thread backend's orchestration (same submission order, result
-    order and cancellation semantics) plus a spawn-safe
-    pool of worker *processes* that the columnar kernel hands whole
-    task bodies to (:meth:`~repro.engine.procpool.OffloadClient.run`).
+    Orchestration threads plus a spawn-safe pool of worker *processes*
+    (Spark's executors) that the columnar kernel hands whole task
+    bodies to (:meth:`~repro.engine.procpool.OffloadClient.run`).
     Partition blocks cross the process boundary as
     ``multiprocessing.shared_memory`` descriptors via a
     :class:`~repro.engine.procpool.SharedBlockRegistry` — (name, dtype,
@@ -61,10 +51,6 @@ class ExecutorBackend(ABC):
 
     #: canonical backend name (what ``Context.backend.name`` reports)
     name: str = "abstract"
-    #: True when the pool's threads exist to wait on something outside
-    #: the GIL rather than to compute: the task scheduler then runs a
-    #: stage none of whose tasks will wait on the calling thread
-    threads_only_wait: bool = False
 
     @property
     @abstractmethod
@@ -103,12 +89,23 @@ class SerialBackend(ExecutorBackend):
         return [thunk() for thunk in thunks]
 
 
-class ThreadPoolBackend(ExecutorBackend):
-    """Concurrent execution on a thread pool, deterministic at the edges
-    (submission in partition order, results in partition order, lowest
-    failing partition's exception wins)."""
+class ProcessPoolBackend(ExecutorBackend):
+    """Thread-pool orchestration + a process pool for block kernels.
 
-    name = "threads"
+    Deterministic at the edges: submission and results in partition order;
+    on a terminal failure in-flight siblings are cancelled cooperatively,
+    *all* thunks are still awaited and the lowest failing partition's
+    exception wins.  Task thunks close over the whole engine (context,
+    shuffle state, locks) and are deliberately unpicklable, so tasks
+    themselves stay on the driver's thread pool.  What *does* cross the
+    process boundary is a task's array-only body: the vectorized kernel
+    hands it to ``self.offload``, which publishes the large operand arrays
+    once into shared memory and ships descriptors per call.  Workers are
+    spawned lazily on the first offloaded call, so contexts that never
+    touch the columnar kernel pay nothing.
+    """
+
+    name = "process"
 
     def __init__(self, num_workers: int):
         if num_workers < 1:
@@ -117,6 +114,13 @@ class ThreadPoolBackend(ExecutorBackend):
         self._num_workers = num_workers
         self._pool = ThreadPoolExecutor(
             max_workers=num_workers, thread_name_prefix="repro-exec")
+        # deferred import: procpool pulls in blocks/shared_memory,
+        # which serial contexts never need
+        from .procpool import (OffloadClient, ProcessWorkerPool,
+                               SharedBlockRegistry)
+        self.registry = SharedBlockRegistry()
+        self._workers = ProcessWorkerPool(num_workers)
+        self.offload = OffloadClient(self._workers, self.registry)
 
     @property
     def num_workers(self) -> int:
@@ -163,39 +167,6 @@ class ThreadPoolBackend(ExecutorBackend):
                 raise
         return wrapper
 
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class ProcessPoolBackend(ThreadPoolBackend):
-    """Thread-pool orchestration + a process pool for block kernels.
-
-    Task thunks close over the whole engine (context, shuffle state,
-    locks) and are deliberately unpicklable, so tasks themselves stay
-    on the inherited driver thread pool — which also inherits the
-    thread backend's determinism contract verbatim: submission and
-    results in partition order, lowest failing partition's exception,
-    cooperative cancellation.  What *does* cross
-    the process boundary is a task's array-only body: the vectorized
-    kernel hands it to ``self.offload``, which publishes the large
-    operand arrays once into shared memory and ships descriptors per
-    call.  Workers are spawned lazily on the first offloaded call, so
-    contexts that never touch the columnar kernel pay nothing.
-    """
-
-    name = "process"
-    threads_only_wait = True
-
-    def __init__(self, num_workers: int):
-        super().__init__(num_workers)
-        # deferred import: procpool pulls in blocks/shared_memory,
-        # which serial/thread contexts never need
-        from .procpool import (OffloadClient, ProcessWorkerPool,
-                               SharedBlockRegistry)
-        self.registry = SharedBlockRegistry()
-        self._workers = ProcessWorkerPool(self._num_workers)
-        self.offload = OffloadClient(self._workers, self.registry)
-
     def live_segments(self) -> list[str]:
         """Shared-memory segments not yet unlinked (leak observable:
         must be empty after ``shutdown``)."""
@@ -204,7 +175,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
     def shutdown(self) -> None:
         self._workers.stop()
         self.registry.unlink_all()
-        super().shutdown()
+        self._pool.shutdown(wait=True)
 
 
 def create_backend(name: str, num_workers: int) -> ExecutorBackend:
@@ -213,10 +184,8 @@ def create_backend(name: str, num_workers: int) -> ExecutorBackend:
     Unknown names raise :class:`~repro.engine.errors.BackendError`."""
     if name == "serial":
         return SerialBackend()
-    if name == "threads":
-        return ThreadPoolBackend(num_workers)
     if name == "process":
         return ProcessPoolBackend(num_workers)
     raise BackendError(
         f"unknown executor backend {name!r}; expected one of "
-        f"serial, threads, process")
+        f"serial, process")

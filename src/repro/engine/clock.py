@@ -17,7 +17,7 @@ of injected latency without sleeping wall-clock time.
     backend this makes injected-delay runs fully deterministic: a task
     that "sleeps" ten virtual seconds costs microseconds of wall time
     but still trips deadlines, backoff accounting and quarantine expiry
-    exactly as a real slow task would.  Under the thread backend
+    exactly as a real slow task would.  Under the process backend
     concurrent sleepers interleave their advances, so virtual
     *durations* are only approximate there — but results never depend
     on durations (the determinism contract), only metrics do.

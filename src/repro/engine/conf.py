@@ -108,15 +108,13 @@ class EngineConf:
         (``$REPRO_CLOCK``).
     ``backend``
         Executor backend running each stage's tasks: ``"serial"`` (the
-        default — tasks run one after another on the driver thread),
-        ``"threads"`` (a thread pool; numpy-heavy tasks overlap because
-        BLAS kernels release the GIL) or ``"process"`` (the thread
-        backend's orchestration plus a spawn-safe pool of worker
-        processes the columnar kernel offloads block arithmetic to via
-        shared memory).  Env-backed (``$REPRO_BACKEND``).  All three
+        default — tasks run one after another on the driver thread) or
+        ``"process"`` (orchestration threads plus a spawn-safe pool of
+        worker processes the columnar kernel offloads block arithmetic
+        to via shared memory).  Env-backed (``$REPRO_BACKEND``).  Both
         backends produce bit-identical results.
     ``backend_workers``
-        Worker count for the pooled backends (``serial`` always runs
+        Worker count for the process backend (``serial`` always runs
         exactly 1 and ignores it).  Env-backed
         (``$REPRO_BACKEND_WORKERS``), default ``min(8, os.cpu_count()
         or 4)``.  The process backend sizes both its orchestration
@@ -219,8 +217,8 @@ def _positive_seconds(raw: Any) -> float:
 #: env-backed field -> (variable, parser, default, exception type)
 _ENV_BACKED: dict[str, tuple[str, Callable[[Any], Any], Any,
                              type[EngineError]]] = {
-    "backend": ("REPRO_BACKEND", _one_of("serial", "threads", "process"),
-                "serial", BackendError),
+    "backend": ("REPRO_BACKEND", _one_of("serial", "process"), "serial",
+                BackendError),
     "backend_workers": ("REPRO_BACKEND_WORKERS", _positive_int,
                         min(8, os.cpu_count() or 4), BackendError),
     "kernel": ("REPRO_KERNEL", _one_of("vectorized", "record"),

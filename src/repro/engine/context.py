@@ -112,7 +112,7 @@ class Context:
                                                faults=self.faults,
                                                memory=self.memory,
                                                integrity=self.integrity)
-        #: executor backend (serial / thread pool) the task scheduler
+        #: executor backend (serial / process pool) the task scheduler
         #: runs stage task sets on
         self.backend = create_backend(self.conf.backend,
                                       self.conf.backend_workers)

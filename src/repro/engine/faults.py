@@ -37,7 +37,7 @@ identifies the decision point — ``(stage, partition, attempt)`` for
 task faults and stragglers, ``(shuffle, map, reduce, occurrence)`` for
 fetch faults.  Decisions therefore do not depend on the order tasks
 happen to execute in, so a given plan replays identically under any
-executor backend, serial or threaded.
+executor backend, serial or process.
 """
 
 from __future__ import annotations

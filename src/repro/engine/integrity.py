@@ -31,7 +31,7 @@ Corruption draws follow the fault-injection determinism contract
 (see :mod:`repro.engine.faults`): whether a blob is corrupted is a
 per-*site* decision seeded by ``(plan.seed, "corrupt", kind, *site)``
 and applied to the site's *first* read only, so a given plan replays
-identically under the serial and thread-pool backends regardless of
+identically under the serial and process backends regardless of
 task interleaving, and the retry that follows a detected corruption
 always re-reads clean bytes — lineage recovery provably converges
 instead of racing ``stage_max_failures`` against fresh per-read draws.

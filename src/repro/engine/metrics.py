@@ -182,7 +182,7 @@ class FaultMetrics:
 class _LockedCounters:
     """Base of the counter records that backend worker threads feed
     concurrently: plain ``+=`` on a shared field is a lost-update race
-    under the thread backend, so writers go through the lock-protected
+    under the process backend, so writers go through the lock-protected
     :meth:`add`; bare reads of a single counter are safe (atomic
     attribute loads).  The lock is named after the class
     (``"MemoryMetrics"``, ...)."""

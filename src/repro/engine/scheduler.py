@@ -8,7 +8,7 @@ This is the top layer of the execution stack::
         |                 retry-by-demotion memory policy)
     TaskScheduler        (task sets, placement, per-task retries)
         |
-    ExecutorBackend      (serial or thread-pool task execution)
+    ExecutorBackend      (serial or process-pool task execution)
 
 Key behaviours reproduced from Spark:
 

@@ -15,7 +15,7 @@ The primitives behind the task scheduler's straggler defences:
     its token.
 :class:`CancellationGroup`
     One per task set, and the one flag shared across threads.  The
-    thread backend cancels the group when any task fails terminally,
+    process backend cancels the group when any task fails terminally,
     so in-flight sibling attempts abort at their next checkpoint
     instead of running to completion.
 :class:`StageRuntimes`

@@ -9,13 +9,12 @@ per-task retry loop (fault admission, node health and quarantine,
 OOM relief, retry backoff), and hands the per-partition thunks to the
 configured :class:`~repro.engine.backends.ExecutorBackend`.
 
-A backend whose threads only wait on worker processes
-(``ExecutorBackend.threads_only_wait``: the process backend) is handed
-just the task sets whose stage holds an offloading node
-(``RDD.offloads``); the others run on the calling thread.
+A stage with no offloading node (``RDD.offloads``) runs inline on the
+calling thread, as ``SerialBackend.run`` would; only the others go to
+the backend, whose threads then wait on worker processes.
 
-Determinism contract (what makes ``ThreadPoolBackend`` bit-identical to
-``SerialBackend``): results are returned in partition order regardless
+Determinism contract (what makes ``ProcessPoolBackend`` bit-identical
+to ``SerialBackend``): results are returned in partition order regardless
 of completion order; every task attempt mutates only a private scratch
 :class:`~repro.engine.metrics.StageMetrics` that is merged additively
 into the stage's record (integer counters commute); and all shared
@@ -176,8 +175,8 @@ class TaskScheduler:
             (lambda p=p: self._run_task(task_set, p, group))
             for p in range(task_set.stage.num_tasks)
         ]
-        if self.backend.threads_only_wait and not any(
-                rdd.offloads for rdd in task_set.stage.rdd.narrow_chain()):
+        if not any(rdd.offloads
+                   for rdd in task_set.stage.rdd.narrow_chain()):
             # no task of this stage will block on a worker process, so
             # pool threads would only take turns at the GIL: the serial
             # backend's semantics (partition order, the first — lowest —

@@ -21,10 +21,9 @@ engine-handle capture
     it with every task — that is what ``ctx.broadcast`` is for.
 shared-state mutation
     A closure writing a captured dict/list/set (``d[k] = v``,
-    ``xs.append(...)``) races under ``ThreadPoolBackend`` and
-    double-counts on recomputation.  Mutations guarded by a ``with``
-    on a captured lock object are not flagged, and ``.add`` is excluded
-    from the mutating-method catalog so Accumulator use stays clean.
+    ``xs.append(...)``) double-counts on lineage recomputation.  A
+    write under a ``with`` on a captured lock is not flagged, and the
+    mutating-method catalog leaves out ``.add`` (Accumulator use).
 
 The runtime entry point is :func:`analyze_callable`: it unwraps
 ``functools.partial`` chains and bound methods, inspects ``__closure__``
@@ -175,8 +174,7 @@ class ClosureIssueVisitor(ast.NodeVisitor):
                     "closure-shared-mutation", "error",
                     f"closure mutates captured {base!r} via "
                     f".{node.func.attr}() without synchronization; "
-                    f"racy under the threads backend and double-counted "
-                    f"on lineage recomputation", node)
+                    f"double-counted on lineage recomputation", node)
         self._quiet += found is not None
         self.generic_visit(node)
         self._quiet -= found is not None
@@ -190,9 +188,8 @@ class ClosureIssueVisitor(ast.NodeVisitor):
             self._add(
                 "closure-shared-mutation", "error",
                 f"closure writes captured {base!r} by subscript "
-                f"without synchronization; racy under the threads "
-                f"backend and double-counted on lineage recomputation",
-                node)
+                f"without synchronization; double-counted on lineage "
+                f"recomputation", node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         """Flag subscript stores into captured shared containers."""

@@ -169,8 +169,8 @@ def sweep_run(driver, data: COOTensor, init) -> list[np.ndarray]:
     return [res.lambdas, *res.factors]
 
 
-#: pooled backends' worker counts
-WORKERS = {"serial": None, "threads": 4, "process": 2}
+#: backends' worker counts
+WORKERS = {"serial": None, "process": 2}
 
 _CASE_INIT = "case"
 
@@ -354,7 +354,7 @@ def cache_misses(metrics) -> int:
 # ----------------------------------------------------------------------
 GRID_DRIVERS = ("coo-join", "coo-broadcast", "qcoo")
 KERNELS = ("record", "vectorized")
-BACKENDS = ("serial", "threads", "process")
+BACKENDS = ("serial", "process")
 SAMPLERS = ("exact", "lev")
 
 
@@ -760,7 +760,7 @@ def check(c: Cell, monkeypatch) -> Run:
 # ----------------------------------------------------------------------
 #: the driver a test parametrized by class name runs
 DRIVER_OF = {"CstfCOO": "coo-join", "CstfQCOO": "qcoo"}
-_POOLED = (("threads", 4), ("process", 2))
+_POOLED = (("process", 2),)
 
 
 def _kept() -> dict[str, tuple[Cell, ...]]:
@@ -773,8 +773,7 @@ def _kept() -> dict[str, tuple[Cell, ...]]:
         return tuple(cell(*args, kernel=k, **kwargs) for k in KERNELS)
 
     def backends(*args: Any, **kwargs: Any) -> tuple[Cell, ...]:
-        return tuple(cell(*args, backend=b, **kwargs)
-                     for b in ("serial", "threads"))
+        return tuple(cell(*args, backend=b, **kwargs) for b in BACKENDS)
 
     bd, st = "backend_determinism.py::", "straggler_determinism.py::"
     mp, kn = "memory_pressure.py::", "kernels.py::"
@@ -786,13 +785,12 @@ def _kept() -> dict[str, tuple[Cell, ...]]:
     for cls, d in DRIVER_OF.items():
         add(f"{bd}TestUnderFaults::test_injected_task_faults[{cls}]",
             *backends("task-faults", d, variant="task-failures"))
-        for b, w in (("serial", None), ("threads", 4)):
-            add(f"{st}TestSpeculationPreservesResults::test_speculation_"
-                f"matches_clean_run[{cls}-{b}-{w}]",
-                cell("stragglers", d, backend=b, variant="speculation"))
-            add(f"integrity_e2e.py::TestCorruptionTransparency::test_"
-                f"corrupted_run_is_bit_identical[{b}-{cls}]",
-                cell("integrity", d, backend=b, variant="corruption"))
+        add(f"{st}TestSpeculationPreservesResults::test_speculation_"
+            f"matches_clean_run[{cls}-serial-None]",
+            cell("stragglers", d, variant="speculation"))
+        add(f"integrity_e2e.py::TestCorruptionTransparency::test_"
+            f"corrupted_run_is_bit_identical[serial-{cls}]",
+            cell("integrity", d, variant="corruption"))
         add(f"fault_tolerance.py::TestNodeLoss::test_node_killed_mid_"
             f"iteration_recovers_exactly[{cls}]",
             cell("node-kill", d, variant="after-80"))
@@ -810,8 +808,6 @@ def _kept() -> dict[str, tuple[Cell, ...]]:
                 *kernels("clean", d, case=case))
         add(f"{kn}TestBitIdentity::test_under_injected_faults[{cls}]",
             *kernels("task-faults", d, variant="task-failures"))
-    add(f"{bd}TestCleanRuns::test_repeated_thread_runs_are_stable",
-        *[cell("clean", backend="threads")] * 2)
     add(f"{bd}TestCleanRuns::test_process_offload_path_matches_serial",
         cell("clean", "coo-broadcast", backend="process"))
     add(f"{bd}TestUnderFaults::test_injected_task_faults_process",
@@ -822,8 +818,8 @@ def _kept() -> dict[str, tuple[Cell, ...]]:
         *backends("node-kill", "qcoo", variant="at-iteration"))
     for seed in (0, 10, 20):
         add(f"{bd}TestUnderFaults::test_seed_matrix[{seed}]",
-            cell("task-faults", backend="threads", seed=seed,
-                 variant="task-failures"))
+            cell("task-faults", "coo-broadcast", backend="process",
+                 seed=seed, variant="task-failures"))
         add(f"{kn}TestBitIdentity::test_fault_seed_matrix[{seed}]",
             *kernels("task-faults", seed=seed, variant="task-failures"))
     for sampler, variant in itertools.product(
@@ -837,12 +833,9 @@ def _kept() -> dict[str, tuple[Cell, ...]]:
     add(f"{bd}TestProcessWorkerFailures::test_a_missing_segment_reply",
         cell("process", "coo-broadcast", backend="process", sampler="lev",
              variant="missing-segment"))
-    for b, w in (("serial", None), ("threads", 4)):
-        add(f"{st}TestSpeculationPreservesResults::test_deadline_retries_"
-            f"match_clean_run[{b}-{w}]",
-            cell("stragglers", backend=b, variant="deadline-quarantine"))
-    add(f"{st}TestSpeculationPreservesResults::test_thread_spec_matches_"
-        "serial_spec", *backends("stragglers", variant="speculation"))
+    add(f"{st}TestSpeculationPreservesResults::test_deadline_retries_"
+        "match_clean_run[serial-None]",
+        cell("stragglers", variant="deadline-quarantine"))
     add("integrity_e2e.py::TestCorruptionTransparency::test_integrity_on_"
         "clean_plan_is_bit_transparent",
         cell("integrity", variant="integrity-clean"))

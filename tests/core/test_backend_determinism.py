@@ -1,12 +1,12 @@
 """Cross-backend determinism of full CP-ALS decompositions.
 
 The executor backend must be a pure throughput knob: running the same
-decomposition on the serial backend, a 4-worker thread pool, or the
-process backend (thread orchestration plus shared-memory worker
-processes) has to produce bit-identical factor matrices, weights and
-convergence traces — including under injected faults and node loss,
-where retries and lineage recovery run concurrently.  Each test runs
-the cells ``tests/conformance.py`` declares for it.
+decomposition on the serial backend or the process backend (thread
+orchestration plus shared-memory worker processes) has to produce
+bit-identical factor matrices, weights and convergence traces —
+including under injected faults and node loss, where retries and
+lineage recovery run concurrently.  Each test runs the cells
+``tests/conformance.py`` declares for it.
 """
 
 from __future__ import annotations
@@ -18,16 +18,10 @@ from .. import conformance as cf
 
 class TestCleanRuns:
     @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
-    @pytest.mark.parametrize("backend,workers",
-                             [("threads", 4), ("process", 2)])
+    @pytest.mark.parametrize("backend,workers", [("process", 2)])
     def test_pooled_backends_match_serial_bitwise(self, request,
                                                  monkeypatch, cls, backend,
                                                  workers):
-        cf.check_kept(request, monkeypatch)
-
-    def test_repeated_thread_runs_are_stable(self, request, monkeypatch):
-        """Thread scheduling noise must not leak into results: both runs
-        equal the oracle."""
         cf.check_kept(request, monkeypatch)
 
     def test_process_offload_path_matches_serial(self, request,

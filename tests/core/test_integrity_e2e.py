@@ -22,7 +22,7 @@ from .. import conformance as cf
 
 class TestCorruptionTransparency:
     @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_corrupted_run_is_bit_identical(self, request, monkeypatch,
                                             cls, backend):
         (got,) = cf.check_kept(request, monkeypatch)

@@ -483,7 +483,7 @@ def test_both_joins_emit_in_probe_order():
 # ----------------------------------------------------------------------
 # the factor side: one KeyedRowBlock per partition, degenerate inputs
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["serial", "threads", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("cls", ["coo", "qcoo"])
 class TestFactorSide:
     """The vectorized kernel on every backend equals the record oracle
@@ -662,7 +662,7 @@ def test_denied_booking_case_really_hands_records_back(monkeypatch):
 # ----------------------------------------------------------------------
 class TestLeaks:
     @pytest.mark.parametrize("partition", [0, 7], ids=["first", "last"])
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial"])
     @pytest.mark.parametrize("name", cf.SWEEP_DRIVERS)
     def test_failure_site_sweep(self, name, backend, partition, tensor3,
                                 init3):

@@ -285,8 +285,7 @@ class TestSampledDecompose:
         assert not np.array_equal(a.result.factors[0], b.result.factors[0])
 
     @pytest.mark.parametrize("cls", ["CstfCOO", "CstfQCOO"])
-    @pytest.mark.parametrize("backend,workers",
-                             [("threads", 4), ("process", 2)])
+    @pytest.mark.parametrize("backend,workers", [("process", 2)])
     def test_backends_bit_identical(self, request, monkeypatch, cls,
                                     backend, workers):
         cf.check_kept(request, monkeypatch)
@@ -459,7 +458,7 @@ class TestSampledTaskBody:
                              ids=["clean", "fault-seeded"])
     @pytest.mark.parametrize("kernel", ["vectorized", "record"])
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", None), ("threads", 4), ("process", 2)])
+        ("serial", None), ("process", 2)])
     @pytest.mark.parametrize("name", cf.TASK_BODY_CASES)
     def test_bit_identical_wherever_it_runs(self, request, monkeypatch,
                                             name, backend, workers, kernel,
@@ -467,8 +466,7 @@ class TestSampledTaskBody:
         (got,) = cf.check_kept(request, monkeypatch)
         assert faulty or got.metrics.faults.task_failures == 0
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("threads", 4), ("process", 2)])
+    @pytest.mark.parametrize("backend,workers", [("process", 2)])
     def test_resume_on_another_backend_replays_the_draws(self, backend,
                                                          workers):
         store = InMemoryCheckpointStore()
@@ -483,7 +481,7 @@ class TestSampledTaskBody:
 
     @pytest.mark.parametrize("kernel", ["vectorized", "record"])
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", None), ("threads", 4), ("process", 2)])
+        ("serial", None), ("process", 2)])
     def test_one_mttkrp_with_the_combiner_denied_its_booking(
             self, backend, workers, kernel):
         """100 bytes of memory: the row combiner cannot book the task

@@ -20,7 +20,7 @@ from repro.engine import FaultPlan
 
 from .. import conformance as cf
 
-BACKENDS = (("serial", None), ("threads", 4))
+BACKENDS = (("serial", None),)
 
 
 class TestSpeculationPreservesResults:
@@ -41,22 +41,19 @@ class TestSpeculationPreservesResults:
 
     def test_speculation_off_equals_on_for_clean_plan(self):
         """With nothing slow, enabling speculation is a no-op on the
-        results (backups may or may not launch; commits are unique)."""
-        on = cf.run(backend="threads", conf={"speculation": True})
-        cf.assert_bit_identical(cf.oracle(), on)
+        results (backups may or may not launch; commits are unique),
+        on the process backend's pool too."""
+        on = cf.run(driver="coo-broadcast", kernel="vectorized",
+                    backend="process", conf={"speculation": True})
+        cf.assert_bit_identical(cf.oracle("order3", "coo-broadcast"), on)
 
-    def test_thread_spec_matches_serial_spec(self, request, monkeypatch):
-        """Inline failover on the serial backend and on the thread pool
-        converge on identical factors."""
-        cf.check_kept(request, monkeypatch)
-
-    @pytest.mark.parametrize("backend", ["threads", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_speculation_starts_no_thread_outside_the_pool(
             self, monkeypatch, backend):
         """A backup runs inline on the thread of the attempt it replaces:
-        speculating against a slow node starts no thread but the
-        executor pool's, and with nothing failing every backup
-        commits."""
+        speculating against a slow node on stages that go to the pool
+        (the broadcast map sides) starts no thread but the executor
+        pool's, and with nothing failing every backup commits."""
         started = []
         start = threading.Thread.start
 
@@ -65,10 +62,12 @@ class TestSpeculationPreservesResults:
             start(thread)
         monkeypatch.setattr(threading.Thread, "start", spy)
         plan = FaultPlan(task_base_delay_s=0.02, slow_node_budgets={2: 0.2})
-        got = cf.run(backend=backend, plan=plan, conf=cf.SPECULATION)
+        got = cf.run(driver="coo-broadcast", kernel="vectorized",
+                     backend=backend, plan=plan, conf=cf.SPECULATION)
         monkeypatch.undo()
         assert [n for n in started if not n.startswith("repro-exec")] == []
-        cf.assert_bit_identical(cf.oracle(), got)
+        assert any(n.startswith("repro-exec") for n in started)
+        cf.assert_bit_identical(cf.oracle("order3", "coo-broadcast"), got)
         s = got.metrics.stragglers
         assert s.tasks_speculated > 0
         assert s.speculative_wins == s.tasks_speculated

@@ -1,8 +1,8 @@
 """Executor backends: resolution, execution contract, context wiring.
 
-All backends must run every thunk, return results in submission
+Both backends must run every thunk, return results in submission
 (partition) order, and surface the lowest-index failure — that ordering
-contract is what makes the pooled backends bit-identical to serial
+contract is what makes the process backend bit-identical to serial
 execution at the scheduler level.  The process backend additionally
 owns shared-memory segments, all of which must be unlinked by
 ``Context.stop``.
@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (BackendError, Context, EngineConf,
-                          ProcessPoolBackend, SerialBackend,
-                          ThreadPoolBackend, create_backend)
+                          ProcessPoolBackend, SerialBackend, create_backend)
 
 
 class TestResolution:
@@ -37,44 +36,46 @@ class TestResolution:
         with Context(num_nodes=2, conf=EngineConf(backend=name)) as ctx:
             assert isinstance(ctx.backend, SerialBackend)
 
-    @pytest.mark.parametrize("name", ["threads"])
-    def test_thread_aliases(self, name):
-        backend = create_backend(name, 2)
-        try:
-            assert isinstance(backend, ThreadPoolBackend)
-            assert backend.num_workers == 2
-        finally:
-            backend.shutdown()
-
     @pytest.mark.parametrize("name", ["process"])
     def test_process_aliases(self, name):
         backend = create_backend(name, 2)
         try:
             assert isinstance(backend, ProcessPoolBackend)
-            # ProcessPoolBackend IS a ThreadPoolBackend: orchestration
-            # runs on driver threads, numerics on worker processes
-            assert isinstance(backend, ThreadPoolBackend)
             assert backend.num_workers == 2
         finally:
             backend.shutdown()
 
     def test_unknown_name_rejected(self):
-        for name in ("mpi", "sync", "local", "thread", "threadpool",
-                     "threaded", "processes", "procpool", "multiprocess"):
+        for name in ("mpi", "sync", "local", "thread", "threads",
+                     "threadpool", "threaded", "processes", "procpool",
+                     "multiprocess"):
             with pytest.raises(BackendError, match="unknown"):
                 create_backend(name, 2)
             with pytest.raises(BackendError, match="EngineConf.backend"):
                 Context(num_nodes=2, conf=EngineConf(backend=name))
 
-    def test_env_fallback(self, monkeypatch):
+    def test_threads_is_rejected_with_one_message(self, monkeypatch):
+        """The thread-pool backend is gone: naming it is a conf error,
+        the same message from the conf and from the environment."""
+        expected = ("invalid backend 'threads' (from {}): expected one "
+                    "of serial, process")
+        with pytest.raises(BackendError) as err:
+            Context(num_nodes=2, conf=EngineConf(backend="threads"))
+        assert str(err.value) == expected.format("EngineConf.backend")
         monkeypatch.setenv("REPRO_BACKEND", "threads")
+        with pytest.raises(BackendError) as err:
+            Context(num_nodes=2)
+        assert str(err.value) == expected.format("$REPRO_BACKEND")
+
+    def test_env_fallback(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_BACKEND_WORKERS", "3")
         with Context(num_nodes=2) as ctx:
-            assert ctx.backend.name == "threads"
+            assert ctx.backend.name == "process"
             assert ctx.backend.num_workers == 3
 
     def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "threads")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         with Context(num_nodes=2,
                      conf=EngineConf(backend="serial")) as ctx:
             assert ctx.backend.name == "serial"
@@ -82,15 +83,15 @@ class TestResolution:
     def test_bad_env_worker_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND_WORKERS", "many")
         with pytest.raises(BackendError, match="REPRO_BACKEND_WORKERS"):
-            Context(num_nodes=2, conf=EngineConf(backend="threads"))
+            Context(num_nodes=2, conf=EngineConf(backend="process"))
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(BackendError):
-            create_backend("threads", 0)
+            create_backend("process", 0)
 
 
 class TestExecutionContract:
-    @pytest.fixture(params=["serial", "threads", "process"])
+    @pytest.fixture(params=["serial", "process"])
     def backend(self, request):
         b = create_backend(request.param,
                            None if request.param == "serial" else 4)
@@ -116,7 +117,9 @@ class TestExecutionContract:
         assert backend.run([]) == []
 
     def test_threads_actually_overlap(self):
-        backend = create_backend("threads", 4)
+        """The process backend's orchestration threads run tasks at
+        once (the stages that offload wait on workers there)."""
+        backend = create_backend("process", 4)
         try:
             barrier = threading.Barrier(4, timeout=10)
 
@@ -133,9 +136,9 @@ class TestExecutionContract:
 class TestContextWiring:
     def test_conf_selects_backend(self):
         with Context(num_nodes=2,
-                     conf=EngineConf(backend="threads",
+                     conf=EngineConf(backend="process",
                                      backend_workers=2)) as ctx:
-            assert isinstance(ctx.backend, ThreadPoolBackend)
+            assert isinstance(ctx.backend, ProcessPoolBackend)
             assert ctx.backend.num_workers == 2
             out = ctx.parallelize(range(100), 8) \
                 .map(lambda x: (x % 5, x)) \
@@ -143,14 +146,14 @@ class TestContextWiring:
         assert out == {0: 950, 1: 970, 2: 990, 3: 1010, 4: 1030}
 
     def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "threads")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_BACKEND_WORKERS", "2")
         with Context(num_nodes=2) as ctx:
-            assert isinstance(ctx.backend, ThreadPoolBackend)
+            assert isinstance(ctx.backend, ProcessPoolBackend)
 
     def test_stop_shuts_the_pool_down(self):
         ctx = Context(num_nodes=2,
-                      conf=EngineConf(backend="threads",
+                      conf=EngineConf(backend="process",
                                       backend_workers=2))
         ctx.parallelize(range(10), 4).collect()
         ctx.stop()

@@ -38,8 +38,8 @@ class Case(NamedTuple):
 
 
 CASES = [
-    Case("backend", "REPRO_BACKEND", "serial", " Threads ", "threads",
-         "process", "mpi", BackendError),
+    Case("backend", "REPRO_BACKEND", "serial", " Process ", "process",
+         "serial", "mpi", BackendError),
     Case("backend_workers", "REPRO_BACKEND_WORKERS",
          min(8, os.cpu_count() or 4), "3", 3, 5, "many", BackendError),
     Case("kernel", "REPRO_KERNEL", "vectorized", "RECORD", "record",
@@ -113,7 +113,7 @@ class TestResolvedConf:
             if field != "task_deadline_s":   # None means "no deadline"
                 assert getattr(conf, field) is not None, field
         with pytest.raises(dataclasses.FrozenInstanceError):
-            conf.backend = "threads"
+            conf.backend = "process"
 
     def test_resolve_is_idempotent_and_keeps_plain_fields(
             self, monkeypatch):

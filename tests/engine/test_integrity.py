@@ -245,20 +245,6 @@ class TestSpillIntegrity:
                 assert integrity.corrupted_blocks >= 1
 
 
-class TestBackendEquivalence:
-    def test_threads_backend_matches_serial_under_corruption(self):
-        for seed in (0, 1, 2):
-            plan = FaultPlan(seed=seed, corrupt_block_prob=0.3)
-            results = {}
-            for backend in ("serial", "threads"):
-                conf = EngineConf(integrity=True, backend=backend)
-                with Context(num_nodes=4, default_parallelism=8,
-                             fault_plan=plan, conf=conf) as ctx:
-                    results[backend] = wordcount(ctx).collect_as_map()
-                    assert ctx.metrics.integrity.corrupted_blocks > 0
-            assert results["serial"] == results["threads"] == EXPECTED
-
-
 class TestMetricsSummary:
     def test_summary_includes_integrity_line(self):
         with Context(num_nodes=2, default_parallelism=2,

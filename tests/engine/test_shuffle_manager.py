@@ -323,7 +323,7 @@ class TestRunIntegrity:
         assert exact([b.to_records() for part in again for b in part]) == \
             exact([b.to_records() for part in clean for b in part])
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_corrupted_ranges_heal_through_lineage(self, backend):
         from repro.engine import Context, EngineConf
         rng = np.random.default_rng(9)

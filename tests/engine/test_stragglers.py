@@ -18,7 +18,7 @@ from repro.engine import (CancellationGroup, CancellationToken,
                           NodeHealthTracker, TaskTimedOutError,
                           VirtualClock, backoff_delay, create_clock)
 
-BACKENDS = (("serial", None), ("threads", 4))
+BACKENDS = (("serial", None), ("process", 2))
 
 
 def wordcount(ctx, n=60, parts=6, reducers=6):

@@ -1,10 +1,10 @@
 """Thread-safety regressions for shared counters.
 
 ``Accumulator`` and ``MemoryMetrics`` are mutated from tasks, which run
-concurrently on the thread-pool backend.  Unprotected ``+=`` on a
-shared attribute loses updates under contention; these tests hammer the
-locked update paths from raw threads and from real thread-backend jobs
-and require exact totals.
+concurrently on the process backend's pool threads.  Unprotected ``+=``
+on a shared attribute loses updates under contention; these tests
+hammer the locked update paths from raw threads and from real jobs
+whose stages go to that pool, and require exact totals.
 """
 
 from __future__ import annotations
@@ -16,6 +16,13 @@ from repro.engine.metrics import MemoryMetrics
 
 THREADS = 8
 PER_THREAD = 2000
+
+
+def pooled(rdd):
+    """``rdd`` marked as offloading, so the process backend runs its
+    stage's tasks on its thread pool instead of inline."""
+    rdd.offloads = True
+    return rdd
 
 
 def hammer(fn):
@@ -41,13 +48,14 @@ class TestAccumulator:
             hammer(lambda: acc.add(1))
             assert acc.value == THREADS * PER_THREAD
 
-    def test_adds_from_thread_backend_tasks(self):
+    def test_adds_from_pooled_tasks(self):
         with Context(num_nodes=4, default_parallelism=16,
-                     conf=EngineConf(backend="threads",
+                     conf=EngineConf(backend="process",
                                      backend_workers=4)) as ctx:
             acc = ctx.accumulator(0, "records")
             data = list(range(1600))
-            ctx.parallelize(data, 16).map(lambda x: acc.add(1)).count()
+            pooled(ctx.parallelize(data, 16).map(lambda x: acc.add(1))) \
+                .count()
             assert acc.value == len(data)
 
     def test_reset_under_contention_is_consistent(self):
@@ -86,7 +94,7 @@ class TestMemoryMetrics:
         assert mem.demotions == THREADS * PER_THREAD
         assert len(mem.demotion_events) == THREADS * PER_THREAD
 
-    def test_spill_counters_from_thread_backend_shuffle(self):
+    def test_spill_counters_from_pooled_shuffle(self):
         """A constrained memory budget makes every map task's combine
         buffer spill; concurrent spill accounting must add up exactly
         across backends."""
@@ -95,16 +103,16 @@ class TestMemoryMetrics:
                               backend=backend, backend_workers=4)
             with Context(num_nodes=4, default_parallelism=8,
                          conf=conf) as ctx:
-                out = ctx.parallelize(
-                    [(i, float(i % 7)) for i in range(4000)], 8) \
+                out = pooled(ctx.parallelize(
+                    [(i, float(i % 7)) for i in range(4000)], 8)) \
                     .reduce_by_key(lambda a, b: a + b).collect_as_map()
                 mem = ctx.metrics.memory
                 return out, mem.shuffle_spill_count, \
                     mem.shuffle_spill_bytes
         serial_out, serial_count, _ = run("serial")
-        thread_out, thread_count, _ = run("threads")
-        assert thread_out == serial_out
+        pooled_out, pooled_count, _ = run("process")
+        assert pooled_out == serial_out
         # spill timing depends on pool contention, so counts may differ
         # between backends — but both must spill and stay consistent
         assert serial_count > 0
-        assert thread_count > 0
+        assert pooled_count > 0

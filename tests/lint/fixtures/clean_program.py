@@ -15,7 +15,7 @@ from repro.engine import Context, EngineConf
 
 
 def main() -> None:
-    conf = EngineConf(backend="threads", backend_workers=4)
+    conf = EngineConf(backend="serial")
     with Context(num_nodes=4, default_parallelism=8, conf=conf) as ctx:
         weights = ctx.broadcast([1.0, 2.0, 3.0, 4.0])
         data = ctx.parallelize(list(range(1_000)), 8) \

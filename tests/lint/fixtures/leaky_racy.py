@@ -6,9 +6,7 @@ Seeded findings (each caught by a different pass):
 2. a persisted RDD that is never ``unpersist()``ed    (lifecycle)
 3. an unseeded module-level RNG call in a closure     (closures)
 4. an unsynchronized shared-dict write in a closure   (closures;
-   under ``--racecheck`` with the threads backend the same pattern is
-   what the lockset detector guards the engine's own structures
-   against)
+   double-counted on lineage recomputation)
 
 ``repro lint --run tests/lint/fixtures/leaky_racy.py`` must report all
 four; its clean twin ``clean_program.py`` must report none.
@@ -22,7 +20,7 @@ from repro.engine import Context, EngineConf
 
 
 def main() -> None:
-    conf = EngineConf(backend="threads", backend_workers=4)
+    conf = EngineConf(backend="serial")
     ctx = Context(num_nodes=4, default_parallelism=8, conf=conf)
 
     # finding 1: leaked broadcast (never destroyed)
@@ -38,8 +36,8 @@ def main() -> None:
         # finding 3: shared module-level RNG — nondeterministic on
         # recomputation
         noise = random.random()
-        # finding 4: unsynchronized write to a captured dict — racy
-        # under the threads backend
+        # finding 4: unsynchronized write to a captured dict —
+        # double-counted on lineage recomputation
         tallies[x % 4] = tallies.get(x % 4, 0) + 1
         return x * weights.value[x % 4] + noise
 

@@ -59,7 +59,7 @@ def main() -> None:
     # determinism-global-rng: draws from the process-global NumPy RNG
     noise = float(np.random.random())
 
-    conf = EngineConf(backend="threads", backend_workers=4)
+    conf = EngineConf(backend="serial")
     with Context(num_nodes=2, default_parallelism=4, conf=conf) as ctx:
         # plan-schema-mismatch: int keys joined against tuple keys
         by_int = ctx.parallelize(

@@ -1,6 +1,6 @@
 """Lock-order deadlock detector tests: the acquisition-order graph,
 cycle enumeration, the LocksetMonitor integration, and the engine
-self-hosted on the threads *and* process backends."""
+self-hosted on the process backend."""
 
 from __future__ import annotations
 
@@ -136,12 +136,12 @@ def test_rlock_depth_does_not_fake_an_edge():
 
 
 # ----------------------------------------------------------------------
-# self-host: the engine's own locks, threads and process backends
+# self-host: the engine's own locks on the process backend
 # ----------------------------------------------------------------------
-def _drive_engine(backend: str) -> LocksetMonitor:
+def _drive_engine() -> LocksetMonitor:
     monitor = LocksetMonitor()
     with monitor:
-        conf = EngineConf(backend=backend, backend_workers=2)
+        conf = EngineConf(backend="process", backend_workers=2)
         with Context(num_nodes=2, default_parallelism=4,
                      conf=conf) as ctx:
             rdd = ctx.parallelize(
@@ -154,15 +154,8 @@ def _drive_engine(backend: str) -> LocksetMonitor:
     return monitor
 
 
-def test_engine_threads_backend_lock_order_is_acyclic():
-    monitor = _drive_engine("threads")
-    assert monitor.lock_order.cycles() == []
-    observed = monitor.lock_order.observed_names()
-    assert "ShuffleManager" in observed
-
-
 def test_engine_process_backend_lock_order_is_acyclic():
-    monitor = _drive_engine("process")
+    monitor = _drive_engine()
     assert monitor.lock_order.cycles() == []
     observed = monitor.lock_order.observed_names()
     # the driver-side structures are monitored regardless of where

@@ -3,8 +3,8 @@
 The deliberately broken structure below is the canonical fixture: it
 keeps the ``linthooks.access`` annotation but drops the ``with lock:``
 around it — exactly the regression the detector exists to catch.  The
-correctly locked twin, and the engine's own structures driven hard on
-the threads backend, must stay silent.
+correctly locked twin, and the engine's own structures driven by a
+process-backend decomposition whose MTTKRPs offload, must stay silent.
 """
 
 from __future__ import annotations
@@ -181,33 +181,25 @@ def test_monitor_uninstalls_cleanly():
 
 
 # ----------------------------------------------------------------------
-# the engine itself under the threads backend
+# the engine itself on the process backend's offloading stages
 # ----------------------------------------------------------------------
-def test_engine_threads_backend_is_race_free():
-    """Drive shuffles, caching and accumulators on the pooled backend
-    with the monitor installed: the engine's locking discipline must
-    keep every candidate lockset non-empty."""
-    import time
+def test_engine_process_backend_is_race_free():
+    """A process x 2 decomposition with the broadcast strategy, whose
+    MTTKRP map stages run on the backend's orchestration threads, with
+    the monitor installed: the engine's locking discipline must keep
+    every candidate lockset non-empty."""
+    from repro.core import CstfCOO
+    from repro.tensor import uniform_sparse
 
     monitor = LocksetMonitor()
     with monitor:
-        conf = EngineConf(backend="threads", backend_workers=4)
+        conf = EngineConf(backend="process", backend_workers=2,
+                          kernel="vectorized")
         with Context(num_nodes=4, default_parallelism=8,
                      conf=conf) as ctx:
-            acc = ctx.accumulator(0, name="records")
-            # the sleep makes every task outlast a pool dispatch, so
-            # several worker threads really do write shuffle output
-            # concurrently (a fast task set can be drained by one
-            # thread, leaving locations in EXCLUSIVE)
-            rdd = ctx.parallelize(list(range(400)), 8) \
-                .map(lambda x: (time.sleep(0.005), (x % 13, x))[1])
-            rdd.persist()
-            total = rdd.reduce_by_key(lambda a, b: a + b, 8).collect()
-            assert len(total) == 13
-            counted = rdd.map(lambda kv: (acc.add(1), kv)[1]).count()
-            assert counted == 400
-            rdd.unpersist()
-            assert acc.value == 400
+            tensor = uniform_sparse((30, 25, 20), 1500, rng=1)
+            CstfCOO(ctx, factor_strategy="broadcast").decompose(
+                tensor, 2, max_iterations=2, tol=0.0, seed=0)
             # cross-thread writes on a correctly locked structure,
             # driven from explicit threads so at least two writers are
             # guaranteed regardless of pool scheduling
@@ -219,9 +211,12 @@ def test_engine_threads_backend_is_race_free():
     # the hot structures really did go cross-thread (the detector was
     # exercised, not just silent)
     states = monitor.location_states()
-    assert states.get(("Accumulator", "_value")) == "shared-modified"
-    assert states.get(("ShuffleManager", "_shuffles")) \
-        == "shared-modified"
+    for location in (("Accumulator", "_value"),
+                     ("ShuffleManager", "_shuffles"),
+                     ("CacheManager", "_entries"),
+                     ("SharedBlockRegistry", "cached"),
+                     ("ProcessWorkerPool", "workers")):
+        assert states.get(location) == "shared-modified", location
 
 
 def test_lint_session_merges_races_into_report():

@@ -41,8 +41,11 @@ def test_driver_lints_clean_serial(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["cstf-coo", "cstf-qcoo"])
-def test_driver_lints_clean_threads_with_racecheck(algorithm):
-    conf = EngineConf(backend="threads", backend_workers=4)
+def test_driver_lints_clean_process_with_racecheck(algorithm):
+    """Sampled MTTKRPs offload, so their map stages run on the process
+    backend's orchestration threads under the lockset monitor."""
+    conf = EngineConf(backend="process", backend_workers=2,
+                      kernel="vectorized", sampler="lev")
     session = decompose_under_lint(algorithm, lockset=True, conf=conf)
     assert not session.report, session.report.render_text()
     assert session.monitor is not None

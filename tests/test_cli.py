@@ -66,6 +66,54 @@ class TestDecompose:
         assert str(path) in capsys.readouterr().out
 
 
+class TestDecomposeConf:
+    """The env-backed flags and ``$REPRO_*`` variables are validated by
+    the conf before the tensor loads: a bad value is a usage error
+    (exit 2) carrying the conf's message, never a traceback."""
+
+    ARGS = ["decompose", "--dataset", "synt3d", "--nnz", "300",
+            "--iterations", "1", "--nodes", "2"]
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        for var in ("REPRO_BACKEND", "REPRO_BACKEND_WORKERS",
+                    "REPRO_KERNEL"):
+            monkeypatch.delenv(var, raising=False)
+
+    def rejected(self, capsys, *flags) -> str:
+        assert main([*self.ARGS, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""   # nothing ran, the tensor was not even built
+        assert err.startswith("repro decompose: error: invalid ")
+        assert "Traceback" not in err
+        return err.strip()
+
+    @pytest.mark.parametrize("var,value,message", [
+        ("REPRO_BACKEND", "mpi", "invalid backend 'mpi' (from "
+         "$REPRO_BACKEND): expected one of serial, process"),
+        ("REPRO_KERNEL", "fast", "invalid kernel 'fast' (from "
+         "$REPRO_KERNEL): expected one of vectorized, record")],
+        ids=["backend", "kernel"])
+    def test_bad_env_value(self, monkeypatch, capsys, var, value,
+                           message):
+        monkeypatch.setenv(var, value)
+        assert self.rejected(capsys) == f"repro decompose: error: {message}"
+
+    def test_bad_flag_value(self, capsys):
+        assert self.rejected(capsys, "--backend-workers", "0") == (
+            "repro decompose: error: invalid backend_workers 0 (from "
+            "--backend-workers): expected an integer >= 1")
+
+    def test_threads_backend_is_rejected(self, capsys):
+        assert self.rejected(capsys, "--backend", "threads") == (
+            "repro decompose: error: invalid backend 'threads' (from "
+            "--backend): expected one of serial, process")
+
+    def test_flag_names_compare_case_insensitively(self, capsys):
+        assert main([*self.ARGS, "--backend", "SERIAL"]) == 0
+        assert "fit" in capsys.readouterr().out
+
+
 class TestCommunication:
     def test_reports_reduction(self, capsys):
         assert main(["communication", "--dataset", "nell1",
