@@ -9,13 +9,6 @@ skipped at resume time in favour of the newest good snapshot, and the
 final factors are bit-identical to the clean run.
 
 Run:  python examples/integrity_demo.py
-
-This example doubles as the dynamic racecheck target for the integrity
-layer in CI: under ``repro lint --racecheck`` the lockset detector
-watches the new IntegrityManager / IntegrityMetrics / Broadcast
-fetch-cache locks while corruption recovery runs on the process
-backend, whose orchestration threads run the broadcast strategy's
-MTTKRP map stages.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ code:
 ``report``
     Run the full evaluation and emit it as markdown.
 ``lint``
-    Dataflow lint: closure, leak, race and plan checks.
+    Dataflow lint: closure, leak, determinism and plan checks.
 ``plan``
     Export and audit the job plan graphs a program builds."""
 
@@ -209,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write to a file instead of stdout")
 
     lint = sub.add_parser(
-        "lint", help="dataflow lint: closure, leak, and race checks")
+        "lint", help="dataflow lint: closure, leak, determinism and "
+                     "plan checks")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to scan statically "
                            "(closure + determinism rules)")
@@ -218,10 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "session (closure + lifecycle hooks)")
     lint.add_argument("--args", nargs=argparse.REMAINDER, default=[],
                       help="arguments passed through to PROG")
-    lint.add_argument("--racecheck", action="store_true",
-                      help="with --run: install the lockset race "
-                           "detector (and lock-order auditor) for "
-                           "the program's lifetime")
     lint.add_argument("--plan", action="store_true", dest="plan",
                       help="with --run: audit every job's plan graph "
                            "before it executes (schema mismatches, "
@@ -424,13 +421,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             # the executed program's closures are analysed at runtime;
             # its source gets the determinism rules only
             scan_paths([args.run], report, closure_checks=False)
-        session = LintSession(lockset=args.racecheck, plan=args.plan)
+        session = LintSession(plan=args.plan)
         with session:
             run_program(args.run, list(args.args), session=session)
         report.merge(session.report)
-        if session.monitor is not None:
-            print(f"racecheck: {session.monitor.summary()}",
-                  file=sys.stderr)
         if session.plan_auditor is not None:
             print(f"plan: {session.plan_auditor.summary()}",
                   file=sys.stderr)

@@ -460,7 +460,7 @@ class CPALSDriver:
             return
         if bool(np.isfinite(array).all()):
             return
-        integrity.metrics.add("nan_guards_tripped")
+        integrity.metrics.nan_guards_tripped += 1
         where = f"stage {stage!r}"
         if mode is not None:
             where += f", mode {mode}"

@@ -26,6 +26,22 @@ Speculation is the task scheduler's, not the backend's: a speculated
 attempt is cancelled and its backup runs inline on the same thread, so
 no backend starts a thread outside its pool.
 
+Thread safety: one engine lock.  The process backend's threads take
+turns running engine code: each pooled thunk runs holding the backend's
+:class:`EngineLock`, and the one point that lets go of it is
+:meth:`~repro.engine.procpool.OffloadClient.run`, around the worker
+round-trip.  Everything else a task does — pickling and publishing its
+operands, retries, events, shuffle write, commit, metrics — runs under
+the lock, so no engine structure locks anything itself, while the
+calling thread only waits for the results.  Nothing waits under the
+lock for another pool thread (the worker pool hands out an idle worker
+or says "compute inline").  A ``ctx.clock.sleep``, an injected
+straggle or an injected hang sleeps holding the lock: that changes
+timing, not bits.  The serial backend, and every stage run inline,
+take no lock at all.  This module is the only one under ``repro`` that
+imports :mod:`threading` (a source guard in
+``tests/engine/test_thread_safety.py`` holds it to that).
+
 Which backend a context gets, and how wide, is ``ctx.conf.backend`` /
 ``ctx.conf.backend_workers`` (resolved in :mod:`repro.engine.conf`):
 ``serial`` always runs exactly 1 worker and ignores the count; the
@@ -35,11 +51,13 @@ and N worker processes.
 
 from __future__ import annotations
 
+import threading
+
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from . import linthooks
 from .errors import BackendError, CancelledAttempt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -89,6 +107,46 @@ class SerialBackend(ExecutorBackend):
         return [thunk() for thunk in thunks]
 
 
+class EngineLock:
+    """The process backend's one lock (see the module docstring).
+
+    Owner-checked: :meth:`released` lets go only of the calling
+    thread's own hold, so an offload from a thread that does not hold
+    the lock (a stage run inline on the caller's thread, a test) leaves
+    another thread's hold alone.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: ident of the thread holding the lock, None when it is free
+        self._owner: int | None = None
+
+    def run(self, thunk: Callable[[], Any]) -> Any:
+        """``thunk()``, run holding the lock."""
+        with self._lock:
+            self._owner = threading.get_ident()
+            try:
+                return thunk()
+            finally:
+                self._owner = None
+
+    @contextmanager
+    def released(self) -> Iterator[None]:
+        """Let go of the lock for the body when the calling thread
+        holds it, and take it back before returning."""
+        me = threading.get_ident()
+        if self._owner != me:
+            yield
+            return
+        self._owner = None
+        self._lock.release()
+        try:
+            yield
+        finally:
+            self._lock.acquire()
+            self._owner = me
+
+
 class ProcessPoolBackend(ExecutorBackend):
     """Thread-pool orchestration + a process pool for block kernels.
 
@@ -96,8 +154,9 @@ class ProcessPoolBackend(ExecutorBackend):
     on a terminal failure in-flight siblings are cancelled cooperatively,
     *all* thunks are still awaited and the lowest failing partition's
     exception wins.  Task thunks close over the whole engine (context,
-    shuffle state, locks) and are deliberately unpicklable, so tasks
-    themselves stay on the driver's thread pool.  What *does* cross the
+    shuffle state, caches) and are deliberately unpicklable, so tasks
+    themselves stay on the driver's thread pool, taking turns under
+    :attr:`engine_lock`.  What *does* cross the
     process boundary is a task's array-only body: the vectorized kernel
     hands it to ``self.offload``, which publishes the large operand arrays
     once into shared memory and ships descriptors per call.  Workers are
@@ -118,9 +177,11 @@ class ProcessPoolBackend(ExecutorBackend):
         # which serial contexts never need
         from .procpool import (OffloadClient, ProcessWorkerPool,
                                SharedBlockRegistry)
+        self.engine_lock = EngineLock()
         self.registry = SharedBlockRegistry()
         self._workers = ProcessWorkerPool(num_workers)
-        self.offload = OffloadClient(self._workers, self.registry)
+        self.offload = OffloadClient(self._workers, self.registry,
+                                     self.engine_lock)
 
     @property
     def num_workers(self) -> int:
@@ -128,10 +189,10 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def run(self, thunks: Sequence[Callable[[], Any]],
             cancel: "CancellationGroup | None" = None) -> list[Any]:
-        linthooks.pooled_run(self.name, self._num_workers, len(thunks))
         if cancel is not None:
             thunks = [self._cancelling(thunk, cancel) for thunk in thunks]
-        futures = [self._pool.submit(thunk) for thunk in thunks]
+        futures = [self._pool.submit(self.engine_lock.run, thunk)
+                   for thunk in thunks]
         results: list[Any] = []
         first_error: BaseException | None = None
         first_cancelled: BaseException | None = None

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Generic, TypeVar, TYPE_CHECKING
 
-from . import linthooks
 from .errors import CorruptedDataError
 from .serialization import (deserialize_partition, estimate_size,
                             serialize_partition)
@@ -60,16 +59,11 @@ class Broadcast(Generic[T]):
             self._checksum = self._integrity.seal(self._blob)
             self._value: T | None = None
             self._fetched = False
-            # guards the verified-copy cache against concurrent first
-            # reads from backend worker threads
-            self._vlock = linthooks.make_lock(
-                f"Broadcast-{broadcast_id}")
         else:
             self._blob = None
             self._checksum = 0
             self._value = value
             self._fetched = True
-            self._vlock = None
         # record the payload size once; the cost model applies the
         # torrent fan-out ((nodes-1) copies) for the target cluster size
         ctx.metrics.broadcast_bytes += self.size_bytes
@@ -86,25 +80,21 @@ class Broadcast(Generic[T]):
         if self._destroyed:
             raise RuntimeError(
                 f"broadcast {self.broadcast_id} was destroyed")
-        if self._blob is None:
+        if self._fetched:
             return self._value
-        with self._vlock:
-            linthooks.access(self, "_value", write=True)
-            if self._fetched:
-                return self._value
-            good = self._integrity.checked_read(
-                "broadcast", (self.broadcast_id,), self._blob,
-                self._checksum)
-            if good is None:
-                self._integrity.metrics.add("recompute_recoveries")
-                raise CorruptedDataError(
-                    f"broadcast {self.broadcast_id} payload failed "
-                    f"checksum verification in flight; the retry "
-                    f"re-fetches the sealed copy",
-                    kind="broadcast", site=(self.broadcast_id,))
-            self._value = deserialize_partition(good)[0]
-            self._fetched = True
-            return self._value
+        good = self._integrity.checked_read(
+            "broadcast", (self.broadcast_id,), self._blob,
+            self._checksum)
+        if good is None:
+            self._integrity.metrics.recompute_recoveries += 1
+            raise CorruptedDataError(
+                f"broadcast {self.broadcast_id} payload failed "
+                f"checksum verification in flight; the retry "
+                f"re-fetches the sealed copy",
+                kind="broadcast", site=(self.broadcast_id,))
+        self._value = deserialize_partition(good)[0]
+        self._fetched = True
+        return self._value
 
     def destroy(self) -> None:
         """Release the replicated value on all nodes and leave the

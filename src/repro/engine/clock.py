@@ -13,7 +13,7 @@ of injected latency without sleeping wall-clock time.
     really sleeps — production semantics.
 ``VirtualClock``
     ``time()`` reads a process-local virtual counter and ``sleep()``
-    atomically advances it and returns immediately.  Under the serial
+    advances it and returns immediately.  Under the serial
     backend this makes injected-delay runs fully deterministic: a task
     that "sleeps" ten virtual seconds costs microseconds of wall time
     but still trips deadlines, backoff accounting and quarantine expiry
@@ -32,7 +32,6 @@ import time
 
 from abc import ABC, abstractmethod
 
-from . import linthooks
 from .errors import EngineError
 
 
@@ -70,41 +69,33 @@ class MonotonicClock(Clock):
 class VirtualClock(Clock):
     """Simulated time: ``sleep`` advances a counter and returns.
 
-    The counter is shared by every task of the owning context and
-    mutated from backend worker threads, so it is guarded by a
-    monitored :class:`~repro.engine.linthooks.HookLock` — the lockset
-    race detector covers it like any other shared engine structure.
+    The counter is shared by every task of the owning context; tasks
+    move it under the engine lock (see :mod:`repro.engine.backends`),
+    so a pool thread's ``sleep`` is seen by its siblings at once.
     """
 
     name = "virtual"
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._lock = linthooks.make_lock("VirtualClock")
 
     def time(self) -> float:
         """Current virtual time."""
-        with self._lock:
-            linthooks.access(self, "now", write=False)
-            return self._now
+        return self._now
 
     def sleep(self, seconds: float) -> None:
-        """Atomically advance virtual time by ``seconds`` (no waiting)."""
+        """Advance virtual time by ``seconds`` (no waiting)."""
         if seconds <= 0:
             return
-        with self._lock:
-            linthooks.access(self, "now", write=True)
-            self._now += seconds
+        self._now += seconds
 
     def advance(self, seconds: float) -> float:
         """Explicitly advance virtual time (test hook); returns the new
         time.  Unlike :meth:`sleep`, negative amounts raise."""
         if seconds < 0:
             raise ValueError(f"cannot advance by {seconds}")
-        with self._lock:
-            linthooks.access(self, "now", write=True)
-            self._now += seconds
-            return self._now
+        self._now += seconds
+        return self._now
 
 
 def create_clock(name: str) -> Clock:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import linthooks
 from .errors import EngineError
 
 
@@ -53,10 +52,6 @@ class Cluster:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        # liveness/placement are read on every task and mutated by
-        # kills/quarantines from any backend worker; reentrant because
-        # the mutators consult available_nodes
-        self._lock = linthooks.make_rlock("Cluster")
 
     # ------------------------------------------------------------------
     # liveness
@@ -69,39 +64,32 @@ class Cluster:
     def is_available(self, node_id: int) -> bool:
         """True iff the node is alive and not quarantined — i.e. it
         may receive new tasks."""
-        with self._lock:
-            linthooks.access(self, "liveness", write=False)
-            return (node_id not in self.dead_nodes
-                    and node_id not in self.quarantined_nodes)
+        return (node_id not in self.dead_nodes
+                and node_id not in self.quarantined_nodes)
 
     @property
     def available_nodes(self) -> list[int]:
         """Sorted ids of nodes that may receive tasks."""
-        with self._lock:
-            return [n for n in range(self.num_nodes)
-                    if self.is_available(n)]
+        return [n for n in range(self.num_nodes)
+                if self.is_available(n)]
 
     def kill_node(self, node_id: int) -> None:
         """Mark a node dead.  The caller (``Context.kill_node``) is
         responsible for invalidating its shuffle outputs and cache."""
         self._check_node_id(node_id)
-        with self._lock:
-            if node_id in self.dead_nodes:
-                return
-            if len(self.available_nodes) <= 1 \
-                    and self.is_available(node_id):
-                raise EngineError(
-                    f"cannot kill node {node_id}: it is the last "
-                    f"available node")
-            linthooks.access(self, "liveness", write=True)
-            self.dead_nodes.add(node_id)
+        if node_id in self.dead_nodes:
+            return
+        if len(self.available_nodes) <= 1 \
+                and self.is_available(node_id):
+            raise EngineError(
+                f"cannot kill node {node_id}: it is the last "
+                f"available node")
+        self.dead_nodes.add(node_id)
 
     def revive_node(self, node_id: int) -> None:
         """Bring a dead node back (empty — its old data stays lost)."""
         self._check_node_id(node_id)
-        with self._lock:
-            linthooks.access(self, "liveness", write=True)
-            self.dead_nodes.discard(node_id)
+        self.dead_nodes.discard(node_id)
 
     # ------------------------------------------------------------------
     # quarantine (node health layer)
@@ -115,32 +103,25 @@ class Cluster:
         no available node.
         """
         self._check_node_id(node_id)
-        with self._lock:
-            if node_id in self.quarantined_nodes:
-                return True
-            if len(self.available_nodes) <= 1 \
-                    and self.is_available(node_id):
-                return False
-            linthooks.access(self, "liveness", write=True)
-            self.quarantined_nodes[node_id] = until
+        if node_id in self.quarantined_nodes:
             return True
+        if len(self.available_nodes) <= 1 \
+                and self.is_available(node_id):
+            return False
+        self.quarantined_nodes[node_id] = until
+        return True
 
     def readmit_node(self, node_id: int) -> bool:
         """Lift a node's quarantine (probational readmission).  Returns
-        True iff the node was quarantined — exactly one of several
-        racing callers observes the transition."""
+        True iff the node was quarantined."""
         self._check_node_id(node_id)
-        with self._lock:
-            linthooks.access(self, "liveness", write=True)
-            return self.quarantined_nodes.pop(node_id, None) is not None
+        return self.quarantined_nodes.pop(node_id, None) is not None
 
     def quarantine_expired(self, now: float) -> list[int]:
         """Sorted ids of quarantined nodes whose term ended by ``now``
         (still quarantined — the caller decides when to readmit)."""
-        with self._lock:
-            linthooks.access(self, "liveness", write=False)
-            return sorted(n for n, until in self.quarantined_nodes.items()
-                          if now >= until)
+        return sorted(n for n, until in self.quarantined_nodes.items()
+                      if now >= until)
 
     # ------------------------------------------------------------------
     # placement
@@ -153,15 +134,13 @@ class Cluster:
         over the remaining available nodes — deterministic, so repeated
         runs under the same fault plan place identically.
         """
-        with self._lock:
-            linthooks.access(self, "liveness", write=False)
-            primary = partition % self.num_nodes
-            if self.is_available(primary):
-                return primary
-            available = self.available_nodes
-            if not available:
-                raise EngineError("no available nodes left in the cluster")
-            return available[partition % len(available)]
+        primary = partition % self.num_nodes
+        if self.is_available(primary):
+            return primary
+        available = self.available_nodes
+        if not available:
+            raise EngineError("no available nodes left in the cluster")
+        return available[partition % len(available)]
 
 
 class NodeHealthTracker:
@@ -189,7 +168,6 @@ class NodeHealthTracker:
         self.decay_s = decay_s
         #: node -> (score at last update, time of last update)
         self._scores: dict[int, tuple[float, float]] = {}
-        self._lock = linthooks.make_lock("NodeHealth")
 
     def _decayed(self, node_id: int, now: float) -> float:
         score, at = self._scores.get(node_id, (0.0, now))
@@ -200,21 +178,15 @@ class NodeHealthTracker:
     def record(self, node_id: int, weight: float, now: float) -> float:
         """Charge ``weight`` badness to ``node_id`` at clock time
         ``now``; returns the node's new decayed score."""
-        with self._lock:
-            linthooks.access(self, "scores", write=True)
-            score = self._decayed(node_id, now) + weight
-            self._scores[node_id] = (score, now)
-            return score
+        score = self._decayed(node_id, now) + weight
+        self._scores[node_id] = (score, now)
+        return score
 
     def score(self, node_id: int, now: float) -> float:
         """The node's current decayed badness score."""
-        with self._lock:
-            linthooks.access(self, "scores", write=False)
-            return self._decayed(node_id, now)
+        return self._decayed(node_id, now)
 
     def reset(self, node_id: int, score: float = 0.0,
               now: float = 0.0) -> None:
         """Overwrite a node's score (used on probational readmission)."""
-        with self._lock:
-            linthooks.access(self, "scores", write=True)
-            self._scores[node_id] = (score, now)
+        self._scores[node_id] = (score, now)

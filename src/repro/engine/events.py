@@ -20,17 +20,14 @@ Differences from Spark's bus, both deliberate:
   them).  That is what turns the injector's subscription into a fault
   path.
 
-Thread safety: posting is serialized by one reentrant lock, so listeners
+Thread safety: events are posted only by engine code, which runs
+under the engine lock (see :mod:`repro.engine.backends`), so listeners
 may assume single-threaded execution (and may post further events while
 handling one — e.g. a node kill fired from ``on_task_start`` posts
-``NodeLost``).  Data-plane components (cache, shuffle, memory pools)
-never post while holding their own locks, which keeps the lock order
-acyclic: bus lock first, component locks second.
+``NodeLost``).
 """
 
 from __future__ import annotations
-
-import threading
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -353,29 +350,25 @@ class EngineListener:
 
 
 class EngineEventBus:
-    """Synchronous, ordered, thread-safe event dispatch (see module
-    docstring for how it deliberately differs from Spark's bus)."""
+    """Synchronous, ordered event dispatch (see module docstring for
+    how it deliberately differs from Spark's bus)."""
 
     def __init__(self) -> None:
         self._listeners: list[EngineListener] = []
-        self._lock = threading.RLock()
 
     def subscribe(self, listener: EngineListener) -> None:
         """Append ``listener``; dispatch order is subscription order.
         Active listeners that may raise (the fault injector) belong
         last, so passive accounting listeners always observe the
         event first."""
-        with self._lock:
-            self._listeners.append(listener)
+        self._listeners.append(listener)
 
     def unsubscribe(self, listener: EngineListener) -> None:
         """Remove ``listener``; raises ``ValueError`` if absent."""
-        with self._lock:
-            self._listeners.remove(listener)
+        self._listeners.remove(listener)
 
     def post(self, event) -> None:
         """Dispatch ``event`` to every listener, in order.  Listener
         exceptions propagate to the caller."""
-        with self._lock:
-            for listener in list(self._listeners):
-                getattr(listener, event.handler)(event)
+        for listener in list(self._listeners):
+            getattr(listener, event.handler)(event)

@@ -43,7 +43,6 @@ executor backend, serial or process.
 from __future__ import annotations
 
 import random
-import threading
 
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TYPE_CHECKING
@@ -265,20 +264,16 @@ class FaultInjector(EngineListener):
     the task.  It is invoked from :meth:`on_task_attempt`, before the
     plan's own faults.
 
-    Thread safety: hooks are called concurrently by backend workers
-    (``wrap_task_iterator`` / ``maybe_fail_fetch`` run outside the bus
-    lock); all mutable state — attempt counters, per-task injection
-    caps, fired kills, fetch occurrence counters — is guarded by one
-    internal lock, and every random decision is derived from its call
-    site (see module docstring), so outcomes are independent of thread
-    interleaving.
+    Thread safety: none of its own; its hooks run under the engine lock
+    (see :mod:`repro.engine.backends`), and every random decision is
+    derived from its call site (see module docstring), so outcomes do
+    not depend on the order pooled tasks take turns in.
     """
 
     def __init__(self, plan: FaultPlan, ctx: "Context"):
         self.plan = plan
         self._ctx = ctx
         self.legacy_hook: Callable[[int, int, int], None] | None = None
-        self._lock = threading.RLock()
         self._task_attempts_started = 0
         self._injected_per_task: dict[tuple[int, int], int] = {}
         self._hangs_per_task: dict[tuple[int, int], int] = {}
@@ -319,9 +314,8 @@ class FaultInjector(EngineListener):
     def on_task_attempt(self, stage_id: int, partition: int,
                         attempt: int, node: int) -> None:
         """Called before each task attempt runs; may raise to fail it."""
-        with self._lock:
-            self._task_attempts_started += 1
-            started = self._task_attempts_started
+        self._task_attempts_started += 1
+        started = self._task_attempts_started
         self._fire_kills(
             lambda ev: ev.after_tasks is not None
             and started >= ev.after_tasks)
@@ -329,8 +323,7 @@ class FaultInjector(EngineListener):
             self.legacy_hook(stage_id, partition, attempt)
         plan = self.plan
         if node in plan.broken_nodes:
-            with self._lock:
-                self._faults().injected_task_failures += 1
+            self._faults().injected_task_failures += 1
             raise InjectedFaultError(
                 f"node {node} is broken (stage {stage_id}, "
                 f"partition {partition}, attempt {attempt})")
@@ -381,20 +374,19 @@ class FaultInjector(EngineListener):
         if plan.hang_task_prob:
             key = (stage_id, partition)
             rng = self._site_rng("hang", stage_id, partition, attempt)
-            with self._lock:
-                if (self._hangs_per_task.get(key, 0)
-                        < plan.max_injected_hangs_per_task
-                        and rng.random() < plan.hang_task_prob):
-                    self._hangs_per_task[key] = \
-                        self._hangs_per_task.get(key, 0) + 1
-                    hang = True
+            if (self._hangs_per_task.get(key, 0)
+                    < plan.max_injected_hangs_per_task
+                    and rng.random() < plan.hang_task_prob):
+                self._hangs_per_task[key] = \
+                    self._hangs_per_task.get(key, 0) + 1
+                hang = True
         stragglers = self._ctx.metrics.stragglers
         if slow_draws:
-            stragglers.add("injected_slow_tasks", slow_draws)
+            stragglers.injected_slow_tasks += slow_draws
         if delay:
-            stragglers.add("injected_delay_s", delay)
+            stragglers.injected_delay_s += delay
         if hang:
-            stragglers.add("injected_hangs", 1)
+            stragglers.injected_hangs += 1
         return delay, hang
 
     def _delayed_iterator(self, records: Iterable, delay: float,
@@ -430,15 +422,14 @@ class FaultInjector(EngineListener):
             return records
         key = (stage_id, partition)
         rng = self._site_rng("task", stage_id, partition, attempt)
-        with self._lock:
-            if (self._injected_per_task.get(key, 0)
-                    >= MAX_INJECTED_FAILURES_PER_TASK):
-                return records
-            if rng.random() >= plan.task_failure_prob:
-                return records
-            self._injected_per_task[key] = \
-                self._injected_per_task.get(key, 0) + 1
-            self._faults().injected_task_failures += 1
+        if (self._injected_per_task.get(key, 0)
+                >= MAX_INJECTED_FAILURES_PER_TASK):
+            return records
+        if rng.random() >= plan.task_failure_prob:
+            return records
+        self._injected_per_task[key] = \
+            self._injected_per_task.get(key, 0) + 1
+        self._faults().injected_task_failures += 1
         message = (f"injected task failure (stage {stage_id}, "
                    f"partition {partition}, attempt {attempt})")
         if plan.task_failure_mode == "eager":
@@ -465,9 +456,8 @@ class FaultInjector(EngineListener):
         if not plan.fetch_failure_prob:
             return
         block = (shuffle_id, map_partition, reduce_partition)
-        with self._lock:
-            occurrence = self._fetch_reads.get(block, 0)
-            self._fetch_reads[block] = occurrence + 1
+        occurrence = self._fetch_reads.get(block, 0)
+        self._fetch_reads[block] = occurrence + 1
         rng = self._site_rng("fetch", shuffle_id, map_partition,
                              reduce_partition, occurrence)
         if rng.random() < plan.fetch_failure_prob:
@@ -483,10 +473,9 @@ class FaultInjector(EngineListener):
         return self._ctx.metrics.faults
 
     def _fire_kills(self, should_fire: Callable[[NodeKillEvent], bool]) -> None:
-        with self._lock:
-            due = [(i, event)
-                   for i, event in enumerate(self.plan.node_kills)
-                   if i not in self._fired_kills and should_fire(event)]
-            self._fired_kills.update(i for i, _ in due)
+        due = [(i, event)
+               for i, event in enumerate(self.plan.node_kills)
+               if i not in self._fired_kills and should_fire(event)]
+        self._fired_kills.update(i for i, _ in due)
         for _, event in due:
             self._ctx.kill_node(event.node_id)

@@ -43,7 +43,6 @@ import random
 
 from typing import TYPE_CHECKING
 
-from . import linthooks
 from .partitioner import stable_hash
 from .serialization import checksum_blob, verify_blob
 
@@ -74,12 +73,10 @@ class IntegrityManager:
     shuffle manager, cache manager, spill maps and broadcasts.  Holds
     the context's :class:`~repro.engine.metrics.IntegrityMetrics` and
     counts every verification directly (the data-plane components it
-    serves must not post events from under their own locks).
+    serves do not post events).
 
-    Thread-safety: the per-site occurrence counters and metrics updates
-    take the manager's own HookLock, which is a leaf lock — it is
-    acquired under the memory-manager lock (cache reads) and with no
-    lock held (shuffle/broadcast reads) and never acquires another.
+    Thread safety: none of its own; its callers run under the engine
+    lock (see :mod:`repro.engine.backends`).
     """
 
     def __init__(self, enabled: bool, plan: "FaultPlan",
@@ -88,7 +85,6 @@ class IntegrityManager:
         self.enabled = enabled
         self.plan = plan
         self.metrics = metrics
-        self._lock = linthooks.make_lock("IntegrityManager")
         # per-(kind, site) read counts: the k-th read of a blob is an
         # independent corruption decision, like FaultInjector._fetch_reads
         self._reads: dict[tuple, int] = {}
@@ -96,15 +92,13 @@ class IntegrityManager:
     def seal(self, blob: bytes) -> int:
         """Checksum ``blob`` at write time and account the CRC work."""
         if self.enabled:
-            self.metrics.add("checksum_bytes", len(blob))
+            self.metrics.checksum_bytes += len(blob)
         return checksum_blob(blob)
 
     def _next_occurrence(self, kind: str, site: tuple) -> int:
         key = (kind,) + site
-        with self._lock:
-            linthooks.access(self, "_reads", write=True)
-            occurrence = self._reads.get(key, 0)
-            self._reads[key] = occurrence + 1
+        occurrence = self._reads.get(key, 0)
+        self._reads[key] = occurrence + 1
         return occurrence
 
     def checked_read(self, kind: str, site: tuple,
@@ -127,10 +121,10 @@ class IntegrityManager:
             rng = site_rng(self.plan.seed, "corrupt", kind, *site)
             if rng.random() < self.plan.corrupt_block_prob:
                 blob = flip_byte(blob, rng.randrange(len(blob)))
-                self.metrics.add("corruptions_injected")
-        self.metrics.add("checksum_bytes", len(blob))
+                self.metrics.corruptions_injected += 1
+        self.metrics.checksum_bytes += len(blob)
         if verify_blob(blob, checksum):
-            self.metrics.add("blocks_verified")
+            self.metrics.blocks_verified += 1
             return blob
-        self.metrics.add("corrupted_blocks")
+        self.metrics.corrupted_blocks += 1
         return None

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, TYPE_CHECKING
 
-from . import linthooks
 from .blocks import KeyedRowBlock, iter_records
 from .errors import CorruptedDataError
 from .partitioner import stable_hash
@@ -117,13 +116,6 @@ class MemoryManager:
         self.metrics = metrics
         self.storage_used = 0
         self.execution_used = 0
-        #: one lock shared with the CacheManager.  The pools and the
-        #: cache call into each other in both directions (``put`` ->
-        #: ``charge_storage``; ``try_acquire_execution`` -> reclaimer ->
-        #: ``reclaim``), so two separate locks would deadlock under
-        #: concurrent tasks — sharing one makes every cross-call a
-        #: reentrant acquisition instead.
-        self.lock = linthooks.make_rlock("MemoryManager")
         #: callback ``(nbytes) -> freed`` registered by the CacheManager;
         #: spills/evicts LRU storage so execution can grow
         self._storage_reclaimer: Callable[[int], int] | None = None
@@ -146,35 +138,28 @@ class MemoryManager:
         Always succeeds — storage admission is shrink-after-insert (the
         cache manager calls :meth:`storage_excess` and demotes/evicts
         right after)."""
-        with self.lock:
-            linthooks.access(self, "storage_used", write=True)
-            self.storage_used += nbytes
-            mm = self._memory_metrics
-            if mm is not None:
-                mm.update_peak("storage_peak_bytes", self.storage_used)
+        self.storage_used += nbytes
+        mm = self._memory_metrics
+        if mm is not None:
+            mm.storage_peak_bytes = max(mm.storage_peak_bytes,
+                                        self.storage_used)
 
     def release_storage(self, nbytes: int) -> None:
         """Return ``nbytes`` of storage memory to the pool."""
-        with self.lock:
-            linthooks.access(self, "storage_used", write=True)
-            self.storage_used = max(0, self.storage_used - nbytes)
+        self.storage_used = max(0, self.storage_used - nbytes)
 
     def storage_excess(self) -> int:
         """Bytes the storage pool must free to be within budget."""
-        with self.lock:
-            linthooks.access(self, "storage_used", write=False)
-            excess = 0
-            if self.storage_cap_bytes is not None:
-                excess = self.storage_used - self.storage_cap_bytes
-            if self.usable_bytes is not None:
-                over = (self.storage_used + self.execution_used
-                        - self.usable_bytes)
-                # execution never forces storage below its guaranteed
-                # floor
-                over = min(over,
-                           self.storage_used - self.storage_floor_bytes)
-                excess = max(excess, over)
-            return max(0, excess)
+        excess = 0
+        if self.storage_cap_bytes is not None:
+            excess = self.storage_used - self.storage_cap_bytes
+        if self.usable_bytes is not None:
+            over = (self.storage_used + self.execution_used
+                    - self.usable_bytes)
+            # execution never forces storage below its guaranteed floor
+            over = min(over, self.storage_used - self.storage_floor_bytes)
+            excess = max(excess, over)
+        return max(0, excess)
 
     # ------------------------------------------------------------------
     # execution pool
@@ -184,33 +169,28 @@ class MemoryManager:
         the registered reclaimer) down to its floor if needed.  Returns
         ``False`` when the budget cannot cover the request — the caller
         (a spillable buffer) must spill."""
-        with self.lock:
-            linthooks.access(self, "execution_used", write=True)
-            if self.usable_bytes is not None:
-                free = (self.usable_bytes - self.execution_used
-                        - self.storage_used)
-                if free < nbytes and self._storage_reclaimer is not None:
-                    reclaimable = (self.storage_used
-                                   - self.storage_floor_bytes)
-                    if reclaimable > 0:
-                        self._storage_reclaimer(
-                            min(nbytes - free, reclaimable))
-                        free = (self.usable_bytes - self.execution_used
-                                - self.storage_used)
-                if free < nbytes:
-                    return False
-            self.execution_used += nbytes
-            mm = self._memory_metrics
-            if mm is not None:
-                mm.update_peak("execution_peak_bytes",
-                               self.execution_used)
-            return True
+        if self.usable_bytes is not None:
+            free = (self.usable_bytes - self.execution_used
+                    - self.storage_used)
+            if free < nbytes and self._storage_reclaimer is not None:
+                reclaimable = self.storage_used - self.storage_floor_bytes
+                if reclaimable > 0:
+                    self._storage_reclaimer(
+                        min(nbytes - free, reclaimable))
+                    free = (self.usable_bytes - self.execution_used
+                            - self.storage_used)
+            if free < nbytes:
+                return False
+        self.execution_used += nbytes
+        mm = self._memory_metrics
+        if mm is not None:
+            mm.execution_peak_bytes = max(mm.execution_peak_bytes,
+                                          self.execution_used)
+        return True
 
     def release_execution(self, nbytes: int) -> None:
         """Return ``nbytes`` of execution memory to the pool."""
-        with self.lock:
-            linthooks.access(self, "execution_used", write=True)
-            self.execution_used = max(0, self.execution_used - nbytes)
+        self.execution_used = max(0, self.execution_used - nbytes)
 
 
 class SpillableAppendOnlyMap:
@@ -324,8 +304,8 @@ class SpillableAppendOnlyMap:
             self._checksums.append(self._integrity.seal(blob))
         mm = self._memory._memory_metrics
         if mm is not None:
-            mm.add("shuffle_spill_bytes", len(blob))
-            mm.add("shuffle_spill_count")
+            mm.shuffle_spill_bytes += len(blob)
+            mm.shuffle_spill_count += 1
         self._memory.release_execution(self._acquired)
         self._acquired = 0
         self._pending = 0
@@ -359,7 +339,7 @@ class SpillableAppendOnlyMap:
                     out[key] = combiner
             mm = self._memory._memory_metrics
             if mm is not None:
-                mm.add("spill_read_bytes", read_back)
+                mm.spill_read_bytes += read_back
             return list(out.items())
         finally:
             self._memory.release_execution(self._acquired)
@@ -377,7 +357,7 @@ class SpillableAppendOnlyMap:
             "spill", self._site + (run_idx,), blob,
             self._checksums[run_idx])
         if good is None:
-            self._integrity.metrics.add("recompute_recoveries")
+            self._integrity.metrics.recompute_recoveries += 1
             raise CorruptedDataError(
                 f"spilled run {run_idx} of combine buffer "
                 f"{self._site or '(anonymous)'} failed checksum "

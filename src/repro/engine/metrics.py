@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from . import events, linthooks
+from . import events
 from .speculation import SPECULATIVE_ATTEMPT_OFFSET
 
 
@@ -179,33 +179,13 @@ class FaultMetrics:
                     or self.nodes_killed)
 
 
-class _LockedCounters:
-    """Base of the counter records that backend worker threads feed
-    concurrently: plain ``+=`` on a shared field is a lost-update race
-    under the process backend, so writers go through the lock-protected
-    :meth:`add`; bare reads of a single counter are safe (atomic
-    attribute loads).  The lock is named after the class
-    (``"MemoryMetrics"``, ...)."""
-
-    def __post_init__(self) -> None:
-        # not a dataclass field: excluded from __eq__/__repr__/asdict
-        self._lock = linthooks.make_lock(type(self).__name__)
-
-    def add(self, counter: str, amount: float = 1) -> None:
-        """Atomically add ``amount`` to the named counter field."""
-        with self._lock:
-            linthooks.access(self, counter, write=True)
-            setattr(self, counter, getattr(self, counter) + amount)
-
-
 @dataclass
-class MemoryMetrics(_LockedCounters):
+class MemoryMetrics:
     """Accounting for the unified memory manager: pool peaks, spills,
     storage-level demotions and OOM kills.
 
-    Fed concurrently by the memory pools, the cache manager and the
-    collector's event handlers; writers go through :meth:`add` /
-    :meth:`update_peak` / :meth:`record_demotion`.
+    Fed by the memory pools, the cache manager and the collector's
+    event handlers.
     """
 
     #: high-water mark of the execution pool (shuffle combine buffers)
@@ -233,13 +213,6 @@ class MemoryMetrics(_LockedCounters):
     #: stayed resident (memory-only levels cannot spill them)
     oversized_entries: int = 0
 
-    def update_peak(self, counter: str, value: int) -> None:
-        """Atomically raise the named high-water mark to ``value``."""
-        with self._lock:
-            linthooks.access(self, counter, write=True)
-            if value > getattr(self, counter):
-                setattr(self, counter, value)
-
     @property
     def spill_bytes(self) -> int:
         """Total bytes written to simulated disk by spilling."""
@@ -257,19 +230,17 @@ class MemoryMetrics(_LockedCounters):
 
     def record_demotion(self, event: str) -> None:
         """Count one storage-level demotion and remember what moved."""
-        with self._lock:
-            linthooks.access(self, "demotions", write=True)
-            self.demotions += 1
-            self.demotion_events.append(event)
+        self.demotions += 1
+        self.demotion_events.append(event)
 
 
 @dataclass
-class StragglerMetrics(_LockedCounters):
+class StragglerMetrics:
     """Accounting for the straggler-resilience layer: injected slowness,
     deadline expiries, speculative attempts and node quarantine.
 
-    Fed concurrently by the fault injector's delay draws and the
-    collector's event handlers, through :meth:`add`.
+    Fed by the fault injector's delay draws and the collector's event
+    handlers.
     """
 
     #: task attempts that overran a hard deadline (TaskTimedOutError)
@@ -308,13 +279,12 @@ class StragglerMetrics(_LockedCounters):
 
 
 @dataclass
-class IntegrityMetrics(_LockedCounters):
+class IntegrityMetrics:
     """Accounting for the data-integrity layer: checksum verifications,
     detected corruption and the recoveries that healed it.
 
-    Fed concurrently by backend worker threads (the
-    :class:`~repro.engine.integrity.IntegrityManager` verifies blobs
-    inside tasks), through :meth:`add`.
+    Fed by the :class:`~repro.engine.integrity.IntegrityManager`,
+    which verifies blobs inside tasks, and by the checkpoint store.
     """
 
     #: checksum verifications that passed (blob matched its CRC)
@@ -361,7 +331,7 @@ class MetricsCollector(events.EngineListener):
     fault, straggler, memory, integrity and (with ``hadoop_mode``) HDFS
     counters.  The data plane — memory pools, the cache, the integrity
     manager, the fault injector's draws — writes its own counters
-    directly, since it must not post from under its locks.
+    directly.
 
     The collector is append-only; analysis code slices it by phase label
     (:mod:`repro.analysis.communication`).
@@ -400,35 +370,27 @@ class MetricsCollector(events.EngineListener):
         self.checkpoint_bytes_written: int = 0
         self.checkpoint_records_written: int = 0
         #: ndarray batches processed by the vectorized kernel (a record
-        #: kernel run leaves both at zero); fed concurrently by backend
-        #: worker threads, hence the lock
+        #: kernel run leaves both at zero)
         self.kernel_batches: int = 0
         self.kernel_batch_records: int = 0
-        self._kernel_lock = linthooks.make_lock("MetricsCollector.kernel")
         #: leverage-score sampling activity (sampler="lev"): partitions
         #: sampled, rows drawn, and the input nonzeros those draws
-        #: replaced; fed concurrently by backend workers, hence the lock
+        #: replaced
         self.sampler_partitions: int = 0
         self.sampler_draws: int = 0
         self.sampler_input_records: int = 0
-        self._sampler_lock = linthooks.make_lock(
-            "MetricsCollector.sampler")
 
     def add_kernel_batch(self, records: int) -> None:
         """Count one vectorized-kernel partition batch of ``records``."""
-        with self._kernel_lock:
-            linthooks.access(self, "kernel_batches", write=True)
-            self.kernel_batches += 1
-            self.kernel_batch_records += records
+        self.kernel_batches += 1
+        self.kernel_batch_records += records
 
     def add_sampler_draw(self, draws: int, input_records: int) -> None:
         """Count one partition's leverage-score sample: ``draws`` rows
         drawn out of ``input_records`` nonzeros."""
-        with self._sampler_lock:
-            linthooks.access(self, "sampler_draws", write=True)
-            self.sampler_partitions += 1
-            self.sampler_draws += draws
-            self.sampler_input_records += input_records
+        self.sampler_partitions += 1
+        self.sampler_draws += draws
+        self.sampler_input_records += input_records
 
     # ------------------------------------------------------------------
     # phases
@@ -499,12 +461,12 @@ class MetricsCollector(events.EngineListener):
     def on_task_end(self, event: events.TaskEnd) -> None:
         """Recognize a committed backup attempt as a speculative win."""
         if event.attempt >= SPECULATIVE_ATTEMPT_OFFSET:
-            self.stragglers.add("speculative_wins", 1)
+            self.stragglers.speculative_wins += 1
 
     def _backoff(self, backoff_s: float) -> None:
         if backoff_s > 0:
-            self.stragglers.add("backoff_sleeps", 1)
-            self.stragglers.add("backoff_total_s", backoff_s)
+            self.stragglers.backoff_sleeps += 1
+            self.stragglers.backoff_total_s += backoff_s
 
     def on_task_failure(self, event: events.TaskFailure) -> None:
         """Count the failure against the task and its node, and the
@@ -519,27 +481,27 @@ class MetricsCollector(events.EngineListener):
     def on_task_timed_out(self, event: events.TaskTimedOut) -> None:
         """Count a hard-deadline expiry, its wasted attempt time and
         the retry's backoff sleep."""
-        self.stragglers.add("tasks_timed_out", 1)
-        self.stragglers.add("wasted_attempt_s", event.elapsed_s)
+        self.stragglers.tasks_timed_out += 1
+        self.stragglers.wasted_attempt_s += event.elapsed_s
         self._backoff(event.backoff_s)
 
     def on_task_speculated(self, event: events.TaskSpeculated) -> None:
         """Count a backup-attempt launch."""
-        self.stragglers.add("tasks_speculated", 1)
+        self.stragglers.tasks_speculated += 1
 
     def on_task_attempt_cancelled(
             self, event: events.TaskAttemptCancelled) -> None:
         """Count one attempt abandoned at its speculative deadline."""
-        self.stragglers.add("attempts_cancelled", 1)
-        self.stragglers.add("wasted_attempt_s", event.elapsed_s)
+        self.stragglers.attempts_cancelled += 1
+        self.stragglers.wasted_attempt_s += event.elapsed_s
 
     def on_node_quarantined(self, event: events.NodeQuarantined) -> None:
         """Count a node entering quarantine."""
-        self.stragglers.add("nodes_quarantined", 1)
+        self.stragglers.nodes_quarantined += 1
 
     def on_node_readmitted(self, event: events.NodeReadmitted) -> None:
         """Count a probational readmission."""
-        self.stragglers.add("nodes_readmitted", 1)
+        self.stragglers.nodes_readmitted += 1
 
     def on_fetch_failed(self, event: events.FetchFailed) -> None:
         """Count a reduce-side fetch failure."""
@@ -553,7 +515,7 @@ class MetricsCollector(events.EngineListener):
     def on_block_corrupted(self, event: events.BlockCorrupted) -> None:
         """Count one corruption healed by lineage recomputation (the
         integrity manager counts the detection itself)."""
-        self.integrity.add("recompute_recoveries")
+        self.integrity.recompute_recoveries += 1
 
     def on_node_lost(self, event: events.NodeLost) -> None:
         """Account a node death and the data it took down."""
@@ -564,11 +526,11 @@ class MetricsCollector(events.EngineListener):
 
     def on_oom_kill(self, event: events.OOMKill) -> None:
         """Count an injected-budget OOM kill."""
-        self.memory.add("oom_kills", 1)
+        self.memory.oom_kills += 1
 
     def on_task_spill(self, event: events.TaskSpill) -> None:
         """Account a spill-mode task's streamed bytes."""
-        self.memory.add("task_spill_bytes", event.nbytes)
+        self.memory.task_spill_bytes += event.nbytes
 
     def on_rdd_demoted(self, event: events.RDDDemoted) -> None:
         """Record the demotion in the human-readable event log."""

@@ -28,6 +28,11 @@ stdin/stdout pipes, one synchronous request per checked-out worker
 (the calling thread holds the worker until the reply, so nothing needs
 demultiplexing); end of input stops the worker.  In a request,
 ndarrays of :data:`_SHARE_MIN_BYTES` or more are their descriptors.
+
+Thread safety: none of its own.  The registry and the pool are touched
+only under the engine lock (see :mod:`repro.engine.backends`);
+:meth:`OffloadClient.run` lets go of it around ``worker.request`` alone,
+where the thread touches nothing but its checked-out worker's pipes.
 """
 
 from __future__ import annotations
@@ -39,13 +44,11 @@ import pickle
 import struct
 import subprocess
 import sys
-import threading
 
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import linthooks
 from .blocks import VALUE_DTYPE
 from .errors import BackendError
 
@@ -99,7 +102,6 @@ class SharedBlockRegistry:
     """
 
     def __init__(self):
-        self._lock = linthooks.make_lock("SharedBlockRegistry")
         #: name -> SharedMemory (every segment this registry owns)
         self._segments: dict[str, Any] = {}
         #: id(array) -> (descriptor, keepalive ref) for published inputs
@@ -119,42 +121,36 @@ class SharedBlockRegistry:
         """``publish`` memoized on array identity (with a keepalive
         reference, so ``id`` reuse cannot alias a dead array).  The
         returned descriptor comes back pinned: eviction skips it until
-        the caller ``unpin``\\ s, so a concurrent thread overflowing the
-        cache cannot unlink a segment another request still references.
+        the caller ``unpin``\\ s, so another task overflowing the cache
+        while this request is in flight cannot unlink its segment.
         """
         key = id(arr)
-        with self._lock:
-            linthooks.access(self, "cached", write=True)
-            hit = self._cached.get(key)
-            if hit is not None and hit[1] is arr:
-                # a hit is a use (the entry moves to the young end): a
-                # partition's columns outlive any number of one-shot arrays
-                self._cached[key] = self._cached.pop(key)
-                self._pins[hit[0][0]] = self._pins.get(hit[0][0], 0) + 1
-                return hit[0]
+        hit = self._cached.get(key)
+        if hit is not None and hit[1] is arr:
+            # a hit is a use (the entry moves to the young end): a
+            # partition's columns outlive any number of one-shot arrays
+            self._cached[key] = self._cached.pop(key)
+            self._pins[hit[0][0]] = self._pins.get(hit[0][0], 0) + 1
+            return hit[0]
         desc = self.publish(arr)
-        with self._lock:
-            linthooks.access(self, "cached", write=True)
-            self._cached[key] = (desc, arr)
-            self._pins[desc[0]] = self._pins.get(desc[0], 0) + 1
-            while len(self._cached) > _PUBLISH_CACHE_CAP:
-                victim = next((k for k, (old, _) in self._cached.items()
-                               if not self._pins.get(old[0])), None)
-                if victim is None:  # everything in flight; grow past cap
-                    break
-                self._release_locked(self._cached.pop(victim)[0][0])
+        self._cached[key] = (desc, arr)
+        self._pins[desc[0]] = self._pins.get(desc[0], 0) + 1
+        while len(self._cached) > _PUBLISH_CACHE_CAP:
+            victim = next((k for k, (old, _) in self._cached.items()
+                           if not self._pins.get(old[0])), None)
+            if victim is None:  # everything in flight; grow past cap
+                break
+            self.release(self._cached.pop(victim)[0][0])
         return desc
 
     def unpin(self, names: Sequence[str]) -> None:
         """Drop one pin per name, making the segments evictable again."""
-        with self._lock:
-            linthooks.access(self, "cached", write=True)
-            for name in names:
-                count = self._pins.get(name, 0) - 1
-                if count > 0:
-                    self._pins[name] = count
-                else:
-                    self._pins.pop(name, None)
+        for name in names:
+            count = self._pins.get(name, 0) - 1
+            if count > 0:
+                self._pins[name] = count
+            else:
+                self._pins.pop(name, None)
 
     def create(self, shape: tuple, dtype: np.dtype = VALUE_DTYPE
                ) -> tuple[tuple, np.ndarray]:
@@ -165,12 +161,11 @@ class SharedBlockRegistry:
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
         view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        with self._lock:
-            linthooks.access(self, "segments", write=True)
-            self._segments[shm.name] = shm
+        self._segments[shm.name] = shm
         return (shm.name, dtype.str, shape), view
 
-    def _release_locked(self, name: str) -> None:
+    def release(self, name: str) -> None:
+        """Close and unlink one segment."""
         shm = self._segments.pop(name, None)
         if shm is None:
             return
@@ -183,26 +178,16 @@ class SharedBlockRegistry:
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
 
-    def release(self, name: str) -> None:
-        """Close and unlink one segment."""
-        with self._lock:
-            linthooks.access(self, "segments", write=True)
-            self._release_locked(name)
-
     def unlink_all(self) -> None:
         """Close and unlink every live segment (idempotent)."""
-        with self._lock:
-            linthooks.access(self, "segments", write=True)
-            self._cached.clear()
-            self._pins.clear()
-            for name in list(self._segments):
-                self._release_locked(name)
+        self._cached.clear()
+        self._pins.clear()
+        for name in list(self._segments):
+            self.release(name)
 
     def live_segments(self) -> list[str]:
         """Names of segments not yet unlinked (leak observable)."""
-        with self._lock:
-            linthooks.access(self, "segments", write=False)
-            return list(self._segments)
+        return list(self._segments)
 
 
 # ----------------------------------------------------------------------
@@ -305,12 +290,11 @@ def _spawn_workers(count: int) -> list[_WorkerProcess] | None:
 
 class ProcessWorkerPool:
     """A lazily started pool of worker processes with exclusive
-    checkout (one in-flight request per worker)."""
+    checkout (one in-flight request per worker).  It never waits for a
+    worker to come back: ``checkout`` says "compute inline" instead."""
 
     def __init__(self, num_workers: int):
         self._num_workers = num_workers
-        self._cond = threading.Condition(
-            linthooks.make_lock("ProcessPoolLifecycle"))
         self._idle: list[_WorkerProcess] = []
         self._live = 0
         self._started = False
@@ -319,59 +303,41 @@ class ProcessWorkerPool:
     def ensure_started(self) -> bool:
         """Spawn the workers on first use; False when unavailable
         (spawn failed, no shared memory, or already stopped)."""
-        if shared_memory is None:
+        if shared_memory is None or self._stopped:
             return False
-        with self._cond:
-            linthooks.access(self, "workers", write=True)
-            if self._stopped:
-                return False
-            if not self._started:
-                self._started = True
-                self._idle = _spawn_workers(self._num_workers) or []
-                self._live = len(self._idle)
-            return self._live > 0
+        if not self._started:
+            self._started = True
+            self._idle = _spawn_workers(self._num_workers) or []
+            self._live = len(self._idle)
+        return self._live > 0
 
-    def checkout(self) -> _WorkerProcess:
-        """Claim an idle worker, blocking while all are busy; raises
-        :class:`~repro.engine.errors.BackendError` once the pool is
-        stopped or every worker has died unrecoverably."""
-        with self._cond:
-            while not self._idle and not self._stopped and self._live:
-                self._cond.wait()
-            linthooks.access(self, "workers", write=True)
-            if self._stopped or not self._live:
-                raise BackendError("process worker pool is stopped")
-            return self._idle.pop()
+    def checkout(self) -> _WorkerProcess | None:
+        """Claim an idle worker, or None ("compute inline") when none is
+        idle.  The backend runs one thread per worker, so that happens
+        only once a dead worker's respawn has failed, or after ``stop``.
+        """
+        return self._idle.pop() if self._idle else None
 
     def checkin(self, worker: _WorkerProcess, dead: bool = False) -> None:
         """Return a worker after a request; ``dead=True`` kills it and
         respawns a replacement (the pool shrinks when respawn fails)."""
-        respawned = None
-        if dead:
-            worker.kill()
-            respawned = _spawn_workers(1)
-        with self._cond:
-            linthooks.access(self, "workers", write=True)
-            if not dead:
-                self._idle.append(worker)
-            elif respawned is None:
-                self._live -= 1
-            elif self._stopped:
-                respawned[0].kill()
-            else:
-                self._idle += respawned
-            self._cond.notify_all()
+        if not dead:
+            self._idle.append(worker)
+            return
+        worker.kill()
+        respawned = _spawn_workers(1)
+        if respawned is None:
+            self._live -= 1
+        else:
+            self._idle += respawned
 
     def stop(self) -> None:
         """Shut every worker down (idempotent) — all are told before
-        any is waited for; subsequent checkouts raise and
+        any is waited for; subsequent checkouts return None and
         ``ensure_started`` reports unavailability."""
-        with self._cond:
-            linthooks.access(self, "workers", write=True)
-            self._stopped = True
-            workers, self._idle = self._idle, []
-            self._live = 0
-            self._cond.notify_all()
+        self._stopped = True
+        workers, self._idle = self._idle, []
+        self._live = 0
         for worker in workers:
             worker.signal_stop()
         for worker in workers:
@@ -401,20 +367,25 @@ class OffloadClient:
     """Kernel-facing handle that runs a task body on a worker process.
     ``run`` is the only way a request is built; whenever it cannot
     offload it says so and the caller runs the same function inline, so
-    the choice never changes a bit of output."""
+    the choice never changes a bit of output.
+
+    ``engine_lock`` is the backend's engine lock: ``run`` lets go of it
+    only while a worker computes, so sibling tasks run engine code
+    meanwhile."""
 
     def __init__(self, pool: ProcessWorkerPool,
-                 registry: SharedBlockRegistry):
+                 registry: SharedBlockRegistry, engine_lock: Any):
         self._pool = pool
         self._registry = registry
+        self._engine_lock = engine_lock
 
     def run(self, op: str, arrays: Sequence[Any], meta: dict,
             out: tuple | None = None) -> tuple | None:
         """``_OPS[op](*arrays, **meta)`` on a worker: its result tuple,
-        or None for "compute inline" (pool unavailable or stopped, the
-        worker died, or an operand's segment lost the publish-cache
-        eviction race — ``missing_segment``).  A worker-side exception
-        raises ``RuntimeError`` here.
+        or None for "compute inline" (pool unavailable or stopped, no
+        idle worker, the worker died, or an operand's segment lost the
+        publish-cache eviction race — ``missing_segment``).  A
+        worker-side exception raises ``RuntimeError`` here.
 
         ``arrays`` may nest lists, tuples, dicts and blocks; their
         large ndarrays are shared (pass a cached block's own arrays:
@@ -435,12 +406,12 @@ class OffloadClient:
             _SharingPickler(frame, registry, pinned).dump(
                 {"op": op, "arrays": arrays, "meta": meta,
                  "out": out_desc})
-            try:
-                worker = self._pool.checkout()
-            except BackendError:
+            worker = self._pool.checkout()
+            if worker is None:
                 return None
             try:
-                reply = worker.request(frame.getvalue())
+                with self._engine_lock.released():
+                    reply = worker.request(frame.getvalue())
             except WorkerDied:
                 self._pool.checkin(worker, dead=True)
                 return None

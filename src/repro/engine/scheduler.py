@@ -50,8 +50,6 @@ preserves the paper's Table 4 semantics under fault injection.
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
@@ -109,7 +107,6 @@ class MemoryPressurePolicy:
 
     def __init__(self, ctx: "Context"):
         self.ctx = ctx
-        self._lock = threading.Lock()
         #: ``(rdd_id, partition)`` of tasks forced into spill mode after
         #: an OOM with no persisted ancestor left to demote (keyed by
         #: the stage's RDD, which is stable across stage resubmissions)
@@ -130,9 +127,7 @@ class MemoryPressurePolicy:
         if budget is None:
             return
         raw_bytes = sum(estimate_record_size(r) for r in records)
-        with self._lock:
-            spill_mode = (stage.rdd.rdd_id,
-                          partition) in self._spill_mode_tasks
+        spill_mode = (stage.rdd.rdd_id, partition) in self._spill_mode_tasks
         if spill_mode:
             factor = SPILL_MODE_FACTOR
         else:
@@ -159,22 +154,21 @@ class MemoryPressurePolicy:
         the stage's narrow chain one storage level (dropping its cached
         entries so it re-caches at the new level), or — when nothing is
         left to demote — degrade the task itself to spill mode."""
-        with self._lock:
-            demoted = False
-            for rdd in stage.rdd.narrow_chain():
-                level = rdd.storage_level
-                if level is None:
-                    continue
-                new_level = demote_level(level)
-                if new_level is None:
-                    continue
-                self.ctx._cache.unpersist(rdd.rdd_id)
-                rdd.storage_level = new_level
-                self.ctx.event_bus.post(RDDDemoted(
-                    rdd.rdd_id, rdd.name, level, new_level))
-                demoted = True
-            if not demoted:
-                self._spill_mode_tasks.add((stage.rdd.rdd_id, partition))
+        demoted = False
+        for rdd in stage.rdd.narrow_chain():
+            level = rdd.storage_level
+            if level is None:
+                continue
+            new_level = demote_level(level)
+            if new_level is None:
+                continue
+            self.ctx._cache.unpersist(rdd.rdd_id)
+            rdd.storage_level = new_level
+            self.ctx.event_bus.post(RDDDemoted(
+                rdd.rdd_id, rdd.name, level, new_level))
+            demoted = True
+        if not demoted:
+            self._spill_mode_tasks.add((stage.rdd.rdd_id, partition))
 
 
 class DAGScheduler:

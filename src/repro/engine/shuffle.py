@@ -28,12 +28,11 @@ by resubmitting the parent shuffle-map stage from lineage.  A
 :class:`~repro.engine.faults.FaultInjector` may additionally inject
 transient fetch failures per block.
 
-Thread safety: map tasks on different backend workers write
-concurrently and reduce tasks read concurrently; the output registry is
-guarded by an internal lock.  Combining and bucketing (the expensive
-part) happen *outside* the lock, and reads iterate map outputs in
-sorted map-partition order so fetched record order — and therefore
-every downstream reduction — is independent of write interleaving.
+Thread safety: none of its own; map and reduce tasks call it under the
+engine lock (see :mod:`repro.engine.backends`).  Reads iterate map
+outputs in sorted map-partition order, so fetched record order — and
+therefore every downstream reduction — is independent of the order map
+tasks wrote in.
 
 Data integrity: with ``EngineConf.integrity`` on, every bucket — a
 run's row range cut out as a block of its own — is additionally
@@ -51,7 +50,6 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Any, Callable, Iterable, NamedTuple, TYPE_CHECKING
 
-from . import linthooks
 from .blocks import (concat_ranges, is_block, is_keyed_block,
                      partition_order)
 from .cluster import Cluster
@@ -173,7 +171,6 @@ class ShuffleManager:
         self.faults = faults
         self.memory = memory
         self.integrity = integrity
-        self._lock = linthooks.make_rlock("ShuffleManager")
         self._shuffles: dict[int, dict[int, _MapOutput]] = {}
         #: shuffle id -> expected map-partition count
         self._num_maps: dict[int, int] = {}
@@ -183,21 +180,17 @@ class ShuffleManager:
         """Register a new shuffle of ``num_map_partitions`` map tasks and
         return its id.  Reduce-side reads verify the shuffle is complete
         and raise ``FetchFailedError`` otherwise."""
-        with self._lock:
-            linthooks.access(self, "_shuffles", write=True)
-            sid = self._next_shuffle_id
-            self._next_shuffle_id += 1
-            self._shuffles[sid] = {}
-            self._num_maps[sid] = num_map_partitions
-            return sid
+        sid = self._next_shuffle_id
+        self._next_shuffle_id += 1
+        self._shuffles[sid] = {}
+        self._num_maps[sid] = num_map_partitions
+        return sid
 
     def is_written(self, shuffle_id: int, num_map_partitions: int) -> bool:
         """True iff every map task of the shuffle already wrote output."""
-        with self._lock:
-            linthooks.access(self, "_shuffles", write=False)
-            outputs = self._shuffles.get(shuffle_id)
-            return (outputs is not None
-                    and len(outputs) >= num_map_partitions)
+        outputs = self._shuffles.get(shuffle_id)
+        return (outputs is not None
+                and len(outputs) >= num_map_partitions)
 
     # ------------------------------------------------------------------
     # map side
@@ -263,7 +256,6 @@ class ShuffleManager:
             n_records += 1
             n_bytes += size
         if self.integrity is not None and self.integrity.enabled:
-            # seal outside the lock: pickling is the expensive part
             for bucket in range(num_partitions):
                 items = output.bucket(bucket)[0]
                 if not items:
@@ -276,10 +268,8 @@ class ShuffleManager:
         output.records = n_records
         # dropped shuffles (drop_shuffle_outputs) may be re-written when
         # lineage is recomputed; re-register lazily
-        with self._lock:
-            linthooks.access(self, "_shuffles", write=True)
-            self._shuffles.setdefault(shuffle_id, {})[map_partition] = \
-                output
+        self._shuffles.setdefault(shuffle_id, {})[map_partition] = \
+            output
         write_metrics.bytes_written += n_bytes
         write_metrics.records_written += n_records
 
@@ -295,36 +285,34 @@ class ShuffleManager:
         outputs are incomplete (a writer node died and its blocks were
         invalidated) or when the fault plan injects a fetch failure.
         """
-        with self._lock:
-            linthooks.access(self, "_shuffles", write=False)
-            outputs = self._shuffles.get(shuffle_id)
-            if outputs is None:
-                if shuffle_id not in self._num_maps:
-                    raise KeyError(f"unknown shuffle id {shuffle_id}")
-                # registered but dropped (gc'd or removed): recoverable —
-                # the scheduler recomputes the map stage from lineage
-                missing = tuple(range(self._num_maps[shuffle_id]))
-                raise FetchFailedError(
-                    f"shuffle {shuffle_id} has no map outputs (dropped "
-                    f"or lost) for reduce partition {reduce_partition}",
-                    shuffle_id=shuffle_id,
-                    reduce_partition=reduce_partition,
-                    missing_map_partitions=missing)
-            expected = self._num_maps[shuffle_id]
-            if len(outputs) < expected:
-                missing = tuple(sorted(set(range(expected))
-                                       - set(outputs)))
-                raise FetchFailedError(
-                    f"shuffle {shuffle_id} is missing map outputs "
-                    f"{list(missing)} for reduce partition "
-                    f"{reduce_partition}",
-                    shuffle_id=shuffle_id,
-                    reduce_partition=reduce_partition,
-                    missing_map_partitions=missing)
-            # snapshot in sorted map-partition order: fetch order (and
-            # thus reduce-side record order) must not depend on write
-            # interleaving or on recovery re-insertion order
-            snapshot = sorted(outputs.items())
+        outputs = self._shuffles.get(shuffle_id)
+        if outputs is None:
+            if shuffle_id not in self._num_maps:
+                raise KeyError(f"unknown shuffle id {shuffle_id}")
+            # registered but dropped (gc'd or removed): recoverable —
+            # the scheduler recomputes the map stage from lineage
+            missing = tuple(range(self._num_maps[shuffle_id]))
+            raise FetchFailedError(
+                f"shuffle {shuffle_id} has no map outputs (dropped "
+                f"or lost) for reduce partition {reduce_partition}",
+                shuffle_id=shuffle_id,
+                reduce_partition=reduce_partition,
+                missing_map_partitions=missing)
+        expected = self._num_maps[shuffle_id]
+        if len(outputs) < expected:
+            missing = tuple(sorted(set(range(expected))
+                                   - set(outputs)))
+            raise FetchFailedError(
+                f"shuffle {shuffle_id} is missing map outputs "
+                f"{list(missing)} for reduce partition "
+                f"{reduce_partition}",
+                shuffle_id=shuffle_id,
+                reduce_partition=reduce_partition,
+                missing_map_partitions=missing)
+        # snapshot in sorted map-partition order: fetch order (and
+        # thus reduce-side record order) must not depend on write
+        # interleaving or on recovery re-insertion order
+        snapshot = sorted(outputs.items())
         reduce_node = self.cluster.node_of_partition(reduce_partition)
         fetched: list = []
         for map_partition, output in snapshot:
@@ -368,9 +356,7 @@ class ShuffleManager:
             "shuffle", (shuffle_id, map_partition, reduce_partition),
             blob, checksum)
         if good is None:
-            with self._lock:
-                linthooks.access(self, "_shuffles", write=True)
-                self._shuffles.get(shuffle_id, {}).pop(map_partition, None)
+            self._shuffles.get(shuffle_id, {}).pop(map_partition, None)
             raise CorruptedBlockError(
                 f"shuffle {shuffle_id} block (map {map_partition} -> "
                 f"reduce {reduce_partition}) failed checksum "
@@ -389,28 +375,22 @@ class ShuffleManager:
         ``FetchFailedError`` and trigger lineage resubmission."""
         outputs_lost = 0
         records_lost = 0
-        with self._lock:
-            linthooks.access(self, "_shuffles", write=True)
-            for shuffle_outputs in self._shuffles.values():
-                doomed = [p for p, out in shuffle_outputs.items()
-                          if out.node == node_id]
-                for p in doomed:
-                    output = shuffle_outputs.pop(p)
-                    outputs_lost += 1
-                    records_lost += output.records
+        for shuffle_outputs in self._shuffles.values():
+            doomed = [p for p, out in shuffle_outputs.items()
+                      if out.node == node_id]
+            for p in doomed:
+                output = shuffle_outputs.pop(p)
+                outputs_lost += 1
+                records_lost += output.records
         return outputs_lost, records_lost
 
     def remove_shuffle(self, shuffle_id: int) -> None:
         """Discard one shuffle's map outputs."""
-        with self._lock:
-            linthooks.access(self, "_shuffles", write=True)
-            self._shuffles.pop(shuffle_id, None)
+        self._shuffles.pop(shuffle_id, None)
 
     def clear(self) -> None:
         """Discard all map outputs (recomputed from lineage on demand).
 
         The declared map-partition counts are metadata, not data, and
         survive — recomputed shuffles re-register their outputs."""
-        with self._lock:
-            linthooks.access(self, "_shuffles", write=True)
-            self._shuffles.clear()
+        self._shuffles.clear()

@@ -14,10 +14,10 @@ The primitives behind the task scheduler's straggler defences:
     overran its hard deadline.  Only the attempt's own thread touches
     its token.
 :class:`CancellationGroup`
-    One per task set, and the one flag shared across threads.  The
-    process backend cancels the group when any task fails terminally,
-    so in-flight sibling attempts abort at their next checkpoint
-    instead of running to completion.
+    One per task set, shared by its attempts.  The process backend
+    cancels the group when any task fails terminally, so in-flight
+    sibling attempts abort at their next checkpoint instead of running
+    to completion.
 :class:`StageRuntimes`
     Per-stage runtime quantile tracker feeding the adaptive speculative
     deadline (``speculative_multiplier`` x the stage's median task
@@ -26,13 +26,8 @@ The primitives behind the task scheduler's straggler defences:
     Seeded-jitter exponential backoff, unified for every retry class
     (task faults, OOM kills, timeouts).
 
-All shared state here is guarded by monitored
-:class:`~repro.engine.linthooks.HookLock` proxies so the lockset race
-detector covers the speculation machinery.  The one deliberate
-exception: the group's cancelled *flag* is read lock-free on the
-checkpoint fast path (a single attribute load, atomic in CPython — the
-volatile pattern) and mutated under the lock; the annotated accesses
-all happen inside locked regions.
+Thread safety: none of its own; attempts run under the engine lock
+(see :mod:`repro.engine.backends`).
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ import random
 from statistics import median
 from typing import Any, TYPE_CHECKING
 
-from . import linthooks
 from .errors import CancelledAttempt, EngineError, TaskTimedOutError
 from .partitioner import stable_hash
 
@@ -64,32 +58,27 @@ _MAX_SLEEP_CHUNK_S = 0.05
 class CancellationGroup:
     """Shared cancel flag for one task set's attempts."""
 
-    __slots__ = ("_lock", "_cancelled", "_reason")
+    __slots__ = ("_cancelled", "_reason")
 
     def __init__(self) -> None:
-        self._lock = linthooks.make_lock("CancellationGroup")
         self._cancelled = False
         self._reason = ""
 
     @property
     def cancelled(self) -> bool:
-        """Lock-free read of the cancel flag (volatile pattern)."""
+        """Whether the set was cancelled."""
         return self._cancelled
 
     def cancel(self, reason: str) -> None:
         """Cancel every attempt of the set (first reason wins)."""
-        with self._lock:
-            linthooks.access(self, "state", write=True)
-            if not self._cancelled:
-                self._cancelled = True
-                self._reason = reason
+        if not self._cancelled:
+            self._cancelled = True
+            self._reason = reason
 
     @property
     def reason(self) -> str:
         """Why the set was cancelled (empty when it was not)."""
-        with self._lock:
-            linthooks.access(self, "state", write=False)
-            return self._reason
+        return self._reason
 
 
 class CancellationToken:
@@ -245,28 +234,23 @@ class StageRuntimes:
     WINDOW = 64
 
     def __init__(self) -> None:
-        self._lock = linthooks.make_lock("StageRuntimes")
         self._samples: dict[int, list[float]] = {}
 
     def record(self, stage_id: int, duration_s: float) -> None:
         """Record one successful attempt's runtime."""
-        with self._lock:
-            linthooks.access(self, "samples", write=True)
-            window = self._samples.setdefault(stage_id, [])
-            window.append(duration_s)
-            if len(window) > self.WINDOW:
-                del window[0]
+        window = self._samples.setdefault(stage_id, [])
+        window.append(duration_s)
+        if len(window) > self.WINDOW:
+            del window[0]
 
     def median(self, stage_id: int,
                min_samples: int = 1) -> float | None:
         """Median recorded runtime of ``stage_id``, or ``None`` when
         fewer than ``min_samples`` tasks have completed."""
-        with self._lock:
-            linthooks.access(self, "samples", write=False)
-            window = self._samples.get(stage_id, ())
-            if len(window) < max(1, min_samples):
-                return None
-            return median(window)
+        window = self._samples.get(stage_id, ())
+        if len(window) < max(1, min_samples):
+            return None
+        return median(window)
 
 
 # ----------------------------------------------------------------------

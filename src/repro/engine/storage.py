@@ -28,7 +28,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import linthooks
 from .errors import CacheEvictedError
 from .serialization import (deserialize_partition, estimate_size,
                             serialize_partition)
@@ -111,11 +110,8 @@ class CacheManager:
     Eviction of a partition whose lineage was truncated raises
     :class:`~repro.engine.errors.CacheEvictedError` at read time.
 
-    Thread safety: every public operation runs under the memory
-    manager's lock (shared because cache and pools call into each other
-    in both directions — see :class:`~repro.engine.memory
-    .MemoryManager`), so concurrent backend workers see consistent
-    LRU/accounting state.
+    Thread safety: none of its own; its callers run under the engine
+    lock (see :mod:`repro.engine.backends`).
     """
 
     def __init__(self, capacity_bytes: int | None = None,
@@ -156,32 +152,30 @@ class CacheManager:
             level: StorageLevel) -> None:
         """Cache ``records`` for ``(rdd_id, partition)`` at ``level``."""
         key = (rdd_id, partition)
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=True)
-            if key in self._entries:
-                self._remove(key)
-            if level.serialized_in_memory or level is StorageLevel.DISK:
-                blob = serialize_partition(list(records))
-                entry = _CacheEntry(records=None, blob=blob, level=level,
-                                    size_bytes=len(blob),
-                                    on_disk=level is StorageLevel.DISK,
-                                    checksum=self._seal(blob))
-            else:
-                size = sum(estimate_size(r) for r in records) or 1
-                entry = _CacheEntry(records=list(records), blob=None,
-                                    level=level, size_bytes=size)
-            self._entries[key] = entry
-            if not entry.on_disk:
-                self.memory.charge_storage(entry.size_bytes)
-                if self.metrics is not None:
-                    bucket = self.metrics.cache_stored_bytes
-                    bucket[level.value] = (bucket.get(level.value, 0)
-                                           + entry.size_bytes)
+        if key in self._entries:
+            self._remove(key)
+        if level.serialized_in_memory or level is StorageLevel.DISK:
+            blob = serialize_partition(list(records))
+            entry = _CacheEntry(records=None, blob=blob, level=level,
+                                size_bytes=len(blob),
+                                on_disk=level is StorageLevel.DISK,
+                                checksum=self._seal(blob))
+        else:
+            size = sum(estimate_size(r) for r in records) or 1
+            entry = _CacheEntry(records=list(records), blob=None,
+                                level=level, size_bytes=size)
+        self._entries[key] = entry
+        if not entry.on_disk:
+            self.memory.charge_storage(entry.size_bytes)
             if self.metrics is not None:
-                written = self.metrics.cache_bytes_written
-                written[level.value] = (written.get(level.value, 0)
-                                        + entry.size_bytes)
-            self._shrink_to_budget(protect=key)
+                bucket = self.metrics.cache_stored_bytes
+                bucket[level.value] = (bucket.get(level.value, 0)
+                                       + entry.size_bytes)
+        if self.metrics is not None:
+            written = self.metrics.cache_bytes_written
+            written[level.value] = (written.get(level.value, 0)
+                                    + entry.size_bytes)
+        self._shrink_to_budget(protect=key)
 
     def get(self, rdd_id: int, partition: int) -> list | None:
         """Return the cached partition, or ``None`` on a miss.
@@ -192,47 +186,43 @@ class CacheManager:
         disk reads.
         """
         key = (rdd_id, partition)
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=False)
-            entry = self._entries.get(key)
-            if entry is None:
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        blob = entry.blob
+        if (blob is not None and self.integrity is not None
+                and self.integrity.enabled
+                and entry.checksum is not None):
+            blob = self.integrity.checked_read(
+                "cache", key, blob, entry.checksum)
+            if blob is None:
+                # corrupt cached blob: drop the entry and report a
+                # miss — the RDD iterator recomputes the partition
+                # from lineage and re-caches it, transparently
+                self._remove(key)
                 self.misses += 1
+                self.integrity.metrics.recompute_recoveries += 1
                 return None
-            blob = entry.blob
-            if (blob is not None and self.integrity is not None
-                    and self.integrity.enabled
-                    and entry.checksum is not None):
-                blob = self.integrity.checked_read(
-                    "cache", key, blob, entry.checksum)
-                if blob is None:
-                    # corrupt cached blob: drop the entry and report a
-                    # miss — the RDD iterator recomputes the partition
-                    # from lineage and re-caches it, transparently
-                    self._remove(key)
-                    self.misses += 1
-                    self.integrity.metrics.add("recompute_recoveries")
-                    return None
-            self.hits += 1
-            self._entries.move_to_end(key)
-            if entry.records is not None:
-                return entry.records
-            assert blob is not None
-            t0 = time.perf_counter()
-            records = deserialize_partition(blob)
-            entry.deser_seconds += time.perf_counter() - t0
-            if self.metrics is not None:
-                self.metrics.cache_deserialized_bytes += len(blob)
-                if entry.on_disk:
-                    self.metrics.cache_disk_read_bytes += len(blob)
-            return records
+        self.hits += 1
+        self._entries.move_to_end(key)
+        if entry.records is not None:
+            return entry.records
+        assert blob is not None
+        t0 = time.perf_counter()
+        records = deserialize_partition(blob)
+        entry.deser_seconds += time.perf_counter() - t0
+        if self.metrics is not None:
+            self.metrics.cache_deserialized_bytes += len(blob)
+            if entry.on_disk:
+                self.metrics.cache_disk_read_bytes += len(blob)
+        return records
 
     def has_all_partitions(self, rdd_id: int, num_partitions: int) -> bool:
         """True iff every partition of ``rdd_id`` is cached — the scheduler
         then prunes lineage walks at this RDD."""
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=False)
-            return all((rdd_id, p) in self._entries
-                       for p in range(num_partitions))
+        return all((rdd_id, p) in self._entries
+                   for p in range(num_partitions))
 
     def invalidate_node(self, node_id: int, cluster) -> int:
         """Drop every cached partition placed on ``node_id`` (the node
@@ -241,69 +231,57 @@ class CacheManager:
         ``cluster.node_of_partition`` still reflects the placement the
         entries were stored under.  Returns partitions dropped; affected
         RDDs recompute them from lineage on the next read."""
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=True)
-            doomed = [key for key in self._entries
-                      if cluster.node_of_partition(key[1]) == node_id]
-            for key in doomed:
-                self._remove(key)
-            return len(doomed)
+        doomed = [key for key in self._entries
+                  if cluster.node_of_partition(key[1]) == node_id]
+        for key in doomed:
+            self._remove(key)
+        return len(doomed)
 
     def unpersist(self, rdd_id: int) -> int:
         """Drop all partitions of ``rdd_id``; returns bytes freed."""
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=True)
-            freed = 0
-            for key in [k for k in self._entries if k[0] == rdd_id]:
-                freed += self._entries[key].size_bytes
-                self._remove(key)
-            return freed
+        freed = 0
+        for key in [k for k in self._entries if k[0] == rdd_id]:
+            freed += self._entries[key].size_bytes
+            self._remove(key)
+        return freed
 
     def clear(self) -> None:
         """Drop every cached partition."""
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=True)
-            for key in list(self._entries):
-                self._remove(key)
+        for key in list(self._entries):
+            self._remove(key)
 
     # ------------------------------------------------------------------
     def rdd_size_bytes(self, rdd_id: int) -> int:
         """Total cached footprint of one RDD (memory + disk)."""
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=False)
-            return sum(e.size_bytes
-                       for (rid, _), e in self._entries.items()
-                       if rid == rdd_id)
+        return sum(e.size_bytes
+                   for (rid, _), e in self._entries.items()
+                   if rid == rdd_id)
 
     def deser_seconds(self, rdd_id: int) -> float:
         """Cumulative CPU seconds spent deserializing one RDD's cache."""
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=False)
-            return sum(e.deser_seconds
-                       for (rid, _), e in self._entries.items()
-                       if rid == rdd_id)
+        return sum(e.deser_seconds
+                   for (rid, _), e in self._entries.items()
+                   if rid == rdd_id)
 
     # ------------------------------------------------------------------
     def reclaim(self, nbytes: int) -> int:
         """Free at least ``nbytes`` of storage memory for the execution
         pool (registered as the memory manager's storage reclaimer) by
         demoting/evicting LRU-first.  Returns bytes actually freed."""
-        with self.memory.lock:
-            linthooks.access(self, "_entries", write=True)
-            freed = 0
-            for key in list(self._entries):
-                if freed >= nbytes:
-                    break
-                entry = self._entries[key]
-                if entry.on_disk:
-                    continue
-                freed += entry.size_bytes
-                if entry.level.uses_disk:
-                    self._demote_to_disk(key)
-                else:
-                    self._remove(key)
-                    self.evictions += 1
-            return freed
+        freed = 0
+        for key in list(self._entries):
+            if freed >= nbytes:
+                break
+            entry = self._entries[key]
+            if entry.on_disk:
+                continue
+            freed += entry.size_bytes
+            if entry.level.uses_disk:
+                self._demote_to_disk(key)
+            else:
+                self._remove(key)
+                self.evictions += 1
+        return freed
 
     # ------------------------------------------------------------------
     def _remove(self, key: tuple[int, int]) -> None:
@@ -331,8 +309,8 @@ class CacheManager:
             if level in bucket:
                 bucket[level] = max(0, bucket[level] - entry.size_bytes)
             mem = self.metrics.memory
-            mem.add("cache_spill_bytes", len(blob))
-            mem.add("cache_spill_count")
+            mem.cache_spill_bytes += len(blob)
+            mem.cache_spill_count += 1
             mem.record_demotion(
                 f"cache rdd {key[0]} partition {key[1]}: "
                 f"{entry.level.value} -> disk ({len(blob)} B)")
@@ -365,5 +343,5 @@ class CacheManager:
                 if entry.level.uses_disk:
                     self._demote_to_disk(protect)
                 elif self.metrics is not None:
-                    self.metrics.memory.add("oversized_entries")
+                    self.metrics.memory.oversized_entries += 1
             break

@@ -19,7 +19,9 @@ of completion order; every task attempt mutates only a private scratch
 :class:`~repro.engine.metrics.StageMetrics` that is merged additively
 into the stage's record (integer counters commute); and all shared
 engine state the tasks touch (cache, shuffle outputs, memory pools,
-fault injector) is internally locked with order-independent semantics.
+fault injector) has order-independent semantics.  Pooled tasks take
+turns at it under the one engine lock (see
+:mod:`repro.engine.backends`); nothing here locks anything itself.
 
 Straggler resilience (all opt-in, see
 :class:`~repro.engine.conf.EngineConf`): when ``task_deadline_s`` or
@@ -47,9 +49,7 @@ fail the attempt.
 
 from __future__ import annotations
 
-import threading
-
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
 from .blocks import is_block
@@ -129,20 +129,10 @@ class TaskSet:
     shuffle_dep: "ShuffleDependency | None" = None
     aggregator: "Aggregator | None" = None
     process: Callable[[int, Iterable], Any] | None = None
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
 
     @property
     def is_shuffle_map(self) -> bool:
         return self.shuffle_dep is not None
-
-    def merge_scratch(self, scratch: StageMetrics) -> None:
-        """Fold one attempt's scratch metrics into the stage record.
-        Failed and cancelled attempts merge too — their partial reads
-        and cache hits are real work, exactly as when tasks mutated the
-        shared object."""
-        with self._lock:
-            self.metrics.merge_task(scratch)
 
 
 class TaskScheduler:
@@ -347,7 +337,9 @@ class TaskScheduler:
                 token))
             ts.policy.admit(stage, partition, node, records)
         except BaseException:
-            ts.merge_scratch(scratch)
+            # failed and cancelled attempts merge too: their partial
+            # reads and cache hits are real work
+            ts.metrics.merge_task(scratch)
             raise
         self.runtimes.record(stage.stage_id, ctx.clock.time() - started)
         return AttemptOutcome(records, scratch, node, attempt)
@@ -383,7 +375,7 @@ class TaskScheduler:
             # that outlived its node belongs to the replacement node
             node = cluster.node_of_partition(partition)
         finally:
-            ts.merge_scratch(scratch)
+            ts.metrics.merge_task(scratch)
         bus.post(TaskEnd(stage.stage_id, partition, outcome.attempt, node,
                          count))
         return TaskRunResult(partition=partition, node=node,

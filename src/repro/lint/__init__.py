@@ -7,10 +7,6 @@ Passes behind one report model:
   captures, unsynchronized shared-state mutation).
 - :mod:`~repro.lint.lifecycle` — broadcast/persist handle leak audit at
   context teardown.
-- :mod:`~repro.lint.lockset` — Eraser-style race detector over the
-  engine's annotated shared structures.
-- :mod:`~repro.lint.lockorder` — lock-acquisition-order graph over the
-  same monitored locks; cycles are potential deadlocks.
 - :mod:`~repro.lint.plan` — plan-time dataflow auditor: exports each
   job's lineage as a typed plan graph (schemas, partitioners, storage
   levels) and flags schema mismatches, block churn, uncached reuse and
@@ -31,8 +27,6 @@ the session.  ``python -m repro lint`` is the CLI front end;
 
 from .closures import LARGE_CAPTURE_BYTES, analyze_callable
 from .lifecycle import audit_context
-from .lockorder import LockOrderGraph
-from .lockset import LocksetMonitor
 from .model import Finding, LintError, LintReport
 from .plan import BlockSchema, PlanAuditor, PlanGraph, audit_graph
 from .runner import LintSession, run_program
@@ -45,8 +39,6 @@ __all__ = [
     "LintError",
     "LintReport",
     "LintSession",
-    "LockOrderGraph",
-    "LocksetMonitor",
     "PlanAuditor",
     "PlanGraph",
     "analyze_callable",

@@ -9,8 +9,8 @@ report must not multiply one bug into twenty lines of output.
 Severities are deliberately coarse:
 
 ``error``
-    The program is wrong (leaked handle, data race, captured engine
-    handle inside a task closure).  ``repro lint`` exits non-zero.
+    The program is wrong (leaked handle, captured engine handle inside
+    a task closure, unsynchronized captured-state mutation).  ``repro lint`` exits non-zero.
 ``warning``
     The program is suspicious (unseeded RNG, large ndarray capture);
     non-zero exit only under ``--strict``.
@@ -57,7 +57,7 @@ class Finding:
     message: str
     #: where: ``path:line``, a function name, or an engine object repr
     location: str = ""
-    #: which pass produced it: closures/lifecycle/lockset/static
+    #: which pass produced it: closures/lifecycle/plan/static
     pass_name: str = ""
 
     def __post_init__(self) -> None:

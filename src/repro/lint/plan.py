@@ -1,11 +1,11 @@
 """Plan-time dataflow auditor: typed plan graphs over RDD lineage.
 
-The lint passes so far look at one function (closures), one handle
-(lifecycle) or one memory access (lockset).  This pass looks at the
-*plan*: the lineage DAG the scheduler is about to execute, exported as
-one :class:`PlanNode` per RDD with its operation kind, partitioner,
-storage level and an inferred :class:`BlockSchema` (record form, mode
-count, per-mode index dtype, value dtype).  Schemas are seeded at the
+The other lint passes look at one function (closures) or one handle
+(lifecycle).  This pass looks at the *plan*: the lineage DAG the
+scheduler is about to execute, exported as one :class:`PlanNode` per
+RDD with its operation kind, partitioner, storage level and an
+inferred :class:`BlockSchema` (record form, mode count, per-mode index
+dtype, value dtype).  Schemas are seeded at the
 driver-side collection roots — a ``BlockCollectionRDD``'s blocks and a
 ``ParallelCollectionRDD``'s first record are already materialized on
 the driver, so peeking costs nothing — and propagated through the

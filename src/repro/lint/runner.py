@@ -4,8 +4,7 @@
 active it is installed into :mod:`repro.engine.linthooks`, so every
 Context built anywhere in the process is tracked, every closure handed
 to an RDD transformation flows through the capture analyzer, and —
-with ``lockset=True`` — a :class:`~repro.lint.lockset.LocksetMonitor`
-watches the engine's shared structures.
+with ``plan=True`` — every job's lineage is audited before it runs.
 
 Audit timing matters: a program that calls ``ctx.stop()`` is audited at
 the stop hook (before the cache is cleared); a program that *leaks the
@@ -31,7 +30,6 @@ from repro.engine import linthooks
 
 from .closures import LARGE_CAPTURE_BYTES, analyze_callable
 from .lifecycle import audit_context
-from .lockset import LocksetMonitor
 from .model import LintError, LintReport
 from .plan import PlanAuditor
 
@@ -44,10 +42,6 @@ class LintSession:
     strict:
         Raise :class:`~repro.lint.model.LintError` at session exit when
         error-severity findings exist.
-    lockset:
-        Also install a :class:`~repro.lint.lockset.LocksetMonitor` for
-        the session's lifetime (race findings merge into the report at
-        exit).
     plan:
         Also install a :class:`~repro.lint.plan.PlanAuditor`: every
         job the scheduler runs has its lineage exported as a typed
@@ -64,14 +58,11 @@ class LintSession:
         warning.
     """
 
-    def __init__(self, *, strict: bool = False, lockset: bool = False,
-                 plan: bool = False, keep_plans: bool = False,
+    def __init__(self, *, strict: bool = False, plan: bool = False, keep_plans: bool = False,
                  large_capture_bytes: int = LARGE_CAPTURE_BYTES) -> None:
         self.report = LintReport()
         self.strict = strict
         self.large_capture_bytes = large_capture_bytes
-        self.monitor: LocksetMonitor | None = (
-            LocksetMonitor() if lockset else None)
         self.plan_auditor: PlanAuditor | None = (
             PlanAuditor(keep_graphs=keep_plans)
             if plan or keep_plans else None)
@@ -130,11 +121,10 @@ class LintSession:
         return fresh
 
     def finalize(self) -> LintReport:
-        """Audit never-stopped contexts, fold in races; idempotent."""
+        """Audit never-stopped contexts, fold in plan findings;
+        idempotent."""
         for ctx in self._contexts:
             self._audit(ctx)
-        if self.monitor is not None:
-            self.monitor.report_into(self.report)
         if self.plan_auditor is not None:
             self.plan_auditor.report_into(self.report)
         return self.report
@@ -142,14 +132,10 @@ class LintSession:
     # ------------------------------------------------------------------
     def __enter__(self) -> "LintSession":
         linthooks.install_session(self)
-        if self.monitor is not None:
-            self.monitor.start()
         return self
 
     def __exit__(self, exc_type: type | None, exc: BaseException | None,
                  tb: object) -> None:
-        if self.monitor is not None:
-            self.monitor.stop()
         linthooks.uninstall_session(self)
         self.finalize()
         if self.strict and exc_type is None:

@@ -25,8 +25,9 @@ import pytest
 from repro.baselines import BigtensorCP, local_cp_als
 from repro.core import (CstfCOO, CstfQCOO, FileCheckpointStore,
                         InMemoryCheckpointStore)
-from repro.engine import (Context, EngineConf, FaultPlan, IntegrityMetrics,
-                          NodeKillEvent, StorageLevel)
+from repro.engine import (Context, CorruptedDataError, EngineConf,
+                          FaultPlan, IntegrityMetrics, NodeKillEvent,
+                          StorageLevel)
 from repro.engine.integrity import site_rng
 from repro.engine.partitioner import stable_hash
 from repro.tensor import (COOTensor, initial_factors, random_factors,
@@ -565,18 +566,26 @@ def _checkpoint_then_resume(c: Cell, plan: FaultPlan,
     """A run that checkpoints every iteration through a store tearing
     writes (:func:`tearing`), then one in a fresh context resumed from
     the newest snapshot that verifies, with the same bits.  Returns the
-    first run and the number of torn writes."""
+    first run and the number of torn snapshots, as reading each one
+    back finds them."""
     plan = tearing(plan)
     with tempfile.TemporaryDirectory() as tmp:
         stored = IntegrityMetrics()
         full = _run(c, plan=plan, conf=conf, checkpoint_every=1,
                     store=FileCheckpointStore(tmp, fault_plan=plan,
                                               metrics=stored))
+        read_back = IntegrityMetrics()
+        reader = FileCheckpointStore(tmp, metrics=read_back)
+        for iteration in reader.iterations():
+            try:
+                reader.load(iteration)
+            except CorruptedDataError:
+                pass
         resumed = _run(c, plan=plan, conf=conf, resume_from="latest",
                        store=FileCheckpointStore(tmp, metrics=stored))
     assert_bit_identical(full, resumed)
     assert stored.checkpoint_shards_verified > 0
-    return full, stored.corruptions_injected
+    return full, read_back.torn_writes_detected
 
 
 def _resume(c: Cell, monkeypatch) -> tuple[Run, dict]:
@@ -635,7 +644,7 @@ def _process(c: Cell, monkeypatch) -> tuple[Run, dict]:
             desc = real_publish(self, arr)
             if not sabotaged:
                 sabotaged.append(desc)
-                self._release_locked(desc[0])
+                self.release(desc[0])
             return desc
         monkeypatch.setattr(procpool.SharedBlockRegistry, "publish_cached",
                             publish_then_unlink)
@@ -811,7 +820,8 @@ def _kept() -> dict[str, tuple[Cell, ...]]:
     add(f"{bd}TestCleanRuns::test_process_offload_path_matches_serial",
         cell("clean", "coo-broadcast", backend="process"))
     add(f"{bd}TestUnderFaults::test_injected_task_faults_process",
-        cell("task-faults", backend="process", variant="task-failures"))
+        cell("task-faults", backend="process", sampler="lev",
+             variant="task-failures"))
     add(f"{bd}TestUnderFaults::test_injected_fetch_failures",
         *backends("task-faults", variant="fetch-failures"))
     add(f"{bd}TestUnderFaults::test_node_kill_recovery",

@@ -40,7 +40,20 @@ class TestUnderFaults:
         cf.check_kept(request, monkeypatch)
 
     def test_injected_task_faults_process(self, request, monkeypatch):
+        """The kept cell samples (``lev``), so its map tasks wait on a
+        worker with the engine lock let go and re-take it to retry or
+        commit; the fault count still equals the oracle's."""
+        from repro.engine.procpool import OffloadClient
+        served = []
+        real = OffloadClient.run
+
+        def run_(self, op, *args, **kwargs):
+            out = real(self, op, *args, **kwargs)
+            served.append(out is not None)
+            return out
+        monkeypatch.setattr(OffloadClient, "run", run_)
         cf.check_kept(request, monkeypatch)
+        assert any(served)
 
     def test_injected_fetch_failures(self, request, monkeypatch):
         cf.check_kept(request, monkeypatch)

@@ -134,10 +134,11 @@ class TestInjectedFaults:
         store = FileCheckpointStore(tmp_path / "ckpts", fault_plan=plan,
                                     metrics=metrics)
         store.save(snapshot(0))
-        assert metrics.corruptions_injected == 1
+        # a torn write is no byte flip: it is counted where it is found
+        assert metrics.corruptions_injected == 0
         with pytest.raises(KeyError):
             store.load()
-        assert metrics.torn_writes_detected >= 1
+        assert metrics.torn_writes_detected == 1
 
     def test_checkpoint_corruption_injection(self, tmp_path):
         plan = FaultPlan(corrupt_checkpoint_prob=1.0)

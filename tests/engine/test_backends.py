@@ -10,8 +10,6 @@ owns shared-memory segments, all of which must be unlinked by
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -115,22 +113,6 @@ class TestExecutionContract:
 
     def test_empty_run(self, backend):
         assert backend.run([]) == []
-
-    def test_threads_actually_overlap(self):
-        """The process backend's orchestration threads run tasks at
-        once (the stages that offload wait on workers there)."""
-        backend = create_backend("process", 4)
-        try:
-            barrier = threading.Barrier(4, timeout=10)
-
-            def rendezvous():
-                # only reachable if 4 thunks run concurrently
-                barrier.wait()
-                return True
-
-            assert backend.run([rendezvous] * 4) == [True] * 4
-        finally:
-            backend.shutdown()
 
 
 class TestContextWiring:

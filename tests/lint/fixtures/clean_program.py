@@ -3,8 +3,7 @@
 ``repro lint --run tests/lint/fixtures/clean_program.py`` must report
 zero findings: this is the false-positive regression guard for the
 dynamic passes (closure analyzer sees the seeded RNG instance and the
-accumulator; lifecycle auditor sees every handle released; lockset
-monitor sees only locked accesses).
+accumulator; lifecycle auditor sees every handle released).
 """
 
 from __future__ import annotations

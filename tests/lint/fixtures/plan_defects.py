@@ -1,61 +1,30 @@
 """Deliberately defective engine program — the plan-audit acceptance
 fixture.
 
-Seeded findings, one per rule family of the plan/lock-order/
-determinism passes:
+Seeded findings, one per rule family of the plan and determinism
+passes:
 
 1. a ``join`` between an int-keyed and a tuple-keyed RDD
                                             (plan-schema-mismatch)
 2. a hand-built shuffle of a ``reduce_by_key`` output onto the
    partitioner it already has                (plan-redundant-shuffle)
 3. an uncached mapped RDD consumed by two jobs (plan-uncached-reuse)
-4. two threads taking the same pair of monitored locks in opposite
-   orders                                    (lock-order-cycle)
-5. a module-level ``np.random`` draw          (determinism-global-rng)
+4. a module-level ``np.random`` draw          (determinism-global-rng)
 
-``repro lint --plan --racecheck --strict --run <this file>`` must
-report all five families and exit 1; the real examples under
-``examples/`` must stay clean under the same flags.
-
-The lock pair is taken sequentially (each thread joined before the
-next starts) so the cycle exists only in the acquisition-order graph,
-never as an actual deadlock — the fixture always terminates.
+``repro lint --plan --strict --run <this file>`` must report all four
+families and exit 1; the real examples under ``examples/`` must stay
+clean under the same flags.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.engine import Context, EngineConf, HashPartitioner
-from repro.engine import linthooks
 from repro.engine.rdd import ShuffledRDD
 
 
-def _lock_order_cycle() -> None:
-    a = linthooks.make_lock("FixtureLockA")
-    b = linthooks.make_lock("FixtureLockB")
-
-    def forward() -> None:
-        with a:
-            with b:
-                pass
-
-    def backward() -> None:
-        with b:
-            with a:
-                pass
-
-    for fn in (forward, backward):
-        t = threading.Thread(target=fn)
-        t.start()
-        t.join()
-
-
 def main() -> None:
-    _lock_order_cycle()
-
     # determinism-global-rng: draws from the process-global NumPy RNG
     noise = float(np.random.random())
 

