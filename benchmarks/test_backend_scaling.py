@@ -1,7 +1,8 @@
 """Backend scaling — serial and process-pool executors.
 
-The layered scheduler delegates task execution to a pluggable
-:class:`~repro.engine.ExecutorBackend`.  This bench sweeps the backend
+The task scheduler keeps up to ``backend_workers`` task bodies in
+flight on the :class:`~repro.engine.ExecutorBackend`'s worker
+processes.  This bench sweeps the backend
 (serial, and the process pool at 1/2/4/8 workers) over a CP-ALS
 decomposition on a 1e5-nnz synthetic tensor with the columnar (block)
 pipeline — the process backend offloads the MTTKRP Hadamard folds to

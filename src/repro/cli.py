@@ -87,9 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--backend", default=None,
                      help="executor backend running stage tasks: "
                           "'serial' (one after another, the default) or "
-                          "'process' (orchestration threads plus a "
-                          "worker-process pool computing columnar "
-                          "batches over shared memory); bit-identical.  "
+                          "'process' (a worker-process pool computing "
+                          "columnar batches over shared memory); "
+                          "bit-identical.  "
                           "Defaults to $REPRO_BACKEND, then 'serial'")
     dec.add_argument("--backend-workers", type=int, default=None,
                      metavar="N",

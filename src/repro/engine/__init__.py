@@ -15,8 +15,7 @@ Quick example::
 """
 
 from .accumulator import Accumulator
-from .backends import (ExecutorBackend, ProcessPoolBackend, SerialBackend,
-                       create_backend)
+from .backends import ExecutorBackend, ProcessPoolBackend, create_backend
 from .blocks import ColumnarBlock, KeyedRowBlock
 from .broadcast import Broadcast
 from .clock import Clock, MonotonicClock, VirtualClock, create_clock
@@ -45,8 +44,7 @@ from .partitioner import (HashPartitioner, Partitioner, RangePartitioner,
 from .rdd import RDD
 from .serialization import (checksum_blob, estimate_record_size,
                             estimate_size, verify_blob)
-from .speculation import (CancellationGroup, CancellationToken,
-                          StageRuntimes, backoff_delay)
+from .speculation import CancellationToken, StageRuntimes, backoff_delay
 from .storage import CacheManager, StorageLevel
 from .taskscheduler import TaskContext, TaskRunResult, TaskScheduler, TaskSet
 
@@ -56,7 +54,6 @@ __all__ = [
     "Broadcast",
     "CacheEvictedError",
     "CacheManager",
-    "CancellationGroup",
     "CancellationToken",
     "CancelledAttempt",
     "BlockCorrupted",
@@ -103,7 +100,6 @@ __all__ = [
     "RangePartitioner",
     "RDD",
     "RunStats",
-    "SerialBackend",
     "ShuffleReadMetrics",
     "ShuffleWriteMetrics",
     "StageMetrics",

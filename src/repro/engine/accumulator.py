@@ -14,7 +14,7 @@ T = TypeVar("T", int, float)
 class Accumulator(Generic[T]):
     """An additive counter tasks can ``add`` to and the driver reads.
 
-    Tasks add under the engine lock (see
+    Tasks add on the one engine thread (see
     :mod:`repro.engine.backends`), and addition commutes, so the final
     value is backend-independent.
     """

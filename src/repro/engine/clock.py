@@ -69,9 +69,9 @@ class MonotonicClock(Clock):
 class VirtualClock(Clock):
     """Simulated time: ``sleep`` advances a counter and returns.
 
-    The counter is shared by every task of the owning context; tasks
-    move it under the engine lock (see :mod:`repro.engine.backends`),
-    so a pool thread's ``sleep`` is seen by its siblings at once.
+    The counter is shared by every task of the owning context, all on
+    one engine thread (see :mod:`repro.engine.backends`), so a task's
+    ``sleep`` is seen by the tasks after it at once.
     """
 
     name = "virtual"

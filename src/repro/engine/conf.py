@@ -109,16 +109,17 @@ class EngineConf:
     ``backend``
         Executor backend running each stage's tasks: ``"serial"`` (the
         default — tasks run one after another on the driver thread) or
-        ``"process"`` (orchestration threads plus a spawn-safe pool of
-        worker processes the columnar kernel offloads block arithmetic
-        to via shared memory).  Env-backed (``$REPRO_BACKEND``).  Both
-        backends produce bit-identical results.
+        ``"process"`` (a spawn-safe pool of worker processes the
+        columnar kernel offloads block arithmetic to via shared memory,
+        with the tasks still on the driver thread).  Env-backed
+        (``$REPRO_BACKEND``).  Both backends produce bit-identical
+        results.
     ``backend_workers``
         Worker count for the process backend (``serial`` always runs
         exactly 1 and ignores it).  Env-backed
         (``$REPRO_BACKEND_WORKERS``), default ``min(8, os.cpu_count()
-        or 4)``.  The process backend sizes both its orchestration
-        threads and its worker processes with it.
+        or 4)``.  The process backend spawns that many worker processes
+        and keeps that many requests in flight.
     ``kernel``
         Partition-level compute kernel for the CP-ALS drivers:
         ``"vectorized"`` (the default — each partition's records are

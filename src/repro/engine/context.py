@@ -123,8 +123,7 @@ class Context:
         from ..kernels import create_kernel
         self.kernel = create_kernel(self.conf.kernel,
                                     metrics=self.metrics,
-                                    offload=getattr(self.backend,
-                                                    "offload", None))
+                                    offload=self.backend.offload)
         self._task_scheduler = TaskScheduler(self, self.backend)
         self._scheduler = DAGScheduler(self)
         # the collector first: accounting must observe every event

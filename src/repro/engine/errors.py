@@ -171,14 +171,9 @@ class CancelledAttempt(BaseException):
     be swallowed by the task retry loop's ``except Exception`` — that
     is exactly the satellite fix in ``TaskScheduler._run_task``.
 
-    ``kind`` distinguishes why the attempt ended:
-
-    ``"speculation-deadline"``
-        The attempt overran its speculative deadline: the scheduler
-        fails over to a backup attempt on another node, inline.
-    ``"task-set-cancelled"``
-        A sibling task of the same set failed terminally; the backend
-        cancelled the rest of the set.
+    ``kind`` says why the attempt ended: ``"speculation-deadline"``,
+    the attempt overran its speculative deadline and the scheduler
+    fails over to a backup attempt on another node, inline.
     """
 
     def __init__(self, message: str, kind: str = "cancelled"):

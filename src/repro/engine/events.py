@@ -20,10 +20,10 @@ Differences from Spark's bus, both deliberate:
   them).  That is what turns the injector's subscription into a fault
   path.
 
-Thread safety: events are posted only by engine code, which runs
-under the engine lock (see :mod:`repro.engine.backends`), so listeners
-may assume single-threaded execution (and may post further events while
-handling one — e.g. a node kill fired from ``on_task_start`` posts
+One engine thread (see :mod:`repro.engine.backends`): events are
+posted only by engine code on that thread, so listeners may assume
+single-threaded execution (and may post further events while handling
+one — e.g. a node kill fired from ``on_task_start`` posts
 ``NodeLost``).
 """
 

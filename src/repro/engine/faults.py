@@ -264,10 +264,10 @@ class FaultInjector(EngineListener):
     the task.  It is invoked from :meth:`on_task_attempt`, before the
     plan's own faults.
 
-    Thread safety: none of its own; its hooks run under the engine lock
-    (see :mod:`repro.engine.backends`), and every random decision is
-    derived from its call site (see module docstring), so outcomes do
-    not depend on the order pooled tasks take turns in.
+    One engine thread (see :mod:`repro.engine.backends`): nothing here
+    locks anything, and every random decision is derived from its call
+    site (see module docstring), so outcomes do not depend on the order
+    tasks run in.
     """
 
     def __init__(self, plan: FaultPlan, ctx: "Context"):

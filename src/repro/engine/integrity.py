@@ -75,8 +75,8 @@ class IntegrityManager:
     counts every verification directly (the data-plane components it
     serves do not post events).
 
-    Thread safety: none of its own; its callers run under the engine
-    lock (see :mod:`repro.engine.backends`).
+    One engine thread (see :mod:`repro.engine.backends`): nothing here
+    locks anything.
     """
 
     def __init__(self, enabled: bool, plan: "FaultPlan",

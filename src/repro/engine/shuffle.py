@@ -28,8 +28,8 @@ by resubmitting the parent shuffle-map stage from lineage.  A
 :class:`~repro.engine.faults.FaultInjector` may additionally inject
 transient fetch failures per block.
 
-Thread safety: none of its own; map and reduce tasks call it under the
-engine lock (see :mod:`repro.engine.backends`).  Reads iterate map
+One engine thread (see :mod:`repro.engine.backends`): nothing here
+locks anything.  Reads iterate map
 outputs in sorted map-partition order, so fetched record order — and
 therefore every downstream reduction — is independent of the order map
 tasks wrote in.

@@ -7,17 +7,10 @@ The primitives behind the task scheduler's straggler defences:
     Checkpoints inside the attempt (injected delay/hang sleeps, the
     per-record guard) call :meth:`CancellationToken.check`, which
     raises :class:`~repro.engine.errors.CancelledAttempt` when the
-    attempt's task set was aborted or the attempt passed its
-    *speculative* deadline (the scheduler then runs a backup attempt
-    on another node, inline), and
+    attempt passed its *speculative* deadline (the scheduler then runs
+    a backup attempt on another node, inline), and
     :class:`~repro.engine.errors.TaskTimedOutError` when the attempt
-    overran its hard deadline.  Only the attempt's own thread touches
-    its token.
-:class:`CancellationGroup`
-    One per task set, shared by its attempts.  The process backend
-    cancels the group when any task fails terminally, so in-flight
-    sibling attempts abort at their next checkpoint instead of running
-    to completion.
+    overran its hard deadline.
 :class:`StageRuntimes`
     Per-stage runtime quantile tracker feeding the adaptive speculative
     deadline (``speculative_multiplier`` x the stage's median task
@@ -26,8 +19,8 @@ The primitives behind the task scheduler's straggler defences:
     Seeded-jitter exponential backoff, unified for every retry class
     (task faults, OOM kills, timeouts).
 
-Thread safety: none of its own; attempts run under the engine lock
-(see :mod:`repro.engine.backends`).
+One engine thread (see :mod:`repro.engine.backends`): nothing here
+locks anything.
 """
 
 from __future__ import annotations
@@ -50,42 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``TaskEnd`` events (``attempt >= SPECULATIVE_ATTEMPT_OFFSET``).
 SPECULATIVE_ATTEMPT_OFFSET = 1000
 
-#: upper bound on a single cooperative sleep chunk: keeps real-clock
-#: sleepers responsive to their task set's cancellation
+#: upper bound on a single cooperative sleep chunk (an injected hang
+#: sleeps chunk by chunk until a deadline ends it)
 _MAX_SLEEP_CHUNK_S = 0.05
 
 
-class CancellationGroup:
-    """Shared cancel flag for one task set's attempts."""
-
-    __slots__ = ("_cancelled", "_reason")
-
-    def __init__(self) -> None:
-        self._cancelled = False
-        self._reason = ""
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the set was cancelled."""
-        return self._cancelled
-
-    def cancel(self, reason: str) -> None:
-        """Cancel every attempt of the set (first reason wins)."""
-        if not self._cancelled:
-            self._cancelled = True
-            self._reason = reason
-
-    @property
-    def reason(self) -> str:
-        """Why the set was cancelled (empty when it was not)."""
-        return self._reason
-
-
 class CancellationToken:
-    """Cooperative cancellation + deadlines for one task attempt.
+    """Deadlines for one task attempt.
 
     The token is *cooperative*: nothing preempts the attempt — it
-    observes cancellation and deadlines only at its checkpoints
+    observes its deadlines only at its checkpoints
     (:meth:`check`, called per record and inside injected sleeps).
     Sleeps are chunked so that the chunk boundary lands exactly on the
     next deadline, which makes elapsed-time-at-expiry deterministic
@@ -94,13 +61,11 @@ class CancellationToken:
 
     def __init__(self, clock: "Clock", partition: int,
                  stage_id: int | None = None,
-                 group: CancellationGroup | None = None,
                  hard_deadline_s: float | None = None,
                  spec_deadline_s: float | None = None):
         self.clock = clock
         self.partition = partition
         self.stage_id = stage_id
-        self.group = group
         self.hard_deadline_s = hard_deadline_s
         self.spec_deadline_s = spec_deadline_s
         self.started_s = clock.time()
@@ -118,17 +83,7 @@ class CancellationToken:
 
     # ------------------------------------------------------------------
     def check(self) -> None:
-        """Checkpoint: raise if cancelled or past a deadline.
-
-        Order matters: the task-set group first (a sibling's terminal
-        failure must not surface as a timeout), then the hard
-        deadline, then the speculative deadline.
-        """
-        group = self.group
-        if group is not None and group.cancelled:
-            raise CancelledAttempt(
-                f"task set cancelled: {group.reason}",
-                kind="task-set-cancelled")
+        """Checkpoint: raise if past a deadline, the hard one first."""
         if not self.can_expire:
             return
         elapsed = self.elapsed()
@@ -150,7 +105,7 @@ class CancellationToken:
     def _next_chunk(self, remaining: float) -> float:
         """Length of the next sleep chunk: never sleep past the next
         unexpired deadline (so expiry times are exact), never longer
-        than ``_MAX_SLEEP_CHUNK_S`` (so cancellation stays responsive)."""
+        than ``_MAX_SLEEP_CHUNK_S``."""
         chunk = min(remaining, _MAX_SLEEP_CHUNK_S)
         now = self.clock.time()
         for deadline in (self.spec_deadline_s, self.hard_deadline_s):
@@ -163,8 +118,7 @@ class CancellationToken:
 
     def sleep(self, seconds: float) -> None:
         """Cooperative sleep: like ``clock.sleep`` but checkpointing at
-        every chunk boundary, so cancellation and deadlines interrupt
-        the wait."""
+        every chunk boundary, so deadlines interrupt the wait."""
         end = self.clock.time() + seconds
         while True:
             self.check()
@@ -175,7 +129,7 @@ class CancellationToken:
 
     def hang(self) -> None:
         """Cooperative hang: sleep forever, terminable only by a
-        deadline or cancellation.  Refuses to start when nothing could
+        deadline.  Refuses to start when nothing could
         ever end it (a misconfigured plan must not deadlock the run)."""
         if not self.can_expire:
             raise EngineError(

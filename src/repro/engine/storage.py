@@ -110,8 +110,8 @@ class CacheManager:
     Eviction of a partition whose lineage was truncated raises
     :class:`~repro.engine.errors.CacheEvictedError` at read time.
 
-    Thread safety: none of its own; its callers run under the engine
-    lock (see :mod:`repro.engine.backends`).
+    One engine thread (see :mod:`repro.engine.backends`): nothing here
+    locks anything.
     """
 
     def __init__(self, capacity_bytes: int | None = None,

@@ -4,30 +4,38 @@ executor backends.
 The :class:`~repro.engine.scheduler.DAGScheduler` decides *what* runs
 (the stage graph, lineage recovery, the retry-by-demotion policy); the
 :class:`TaskScheduler` decides *how one stage's tasks run*: it builds a
-:class:`TaskSet`, places every task on a node via the cluster, runs the
-per-task retry loop (fault admission, node health and quarantine,
-OOM relief, retry backoff), and hands the per-partition thunks to the
-configured :class:`~repro.engine.backends.ExecutorBackend`.
+:class:`TaskSet`, places every task on a node via the cluster, and runs
+the per-task retry loop (fault admission, node health and quarantine,
+OOM relief, retry backoff).
 
-A stage with no offloading node (``RDD.offloads``) runs inline on the
-calling thread, as ``SerialBackend.run`` would; only the others go to
-the backend, whose threads then wait on worker processes.
+One engine thread, one loop.  Every task is a generator that runs on
+the calling thread and suspends once per attempt, after its records
+are materialized (:meth:`TaskScheduler._attempt_compute`).  A record
+may then be a :class:`~repro.engine.procpool.Pending` offload: the
+vectorized kernel's body of a stage whose final RDD offloads
+(``RDD.offloads``), sent to an idle worker process of the backend and
+not yet answered.  :meth:`TaskScheduler.run_task_set` keeps up to W =
+``backend.num_workers`` such tasks suspended and finishes them in
+partition order (FIFO); a task that holds no request in flight
+finishes at once, after those before it.  So the serial backend (W =
+1, no workers) and every stage that offloads nothing run exactly one
+task after another, and the process backend's order of engine work is
+a function of the inputs and W — as is every counter.
 
 Determinism contract (what makes ``ProcessPoolBackend`` bit-identical
-to ``SerialBackend``): results are returned in partition order regardless
-of completion order; every task attempt mutates only a private scratch
+to the serial backend): results are returned in partition order; every
+task attempt mutates only a private scratch
 :class:`~repro.engine.metrics.StageMetrics` that is merged additively
-into the stage's record (integer counters commute); and all shared
-engine state the tasks touch (cache, shuffle outputs, memory pools,
-fault injector) has order-independent semantics.  Pooled tasks take
-turns at it under the one engine lock (see
-:mod:`repro.engine.backends`); nothing here locks anything itself.
+into the stage's record (integer counters commute); all shared engine
+state the tasks touch (cache, shuffle outputs, memory pools, fault
+injector) has order-independent semantics; and the first failure in
+partition order is the one raised.
 
 Straggler resilience (all opt-in, see
 :class:`~repro.engine.conf.EngineConf`): when ``task_deadline_s`` or
 ``speculation`` is configured, every attempt carries a
 :class:`~repro.engine.speculation.CancellationToken` whose cooperative
-checkpoints observe deadlines and cancellation.  An attempt past its
+checkpoints observe its deadlines.  An attempt past its
 *speculative* deadline (a multiple of the stage's median task runtime)
 is cancelled and a backup attempt runs inline, on a different node and
 the same thread, on every backend; only a completed attempt reaches
@@ -49,8 +57,9 @@ fail the attempt.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from typing import Any, Callable, Generator, Iterable, TYPE_CHECKING
 
 from .blocks import is_block
 from .cluster import NodeHealthTracker
@@ -60,9 +69,10 @@ from .events import (NodeQuarantined, NodeReadmitted, TaskAttemptCancelled,
                      TaskEnd, TaskFailure, TaskSpeculated, TaskStart,
                      TaskTimedOut)
 from .metrics import StageMetrics
+from .procpool import Pending
 from .speculation import (SPECULATIVE_ATTEMPT_OFFSET, AttemptOutcome,
-                          CancellationGroup, CancellationToken,
-                          StageRuntimes, backoff_delay, guard_iterator)
+                          CancellationToken, StageRuntimes, backoff_delay,
+                          guard_iterator)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import ExecutorBackend
@@ -91,12 +101,15 @@ class TaskContext:
     the task scheduler merges into the stage's record).  ``token`` is
     the attempt's cancellation token when time-domain features are
     active (long-running compute may call ``token.check()`` at its own
-    safepoints)."""
+    safepoints).  ``deferred`` is a list when the stage's final RDD
+    offloads: that node leaves its body's request in flight, as a
+    ``Pending`` record it also appends here."""
 
     partition: int
     stage_metrics: StageMetrics
     attempt: int = 0
     token: CancellationToken | None = None
+    deferred: list | None = None
 
 
 @dataclass
@@ -157,27 +170,41 @@ class TaskScheduler:
 
     # ------------------------------------------------------------------
     def run_task_set(self, task_set: TaskSet) -> list[TaskRunResult]:
-        """Execute every partition of the set on the backend; returns
-        results in partition order.  Raises the (deterministically
-        chosen) failing task's error when the set cannot complete."""
-        group = CancellationGroup() if self._wants_tokens else None
-        thunks = [
-            (lambda p=p: self._run_task(task_set, p, group))
-            for p in range(task_set.stage.num_tasks)
-        ]
-        if not any(rdd.offloads
-                   for rdd in task_set.stage.rdd.narrow_chain()):
-            # no task of this stage will block on a worker process, so
-            # pool threads would only take turns at the GIL: the serial
-            # backend's semantics (partition order, the first — lowest —
-            # failure aborts the set, nothing to cancel)
-            return [thunk() for thunk in thunks]
-        return self.backend.run(thunks, cancel=group)
+        """Execute every partition of the set (see the module
+        docstring); returns results in partition order.  A failing
+        task first lets the suspended tasks before it finish, so the
+        lowest failing partition's error is the one raised; the tasks
+        after it are closed, which drains their in-flight replies."""
+        width = self.backend.num_workers
+        window: deque[Generator] = deque()
+        results: list[TaskRunResult] = []
+
+        def finish(left: int) -> None:
+            """Finish the oldest tasks until ``left`` stay suspended."""
+            while len(window) > left:
+                results.append(_run_to_end(window.popleft()))
+        try:
+            for partition in range(task_set.stage.num_tasks):
+                task = self._run_task(task_set, partition)
+                try:
+                    in_flight = next(task)
+                except BaseException:
+                    finish(0)
+                    raise
+                window.append(task)
+                # room for the next task's request, or none to wait for
+                finish(width - 1 if in_flight else 0)
+            finish(0)
+        finally:
+            for task in window:
+                task.close()
+        return results
 
     # ------------------------------------------------------------------
-    def _run_task(self, ts: TaskSet, partition: int,
-                  group: CancellationGroup | None = None) -> TaskRunResult:
-        """One task's retry loop (runs on a backend worker).
+    def _run_task(self, ts: TaskSet, partition: int
+                  ) -> Generator[bool, None, TaskRunResult]:
+        """One task's retry loop, suspended once per attempt (see
+        :meth:`_attempt_compute`).
 
         Failed and timed-out attempts are charged to the node the task
         ran on; once a node's decayed score crosses
@@ -198,8 +225,8 @@ class TaskScheduler:
             self._readmit_due_nodes()
             node = cluster.node_of_partition(partition)
             try:
-                outcome = self._execute_attempt(ts, partition, attempt,
-                                                node, group)
+                outcome = yield from self._execute_attempt(
+                    ts, partition, attempt, node)
             except CorruptedBlockError as exc:
                 # a checksum mismatch on a shuffle read is charged to
                 # the *writer* node's quarantine health (that node
@@ -208,13 +235,6 @@ class TaskScheduler:
                 self._note_health(exc.node)
                 raise
             except (TaskFailedError, FetchFailedError):
-                raise
-            except CancelledAttempt:
-                # control flow, never a task fault: a speculative
-                # deadline is resolved inside _execute_attempt, so what
-                # reaches here is a task-set cancellation — propagate,
-                # exactly like KeyboardInterrupt/SystemExit (all
-                # BaseExceptions the retry clause below cannot swallow)
                 raise
             except TaskTimedOutError as exc:
                 last_error = exc
@@ -255,16 +275,15 @@ class TaskScheduler:
     # attempt execution (token-free fast path, deadlines, speculation)
     # ------------------------------------------------------------------
     def _execute_attempt(self, ts: TaskSet, partition: int, attempt: int,
-                         node: int,
-                         group: CancellationGroup | None) -> AttemptOutcome:
+                         node: int) -> Generator[bool, None, AttemptOutcome]:
         """Run one attempt, applying whichever time-domain features are
         configured: no token at all (the legacy fast path), a hard
         deadline only, or speculation: past its speculative deadline
         the attempt is cancelled and a backup attempt runs inline on
-        another node, from the same thread, on every backend."""
+        another node."""
         if not self._wants_tokens:
-            return self._attempt_compute(ts, partition, attempt, node,
-                                         None)
+            return (yield from self._attempt_compute(
+                ts, partition, attempt, node, None))
         ctx = self.ctx
         conf = ctx.conf
         stage_id = ts.stage.stage_id
@@ -282,14 +301,13 @@ class TaskScheduler:
                     # safety net: a hung *backup* must still die
                     hard = spec * _SPECULATIVE_HARD_CAP
         token = CancellationToken(ctx.clock, partition, stage_id,
-                                  group=group, hard_deadline_s=hard,
+                                  hard_deadline_s=hard,
                                   spec_deadline_s=spec)
         try:
-            return self._attempt_compute(ts, partition, attempt, node,
-                                         token)
-        except CancelledAttempt as exc:
-            if exc.kind != "speculation-deadline":
-                raise
+            return (yield from self._attempt_compute(
+                ts, partition, attempt, node, token))
+        except CancelledAttempt:
+            pass   # past the speculative deadline: fail over
         backup_node = self._backup_node(partition, node)
         bus = ctx.event_bus
         bus.post(TaskSpeculated(stage_id, partition, attempt, node,
@@ -298,20 +316,22 @@ class TaskScheduler:
                                       token.elapsed()))
         self._note_health(node)
         backup_token = CancellationToken(ctx.clock, partition, stage_id,
-                                         group=group, hard_deadline_s=hard)
-        return self._attempt_compute(ts, partition,
-                                     attempt + SPECULATIVE_ATTEMPT_OFFSET,
-                                     backup_node, backup_token)
+                                         hard_deadline_s=hard)
+        return (yield from self._attempt_compute(
+            ts, partition, attempt + SPECULATIVE_ATTEMPT_OFFSET,
+            backup_node, backup_token))
 
     def _attempt_compute(self, ts: TaskSet, partition: int, attempt: int,
-                         node: int,
-                         token: CancellationToken | None) -> AttemptOutcome:
+                         node: int, token: CancellationToken | None
+                         ) -> Generator[bool, None, AttemptOutcome]:
         """One attempt's compute phase: post ``TaskStart`` (the fault
         injector may raise from it), materialize the record stream
         through the fault injector's delay/poison wrappers and the
-        token's per-record guard, and admit the working set.  The
-        output side (shuffle write / partition function) is *not* run
-        here — a speculated primary never reaches it."""
+        token's per-record guard, suspend (yielding whether a request
+        is in flight), resolve any ``Pending`` record and admit the
+        working set.  The output side (shuffle write / partition
+        function) is *not* run here — a speculated primary never
+        reaches it.  Closed while suspended, it drains its requests."""
         ctx = self.ctx
         stage = ts.stage
         scratch = StageMetrics(
@@ -320,7 +340,8 @@ class TaskScheduler:
             is_shuffle_map=ts.metrics.is_shuffle_map,
             name=ts.metrics.name)
         task = TaskContext(partition=partition, stage_metrics=scratch,
-                           attempt=attempt, token=token)
+                           attempt=attempt, token=token,
+                           deferred=[] if stage.rdd.offloads else None)
         started = (token.started_s if token is not None
                    else ctx.clock.time())
         try:
@@ -335,10 +356,16 @@ class TaskScheduler:
                     stage.stage_id, partition, attempt, node=node,
                     token=token),
                 token))
+            yield bool(task.deferred)
+            if task.deferred:
+                records = [record.resolve() if isinstance(record, Pending)
+                           else record for record in records]
             ts.policy.admit(stage, partition, node, records)
         except BaseException:
             # failed and cancelled attempts merge too: their partial
             # reads and cache hits are real work
+            for pending in task.deferred or ():
+                pending.discard()
             ts.metrics.merge_task(scratch)
             raise
         self.runtimes.record(stage.stage_id, ctx.clock.time() - started)
@@ -437,6 +464,16 @@ class TaskScheduler:
                 self.health.reset(node, conf.quarantine_threshold / 2.0,
                                   now)
                 self.ctx.event_bus.post(NodeReadmitted(node))
+
+
+def _run_to_end(task: Generator) -> Any:
+    """Run a suspended task to its end (resolving each retry's
+    requests at once); its return value."""
+    try:
+        while True:
+            next(task)
+    except StopIteration as done:
+        return done.value
 
 
 class _CountingIterator:

@@ -39,6 +39,21 @@ def test_every_fault_scenario_sees_three_seeds(name):
         assert len(seeds) >= 3, (variant, seeds)
 
 
+def test_the_listed_cells_cover_every_pair_and_regenerate_themselves():
+    """The cover is data: regenerating from ``conformance_cells.txt``
+    adds nothing and drops nothing, because the listed cells (with the
+    kept ones) already hold every pair of every scenario."""
+    listed = cf.listed_cells()
+    assert [c.id for c in cf.generate(listed)] == listed
+    by_id = {c.id: c for c in cf.GENERATED}
+    kept = [c for cells in cf.KEPT.values() for c in cells]
+    for name in cf.SCENARIOS:
+        seen = [by_id[i] for i in listed if by_id[i].scenario == name]
+        seen += [c for c in kept if c.scenario == name]
+        assert set().union(*map(cf.axis_pairs, cf.valid_cells(name))) \
+            <= set().union(*map(cf.axis_pairs, seen)), name
+
+
 def test_cells_are_valid_and_ids_unique_and_seeded(request):
     """Generated ids are unique and carry the seed they hash to; every
     declared cell is valid; every test id the table declares cells for

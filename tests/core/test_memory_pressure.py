@@ -74,9 +74,8 @@ class TestOOMInjection:
         CSTF-COO and CSTF-QCOO joins are killed and healed exactly
         where the record kernel is.  (Sized by ``nbytes`` they slip
         under the budget and the injection silently stops firing.)
-        Serial backend: with concurrent tasks the kill count depends
-        on which attempt reaches admission before another's demotion
-        lands."""
+        Serial backend: a join stage sends no worker request, so the
+        process backend runs it exactly as serial does."""
         plan = FaultPlan(seed=0,
                          oom_node_budgets={n: budget for n in range(4)})
         rec, vec = (cf.run(driver=cf.DRIVER_OF[cls], kernel=kernel,

@@ -150,15 +150,22 @@ class TestResolvedConf:
                  [(np.zeros(8, dtype=np.int64), np.ones((3, 2)))]),
                 {"prereduce": True})
 
+        real_resolve_op = procpool.resolve_op
+        inline = []
+        monkeypatch.setattr(procpool, "resolve_op", lambda op: inline
+                            .append(op) or real_resolve_op(op))
+
         def still_attached(cap):
             monkeypatch.setattr(procpool, "_ATTACH_CACHE_CAP", cap)
             backend = create_backend("process", 1)
             try:
-                assert backend.offload.run("contrib", *args) is not None
+                backend.offload.run("contrib", *args).resolve()
                 (name, *_) = backend.registry.publish_cached(values)
                 backend.registry.unpin([name])
                 backend.registry.release(name)
-                return backend.offload.run("contrib", *args) is not None
+                inline.clear()
+                backend.offload.run("contrib", *args).resolve()
+                return not inline   # resolved inline: missing segment
             finally:
                 backend.shutdown()
         assert procpool._ATTACH_CACHE_CAP == 256

@@ -1,4 +1,4 @@
-"""Straggler resilience: virtual clock, cancellation tokens, seeded
+"""Straggler resilience: virtual clock, deadline tokens, seeded
 slow/hang injection, deadlines, speculation, unified backoff and node
 quarantine.
 
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import (CancellationGroup, CancellationToken,
-                          CancelledAttempt, Cluster, Context, EngineConf,
-                          EngineError, FaultPlan, MonotonicClock,
-                          NodeHealthTracker, TaskTimedOutError,
-                          VirtualClock, backoff_delay, create_clock)
+from repro.engine import (CancellationToken, CancelledAttempt, Cluster,
+                          Context, EngineConf, EngineError, FaultPlan,
+                          MonotonicClock, NodeHealthTracker,
+                          TaskTimedOutError, VirtualClock, backoff_delay,
+                          create_clock)
 
 BACKENDS = (("serial", None), ("process", 2))
 
@@ -79,17 +79,6 @@ class TestClocks:
 # cancellation tokens
 # ----------------------------------------------------------------------
 class TestCancellationToken:
-    def test_explicit_cancel_wins_over_deadline(self):
-        clock = VirtualClock()
-        group = CancellationGroup()
-        token = CancellationToken(clock, partition=0, group=group,
-                                  hard_deadline_s=1.0)
-        clock.advance(5.0)  # past the deadline too
-        group.cancel("sibling died")
-        with pytest.raises(CancelledAttempt) as exc:
-            token.check()
-        assert exc.value.kind == "task-set-cancelled"
-
     def test_hard_deadline_raises_timeout(self):
         clock = VirtualClock()
         token = CancellationToken(clock, partition=3, stage_id=7,
@@ -101,17 +90,6 @@ class TestCancellationToken:
         assert exc.value.partition == 3
         assert exc.value.deadline_s == 2.0
         assert exc.value.elapsed_s >= 2.0
-
-    def test_group_cancellation_propagates(self):
-        clock = VirtualClock()
-        group = CancellationGroup()
-        token = CancellationToken(clock, partition=0, group=group)
-        token.check()
-        group.cancel("sibling died")
-        with pytest.raises(CancelledAttempt) as exc:
-            token.check()
-        assert exc.value.kind == "task-set-cancelled"
-        assert group.reason == "sibling died"
 
     def test_on_late_fires_exactly_once(self):
         clock = VirtualClock()
