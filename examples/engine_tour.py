@@ -11,9 +11,7 @@ Run:  python examples/engine_tour.py
 
 from __future__ import annotations
 
-import threading
-
-from repro.engine import Context, HashPartitioner
+from repro.engine import Context, EngineListener, HashPartitioner
 
 
 def main() -> None:
@@ -48,24 +46,24 @@ def main() -> None:
         print(f"weighted total : {weighted:,.1f} "
               f"(broadcast payload {weights.size_bytes} B)")
 
-        # fault tolerance: a task that dies once is retried invisibly
-        # (the shared flag is lock-guarded: `repro lint` flags
-        # unsynchronized writes to captured state, which lineage
-        # recomputation would double-count)
-        state = {"failed": False}
-        state_lock = threading.Lock()
+        # fault tolerance: a task that dies once is retried invisibly.
+        # An event-bus listener fails an attempt by raising from
+        # on_task_start (a task closure writing captured state instead
+        # would count twice on lineage recomputation: `repro lint`
+        # flags that, lock or no lock)
+        class FailOnce(EngineListener):
+            fired = False
 
-        def flaky(x):
-            if x == 1000:
-                with state_lock:
-                    if not state["failed"]:
-                        state["failed"] = True
-                        raise RuntimeError(
-                            "transient executor failure")
-            return x
+            def on_task_start(self, event):
+                if event.partition == 3 and not self.fired:
+                    self.fired = True
+                    raise RuntimeError("transient executor failure")
 
-        assert ctx.parallelize(range(2001), 8).map(flaky).count() == 2001
-        print("fault injected :", state["failed"], "-> job still exact")
+        fault = FailOnce()
+        ctx.event_bus.subscribe(fault)
+        assert ctx.parallelize(range(2001), 8).count() == 2001
+        ctx.event_bus.unsubscribe(fault)
+        print("fault injected :", fault.fired, "-> job still exact")
 
         # lineage and metrics introspection
         print("\nlineage of the enriched dataset:")

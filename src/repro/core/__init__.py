@@ -3,8 +3,7 @@ CSTF-COO and CSTF-QCOO distributed CP-ALS, plus the shared driver, gram
 machinery, checkpoint stores and result types."""
 
 from .checkpoint import (CheckpointStore, CPCheckpoint,
-                         DirectoryCheckpointStore, FileCheckpointStore,
-                         InMemoryCheckpointStore)
+                         FileCheckpointStore, InMemoryCheckpointStore)
 from .cp_als import CPALSDriver
 from .cstf_coo import CstfCOO
 from .cstf_qcoo import CstfQCOO
@@ -16,7 +15,6 @@ __all__ = [
     "CPALSDriver",
     "CPCheckpoint",
     "CPDecomposition",
-    "DirectoryCheckpointStore",
     "FileCheckpointStore",
     "InMemoryCheckpointStore",
     "CstfCOO",

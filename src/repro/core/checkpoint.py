@@ -332,10 +332,3 @@ class FileCheckpointStore(CheckpointStore):
             if m and (p / self._MANIFEST).exists():
                 out.append(int(m.group(1)))
         return sorted(out)
-
-
-#: Backwards-compatible name: earlier revisions called the file-backed
-#: store ``DirectoryCheckpointStore`` (one ``.npz`` per snapshot).  The
-#: public surface (``save``/``load``/``iterations``) is unchanged; only
-#: the on-disk layout moved to the atomic sharded protocol.
-DirectoryCheckpointStore = FileCheckpointStore

@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from ..engine.blocks import KeyedRowBlock, coalesce_rows, partition_rows
-from ..engine.conf import check
 from ..engine.context import Context
 from ..engine.errors import NumericalIntegrityError
 from ..engine.partitioner import HashPartitioner
@@ -79,18 +78,9 @@ class CPALSDriver:
         ``memory_total_bytes``) cannot hold them: over-budget partitions
         spill to simulated disk instead of being dropped and recomputed.
         Factor RDDs are small and stay ``MEMORY_RAW``.
-    sampler:
-        MTTKRP estimator: ``"exact"`` (every nonzero contributes — the
-        paper's algorithms) or ``"lev"`` (CP-ARLS-LEV leverage-score
-        sampling: each partition contributes ``sample_count`` nonzeros
-        drawn by Khatri-Rao leverage scores with importance weights
-        folded in — an unbiased estimate, sublinear in nnz; see
-        :mod:`repro.kernels.sampled`).  ``None`` defers to
-        ``ctx.conf.sampler``.  Under ``"lev"`` the reported fit is
-        itself a sampled estimate (``CPDecomposition.fit_is_estimate``).
-    sample_count:
-        Nonzeros drawn per partition per MTTKRP under ``sampler="lev"``.
-        ``None`` defers to ``ctx.conf.sample_count``.
+
+    The MTTKRP estimator is the context's: ``ctx.conf.sampler`` and
+    ``ctx.conf.sample_count`` (see :attr:`sampler`).
     """
 
     #: subclass tag used in results and reports
@@ -101,9 +91,7 @@ class CPALSDriver:
                  regularization: float = 0.0,
                  nonnegative: bool = False,
                  tensor_partitioning: str = "hash",
-                 storage_level: StorageLevel = StorageLevel.MEMORY_RAW,
-                 sampler: str | None = None,
-                 sample_count: int | None = None):
+                 storage_level: StorageLevel = StorageLevel.MEMORY_RAW):
         if regularization < 0:
             raise ValueError(
                 f"regularization must be >= 0, got {regularization}")
@@ -121,15 +109,26 @@ class CPALSDriver:
         self.nonnegative = nonnegative
         self.tensor_partitioning = tensor_partitioning
         self.storage_level = storage_level
-        self.sampler = ctx.conf.sampler
-        if sampler is not None:
-            self.sampler = check("sampler", sampler, "the driver's sampler=")
-        self.sample_count = ctx.conf.sample_count
-        if sample_count is not None:
-            self.sample_count = check("sample_count", sample_count,
-                                      "the driver's sample_count=")
         #: the per-run LeverageSampler (seeded in :meth:`decompose`)
         self._sampler: LeverageSampler | None = None
+
+    @property
+    def sampler(self) -> str:
+        """MTTKRP estimator, ``ctx.conf.sampler``: ``"exact"`` (every
+        nonzero contributes — the paper's algorithms) or ``"lev"``
+        (CP-ARLS-LEV leverage-score sampling: each partition contributes
+        :attr:`sample_count` nonzeros drawn by Khatri-Rao leverage
+        scores with importance weights folded in — an unbiased
+        estimate, sublinear in nnz; see :mod:`repro.kernels.sampled`).
+        Under ``"lev"`` the reported fit is itself a sampled estimate
+        (``CPDecomposition.fit_is_estimate``)."""
+        return self.ctx.conf.sampler
+
+    @property
+    def sample_count(self) -> int:
+        """Nonzeros drawn per partition per MTTKRP under ``"lev"``,
+        ``ctx.conf.sample_count``."""
+        return self.ctx.conf.sample_count
 
     # ------------------------------------------------------------------
     # subclass interface

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import struct
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -421,12 +421,17 @@ def partition_order(
     return stable_argsort(pids), offsets
 
 
-def partition_rows(block: KeyedRowBlock, pids: npt.NDArray[np.int64],
-                   num_partitions: int) -> list[KeyedRowBlock]:
-    """``block`` cut into one :class:`KeyedRowBlock` per partition
-    (empty ones included) given each row's target partition; rows keep
-    their relative order, so index-ordered rows stay index-ordered —
-    how a factor is distributed."""
+#: a block type: both cut themselves with ``take``
+_Block = TypeVar("_Block", "ColumnarBlock", "KeyedRowBlock")
+
+
+def partition_rows(block: _Block, pids: npt.NDArray[np.int64],
+                   num_partitions: int) -> list[_Block]:
+    """``block`` cut into one block of its type per partition (empty
+    ones included) given each row's target partition, by one radix
+    grouping pass and a slice per partition; rows keep their relative
+    order, so index-ordered rows stay index-ordered — how a factor and
+    a hash- or range-placed tensor are distributed."""
     order, offsets = partition_order(pids, num_partitions)
     gathered = block.take(order)
     return [gathered.take(slice(start, stop))

@@ -13,14 +13,14 @@ of injected latency without sleeping wall-clock time.
     really sleeps — production semantics.
 ``VirtualClock``
     ``time()`` reads a process-local virtual counter and ``sleep()``
-    advances it and returns immediately.  Under the serial
-    backend this makes injected-delay runs fully deterministic: a task
-    that "sleeps" ten virtual seconds costs microseconds of wall time
-    but still trips deadlines, backoff accounting and quarantine expiry
-    exactly as a real slow task would.  Under the process backend
-    concurrent sleepers interleave their advances, so virtual
-    *durations* are only approximate there — but results never depend
-    on durations (the determinism contract), only metrics do.
+    advances it and returns immediately.  This makes injected-delay
+    runs fully deterministic on every backend: a task that "sleeps" ten
+    virtual seconds costs microseconds of wall time but still trips
+    deadlines, backoff accounting and quarantine expiry exactly as a
+    real slow task would.  Every sleeper runs on the one engine thread
+    (task bodies sent to worker processes never sleep), so the order
+    of advances is a function of the inputs and the backend's worker
+    count.
 
 Which one a context gets is ``ctx.conf.clock`` (resolved in
 :mod:`repro.engine.conf`).

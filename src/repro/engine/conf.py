@@ -249,9 +249,8 @@ def _parsed(parse: Callable[[Any], Any], error: type[EngineError],
 def check(field: str, value: Any, source: str) -> Any:
     """Validate and normalise one env-backed setting; ``source`` says
     where ``value`` came from and is quoted in the error.
-    :func:`resolve` runs every value through here, and so do callers
-    that accept an override of a resolved setting (the CP-ALS drivers'
-    ``sampler=`` / ``sample_count=``) — one validator per field."""
+    :func:`resolve` runs every value through here, and so does the
+    CLI for its flags — one validator per field."""
     _var, parse, _default, error = _ENV_BACKED[field]
     return _parsed(parse, error, field, value, source)
 

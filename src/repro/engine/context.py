@@ -17,7 +17,7 @@ Two execution modes:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from . import linthooks
 from .accumulator import Accumulator
@@ -141,20 +141,6 @@ class Context:
         self._persisted_rdds: dict[int, RDD] = {}
         self._stopped = False
         linthooks.context_created(self)
-
-    # ------------------------------------------------------------------
-    @property
-    def fault_injector(self) -> Callable[[int, int, int], None] | None:
-        """Legacy fault hook ``(stage_id, partition, attempt) -> None``
-        that may raise to simulate task failures.  Kept as a thin
-        adapter over the structured :class:`~repro.engine.faults
-        .FaultInjector`; prefer passing a ``fault_plan``."""
-        return self.faults.legacy_hook
-
-    @fault_injector.setter
-    def fault_injector(
-            self, hook: Callable[[int, int, int], None] | None) -> None:
-        self.faults.legacy_hook = hook
 
     # ------------------------------------------------------------------
     @property

@@ -15,8 +15,7 @@ engine hook points:
 * ``on_stage_start`` — the scheduler reports each stage execution, so
   kills can be pinned to "stage n";
 * ``on_task_attempt`` — called before every task attempt; fires
-  ``after_tasks`` kills, broken-node faults and the legacy
-  ``ctx.fault_injector`` callable (kept as a thin adapter);
+  ``after_tasks`` kills and broken-node faults;
 * ``wrap_task_iterator`` — wraps the task's record stream so injected
   task failures can surface *lazily*, mid-iteration, the way a real map
   function dies halfway through a partition, and injected delays and
@@ -258,12 +257,6 @@ class FaultInjector(EngineListener):
     :meth:`on_iteration` directly — iteration boundaries are an
     algorithm-level notion the engine has no event for.
 
-    ``legacy_hook`` is the adapter for the historical
-    ``ctx.fault_injector`` API: a bare callable
-    ``(stage_id, partition, attempt) -> None`` that may raise to fail
-    the task.  It is invoked from :meth:`on_task_attempt`, before the
-    plan's own faults.
-
     One engine thread (see :mod:`repro.engine.backends`): nothing here
     locks anything, and every random decision is derived from its call
     site (see module docstring), so outcomes do not depend on the order
@@ -273,7 +266,6 @@ class FaultInjector(EngineListener):
     def __init__(self, plan: FaultPlan, ctx: "Context"):
         self.plan = plan
         self._ctx = ctx
-        self.legacy_hook: Callable[[int, int, int], None] | None = None
         self._task_attempts_started = 0
         self._injected_per_task: dict[tuple[int, int], int] = {}
         self._hangs_per_task: dict[tuple[int, int], int] = {}
@@ -319,8 +311,6 @@ class FaultInjector(EngineListener):
         self._fire_kills(
             lambda ev: ev.after_tasks is not None
             and started >= ev.after_tasks)
-        if self.legacy_hook is not None:
-            self.legacy_hook(stage_id, partition, attempt)
         plan = self.plan
         if node in plan.broken_nodes:
             self._faults().injected_task_failures += 1
@@ -330,15 +320,15 @@ class FaultInjector(EngineListener):
 
     def wrap_task_iterator(
             self, records: Iterable, stage_id: int, partition: int,
-            attempt: int, node: int = 0,
-            token: "CancellationToken | None" = None) -> Iterable:
+            attempt: int, node: int,
+            token: "CancellationToken") -> Iterable:
         """Possibly poison and/or delay the task's record stream.
 
         Failure poisoning (``task_failure_prob``) composes with the
         time-domain injections: the attempt first serves its injected
-        delay/hang (cooperatively, through ``token`` when one is
-        present, so deadlines and cancellation interrupt the stall),
-        then streams the possibly-poisoned records.
+        delay/hang (cooperatively, through ``token``, so deadlines and
+        cancellation interrupt the stall), then streams the
+        possibly-poisoned records.
         """
         plan = self.plan
         records = self._poison_iterator(records, stage_id, partition,
@@ -389,30 +379,17 @@ class FaultInjector(EngineListener):
             stragglers.injected_hangs += 1
         return delay, hang
 
-    def _delayed_iterator(self, records: Iterable, delay: float,
-                          hang: bool,
-                          token: "CancellationToken | None") -> Iterator:
+    @staticmethod
+    def _delayed_iterator(records: Iterable, delay: float, hang: bool,
+                          token: "CancellationToken") -> Iterator:
         """Serve the injected delay/hang, then stream ``records``.  The
         stall happens lazily, on first ``next()`` — inside the task's
         retry/timeout scope."""
-        clock = self._ctx.clock
-
-        def delayed() -> Iterator:
-            if delay:
-                if token is not None:
-                    token.sleep(delay)
-                else:
-                    clock.sleep(delay)
-            if hang:
-                if token is None:
-                    raise EngineError(
-                        "injected hang cannot terminate: the attempt "
-                        "has no cancellation token (set "
-                        "EngineConf.task_deadline_s or enable "
-                        "speculation)")
-                token.hang()
-            yield from records
-        return delayed()
+        if delay:
+            token.sleep(delay)
+        if hang:
+            token.hang()
+        yield from records
 
     def _poison_iterator(self, records: Iterable, stage_id: int,
                          partition: int, attempt: int) -> Iterable:

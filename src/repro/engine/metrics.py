@@ -89,19 +89,6 @@ class StageMetrics:
         """Attribute ``n`` processed records to ``node``."""
         self.records_per_node[node] = self.records_per_node.get(node, 0) + n
 
-    def merge_task(self, other: "StageMetrics") -> None:
-        """Fold one task attempt's scratch metrics into this stage
-        record.  Every counter is additive, so merging per-attempt
-        scratches in any completion order yields the same totals as the
-        old scheme where tasks mutated the shared object directly."""
-        self.output_records += other.output_records
-        self.shuffle_read.merge(other.shuffle_read)
-        self.shuffle_write.merge(other.shuffle_write)
-        for node, n in other.records_per_node.items():
-            self.add_node_records(node, n)
-        self.cache_hit_partitions += other.cache_hit_partitions
-        self.cache_miss_partitions += other.cache_miss_partitions
-
 
 @dataclass
 class JobMetrics:

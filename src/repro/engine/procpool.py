@@ -45,6 +45,7 @@ import struct
 import subprocess
 import sys
 
+from collections import Counter
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
@@ -110,7 +111,7 @@ class SharedBlockRegistry:
         self._cached: dict[int, tuple[tuple, np.ndarray]] = {}
         #: name -> pin count; pinned segments survive cache eviction
         #: while a request referencing their descriptor is in flight
-        self._pins: dict[str, int] = {}
+        self._pins: Counter[str] = Counter()
 
     def publish_cached(self, arr: np.ndarray) -> tuple:
         """The descriptor of a segment holding a copy of ``arr``, made
@@ -125,28 +126,24 @@ class SharedBlockRegistry:
             # a hit is a use (the entry moves to the young end): a
             # partition's columns outlive any number of one-shot arrays
             self._cached[key] = self._cached.pop(key)
-            self._pins[hit[0][0]] = self._pins.get(hit[0][0], 0) + 1
+            self._pins[hit[0][0]] += 1
             return hit[0]
         desc, view = self.create(arr.shape, arr.dtype)
         view[...] = arr
         self._cached[key] = (desc, arr)
-        self._pins[desc[0]] = self._pins.get(desc[0], 0) + 1
+        self._pins[desc[0]] += 1
         while len(self._cached) > _PUBLISH_CACHE_CAP:
             victim = next((k for k, (old, _) in self._cached.items()
-                           if not self._pins.get(old[0])), None)
+                           if not self._pins[old[0]]), None)
             if victim is None:  # everything in flight; grow past cap
                 break
             self.release(self._cached.pop(victim)[0][0])
         return desc
 
     def unpin(self, names: Sequence[str]) -> None:
-        """Drop one pin per name, making the segments evictable again."""
-        for name in names:
-            count = self._pins.get(name, 0) - 1
-            if count > 0:
-                self._pins[name] = count
-            else:
-                self._pins.pop(name, None)
+        """Drop one pin per name, making the segments evictable again
+        (a count that reaches zero leaves the counter)."""
+        self._pins -= Counter(names)
 
     def create(self, shape: tuple, dtype: np.dtype = VALUE_DTYPE
                ) -> tuple[tuple, np.ndarray]:
@@ -276,19 +273,18 @@ class _WorkerProcess:
             pass
 
 
-def _spawn_workers(count: int) -> list[_WorkerProcess] | None:
-    """``count`` workers, every one launched before any is hand-shaken;
-    one failure kills them all and returns None."""
-    workers: list[_WorkerProcess] = []
+def _spawn_workers(count: int, workers: list[_WorkerProcess]
+                   ) -> list[_WorkerProcess]:
+    """``workers`` and ``count`` more, every one launched before any is
+    hand-shaken; one failure kills them all and returns none."""
     try:
-        for _ in range(count):
-            workers.append(_WorkerProcess())
+        workers.extend(_WorkerProcess() for _ in range(count))
         for worker in workers:
             worker.handshake()
     except (OSError, WorkerDied):
         for worker in workers:
             worker.kill()
-        return None
+        return []
     return workers
 
 
@@ -299,37 +295,42 @@ class ProcessWorkerPool:
 
     def __init__(self, num_workers: int):
         self._idle: list[_WorkerProcess] = []
-        #: workers the next checkout spawns: all of them at first,
-        #: then the ones that died since
-        self._missing = num_workers
+        #: replacements ``checkin`` launched, not yet hand-shaken
+        self._starting: list[_WorkerProcess] = []
+        self._unspawned = num_workers
         self._stopped = False
 
     def checkout(self) -> _WorkerProcess | None:
-        """Claim an idle worker, or None ("compute inline") when none is
-        idle or the pool is stopped.  Missing workers are spawned first;
-        when that fails the pool goes on without them."""
+        """Claim an idle worker (the first checkout spawns the pool; with
+        none idle, a launched replacement is hand-shaken), or None
+        ("compute inline") when none answers or the pool is stopped."""
         if self._stopped:
             return None
-        if self._missing:
-            self._idle += _spawn_workers(self._missing) or []
-            self._missing = 0
+        self._idle += _spawn_workers(self._unspawned, [])
+        self._unspawned = 0
+        while not self._idle and self._starting:
+            self._idle += _spawn_workers(0, [self._starting.pop(0)])
         return self._idle.pop() if self._idle else None
 
     def checkin(self, worker: _WorkerProcess, dead: bool = False) -> None:
-        """Return a worker after a request; ``dead=True`` kills it, and
-        the next ``checkout`` spawns a replacement."""
-        if dead:
-            worker.kill()
-            self._missing += 1
-        else:
+        """Return a worker after a request; ``dead=True`` kills it and
+        launches a replacement, which starts while the engine goes on."""
+        if not dead:
             self._idle.append(worker)
+            return
+        worker.kill()
+        try:
+            self._starting.append(_WorkerProcess())
+        except OSError:   # the pool goes on without it
+            pass
 
     def stop(self) -> None:
         """Shut every worker down (idempotent) — all are told before
-        any is waited for; subsequent checkouts return None and
-        nothing is spawned again."""
+        any is waited for; later checkouts return None.  No request
+        outlives the task loop, so no checkin comes after."""
         self._stopped = True
-        workers, self._idle = self._idle, []
+        workers = self._idle + self._starting
+        self._idle, self._starting = [], []
         for worker in workers:
             worker.signal_stop()
         for worker in workers:
@@ -409,9 +410,8 @@ class Pending:
         try:
             reply = worker.receive()
         except WorkerDied:
-            self._client._pool.checkin(worker, dead=True)
-            return None
-        self._client._pool.checkin(worker)
+            reply = None
+        self._client._pool.checkin(worker, dead=reply is None)
         return reply
 
 

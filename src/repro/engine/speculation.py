@@ -3,7 +3,7 @@
 The primitives behind the task scheduler's straggler defences:
 
 :class:`CancellationToken`
-    Carried by every task attempt when time-domain features are active.
+    Carried by every task attempt; one with no deadline checks nothing.
     Checkpoints inside the attempt (injected delay/hang sleeps, the
     per-record guard) call :meth:`CancellationToken.check`, which
     raises :class:`~repro.engine.errors.CancelledAttempt` when the
@@ -35,7 +35,6 @@ from .partitioner import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clock import Clock
-    from .metrics import StageMetrics
 
 #: attempt-number offset of backup (speculative) attempts.  Keeps the
 #: backup's seeded fault-injection sites disjoint from every regular
@@ -118,7 +117,11 @@ class CancellationToken:
 
     def sleep(self, seconds: float) -> None:
         """Cooperative sleep: like ``clock.sleep`` but checkpointing at
-        every chunk boundary, so deadlines interrupt the wait."""
+        every chunk boundary, so deadlines interrupt the wait (one
+        plain ``clock.sleep`` when no deadline can)."""
+        if not self.can_expire:
+            self.clock.sleep(seconds)
+            return
         end = self.clock.time() + seconds
         while True:
             self.check()
@@ -141,12 +144,11 @@ class CancellationToken:
             self.clock.sleep(self._next_chunk(_MAX_SLEEP_CHUNK_S))
 
 
-def guard_iterator(records: Any,
-                   token: CancellationToken | None) -> Any:
+def guard_iterator(records: Any, token: CancellationToken) -> Any:
     """Wrap a task's record stream with a per-record checkpoint (the
-    cancellation token's hook into real compute).  With no token the
-    stream is returned untouched — the zero-overhead default path."""
-    if token is None:
+    cancellation token's hook into real compute).  A token that cannot
+    expire returns the stream untouched — no per-record overhead."""
+    if not token.can_expire:
         return records
 
     def guarded():
@@ -154,22 +156,6 @@ def guard_iterator(records: Any,
             token.check()
             yield record
     return guarded()
-
-
-# ----------------------------------------------------------------------
-# attempt outcome
-# ----------------------------------------------------------------------
-class AttemptOutcome:
-    """One attempt's computed (not yet committed) result."""
-
-    __slots__ = ("records", "scratch", "node", "attempt")
-
-    def __init__(self, records: list, scratch: "StageMetrics", node: int,
-                 attempt: int):
-        self.records = records
-        self.scratch = scratch
-        self.node = node
-        self.attempt = attempt
 
 
 # ----------------------------------------------------------------------

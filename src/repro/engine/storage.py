@@ -125,8 +125,6 @@ class CacheManager:
                                    metrics=metrics)
         self.memory = memory
         self.integrity = integrity
-        self.capacity_bytes = (capacity_bytes if capacity_bytes is not None
-                               else memory.storage_cap_bytes)
         self.metrics = metrics
         self.hits = 0
         self.misses = 0

@@ -22,37 +22,41 @@ finishes at once, after those before it.  So the serial backend (W =
 task after another, and the process backend's order of engine work is
 a function of the inputs and W — as is every counter.
 
+Every attempt takes one path: ``_execute_attempt`` (its token) →
+``_attempt_compute`` (its records) → ``_commit`` (its output).
 Determinism contract (what makes ``ProcessPoolBackend`` bit-identical
-to the serial backend): results are returned in partition order; every
-task attempt mutates only a private scratch
-:class:`~repro.engine.metrics.StageMetrics` that is merged additively
-into the stage's record (integer counters commute); all shared engine
-state the tasks touch (cache, shuffle outputs, memory pools, fault
-injector) has order-independent semantics; and the first failure in
-partition order is the one raised.
+to the serial backend): results are returned in partition order;
+every attempt — failed, cancelled and closed ones included — counts
+straight into its stage's :class:`~repro.engine.metrics.StageMetrics`,
+whose counters are additive integers, so the order suspended tasks
+resume in cannot change a total; all shared engine state the tasks
+touch (cache, shuffle outputs, memory pools, fault injector) has
+order-independent semantics; and the first failure in partition order
+is the one raised.
 
 Straggler resilience (all opt-in, see
-:class:`~repro.engine.conf.EngineConf`): when ``task_deadline_s`` or
-``speculation`` is configured, every attempt carries a
+:class:`~repro.engine.conf.EngineConf`): every attempt carries a
 :class:`~repro.engine.speculation.CancellationToken` whose cooperative
-checkpoints observe its deadlines.  An attempt past its
-*speculative* deadline (a multiple of the stage's median task runtime)
-is cancelled and a backup attempt runs inline, on a different node and
-the same thread, on every backend; only a completed attempt reaches
-the output side, so speculation never changes committed bits.  Task
-failures, hard-deadline expiries
-(:class:`~repro.engine.errors.TaskTimedOutError`) and speculated
-attempts feed a decayed per-node health score that can *quarantine* a
-bad or persistently slow node for a while (see
+checkpoints observe the deadlines ``task_deadline_s`` and
+``speculation`` set; with neither configured it has none and checks
+nothing.  An attempt past its *speculative* deadline (a multiple of
+the stage's median task runtime) is cancelled and a backup attempt
+runs inline, on a different node and the same thread, on every
+backend; only a completed attempt reaches the output side, so
+speculation never changes committed bits.  Task failures,
+hard-deadline expiries (``TaskTimedOutError``) and speculated attempts
+feed a decayed per-node health score that can *quarantine* a bad or
+persistently slow node for a while (see
 :class:`~repro.engine.cluster.NodeHealthTracker`) — the one node-health
 policy.
 
 Instrumentation flows through the
 :class:`~repro.engine.events.EngineEventBus` (``TaskStart`` /
 ``TaskEnd`` / ``TaskFailure`` / ``TaskTimedOut`` / ``TaskSpeculated`` /
-``TaskAttemptCancelled`` / ``NodeQuarantined`` / ``NodeReadmitted``);
-the fault injector subscribes to ``TaskStart`` and may raise from it to
-fail the attempt.
+``TaskAttemptCancelled`` / ``NodeQuarantined`` / ``NodeReadmitted``).
+A listener — the fault injector, or any other subscribed
+:class:`~repro.engine.events.EngineListener` — fails an attempt from
+outside by raising from ``on_task_start``; that is the one hook.
 """
 
 from __future__ import annotations
@@ -70,9 +74,8 @@ from .events import (NodeQuarantined, NodeReadmitted, TaskAttemptCancelled,
                      TaskTimedOut)
 from .metrics import StageMetrics
 from .procpool import Pending
-from .speculation import (SPECULATIVE_ATTEMPT_OFFSET, AttemptOutcome,
-                          CancellationToken, StageRuntimes, backoff_delay,
-                          guard_iterator)
+from .speculation import (SPECULATIVE_ATTEMPT_OFFSET, CancellationToken,
+                          StageRuntimes, backoff_delay, guard_iterator)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import ExecutorBackend
@@ -97,18 +100,14 @@ _RETRY_BACKOFF_JITTER = 0.5
 @dataclass
 class TaskContext:
     """Handed to every RDD ``compute``: identifies the running task and
-    carries the metrics sink for its stage (a per-attempt scratch that
-    the task scheduler merges into the stage's record).  ``token`` is
-    the attempt's cancellation token when time-domain features are
-    active (long-running compute may call ``token.check()`` at its own
-    safepoints).  ``deferred`` is a list when the stage's final RDD
-    offloads: that node leaves its body's request in flight, as a
-    ``Pending`` record it also appends here."""
+    carries its stage's metrics record, which every attempt counts
+    into.  ``deferred`` is a list when the stage's final RDD offloads:
+    that node leaves its body's request in flight, as a ``Pending``
+    record it also appends here."""
 
     partition: int
     stage_metrics: StageMetrics
     attempt: int = 0
-    token: CancellationToken | None = None
     deferred: list | None = None
 
 
@@ -159,14 +158,6 @@ class TaskScheduler:
         #: decayed per-node badness scores feeding quarantine
         self.health = NodeHealthTracker(
             decay_s=ctx.conf.quarantine_decay_s)
-
-    @property
-    def _wants_tokens(self) -> bool:
-        """Whether attempts carry cancellation tokens (any time-domain
-        feature configured).  Off by default: the legacy path has zero
-        per-record overhead and byte-identical scheduling behaviour."""
-        conf = self.ctx.conf
-        return conf.speculation or conf.task_deadline_s is not None
 
     # ------------------------------------------------------------------
     def run_task_set(self, task_set: TaskSet) -> list[TaskRunResult]:
@@ -225,7 +216,7 @@ class TaskScheduler:
             self._readmit_due_nodes()
             node = cluster.node_of_partition(partition)
             try:
-                outcome = yield from self._execute_attempt(
+                records, winner = yield from self._execute_attempt(
                     ts, partition, attempt, node)
             except CorruptedBlockError as exc:
                 # a checksum mismatch on a shuffle read is charged to
@@ -264,7 +255,7 @@ class TaskScheduler:
                 if backoff > 0:
                     ctx.clock.sleep(backoff)
                 continue
-            return self._commit(ts, partition, outcome)
+            return self._commit(ts, partition, records, winner)
         raise TaskFailedError(
             f"task for partition {partition} of stage {stage.stage_id} "
             f"failed {max_attempts} times: {last_error}",
@@ -272,18 +263,16 @@ class TaskScheduler:
             stage_id=stage.stage_id)
 
     # ------------------------------------------------------------------
-    # attempt execution (token-free fast path, deadlines, speculation)
+    # attempt execution (deadlines, speculation)
     # ------------------------------------------------------------------
     def _execute_attempt(self, ts: TaskSet, partition: int, attempt: int,
-                         node: int) -> Generator[bool, None, AttemptOutcome]:
-        """Run one attempt, applying whichever time-domain features are
-        configured: no token at all (the legacy fast path), a hard
-        deadline only, or speculation: past its speculative deadline
+                         node: int
+                         ) -> Generator[bool, None, tuple[list, int]]:
+        """Run one attempt under a token carrying whichever deadlines
+        are configured (none, a hard one, or a speculative one: past it
         the attempt is cancelled and a backup attempt runs inline on
-        another node."""
-        if not self._wants_tokens:
-            return (yield from self._attempt_compute(
-                ts, partition, attempt, node, None))
+        another node); ``(records, attempt)`` of the attempt that
+        completed."""
         ctx = self.ctx
         conf = ctx.conf
         stage_id = ts.stage.stage_id
@@ -322,8 +311,8 @@ class TaskScheduler:
             backup_node, backup_token))
 
     def _attempt_compute(self, ts: TaskSet, partition: int, attempt: int,
-                         node: int, token: CancellationToken | None
-                         ) -> Generator[bool, None, AttemptOutcome]:
+                         node: int, token: CancellationToken
+                         ) -> Generator[bool, None, tuple[list, int]]:
         """One attempt's compute phase: post ``TaskStart`` (the fault
         injector may raise from it), materialize the record stream
         through the fault injector's delay/poison wrappers and the
@@ -334,16 +323,9 @@ class TaskScheduler:
         reaches it.  Closed while suspended, it drains its requests."""
         ctx = self.ctx
         stage = ts.stage
-        scratch = StageMetrics(
-            stage_id=ts.metrics.stage_id, job_id=ts.metrics.job_id,
-            phase=ts.metrics.phase,
-            is_shuffle_map=ts.metrics.is_shuffle_map,
-            name=ts.metrics.name)
-        task = TaskContext(partition=partition, stage_metrics=scratch,
-                           attempt=attempt, token=token,
+        task = TaskContext(partition=partition, stage_metrics=ts.metrics,
+                           attempt=attempt,
                            deferred=[] if stage.rdd.offloads else None)
-        started = (token.started_s if token is not None
-                   else ctx.clock.time())
         try:
             # the fault injector subscribes to TaskStart and may raise
             # from it; materialize inside the try so faults raised
@@ -362,17 +344,14 @@ class TaskScheduler:
                            else record for record in records]
             ts.policy.admit(stage, partition, node, records)
         except BaseException:
-            # failed and cancelled attempts merge too: their partial
-            # reads and cache hits are real work
             for pending in task.deferred or ():
                 pending.discard()
-            ts.metrics.merge_task(scratch)
             raise
-        self.runtimes.record(stage.stage_id, ctx.clock.time() - started)
-        return AttemptOutcome(records, scratch, node, attempt)
+        self.runtimes.record(stage.stage_id, token.elapsed())
+        return records, attempt
 
-    def _commit(self, ts: TaskSet, partition: int,
-                outcome: AttemptOutcome) -> TaskRunResult:
+    def _commit(self, ts: TaskSet, partition: int, records: list,
+                attempt: int) -> TaskRunResult:
         """Commit the winning attempt's records: shuffle write or
         partition function, then ``TaskEnd``.  The output side is not
         retried — its errors propagate raw, matching the old
@@ -381,30 +360,24 @@ class TaskScheduler:
         cluster = ctx.cluster
         bus = ctx.event_bus
         stage = ts.stage
-        records = outcome.records
-        scratch = outcome.scratch
-        try:
-            if ts.shuffle_dep is not None:
-                dep = ts.shuffle_dep
-                before = scratch.shuffle_write.records_written
-                ctx._shuffle_manager.write(
-                    dep.shuffle_id, partition, records,
-                    dep.partitioner, scratch.shuffle_write,
-                    ts.aggregator)
-                count = scratch.shuffle_write.records_written - before
-                value = None
-            else:
-                assert ts.process is not None
-                counted = _CountingIterator(records)
-                value = ts.process(partition, counted)
-                count = counted.count
-            # re-resolve placement after execution: output of a task
-            # that outlived its node belongs to the replacement node
-            node = cluster.node_of_partition(partition)
-        finally:
-            ts.metrics.merge_task(scratch)
-        bus.post(TaskEnd(stage.stage_id, partition, outcome.attempt, node,
-                         count))
+        if ts.shuffle_dep is not None:
+            dep = ts.shuffle_dep
+            written = ts.metrics.shuffle_write
+            before = written.records_written
+            ctx._shuffle_manager.write(
+                dep.shuffle_id, partition, records, dep.partitioner,
+                written, ts.aggregator)
+            count = written.records_written - before
+            value = None
+        else:
+            assert ts.process is not None
+            counted = _CountingIterator(records)
+            value = ts.process(partition, counted)
+            count = counted.count
+        # re-resolve placement after execution: output of a task that
+        # outlived its node belongs to the replacement node
+        node = cluster.node_of_partition(partition)
+        bus.post(TaskEnd(stage.stage_id, partition, attempt, node, count))
         return TaskRunResult(partition=partition, node=node,
                              count=count, value=value)
 

@@ -4,7 +4,7 @@ Passes behind one report model:
 
 - :mod:`~repro.lint.closures` — closure capture analyzer (runtime
   function objects; nondeterminism, engine-handle capture, large
-  captures, unsynchronized shared-state mutation).
+  captures, shared-state mutation).
 - :mod:`~repro.lint.lifecycle` — broadcast/persist handle leak audit at
   context teardown.
 - :mod:`~repro.lint.plan` — plan-time dataflow auditor: exports each

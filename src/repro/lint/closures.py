@@ -21,9 +21,9 @@ engine-handle capture
     it with every task — that is what ``ctx.broadcast`` is for.
 shared-state mutation
     A closure writing a captured dict/list/set (``d[k] = v``,
-    ``xs.append(...)``) double-counts on lineage recomputation.  A
-    write under a ``with`` on a captured lock is not flagged, and the
-    mutating-method catalog leaves out ``.add`` (Accumulator use).
+    ``xs.append(...)``) double-counts on lineage recomputation — under
+    a lock or not.  The mutating-method catalog leaves out ``.add``
+    (Accumulator use).
 
 The runtime entry point is :func:`analyze_callable`: it unwraps
 ``functools.partial`` chains and bound methods, inspects ``__closure__``
@@ -108,14 +108,13 @@ def compute_free_names(node: ast.Lambda | ast.FunctionDef) -> set[str]:
 
 class ClosureIssueVisitor(ast.NodeVisitor):
     """Walks one function body, reporting nondeterministic calls and
-    unguarded mutations of captured state.
+    mutations of captured state.
 
     ``captured_names`` scopes the mutation check (mutating a parameter
     or local is fine); the nondeterminism check is unconditional, and a
     flagged call's arguments are not classified again.
     ``known_values`` (runtime path only) maps captured names to their
-    live objects so the mutation check can skip thread-safe structures
-    (anything carrying a ``_lock``) and non-container values.
+    live objects so the mutation check can skip non-container values.
     """
 
     def __init__(self, captured_names: set[str], report: LintReport, *,
@@ -129,7 +128,6 @@ class ClosureIssueVisitor(ast.NodeVisitor):
         self.operation = operation
         self.pass_name = pass_name
         self.known_values = known_values
-        self._guard_depth = 0
         self._quiet = 0
 
     # ------------------------------------------------------------------
@@ -152,11 +150,8 @@ class ClosureIssueVisitor(ast.NodeVisitor):
         if name not in self.captured:
             return False
         if self.known_values is not None and name in self.known_values:
-            value = self.known_values[name]
-            if hasattr(value, "_lock") or hasattr(value, "lock"):
-                return False  # structure synchronizes itself
-            if not isinstance(value, (dict, list, set, bytearray)):
-                return False
+            return isinstance(self.known_values[name],
+                              (dict, list, set, bytearray))
         return True
 
     # ------------------------------------------------------------------
@@ -165,31 +160,29 @@ class ClosureIssueVisitor(ast.NodeVisitor):
         found = None if self._quiet else classify_call(node)
         if found is not None:
             self._add("closure-nondeterminism", "warning", found[1], node)
-        if (self._guard_depth == 0
-                and isinstance(node.func, ast.Attribute)
+        if (isinstance(node.func, ast.Attribute)
                 and node.func.attr in _MUTATING_METHODS):
             base = _base_name(node.func.value)
             if base is not None and self._mutation_target_is_shared(base):
                 self._add(
                     "closure-shared-mutation", "error",
                     f"closure mutates captured {base!r} via "
-                    f".{node.func.attr}() without synchronization; "
-                    f"double-counted on lineage recomputation", node)
+                    f".{node.func.attr}(); double-counted on lineage "
+                    f"recomputation", node)
         self._quiet += found is not None
         self.generic_visit(node)
         self._quiet -= found is not None
 
     def _check_subscript_store(self, target: ast.AST,
                                node: ast.AST) -> None:
-        if self._guard_depth > 0 or not isinstance(target, ast.Subscript):
+        if not isinstance(target, ast.Subscript):
             return
         base = _base_name(target.value)
         if base is not None and self._mutation_target_is_shared(base):
             self._add(
                 "closure-shared-mutation", "error",
-                f"closure writes captured {base!r} by subscript "
-                f"without synchronization; double-counted on lineage "
-                f"recomputation", node)
+                f"closure writes captured {base!r} by subscript; "
+                f"double-counted on lineage recomputation", node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         """Flag subscript stores into captured shared containers."""
@@ -201,17 +194,6 @@ class ClosureIssueVisitor(ast.NodeVisitor):
         """Flag augmented subscript stores into captured containers."""
         self._check_subscript_store(node.target, node)
         self.generic_visit(node)
-
-    def visit_With(self, node: ast.With) -> None:
-        """Track lock-guarded regions so guarded writes stay silent."""
-        guards = any(
-            _base_name(item.context_expr) in self.captured
-            for item in node.items)
-        if guards:
-            self._guard_depth += 1
-        self.generic_visit(node)
-        if guards:
-            self._guard_depth -= 1
 
 
 def analyze_function_node(node: ast.Lambda | ast.FunctionDef,

@@ -10,7 +10,7 @@ Severities are deliberately coarse:
 
 ``error``
     The program is wrong (leaked handle, captured engine handle inside
-    a task closure, unsynchronized captured-state mutation).  ``repro lint`` exits non-zero.
+    a task closure, captured-state mutation).  ``repro lint`` exits non-zero.
 ``warning``
     The program is suspicious (unseeded RNG, large ndarray capture);
     non-zero exit only under ``--strict``.

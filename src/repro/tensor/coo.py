@@ -223,7 +223,7 @@ class COOTensor:
         order — exactly the order per-record placement produces — so a
         block pipeline and a record pipeline see identical partitions.
         """
-        from ..engine.blocks import ColumnarBlock
+        from ..engine.blocks import ColumnarBlock, partition_rows
         from ..engine.partitioner import HashPartitioner, RangePartitioner
         n = num_partitions
         block = self.to_block()
@@ -249,7 +249,7 @@ class COOTensor:
         else:
             raise ValueError(
                 f"unknown tensor partitioning {partitioning!r}")
-        return [block.take(np.flatnonzero(pids == p)) for p in range(n)]
+        return partition_rows(block, pids, n)
 
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:

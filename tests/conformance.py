@@ -27,8 +27,8 @@ from repro.baselines import BigtensorCP, local_cp_als
 from repro.core import (CstfCOO, CstfQCOO, FileCheckpointStore,
                         InMemoryCheckpointStore)
 from repro.engine import (Context, CorruptedDataError, EngineConf,
-                          FaultPlan, IntegrityMetrics, NodeKillEvent,
-                          StorageLevel)
+                          EngineListener, FaultPlan, IntegrityMetrics,
+                          NodeKillEvent, StorageLevel)
 from repro.engine.integrity import site_rng
 from repro.engine.partitioner import stable_hash
 from repro.tensor import (COOTensor, initial_factors, random_factors,
@@ -155,8 +155,14 @@ DRIVERS: dict[str, tuple[str, type, dict]] = {
     "coo-join": ("spark", CstfCOO, {}),
     "coo-broadcast": ("spark", CstfCOO, {"factor_strategy": "broadcast"}),
     "qcoo": ("spark", CstfQCOO, {}),
-    "coo-lev": ("spark", CstfCOO, {"sampler": "lev", "sample_count": 64}),
+    "coo-lev": ("spark", CstfCOO, {}),
     "bigtensor": ("hadoop", BigtensorCP, {}),
+}
+
+#: driver name -> the ``EngineConf`` fields its row sets (they win over
+#: every other source, as the row's driver arguments do)
+DRIVER_CONF: dict[str, dict] = {
+    "coo-lev": {"sampler": "lev", "sample_count": 64},
 }
 
 #: the failure-site sweep's drivers (``TestLeaks``), in sweep order
@@ -175,6 +181,18 @@ def sweep_run(driver, data: COOTensor, init) -> list[np.ndarray]:
 WORKERS = {"serial": None, "process": 2}
 
 _CASE_INIT = "case"
+
+
+class TaskStartHook(EngineListener):
+    """Calls ``hook(stage_id, partition, attempt)`` at every task
+    attempt's start; a raise fails that attempt, which the scheduler
+    retries like any task fault."""
+
+    def __init__(self, hook: Callable[[int, int, int], None]):
+        self.hook = hook
+
+    def on_task_start(self, event) -> None:
+        self.hook(event.stage_id, event.partition, event.attempt)
 
 
 class Run(NamedTuple):
@@ -203,7 +221,8 @@ def run(case: str = "order3", driver: str = "coo-join", *,
     to the environment, as a plain ``Context`` does; the clock is
     virtual unless ``conf`` says otherwise, so injected latency and
     retry backoff cost no wall time.  ``data`` / ``init`` / ``rank`` /
-    ``mode`` override the case's and the driver row's; ``init`` may be
+    ``mode`` override the case's and the driver row's; ``injector`` is
+    a :class:`TaskStartHook`'s hook; ``init`` may be
     factors, a strategy name (``"nvecs"``) or None (the driver's own
     seeded random start).  ``raises`` expects the decompose to raise
     that type (the run's ``error``); ``probe`` sees the context before
@@ -223,6 +242,7 @@ def run(case: str = "order3", driver: str = "coo-join", *,
         engine.setdefault("backend_workers", WORKERS[backend])
     if sampler == "lev":
         engine.setdefault("sample_count", sample_count or spec.sample_count)
+    engine.update(DRIVER_CONF.get(driver, {}))
     kwargs = {"max_iterations": iterations, "tol": 0.0, "seed": seed,
               "compute_fit": compute_fit,
               "checkpoint_every": checkpoint_every,
@@ -242,7 +262,7 @@ def run(case: str = "order3", driver: str = "coo-join", *,
                  conf=EngineConf(**engine),
                  fault_plan=plan) as ctx:
         if injector is not None:
-            ctx.fault_injector = injector
+            ctx.event_bus.subscribe(TaskStartHook(injector))
         decomposer = cls(ctx, **{**row_kwargs, **spec.driver_kwargs,
                                  **(driver_kwargs or {})})
         if storage_level is not None:
@@ -624,8 +644,8 @@ def _process(c: Cell, monkeypatch) -> tuple[Run, dict]:
     monkeypatch.setattr(procpool._WorkerProcess, "receive", receive)
     if c.variant == "worker-killed":
         # the next request to the dead worker fails in transport: that
-        # task runs inline, and the next checkout spawns a hand-shaken
-        # replacement
+        # task runs inline, its checkin launches a replacement, and a
+        # checkout that finds no idle worker hand-shakes it
         pools = []
         real_drop = Context.drop_shuffle_outputs
 

@@ -14,8 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import (CPCheckpoint, DirectoryCheckpointStore,
-                        FileCheckpointStore)
+from repro.core import CPCheckpoint, FileCheckpointStore
 from repro.engine import CorruptedDataError, FaultPlan, IntegrityMetrics
 from repro.engine.integrity import site_rng
 
@@ -72,9 +71,6 @@ class TestAtomicProtocol:
         assert manifest["num_factors"] == 2
         for name in ("lambdas", "fit_history", "factor_0", "factor_1"):
             assert {"crc32", "bytes"} <= set(manifest["shards"][name])
-
-    def test_directory_store_alias(self):
-        assert DirectoryCheckpointStore is FileCheckpointStore
 
     def test_empty_store_raises_keyerror(self, tmp_path):
         store = FileCheckpointStore(tmp_path / "ckpts")

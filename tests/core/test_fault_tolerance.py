@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (CstfCOO, CstfQCOO, DirectoryCheckpointStore,
+from repro.core import (CstfCOO, CstfQCOO, FileCheckpointStore,
                         InMemoryCheckpointStore)
 from repro.engine import (Context, FaultPlan, JobExecutionError,
                           TaskFailedError)
@@ -85,7 +85,7 @@ class TestCheckpointResume:
         cf.assert_bit_identical(cf.oracle(iterations=2), resumed)
 
     def test_directory_store_roundtrip(self, tmp_path):
-        store = DirectoryCheckpointStore(tmp_path / "ckpts")
+        store = FileCheckpointStore(tmp_path / "ckpts")
         cf.run(iterations=1, store=store, checkpoint_every=1)
         assert store.iterations() == [0]
         snap = store.load()
@@ -94,7 +94,7 @@ class TestCheckpointResume:
         assert snap.iteration == 0
         # resume off disk — the real crash-recovery path
         resumed = cf.run(iterations=2, resume_from="latest",
-                         store=DirectoryCheckpointStore(tmp_path / "ckpts"))
+                         store=FileCheckpointStore(tmp_path / "ckpts"))
         cf.assert_bit_identical(cf.oracle(iterations=2), resumed)
 
     def test_checkpointing_does_not_change_results(self):

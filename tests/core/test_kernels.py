@@ -684,7 +684,8 @@ class TestLeaks:
                            conf=EngineConf(task_max_failures=2,
                                            retry_backoff_base_s=0.0,
                                            backend=backend,
-                                           backend_workers=4))
+                                           backend_workers=4,
+                                           **cf.DRIVER_CONF.get(name, {})))
 
         with context() as ctx:
             want = cf.sweep_run(cls(ctx, **kwargs), tensor3, init3)
@@ -695,7 +696,8 @@ class TestLeaks:
                 def hook(stage_id, part, attempt):
                     if stage_id >= threshold and part == partition:
                         raise RuntimeError("injected fault")
-                ctx.fault_injector = hook
+                listener = cf.TaskStartHook(hook)
+                ctx.event_bus.subscribe(listener)
                 driver = cls(ctx, **kwargs)
                 try:
                     cf.sweep_run(driver, tensor3, init3)
@@ -709,7 +711,7 @@ class TestLeaks:
                     leaky.append((threshold, held))
                 if any(held) or threshold % 4:
                     continue
-                ctx.fault_injector = None
+                ctx.event_bus.unsubscribe(listener)
                 got = cf.sweep_run(driver, tensor3, init3)
                 assert all(np.array_equal(a, b)
                            for a, b in zip(got, want)), threshold

@@ -36,11 +36,12 @@ SAMPLES = cf.CASES["order3"].sample_count
 # ---------------------------------------------------------------------
 # spec resolution and EngineConf wiring
 # ---------------------------------------------------------------------
-def driver_spec(conf=None, **driver_kwargs):
-    """``(sampler, sample_count)`` a driver settles on: its own
-    arguments, else the context's resolved conf."""
-    with Context(num_nodes=2, default_parallelism=4, conf=conf) as ctx:
-        driver = CstfCOO(ctx, **driver_kwargs)
+def driver_spec(**conf):
+    """``(sampler, sample_count)`` a driver settles on: the context's
+    resolved conf (``conf`` fields, else the environment)."""
+    with Context(num_nodes=2, default_parallelism=4,
+                 conf=EngineConf(**conf)) as ctx:
+        driver = CstfCOO(ctx)
         return driver.sampler, driver.sample_count
 
 
@@ -63,9 +64,8 @@ class TestSpecResolution:
     def test_environment_fills_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLER", "lev")
         assert driver_spec()[0] == "lev"
-        # an explicit name always beats the environment
+        # an explicit conf field always beats the environment
         assert driver_spec(sampler="exact")[0] == "exact"
-        assert driver_spec(EngineConf(sampler="exact"))[0] == "exact"
 
     def test_unknown_sampler_rejected(self):
         for name in ("bogus", "none", "off", "leverage", "arls-lev"):
@@ -78,22 +78,22 @@ class TestSpecResolution:
         assert driver_spec(sample_count=7)[1] == 7
         monkeypatch.setenv("REPRO_SAMPLE_COUNT", "33")
         assert driver_spec()[1] == 33
-        assert driver_spec(EngineConf(sample_count=9),
-                           sample_count=7)[1] == 7
+        assert driver_spec(sample_count=9)[1] == 9
         with pytest.raises(KernelError, match="invalid sample_count"):
             driver_spec(sample_count=0)
 
     def test_conf_wires_driver(self):
-        conf = EngineConf(sampler="lev", sample_count=9)
-        with Context(num_nodes=2, default_parallelism=4,
-                     conf=conf) as ctx:
-            driver = CstfCOO(ctx)
-            assert driver.sampler == "lev"
-            assert driver.sample_count == 9
-            # the driver kwarg overrides the conf
-            explicit = CstfCOO(ctx, sampler="exact", sample_count=5)
-            assert explicit.sampler == "exact"
-            assert explicit.sample_count == 5
+        for sampler, count in (("lev", 9), ("exact", 5)):
+            conf = EngineConf(sampler=sampler, sample_count=count)
+            with Context(num_nodes=2, default_parallelism=4,
+                         conf=conf) as ctx:
+                driver = CstfCOO(ctx)
+                assert driver.sampler == sampler
+                assert driver.sample_count == count
+        # the conf is the one place the settings are made
+        with Context(num_nodes=2, default_parallelism=4) as ctx:
+            with pytest.raises(TypeError):
+                CstfCOO(ctx, sampler="lev")
 
 
 # ---------------------------------------------------------------------

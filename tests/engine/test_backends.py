@@ -437,6 +437,9 @@ class TestProcessPoolLifecycle:
             backend.shutdown()
 
     def test_a_respawned_worker_is_handshaken_first(self, events):
+        """The replacement of a dead worker is launched inside
+        ``checkin``; the next checkout that finds no idle worker
+        hand-shakes it before handing it out."""
         from repro.engine.procpool import ProcessWorkerPool
         pool = ProcessWorkerPool(1)
         try:
@@ -444,12 +447,51 @@ class TestProcessPoolLifecycle:
             worker.kill()
             del events[:]
             pool.checkin(worker, dead=True)
-            assert events == []   # respawned at the next checkout
+            assert events == ["__init__"]   # launched, not waited for
             replacement = pool.checkout()
             assert events == ["__init__", "handshake"]
             assert replacement is not worker
             replacement.handshake()
             pool.checkin(replacement)
+        finally:
+            pool.stop()
+
+    def test_an_idle_worker_goes_before_a_starting_one(self, events):
+        from repro.engine.procpool import ProcessWorkerPool
+        pool = ProcessWorkerPool(2)
+        try:
+            victim, survivor = pool.checkout(), pool.checkout()
+            pool.checkin(survivor)
+            victim.kill()
+            pool.checkin(victim, dead=True)
+            del events[:]
+            assert pool.checkout() is survivor
+            assert events == []
+            replacement = pool.checkout()
+            assert events == ["handshake"]
+            assert replacement not in (victim, survivor)
+            pool.checkin(survivor)
+            pool.checkin(replacement)
+        finally:
+            pool.stop()
+        assert events[-4:] == ["signal_stop"] * 2 + ["wait_stopped"] * 2
+
+    def test_a_failed_handshake_drops_the_replacement(self, monkeypatch):
+        from repro.engine import procpool
+        pool = procpool.ProcessWorkerPool(1)
+        try:
+            worker = pool.checkout()
+            worker.kill()
+            pool.checkin(worker, dead=True)
+            [replacement] = pool._starting
+
+            def refuse(self):
+                raise procpool.WorkerDied("no answer")
+            monkeypatch.setattr(procpool._WorkerProcess, "handshake",
+                                refuse)
+            assert pool.checkout() is None   # compute inline
+            assert pool._starting == [] and pool._idle == []
+            assert replacement._proc.poll() is not None
         finally:
             pool.stop()
 
@@ -509,14 +551,15 @@ class TestOneGenericOp:
             monkeypatch.setattr(importlib.import_module(fn.__module__),
                                 fn.__name__, counted)
         tensor = uniform_sparse((15, 12, 10), 200, rng=4)
-        for driver_kwargs, seen in (
-                ({"factor_strategy": "broadcast"},
+        for driver_kwargs, conf, seen in (
+                ({"factor_strategy": "broadcast"}, {},
                  {"contrib": 12, "sampled_contrib": 0}),
-                ({"sampler": "lev", "sample_count": 16},
+                ({}, {"sampler": "lev", "sample_count": 16},
                  {"contrib": 24, "sampled_contrib": 12})):
             with Context(num_nodes=2, default_parallelism=4,
                          conf=EngineConf(backend="serial",
-                                         kernel="vectorized")) as ctx:
+                                         kernel="vectorized",
+                                         **conf)) as ctx:
                 CstfCOO(ctx, **driver_kwargs).decompose(
                     tensor, 2, max_iterations=1, tol=0.0, seed=9)
             assert calls == seen
@@ -541,9 +584,9 @@ class TestOneGenericOp:
         assert builders == {"OffloadClient.run"}
 
     @staticmethod
-    def _requests(monkeypatch, cls, **driver_kwargs):
+    def _requests(monkeypatch, cls, conf=None, **driver_kwargs):
         """Requests one process-backend decomposition sends to its
-        workers."""
+        workers (``conf``: further ``EngineConf`` fields)."""
         from repro.engine.procpool import OffloadClient
         from repro.tensor import uniform_sparse
         calls = [0]
@@ -557,7 +600,8 @@ class TestOneGenericOp:
         tensor = uniform_sparse((15, 12, 10), 200, rng=4)
         with Context(num_nodes=2, default_parallelism=4,
                      conf=EngineConf(backend="process", backend_workers=2,
-                                     kernel="vectorized")) as ctx:
+                                     kernel="vectorized",
+                                     **(conf or {}))) as ctx:
             cls(ctx, **driver_kwargs).decompose(
                 tensor, 2, max_iterations=2, tol=0.0, seed=9)
         return calls[0]
@@ -572,8 +616,8 @@ class TestOneGenericOp:
         from repro.core import CstfCOO
         assert self._requests(monkeypatch, CstfCOO,
                               factor_strategy="broadcast") == 24
-        assert self._requests(monkeypatch, CstfCOO, sampler="lev",
-                              sample_count=16) == 24
+        assert self._requests(monkeypatch, CstfCOO, conf={
+            "sampler": "lev", "sample_count": 16}) == 24
 
     def test_a_steady_state_lev_iteration_creates_no_segment(
             self, monkeypatch):

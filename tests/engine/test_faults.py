@@ -214,17 +214,3 @@ class TestNodeExclusion:
                      fault_plan=plan) as ctx:
             with pytest.raises(JobExecutionError):
                 ctx.parallelize(range(16), 8).count()
-
-
-class TestLegacyAdapter:
-    def test_legacy_hook_still_works(self):
-        with Context(num_nodes=2, default_parallelism=4) as ctx:
-            calls = []
-
-            def hook(stage_id, partition, attempt):
-                calls.append((stage_id, partition, attempt))
-
-            ctx.fault_injector = hook
-            assert ctx.fault_injector is hook
-            ctx.parallelize(range(8), 4).count()
-            assert len(calls) == 4

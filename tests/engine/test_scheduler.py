@@ -7,6 +7,8 @@ import pytest
 from repro.engine import (Context, EngineConf, JobExecutionError,
                           TaskFailedError)
 
+from .. import conformance as cf
+
 
 class TestStageExecution:
     def test_narrow_chain_single_stage(self, ctx):
@@ -88,7 +90,7 @@ class TestFaultInjection:
                 if partition == 1 and attempt == 0:
                     raise RuntimeError("injected transient fault")
 
-            ctx.fault_injector = flaky
+            ctx.event_bus.subscribe(cf.TaskStartHook(flaky))
             assert ctx.parallelize(range(10), 2).count() == 10
             assert (1, 1) in attempts  # partition 1 retried
 
@@ -97,7 +99,7 @@ class TestFaultInjection:
         with Context(num_nodes=2, default_parallelism=2, conf=conf) as ctx:
             def broken(stage_id, partition, attempt):
                 raise RuntimeError("injected permanent fault")
-            ctx.fault_injector = broken
+            ctx.event_bus.subscribe(cf.TaskStartHook(broken))
             # the terminal TaskFailedError is wrapped in JobExecutionError
             # carrying the failing stage and partition
             with pytest.raises(JobExecutionError) as exc:
@@ -130,7 +132,7 @@ class TestFaultInjection:
                 if state["n"] == 1:
                     raise RuntimeError("first map task dies")
 
-            ctx.fault_injector = once
+            ctx.event_bus.subscribe(cf.TaskStartHook(once))
             out = ctx.parallelize([(i % 2, 1) for i in range(10)], 2)\
                 .reduce_by_key(lambda a, b: a + b, 2).collect_as_map()
             assert out == {0: 5, 1: 5}

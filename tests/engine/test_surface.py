@@ -29,7 +29,7 @@ RDD_SURFACE = frozenset({
 CONTEXT_SURFACE = frozenset({
     "parallelize", "parallelize_blocks", "broadcast", "accumulator",
     "checkpoint", "drop_shuffle_outputs", "release_scope", "clear_cache",
-    "kill_node", "fault_injector", "caching_enabled", "hadoop_mode",
+    "kill_node", "caching_enabled", "hadoop_mode",
     "live_broadcasts", "live_persisted", "stop",
 })
 

@@ -107,18 +107,17 @@ class TestOneEngineThreadAtATime:
         assert threads == {threading.get_ident()}
 
     def test_fewer_live_workers_than_the_window(self, monkeypatch):
-        """A worker dies and its respawn fails: one worker, a window of
-        two.  From then on the survivor alone serves requests, and a
-        task that finds no idle worker computes inline instead of
-        waiting, so the run finishes with the oracle's bits and leaves
-        no segment behind."""
+        """A worker dies and its replacement fails its handshake: one
+        worker, a window of two.  From then on the survivor alone
+        serves requests, and a task that finds no idle worker computes
+        inline instead of waiting, so the run finishes with the
+        oracle's bits and leaves no segment behind."""
         from repro.engine import procpool
-        real_spawn = procpool._spawn_workers
-        monkeypatch.setattr(
-            procpool, "_spawn_workers",
-            lambda count: None if count == 1 else real_spawn(count))
         backends, workers = [], {}
         real_drop = Context.drop_shuffle_outputs
+
+        def refuse(self):
+            raise procpool.WorkerDied("no answer")
 
         def drop_and_kill(ctx):   # the end of the first iteration
             real_drop(ctx)
@@ -128,6 +127,8 @@ class TestOneEngineThreadAtATime:
                     ctx.backend._workers._idle
                 workers["victim"]._proc.kill()
                 workers["victim"]._proc.wait(timeout=10)
+                monkeypatch.setattr(procpool._WorkerProcess, "handshake",
+                                    refuse)
         monkeypatch.setattr(Context, "drop_shuffle_outputs", drop_and_kill)
         real_checkout = procpool.ProcessWorkerPool.checkout
         handed_out = []   # what each checkout after the kill returns

@@ -238,7 +238,8 @@ def test_captured_list_append_flagged():
         analyze_callable(collect, "foreach"))
 
 
-def test_lock_guarded_mutation_clean():
+def test_lock_guarded_mutation_flagged():
+    """A lock does not stop a recomputed partition counting twice."""
     import threading
     seen: dict[int, int] = {}
     lock = threading.Lock()
@@ -248,7 +249,8 @@ def test_lock_guarded_mutation_clean():
             seen[x] = seen.get(x, 0) + 1
         return x
 
-    assert not analyze_callable(tally, "map")
+    assert rules(analyze_callable(tally, "map")) \
+        == {"closure-shared-mutation"}
 
 
 def test_accumulator_add_clean(ctx):

@@ -61,7 +61,7 @@ def test_shared_dict_write_in_lambda_arg():
     assert list(report)[0].severity == "error"
 
 
-def test_lock_guarded_write_clean():
+def test_lock_guarded_write_flagged():
     report = scan_source(
         "import threading\n"
         "counts = {}\n"
@@ -72,7 +72,7 @@ def test_lock_guarded_write_clean():
         "    return x\n"
         "rdd.map(tally)\n",
         "prog.py")
-    assert not report
+    assert rules(report) == {"closure-shared-mutation"}
 
 
 def test_local_mutation_clean():
