@@ -63,7 +63,8 @@ from pathlib import Path
 import numpy as np
 
 from ..engine.errors import CorruptedDataError
-from ..engine.integrity import flip_byte, site_rng
+from ..engine.faults import site_rng
+from ..engine.integrity import flip_byte
 from ..engine.serialization import checksum_blob
 
 #: Manifest schema version (bump on incompatible layout changes).

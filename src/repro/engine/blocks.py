@@ -36,19 +36,12 @@ is given.  This is the contract the kernels' batching rules rely on
 emit keys in ascending order), so a pipeline that materializes a block
 back to records is bit-identical to one that never used blocks at all.
 
-Framing
--------
-``pack_blocks``/``unpack_blocks`` serialize a block-only partition as
-raw buffers with a small dtype/shape header per array — no pickle in
-the inner loop.  The frame is a plain ``bytes`` payload, so the CRC-32
-sealing from the integrity layer applies to it unchanged.  Blocks also
-pickle normally (``__reduce__``) for mixed partitions, spill runs and
-any other generic path.
+Blocks serialize as any other record does: they pickle through
+``__reduce__``, which re-runs the constructor's checks, and pickle
+protocol 5 copies each array's buffer whole.
 """
 
 from __future__ import annotations
-
-import struct
 
 from typing import Any, Iterable, Iterator, Sequence, TypeVar
 
@@ -65,23 +58,9 @@ ValueArray = npt.NDArray[np.float64]
 BLOCK_OVERHEAD = 64
 
 #: canonical dtypes — blocks coerce on construction so every consumer
-#: (kernels, shared-memory descriptors, framing) can assume them
+#: (kernels, shared-memory descriptors) can assume them
 INDEX_DTYPE = np.dtype(np.int64)
 VALUE_DTYPE = np.dtype(np.float64)
-
-#: magic prefix of a framed block partition (see ``pack_blocks``)
-BLOCK_MAGIC = b"RBLK1\n"
-
-_KIND_COLUMNAR = b"C"
-_KIND_KEYED = b"K"
-#: a ColumnarBlock carrying ``rows`` and/or ``key_mode``: the ``C``
-#: layout plus a two-byte ``(key_mode, has_rows)`` header.  It is a
-#: second kind rather than one always-extended layout because a plain
-#: block's frame is pinned at exactly ``nbytes + BLOCK_OVERHEAD`` bytes
-#: (``estimate_size``'s exact fast path, ``TestSizerPinning``); two
-#: more header bytes on every cached tensor block would break that
-#: frame == sizer equality
-_KIND_COLUMNAR_EXT = b"X"
 
 
 def _contiguous(arr: Any, dtype: np.dtype[Any]) -> npt.NDArray[Any]:
@@ -494,118 +473,3 @@ def coalesce_rows(partition: Iterable[Any]) -> KeyedRowBlock | None:
         "distribute a factor with CPALSDriver._distribute_factor and "
         "produce row sums with Kernel.sum_rows_by_key")
     return block
-
-
-# ----------------------------------------------------------------------
-# raw-buffer framing (serialize_partition fast path)
-# ----------------------------------------------------------------------
-def _pack_array(out: list[bytes], arr: npt.NDArray[Any]) -> None:
-    arr = np.ascontiguousarray(arr)
-    dt = arr.dtype.str.encode("ascii")
-    out.append(struct.pack("<B", len(dt)))
-    out.append(dt)
-    out.append(struct.pack("<B", arr.ndim))
-    out.append(struct.pack(f"<{arr.ndim}q", *arr.shape))
-    out.append(arr.tobytes())
-
-
-def _unpack_array(buf: memoryview,
-                  pos: int) -> tuple[npt.NDArray[Any], int]:
-    (dt_len,) = struct.unpack_from("<B", buf, pos)
-    pos += 1
-    dtype = np.dtype(bytes(buf[pos:pos + dt_len]).decode("ascii"))
-    pos += dt_len
-    (ndim,) = struct.unpack_from("<B", buf, pos)
-    pos += 1
-    shape = struct.unpack_from(f"<{ndim}q", buf, pos)
-    pos += 8 * ndim
-    count = 1
-    for dim in shape:
-        count *= dim
-    nbytes = count * dtype.itemsize
-    arr = np.frombuffer(buf, dtype=dtype, count=count,
-                        offset=pos).reshape(shape).copy()
-    pos += nbytes
-    return arr, pos
-
-
-def is_block_partition(records: object) -> bool:
-    """Whether ``records`` is a non-empty list made only of blocks
-    (the shape eligible for raw-buffer framing)."""
-    return (type(records) is list and len(records) > 0
-            and all(is_block(r) for r in records))
-
-
-def pack_blocks(
-        blocks: Sequence[ColumnarBlock | KeyedRowBlock]) -> bytes:
-    """Frame a block-only partition as raw buffers with dtype/shape
-    headers — no pickle."""
-    out: list[bytes] = [BLOCK_MAGIC, struct.pack("<I", len(blocks))]
-    for block in blocks:
-        if type(block) is ColumnarBlock:
-            extended = (block.rows is not None
-                        or block.key_mode is not None)
-            out.append(_KIND_COLUMNAR_EXT if extended
-                       else _KIND_COLUMNAR)
-            out.append(struct.pack("<B", block.order))
-            if extended:
-                out.append(struct.pack(
-                    "<bB",
-                    -1 if block.key_mode is None else block.key_mode,
-                    block.rows is not None))
-            for col in block.columns:
-                _pack_array(out, col)
-            _pack_array(out, block.values)
-            if block.rows is not None:
-                _pack_array(out, block.rows)
-        elif type(block) is KeyedRowBlock:
-            out.append(_KIND_KEYED)
-            _pack_array(out, block.keys)
-            _pack_array(out, block.rows)
-        else:
-            raise TypeError(f"not a block: {type(block).__name__}")
-    return b"".join(out)
-
-
-def is_block_payload(blob: bytes) -> bool:
-    """Whether ``blob`` is a :func:`pack_blocks` frame."""
-    return blob[:len(BLOCK_MAGIC)] == BLOCK_MAGIC
-
-
-def unpack_blocks(blob: bytes) -> list[ColumnarBlock | KeyedRowBlock]:
-    """Inverse of :func:`pack_blocks`."""
-    if not is_block_payload(blob):
-        raise ValueError("not a block frame")
-    buf = memoryview(blob)
-    pos = len(BLOCK_MAGIC)
-    (count,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    blocks: list[ColumnarBlock | KeyedRowBlock] = []
-    for _ in range(count):
-        kind = bytes(buf[pos:pos + 1])
-        pos += 1
-        if kind in (_KIND_COLUMNAR, _KIND_COLUMNAR_EXT):
-            (order,) = struct.unpack_from("<B", buf, pos)
-            pos += 1
-            key_mode, has_rows = -1, 0
-            if kind == _KIND_COLUMNAR_EXT:
-                key_mode, has_rows = struct.unpack_from("<bB", buf, pos)
-                pos += 2
-            cols = []
-            for _ in range(order):
-                col, pos = _unpack_array(buf, pos)
-                cols.append(col)
-            vals, pos = _unpack_array(buf, pos)
-            rows = None
-            if has_rows:
-                rows, pos = _unpack_array(buf, pos)
-            blocks.append(ColumnarBlock(
-                tuple(cols), vals, rows,
-                None if key_mode < 0 else key_mode))
-        elif kind == _KIND_KEYED:
-            keys, pos = _unpack_array(buf, pos)
-            rows, pos = _unpack_array(buf, pos)
-            blocks.append(KeyedRowBlock(keys, rows))
-        else:  # pragma: no cover - corrupt frames are caught by CRC
-            raise ValueError(f"unknown block kind {kind!r}")
-    return blocks

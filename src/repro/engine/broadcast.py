@@ -53,8 +53,9 @@ class Broadcast(Generic[T]):
         self.handed = False
         self._integrity = ctx.integrity
         if self._integrity.enabled:
-            # one-element list so the partition (de)serializers apply;
-            # the live value is only handed out after verification
+            # sealed as a one-element partition, pickled like any
+            # other; the live value is only handed out after
+            # verification
             self._blob = serialize_partition([value])
             self._checksum = self._integrity.seal(self._blob)
             self._value: T | None = None

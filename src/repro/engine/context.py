@@ -368,7 +368,8 @@ class Context:
         """Release all engine state; the context is unusable afterwards."""
         if not self._stopped:
             # the lifecycle auditor must see the cache before it is
-            # cleared; in strict mode this may raise LintError
+            # cleared; it only records findings (a strict session
+            # raises LintError at its exit, not here)
             linthooks.context_stopping(self)
         self._stopped = True
         self.backend.shutdown()

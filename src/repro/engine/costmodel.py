@@ -36,8 +36,9 @@ the paper's figures emerge from the interaction of the terms:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+import operator
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metrics import MetricsCollector
@@ -91,44 +92,81 @@ class HardwareProfile:
 COMET = HardwareProfile()
 
 
+class _Kind(NamedTuple):
+    """How one :class:`RunStats` field combines under ``+``, ``-``,
+    ``* k`` and :meth:`RunStats.scaled` (``k`` a factor)."""
+
+    add: Callable[[Any, Any], Any]
+    sub: Callable[[Any, Any], Any]
+    mul: Callable[[Any, float], Any]
+    scale: Callable[[Any, float], Any]
+
+
+def _keep(a: Any, _k: float) -> Any:
+    return a
+
+
+def _truncated(a: Any, k: float) -> int:
+    return int(a * k)
+
+
+#: a byte or record count: summed, clamped at zero, truncated to int
+_EXTENSIVE = _Kind(operator.add, lambda a, b: max(0, a - b),
+                   _truncated, _truncated)
+#: a round or job count: an extensive count rounded under ``*``, but
+#: intensive under ``scaled`` (more nonzeros, not more rounds)
+_ROUNDS = _Kind(operator.add, lambda a, b: max(0, a - b),
+                lambda a, k: int(round(a * k)), _keep)
+#: a float total (flops, seconds): summed, clamped at zero, scaled
+_FLOAT = _Kind(operator.add, lambda a, b: max(0.0, a - b),
+               operator.mul, operator.mul)
+#: a ratio: the worse of two runs, kept by every rescale
+_SKEW = _Kind(max, max, _keep, _keep)
+
+
+def _stat(kind: _Kind, default: float = 0) -> Any:
+    return field(default=default, metadata={"kind": kind})
+
+
 @dataclass
 class RunStats:
-    """Extensive statistics of one measured workload run."""
+    """Extensive statistics of one measured workload run.  Each field
+    carries the one :class:`_Kind` rule its arithmetic follows."""
 
-    records_processed: int = 0
-    shuffle_total_bytes: int = 0
-    shuffle_records: int = 0
-    shuffle_rounds: int = 0
-    flops: float = 0.0
-    num_jobs: int = 0
-    hadoop_jobs: int = 0
-    hdfs_read_bytes: int = 0
-    hdfs_write_bytes: int = 0
+    records_processed: int = _stat(_EXTENSIVE)
+    shuffle_total_bytes: int = _stat(_EXTENSIVE)
+    shuffle_records: int = _stat(_EXTENSIVE)
+    shuffle_rounds: int = _stat(_ROUNDS)
+    flops: float = _stat(_FLOAT, 0.0)
+    num_jobs: int = _stat(_ROUNDS)
+    hadoop_jobs: int = _stat(_ROUNDS)
+    hdfs_read_bytes: int = _stat(_EXTENSIVE)
+    hdfs_write_bytes: int = _stat(_EXTENSIVE)
     #: bytes written into RDD caches (QCOO re-caches its queue RDD
     #: every MTTKRP; Section 6.4's "overhead of generating more
     #: intermediate data")
-    cache_bytes: int = 0
+    cache_bytes: int = _stat(_EXTENSIVE)
     #: one-shot network traffic of broadcast variables
-    broadcast_bytes: int = 0
+    broadcast_bytes: int = _stat(_EXTENSIVE)
     #: bytes spilled to simulated disk under memory pressure (shuffle
     #: runs, demoted cache entries, spill-mode task working sets);
     #: priced as a write plus a read-back against disk bandwidth
-    spill_bytes: int = 0
+    spill_bytes: int = _stat(_EXTENSIVE)
     #: attempt-seconds thrown away by the straggler layer (timed-out
     #: attempts and cancelled speculation losers) — duplicated work the
     #: cluster really spent, priced as extra CPU seconds
-    straggler_wasted_s: float = 0.0
+    straggler_wasted_s: float = _stat(_FLOAT, 0.0)
     #: bytes run through the integrity layer's CRC (seal + verify);
     #: zero when ``EngineConf.integrity`` is off, so the model prices
     #: the verification tax only when it was actually paid
-    checksummed_bytes: int = 0
+    checksummed_bytes: int = _stat(_EXTENSIVE)
     #: rows drawn by the leverage-score sampler (sampler="lev");
     #: reported, not separately priced — the sampled rows already flow
     #: through records_processed/shuffle bytes, which is exactly how
     #: sampling pays off in the model (a sublinear dataflow)
-    sampled_records: int = 0
+    sampled_records: int = _stat(_EXTENSIVE)
     #: max-node records / mean-node records (load imbalance), >= 1
-    node_skew: float = 1.0
+    node_skew: float = _stat(_SKEW, 1.0)
 
     @classmethod
     def from_metrics(cls, metrics: "MetricsCollector",
@@ -167,91 +205,31 @@ class RunStats:
             node_skew=skew,
         )
 
+    def _apply(self, rule: str, other: Any) -> "RunStats":
+        """Each field through its kind's ``rule``, against ``other``'s
+        field (another run) or ``other`` itself (a factor)."""
+        run = isinstance(other, RunStats)
+        return RunStats(**{
+            f.name: getattr(f.metadata["kind"], rule)(
+                getattr(self, f.name),
+                getattr(other, f.name) if run else other)
+            for f in fields(self)})
+
     def __add__(self, other: "RunStats") -> "RunStats":
-        return RunStats(
-            records_processed=self.records_processed + other.records_processed,
-            shuffle_total_bytes=self.shuffle_total_bytes + other.shuffle_total_bytes,
-            shuffle_records=self.shuffle_records + other.shuffle_records,
-            shuffle_rounds=self.shuffle_rounds + other.shuffle_rounds,
-            flops=self.flops + other.flops,
-            num_jobs=self.num_jobs + other.num_jobs,
-            hadoop_jobs=self.hadoop_jobs + other.hadoop_jobs,
-            hdfs_read_bytes=self.hdfs_read_bytes + other.hdfs_read_bytes,
-            hdfs_write_bytes=self.hdfs_write_bytes + other.hdfs_write_bytes,
-            cache_bytes=self.cache_bytes + other.cache_bytes,
-            broadcast_bytes=self.broadcast_bytes + other.broadcast_bytes,
-            spill_bytes=self.spill_bytes + other.spill_bytes,
-            straggler_wasted_s=self.straggler_wasted_s
-            + other.straggler_wasted_s,
-            checksummed_bytes=self.checksummed_bytes
-            + other.checksummed_bytes,
-            sampled_records=self.sampled_records + other.sampled_records,
-            node_skew=max(self.node_skew, other.node_skew),
-        )
+        return self._apply("add", other)
 
     def __sub__(self, other: "RunStats") -> "RunStats":
-        return RunStats(
-            records_processed=max(0, self.records_processed - other.records_processed),
-            shuffle_total_bytes=max(0, self.shuffle_total_bytes - other.shuffle_total_bytes),
-            shuffle_records=max(0, self.shuffle_records - other.shuffle_records),
-            shuffle_rounds=max(0, self.shuffle_rounds - other.shuffle_rounds),
-            flops=max(0.0, self.flops - other.flops),
-            num_jobs=max(0, self.num_jobs - other.num_jobs),
-            hadoop_jobs=max(0, self.hadoop_jobs - other.hadoop_jobs),
-            hdfs_read_bytes=max(0, self.hdfs_read_bytes - other.hdfs_read_bytes),
-            hdfs_write_bytes=max(0, self.hdfs_write_bytes - other.hdfs_write_bytes),
-            cache_bytes=max(0, self.cache_bytes - other.cache_bytes),
-            broadcast_bytes=max(0, self.broadcast_bytes - other.broadcast_bytes),
-            spill_bytes=max(0, self.spill_bytes - other.spill_bytes),
-            straggler_wasted_s=max(
-                0.0, self.straggler_wasted_s - other.straggler_wasted_s),
-            checksummed_bytes=max(
-                0, self.checksummed_bytes - other.checksummed_bytes),
-            sampled_records=max(
-                0, self.sampled_records - other.sampled_records),
-            node_skew=max(self.node_skew, other.node_skew),
-        )
+        return self._apply("sub", other)
 
     def __mul__(self, k: float) -> "RunStats":
-        return RunStats(
-            records_processed=int(self.records_processed * k),
-            shuffle_total_bytes=int(self.shuffle_total_bytes * k),
-            shuffle_records=int(self.shuffle_records * k),
-            shuffle_rounds=int(round(self.shuffle_rounds * k)),
-            flops=self.flops * k,
-            num_jobs=int(round(self.num_jobs * k)),
-            hadoop_jobs=int(round(self.hadoop_jobs * k)),
-            hdfs_read_bytes=int(self.hdfs_read_bytes * k),
-            hdfs_write_bytes=int(self.hdfs_write_bytes * k),
-            cache_bytes=int(self.cache_bytes * k),
-            broadcast_bytes=int(self.broadcast_bytes * k),
-            spill_bytes=int(self.spill_bytes * k),
-            straggler_wasted_s=self.straggler_wasted_s * k,
-            checksummed_bytes=int(self.checksummed_bytes * k),
-            sampled_records=int(self.sampled_records * k),
-            node_skew=self.node_skew,
-        )
+        return self._apply("mul", k)
 
     __rmul__ = __mul__
 
     def scaled(self, factor: float) -> "RunStats":
         """Rescale extensive quantities by ``factor`` (e.g. paper-nnz /
         benchmark-nnz).  Round counts and skew are intensive and kept."""
-        return replace(
-            self,
-            records_processed=int(self.records_processed * factor),
-            shuffle_total_bytes=int(self.shuffle_total_bytes * factor),
-            shuffle_records=int(self.shuffle_records * factor),
-            flops=self.flops * factor,
-            hdfs_read_bytes=int(self.hdfs_read_bytes * factor),
-            hdfs_write_bytes=int(self.hdfs_write_bytes * factor),
-            cache_bytes=int(self.cache_bytes * factor),
-            broadcast_bytes=int(self.broadcast_bytes * factor),
-            spill_bytes=int(self.spill_bytes * factor),
-            straggler_wasted_s=self.straggler_wasted_s * factor,
-            checksummed_bytes=int(self.checksummed_bytes * factor),
-            sampled_records=int(self.sampled_records * factor),
-        )
+        return self._apply("scale", factor)
 
 
 @dataclass

@@ -30,10 +30,10 @@ events, never by calling it directly.  Raising from an event handler
 fails the task attempt being started — the bus propagates listener
 exceptions by design.
 
-Every probabilistic decision draws from its own
-``random.Random(stable_hash((plan.seed, site)))`` where ``site``
-identifies the decision point — ``(stage, partition, attempt)`` for
-task faults and stragglers, ``(shuffle, map, reduce, occurrence)`` for
+Every probabilistic decision draws from its own :func:`site_rng`,
+seeded by ``(plan.seed, *site)`` where ``site`` identifies the
+decision point — ``(stage, partition, attempt)`` for task faults and
+stragglers, ``(shuffle, map, reduce, occurrence)`` for
 fetch faults.  Decisions therefore do not depend on the order tasks
 happen to execute in, so a given plan replays identically under any
 executor backend, serial or process.
@@ -53,6 +53,13 @@ from .partitioner import stable_hash
 if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
     from .speculation import CancellationToken
+
+
+def site_rng(seed: int, *site) -> random.Random:
+    """Seeded RNG for one named decision site — fault draws, corruption
+    draws, retry-backoff jitter: the draw depends only on the plan seed
+    and the site, never on execution order."""
+    return random.Random(stable_hash((seed,) + site))
 
 
 class InjectedFaultError(EngineError):
@@ -274,11 +281,6 @@ class FaultInjector(EngineListener):
         #: is an independent seeded decision, stable across backends
         self._fetch_reads: dict[tuple[int, int, int], int] = {}
 
-    def _site_rng(self, *site) -> random.Random:
-        """A fresh RNG for one decision site, derived from the plan seed
-        and the site key — execution-order independent."""
-        return random.Random(stable_hash((self.plan.seed,) + site))
-
     # ------------------------------------------------------------------
     # event subscriptions
     # ------------------------------------------------------------------
@@ -349,21 +351,23 @@ class FaultInjector(EngineListener):
         delay = plan.task_base_delay_s
         slow_draws = 0
         if plan.slow_task_prob and plan.slow_task_delay_s:
-            rng = self._site_rng("slow", stage_id, partition, attempt)
+            rng = site_rng(plan.seed, "slow", stage_id, partition,
+                           attempt)
             if rng.random() < plan.slow_task_prob:
                 delay += plan.slow_task_delay_s
                 slow_draws += 1
         node_delay = plan.slow_node_budgets.get(node)
         if node_delay:
-            rng = self._site_rng("slownode", node, stage_id, partition,
-                                 attempt)
+            rng = site_rng(plan.seed, "slownode", node, stage_id,
+                           partition, attempt)
             if rng.random() < plan.slow_node_prob:
                 delay += node_delay
                 slow_draws += 1
         hang = False
         if plan.hang_task_prob:
             key = (stage_id, partition)
-            rng = self._site_rng("hang", stage_id, partition, attempt)
+            rng = site_rng(plan.seed, "hang", stage_id, partition,
+                           attempt)
             if (self._hangs_per_task.get(key, 0)
                     < plan.max_injected_hangs_per_task
                     and rng.random() < plan.hang_task_prob):
@@ -398,7 +402,7 @@ class FaultInjector(EngineListener):
         if not plan.task_failure_prob:
             return records
         key = (stage_id, partition)
-        rng = self._site_rng("task", stage_id, partition, attempt)
+        rng = site_rng(plan.seed, "task", stage_id, partition, attempt)
         if (self._injected_per_task.get(key, 0)
                 >= MAX_INJECTED_FAILURES_PER_TASK):
             return records
@@ -435,8 +439,8 @@ class FaultInjector(EngineListener):
         block = (shuffle_id, map_partition, reduce_partition)
         occurrence = self._fetch_reads.get(block, 0)
         self._fetch_reads[block] = occurrence + 1
-        rng = self._site_rng("fetch", shuffle_id, map_partition,
-                             reduce_partition, occurrence)
+        rng = site_rng(plan.seed, "fetch", shuffle_id, map_partition,
+                       reduce_partition, occurrence)
         if rng.random() < plan.fetch_failure_prob:
             raise FetchFailedError(
                 f"injected fetch failure: shuffle {shuffle_id} map "

@@ -39,23 +39,14 @@ instead of racing ``stage_max_failures`` against fresh per-read draws.
 
 from __future__ import annotations
 
-import random
-
 from typing import TYPE_CHECKING
 
-from .partitioner import stable_hash
+from .faults import site_rng
 from .serialization import checksum_blob, verify_blob
 
 if TYPE_CHECKING:  # pragma: no cover
     from .faults import FaultPlan
     from .metrics import IntegrityMetrics
-
-
-def site_rng(seed: int, *site) -> random.Random:
-    """Seeded RNG for one named decision site, fault-plan style: the
-    draw depends only on the plan seed and the site, never on execution
-    order."""
-    return random.Random(stable_hash((seed,) + site))
 
 
 def flip_byte(blob: bytes, offset: int) -> bytes:

@@ -15,8 +15,9 @@ serialized shuffle blocks; we mirror that with a compact-encoding model:
 
 This is intentionally closer to Kryo-style compact encoding than to
 pickle: pickle's bloat would distort the byte *ratios* the paper reports.
-Actual pickling is still used for ``StorageLevel.MEMORY_SER`` caching so
-the serialize/deserialize CPU cost of that storage level is real.
+Actual pickling is still how a partition is serialized — for the
+serialized and disk cache levels, spill runs and integrity-sealed
+shuffle buckets and broadcasts — so that CPU cost is real.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Any
 import numpy as np
 
 from .blocks import (BLOCK_OVERHEAD, ColumnarBlock, KeyedRowBlock,
-                     is_block_partition, is_block_payload,
-                     is_keyed_block, pack_blocks, unpack_blocks)
+                     is_keyed_block)
 
 #: Fixed per-record framing overhead in bytes (length prefix + type tag).
 RECORD_OVERHEAD = 8
@@ -170,24 +170,14 @@ def estimate_record_size(record: Any) -> int:
 
 
 def serialize_partition(records: list) -> bytes:
-    """Serialize a cached partition (``StorageLevel.MEMORY_SER``).
-
-    Block-only partitions take the raw-buffer fast path: contiguous
-    array bytes behind small dtype/shape headers
-    (:func:`~repro.engine.blocks.pack_blocks`) — no pickle walk, so
-    MEMORY_SER demotion of a columnar partition is a few memcpys.
-    Everything else pickles as before.  Both framings are plain bytes,
-    so CRC-32 sealing and corruption healing apply unchanged.
-    """
-    if is_block_partition(records):
-        return pack_blocks(records)
+    """Serialize a cached, spilled or sealed partition: one pickle
+    (highest protocol) whatever it holds — blocks pickle through their
+    ``__reduce__``, their arrays' buffers copied whole."""
     return pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def deserialize_partition(blob: bytes) -> list:
     """Inverse of :func:`serialize_partition`."""
-    if is_block_payload(blob):
-        return unpack_blocks(blob)
     return pickle.loads(blob)
 
 

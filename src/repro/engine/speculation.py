@@ -25,13 +25,11 @@ locks anything.
 
 from __future__ import annotations
 
-import random
-
 from statistics import median
 from typing import Any, TYPE_CHECKING
 
 from .errors import CancelledAttempt, EngineError, TaskTimedOutError
-from .partitioner import stable_hash
+from .faults import site_rng
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clock import Clock
@@ -202,8 +200,8 @@ def backoff_delay(base_s: float, max_s: float, jitter: float,
 
     ``base_s * 2**attempt`` capped at ``max_s``, then scaled by a
     jitter factor drawn uniformly from ``[1 - jitter, 1 + jitter]``
-    using the same site-derived RNG scheme as the fault injector
-    (``stable_hash((seed, "backoff") + site)``), so the delay — like
+    from the fault injector's :func:`~repro.engine.faults.site_rng` at
+    site ``("backoff", *site)``, so the delay — like
     every other injected decision — is independent of execution order.
     ``site`` ends with the attempt number, which drives the exponent.
     """
@@ -212,6 +210,6 @@ def backoff_delay(base_s: float, max_s: float, jitter: float,
     attempt = site[-1]
     delay = min(max_s, base_s * (2 ** attempt))
     if jitter > 0:
-        rng = random.Random(stable_hash((seed, "backoff") + tuple(site)))
+        rng = site_rng(seed, "backoff", *site)
         delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
     return delay

@@ -30,7 +30,8 @@ executes:
 ``plan-block-churn`` (warning)
     A columnar block source degraded to loose records
     (``materializeRecords``) and then shipped through a shuffle as
-    pickled tuples, losing the raw-buffer framing fast path.  The
+    loose tuples: bucketed, sized and, where serialized, pickled
+    record by record instead of as a few arrays per block.  The
     paper's Fig. 4 communication costs are exactly why record-shaped
     shuffle payloads matter.
 ``plan-uncached-reuse`` (warning)
@@ -408,8 +409,8 @@ def _check_block_churn(graph: PlanGraph, report: LintReport) -> None:
                     message=f"columnar blocks are expanded to records "
                             f"at {origin_node.label()} and then "
                             f"shuffled as loose records at "
-                            f"{node.label()}; the shuffle loses the "
-                            f"raw-buffer block framing — expand "
+                            f"{node.label()}; the shuffle handles "
+                            f"them record by record — expand "
                             f"inside a block-aware kernel op instead",
                     location=origin_node.label(),
                     pass_name=PASS_NAME))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -27,13 +28,43 @@ def _open_text(path, mode: str):
     return open(path, mode, encoding="utf-8")
 
 
+#: float64 holds every integer below 2**53 exactly; a parsed index at
+#: or above it may already have been rounded to its neighbour
+_EXACT_INDEX_LIMIT = 2.0 ** 53
+
+_FAULTS = (".tns indices must be >= 1",
+           "index at or above 2**53 cannot be read exactly",
+           "index is not an integer",
+           "value is not finite")
+
+
+def _first_fault(data: np.ndarray) -> tuple[int, str] | None:
+    """``(row, reason)`` of the first parsed row that is not a valid
+    nonzero — an index below 1, at or above 2**53 or not integral, or
+    a non-finite value — or ``None`` when every row is."""
+    idx, vals = data[:, :-1], data[:, -1]
+    faults = ((idx < 1).any(axis=1), (idx >= _EXACT_INDEX_LIMIT).any(axis=1),
+              (idx != np.floor(idx)).any(axis=1), ~np.isfinite(vals))
+    firsts = [int(np.argmax(f)) if f.any() else len(data) for f in faults]
+    row = min(firsts)
+    return None if row == len(data) else (row, _FAULTS[firsts.index(row)])
+
+
+def _coo(data: np.ndarray, shape: Sequence[int] | None) -> COOTensor:
+    # FROSTT is 1-based
+    return COOTensor(data[:, :-1].astype(np.int64) - 1, data[:, -1], shape)
+
+
 def read_tns(path: str | os.PathLike | io.TextIOBase,
              shape: Sequence[int] | None = None) -> COOTensor:
     """Read a FROSTT ``.tns`` (or ``.tns.gz``) file into a
     :class:`COOTensor`.
 
     ``shape`` overrides the inferred mode sizes (FROSTT files do not
-    carry an explicit header).
+    carry an explicit header).  Malformed input — ragged lines, a
+    field that is not a number, an index that is not an integer in
+    ``[1, 2**53)``, a non-finite value — raises a ``ValueError`` naming
+    the first offending line.
     """
     close = False
     if isinstance(path, io.TextIOBase):
@@ -42,30 +73,21 @@ def read_tns(path: str | os.PathLike | io.TextIOBase,
         fh = _open_text(path, "r")
         close = True
     try:
-        # fast path: numpy's bulk parser handles the common case
-        # (uniform rows, '#' comments); fall back to the line parser
-        # for '%' comments or ragged input diagnostics
+        # fast path: numpy's bulk parser takes well-formed input ('#'
+        # comments); anything else is re-parsed line by line below,
+        # which names the first offending line
+        pos = fh.tell()
         try:
-            import warnings
-            pos = fh.tell()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, comments="#", ndmin=2)
-            if data.size == 0:
-                raise ValueError("empty .tns input")
-            if data.shape[1] < 2:
-                raise ValueError(
-                    "need at least one index and a value per line")
-            indices = data[:, :-1].astype(np.int64) - 1
-            if indices.min() < 0:
-                raise ValueError(".tns indices must be >= 1")
-            return COOTensor(indices, data[:, -1], shape)
-        except ValueError as exc:
-            if "empty" in str(exc) or ">= 1" in str(exc) \
-                    or "index and a value" in str(exc):
-                raise
-            fh.seek(pos)  # ragged/odd input: re-parse with diagnostics
+            if data.shape[1] >= 2 and _first_fault(data) is None:
+                return _coo(data, shape)
+        except ValueError:
+            pass
+        fh.seek(pos)
         rows: list[list[float]] = []
+        linenos: list[int] = []
         order: int | None = None
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -81,15 +103,19 @@ def read_tns(path: str | os.PathLike | io.TextIOBase,
                 raise ValueError(
                     f"line {lineno}: expected {order + 1} fields, "
                     f"got {len(fields)}")
-            rows.append([float(f) for f in fields])
+            try:
+                rows.append([float(f) for f in fields])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            linenos.append(lineno)
         if not rows:
             raise ValueError("empty .tns input")
         data = np.asarray(rows, dtype=np.float64)
-        indices = data[:, :-1].astype(np.int64) - 1  # FROSTT is 1-based
-        if indices.min() < 0:
-            raise ValueError(".tns indices must be >= 1")
-        values = data[:, -1]
-        return COOTensor(indices, values, shape)
+        fault = _first_fault(data)
+        if fault is not None:
+            row, reason = fault
+            raise ValueError(f"line {linenos[row]}: {reason}")
+        return _coo(data, shape)
     finally:
         if close:
             fh.close()

@@ -29,7 +29,7 @@ from repro.core import (CstfCOO, CstfQCOO, FileCheckpointStore,
 from repro.engine import (Context, CorruptedDataError, EngineConf,
                           EngineListener, FaultPlan, IntegrityMetrics,
                           NodeKillEvent, StorageLevel)
-from repro.engine.integrity import site_rng
+from repro.engine.faults import site_rng
 from repro.engine.partitioner import stable_hash
 from repro.tensor import (COOTensor, initial_factors, random_factors,
                           uniform_sparse)

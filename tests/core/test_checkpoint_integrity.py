@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import CPCheckpoint, FileCheckpointStore
 from repro.engine import CorruptedDataError, FaultPlan, IntegrityMetrics
-from repro.engine.integrity import site_rng
+from repro.engine.faults import site_rng
 
 from .. import conformance as cf
 

@@ -1,10 +1,12 @@
-"""Columnar partition blocks: order contract, framing, size pinning.
+"""Columnar partition blocks: order contract, serialization, size
+pinning.
 
 Blocks replace ``list[tuple]`` partitions wherever the vectorized
 kernel runs; everything here pins the properties that refactor leans
-on — record-order round trips, raw-buffer framing instead of pickle,
-the exact-``nbytes`` sizer fast path, and the vectorized placement
-hashes matching their scalar oracles bit for bit.
+on — record-order round trips, serialized round trips that keep
+``rows`` and ``key_mode``, the exact-``nbytes`` sizer fast path, and
+the vectorized placement hashes matching their scalar oracles bit for
+bit.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.engine.blocks import (BLOCK_MAGIC, BLOCK_OVERHEAD,
-                                 ColumnarBlock, KeyedRowBlock,
-                                 coalesce_blocks, coalesce_rows,
-                                 concat_ranges, is_block_partition,
-                                 is_block_payload, is_keyed_block,
-                                 iter_records, pack_blocks,
+from repro.engine.blocks import (BLOCK_OVERHEAD, ColumnarBlock,
+                                 KeyedRowBlock, coalesce_blocks,
+                                 coalesce_rows, concat_ranges,
+                                 is_keyed_block, iter_records,
                                  partition_order, partition_rows,
-                                 record_count, unpack_blocks)
+                                 record_count)
 from repro.engine.partitioner import (HashPartitioner, RangePartitioner,
                                       stable_hash, stable_hash_int_array,
                                       stable_hash_tuple_columns)
@@ -237,13 +237,11 @@ class TestQueueBlock:
     @pytest.mark.parametrize("n,queue", [(8, 3), (8, 0), (0, 2), (0, 0)])
     def test_frame_round_trips_zero_width_and_empty(self, n, queue):
         block = keyed_block(n, rank=2, key_mode=1, queue=queue)
-        blob = pack_blocks([block, keyed_block(3, rank=2, queue=1)])
-        first, second = unpack_blocks(blob)
+        first, second = deserialize_partition(serialize_partition(
+            [block, keyed_block(3, rank=2, queue=1)]))
         assert_same_block(first, block)
         assert first.rows.shape == (n, queue, 2)
         assert_same_block(second, keyed_block(3, rank=2, queue=1))
-        (out,) = deserialize_partition(serialize_partition([block]))
-        assert_same_block(out, block)
 
 
 class TestSplitByPartition:
@@ -374,17 +372,8 @@ class TestRecordViews:
 
 
 class TestFraming:
-    def test_pack_unpack_round_trip(self):
-        cblock = ColumnarBlock.from_records(sample_records())
-        kblock = KeyedRowBlock.from_records(
-            [(i, np.full(3, float(i))) for i in range(5)])
-        blob = pack_blocks([cblock, kblock])
-        assert is_block_payload(blob)
-        assert blob.startswith(BLOCK_MAGIC)
-        out = unpack_blocks(blob)
-        assert out[0].to_records() == cblock.to_records()
-        assert np.array_equal(out[1].keys, kblock.keys)
-        assert np.array_equal(out[1].rows, kblock.rows)
+    """A serialized partition comes back as the blocks and records it
+    held, ``rows`` and ``key_mode`` included."""
 
     @pytest.mark.parametrize("rank", [None, 1, 3])
     @pytest.mark.parametrize("key_mode", [None, 0, 2])
@@ -393,29 +382,11 @@ class TestFraming:
         (out,) = deserialize_partition(serialize_partition([block]))
         assert_same_block(out, block)
 
-    def test_serialize_partition_uses_frame_for_blocks(self):
-        part = [ColumnarBlock.from_records(sample_records())]
-        blob = serialize_partition(part)
-        assert is_block_payload(blob)
-        restored = deserialize_partition(blob)
-        assert is_block_partition(restored)
-        assert restored[0].to_records() == part[0].to_records()
-
     def test_mixed_partitions_fall_back_to_pickle(self):
         part = [ColumnarBlock.from_records(sample_records(3)), ("x", 1)]
-        blob = serialize_partition(part)
-        assert not is_block_payload(blob)
-        restored = deserialize_partition(blob)
+        restored = deserialize_partition(serialize_partition(part))
         assert restored[0].to_records() == part[0].to_records()
         assert restored[1] == ("x", 1)
-
-    def test_pickle_payloads_cannot_collide_with_magic(self):
-        # protocol-2+ pickles start with b"\x80<proto>"; the frame
-        # dispatch in deserialize_partition relies on that
-        assert pickle.dumps([("x", 1.0)],
-                            protocol=pickle.HIGHEST_PROTOCOL)[:1] \
-            == b"\x80"
-        assert BLOCK_MAGIC[:1] != b"\x80"
 
 
 class TestSizerPinning:
@@ -433,16 +404,6 @@ class TestSizerPinning:
             [(i, np.zeros(6)) for i in range(50)])
         assert estimate_size(rows) == 50 * (16 + 8 * 6) == \
             sum(estimate_size(rec) for rec in rows.to_records())
-
-    def test_frame_length_is_exactly_pinned(self):
-        # an order-3 columnar frame is magic(6) + count(4) + kind(1) +
-        # order(1) + 4 arrays x header(13) = 64 bytes of overhead — the
-        # BLOCK_OVERHEAD constant — plus the raw payload.  If this
-        # drifts, the sizer fast path and the frame have diverged.
-        block = ColumnarBlock.from_records(sample_records(2000))
-        blob = serialize_partition([block])
-        assert len(blob) == BLOCK_OVERHEAD + block.nbytes
-        assert len(blob) == estimate_size(block)
 
 
 class TestVectorizedPlacementHashes:

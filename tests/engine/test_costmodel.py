@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,15 @@ class TestRunStatsArithmetic:
 
     def test_rmul(self):
         assert (2 * make_stats()).records_processed == 2_000_000
+
+    def test_every_field_has_a_rule(self):
+        """+, -, * and scaled loop over the fields and apply each one's
+        kind; a field added without one must fail here, by name."""
+        assert [f.name for f in dataclasses.fields(RunStats)
+                if "kind" not in f.metadata] == []
+        a, b = make_stats(node_skew=1.5), make_stats(node_skew=2.0)
+        assert (a + b).node_skew == (a - b).node_skew == 2.0
+        assert (a * 3).node_skew == a.scaled(3.0).node_skew == 1.5
 
 
 class TestCostModel:

@@ -15,7 +15,8 @@ import pytest
 from repro.engine import (Context, CorruptedBlockError, CorruptedDataError,
                           EngineConf, FaultPlan, FetchFailedError,
                           IntegrityManager, IntegrityMetrics, StorageLevel)
-from repro.engine.integrity import flip_byte, site_rng
+from repro.engine.faults import site_rng
+from repro.engine.integrity import flip_byte
 from repro.engine.serialization import serialize_partition
 
 INTEGRITY = EngineConf(integrity=True)

@@ -17,13 +17,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.blocks import ColumnarBlock
+from repro.engine.blocks import (INDEX_DTYPE, VALUE_DTYPE, ColumnarBlock,
+                                 KeyedRowBlock, is_block)
 from repro.engine.integrity import flip_byte
 from repro.engine.serialization import (checksum_blob, deserialize_partition,
                                         serialize_partition, verify_blob)
 
-from ..strategies import coo_tensors
-from .test_blocks import assert_same_block
+from ..strategies import coo_tensors, examples
+from .test_blocks import exact
 
 
 def _records(draw_tensor):
@@ -49,10 +50,12 @@ def record_blocks(draw):
 
 @st.composite
 def keyed_block_partitions(draw):
-    """A block-only partition of ColumnarBlocks that may carry an
-    accumulator or queue column and/or a key mode (the in-flight
-    shapes of the CSTF-COO and CSTF-QCOO joins), including an empty
-    block and an empty ``(n, 0, R)`` queue."""
+    """A partition in any shape the engine serializes: a ColumnarBlock
+    that may carry an accumulator or queue column and/or a key mode
+    (the in-flight shapes of the CSTF-COO and CSTF-QCOO joins, an
+    empty block and an empty ``(n, 0, R)`` queue included), a plain
+    tensor block, a KeyedRowBlock (possibly empty) and, sometimes,
+    loose records mixed in — in any order."""
     tensor = draw(coo_tensors())
     block = tensor.to_block()
     if draw(st.booleans()):
@@ -66,24 +69,58 @@ def keyed_block_partitions(draw):
     key_mode = draw(st.one_of(st.none(),
                               st.integers(0, tensor.order - 1)))
     keyed = ColumnarBlock(block.columns, block.values, rows, key_mode)
-    return [keyed, tensor.to_block()]
+    n = draw(st.integers(0, 6))
+    factor_rows = KeyedRowBlock(rng.integers(0, 50, n),
+                                rng.standard_normal((n, rank or 1)))
+    part = [keyed, tensor.to_block(), factor_rows]
+    if draw(st.booleans()):
+        part += [_records(tensor)[0], (3, rng.standard_normal(2))]
+    return draw(st.permutations(part))
+
+
+def _arrays(block):
+    """``(array, canonical dtype)`` for every array a block holds."""
+    if type(block) is KeyedRowBlock:
+        return [(block.keys, INDEX_DTYPE), (block.rows, VALUE_DTYPE)]
+    extras = [] if block.rows is None else [(block.rows, VALUE_DTYPE)]
+    return ([(c, INDEX_DTYPE) for c in block.columns]
+            + [(block.values, VALUE_DTYPE)] + extras)
+
+
+def assert_restored(before, after):
+    """``after`` is ``before`` read back: a block with every array
+    bit-equal, writable, C-contiguous and in its canonical dtype, and
+    its ``key_mode`` kept; a loose record equal value for value."""
+    assert type(after) is type(before)
+    if not is_block(before):
+        assert exact(after) == exact(before)
+        return
+    if type(before) is ColumnarBlock:
+        assert after.key_mode == before.key_mode
+        assert (after.rows is None) == (before.rows is None)
+    for (a, _), (b, dtype) in zip(_arrays(before), _arrays(after),
+                                  strict=True):
+        assert b.dtype == dtype and b.shape == a.shape
+        assert b.flags.writeable and b.flags.c_contiguous
+        assert b.tobytes() == a.tobytes()
 
 
 class TestRoundTrip:
     """serialize_partition / deserialize_partition is bit-exact."""
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(keyed_block_partitions())
     def test_keyed_blocks_round_trip_with_rows_and_key_mode(self, part):
         """The integrity layer re-reads every shuffle bucket through
-        this round trip: losing ``key_mode`` or ``rows`` there breaks
-        the next join."""
+        this round trip, and the serialized cache levels every cached
+        partition: losing ``key_mode`` or ``rows`` there breaks the
+        next join."""
         out = deserialize_partition(serialize_partition(part))
         assert len(out) == len(part)
         for a, b in zip(part, out):
-            assert_same_block(a, b)
+            assert_restored(a, b)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(record_blocks())
     def test_round_trip_bit_identical(self, block):
         out = deserialize_partition(serialize_partition(block))
@@ -96,7 +133,7 @@ class TestRoundTrip:
             else:
                 assert v1 == v2
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(record_blocks())
     def test_serialization_deterministic(self, block):
         assert serialize_partition(block) == serialize_partition(block)
@@ -110,13 +147,13 @@ class TestRoundTrip:
 class TestChecksum:
     """CRC sealing verifies clean blobs and flags every byte flip."""
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(record_blocks())
     def test_clean_blob_verifies(self, block):
         blob = serialize_partition(block)
         assert verify_blob(blob, checksum_blob(blob))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(record_blocks(), st.integers(0, 2**31 - 1))
     def test_flipped_byte_detected(self, block, offset_seed):
         blob = serialize_partition(block)
@@ -125,7 +162,7 @@ class TestChecksum:
         assert corrupted != blob
         assert not verify_blob(corrupted, checksum)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(record_blocks(), st.integers(0, 2**31 - 1))
     def test_flip_byte_is_a_copy(self, block, offset_seed):
         blob = serialize_partition(block)

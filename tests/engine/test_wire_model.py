@@ -22,6 +22,8 @@ from repro.engine.blocks import (BLOCK_OVERHEAD, ColumnarBlock,
 from repro.engine.serialization import (estimate_record_size,
                                         estimate_size, wire_bytes_per_row)
 
+from ..strategies import examples
+
 
 @st.composite
 def keyed_blocks(draw, shapes=("value", "rows", "queue", "reduce")):
@@ -45,7 +47,7 @@ def keyed_blocks(draw, shapes=("value", "rows", "queue", "reduce")):
                          None if shape == "value" else rows, key_mode)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(keyed_blocks())
 def test_block_is_charged_as_the_tuples_it_stands_for(block):
     tuples = block.to_records()
@@ -56,7 +58,7 @@ def test_block_is_charged_as_the_tuples_it_stands_for(block):
         len(block) * wire_bytes_per_row(block)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(keyed_blocks(shapes=("value", "rows", "queue")))
 def test_keyed_block_at_rest_is_charged_as_its_tuples(block):
     """The storage sizer follows the same rule (a cached CSTF-QCOO

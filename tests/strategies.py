@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.tensor import COOTensor
+
+
+def examples(n: int) -> int:
+    """``n`` hypothesis examples, scaled by the loaded profile's depth:
+    an explicit count overrides the profile, so without this the
+    ``thorough`` profile (tests/conftest.py) would deepen nothing
+    here — under it ``n`` becomes ``3n``."""
+    return (n * settings.default.max_examples
+            // settings.get_profile("default").max_examples)
 
 
 @st.composite

@@ -37,6 +37,31 @@ class TestReadTns:
         with pytest.raises(ValueError, match=">= 1"):
             read_tns(io.StringIO("0 1 1.0\n"))
 
+    # a '%' comment makes numpy's bulk parser give up, so each case
+    # runs once through the fast path and once through the line parser
+    @pytest.mark.parametrize("header", ["", "% header\n"],
+                             ids=["loadtxt", "line-parser"])
+    @pytest.mark.parametrize("body,bad_line,reason", [
+        ("1.5 2 3 4.0\n", 1, "not an integer"),
+        ("1 2 3 4.0\n2.9 1 1 1.0\n", 2, "not an integer"),
+        ("1 1 1.0\n9007199254740993 1 2.0\n", 2, "2\\*\\*53"),
+        ("9007199254740992 1 1.0\n", 1, "2\\*\\*53"),
+        ("1 1 nan\n", 1, "not finite"),
+        ("1 1 1.0\n# c\n2 2 inf\n", 3, "not finite"),
+        ("1 1 -inf\n", 1, "not finite"),
+        ("1 1 2.0\n1 x 2.0\n", 2, "could not convert"),
+    ], ids=["fraction", "truncation", "past-2**53", "at-2**53", "nan",
+            "inf", "-inf", "not-a-number"])
+    def test_malformed_rows_name_the_first_offending_line(
+            self, header, body, bad_line, reason):
+        line = bad_line + header.count("\n")
+        with pytest.raises(ValueError, match=f"line {line}: .*{reason}"):
+            read_tns(io.StringIO(header + body))
+
+    def test_largest_exact_index_is_read_exactly(self):
+        t = read_tns(io.StringIO(f"{2**53 - 1} 1.0\n"))
+        assert t.indices.tolist() == [[2**53 - 2]]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             read_tns(io.StringIO("# only comments\n"))
