@@ -26,19 +26,21 @@ Both pools track high-water marks into
 :class:`~repro.engine.metrics.MemoryMetrics`.
 
 :class:`SpillableAppendOnlyMap` is the engine's analogue of Spark's
-``ExternalAppendOnlyMap``: a combine buffer that books its footprint
+``ExternalAppendOnlyMap``: the combine buffer of a record
+:class:`~repro.engine.shuffle.Aggregator`, which books its footprint
 against the execution pool and, when denied, spills a sorted run to
 simulated disk and merges the runs back on read.  The no-spill fast
 path preserves dict insertion order exactly, so enabling the memory
 manager does not perturb floating-point summation order (and therefore
-bit-level reproducibility) unless a spill actually happens.
+bit-level reproducibility) unless a spill actually happens.  It holds
+records only: a combine that folds whole blocks books its result once
+and never spills (the vectorized kernel's row sum).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, TYPE_CHECKING
 
-from .blocks import KeyedRowBlock, iter_records
 from .errors import CorruptedDataError
 from .partitioner import stable_hash
 from .serialization import (deserialize_partition, estimate_record_size,
@@ -255,35 +257,6 @@ class SpillableAppendOnlyMap:
         else:
             data[key] = combiner
             self._book(estimate_record_size((key, combiner)))
-
-    def merge_batch(self, records) -> list:
-        """Combine one whole partition through the aggregator's
-        ``combine_batch`` fast path and return the final items (the
-        batch form of inserting every record, then
-        :meth:`merged_items`).
-
-        The batch combiner emits each key once, so on an empty buffer
-        the inserts below never merge; booking and spilling are
-        :meth:`insert_combiner`'s, and the items leave in key order.
-
-        A combiner that answers with one
-        :class:`~repro.engine.blocks.KeyedRowBlock` gets it back whole
-        when the buffer is empty and the execution pool grants the
-        rows' booking in one shot (charged like the records they stand
-        for); a denied booking expands the block into the per-key path,
-        so spilling works exactly as it does for records.
-        """
-        combined = self._agg.combine_batch(list(records))
-        if (len(combined) == 1 and type(combined[0]) is KeyedRowBlock
-                and not self._data and not self._runs):
-            nbytes = estimate_record_size(combined[0])
-            if self._memory.try_acquire_execution(nbytes):
-                # the hand-off is the buffer's whole lifetime
-                self._memory.release_execution(nbytes)
-                return combined
-        for key, combiner in iter_records(combined):
-            self.insert_combiner(key, combiner)
-        return sorted(self.merged_items(), key=lambda kv: kv[0])
 
     def _book(self, nbytes: int) -> None:
         self._pending += nbytes

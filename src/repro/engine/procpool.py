@@ -17,10 +17,9 @@ hazardous under pytest and arbitrary driver scripts.  The only shared
 state is the named shared memory itself.
 
 Segment lifetime has a single owner: the driver's
-:class:`SharedBlockRegistry` creates every segment (operands *and*
-declared outputs) and unlinks every segment; workers only ever attach
-and close.  ``Context.stop()`` → ``backend.shutdown()`` →
-``registry.unlink_all()`` guarantees nothing outlives the context —
+:class:`SharedBlockRegistry` creates and unlinks every segment; workers
+only ever attach and close.  ``Context.stop()`` → ``backend.shutdown()``
+→ ``registry.unlink_all()`` guarantees nothing outlives the context —
 ``live_segments()`` after shutdown is the leak-test observable.
 
 Protocol: length-prefixed pickled frames over the worker's
@@ -28,7 +27,7 @@ stdin/stdout pipes, one request in flight per checked-out worker (a
 :class:`Pending` holds the worker from ``send`` to ``receive``, so
 nothing needs demultiplexing); end of input stops the worker.  In a
 request, ndarrays of :data:`_SHARE_MIN_BYTES` or more are their
-descriptors.
+descriptors; a reply carries its results pickled, whatever their size.
 
 One engine thread (see :mod:`repro.engine.backends`): the registry and
 the pool are touched only by the task scheduler's loop, which sends up
@@ -99,9 +98,8 @@ class SharedBlockRegistry:
     array identity and returns its ``(name, dtype, shape)`` descriptor,
     so a cached partition block or a broadcast factor is copied out once
     per lifetime, not once per task (least recently used entries leave
-    first past ``_PUBLISH_CACHE_CAP``).  ``create`` allocates an uninitialized output segment for a worker to fill.
-    Everything is unlinked at ``unlink_all()`` (backend shutdown);
-    ``live_segments()`` is the leak-test observable.
+    first past ``_PUBLISH_CACHE_CAP``).  Everything is unlinked at
+    ``unlink_all()``; ``live_segments()`` is the leak-test observable.
     """
 
     def __init__(self):
@@ -147,9 +145,9 @@ class SharedBlockRegistry:
 
     def create(self, shape: tuple, dtype: np.dtype = VALUE_DTYPE
                ) -> tuple[tuple, np.ndarray]:
-        """Allocate an output segment; returns (descriptor, ndarray
-        view).  The caller copies the result out and then ``release``\\ s
-        the descriptor's segment."""
+        """Allocate a segment; returns (descriptor, ndarray view).
+        The caller fills the view and ``release``\\ s the descriptor's
+        segment when done with it."""
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
@@ -358,8 +356,8 @@ class _SharingPickler(pickle.Pickler):
 
 class Pending:
     """A task body in flight on a checked-out worker, with the segments
-    pinned for its request, its output segment and ``then``, the
-    continuation that turns the op's results into the task's record."""
+    pinned for its request and ``then``, the continuation that turns the
+    op's results into the task's record."""
 
     def __init__(self, client: "OffloadClient", worker: _WorkerProcess,
                  request: dict, then: Callable[[tuple], Any]):
@@ -368,7 +366,6 @@ class Pending:
         self._request = request
         self._then = then
         self._pinned: list[str] = []
-        self._out_view: Any = None
 
     def resolve(self) -> Any:
         """``then`` of the op's results.  A dead worker or an operand
@@ -384,25 +381,19 @@ class Pending:
             elif not reply["ok"]:
                 raise RuntimeError("process worker op failed:\n"
                                    + str(reply.get("error")))
-            elif self._out_view is None:
-                results = reply["results"]
             else:
-                *head, count = reply["results"]
-                results = (*head, np.array(self._out_view[:count]))
+                results = reply["results"]
         finally:
             self.discard()
         return self._then(results)
 
     def discard(self) -> None:
         """Drain the reply unread if it is still due, and give back the
-        worker, the pins and the output segment (idempotent)."""
+        worker and the pins (idempotent)."""
         if self._worker is not None:
             self._receive()
-        registry = self._client._registry
-        registry.unpin(self._pinned)
-        self._pinned, self._out_view = [], None
-        if self._request["out"] is not None:
-            registry.release(self._request["out"][0])
+        self._client._registry.unpin(self._pinned)
+        self._pinned = []
 
     def _receive(self) -> dict | None:
         """The reply, or None when the worker died taking it."""
@@ -427,25 +418,20 @@ class OffloadClient:
         self._registry = registry
 
     def run(self, op: str, arrays: Sequence[Any], meta: dict,
-            out: tuple | None = None,
             then: Callable[[tuple], Any] = lambda results: results
             ) -> Pending | None:
         """Send ``_OPS[op](*arrays, **meta)`` to an idle worker: the
         :class:`Pending` request, or None for "compute inline" (no idle
         worker, or the worker died taking the request).  ``arrays`` may
         nest lists, tuples, dicts and blocks; their large ndarrays are
-        shared (the publish cache keys on identity).  An op whose last
-        result can be large names its bound as ``out=(shape, dtype)``
-        and gets it through a driver-created segment."""
+        shared (the publish cache keys on identity); the results come
+        back pickled in the reply."""
         worker = self._pool.checkout()
         if worker is None:
             return None
-        request = {"op": op, "arrays": arrays, "meta": meta, "out": None}
+        request = {"op": op, "arrays": arrays, "meta": meta}
         pending = Pending(self, worker, request, then)
         try:
-            if out is not None:
-                request["out"], pending._out_view = \
-                    self._registry.create(*out)
             frame = io.BytesIO()
             _SharingPickler(frame, self._registry,
                             pending._pinned).dump(request)
@@ -540,12 +526,8 @@ def _serve(data: bytes, cache: _AttachmentCache) -> dict:  # pragma: no cover
         if request["op"] == "ping":
             cache.cap = request["cap"]
             return {"ok": True}
-        results = list(resolve_op(request["op"])(*request["arrays"],
-                                                 **request["meta"]))
-        if request["out"] is not None:
-            count = len(results[-1])
-            cache.view(request["out"])[:count] = results[-1]
-            results[-1] = count
+        results = resolve_op(request["op"])(*request["arrays"],
+                                            **request["meta"])
         return {"ok": True, "results": tuple(results)}
     except FileNotFoundError:
         # an operand's segment was evicted on the driver between

@@ -325,41 +325,27 @@ class RDD:
     def combine_by_key(self, create_combiner: Callable, merge_value: Callable,
                        merge_combiners: Callable,
                        num_partitions: int | None = None,
-                       map_side_combine: bool = True,
-                       combine_batch: Callable | None = None) -> "RDD":
+                       map_side_combine: bool = True) -> "RDD":
         """General per-key aggregation (the primitive under
-        :meth:`reduce_by_key`).
-
-        ``combine_batch`` is an optional whole-partition fast path (see
-        :class:`~repro.engine.shuffle.Aggregator`): the caller warrants
-        it produces exactly what streaming the records through
-        ``create_combiner``/``merge_value`` would.
-        """
-        partitioner = self._default_partitioner(num_partitions)
-        aggregator = Aggregator(create_combiner, merge_value,
-                                merge_combiners, combine_batch)
+        :meth:`reduce_by_key`)."""
         if linthooks.session_active():
-            for fn in (create_combiner, merge_value, merge_combiners,
-                       combine_batch):
-                if fn is not None:
-                    linthooks.closure_created(fn, "combineByKey")
+            for fn in (create_combiner, merge_value, merge_combiners):
+                linthooks.closure_created(fn, "combineByKey")
+        return self._combine(
+            Aggregator(create_combiner, merge_value, merge_combiners),
+            self._default_partitioner(num_partitions), map_side_combine,
+            "combineByKey(local)")
+
+    def _combine(self, aggregator: Aggregator, partitioner: Partitioner,
+                 map_side_combine: bool, local_op: str) -> "RDD":
+        """``aggregator``'s per-key combine under ``partitioner``: within
+        each partition, as op ``local_op``, when this RDD is already
+        partitioned so (no shuffle; the combine books nothing and cannot
+        spill), else through a shuffle."""
         if self.partitioner == partitioner:
-            # already partitioned: combine within partitions, no shuffle
-            if combine_batch is not None:
-                def combine_locally(_split: int, it: Iterable) -> list:
-                    return combine_batch(list(it))
-            else:
-                def combine_locally(_split: int, it: Iterable) -> Iterator:
-                    acc: dict = {}
-                    for k, v in it:
-                        if k in acc:
-                            acc[k] = merge_value(acc[k], v)
-                        else:
-                            acc[k] = create_combiner(v)
-                    return iter(acc.items())
-            return MapPartitionsRDD(self, combine_locally,
-                                    preserves_partitioning=True
-                                    ).set_name("combineByKey(local)")
+            return MapPartitionsRDD(
+                self, lambda _split, it: aggregator.combine(it),
+                preserves_partitioning=True).set_name(local_op)
         return ShuffledRDD(self, partitioner, aggregator=aggregator,
                            map_side_combine=map_side_combine
                            ).set_name("combineByKey")
@@ -601,27 +587,12 @@ class ShuffledRDD(RDD):
         agg = self._dep.aggregator
         if agg is None:
             return records
-        # the reduce-side merge buffer books execution memory and spills
-        # sorted runs when a memory budget is configured; without spills
-        # the merge order is identical to a plain insertion-ordered dict
-        from .memory import SpillableAppendOnlyMap
-        merged = SpillableAppendOnlyMap(
-            self.ctx.memory, agg,
-            integrity=self.ctx.integrity,
-            site=("reduce", self._dep.shuffle_id, split))
-        if agg.combine_batch is not None:
-            # batch fast path: valid for both raw values and map-side
-            # combiners (the contract requires them to batch the same);
-            # a block-shaped result leaves whole
-            return merged.merge_batch(records)
-        if self._dep.map_side_combine:
-            # map side already produced combiners; merge combiners here
-            for k, c in records:
-                merged.insert_combiner(k, c)
-        else:
-            for k, v in records:
-                merged.insert(k, v)
-        return iter(merged.merged_items())
+        # under a memory budget the combine books execution memory and
+        # may spill (see Aggregator.combine)
+        return agg.combine(records, combiners=self._dep.map_side_combine,
+                           memory=self.ctx.memory,
+                           integrity=self.ctx.integrity,
+                           site=("reduce", self._dep.shuffle_id, split))
 
 
 class _KeyGroupingRDD(RDD):

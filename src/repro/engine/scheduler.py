@@ -270,14 +270,13 @@ class DAGScheduler:
                 continue
             self._run_parents(parent, job_id, phase, executed, done,
                               recomputation)
-            # a racing sibling may have written this shuffle meanwhile
+            # the graph holds one stage per shuffle still unwritten when
+            # it was built (_parent_stages), each run once via ``done``
             dep = parent.shuffle_dep
             assert dep is not None
-            if not self.ctx._shuffle_manager.is_written(
-                    dep.shuffle_id, dep.rdd.num_partitions):
-                self._run_stage(parent, job_id, phase,
-                                recomputation=recomputation)
-                executed.append(dep)
+            self._run_stage(parent, job_id, phase,
+                            recomputation=recomputation)
+            executed.append(dep)
             done.add(parent.stage_id)
 
     def _run_stage(self, stage: Stage, job_id: int, phase: str,

@@ -17,8 +17,8 @@ task concatenates one range per map output into a single block.  Loose
 records keep a list per bucket.
 
 Map-side combining (Spark's ``reduceByKey`` behaviour) is supported: when
-an aggregator is attached to the dependency, records are pre-merged per
-key inside each map task, shrinking the shuffle.
+an aggregator is attached to the dependency, its :meth:`Aggregator.combine`
+pre-merges each map task's records per key, shrinking the shuffle.
 
 Fault tolerance: every map output records the node that wrote it.
 Killing a node (``invalidate_node``) discards its outputs, and a reduce
@@ -66,25 +66,42 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class Aggregator:
-    """Map-side combine specification for key-value shuffles.
+    """The per-key combine of a shuffle, as Spark's ``Aggregator``.
 
-    ``combine_batch``, when set, is an ndarray-batch fast path: it takes
-    a whole partition's ``(key, value)`` records and returns the
-    combined ``(key, combiner)`` pairs — as records, or batched in a
-    :class:`~repro.engine.blocks.KeyedRowBlock`, which the combine
-    buffer and the shuffle then carry whole.  It must reproduce the record
-    path's sums exactly — per-key merges folded left-to-right in record
-    order — and emit each key once, in ascending order (what
-    ``Kernel.sum_rows_by_key`` promises); it is only valid when
-    ``create_combiner`` is the identity and ``merge_value`` coincides
-    with ``merge_combiners`` (so pre-combined and raw inputs batch the
-    same way).
+    :meth:`combine` is the one combine the engine runs: on the map side
+    of a map-side-combined shuffle, on its reduce side, and within the
+    partitions of an already co-partitioned ``combine_by_key``.  This
+    class folds records through a
+    :class:`~repro.engine.memory.SpillableAppendOnlyMap`; a subclass may
+    fold in another shape (the vectorized kernel's row sum folds whole
+    :class:`~repro.engine.blocks.KeyedRowBlock`\\ s) so long as it emits
+    what this one emits without a spill: per key, the values folded
+    left to right in record order.
     """
 
     create_combiner: Callable[[Any], Any]
     merge_value: Callable[[Any, Any], Any]
     merge_combiners: Callable[[Any, Any], Any]
-    combine_batch: Callable[[list], list] | None = None
+
+    def combine(self, records: Iterable, combiners: bool = False,
+                memory: "MemoryManager | None" = None,
+                integrity: "IntegrityManager | None" = None,
+                site: tuple = ()) -> list:
+        """``(key, combiner)`` pairs of one partition's ``records``:
+        raw values, or combiners with ``combiners`` (the reduce side of
+        a map-side-combined shuffle), keys in first-occurrence order
+        unless a spill reorders them.  The buffer books ``memory``'s
+        execution pool and spills sorted runs when it is denied; with no
+        ``memory`` it books no pool of the context and cannot spill.
+        ``integrity`` seals the spilled runs, ``site`` names them."""
+        from .memory import MemoryManager, SpillableAppendOnlyMap
+        buffer = SpillableAppendOnlyMap(
+            MemoryManager() if memory is None else memory, self,
+            integrity=integrity, site=site)
+        insert = buffer.insert_combiner if combiners else buffer.insert
+        for key, value in records:
+            insert(key, value)
+        return buffer.merged_items()
 
 
 class _Run(NamedTuple):
@@ -164,9 +181,6 @@ class ShuffleManager:
                  faults: "FaultInjector | None" = None,
                  memory: "MemoryManager | None" = None,
                  integrity: "IntegrityManager | None" = None):
-        if memory is None:
-            from .memory import MemoryManager
-            memory = MemoryManager()  # unbounded: combine never spills
         self.cluster = cluster
         self.faults = faults
         self.memory = memory
@@ -202,23 +216,14 @@ class ShuffleManager:
         """Bucket ``records`` (key-value tuples) for one map task.
 
         With an ``aggregator``, values are combined per key before being
-        written (map-side combine), reducing both bytes and records.
-        The combine buffer books execution memory and spills sorted runs
-        to disk when over budget (merged back before bucketing), so a
-        constrained context bounds the map task's footprint instead of
-        growing an unbounded dict.
+        written (map-side combine, :meth:`Aggregator.combine`), reducing
+        both bytes and records; its buffer books the context's execution
+        pool, so a constrained context bounds the map task's footprint.
         """
         if aggregator is not None:
-            from .memory import SpillableAppendOnlyMap
-            combined = SpillableAppendOnlyMap(
-                self.memory, aggregator, integrity=self.integrity,
+            records = aggregator.combine(
+                records, memory=self.memory, integrity=self.integrity,
                 site=("map", shuffle_id, map_partition))
-            if aggregator.combine_batch is not None:
-                records = combined.merge_batch(records)
-            else:
-                for key, value in records:
-                    combined.insert(key, value)
-                records = combined.merged_items()
 
         output = _MapOutput(
             map_partition=map_partition,

@@ -191,8 +191,9 @@ class Kernel(ABC):
         """Sum row vectors per key (the MTTKRP's final ``reduceByKey``).
 
         Per key, rows are folded left-to-right in record order; keys
-        leave in ascending order, a factor partition's order, whether a
-        combine spilled or not.  Honours ``map_side_combine``.  Takes
+        leave in ascending order, a factor partition's order, whether
+        the record kernel's combine spilled or not (the vectorized
+        kernel's never spills).  Honours ``map_side_combine``.  Takes
         ``(key, row)`` records and/or keyed row blocks; every non-empty
         partition of the result is one
         :class:`~repro.engine.blocks.KeyedRowBlock`, partitioned by key.

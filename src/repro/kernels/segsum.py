@@ -148,11 +148,11 @@ def combine_rows_block(records: Iterable[Any], metrics=None) -> list:
     """Batch combiner for ``(int key, float64 row)`` records and/or
     :class:`~repro.engine.blocks.KeyedRowBlock` batches of them: the
     record path's per-key ``a + b`` fold, same bits, keys in ascending
-    order, as one ``KeyedRowBlock`` in a list (empty for no input).  A
-    valid :class:`~repro.engine.shuffle.Aggregator` ``combine_batch``:
-    the row sum's ``create_combiner`` is the identity and
-    ``merge_value``/``merge_combiners`` coincide, so values and
-    combiners fold interchangeably."""
+    order, as one ``KeyedRowBlock`` in a list (empty for no input).  The
+    fold of the vectorized kernel's ``RowSumAggregator.combine``, map
+    side and reduce side alike: the row sum's ``create_combiner`` is the
+    identity and ``merge_value``/``merge_combiners`` coincide, so values
+    and combiners fold interchangeably."""
     batch = batch_rows(records)
     if batch is None:
         return []

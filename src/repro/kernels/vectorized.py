@@ -18,33 +18,39 @@ q, R)`` queue, oldest slot dropped once full) and the blocks are
 shuffled whole.  A join iteration sorts nothing but the shuffle's
 partition order and QCOO's canonical queue order.
 
-The per-key sum routes through ``RDD.combine_by_key``'s
-``combine_batch`` fast path, so map-side combining still books memory
-in (and spills through) the shuffle's ``SpillableAppendOnlyMap``.
-Its output, the factors and every step between them (solve, column
-norms, normalise, Gram, fit) hold one ``KeyedRowBlock`` per partition,
-in key order, and are one array expression each.
+The per-key sum is the shuffle's own combine: a
+:class:`RowSumAggregator` folds a partition's rows and blocks into one
+``KeyedRowBlock`` on the map side and again on the reduce side, books
+it once against the execution pool and never spills.  Its output, the
+factors and every step between them (solve, column norms, normalise,
+Gram, fit) hold one ``KeyedRowBlock`` per partition, in key order, and
+are one array expression each.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
 import numpy as np
 
-from ..engine.blocks import (VALUE_DTYPE, ColumnarBlock, KeyedRowBlock,
-                             coalesce_blocks, coalesce_rows, stable_argsort)
+from ..engine.blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
+                             coalesce_rows, stable_argsort)
 from ..engine.partitioner import HashPartitioner
 from ..engine.procpool import resolve_op
 from ..engine.rdd import MapPartitionsRDD, RowProductsRDD
-from .base import Kernel, per_partition_rows
+from ..engine.serialization import estimate_record_size
+from ..engine.shuffle import Aggregator
+from .base import Kernel
 from .sampled import draw_block
 from .segsum import (PLANE_BYTES, combine_rows_block, fold_rows,
                      segmented_fold_at, segmented_left_fold)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
+    from ..engine.integrity import IntegrityManager
+    from ..engine.memory import MemoryManager
     from ..engine.metrics import MetricsCollector
     from ..engine.rdd import RDD
     from ..engine.taskscheduler import TaskContext
@@ -114,6 +120,36 @@ def sampled_block_contribution(
         prereduce)
 
 
+class RowSumAggregator(Aggregator):
+    """The MTTKRP's per-key row sum as a shuffle's combine: identity /
+    ``a + b`` / ``a + b``, so raw rows and combined rows fold alike, and
+    :meth:`combine` folds a partition's ``(key, row)`` records and
+    :class:`~repro.engine.blocks.KeyedRowBlock`\\ s with
+    :func:`~repro.kernels.segsum.combine_rows_block`: the record
+    aggregator's bits, keys ascending, one block.  Kernel batches count
+    on ``metrics``."""
+
+    def __init__(self, metrics: "MetricsCollector | None" = None):
+        super().__init__(lambda v: v, operator.add, operator.add)
+        self.metrics = metrics
+
+    def combine(self, records: Iterable, combiners: bool = False,
+                memory: "MemoryManager | None" = None,
+                integrity: "IntegrityManager | None" = None,
+                site: tuple = ()) -> list:
+        """The one combined block in a list (empty for no rows), booked
+        on ``memory``'s execution pool once, charged as the records it
+        stands for, and released: the hand-off is all it holds the pool
+        for.  Granted or denied, the block leaves whole; nothing spills,
+        so ``integrity`` and ``site`` go unused."""
+        combined = combine_rows_block(records, self.metrics)
+        if memory is not None and combined:
+            nbytes = estimate_record_size(combined[0])
+            if memory.try_acquire_execution(nbytes):
+                memory.release_execution(nbytes)
+        return combined
+
+
 class VectorizedKernel(Kernel):
     """Batched numpy arithmetic, bit-identical to the record kernel."""
 
@@ -130,8 +166,7 @@ class VectorizedKernel(Kernel):
             self._metrics.add_kernel_batch(records)
 
     def _run(self, task: "TaskContext", op: str, arrays: tuple,
-             meta: dict, then: Callable[[tuple], Any],
-             out: tuple | None = None) -> Any:
+             meta: dict, then: Callable[[tuple], Any]) -> Any:
         """``then`` of the results of task body ``op`` (an entry of
         ``procpool._OPS``).  When the attempt may defer
         (``task.deferred``) and a pool worker is idle, the body goes to
@@ -139,7 +174,7 @@ class VectorizedKernel(Kernel):
         by the task scheduler; else the body runs inline.  The same
         function either way, so the same bits."""
         if self._offload is not None and task.deferred is not None:
-            pending = self._offload.run(op, arrays, meta, out, then)
+            pending = self._offload.run(op, arrays, meta, then)
             if pending is not None:
                 task.deferred.append(pending)
                 return pending
@@ -179,16 +214,13 @@ class VectorizedKernel(Kernel):
             fixed = [(blk.column(m), bc.value)
                      for m, bc in broadcasts.items()]
             self._count(len(blk))
-            # unreduced, a row per nonzero comes back — too much for
-            # the reply frame — under the keys as they are: not sent
-            out = None if prereduce else (
-                (len(blk), fixed[0][1].shape[1]), VALUE_DTYPE)
+            # unreduced rows keep the keys as they are: not sent
             return [self._run(
                 task, "contrib",
                 (blk.values, key_col if prereduce else None, fixed),
                 {"prereduce": prereduce},
                 lambda res: KeyedRowBlock(
-                    res[0] if prereduce else key_col, res[1]), out)]
+                    res[0] if prereduce else key_col, res[1]))]
         return MapPartitionsRDD(
             tensor_rdd, batch, broadcasts=broadcasts.values(),
             offloads=True).set_name("blockContributions")
@@ -268,18 +300,9 @@ class VectorizedKernel(Kernel):
 
     def sum_rows_by_key(self, rdd: "RDD",
                         num_partitions: int | None = None) -> "RDD":
-        metrics = self._metrics
-
-        def batch(records):
-            return combine_rows_block(records, metrics)
-
-        # the combiner's block leaves the shuffle whole; only a combine
-        # that was denied its memory booking hands records back
-        return per_partition_rows(rdd.combine_by_key(
-            lambda v: v, lambda a, b: a + b, lambda a, b: a + b,
-            num_partitions,
-            map_side_combine=rdd.ctx.conf.map_side_combine,
-            combine_batch=batch), "rowBlocks")
+        return rdd._combine(RowSumAggregator(self._metrics),
+                            rdd._default_partitioner(num_partitions),
+                            rdd.ctx.conf.map_side_combine, "rowBlocks")
 
     def solve_rows(self, m_rdd: "RDD", pinv_v: np.ndarray,
                    nonnegative: bool) -> "RDD":

@@ -53,7 +53,7 @@ RDD_OP_FUNCTION_ARGS: dict[str, dict[int, str]] = {
     "top": {1: "key"},
     "reduce_by_key": {0: "f"},
     "combine_by_key": {0: "create_combiner", 1: "merge_value",
-                       2: "merge_combiners", 5: "combine_batch"},
+                       2: "merge_combiners"},
 }
 
 

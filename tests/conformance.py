@@ -105,8 +105,8 @@ CASES: dict[str, Case] = {
     "no-map-side-combine": Case(standard_tensor, init_seed=29,
                                 conf={"map_side_combine": False}),
     "untouched-row": Case(_untouched_row, init_seed=29),
-    # small enough to deny the row combiner its one-shot booking: map
-    # outputs and M arrive as records and are batched again
+    # small enough to deny every combine booking: the record combine
+    # spills, the vectorized row sum keeps its block whole
     "denied-booking": Case(standard_tensor, init_seed=29,
                            conf={"memory_total_bytes": 100}),
     "nvecs": Case(standard_tensor, init="nvecs"),

@@ -13,6 +13,7 @@ from repro.baselines import local_cp_als
 from repro.tensor import congruence, random_factors, uniform_sparse
 
 from .. import conformance as cf
+from ..strategies import examples
 
 
 class TestThirdOrderAgreement:
@@ -77,7 +78,7 @@ class TestRecovery:
             assert res.fit_history[-1] > 0.99
 
     @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     def test_agreement_property_random_tensors(self, seed):
         tensor = uniform_sparse((9, 8, 7), 120, rng=seed)
         init = random_factors(tensor.shape, 2, seed + 1)

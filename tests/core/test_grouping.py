@@ -26,21 +26,24 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
-from repro.engine import blocks
-from repro.engine.blocks import sorted_runs, stable_argsort
+from repro.engine import MemoryManager, blocks
+from repro.engine.blocks import KeyedRowBlock, sorted_runs, stable_argsort
+from repro.engine.metrics import MetricsCollector
 from repro.engine.partitioner import stable_hash
 from repro.kernels import (combine_rows_block, fold_rows,
                            segmented_left_fold)
 from repro.kernels.sampled import draw_rows
 from repro.kernels.segsum import PLANE_BYTES, segmented_fold_at
-from repro.kernels.vectorized import block_contribution
+from repro.engine.shuffle import Aggregator
+from repro.kernels.vectorized import RowSumAggregator, block_contribution
 from repro.tensor import random_factors, uniform_sparse
 
 from .. import conformance as cf
-from ..strategies import integer_keys, keyed_rows
+from ..strategies import examples, integer_keys, keyed_rows
 
 
 def dict_fold(keys, rows):
@@ -200,6 +203,61 @@ class TestPlaneFold:
         assert bool(on_planes) == (n * width > PLANE_BYTES // 8)
         assert np.array_equal(keys, bincount[0])
         assert rows.tobytes() == bincount[1].tobytes()
+
+
+def _pieces(keys, rows, cuts):
+    """``(keys, rows)`` cut at the sorted positions ``cuts``."""
+    bounds = [0, *sorted(set(cuts)), len(keys)]
+    return [(keys[a:b], rows[a:b]) for a, b in zip(bounds, bounds[1:])
+            if b > a]
+
+
+class TestRowSumAggregator:
+    @given(keyed_rows(), st.lists(st.integers(0, 600), max_size=4),
+           st.booleans(), st.sampled_from([None, 100]))
+    @settings(max_examples=examples(50))
+    def test_combine_equals_the_record_aggregators_bits(
+            self, batch, cuts, reduce_side, total_bytes):
+        """The row sum's ``combine`` emits what the record
+        ``Aggregator(identity, +, +).combine`` emits over the same
+        ``(key, row)`` stream, bit for bit and keys ascending: on the
+        map side (raw rows, arriving as blocks and loose records) and
+        on the reduce side (map outputs already combined, with
+        ``combiners``), under an unbounded pool and a 100-byte one.
+        The record side books no pool: spilled, it would merge its
+        runs pairwise, which is not the left fold the row sum keeps
+        whether its one booking is granted or denied."""
+        keys, rows = batch
+        pieces = _pieces(keys, rows, [c for c in cuts if c < len(keys)])
+        record = Aggregator(lambda v: v, lambda a, b: a + b,
+                            lambda a, b: a + b)
+        if reduce_side:
+            outputs = [sorted(record.combine(zip(k.tolist(), r)))
+                       for k, r in pieces]
+            stream = [kv for out in outputs for kv in out]
+            fed = [KeyedRowBlock.from_records(out) for out in outputs]
+        else:
+            stream = list(zip(keys.tolist(), rows))
+            fed = []
+            for i, (k, r) in enumerate(pieces):
+                fed += [KeyedRowBlock(k, r)] if i % 2 else \
+                    list(zip(k.tolist(), r))
+        want = sorted(record.combine(stream, combiners=reduce_side))
+
+        metrics = MetricsCollector()
+        pool = MemoryManager(total_bytes=total_bytes, metrics=metrics)
+        (got,) = RowSumAggregator(metrics).combine(
+            fed, combiners=reduce_side, memory=pool)
+        assert got.keys.tolist() == [k for k, _ in want]
+        assert got.rows.tobytes() == \
+            np.stack([row for _, row in want]).tobytes()
+        assert metrics.kernel_batches == 1
+        assert pool.execution_used == 0
+        assert metrics.memory.shuffle_spill_count == 0
+        booked = len(got) * (24 + 8 * rows.shape[1])
+        assert metrics.memory.execution_peak_bytes in (0, booked)
+        if total_bytes is None:
+            assert metrics.memory.execution_peak_bytes == booked
 
 
 # ----------------------------------------------------------------------

@@ -639,22 +639,23 @@ class TestLoudAndLocated:
             assert rdd.count() == 8
 
 
-def test_denied_booking_case_really_hands_records_back(monkeypatch):
-    """The budget of the ``denied-booking`` case makes
-    ``SpillableAppendOnlyMap.merge_batch`` expand the combiner's block
-    on both dataflows (without it the case would prove nothing)."""
+@pytest.mark.parametrize("driver", ["coo-join", "qcoo"])
+def test_denied_booking_row_sum_builds_no_spill_map(driver, monkeypatch):
+    """Under the ``denied-booking`` case's budget the vectorized row
+    sum's map- and reduce-side combines keep their blocks whole: no
+    combine buffer is built, and the factors are the oracle's bits."""
     from repro.engine.memory import SpillableAppendOnlyMap
-    handed_back = []
-    real = SpillableAppendOnlyMap.merged_items
+    built = []
+    real = SpillableAppendOnlyMap.__init__
 
-    def spy(self):
-        handed_back.append(self._site)
-        return real(self)
-    monkeypatch.setattr(SpillableAppendOnlyMap, "merged_items", spy)
-    for driver in ("coo-join", "qcoo"):
-        handed_back.clear()
-        cf.run("denied-booking", driver, kernel="vectorized")
-        assert {site[0] for site in handed_back} == {"map", "reduce"}
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("site"))
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(SpillableAppendOnlyMap, "__init__", spy)
+    got = cf.run("denied-booking", driver, kernel="vectorized")
+    assert built == []
+    monkeypatch.undo()
+    cf.assert_bit_identical(cf.oracle("denied-booking", driver), got)
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,12 @@ from repro.baselines import local_cp_als
 from repro.tensor import random_factors, uniform_sparse
 
 from .. import conformance as cf
+from ..strategies import examples
 
 
 class TestRecordOrderInvariance:
     @given(st.integers(0, 1000))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_permuted_nonzeros_same_result(self, seed):
         """CP-ALS must not depend on the order nonzeros arrive in."""
         tensor = uniform_sparse((9, 8, 7), 100, rng=5)
@@ -30,7 +31,7 @@ class TestRecordOrderInvariance:
 
 class TestScalingEquivariance:
     @given(st.floats(min_value=0.1, max_value=50.0))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_scaled_tensor_scales_lambdas(self, alpha):
         """decompose(alpha * X) yields the same unit factors with
         lambdas scaled by alpha (ALS is scale-equivariant)."""
@@ -48,7 +49,7 @@ class TestScalingEquivariance:
 
 class TestModePermutationEquivariance:
     @given(st.permutations([0, 1, 2]))
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=examples(6), deadline=None)
     def test_transposed_tensor_permutes_factors(self, order):
         """Decomposing X with permuted modes permutes the factors."""
         tensor = uniform_sparse((9, 8, 7), 90, rng=7)
@@ -72,7 +73,7 @@ class TestModePermutationEquivariance:
 
 class TestFitBounds:
     @given(st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_fit_at_most_one(self, seed):
         tensor = uniform_sparse((8, 7, 6), 60, rng=seed)
         res = local_cp_als(tensor, 2, max_iterations=3, tol=0.0,
@@ -81,7 +82,7 @@ class TestFitBounds:
             assert fit <= 1.0 + 1e-12
 
     @given(st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_monotone_fit(self, seed):
         tensor = uniform_sparse((8, 7, 6), 80, rng=seed)
         res = local_cp_als(tensor, 2, max_iterations=5, tol=0.0,
@@ -92,7 +93,7 @@ class TestFitBounds:
 
 class TestPartitionCountInvariance:
     @given(st.integers(1, 12))
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     def test_qcoo_partition_count_irrelevant(self, partitions):
         tensor = uniform_sparse((9, 8, 7), 90, rng=11)
         init = random_factors(tensor.shape, 2, 4)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import CstfCOO, InMemoryCheckpointStore
 from repro.core.checkpoint import FileCheckpointStore
 from repro.engine import (Context, EngineConf, JobExecutionError,
-                          KernelError)
+                          KernelError, NumericalIntegrityError)
 from repro.engine.blocks import ColumnarBlock
 from repro.kernels import (DEFAULT_SAMPLE_COUNT, POOL_FACTOR,
                            leverage_scores, sample_block,
@@ -28,6 +28,7 @@ from repro.kernels.sampled import draw_block
 from repro.tensor import low_rank_sparse, random_factors
 
 from .. import conformance as cf
+from ..strategies import examples
 
 #: draws per partition of the standard case under ``lev``
 SAMPLES = cf.CASES["order3"].sample_count
@@ -164,7 +165,7 @@ class TestUnbiasedEstimator:
         return ColumnarBlock(columns, values)
 
     @given(st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_mean_estimate_converges_to_exact(self, data_seed):
         rng = np.random.default_rng(data_seed)
         n, s, sites = 30, 32, 400
@@ -298,26 +299,34 @@ class TestSampledDecompose:
         same broadcast estimator, so COO and QCOO equal one oracle."""
         cf.check_kept(request, monkeypatch)
 
-    @pytest.mark.parametrize("lapack", ["checks-nan", "propagates-nan"])
+    @pytest.mark.parametrize("lapack", ["checks-nan", "propagates-nan",
+                                        "integrity-guard"])
     def test_a_nan_factor_row_raises_instead_of_fitting(
             self, lapack, monkeypatch):
         """A NaN row in mode 1's initial factor makes its Gram NaN.  A
         LAPACK that checks refuses the Gram's pinv; one that hands NaN
         back gives NaN leverage scores, and the sampled map task then
-        fails by name instead of drawing uniformly into a NaN fit."""
-        expected = np.linalg.LinAlgError
+        fails by name instead of drawing uniformly into a NaN fit.  With
+        integrity on, the NaN guard names the factor first, where it is
+        collected; the other two cases pin integrity off, so the
+        environment cannot pick the path."""
+        expected, conf = np.linalg.LinAlgError, {"integrity": False}
         if lapack == "propagates-nan":
             real = np.linalg.pinv
             monkeypatch.setattr(np.linalg, "pinv", lambda a, **kw: (
                 real(a, **kw) if np.isfinite(a).all()
                 else np.full(a.shape[::-1], np.nan)))
             expected = JobExecutionError
+        elif lapack == "integrity-guard":
+            expected, conf = NumericalIntegrityError, {"integrity": True}
         init = [f.copy() for f in cf.initial("order3")]
         init[1][3] = np.nan
-        got = cf.run(sampler="lev", init=init, raises=expected)
+        got = cf.run(sampler="lev", init=init, conf=conf, raises=expected)
         assert got.result is None
         if lapack == "propagates-nan":
             assert "leverage weights sum to nan" in str(got.error)
+        elif lapack == "integrity-guard":
+            assert (got.error.stage, got.error.mode) == ("collect-factor", 1)
 
     def test_qcoo_skips_queue_construction(self):
         """Under lev the QCOO queue (N-1 tensor-sized joins) is never

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.engine import Context, EngineError
 
+from ..strategies import examples
+
 
 class TestCollectCount:
     def test_collect_order(self, ctx):
@@ -53,7 +55,7 @@ class TestReduceFold:
         assert ctx.parallelize(range(10), 3).sum() == 45
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=40))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_reduce_max_property(self, xs):
         with Context(num_nodes=2, default_parallelism=3) as ctx:
             assert ctx.parallelize(xs).reduce(max) == max(xs)

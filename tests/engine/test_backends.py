@@ -233,8 +233,7 @@ class TestProcessBackendSharedMemory:
                 pending = backend.offload.run(
                     "contrib",
                     (values, key_col if reduce_ else None, fixed),
-                    {"prereduce": reduce_},
-                    None if reduce_ else ((64, 5), np.float64))
+                    {"prereduce": reduce_})
                 assert pending is not None, "offload unavailable"
                 keys, rows = pending.resolve()
                 acc = None
@@ -570,7 +569,7 @@ class TestOneGenericOp:
         assert {name for name, value in vars(OffloadClient).items()
                 if callable(value)} == {"__init__", "run"}
         text = self.sources()["engine/procpool.py"]
-        assert len(text.splitlines()) <= 582
+        assert len(text.splitlines()) <= 564
         builders = set()
         for cls in ast.walk(ast.parse(text)):
             if not isinstance(cls, ast.ClassDef):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.engine import Cluster
 
+from ..strategies import examples
+
 
 class TestCluster:
     def test_round_robin_placement(self):
@@ -21,7 +23,7 @@ class TestCluster:
 
     @given(st.integers(min_value=1, max_value=64),
            st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_placement_in_range(self, nodes, partition):
         c = Cluster(num_nodes=nodes)
         assert 0 <= c.node_of_partition(partition) < nodes

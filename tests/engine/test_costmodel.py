@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.engine import COMET, CostModel, HardwareProfile, RunStats
 
+from ..strategies import examples
+
 
 def make_stats(**kw) -> RunStats:
     base = dict(records_processed=1_000_000, shuffle_total_bytes=50_000_000,
@@ -147,7 +149,7 @@ class TestCostModel:
         assert fat.compute_s > lean.compute_s
 
     @given(st.integers(min_value=1, max_value=64))
-    @settings(max_examples=30)
+    @settings(max_examples=examples(30))
     def test_total_finite_for_any_cluster(self, nodes):
         t = CostModel().estimate(make_stats(), nodes)
         assert 0 < t.total_s < float("inf")

@@ -92,6 +92,37 @@ class TestMemoryManager:
                 assert LEVEL_MEMORY_FACTOR[nxt] < LEVEL_MEMORY_FACTOR[level]
 
 
+class TestRowSumAggregator:
+    def test_books_once_and_keeps_the_block_whole(self):
+        """The row sum's combined block is booked once, charged like
+        the records it stands for, and released; a denied booking
+        hands back the same block whole, and nothing spills."""
+        from repro.engine import KeyedRowBlock
+        from repro.kernels.vectorized import RowSumAggregator
+        rng = np.random.default_rng(8)
+        batch = [KeyedRowBlock(rng.integers(0, 400, 1500),
+                               rng.standard_normal((1500, 2)))]
+
+        metrics = MetricsCollector()
+        free = MemoryManager(metrics=metrics)
+        (held,) = RowSumAggregator().combine(batch, memory=free)
+        assert type(held) is KeyedRowBlock
+        assert metrics.memory.execution_peak_bytes == \
+            len(held) * (24 + 8 * 2)
+        assert free.execution_used == 0
+
+        metrics = MetricsCollector()
+        tight = MemoryManager(total_bytes=6000, memory_fraction=1.0,
+                              storage_fraction=0.1, metrics=metrics)
+        (denied,) = RowSumAggregator().combine(batch, memory=tight)
+        assert metrics.memory.execution_peak_bytes == 0
+        assert metrics.memory.shuffle_spill_count == 0
+        assert metrics.memory.shuffle_spill_bytes == 0
+        assert tight.execution_used == 0
+        assert denied.keys.tobytes() == held.keys.tobytes()
+        assert denied.rows.tobytes() == held.rows.tobytes()
+
+
 class TestSpillableAppendOnlyMap:
     def test_no_spill_preserves_insertion_and_merge_order(self):
         buf = SpillableAppendOnlyMap(MemoryManager(), SUM)
@@ -128,37 +159,6 @@ class TestSpillableAppendOnlyMap:
             buf.insert_combiner(i % 600, 2)
         assert buf.spilled
         assert dict(buf.merged_items()) == {k: 10 for k in range(600)}
-
-    def test_merge_batch_keeps_a_granted_block_and_spills_a_denied_one(
-            self):
-        """A combined KeyedRowBlock survives whole when its booking is
-        granted in one shot; a denied booking takes the per-key
-        insert/spill path and still produces the same rows."""
-        from repro.engine import KeyedRowBlock
-        from repro.kernels import combine_rows_block
-        rows_agg = Aggregator(lambda v: v, lambda a, b: a + b,
-                              lambda a, b: a + b, combine_rows_block)
-        rng = np.random.default_rng(8)
-        batch = [KeyedRowBlock(rng.integers(0, 400, 1500),
-                               rng.standard_normal((1500, 2)))]
-
-        metrics = MetricsCollector()
-        free = MemoryManager(metrics=metrics)
-        (held,) = SpillableAppendOnlyMap(free, rows_agg).merge_batch(batch)
-        assert type(held) is KeyedRowBlock
-        # booked like the records it stands for, then fully returned
-        assert metrics.memory.execution_peak_bytes == \
-            len(held) * (24 + 8 * 2)
-        assert free.execution_used == 0
-
-        metrics = MetricsCollector()
-        tight = MemoryManager(total_bytes=6000, memory_fraction=1.0,
-                              storage_fraction=0.1, metrics=metrics)
-        spilled = SpillableAppendOnlyMap(tight, rows_agg).merge_batch(batch)
-        assert metrics.memory.shuffle_spill_count > 0
-        assert tight.execution_used == 0
-        got = {k: row.tobytes() for k, row in spilled}
-        assert got == {k: row.tobytes() for k, row in held.to_records()}
 
     def test_reduce_by_key_spills_and_matches_unbounded(self):
         data = [(i % 500, float(i)) for i in range(1500)]

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.engine import HashPartitioner, RangePartitioner, stable_hash
 
+from ..strategies import examples
+
 keys = st.one_of(
     st.integers(min_value=-10**12, max_value=10**12),
     st.text(max_size=30),
@@ -55,12 +57,12 @@ class TestStableHash:
             stable_hash([1, 2])
 
     @given(keys)
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_always_nonnegative(self, key):
         assert stable_hash(key) >= 0
 
     @given(keys)
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_repeatable(self, key):
         assert stable_hash(key) == stable_hash(key)
 
@@ -91,7 +93,7 @@ class TestHashPartitioner:
         assert min(counts) > 800  # near 1000 each
 
     @given(keys, st.integers(min_value=1, max_value=64))
-    @settings(max_examples=60)
+    @settings(max_examples=examples(60))
     def test_property_in_range(self, key, n):
         assert 0 <= HashPartitioner(n).get_partition(key) < n
 
@@ -129,7 +131,7 @@ class TestRangePartitioner:
     @given(st.lists(st.integers(min_value=0, max_value=1000),
                     min_size=1, max_size=10, unique=True),
            st.integers(min_value=0, max_value=2000))
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_matches_linear_scan(self, bounds, key):
         p = RangePartitioner(bounds)
         expected = sum(1 for b in sorted(bounds) if key >= b)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.engine import Context, HashPartitioner
 
+from ..strategies import examples
+
 int_lists = st.lists(st.integers(min_value=-1000, max_value=1000),
                      max_size=60)
 
@@ -39,7 +41,7 @@ class TestMap:
                        preserves_partitioning=True).partitioner is not None
 
     @given(int_lists)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_map_property(self, xs):
         with Context(num_nodes=2, default_parallelism=3) as ctx:
             assert ctx.parallelize(xs).map(lambda x: x + 1).collect() == \

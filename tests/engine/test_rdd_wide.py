@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.engine import Context, HashPartitioner
 
+from ..strategies import examples
+
 kv_lists = st.lists(
     st.tuples(st.integers(min_value=0, max_value=20),
               st.integers(min_value=-100, max_value=100)),
@@ -61,7 +63,7 @@ class TestReduceByKey:
         assert on == off
 
     @given(kv_lists)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_matches_counter(self, pairs):
         with Context(num_nodes=2, default_parallelism=3) as ctx:
             out = ctx.parallelize(pairs).reduce_by_key(
@@ -157,7 +159,7 @@ class TestJoin:
                     max_size=30),
            st.lists(st.tuples(st.integers(0, 10), st.integers(0, 5)),
                     max_size=30))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_join_matches_python(self, left, right):
         with Context(num_nodes=2, default_parallelism=3) as ctx:
             out = sorted(ctx.parallelize(left, 2)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.engine import Context
 
+from ..strategies import examples
+
 kv_lists = st.lists(
     st.tuples(st.integers(0, 15), st.integers(-50, 50)), max_size=50)
 
@@ -19,7 +21,7 @@ def fresh_ctx():
 
 class TestReduceEquivalences:
     @given(kv_lists)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_reduce_by_key_equals_group_then_sum(self, pairs):
         with fresh_ctx() as ctx:
             rdd = ctx.parallelize(pairs, 3)
@@ -32,7 +34,7 @@ class TestReduceEquivalences:
         assert reduced == grouped
 
     @given(kv_lists)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_combine_on_off_agree(self, pairs):
         with fresh_ctx() as ctx:
             rdd = ctx.parallelize(pairs, 3)
@@ -45,7 +47,7 @@ class TestReduceEquivalences:
 
 class TestJoinEquivalences:
     @given(kv_lists, kv_lists)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_join_equals_cogroup_product(self, left, right):
         with fresh_ctx() as ctx:
             l_rdd = ctx.parallelize(left, 2)
@@ -58,7 +60,7 @@ class TestJoinEquivalences:
         assert joined == via_cogroup
 
     @given(kv_lists, kv_lists)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_outer_joins_partition_the_key_space(self, left, right):
         with fresh_ctx() as ctx:
             l_rdd = ctx.parallelize(left, 2)
@@ -72,7 +74,7 @@ class TestJoinEquivalences:
 
 class TestAggregateEquivalence:
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=40))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_tree_aggregate_equals_python_sum(self, xs):
         with fresh_ctx() as ctx:
             total = ctx.parallelize(xs, 4).tree_aggregate(
@@ -81,7 +83,7 @@ class TestAggregateEquivalence:
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=40),
            st.integers(2, 6))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_partitioning_never_changes_results(self, xs, parts):
         with fresh_ctx() as ctx:
             a = ctx.parallelize(xs, parts).map(lambda x: (x % 3, x))\

@@ -13,6 +13,8 @@ from repro.engine.serialization import (CONTAINER_OVERHEAD, RECORD_OVERHEAD,
                                         estimate_record_size, estimate_size,
                                         serialize_partition)
 
+from ..strategies import examples
+
 
 class TestEstimateSize:
     def test_scalar(self):
@@ -69,7 +71,7 @@ class TestEstimateSize:
                                            allow_infinity=False),
                   st.text(max_size=5)),
         lambda children: st.tuples(children, children), max_leaves=8))
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     def test_positive_and_deterministic(self, obj):
         size = estimate_size(obj)
         assert size > 0

@@ -16,7 +16,7 @@ from repro.engine.metrics import ShuffleReadMetrics, ShuffleWriteMetrics
 from repro.engine.serialization import wire_bytes_per_row
 from repro.engine.shuffle import Aggregator, ShuffleManager
 
-from ..strategies import integer_keys
+from ..strategies import examples, integer_keys
 
 
 @pytest.fixture
@@ -212,7 +212,7 @@ def exact(obj):
 
 
 class TestRunLayout:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(map_stage())
     def test_read_is_the_rows_of_the_bucket_in_map_then_arrival_order(
             self, stage):

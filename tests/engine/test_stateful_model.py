@@ -17,6 +17,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from repro.engine import Context
 
+from ..strategies import examples
+
 
 class RDDModelMachine(RuleBasedStateMachine):
     def __init__(self):
@@ -82,6 +84,6 @@ class RDDModelMachine(RuleBasedStateMachine):
 
 
 TestRDDModel = RDDModelMachine.TestCase
-TestRDDModel.settings = settings(max_examples=12,
+TestRDDModel.settings = settings(max_examples=examples(12),
                                  stateful_step_count=12,
                                  deadline=None)

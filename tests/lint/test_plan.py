@@ -194,8 +194,7 @@ def test_coo_mttkrp_plan_has_no_untyped_or_record_hop():
         assert forms == {
             "tensor-coo": "blocks", "factor": "keyed-rows",
             "coo-key-mode2": "blocks", "coo-acc-mode2": "blocks",
-            "coo-acc-mode1": "keyed-rows", "combineByKey": "keyed-rows",
-            "mttkrp-0": "keyed-rows"}
+            "coo-acc-mode1": "keyed-rows", "mttkrp-0": "keyed-rows"}
         assert rules(audit_graph(graph)) == []
         for rdd in (tensor_rdd, *factor_rdds):
             rdd.unpersist()
@@ -271,7 +270,7 @@ def test_qcoo_mttkrp_plan_is_block_joins_only():
             "qcoo-init-enqueue0": "blocks",
             "qcoo-init-enqueue1": "blocks", "qcoo-queue": "blocks",
             "qcoo-rotate": "blocks", "qcoo-partials": "keyed-rows",
-            "combineByKey": "keyed-rows", "mttkrp-0": "keyed-rows"}
+            "mttkrp-0": "keyed-rows"}
         classes = {n.cls for n in graph.nodes.values()}
         assert "BlockJoinRDD" in classes
         assert "CoGroupedRDD" not in classes

@@ -138,7 +138,7 @@ def test_keyword_callable_arguments_checked():
     report = scan_source(
         "import random\n"
         "rdd.top(3, key=lambda r: random.random())\n"
-        "rdd.combine_by_key(f, f, f, combine_batch=lambda rs: {\n"
+        "rdd.combine_by_key(f, f, merge_combiners=lambda rs: {\n"
         "    random.choice(rs)})\n",
         "prog.py")
     assert [f.location for f in report.sorted_findings()] \

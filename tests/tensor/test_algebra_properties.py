@@ -10,14 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
-from strategies import coo_tensors, tensors_with_factors  # noqa: E402
+from strategies import (  # noqa: E402
+    coo_tensors, examples, tensors_with_factors)
 
 from repro.tensor import COOTensor, mttkrp, unfold
 
 
 class TestMTTKRPProperties:
     @given(tensors_with_factors())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_linear_in_values(self, tf):
         """MTTKRP is linear in the tensor values."""
         tensor, factors = tf
@@ -28,7 +29,7 @@ class TestMTTKRPProperties:
                                2.0 * mttkrp(tensor, factors, mode))
 
     @given(tensors_with_factors())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_additive_in_tensor(self, tf):
         """MTTKRP(X + Y) = MTTKRP(X) + MTTKRP(Y)."""
         tensor, factors = tf
@@ -44,7 +45,7 @@ class TestMTTKRPProperties:
                 mttkrp(a, factors, mode) + mttkrp(b, factors, mode))
 
     @given(tensors_with_factors())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_factor_scaling_passes_through(self, tf):
         """Scaling one fixed factor scales the result; scaling the
         update-mode factor changes nothing."""
@@ -64,7 +65,7 @@ class TestMTTKRPProperties:
 
 class TestTensorAlgebraProperties:
     @given(coo_tensors())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_dedup_idempotent(self, tensor):
         once = tensor.deduplicate()
         twice = once.deduplicate()
@@ -72,7 +73,7 @@ class TestTensorAlgebraProperties:
         assert np.allclose(once.values, twice.values)
 
     @given(coo_tensors())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_transpose_preserves_norm_and_nnz(self, tensor):
         assume(tensor.order >= 2)
         order = tuple(reversed(range(tensor.order)))
@@ -81,7 +82,7 @@ class TestTensorAlgebraProperties:
         assert t.norm() == pytest.approx(tensor.norm())
 
     @given(coo_tensors())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_add_commutative(self, tensor):
         assume(tensor.nnz > 1)
         half = tensor.nnz // 2
@@ -94,14 +95,14 @@ class TestTensorAlgebraProperties:
         assert np.allclose(ab.values, ba.values)
 
     @given(coo_tensors())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_scale_distributes_over_norm(self, tensor):
         assume(tensor.nnz > 0)
         assert tensor.scale(-2.0).norm() == pytest.approx(
             2.0 * tensor.norm())
 
     @given(coo_tensors(min_order=2, max_order=3))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_unfold_preserves_frobenius_norm(self, tensor):
         assume(tensor.nnz > 0)
         for mode in range(tensor.order):
@@ -110,7 +111,7 @@ class TestTensorAlgebraProperties:
                 tensor.norm())
 
     @given(coo_tensors())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_records_roundtrip(self, tensor):
         assume(tensor.nnz > 0)
         back = COOTensor.from_records(tensor.records(), tensor.shape)
@@ -118,7 +119,7 @@ class TestTensorAlgebraProperties:
         assert np.allclose(back.values, tensor.values)
 
     @given(coo_tensors())
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_slice_counts_sum_to_nnz(self, tensor):
         for mode in range(tensor.order):
             assert tensor.mode_slice_counts(mode).sum() == tensor.nnz

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.tensor import COOTensor, uniform_sparse
 
+from ..strategies import examples
+
 
 def simple_tensor() -> COOTensor:
     idx = np.array([[0, 0, 0], [1, 2, 3], [1, 2, 3], [2, 1, 0]])
@@ -188,7 +190,7 @@ class TestDiagnostics:
         assert "COOTensor" in repr(simple_tensor())
 
     @given(st.integers(min_value=1, max_value=100))
-    @settings(max_examples=25)
+    @settings(max_examples=examples(25))
     def test_uniform_generator_density_invariant(self, nnz):
         t = uniform_sparse((10, 10, 10), nnz, rng=0)
         assert t.nnz <= nnz

@@ -12,6 +12,8 @@ from repro.tensor import (COOTensor, cp_fit, cp_inner_product, cp_model_norm,
                           mttkrp, mttkrp_via_unfolding, random_factors,
                           uniform_sparse)
 
+from ..strategies import examples
+
 shapes3 = st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6))
 
 
@@ -124,7 +126,7 @@ class TestMTTKRP:
         assert out.shape == (small_tensor.shape[0], 1)
 
     @given(shapes3, st.integers(1, 3), st.integers(0, 2))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_property_vs_dense(self, shape, rank, mode):
         rng = np.random.default_rng(0)
         t = uniform_sparse(shape, 10, rng=1)

@@ -11,6 +11,8 @@ from repro.tensor import (COOTensor, bin_values, column_strides,
                           delinearize_column, fold, linearize_columns,
                           unfold, uniform_sparse)
 
+from ..strategies import examples
+
 
 class TestStrides:
     def test_mode0_of_3d(self):
@@ -41,7 +43,7 @@ class TestLinearize:
 
     @given(st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)),
            st.integers(0, 2), st.data())
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     def test_roundtrip_property(self, shape, mode, data):
         idx = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
         t = COOTensor(np.array([idx]), np.array([1.0]), shape)
