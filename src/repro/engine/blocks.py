@@ -79,7 +79,7 @@ class ColumnarBlock:
     a plain tensor slice.
     """
 
-    __slots__ = ("columns", "values", "rows", "key_mode")
+    __slots__ = ("columns", "values", "rows", "key_mode", "__weakref__")
 
     columns: tuple[IndexArray, ...]
     values: ValueArray
@@ -231,7 +231,7 @@ class ColumnarBlock:
 class KeyedRowBlock:
     """A batch of ``(int key, float64 row)`` pairs in dense layout."""
 
-    __slots__ = ("keys", "rows")
+    __slots__ = ("keys", "rows", "__weakref__")
 
     keys: IndexArray
     rows: ValueArray
@@ -305,35 +305,47 @@ class KeyedRowBlock:
 # ----------------------------------------------------------------------
 # partition views: blocks as records, many blocks as one
 # ----------------------------------------------------------------------
+def row_arrays(block: Any) -> list[npt.NDArray[Any]]:
+    """A block's row-aligned arrays: keys and rows, or the index
+    columns, the values and the rows it carries (if any)."""
+    if type(block) is KeyedRowBlock:
+        return [block.keys, block.rows]
+    extra = [] if block.rows is None else [block.rows]
+    return [*block.columns, block.values, *extra]
+
+
+def with_row_arrays(like: Any, arrays: Sequence[npt.NDArray[Any]]) -> Any:
+    """A block laid out as ``like`` over :func:`row_arrays`' arrays."""
+    if type(like) is KeyedRowBlock:
+        return KeyedRowBlock(*arrays)
+    n = like.order
+    rows = None if like.rows is None else arrays[n + 1]
+    return ColumnarBlock(arrays[:n], arrays[n], rows, like.key_mode)
+
+
+def layout(block: Any) -> tuple[Any, ...]:
+    """Type, key mode and per-row shapes: what concatenated blocks share."""
+    return (type(block).__name__, getattr(block, "key_mode", None),
+            tuple(a.shape[1:] for a in row_arrays(block)))
+
+
 def concat_ranges(ranges: Sequence[tuple[Any, int, int]]) -> Any:
     """One block from ``(block, start, stop)`` row ranges, in the given
     order: every column is sliced and concatenated raw, so no block is
-    built per range — a shuffle read assembles a reduce partition from
-    one range per map output this way."""
+    built per range."""
     first, start, stop = ranges[0]
     if len(ranges) == 1:    # nothing to join: a view, not a copy
         return (first if stop - start == len(first)
                 else first.take(slice(start, stop)))
-    kinds = {("keyed rows", b.rank) if type(b) is KeyedRowBlock
-             else (b.order, b.key_mode,
-                   None if b.rows is None else b.rows.shape[1:])
-             for b, _, _ in ranges}
+    kinds = {layout(b) for b, _, _ in ranges}
     if len(kinds) > 1:
         raise ValueError(
-            "cannot concat blocks that disagree on order, on key_mode "
-            "or on rows (carried or not, queue length, rank); got "
-            f"(order, key_mode, rows shape per nonzero) = {kinds}")
-    if type(first) is KeyedRowBlock:
-        return KeyedRowBlock(
-            np.concatenate([b.keys[lo:hi] for b, lo, hi in ranges]),
-            np.concatenate([b.rows[lo:hi] for b, lo, hi in ranges]))
-    cols = tuple(
-        np.concatenate([b.columns[m][lo:hi] for b, lo, hi in ranges])
-        for m in range(first.order))
-    vals = np.concatenate([b.values[lo:hi] for b, lo, hi in ranges])
-    rows = (None if first.rows is None
-            else np.concatenate([b.rows[lo:hi] for b, lo, hi in ranges]))
-    return ColumnarBlock(cols, vals, rows, first.key_mode)
+            "cannot concat blocks that disagree on type, key_mode or "
+            f"per-row shapes (order, rows, queue length, rank): {kinds}")
+    columns = zip(*(row_arrays(b) for b, _, _ in ranges))
+    return with_row_arrays(first, [
+        np.concatenate([a[lo:hi] for a, (_, lo, hi) in zip(arrays, ranges)])
+        for arrays in columns])
 
 
 def is_block(obj: object) -> bool:

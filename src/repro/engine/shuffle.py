@@ -1,57 +1,49 @@
-"""Shuffle manager: bucketed map outputs with local/remote byte accounting.
+"""Shuffle manager: map outputs placed in reduce order once per shuffle.
 
-A *shuffle* moves the output of a map stage to the reduce tasks of the
-next stage.  Each map task hashes every record's key through the child
-partitioner into one bucket per reduce partition; reduce tasks then fetch
-their bucket from every map task.  A fetched block is **local** when the
-map output and the reduce partition live on the same node, and
-**remote** otherwise — this is precisely the local/remote split Spark's
-metrics report and that Figure 4 of the paper is built from.
+Each map task hashes its records' keys through the child partitioner
+into one bucket per reduce partition.  A fetched (map, reduce) pair is
+**local** when both share a node and **remote** otherwise — Figure 4's
+split — and a bucket is charged what its rows cost as records.
 
-A keyed block is stored the way Spark's sort-based shuffle writes a map
-task's file: **once**, its rows gathered into reduce-partition order,
-beside an ``offsets[num_partitions + 1]`` index.  Bucket ``p`` is the
-row range ``offsets[p]:offsets[p + 1]``, charged ``rows ×
-wire_bytes_per_row`` (what the same rows cost as records), and a reduce
-task concatenates one range per map output into a single block.  Loose
-records keep a list per bucket.
+A keyed block is written as the map task made it, beside its rows'
+reduce partitions.  The first read of a complete shuffle builds its
+**store**: one stable argsort of all map outputs' partition ids in map
+order, and one block allocated once, into which each output's rows are
+scattered in (reduce partition, map partition, arrival) order.  Each
+map array is dropped once placed, so the store *replaces* the map
+blocks (an output keeps its node and its rows and bytes per bucket),
+and every read returns a zero-copy slice of it.  Losing an output
+(``invalidate_node``) or rewriting one (lineage, after a lost node, a
+corrupt blob or a resubmitted stage) retires the store; the survivors'
+rows stay in it, and the next read rebuilds it in the same order from
+them and the fresh blocks.
 
-Map-side combining (Spark's ``reduceByKey`` behaviour) is supported: when
-an aggregator is attached to the dependency, its :meth:`Aggregator.combine`
-pre-merges each map task's records per key, shrinking the shuffle.
-
-Fault tolerance: every map output records the node that wrote it.
-Killing a node (``invalidate_node``) discards its outputs, and a reduce
-task that later finds its shuffle incomplete raises
-:class:`~repro.engine.errors.FetchFailedError` — the scheduler answers
-by resubmitting the parent shuffle-map stage from lineage.  A
-:class:`~repro.engine.faults.FaultInjector` may additionally inject
-transient fetch failures per block.
-
-One engine thread (see :mod:`repro.engine.backends`): nothing here
-locks anything.  Reads iterate map
-outputs in sorted map-partition order, so fetched record order — and
-therefore every downstream reduction — is independent of the order map
-tasks wrote in.
-
-Data integrity: with ``EngineConf.integrity`` on, every bucket — a
-run's row range cut out as a block of its own — is additionally
-serialized and CRC-sealed at write time and re-verified on every fetch
-(see :mod:`repro.engine.integrity`).  A corrupt block never
-reaches the reduce task — the reader drops the writer's map output and
-raises :class:`~repro.engine.errors.CorruptedBlockError`, which the
-scheduler heals exactly like a fetch failure, by resubmitting the
-parent map stage from lineage.
+Per (map, reduce) pair stay: the fetch-fault draw, for each pair whose
+bucket holds rows, in map order; the local/remote booking, pairs before
+an injected failure included; and, with ``EngineConf.integrity`` on, a
+CRC-sealed blob per bucket that a fetch decodes once verified
+(:mod:`repro.engine.integrity`).  A sealed shuffle, or one of loose
+records (a list per bucket), stores no rows, only its pairs: its reads
+walk the map outputs in arrival order.  A corrupt blob drops its
+writer's output (:class:`~repro.engine.errors.CorruptedBlockError`), a
+read of an incomplete shuffle raises
+:class:`~repro.engine.errors.FetchFailedError`, and the scheduler heals
+both by resubmitting the parent map stage.  An aggregator pre-merges
+each map task's records per key (Spark's map-side combine).  One engine
+thread: nothing here locks; fetches run in sorted map order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Any, Callable, Iterable, NamedTuple, TYPE_CHECKING
 
-from .blocks import (concat_ranges, is_block, is_keyed_block,
-                     partition_order)
+import numpy as np
+
+from .blocks import (is_block, is_keyed_block, layout, partition_order,
+                     row_arrays, with_row_arrays)
 from .cluster import Cluster
 from .errors import CorruptedBlockError, FetchFailedError
 from .metrics import ShuffleReadMetrics, ShuffleWriteMetrics
@@ -104,74 +96,70 @@ class Aggregator:
         return buffer.merged_items()
 
 
+def _by_row(a: np.ndarray) -> np.ndarray:
+    """Contiguous ``a`` as one opaque item per row (if 2-D+, rows not
+    empty): a fancy index then moves rows ~10x faster than on ``a``."""
+    width = a.itemsize * math.prod(a.shape[1:])
+    return a if a.ndim == 1 or not width else a.reshape(
+        len(a), width // a.itemsize).view(np.dtype((np.void, width)))[:, 0]
+
+
 class _Run(NamedTuple):
-    """One keyed block of a map output, gathered into reduce-partition
-    order: bucket ``p`` is rows ``offsets[p]:offsets[p + 1]``, each
-    charged ``row_bytes``."""
+    """A keyed block as the map task wrote it, and its rows' buckets."""
+
+    block: Any
+    pids: np.ndarray
+
+
+@dataclass
+class _Store:
+    """A shuffle's rows by (reduce partition, map, arrival), ``p`` at
+    ``offsets[p]:offsets[p + 1]`` (no ``block``: reads walk the outputs);
+    ``rows[p]``, ``nbytes[p]``: its share of each of ``maps`` (``nodes``)."""
 
     block: Any
     offsets: list[int]
-    row_bytes: int
+    maps: tuple[int, ...]
+    nodes: np.ndarray
+    rows: np.ndarray
+    nbytes: np.ndarray
 
-
-class _Range(NamedTuple):
-    """Rows ``start:stop`` of a stored run: one bucket's share of it."""
-
-    block: Any
-    start: int
-    stop: int
+    def cut(self, map_partition: int) -> _Run:
+        """One map output's rows cut back out, in reduce order."""
+        i = self.maps.index(map_partition)
+        counts = self.rows[:, i]
+        starts = np.asarray(self.offsets[:-1]) + self.rows[:, :i].sum(1)
+        index = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+                 + np.arange(counts.sum()))
+        return _Run(self.block.take(index),
+                    np.repeat(np.arange(len(counts)), counts))
 
 
 @dataclass
 class _MapOutput:
-    """What one map task wrote, in arrival order: each keyed block
-    once, as a :class:`_Run`, and each stretch of loose records as a
-    ``{bucket: [records]}`` dict."""
+    """A map task's :class:`_Run` per keyed block and ``{bucket: [records]}``
+    per loose stretch, in arrival order, until a ``store`` (or integrity's
+    blobs) holds them; ``rows`` and ``nbytes`` count each bucket."""
 
-    map_partition: int
-    #: node that executed the map task (its loss invalidates the output)
-    node: int = 0
+    node: int
+    rows: np.ndarray
+    nbytes: np.ndarray
     segments: list = field(default_factory=list)
-    #: records held, a run's rows counted one each
-    records: int = 0
-    #: bytes of each bucket's loose records (a run's are a closed form
-    #: of its offsets)
-    record_bytes: dict[int, int] = field(default_factory=dict)
-    #: integrity mode only: serialized bucket blobs and their CRC-32
-    #: seals; reads deserialize the *verified* blob so corrupt bytes
-    #: can never reach a reduce task
+    store: _Store | None = None
+    #: integrity mode only: each bucket's serialized blob and its CRC-32
     bucket_blobs: dict[int, bytes] = field(default_factory=dict)
     bucket_checksums: dict[int, int] = field(default_factory=dict)
 
-    def bucket(self, reduce_partition: int) -> tuple[list, int, int]:
-        """``(items, bytes, records)`` of one bucket; the items are its
-        loose records and a :class:`_Range` per run holding rows for
-        it, in arrival order."""
+    def bucket(self, reduce_partition: int) -> list:
+        """One bucket's runs' rows (a block each) and loose records."""
         items: list = []
-        nbytes = self.record_bytes.get(reduce_partition, 0)
-        count = 0
         for segment in self.segments:
             if type(segment) is _Run:
-                start = segment.offsets[reduce_partition]
-                stop = segment.offsets[reduce_partition + 1]
-                if stop > start:
-                    items.append(_Range(segment.block, start, stop))
-                    nbytes += (stop - start) * segment.row_bytes
-                    count += stop - start
+                at = np.flatnonzero(segment.pids == reduce_partition)
+                items.extend([segment.block.take(at)] if len(at) else ())
             else:
-                records = segment.get(reduce_partition, ())
-                items.extend(records)
-                count += len(records)
-        return items, nbytes, count
-
-
-def _assemble(items: list) -> list:
-    """What a reduce task is handed: every stretch of adjacent row
-    ranges concatenated into one block, loose records as they are."""
-    fetched: list = []
-    for ranges, group in groupby(items, lambda it: type(it) is _Range):
-        fetched.extend([concat_ranges(list(group))] if ranges else group)
-    return fetched
+                items.extend(segment.get(reduce_partition, ()))
+        return items
 
 
 class ShuffleManager:
@@ -186,6 +174,8 @@ class ShuffleManager:
         self.memory = memory
         self.integrity = integrity
         self._shuffles: dict[int, dict[int, _MapOutput]] = {}
+        #: shuffle id -> its store, until a map output is lost or rewritten
+        self._stores: dict[int, _Store] = {}
         #: shuffle id -> expected map-partition count
         self._num_maps: dict[int, int] = {}
         self._next_shuffle_id = 0
@@ -225,66 +215,50 @@ class ShuffleManager:
                 records, memory=self.memory, integrity=self.integrity,
                 site=("map", shuffle_id, map_partition))
 
-        output = _MapOutput(
-            map_partition=map_partition,
-            node=self.cluster.node_of_partition(map_partition))
         num_partitions = partitioner.num_partitions
-        get_partition = partitioner.get_partition
-        record_bytes = output.record_bytes
+        output = _MapOutput(self.cluster.node_of_partition(map_partition),
+                            *np.zeros((2, num_partitions), np.int64))
         loose: dict[int, list] | None = None
-        n_records = 0
-        n_bytes = 0
         for record in records:
             if is_keyed_block(record):
-                # columnar fast path: place all keys in one vectorized
-                # call and store the block once, gathered into bucket
-                # order, charged as the records it stands for
+                # one vectorized placement; the block is kept as it is
                 loose = None
-                if not len(record):
-                    continue
-                order, offsets = partition_order(
-                    partitioner.partition_int_keys(record.keys),
-                    num_partitions)
-                run = _Run(record.take(order), offsets.tolist(),
-                           wire_bytes_per_row(record))
-                output.segments.append(run)
-                n_records += len(record)
-                n_bytes += len(record) * run.row_bytes
+                if len(record):
+                    pids = partitioner.partition_int_keys(record.keys)
+                    counts = np.bincount(pids, minlength=num_partitions)
+                    output.segments.append(_Run(record, pids.astype(
+                        np.min_scalar_type(num_partitions - 1))))
+                    output.rows += counts
+                    output.nbytes += counts * wire_bytes_per_row(record)
                 continue
-            bucket = get_partition(record[0])
-            size = estimate_record_size(record)
+            bucket = partitioner.get_partition(record[0])
             if loose is None:
                 loose = {}
                 output.segments.append(loose)
             loose.setdefault(bucket, []).append(record)
-            record_bytes[bucket] = record_bytes.get(bucket, 0) + size
-            n_records += 1
-            n_bytes += size
+            output.rows[bucket] += 1
+            output.nbytes[bucket] += estimate_record_size(record)
         if self.integrity is not None and self.integrity.enabled:
-            for bucket in range(num_partitions):
-                items = output.bucket(bucket)[0]
-                if not items:
-                    continue
-                blob = serialize_partition([
-                    item.block.take(slice(item.start, item.stop))
-                    if type(item) is _Range else item for item in items])
+            for bucket in np.flatnonzero(output.rows).tolist():
+                blob = serialize_partition(output.bucket(bucket))
                 output.bucket_blobs[bucket] = blob
                 output.bucket_checksums[bucket] = self.integrity.seal(blob)
-        output.records = n_records
-        # dropped shuffles (drop_shuffle_outputs) may be re-written when
-        # lineage is recomputed; re-register lazily
+            output.segments = []    # every read decodes a sealed blob
+        # dropped shuffles may be re-written by lineage: re-register
+        # lazily; a rewritten map output retires the store
         self._shuffles.setdefault(shuffle_id, {})[map_partition] = \
             output
-        write_metrics.bytes_written += n_bytes
-        write_metrics.records_written += n_records
+        self._stores.pop(shuffle_id, None)
+        write_metrics.bytes_written += int(output.nbytes.sum())
+        write_metrics.records_written += int(output.rows.sum())
 
     # ------------------------------------------------------------------
     # reduce side
     # ------------------------------------------------------------------
     def read(self, shuffle_id: int, reduce_partition: int,
              read_metrics: ShuffleReadMetrics) -> list:
-        """Fetch all blocks of ``reduce_partition``, accounting each block
-        as local or remote based on the writer's node placement.
+        """Fetch all blocks of ``reduce_partition``, accounting each
+        (map, reduce) pair as local or remote by its writer's node.
 
         Raises :class:`FetchFailedError` when the shuffle's declared map
         outputs are incomplete (a writer node died and its blocks were
@@ -314,47 +288,97 @@ class ShuffleManager:
                 shuffle_id=shuffle_id,
                 reduce_partition=reduce_partition,
                 missing_map_partitions=missing)
-        # snapshot in sorted map-partition order: fetch order (and
-        # thus reduce-side record order) must not depend on write
-        # interleaving or on recovery re-insertion order
-        snapshot = sorted(outputs.items())
-        reduce_node = self.cluster.node_of_partition(reduce_partition)
-        fetched: list = []
-        for map_partition, output in snapshot:
-            items, nbytes, n_fetched = output.bucket(reduce_partition)
-            if not items:
-                continue
-            if self.faults is not None:
-                self.faults.maybe_fail_fetch(shuffle_id, map_partition,
-                                             reduce_partition)
-            if self.integrity is not None and self.integrity.enabled:
-                items = [
-                    _Range(item, 0, len(item)) if is_block(item) else item
-                    for item in self._verified_block(
-                        shuffle_id, map_partition, reduce_partition,
-                        output)]
-            if output.node == reduce_node:
-                read_metrics.local_bytes += nbytes
-                read_metrics.local_records += n_fetched
-            else:
-                read_metrics.remote_bytes += nbytes
-                read_metrics.remote_records += n_fetched
-            fetched.extend(items)
-        return _assemble(fetched)
+        if not outputs:
+            return []
+        store = self._stores.get(shuffle_id) or self._build_store(
+            shuffle_id, outputs)
+        walk = store.block is None
+        sealed = self.integrity is not None and self.integrity.enabled
+        shares = store.rows[reduce_partition]
+        fetched, failure, items = np.flatnonzero(shares), None, []
+        for done, i in enumerate(fetched.tolist() if walk
+                                 or self.faults is not None else ()):
+            m = store.maps[i]
+            try:
+                if self.faults is not None:
+                    self.faults.maybe_fail_fetch(shuffle_id, m,
+                                                 reduce_partition)
+                if walk:
+                    items.extend(self._verified_block(
+                        shuffle_id, m, reduce_partition, outputs[m])
+                        if sealed else outputs[m].bucket(reduce_partition))
+            except FetchFailedError as exc:
+                fetched, failure = fetched[:done], exc
+                break
+        # the pairs fetched before a failure are booked too
+        local = store.nodes[fetched] == \
+            self.cluster.node_of_partition(reduce_partition)
+        rows, nbytes = shares[fetched], store.nbytes[reduce_partition, fetched]
+        read_metrics.local_bytes += int(nbytes[local].sum())
+        read_metrics.local_records += int(rows[local].sum())
+        read_metrics.remote_bytes += int(nbytes[~local].sum())
+        read_metrics.remote_records += int(rows[~local].sum())
+        if failure is not None:
+            raise failure
+        if walk:    # adjacent blocks joined into one, as a store slice is
+            joined: list = []
+            for blocks, group in groupby(items, is_block):
+                group = list(group)
+                joined.extend([type(group[0]).concat(group)] if blocks
+                              else group)
+            return joined
+        start, stop = store.offsets[reduce_partition:reduce_partition + 2]
+        return [store.block.take(slice(start, stop))] if stop > start \
+            else []
+
+    def _build_store(self, shuffle_id: int,
+                     outputs: dict[int, _MapOutput]) -> _Store:
+        """The shuffle's pairs in map order and, unless sealed, loose or
+        empty (reads then walk the outputs), its runs' rows placed in one
+        block (a retired store's outputs are cut back out of it first)."""
+        maps, outs = zip(*sorted(outputs.items()))
+        store = self._stores[shuffle_id] = _Store(
+            None, [], maps, np.array([out.node for out in outs]),
+            np.stack([out.rows for out in outs], 1),
+            np.stack([out.nbytes for out in outs], 1))
+        if self.integrity is not None and self.integrity.enabled or any(
+                type(s) is dict for out in outs for s in out.segments):
+            return store
+        runs = [run for m, out in zip(maps, outs) for run in (
+            [out.store.cut(m)] if out.store is not None else out.segments)]
+        if not runs:
+            return store
+        if len({layout(run.block) for run in runs}) > 1:
+            raise ValueError(f"shuffle {shuffle_id} mixes block layouts")
+        order, offsets = partition_order(
+            np.concatenate([run.pids for run in runs]), len(outs[0].rows))
+        dest = np.empty_like(order)
+        dest[order] = np.arange(len(order))
+        del order
+        store.offsets = offsets.tolist()
+        store.block = with_row_arrays(runs[0].block, [
+            np.empty((len(dest), *a.shape[1:]), a.dtype)
+            for a in row_arrays(runs[0].block)])
+        for out in outs:
+            out.segments, out.store = [], store
+        ats = np.split(dest, np.cumsum([len(run.block) for run in runs])[:-1])
+        sources = [[_by_row(a) for a in row_arrays(run.block)] for run in runs]
+        del runs
+        # column by column (~1.6x faster than block by block: one column
+        # stays in cache), each map array dropped once its rows are placed
+        for k, column in enumerate(map(_by_row, row_arrays(store.block))):
+            for at, arrays in zip(ats, sources):
+                column[at], arrays[k] = arrays[k], None
+        return store
 
     def _verified_block(self, shuffle_id: int, map_partition: int,
                         reduce_partition: int,
                         output: _MapOutput) -> list:
-        """Integrity mode: return the block decoded from its verified
-        blob, never the in-memory record list.
-
-        On a checksum mismatch the writer's whole map output is dropped
-        (mirroring node loss) so the scheduler's lineage resubmission
-        rewrites it, and :class:`CorruptedBlockError` propagates to the
-        reduce task — a FetchFailedError subclass, so the existing
-        recovery path heals it; the task scheduler additionally charges
-        the writer node's health score.
-        """
+        """Integrity mode: the bucket decoded from its verified blob.  A
+        checksum mismatch drops the writer's whole map output, as a lost
+        node does, and raises :class:`CorruptedBlockError` (a
+        ``FetchFailedError``: lineage rewrites the output; the task
+        scheduler also charges the writer node's health)."""
         blob = output.bucket_blobs[reduce_partition]
         checksum = output.bucket_checksums[reduce_partition]
         good = self.integrity.checked_read(
@@ -380,18 +404,21 @@ class ShuffleManager:
         ``FetchFailedError`` and trigger lineage resubmission."""
         outputs_lost = 0
         records_lost = 0
-        for shuffle_outputs in self._shuffles.values():
+        for shuffle_id, shuffle_outputs in self._shuffles.items():
             doomed = [p for p, out in shuffle_outputs.items()
                       if out.node == node_id]
+            if doomed:  # the survivors' rows stay in the retired store
+                self._stores.pop(shuffle_id, None)
             for p in doomed:
                 output = shuffle_outputs.pop(p)
                 outputs_lost += 1
-                records_lost += output.records
+                records_lost += int(output.rows.sum())
         return outputs_lost, records_lost
 
     def remove_shuffle(self, shuffle_id: int) -> None:
-        """Discard one shuffle's map outputs."""
+        """Discard one shuffle's map outputs and its store."""
         self._shuffles.pop(shuffle_id, None)
+        self._stores.pop(shuffle_id, None)
 
     def clear(self) -> None:
         """Discard all map outputs (recomputed from lineage on demand).
@@ -399,3 +426,4 @@ class ShuffleManager:
         The declared map-partition counts are metadata, not data, and
         survive — recomputed shuffles re-register their outputs."""
         self._shuffles.clear()
+        self._stores.clear()

@@ -12,7 +12,7 @@ iteration still sorts; and source guards keep the next block-path
 sort from quietly being a merge sort again, the next driver from
 growing a second tensor representation or a second conversion point,
 ``core/cp_als.py`` free of per-row callables, and the join dataflows
-at one block per partition and one run per map output (a counting spy
+at one block per partition and one store per shuffle (a counting spy
 on the block constructors).
 """
 
@@ -427,9 +427,9 @@ def test_a_steady_state_iteration_sorts_only_where_it_must(
         driver, sampler, callers, monkeypatch):
     """A counting spy on ``stable_argsort``, wherever it is imported,
     armed once the first iteration (and the set-up before it) is over.
-    What is left to sort is the shuffle map side's partition order;
-    QCOO adds its canonical queue order (``qcoo_canonical``'s
-    ``by_coordinate``).  The broadcast and sampled MTTKRPs' products on
+    What is left to sort is each shuffle's partition order, once, as
+    its store is placed; QCOO adds its canonical queue order
+    (``qcoo_canonical``'s ``by_coordinate``).  The broadcast and sampled MTTKRPs' products on
     these tensors fit one ``PLANE_BYTES`` plane, so their fused fold is
     a ``bincount`` and sorts nothing either; joins, combines, reduces
     and the normalise step sort nothing."""
@@ -500,7 +500,7 @@ def test_the_tensor_has_one_representation_and_one_record_seam():
 
 
 # ----------------------------------------------------------------------
-# one block per partition, one run per map output: guards
+# one block per partition, one store per shuffle: guards
 # ----------------------------------------------------------------------
 def _function_source(path: pathlib.Path, cls: str, name: str) -> str:
     """Source text of method ``cls.name`` in one file."""
@@ -568,8 +568,9 @@ def test_one_factor_representation_and_one_shuffle_layout():
     ids=["coo-join", "qcoo"])
 def test_blocks_constructed_per_iteration_stay_within_three_per_task(
         driver, shape, monkeypatch):
-    """A task reads one block per input, builds one and stores one run:
-    at 32 partitions a steady-state iteration constructs at most 3
+    """A task reads one block per input (a slice of its shuffle's
+    store) and builds one, and each shuffle places one store: at 32
+    partitions a steady-state iteration constructs at most 3
     blocks per task (it was 20.8 and 11.5 per task with a block per
     (map, reduce) pair and a tuple per factor row).  The short last
     mode leaves most of its factor partitions empty.  (Integrity off:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,7 +312,7 @@ class TestRunIntegrity:
         clean = [mgr.read(sid, q, ShuffleReadMetrics()) for q in range(4)]
         output = mgr._shuffles[sid][1]
         assert sorted(output.bucket_blobs) == sorted(
-            q for q in range(4) if output.bucket(q)[0])
+            q for q in range(4) if output.rows[q])
         blob = output.bucket_blobs[2]
         output.bucket_blobs[2] = flip_byte(blob, len(blob) // 2)
         with pytest.raises(CorruptedBlockError) as err:
@@ -348,3 +351,177 @@ class TestRunIntegrity:
         assert seen.recompute_recoveries > 0
         assert exact([[b.to_records() for b in part] for part in healed]) \
             == exact([[b.to_records() for b in part] for part in clean])
+
+
+# ----------------------------------------------------------------------
+# the store: one placement per shuffle, rebuilt after recovery
+# ----------------------------------------------------------------------
+def read_all(mgr, sid, num_partitions):
+    """Every reduce partition's rows (as exact bytes) and metrics."""
+    reads = []
+    for p in range(num_partitions):
+        rm = ShuffleReadMetrics()
+        fetched = mgr.read(sid, p, rm)
+        reads.append((exact(list(iter_records(fetched))),
+                      dataclasses.asdict(rm)))
+    return reads
+
+
+class TestStoreRecovery:
+    @settings(max_examples=examples(60), deadline=None)
+    @given(map_stage(), st.sampled_from(["node", "corrupt", "dropped",
+                                         "rewritten"]), st.data())
+    def test_a_recovered_store_reads_as_a_never_read_twin(
+            self, stage, event, data):
+        """Read part of a shuffle (its store is built), then lose or
+        rewrite map outputs the way recovery does: a lost node, the drop
+        a failed CRC makes, a dropped shuffle, a resubmitted stage's
+        overwrite.  Once lineage rewrote what was lost, every partition
+        reads what a twin that was never read holds, byte for byte and
+        booked alike."""
+        num_partitions, tasks = stage
+        mgr, twin = (ShuffleManager(Cluster(num_nodes=2)),
+                     ShuffleManager(Cluster(num_nodes=2)))
+        sid, twin_sid = (mgr.new_shuffle_id(len(tasks)),
+                         twin.new_shuffle_id(len(tasks)))
+        for map_partition, blocks in enumerate(tasks):
+            write(mgr, sid, map_partition, blocks, parts=num_partitions)
+            write(twin, twin_sid, map_partition, blocks,
+                  parts=num_partitions)
+        for p in data.draw(st.sets(st.integers(0, num_partitions - 1),
+                                   min_size=1)):
+            mgr.read(sid, p, ShuffleReadMetrics())
+        built = mgr._stores.get(sid)
+        if event == "node":
+            mgr.invalidate_node(data.draw(st.sampled_from([0, 1])))
+        elif event == "corrupt":     # what a failed CRC check drops
+            mgr._shuffles[sid].pop(
+                data.draw(st.integers(0, len(tasks) - 1)))
+        elif event == "dropped":
+            mgr.remove_shuffle(sid)
+        lost = [m for m in range(len(tasks))
+                if m not in mgr._shuffles.get(sid, {})]
+        if lost:
+            with pytest.raises(FetchFailedError) as err:
+                mgr.read(sid, 0, ShuffleReadMetrics())
+            assert err.value.missing_map_partitions == tuple(lost)
+        rewritten = lost or data.draw(st.sets(
+            st.integers(0, len(tasks) - 1), min_size=1))
+        for m in sorted(rewritten):
+            write(mgr, sid, m, tasks[m], parts=num_partitions)
+        assert sid not in mgr._stores
+        retired = None if built is None else weakref.ref(built)
+        del built
+        assert read_all(mgr, sid, num_partitions) == \
+            read_all(twin, twin_sid, num_partitions)
+        # the rebuilt store holds every output (unless the shuffle has
+        # no rows to place); the retired one is gone
+        store = mgr._stores[sid]
+        assert store.block is None or all(
+            out.store is store and not out.segments
+            for out in mgr._shuffles[sid].values())
+        assert retired is None or retired() is None
+
+
+class TestStoreFetchFaults:
+    """A store fires the fetch-fault draws of the bucket walk."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_store_and_loose_records_draw_and_fail_alike(self, seed):
+        from repro.engine.faults import FaultInjector
+        rng = np.random.default_rng(seed)
+        blocks = [[KeyedRowBlock(rng.integers(0, 50, 40),
+                                 rng.standard_normal((40, 2)))]
+                  for _ in range(5)]
+
+        def fetches(as_records):
+            plan = FaultPlan(seed=seed, fetch_failure_prob=0.15)
+            faults = FaultInjector(plan, None)
+            mgr = ShuffleManager(Cluster(num_nodes=2), faults=faults)
+            sid = mgr.new_shuffle_id(len(blocks))
+            for m, written in enumerate(blocks):
+                write(mgr, sid, m, [rec for blk in written
+                                    for rec in blk.to_records()]
+                      if as_records else written, parts=6)
+            seen = []
+            for _ in range(3):
+                for p in range(6):
+                    rm = ShuffleReadMetrics()
+                    try:
+                        mgr.read(sid, p, rm)
+                        raised = None
+                    except FetchFailedError as exc:
+                        raised = (str(exc), exc.missing_map_partitions)
+                    seen.append((p, raised, dataclasses.asdict(rm)))
+            assert (mgr._stores[sid].block is None) == as_records
+            return seen, faults._fetch_reads
+        store, store_draws = fetches(False)
+        loose, loose_draws = fetches(True)
+        assert store == loose
+        assert store_draws == loose_draws
+        assert any(raised for _, raised, _ in store)
+        # each read drew the pairs holding rows, in map order, up to the
+        # one that failed, and booked the rows of those before it
+        pids = [HashPartitioner(6).partition_int_keys(written[0].keys)
+                for written in blocks]
+        draws: dict = {}
+        for p, raised, booked in store:
+            held = [m for m in range(len(blocks)) if (pids[m] == p).any()]
+            last = raised[1][0] if raised else len(blocks)
+            for m in held:
+                if m <= last:
+                    draws[(0, m, p)] = draws.get((0, m, p), 0) + 1
+            assert booked["local_records"] + booked["remote_records"] == \
+                sum(int((pids[m] == p).sum()) for m in held if m < last)
+        assert draws == store_draws
+
+
+class TestStoreLifetime:
+    def test_map_blocks_die_once_placed(self, mgr):
+        sid = mgr.new_shuffle_id(2)
+        refs = []
+        for m in range(2):
+            block = KeyedRowBlock(np.arange(50) % 7, np.ones((50, 2)))
+            refs.append(weakref.ref(block))
+            write(mgr, sid, m, [block])
+            del block
+        assert all(ref() is not None for ref in refs)
+        mgr.read(sid, 0, ShuffleReadMetrics())
+        assert all(ref() is None for ref in refs)
+        assert all(not out.segments
+                   for out in mgr._shuffles[sid].values())
+
+    @pytest.mark.parametrize("how", ["remove_shuffle", "clear",
+                                     "invalidate_node"])
+    def test_no_store_outlives_its_shuffle(self, how):
+        mgr = ShuffleManager(Cluster(num_nodes=2))
+        sid = mgr.new_shuffle_id(4)
+        for m in range(4):
+            write(mgr, sid, m, [KeyedRowBlock(np.arange(30) % 5,
+                                              np.ones((30, 2)))])
+        mgr.read(sid, 1, ShuffleReadMetrics())
+        store = weakref.ref(mgr._stores[sid])
+        if how == "invalidate_node":
+            mgr.invalidate_node(0)      # the survivors still hold it
+            assert sid not in mgr._stores and store() is not None
+            mgr.invalidate_node(1)
+        else:
+            getattr(mgr, how)(*([sid] if how == "remove_shuffle" else []))
+        assert not mgr._stores and store() is None
+
+    def test_drop_shuffle_outputs_leaves_no_store(self):
+        from repro.engine import Context
+        rng = np.random.default_rng(2)
+        blocks = [KeyedRowBlock(rng.integers(0, 40, 25),
+                                rng.standard_normal((25, 2)))
+                  for _ in range(4)]
+        with Context(num_nodes=2, default_parallelism=4) as ctx:
+            rows = ctx.parallelize_blocks(blocks).partition_by(
+                HashPartitioner(3)).collect()
+            assert sum(len(b) for b in rows) == 100
+            stores = [weakref.ref(s)
+                      for s in ctx._shuffle_manager._stores.values()]
+            assert stores
+            ctx.drop_shuffle_outputs()
+            assert not ctx._shuffle_manager._stores
+            assert all(ref() is None for ref in stores)

@@ -62,11 +62,13 @@ def test_memory_stays_bounded_over_iterations(big_tensor, big_init):
         CstfQCOO(ctx).decompose(big_tensor, 2, max_iterations=3,
                                 tol=0.0, initial_factors=big_init,
                                 compute_fit=False)
-        # all shuffle outputs dropped at iteration boundaries
+        # all shuffle outputs, and the stores that hold their rows,
+        # dropped at iteration boundaries
         live_shuffles = sum(
             1 for outputs in ctx._shuffle_manager._shuffles.values()
             if outputs)
         assert live_shuffles == 0
+        assert not ctx._shuffle_manager._stores
         # cache holds only the tensor and the live factor/queue RDDs:
         # far less than one tensor copy per iteration
         cached_entries = len(ctx._cache._entries)
