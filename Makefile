@@ -81,7 +81,18 @@ loc:
 # row-array view of both block types that the scatter and concat_ranges
 # share (blocks.py +12).  Deleted in the same change: the per-map
 # gather in write, the per-bucket range walk, _Range and _assemble.
-LOC_CEILING = 15795
+#
+# The lazy package raised it 15,795 -> 15,811 (+16).  repro/__init__
+# resolves its exports and subpackages on first use (PEP 562), so a
+# pool worker imports the engine and the kernels, not scipy, and starts
+# in about half the time: the name -> subpackage table, __getattr__ and
+# __dir__ in place of the five eager imports (+9), the tensor modules'
+# scipy imports moved to where an SVD or an unfolding needs them (+6),
+# the worker start-up cost in the backend docstrings (+3) and one
+# overlong docstring line rewrapped (+1).  Deleted in the same change:
+# the worker's resource-tracker import guard (-3; the module exists on
+# every supported Python).
+LOC_CEILING = 15811
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "src/repro: $$loc lines (ceiling $(LOC_CEILING))"; \
 	test "$$loc" -le $(LOC_CEILING)

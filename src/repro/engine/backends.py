@@ -71,7 +71,8 @@ class ProcessPoolBackend(ExecutorBackend):
     which publishes the large operand arrays once into shared memory
     and ships descriptors per call.  Workers are spawned lazily on the
     first offloaded call, so contexts that never touch the columnar
-    kernel pay nothing.
+    kernel pay nothing; one that does waits ~0.35 s (2 vCPUs; 0.7 s
+    with an eager ``repro``) while its workers import engine and kernels.
     """
 
     name = "process"

@@ -14,7 +14,9 @@ Workers are child interpreters running :func:`worker_main`
 (spawn-safe, no inherited fork state), not :mod:`multiprocessing`
 processes, which re-import the parent's ``__main__`` in every child —
 hazardous under pytest and arbitrary driver scripts.  The only shared
-state is the named shared memory itself.
+state is the named shared memory itself.  A worker imports the engine
+and the kernels, no scipy: a cold start takes ~0.35 s on 2 vCPUs (0.7 s
+when ``import repro`` imported every subpackage).
 
 Segment lifetime has a single owner: the driver's
 :class:`SharedBlockRegistry` creates and unlinks every segment; workers
@@ -114,9 +116,10 @@ class SharedBlockRegistry:
     def publish_cached(self, arr: np.ndarray) -> tuple:
         """The descriptor of a segment holding a copy of ``arr``, made
         once per array identity (with a keepalive reference, so ``id``
-        reuse cannot alias a dead array).  The returned descriptor comes back pinned: eviction skips it until
-        the caller ``unpin``\\ s, so another task overflowing the cache
-        while this request is in flight cannot unlink its segment.
+        reuse cannot alias a dead array).  The returned descriptor comes
+        back pinned: eviction skips it until the caller ``unpin``\\ s,
+        so another task overflowing the cache while this request is in
+        flight cannot unlink its segment.
         """
         key = id(arr)
         hit = self._cached.get(key)
@@ -455,10 +458,7 @@ def _disable_resource_tracking() -> None:
     merely attaches: the driver owns every segment's lifetime, and a
     tracker that 'cleans up' on worker exit would unlink memory the
     driver is still using."""
-    try:  # pragma: no cover - exercised only inside workers
-        from multiprocessing import resource_tracker
-    except ImportError:  # pragma: no cover
-        return
+    from multiprocessing import resource_tracker
     original_register = resource_tracker.register
     original_unregister = resource_tracker.unregister
 

@@ -296,11 +296,11 @@ class ShuffleManager:
         sealed = self.integrity is not None and self.integrity.enabled
         shares = store.rows[reduce_partition]
         fetched, failure, items = np.flatnonzero(shares), None, []
-        for done, i in enumerate(fetched.tolist() if walk
-                                 or self.faults is not None else ()):
+        injects = bool(self.faults and self.faults.plan.fetch_failure_prob)
+        for done, i in enumerate(fetched.tolist() if walk or injects else ()):
             m = store.maps[i]
             try:
-                if self.faults is not None:
+                if injects:
                     self.faults.maybe_fail_fetch(shuffle_id, m,
                                                  reduce_partition)
                 if walk:

@@ -11,7 +11,6 @@ cost of one truncated SVD per mode.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .coo import COOTensor
 from .dense import random_factors
@@ -34,8 +33,9 @@ def nvecs_init(tensor: COOTensor, rank: int,
         x_n = unfold(tensor, mode)
         k = min(rank, min(x_n.shape) - 1) if min(x_n.shape) > 1 else 0
         if k >= 1:
-            u, _s, _vt = spla.svds(x_n.astype(np.float64), k=k,
-                                   random_state=0)
+            from scipy.sparse.linalg import svds
+            u, _s, _vt = svds(x_n.astype(np.float64), k=k,
+                              random_state=0)
             u = u[:, ::-1]  # svds returns ascending singular values
         else:
             u = np.zeros((x_n.shape[0], 0))

@@ -12,10 +12,14 @@ mode indices vary fastest, so
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from .coo import COOTensor
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def column_strides(shape: tuple[int, ...], mode: int) -> np.ndarray:
@@ -53,6 +57,7 @@ def delinearize_column(col: int, shape: tuple[int, ...], mode: int,
 
 def unfold(tensor: COOTensor, mode: int) -> sp.csr_matrix:
     """The sparse mode-``mode`` matricization ``X(mode)``."""
+    from scipy.sparse import csr_matrix
     tensor._check_mode(mode)
     rows = tensor.indices[:, mode]
     cols = linearize_columns(tensor, mode)
@@ -60,7 +65,7 @@ def unfold(tensor: COOTensor, mode: int) -> sp.csr_matrix:
     for m, size in enumerate(tensor.shape):
         if m != mode:
             n_cols *= int(size)
-    return sp.csr_matrix(
+    return csr_matrix(
         (tensor.values, (rows, cols)),
         shape=(tensor.shape[mode], n_cols))
 
@@ -68,7 +73,8 @@ def unfold(tensor: COOTensor, mode: int) -> sp.csr_matrix:
 def fold(matrix: sp.spmatrix, shape: tuple[int, ...],
          mode: int) -> COOTensor:
     """Inverse of :func:`unfold`: rebuild the COO tensor from ``X(mode)``."""
-    coo = sp.coo_matrix(matrix)
+    from scipy.sparse import coo_matrix
+    coo = coo_matrix(matrix)
     order = len(shape)
     indices = np.zeros((coo.nnz, order), dtype=np.int64)
     indices[:, mode] = coo.row

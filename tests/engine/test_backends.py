@@ -511,6 +511,32 @@ class TestProcessPoolLifecycle:
             text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_a_worker_imports_the_engine_and_kernels_only(self):
+        """A worker's program plus every op it can run loads no scipy
+        and no ``repro`` subpackage but the engine and the kernels."""
+        import os
+        import subprocess
+        import sys
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        program = (
+            f"import sys\nsys.path.insert(0, {src!r})\n"
+            "from repro.engine.procpool import _OPS, resolve_op, "
+            "worker_main\n"
+            "[resolve_op(op) for op in _OPS]\n"
+            "print(' '.join(sys.modules))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert "repro.kernels.vectorized" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+        assert not [m for m in loaded if ".".join(m.split(".")[:2]) in {
+            f"repro.{name}" for name in ("core", "tensor", "datasets",
+                                         "baselines", "analysis", "lint",
+                                         "api", "cli")}]
+
 
 class TestOneGenericOp:
     """Guards on the shape of the offload path: one request builder,

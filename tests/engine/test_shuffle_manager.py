@@ -475,6 +475,42 @@ class TestStoreFetchFaults:
                 sum(int((pids[m] == p).sum()) for m in held if m < last)
         assert draws == store_draws
 
+    @pytest.mark.parametrize("prob", [0.0, 0.15])
+    def test_only_a_plan_that_injects_fetch_failures_is_asked(
+            self, monkeypatch, prob):
+        """A clean plan's store reads call ``maybe_fail_fetch`` never; a
+        fetch-fault plan's call it once per pair holding rows, in map
+        order, up to the pair that failed."""
+        from repro.engine.faults import FaultInjector
+        calls = []
+        ask = FaultInjector.maybe_fail_fetch
+
+        def spy(self, *site):
+            calls.append(site)
+            ask(self, *site)
+        monkeypatch.setattr(FaultInjector, "maybe_fail_fetch", spy)
+        rng = np.random.default_rng(0)
+        keys = [rng.integers(0, 50, 40) for _ in range(5)]
+        mgr = ShuffleManager(Cluster(num_nodes=2), faults=FaultInjector(
+            FaultPlan(seed=0, fetch_failure_prob=prob), None))
+        sid = mgr.new_shuffle_id(len(keys))
+        for m, k in enumerate(keys):
+            write(mgr, sid, m, [KeyedRowBlock(k, np.ones((40, 2)))],
+                  parts=6)
+        pids = [HashPartitioner(6).partition_int_keys(k) for k in keys]
+        expected = []
+        for p in range(6):
+            try:
+                mgr.read(sid, p, ShuffleReadMetrics())
+                last = len(keys) - 1
+            except FetchFailedError as exc:
+                [last] = exc.missing_map_partitions
+            expected += [(sid, m, p) for m in range(last + 1)
+                         if (pids[m] == p).any()]
+        assert mgr._stores[sid].block is not None
+        assert calls == (expected if prob else [])
+        assert not prob or len(calls) > 0
+
 
 class TestStoreLifetime:
     def test_map_blocks_die_once_placed(self, mgr):
