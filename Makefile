@@ -92,7 +92,25 @@ loc:
 # overlong docstring line rewrapped (+1).  Deleted in the same change:
 # the worker's resource-tracker import guard (-3; the module exists on
 # every supported Python).
-LOC_CEILING = 15811
+#
+# The planned fold raised it 15,811 -> 15,870 (+59, over the +40
+# budgeted for it).  The broadcast MTTKRP's pre-reduce folds along a
+# plan cached per (tensor block, mode) instead of re-deriving padded
+# length-class planes every iteration: FoldPlan and fold_plan, the
+# position-major permutation and its run table (segsum.py +32), _WIDE
+# with its measured per-call times and the groupby import (+6), the
+# chunked jagged fold in place of the length classes and the -0.0 mask
+# (+4, a shorter module note -2), the weakly keyed plan table and the
+# plan argument through block_contribution and the contrib request
+# (vectorized.py +11), and the rule that plans on the process backend
+# only as many partitions as the publish cache has room for beside the
+# blocks' arrays, read off procpool's cap (vectorized.py +8): past the
+# cache's cap the cycling modes would evict each other's arrays at
+# every task.
+# Deleted in the same change: the length classes, the padding and its
+# mask.  batch_rows is left as it was: a denser rewrite of it is not a
+# reduction.
+LOC_CEILING = 15870
 loc-check:
 	@loc=$$($(MAKE) -s loc); echo "src/repro: $$loc lines (ceiling $(LOC_CEILING))"; \
 	test "$$loc" -le $(LOC_CEILING)

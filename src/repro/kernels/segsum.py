@@ -15,31 +15,35 @@ here reproduce them *bitwise*, keys in ascending order too:
   ``bincount`` counts the other terms and sets such bins to ``-0.0``
   (``tests/core/test_grouping.py`` pins this on the installed numpy).
 * :func:`segmented_fold_at` folds rows computed on demand (the fused
-  broadcast / sampled product larger than one ``PLANE_BYTES`` plane):
-  one stable sort by key (:func:`~repro.engine.blocks.sorted_runs`),
-  then each length class of segments (1, 2, 3-4, 5-8, ...) gathered
-  *position-major* into ``(longest, segments, width)`` planes of at
-  most ``PLANE_BYTES`` and reduced along axis 0 from a **-0.0** seed
-  (the one additive identity that returns every operand's bits): the
-  strict left fold of every key of the class at once.
-  ``np.add.reduceat`` and a 1-D reduce may sum pairwise
+  broadcast / sampled product larger than one ``PLANE_BYTES`` plane)
+  along a :class:`FoldPlan` of the keys, without padding: records
+  position-major, ``acc[:k] += rows`` per position while the ``k``
+  running segments are wide, one :func:`_fold_planes` per run of
+  positions (``acc`` its first plane) once they are narrow, from a
+  **-0.0** seed (the one additive identity that keeps every operand's
+  bits).  ``np.add.reduceat`` and a 1-D reduce may sum pairwise
   (:func:`_fold_planes` pads a lone column).  Within one plane a
-  ``bincount`` is faster (4096 x 4: 0.25 vs 0.3-0.6 ms); above, 2x
-  slower (31k x 16: 10 vs 5 ms).
+  ``bincount`` is faster (4096 x 4: 0.25 vs 0.3-0.6 ms); above, slower.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from itertools import groupby
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from ..engine.blocks import KeyedRowBlock, sorted_runs
+from ..engine.blocks import KeyedRowBlock, sorted_runs, stable_argsort
 
 
 #: byte bound of one gathered planes array, so that it stays cache-
 #: resident and malloc recycles it instead of faulting in fresh pages
 PLANE_BYTES = 1 << 19
+
+#: k * width from which :func:`segmented_fold_at` adds rows in place
+#: (a 31k x 16 broadcast partition, product included, on 2 vCPUs:
+#: 2.07-2.21 ms a call, 2.34-2.55 ms with ``_fold_planes`` alone)
+_WIDE = 512
 
 
 def _fold_planes(planes: np.ndarray) -> np.ndarray:
@@ -63,33 +67,69 @@ def fold_rows(rows: np.ndarray) -> np.ndarray:
     return _fold_planes(np.ascontiguousarray(rows)[:, None, :])[0]
 
 
-def segmented_fold_at(
-        keys: np.ndarray, rows_at: Callable[[np.ndarray], np.ndarray],
-        width: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`segmented_left_fold` of rows that are not materialised:
-    ``rows_at(at)`` returns a fresh ``at.shape + (width,)`` array of the
-    rows at record positions ``at``, each asked for once in the plane
-    reduce's layout, so a producer of rows on demand (the broadcast
-    MTTKRP) never builds the unsorted ``(n, width)`` batch."""
+class FoldPlan(NamedTuple):
+    """How :func:`segmented_fold_at` folds a key column: ``order``
+    position-major (segments longest first), ``keys``, each key's row
+    in the running sums and ``(offset, positions, segments)`` per run."""
+
+    order: np.ndarray
+    keys: np.ndarray
+    slots: np.ndarray
+    runs: np.ndarray
+
+
+def fold_plan(keys: np.ndarray) -> FoldPlan:
+    """The :class:`FoldPlan` of ``keys``: a stable sort by key
+    (:func:`~repro.engine.blocks.sorted_runs`), one by segment length."""
     n = keys.shape[0]
     order, sorted_keys, starts = sorted_runs(keys)
     lengths = np.diff(starts, append=n)
-    # ceil(log2(length)): the exponent frexp gives length - 1
-    classes = np.frexp(lengths - 1)[1]
-    sums = np.empty((starts.shape[0], width))
-    for cls in np.flatnonzero(np.bincount(classes)):
-        members = np.flatnonzero(classes == cls)
-        longest = int(lengths[members].max())
-        pos = np.arange(longest)[:, None]
-        step = max(1, PLANE_BYTES // (8 * width * longest))
-        for lo in range(0, members.shape[0], step):
-            segs = members[lo:lo + step]
-            # slots past a segment's end fetch any valid row, then
-            # become the identity
-            planes = rows_at(order[np.minimum(starts[segs] + pos, n - 1)])
-            planes[pos >= lengths[segs]] = -0.0
-            sums[segs] = _fold_planes(planes)
-    return sorted_keys[starts], sums
+    longest = int(lengths.max(initial=0))
+    by_length = stable_argsort(longest - lengths)
+    slots = np.empty_like(by_length)
+    slots[by_length] = np.arange(by_length.shape[0])
+    running = slots.shape[0] - np.cumsum(np.bincount(lengths))[:longest]
+    first = np.concatenate([[0], np.cumsum(running)])
+    seg = np.repeat(np.arange(starts.shape[0]), lengths)
+    planned = np.empty_like(order)
+    planned[first[np.arange(n) - starts[seg]] + slots[seg]] = order
+    bounds = np.flatnonzero(np.diff(running, prepend=-1, append=-1))
+    runs = np.stack([first[bounds[:-1]], np.diff(bounds),
+                     running[bounds[:-1]]], axis=1)
+    return FoldPlan(planned, sorted_keys[starts], slots, runs)
+
+
+def segmented_fold_at(
+        keys: np.ndarray, rows_at: Callable[[np.ndarray], np.ndarray],
+        width: int, plan: FoldPlan | None = None
+        ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`segmented_left_fold` of rows that are not materialised:
+    ``rows_at(at)`` returns a fresh ``at.shape + (width,)`` array of the
+    rows at record positions ``at``, each asked for once, in chunks of
+    whole positions of ``plan`` (of ``keys``; built if not given) of
+    about ``PLANE_BYTES``, so a producer of rows on demand (the
+    broadcast MTTKRP) never builds the unsorted ``(n, width)`` batch."""
+    plan = fold_plan(keys) if plan is None else plan
+    acc = np.full((plan.slots.shape[0], width), -0.0)
+    cells = max(1, PLANE_BYTES // (8 * width))
+    pieces = [(offset + done * running, min(step, count - done), running)
+              for offset, count, running in plan.runs.tolist()
+              for step in [max(1, cells // running)]
+              for done in range(0, count, step)]
+    for _, chunk in groupby(pieces, lambda piece: piece[0] // cells):
+        chunk = list(chunk)
+        low, (end, count, running) = chunk[0][0], chunk[-1]
+        rows = rows_at(plan.order[low:end + count * running])
+        for offset, count, running in chunk:
+            part = rows[offset - low:offset - low + count * running]
+            if running * width >= _WIDE:
+                for at in range(0, count * running, running):
+                    acc[:running] += part[at:at + running]
+            else:   # the running sums are the reduce's first plane
+                acc[:running] = _fold_planes(np.concatenate(
+                    [acc[None, :running],
+                     part.reshape(count, running, width)]))
+    return plan.keys, acc[plan.slots]
 
 
 def segmented_left_fold(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
 import numpy as np
@@ -38,14 +39,16 @@ import numpy as np
 from ..engine.blocks import (ColumnarBlock, KeyedRowBlock, coalesce_blocks,
                              coalesce_rows, stable_argsort)
 from ..engine.partitioner import HashPartitioner
+from ..engine import procpool
 from ..engine.procpool import resolve_op
 from ..engine.rdd import MapPartitionsRDD, RowProductsRDD
 from ..engine.serialization import estimate_record_size
 from ..engine.shuffle import Aggregator
 from .base import Kernel
 from .sampled import draw_block
-from .segsum import (PLANE_BYTES, combine_rows_block, fold_rows,
-                     segmented_fold_at, segmented_left_fold)
+from .segsum import (PLANE_BYTES, FoldPlan, combine_rows_block,
+                     fold_plan, fold_rows, segmented_fold_at,
+                     segmented_left_fold)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.broadcast import Broadcast
@@ -78,15 +81,16 @@ def _zero_led_sum(rows: np.ndarray) -> np.ndarray:
 def block_contribution(
         values: np.ndarray, key_col: np.ndarray,
         fixed: list[tuple[np.ndarray, np.ndarray]],
-        prereduce: bool) -> tuple[np.ndarray, np.ndarray]:
+        prereduce: bool, plan: "FoldPlan | None" = None
+        ) -> tuple[np.ndarray, np.ndarray]:
     """``(keys, rows)`` MTTKRP contributions of one block: per nonzero
     its value times the Hadamard product of the factor rows that the
     ``(index column, factor)`` pairs of ``fixed`` select, left-folded
     per key under ``prereduce``: by ``bincount`` if the product fits one
-    ``PLANE_BYTES`` plane, else evaluated at the plane fold's sorted,
-    padded positions (it commutes with a permutation); either is the
-    strict left fold in record order.  Runs inline and in the pool
-    worker."""
+    ``PLANE_BYTES`` plane and no ``plan`` (a ``FoldPlan`` of ``key_col``)
+    is given, else evaluated in the plan's order (it commutes with a
+    permutation); either is the strict left fold in record order.  Runs
+    inline and in the pool worker."""
     def product_at(at: "np.ndarray | slice") -> np.ndarray:
         (col, factor), *rest = fixed
         acc = np.take(factor, col[at], axis=0)
@@ -97,8 +101,8 @@ def block_contribution(
     width = fixed[0][1].shape[1]
     if not prereduce:
         return key_col, product_at(slice(None))
-    if len(key_col) * width * 8 > PLANE_BYTES:
-        return segmented_fold_at(key_col, product_at, width)
+    if plan is not None or len(key_col) * width * 8 > PLANE_BYTES:
+        return segmented_fold_at(key_col, product_at, width, plan)
     return segmented_left_fold(key_col, product_at(slice(None)))
 
 
@@ -160,6 +164,8 @@ class VectorizedKernel(Kernel):
         self._metrics = metrics
         # the process backend's offload client, if any
         self._offload = offload
+        # cached tensor block -> {mode: FoldPlan}, dropped with the block
+        self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _count(self, records: int) -> None:
         if self._metrics is not None:
@@ -202,8 +208,14 @@ class VectorizedKernel(Kernel):
         # With combining off, raw rows must cross the shuffle so the
         # reduce-side fold groups them identically.
         prereduce = tensor_rdd.ctx.conf.map_side_combine
+        # the workers' publish cache holds the blocks' values and d
+        # columns and a stage's d - 1 factors; the first partitions whose
+        # d plan orders fit the room left plan, so no mode evicts a block
+        d, parts = len(broadcasts) + 1, tensor_rdd.num_partitions
+        planned = parts if self._offload is None else (
+            procpool._PUBLISH_CACHE_CAP - parts * (d + 1) - (d - 1)) // d
 
-        def batch(_split: int, it: Iterable, task: "TaskContext") -> list:
+        def batch(split: int, it: Iterable, task: "TaskContext") -> list:
             """One partition's :func:`block_contribution`.  Requires
             dense ndarray broadcast factors (row ``i`` at index ``i``),
             which is what every driver broadcasts."""
@@ -213,12 +225,19 @@ class VectorizedKernel(Kernel):
             key_col = blk.column(mode)
             fixed = [(blk.column(m), bc.value)
                      for m, bc in broadcasts.items()]
+            rank = fixed[0][1].shape[1]
+            plan = None
+            if prereduce and split < planned \
+                    and len(blk) * rank * 8 > PLANE_BYTES:
+                plans = self._plans.setdefault(blk, {})
+                plan = plans.get(mode) or plans.setdefault(
+                    mode, fold_plan(key_col))
             self._count(len(blk))
             # unreduced rows keep the keys as they are: not sent
             return [self._run(
                 task, "contrib",
                 (blk.values, key_col if prereduce else None, fixed),
-                {"prereduce": prereduce},
+                {"prereduce": prereduce, "plan": plan},
                 lambda res: KeyedRowBlock(
                     res[0] if prereduce else key_col, res[1]))]
         return MapPartitionsRDD(

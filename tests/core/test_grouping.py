@@ -4,11 +4,13 @@
 (the sites that call it are guarded by the existing order-sensitive
 suites, which run here a second time with the radix path forced onto
 their small blocks); ``segmented_left_fold`` — one ``np.bincount``,
-pinned on the installed numpy — and the plane fold must equal the
-record path's dict left fold byte for byte, the sign of a zero
-included; the sampled draw must equal ``Generator.choice``'s, pinned
-on the installed numpy too; a counting spy pins what a steady-state
-iteration still sorts; and source guards keep the next block-path
+pinned on the installed numpy — and the planned fold (its in-place
+and outer-axis adds pinned too) must equal the record path's dict left
+fold byte for byte, the sign of a zero included; the sampled draw must
+equal ``Generator.choice``'s, pinned on the installed numpy too; a
+counting spy pins what a steady-state iteration still sorts, and that
+the broadcast fold's plans are built once and die with their blocks;
+and source guards keep the next block-path
 sort from quietly being a merge sort again, the next driver from
 growing a second tensor representation or a second conversion point,
 ``core/cp_als.py`` free of per-row callables, and the join dataflows
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 import ast
 import collections
+import gc
 import pathlib
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +41,9 @@ from repro.engine.partitioner import stable_hash
 from repro.kernels import (combine_rows_block, fold_rows,
                            segmented_left_fold)
 from repro.kernels.sampled import draw_rows
-from repro.kernels.segsum import PLANE_BYTES, segmented_fold_at
+from repro.kernels import segsum
+from repro.kernels.segsum import (PLANE_BYTES, _fold_planes, fold_plan,
+                                  segmented_fold_at)
 from repro.engine.shuffle import Aggregator
 from repro.kernels.vectorized import RowSumAggregator, block_contribution
 from repro.tensor import random_factors, uniform_sparse
@@ -156,7 +162,7 @@ class TestPlaneFold:
     def test_product_at_positions_equals_the_materialised_product(
             self, prereduce):
         """The broadcast MTTKRP evaluates its Hadamard product at the
-        fold's sorted, padded positions; the bits are those of the
+        fold plan's positions; the bits are those of the
         record path's per-nonzero ``(val * row) * row`` and fold."""
         rng = np.random.default_rng(12)
         n, rank = 1500, 5
@@ -203,6 +209,99 @@ class TestPlaneFold:
         assert bool(on_planes) == (n * width > PLANE_BYTES // 8)
         assert np.array_equal(keys, bincount[0])
         assert rows.tobytes() == bincount[1].tobytes()
+
+
+class TestPlannedFold:
+    """``segmented_fold_at`` along a ``FoldPlan``: the dict left fold's
+    bytes, with every record position
+    asked for exactly once, whatever the key skew, width or chunk
+    budget."""
+
+    @staticmethod
+    def fold(keys, rows, plan=None):
+        fetched = []
+
+        def rows_at(at):
+            fetched.append(at)
+            return rows[at]
+        out = segmented_fold_at(keys, rows_at, rows.shape[1], plan)
+        assert sum(at.size for at in fetched) == len(keys)
+        assert np.array_equal(np.sort(np.concatenate(fetched)),
+                              np.arange(len(keys)))
+        assert_equals_dict_fold(keys, rows, *out)
+        return out
+
+    @given(keyed_rows(), st.sampled_from([PLANE_BYTES, 4096, 64, 8]))
+    def test_equals_dict_left_fold_bytes(self, batch, budget):
+        keys, rows = batch
+        with mock.patch.object(segsum, "PLANE_BYTES", budget):
+            self.fold(keys, rows)
+
+    @pytest.mark.parametrize("budget", [PLANE_BYTES, 1024])
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    @pytest.mark.parametrize("layout", ["uniform", "half", "zipf"])
+    def test_named_layouts(self, layout, width, budget, monkeypatch):
+        """Uniform keys, one key holding half the rows (a long run of
+        one segment at the end) and Zipf(1.3) keys."""
+        monkeypatch.setattr(segsum, "PLANE_BYTES", budget)
+        rng = np.random.default_rng(width)
+        n = 6000
+        keys = rng.integers(0, 400, n)
+        if layout == "half":
+            keys[rng.permutation(n)[:n // 2]] = 400
+        elif layout == "zipf":
+            keys = rng.zipf(1.3, n) % 5000
+        rows = rng.standard_normal((n, width)) * 1e6
+        self.fold(keys, rows)
+
+    def test_a_lone_width_1_run_is_not_summed_pairwise(self):
+        """Width 1, one key of 300 rows beside short ones: the tail of
+        the plan is a run of one segment, which would be a 1-D reduce
+        (pairwise from 8 addends) unless the fold pads it."""
+        column = np.random.default_rng(40).standard_normal((300, 1)) * 1e6
+        keys = np.concatenate([np.zeros(300, dtype=np.int64),
+                               np.arange(1, 41)])
+        rows = np.concatenate([column, np.ones((40, 1))])
+        _, sums = self.fold(keys, rows)
+        assert sums[0, 0] != np.add.reduce(column[:, 0])
+
+    def test_rows_of_negative_zero(self):
+        keys = np.array([4, 4, 4, 2, 9, 2], dtype=np.int64)
+        _, sums = self.fold(keys, np.full((6, 2), -0.0))
+        assert np.signbit(sums).all()
+        mixed = np.array([[-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]] * 4)
+        self.fold(np.arange(12, dtype=np.int64) % 2, mixed)
+
+    def test_one_row(self):
+        keys, sums = self.fold(np.array([7], dtype=np.int64),
+                               np.array([[-0.0, 2.5]]))
+        assert keys.tolist() == [7]
+
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_more_keys_than_one_chunk_holds_rows(self, width):
+        """Position 0 alone holds more records than ``PLANE_BYTES``
+        allows a chunk: it is a chunk of its own, and the fold ends."""
+        cells = PLANE_BYTES // (8 * width)
+        rng = np.random.default_rng(width)
+        keys = rng.permutation(np.repeat(np.arange(cells + 7), 3))
+        rows = rng.standard_normal((keys.shape[0], width))
+        self.fold(keys, rows)
+
+    def test_a_prebuilt_plan_is_the_plan_of_its_keys(self):
+        rng = np.random.default_rng(3)
+        keys = rng.zipf(1.3, 3000) % 700
+        rows = rng.standard_normal((3000, 4))
+        plan = fold_plan(keys)
+        assert np.array_equal(np.sort(plan.order), np.arange(3000))
+        assert np.array_equal(plan.keys, np.unique(keys))
+        offsets, positions, running = plan.runs.T
+        assert (np.diff(running) < 0).all() and running[-1] >= 1
+        assert offsets[0] == 0 and np.array_equal(
+            offsets[1:], (positions * running).cumsum()[:-1])
+        assert (positions * running).sum() == 3000
+        planned = self.fold(keys, rows, plan)
+        unplanned = self.fold(keys, rows)
+        assert planned[1].tobytes() == unplanned[1].tobytes()
 
 
 def _pieces(keys, rows, cuts):
@@ -310,6 +409,51 @@ class TestBincountAccumulation:
         assert_equals_dict_fold(keys, rows, out_keys, out_rows)
         assert np.signbit(out_rows).tolist() == [
             [True, False], [False, True], [False, False]]
+
+
+# ----------------------------------------------------------------------
+# in-place and outer-axis adds: the planned fold's order, pinned
+# ----------------------------------------------------------------------
+class TestPlannedFoldOrder:
+    """``segmented_fold_at`` folds a wide run of segments by ``acc[:k]
+    += rows`` per position and a narrow one by ``_fold_planes`` with the
+    running sums as its first plane; its bits are the record path's only
+    while numpy's in-place add is element by element and a reduce over
+    the outer axis of C-contiguous planes adds plane after plane from
+    its ``initial``.  A numpy that reassociates either fails here."""
+
+    @staticmethod
+    def left_fold(seed, terms):
+        acc = seed
+        for x in terms.tolist():
+            acc = acc + x
+        return np.float64(acc)
+
+    def test_an_in_place_add_is_elementwise(self):
+        rng = np.random.default_rng(7)
+        acc = rng.standard_normal((64, 16)) * 1e6
+        acc[::5] = -0.0
+        rows = rng.standard_normal((64, 16))
+        rows[::3] = np.where(rng.random((22, 16)) < 0.5, 0.0, -0.0)
+        want = np.array([[a + b for a, b in zip(x, y)]
+                         for x, y in zip(acc.tolist(), rows.tolist())])
+        acc[:64] += rows
+        assert acc.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(300, 1, 1), (300, 2, 1),
+                                       (300, 1, 2), (300, 7, 16)])
+    def test_an_outer_axis_reduce_is_a_sequential_fold(self, shape):
+        length, segments, width = shape
+        planes = (np.random.default_rng(40).standard_normal(
+            (length, segments * width)) * 1e6).reshape(shape)
+        sums = _fold_planes(planes)
+        for s in range(segments):
+            for r in range(width):
+                column = np.ascontiguousarray(planes[:, s, r])
+                assert sums[s, r].tobytes() == \
+                    self.left_fold(-0.0, column).tobytes()
+        if segments * width == 1:   # the data tells the orders apart
+            assert np.add.reduce(planes.ravel()) != sums[0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +577,17 @@ def test_a_steady_state_iteration_sorts_only_where_it_must(
     these tensors fit one ``PLANE_BYTES`` plane, so their fused fold is
     a ``bincount`` and sorts nothing either; joins, combines, reduces
     and the normalise step sort nothing."""
+    seen, armed = _steady_state_sorts(monkeypatch)
+    cf.run("order4", driver, kernel="vectorized", backend="serial",
+           sampler=sampler, iterations=3)
+    assert len(armed) >= 3
+    assert set(seen) == callers, seen
+
+
+def _steady_state_sorts(monkeypatch) -> tuple[collections.Counter, list]:
+    """A counting spy on ``stable_argsort``, wherever it is imported:
+    per calling function, the sorts after the first iteration (and the
+    set-up before it), and one entry per iteration boundary passed."""
     from repro.engine import Context
     seen = collections.Counter()
     armed = []
@@ -452,10 +607,128 @@ def test_a_steady_state_iteration_sorts_only_where_it_must(
         real_drop(ctx)
         armed.append(True)
     monkeypatch.setattr(Context, "drop_shuffle_outputs", boundary)
-    cf.run("order4", driver, kernel="vectorized", backend="serial",
-           sampler=sampler, iterations=3)
+    return seen, armed
+
+
+def _counted_plans(monkeypatch) -> collections.Counter:
+    """With the plane budget below every broadcast partition's product,
+    so that the fused fold runs along plans: how many plans the
+    vectorized kernel builds, per key column."""
+    from repro.kernels import vectorized
+    for module in (segsum, vectorized):
+        monkeypatch.setattr(module, "PLANE_BYTES", 128)
+    built = collections.Counter()
+    real_plan = vectorized.fold_plan
+
+    def counted(keys):
+        built[id(keys)] += 1
+        return real_plan(keys)
+    monkeypatch.setattr(vectorized, "fold_plan", counted)
+    return built
+
+
+def test_the_broadcast_fold_plans_once_per_partition_and_mode(monkeypatch):
+    """Each cached tensor block's fold plan of a mode is built at the
+    first iteration and reused by the next two, so a steady-state
+    broadcast iteration on the plan path still sorts only each
+    shuffle's partition order."""
+    built = _counted_plans(monkeypatch)
+    seen, armed = _steady_state_sorts(monkeypatch)
+    cf.run("order4", "coo-broadcast", kernel="vectorized",
+           backend="serial", iterations=3)
     assert len(armed) >= 3
-    assert set(seen) == callers, seen
+    assert set(seen) == {"partition_order"}, seen
+    placed = cf.tensor("order4").partition_blocks(
+        "hash", cf.CASES["order4"].partitions)
+    assert len(built) == 4 * sum(len(blk) > 0 for blk in placed)
+    assert set(built.values()) == {1}
+
+
+def test_a_fold_plan_lives_as_long_as_its_cached_block(monkeypatch):
+    """The kernel's plan table holds its blocks weakly: once the
+    decomposition has unpersisted the tensor and the blocks are
+    collected, no plan is left."""
+    built = _counted_plans(monkeypatch)
+    tables = []
+
+    def after_decompose(ctx):
+        gc.collect()
+        tables.append(len(ctx.kernel._plans))
+    cf.run("order4", "coo-broadcast", kernel="vectorized",
+           backend="serial", iterations=2, probe=after_decompose)
+    assert built and tables == [0]
+
+
+def test_the_planned_broadcast_fold_keeps_the_oracles_bits(
+        monkeypatch, share_everything):
+    """On the plan path the broadcast decomposition is the record
+    oracle's, bit for bit: serial, on two worker processes (each
+    request carries its plan, whose order array is published once), and
+    with the tensor cached serialized under injected corruption, where
+    every read is a fresh block with a fresh plan.  No segment outlives
+    ``stop()``."""
+    from repro.engine import FaultPlan, StorageLevel, procpool
+    built = _counted_plans(monkeypatch)
+    planned = []
+    real_run = procpool.OffloadClient.run
+
+    def sent(self, op, arrays, meta, *rest):
+        out = real_run(self, op, arrays, meta, *rest)
+        planned.append(out is not None and meta["plan"] is not None)
+        return out
+    monkeypatch.setattr(procpool.OffloadClient, "run", sent)
+    contexts = []
+    oracle = cf.oracle("order4", "coo-broadcast")
+    for backend in ("serial", "process"):
+        cf.assert_bit_identical(oracle, cf.run(
+            "order4", "coo-broadcast", kernel="vectorized",
+            backend=backend, probe=contexts.append))
+    assert any(planned)
+    before = sum(built.values())
+    corrupted = cf.run(
+        "order4", "coo-broadcast", kernel="vectorized", backend="serial",
+        plan=FaultPlan(seed=3, corrupt_block_prob=0.3),
+        conf={"integrity": True}, storage_level=StorageLevel.MEMORY_SER,
+        probe=contexts.append)
+    cf.assert_bit_identical(oracle, corrupted)
+    assert corrupted.metrics.integrity.corrupted_blocks > 0
+    assert corrupted.metrics.integrity.recompute_recoveries > 0
+    assert sum(built.values()) - before > before
+    assert all(ctx.backend.live_segments() == [] for ctx in contexts)
+
+
+def test_plans_take_only_the_room_the_blocks_leave_in_the_publish_cache(
+        monkeypatch, share_everything):
+    """On the process backend a plan's order is one more published array
+    per partition and mode.  The publish cache keeps the blocks' values
+    and columns and a stage's factors first; only the first partitions
+    whose orders fit the room left are planned, so the modes cycling
+    through the partitions never evict an array before its next use,
+    and the rest fold as at any size without a plan: the oracle's
+    bits either way."""
+    from repro.engine import procpool
+    _counted_plans(monkeypatch)
+    partitions = cf.CASES["order4"].partitions
+    placed = cf.tensor("order4").partition_blocks("hash", partitions)
+    sent = []
+    real_run = procpool.OffloadClient.run
+
+    def spy(self, op, arrays, meta, *rest):
+        sent.append(meta["plan"])
+        return real_run(self, op, arrays, meta, *rest)
+    monkeypatch.setattr(procpool.OffloadClient, "run", spy)
+    oracle = cf.oracle("order4", "coo-broadcast")
+    blocks_and_factors = partitions * 5 + 3
+    for room, planned in [(partitions, partitions), (3, 3), (-1, 0)]:
+        sent.clear()
+        monkeypatch.setattr(procpool, "_PUBLISH_CACHE_CAP",
+                            blocks_and_factors + 4 * room)
+        cf.assert_bit_identical(oracle, cf.run(
+            "order4", "coo-broadcast", kernel="vectorized",
+            backend="process"))
+        plans = {id(plan) for plan in sent if plan is not None}
+        assert sent and len(plans) == 4 * sum(
+            len(blk) > 0 for blk in placed[:planned])
 
 
 def _tensor_representation_breaches(path: pathlib.Path,
